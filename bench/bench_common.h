@@ -2,8 +2,8 @@
 //
 // Every bench binary runs argument-free. POETBIN_BENCH_SCALE (a float,
 // default 1.0) scales dataset sizes so CI can run quick sanity sweeps
-// (e.g. POETBIN_BENCH_SCALE=0.25) while the default reproduces the numbers
-// recorded in EXPERIMENTS.md.
+// (e.g. POETBIN_BENCH_SCALE=0.25) while the default prints the full-size
+// numbers.
 #pragma once
 
 #include <string>

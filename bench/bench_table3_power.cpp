@@ -41,6 +41,6 @@ int main() {
       "\nNotes: MNIST reproduced by calibration; CIFAR-10/SVHN predicted by\n"
       "the single-parameter model (within ~2.5x, same order — the paper's\n"
       "SVHN dynamic power is high for its LUT count because of its faster\n"
-      "clock and denser routing; see EXPERIMENTS.md).\n");
+      "clock and denser routing).\n");
   return 0;
 }

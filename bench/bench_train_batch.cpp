@@ -1,6 +1,7 @@
 // Scalar vs word-parallel *training*: LevelDT entropy scans, the Adaboost
 // error/reweight loops, an end-to-end RINC-2 fit, and the output-layer
-// squared-hinge retraining.
+// squared-hinge retraining. The scalar side is the LevelDT scalar scan and
+// the tests/reference oracles.
 //
 // The acceptance bars for the training engine, all single-threaded on a
 // 10k-example dataset with bit-identical fits/alphas/weights: the bitsliced
@@ -22,6 +23,7 @@
 #include "dt/level_dt.h"
 #include "dt/lut.h"
 #include "nn/quantize.h"
+#include "reference/scalar_reference.h"
 #include "util/bit_matrix.h"
 #include "util/rng.h"
 #include "util/word_backend.h"
@@ -85,12 +87,16 @@ bool same_fit(const LevelDtResult& a, const LevelDtResult& b) {
 // Model shell for timing retrain_output_layer in isolation: the RINC bank
 // is never touched by the retrain, so trivial leaf modules satisfy
 // from_parts and the output layer fits directly on a pre-packed bit bank.
-PoetBin output_shell(std::size_t n_classes, std::size_t p,
-                     bool word_parallel) {
+PoetBinConfig output_config(std::size_t n_classes, std::size_t p) {
   PoetBinConfig config;
   config.n_classes = n_classes;
   config.rinc.lut_inputs = p;
-  config.output.word_parallel = word_parallel;
+  return config;
+}
+
+PoetBin output_shell(const PoetBinConfig& config) {
+  const std::size_t n_classes = config.n_classes;
+  const std::size_t p = config.rinc.lut_inputs;
   std::vector<RincModule> modules;
   for (std::size_t m = 0; m < n_classes * p; ++m) {
     modules.push_back(RincModule::make_leaf(Lut({0}, BitVector(2))));
@@ -151,12 +157,11 @@ int main() {
     const double target = p == 6 ? 4.0 : 3.0;
     std::printf("LevelDT, P=%zu (%zu-level scan over %zu candidates):\n", p, p,
                 n_features);
-    LevelDtConfig scalar_config{.n_inputs = p, .word_parallel = false};
-    LevelDtConfig sliced_config{.n_inputs = p, .word_parallel = true};
+    const LevelDtConfig config{.n_inputs = p};
 
     LevelDtResult scalar_fit, sliced_fit, threaded_fit;
     const double scalar_s = time_best_of(3, [&] {
-      scalar_fit = train_level_dt(features, targets, weights, scalar_config);
+      scalar_fit = train_level_dt_scalar(features, targets, weights, config);
     });
     report("scalar scan", scalar_s, n_examples, scalar_s);
     char label[64], key[64];
@@ -164,7 +169,7 @@ int main() {
     for (const auto backend : backends) {
       set_word_backend(backend);
       const double backend_s = time_best_of(5, [&] {
-        sliced_fit = train_level_dt(features, targets, weights, sliced_config);
+        sliced_fit = train_level_dt(features, targets, weights, config);
       });
       if (!same_fit(scalar_fit, sliced_fit)) {
         std::printf("  ERROR: %s fit disagrees with the scalar path\n",
@@ -183,7 +188,7 @@ int main() {
     const BatchEngine engine(hw);
     const double threaded_s = time_best_of(5, [&] {
       threaded_fit =
-          train_level_dt(features, targets, weights, sliced_config, &engine);
+          train_level_dt(features, targets, weights, config, &engine);
     });
     if (!same_fit(scalar_fit, threaded_fit)) {
       std::printf("  ERROR: threaded fit disagrees with the scalar path\n");
@@ -227,8 +232,8 @@ int main() {
     std::printf("Adaboost, %zu rounds (canned weak learner):\n", n_rounds);
     AdaboostResult scalar_boost, word_boost;
     const double scalar_s = time_best_of(3, [&] {
-      scalar_boost = run_adaboost(
-          targets, canned, {.n_rounds = n_rounds, .word_parallel = false});
+      scalar_boost = reference::run_adaboost_scalar(targets, canned,
+                                                    {.n_rounds = n_rounds});
     });
     report("scalar loops", scalar_s, n_examples * n_rounds, scalar_s);
     json.add("adaboost_scalar_ms", 1e3 * scalar_s);
@@ -236,8 +241,7 @@ int main() {
     for (const auto backend : backends) {
       set_word_backend(backend);
       const double backend_s = time_best_of(5, [&] {
-        word_boost = run_adaboost(
-            targets, canned, {.n_rounds = n_rounds, .word_parallel = true});
+        word_boost = run_adaboost(targets, canned, {.n_rounds = n_rounds});
       });
       for (std::size_t r = 0; r < n_rounds; ++r) {
         if (scalar_boost.rounds[r].alpha != word_boost.rounds[r].alpha) {
@@ -263,24 +267,21 @@ int main() {
 
   // --- End-to-end RINC-2 fit ----------------------------------------------
   {
-    RincConfig scalar_config{
-        .lut_inputs = 6, .levels = 2, .total_dts = 36,
-        .word_parallel_training = false};
-    RincConfig word_config = scalar_config;
-    word_config.word_parallel_training = true;
+    const RincConfig config{.lut_inputs = 6, .levels = 2, .total_dts = 36};
 
     std::printf("RINC-2 train (P=6, 36 DTs):\n");
-    RincModule scalar_module, word_module;
+    reference::RincFit scalar_fit;
+    RincModule word_module;
     const double scalar_s = time_best_of(1, [&] {
-      scalar_module =
-          RincModule::train(features, targets, weights, scalar_config);
+      scalar_fit =
+          reference::train_rinc_scalar(features, targets, weights, config);
     });
     const double word_s = time_best_of(2, [&] {
-      word_module = RincModule::train(features, targets, weights, word_config);
+      word_module = RincModule::train(features, targets, weights, config);
     });
-    if (!(scalar_module.eval_dataset(features) ==
+    if (!(scalar_fit.module.eval_dataset(features) ==
           word_module.eval_dataset(features)) ||
-        scalar_module.train_error() != word_module.train_error()) {
+        scalar_fit.train_error != word_module.train_error()) {
       std::printf("  ERROR: trained modules disagree\n");
       return 1;
     }
@@ -320,10 +321,14 @@ int main() {
 
     std::printf("Output-layer retrain (%zu classes, P=%zu, %zu epochs):\n",
                 n_classes, p, OutputLayerConfig{}.epochs);
-    PoetBin scalar_model = output_shell(n_classes, p, false);
-    PoetBin word_model = output_shell(n_classes, p, true);
-    const double scalar_s = time_best_of(
-        2, [&] { scalar_model.retrain_output_layer(bank, labels); });
+    const PoetBinConfig config = output_config(n_classes, p);
+    const PoetBin shell = output_shell(config);
+    PoetBin scalar_model;
+    PoetBin word_model = shell;
+    const double scalar_s = time_best_of(2, [&] {
+      scalar_model =
+          reference::retrain_output_layer_scalar(shell, config, bank, labels);
+    });
     report("scalar retrain", scalar_s, n_examples, scalar_s);
     json.add("output_retrain_scalar_ms", 1e3 * scalar_s);
     double word_s = 0.0;
@@ -347,7 +352,7 @@ int main() {
     }
     set_word_backend(default_backend);
     const BatchEngine engine(hw);
-    PoetBin threaded_model = output_shell(n_classes, p, true);
+    PoetBin threaded_model = shell;
     const double threaded_s = time_best_of(
         3, [&] { threaded_model.retrain_output_layer(bank, labels, &engine); });
     if (!same_output_layer(scalar_model, threaded_model)) {

@@ -4,7 +4,7 @@
 //   $ ./poetbin_cli train model.txt [digits|house_numbers|textures]
 //   $ ./poetbin_cli train-conv model.txt        # conv front end + classifier
 //   $ ./poetbin_cli eval model.txt  [digits|house_numbers|textures]
-//                   [--threads=N] [--scalar]   # serving runtime options
+//                   [--threads=N]              # serving runtime options
 //   $ ./poetbin_cli export model.txt out_dir
 //   $ ./poetbin_cli pack model.txt model.pbm   # text -> packed binary
 //   $ ./poetbin_cli unpack model.pbm model.txt # packed -> text
@@ -33,8 +33,7 @@
 // 0.5; CI smoke uses smaller) — eval regenerates the dataset, so pass the
 // SAME --scale at train and eval time. `eval` loads the saved model into a
 // poetbin::Runtime (persistent engine + fused bitsliced argmax) and times
-// the pass; --scalar runs the scalar reference path instead, and
-// --batch[=threads] is accepted as a deprecated alias for --threads.
+// the pass; --threads=1 runs it inline on the calling thread (no pool).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -220,11 +219,8 @@ int cmd_train_conv(const std::string& path, double scale) {
 }
 
 int cmd_eval(const std::string& path, SyntheticFamily family, double scale,
-             std::size_t threads, bool scalar) {
-  // The scalar reference path never touches the engine; don't spin up a
-  // hardware-concurrency pool it won't use.
-  Runtime::LoadResult runtime =
-      Runtime::load(path, {.threads = scalar ? 1 : threads});
+             std::size_t threads) {
+  Runtime::LoadResult runtime = Runtime::load(path, {.threads = threads});
   if (!runtime.ok()) {
     std::fprintf(stderr, "error: %s: %s\n",
                  model_io_error_kind_name(runtime.error().kind),
@@ -241,17 +237,11 @@ int cmd_eval(const std::string& path, SyntheticFamily family, double scale,
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
   const double accuracy =
-      scalar ? runtime->model().accuracy(test_features,
-                                         result.test_bits.labels)
-             : runtime->accuracy(test_features, result.test_bits.labels);
+      runtime->accuracy(test_features, result.test_bits.labels);
   const auto t1 = Clock::now();
   const double seconds = std::chrono::duration<double>(t1 - t0).count();
-  if (scalar) {
-    std::printf("scalar reference: ");
-  } else {
-    std::printf("runtime (%zu threads, %s backend): ", runtime->threads(),
-                word_backend_name(runtime->backend()));
-  }
+  std::printf("runtime (%zu threads, %s backend): ", runtime->threads(),
+              word_backend_name(runtime->backend()));
   std::printf("%zu examples in %.3f ms (%.0f examples/s)\n",
               test_features.rows(), 1e3 * seconds,
               test_features.rows() / seconds);
@@ -371,10 +361,9 @@ std::size_t parse_thread_count(const char* arg, const char* value) {
 
 int main(int argc, char** argv) {
   // Peel off flags wherever they appear: --threads=N (serving runtime
-  // threads; --batch[=N] is the deprecated spelling), --scalar (scalar
-  // reference path) and --scale=<f> (dataset/teacher preset scale).
+  // threads) and --scale=<f> (dataset/teacher preset scale), plus the
+  // serve options.
   std::size_t threads = 0;
-  bool scalar = false;
   double scale = 0.5;
   std::size_t port = 0;
   std::size_t workers = 1;
@@ -383,19 +372,8 @@ int main(int argc, char** argv) {
   bool no_cache = false;
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--batch", 7) == 0 &&
-        (argv[i][7] == '\0' || argv[i][7] == '=')) {
-      if (argv[i][7] == '=') {
-        threads = parse_thread_count(argv[i], argv[i] + 8);
-      }
-      continue;
-    }
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       threads = parse_thread_count(argv[i], argv[i] + 10);
-      continue;
-    }
-    if (std::strcmp(argv[i], "--scalar") == 0) {
-      scalar = true;
       continue;
     }
     if (std::strncmp(argv[i], "--scale=", 8) == 0) {
@@ -448,7 +426,7 @@ int main(int argc, char** argv) {
   }
   if (n_args >= 3 && std::strcmp(args[1], "eval") == 0) {
     return cmd_eval(args[2], parse_family(n_args > 3 ? args[3] : "digits"),
-                    scale, threads, scalar);
+                    scale, threads);
   }
   if (n_args >= 4 && std::strcmp(args[1], "export") == 0) {
     return cmd_export(args[2], args[3]);
@@ -474,7 +452,7 @@ int main(int argc, char** argv) {
                " [--scale=<f>]\n"
                "  %s train-conv <model.txt> [--scale=<f>]\n"
                "  %s eval   <model> [digits|house_numbers|textures]"
-               " [--threads=N] [--scalar] [--scale=<f>]\n"
+               " [--threads=N] [--scale=<f>]\n"
                "  %s export <model> <out_dir>\n"
                "  %s pack   <model> <out.pbm>\n"
                "  %s unpack <model> <out.txt>\n"

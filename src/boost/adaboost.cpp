@@ -47,21 +47,12 @@ AdaboostResult run_adaboost(const BitVector& targets, WeakTrainFn train_weak,
     BitVector predictions = train_weak(weights, round);
     POETBIN_CHECK(predictions.size() == n);
 
-    double epsilon = 0.0;
-    double total = 0.0;
-    if (config.word_parallel) {
-      // One xor pass gives the disagreement mask; epsilon is then a masked
-      // weighted sum over its words. Both accumulators add the same terms in
-      // the same order as the scalar loop, so the doubles are identical.
-      predictions.xor_into(targets, disagreement);
-      total = std::accumulate(weights.begin(), weights.end(), 0.0);
-      epsilon = disagreement.masked_weighted_sum(weights);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        total += weights[i];
-        if (predictions.get(i) != targets.get(i)) epsilon += weights[i];
-      }
-    }
+    // One xor pass gives the disagreement mask; epsilon is then a masked
+    // weighted sum over its words. Both accumulators add the same terms in
+    // the same order as a per-example loop, so the doubles are identical.
+    predictions.xor_into(targets, disagreement);
+    const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+    double epsilon = disagreement.masked_weighted_sum(weights);
     POETBIN_CHECK(total > 0.0);
     epsilon /= total;
 
@@ -73,27 +64,17 @@ AdaboostResult run_adaboost(const BitVector& targets, WeakTrainFn train_weak,
     alphas.push_back(alpha);
     round_predictions.push_back(std::move(predictions));
 
-    // Reweight: w_i *= exp(-alpha * y_i * h_i), then renormalise.
-    const BitVector& preds = round_predictions.back();
+    // Reweight: w_i *= exp(-alpha * y_i * h_i), then renormalise. The
+    // agreement y_i * h_i is +-1, so the factor takes only two values; the
+    // whole pass becomes a branchless multiply steered by the disagreement
+    // bit (exp(-alpha * +-1.0) == exp(-+alpha) exactly). The multiplies are
+    // elementwise and therefore exact at any SIMD width; the renormalisation
+    // total is summed afterwards in ascending index order — the same terms
+    // in the same order as a per-example loop, so the doubles are identical.
+    word_ops().scale_by_mask(disagreement.words(), n, std::exp(-alpha),
+                             std::exp(alpha), weights.data());
     double new_total = 0.0;
-    if (config.word_parallel) {
-      // agreement is +-1, so exp(-alpha * agreement) takes only two values;
-      // the whole pass becomes a branchless multiply steered by the
-      // disagreement bit (exp(-alpha * +-1.0) == exp(-+alpha) exactly).
-      // The multiplies are elementwise and therefore exact at any SIMD
-      // width; the renormalisation total is summed afterwards in ascending
-      // index order — the same terms in the same order as the scalar loop,
-      // so the doubles are identical.
-      word_ops().scale_by_mask(disagreement.words(), n, std::exp(-alpha),
-                               std::exp(alpha), weights.data());
-      for (const double w : weights) new_total += w;
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        const double agreement = (preds.get(i) == targets.get(i)) ? 1.0 : -1.0;
-        weights[i] *= std::exp(-alpha * agreement);
-        new_total += weights[i];
-      }
-    }
+    for (const double w : weights) new_total += w;
     POETBIN_CHECK(new_total > 0.0);
     for (auto& w : weights) w /= new_total;
   }
@@ -114,10 +95,6 @@ AdaboostResult run_adaboost(const BitVector& targets, WeakTrainFn train_weak,
   }
   result.train_error = static_cast<double>(errors) / static_cast<double>(n);
   return result;
-}
-
-bool adaboost_decision(const MatModule& mat, std::size_t combo) {
-  return mat.eval_combo(combo);
 }
 
 }  // namespace poetbin

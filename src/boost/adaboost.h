@@ -24,12 +24,6 @@ struct AdaboostConfig {
   // epsilon is clamped to [clamp, 1 - clamp] before computing alpha, which
   // caps |alpha| and keeps perfect weak learners from collapsing weights.
   double epsilon_clamp = 1e-6;
-  // Word-parallel error/reweight loops: the round's disagreement mask is one
-  // preds ^ targets pass, epsilon is a masked weighted sum over the mask
-  // words, and the exp-reweight collapses to two precomputed factors chosen
-  // per bit — no per-example exp(). Bit-identical to the scalar loops,
-  // which remain as the test reference.
-  bool word_parallel = true;
 };
 
 struct AdaboostRoundStats {
@@ -51,13 +45,14 @@ using WeakTrainFn =
     std::function<BitVector(std::span<const double> weights, std::size_t round)>;
 
 // Runs discrete Adaboost: weights start uniform (or `initial_weights` if
-// non-empty), each round reweights by exp(-alpha * y * h).
+// non-empty), each round reweights by exp(-alpha * y * h). The error and
+// reweight loops are word-parallel: the round's disagreement mask is one
+// preds ^ targets pass, epsilon is a masked weighted sum over the mask
+// words, and the exp-reweight collapses to two precomputed factors chosen
+// per bit — no per-example exp(). Bit-identical to the per-example scalar
+// loops the tests hold it to.
 AdaboostResult run_adaboost(const BitVector& targets, WeakTrainFn train_weak,
                             const AdaboostConfig& config,
                             std::span<const double> initial_weights = {});
-
-// The boosted decision for one example given the per-round predictions
-// packed as a combo bitmask (bit i = round i's output).
-bool adaboost_decision(const MatModule& mat, std::size_t combo);
 
 }  // namespace poetbin

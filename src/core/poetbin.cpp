@@ -176,12 +176,8 @@ BitMatrix PoetBin::rinc_outputs(const BitMatrix& features) const {
   return out;
 }
 
-namespace {
-
-// One class's momentum update for an epoch. Shared by the scalar and
-// word-parallel paths — and kept out of line — so both compile to one
-// instruction sequence: separately inlined copies could contract the
-// multiply-adds differently and silently break their bit-identity.
+// noinline: an inlined copy in train_output could contract differently from
+// the out-of-line call the scalar oracle makes (see poetbin.h).
 [[gnu::noinline]] void momentum_step(SparseOutputNeuron& neuron,
                                      float* weight_velocity,
                                      float& bias_velocity,
@@ -196,68 +192,14 @@ namespace {
   neuron.bias += bias_velocity;
 }
 
-// Reference path: full-batch gradient descent on the multi-class squared
-// hinge, one (example, class) pair at a time over pre-packed uint32 combos,
-// with momentum and exponential LR decay. Each logit depends only on its
-// own P weights, so gradients stay block-local (the sparse wiring). Kept
-// verbatim as the oracle the word-parallel path must reproduce bit for bit
-// (tests compare the trained neurons exactly).
-void train_output_scalar(std::vector<SparseOutputNeuron>& output,
-                         const BitMatrix& rinc_bits,
-                         const std::vector<int>& labels, std::size_t n_classes,
-                         std::size_t p, const OutputLayerConfig& ocfg) {
-  const std::size_t n = rinc_bits.rows();
+namespace {
 
-  // Pre-pack each example's P-bit combo per class (bits don't change during
-  // output-layer training).
-  std::vector<std::uint32_t> combos(n * n_classes, 0);
-  for (std::size_t c = 0; c < n_classes; ++c) {
-    for (std::size_t j = 0; j < p; ++j) {
-      const BitVector& column = rinc_bits.column(c * p + j);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (column.get(i)) combos[i * n_classes + c] |= 1u << j;
-      }
-    }
-  }
-
-  std::vector<float> weight_velocity(n_classes * p, 0.0f);
-  std::vector<float> bias_velocity(n_classes, 0.0f);
-  double lr = ocfg.learning_rate;
-  const float momentum = 0.9f;
-
-  for (std::size_t epoch = 0; epoch < ocfg.epochs; ++epoch) {
-    std::vector<float> weight_grad(n_classes * p, 0.0f);
-    std::vector<float> bias_grad(n_classes, 0.0f);
-    const float inv_n = 1.0f / static_cast<float>(n);
-
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t c = 0; c < n_classes; ++c) {
-        const std::uint32_t combo = combos[i * n_classes + c];
-        const float logit = output[c].activation(combo);
-        const float target = (static_cast<std::size_t>(labels[i]) == c) ? 1.0f
-                                                                        : -1.0f;
-        const float hinge = 1.0f - target * logit;
-        if (hinge <= 0.0f) continue;
-        const float grad_logit = -2.0f * hinge * target * inv_n;
-        bias_grad[c] += grad_logit;
-        for (std::size_t j = 0; j < p; ++j) {
-          if ((combo >> j) & 1) weight_grad[c * p + j] += grad_logit;
-        }
-      }
-    }
-
-    const float flr = static_cast<float>(lr);
-    for (std::size_t c = 0; c < n_classes; ++c) {
-      momentum_step(output[c], weight_velocity.data() + c * p,
-                    bias_velocity[c], weight_grad.data() + c * p, bias_grad[c],
-                    momentum, flr);
-    }
-    lr *= ocfg.lr_decay;
-  }
-}
-
-// Word-parallel output-layer retraining, bit-identical to the scalar
-// oracle above. Three observations make that possible:
+// Output-layer retraining: full-batch gradient descent on the multi-class
+// squared hinge with momentum and exponential LR decay. Each logit depends
+// only on its own P weights, so gradients stay block-local (the sparse
+// wiring). The word-parallel shape is bit-identical to the per-example
+// scalar loop (tests/reference holds it); three observations make that
+// possible:
 //
 //  1. An example's logit, hinge and gradient for class c are functions of
 //     its P-bit combo and its +-1 target alone, so the per-example float
@@ -284,12 +226,10 @@ void train_output_scalar(std::vector<SparseOutputNeuron>& output,
 // jobs share no float state and any thread count is bit-identical.
 // Example-chunk partials would have to be reduced in float and could not
 // match the scalar order.
-void train_output_word_parallel(std::vector<SparseOutputNeuron>& output,
-                                const BitMatrix& rinc_bits,
-                                const std::vector<int>& labels,
-                                std::size_t n_classes, std::size_t p,
-                                const OutputLayerConfig& ocfg,
-                                const BatchEngine* engine) {
+void train_output(std::vector<SparseOutputNeuron>& output,
+                  const BitMatrix& rinc_bits, const std::vector<int>& labels,
+                  std::size_t n_classes, std::size_t p,
+                  const OutputLayerConfig& ocfg, const BatchEngine* engine) {
   const std::size_t n = rinc_bits.rows();
   const std::size_t n_words = BitVector::words_needed(n);
   const std::uint64_t tail = BitVector::tail_word_mask(n);
@@ -427,8 +367,8 @@ void PoetBin::retrain_output_layer(const BitMatrix& rinc_bits,
   POETBIN_CHECK_MSG(labels.size() == n, "one class label per RINC output row");
   check_labels(labels, n_classes);
 
-  // Block wiring: output neuron c reads modules [c*P, (c+1)*P). Same RNG
-  // draw order in both training paths.
+  // Block wiring: output neuron c reads modules [c*P, (c+1)*P), seeded
+  // weights drawn in neuron-major order (the scalar oracle repeats it).
   output_.assign(n_classes, SparseOutputNeuron{});
   Rng rng(ocfg.seed);
   for (std::size_t c = 0; c < n_classes; ++c) {
@@ -443,12 +383,7 @@ void PoetBin::retrain_output_layer(const BitMatrix& rinc_bits,
     neuron.bias = 0.0f;
   }
 
-  if (ocfg.word_parallel) {
-    train_output_word_parallel(output_, rinc_bits, labels, n_classes, p, ocfg,
-                               engine);
-  } else {
-    train_output_scalar(output_, rinc_bits, labels, n_classes, p, ocfg);
-  }
+  train_output(output_, rinc_bits, labels, n_classes, p, ocfg, engine);
 
   // Shared quantizer scale over all neurons' reachable activations so raw
   // codes are directly comparable in the hardware argmax.
@@ -495,15 +430,9 @@ int PoetBin::predict(const BitVector& example_bits) const {
 }
 
 std::vector<int> PoetBin::predict_dataset(const BitMatrix& features) const {
-  return predict_from_rinc_bits(rinc_outputs(features));
-}
-
-std::vector<int> PoetBin::predict_from_rinc_bits(
-    const BitMatrix& bits) const {
+  const BitMatrix bits = rinc_outputs(features);
   const std::size_t n = bits.rows();
   const std::size_t p = config_.rinc.lut_inputs;
-  POETBIN_CHECK_MSG(bits.cols() >= modules_.size(),
-                    "RINC output bank must have one column per module");
   std::vector<int> predictions(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t best_class = 0;

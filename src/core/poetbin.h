@@ -36,15 +36,6 @@ struct OutputLayerConfig {
   double learning_rate = 0.05;
   double lr_decay = 0.99;
   std::uint64_t seed = 11;
-  // Word-parallel retraining: the squared-hinge active set is computed 64
-  // examples per word op (the per-example activation/compare disappears
-  // into per-combo tables + two lut_reduce passes on the active SIMD
-  // backend), saturated examples are skipped for free, and classes spread
-  // across the BatchEngine pool. Bit-identical weights/codes to the scalar
-  // path — the gradient adds themselves stay in ascending example order —
-  // at any thread count and on every backend; the scalar loop stays
-  // in-tree as the oracle.
-  bool word_parallel = true;
 };
 
 struct PoetBinConfig {
@@ -68,6 +59,15 @@ struct SparseOutputNeuron {
 
   float activation(std::size_t combo) const;
 };
+
+// One class's momentum update for an output-layer epoch:
+// vel = momentum * vel - lr * grad, then weight += vel (and likewise for
+// the bias). Out of line and shared with the scalar retrain oracle, so both
+// run one instruction sequence: separately inlined copies could contract
+// the multiply-adds differently and silently break their bit-identity.
+void momentum_step(SparseOutputNeuron& neuron, float* weight_velocity,
+                   float& bias_velocity, const float* weight_grad,
+                   float bias_grad, float momentum, float flr);
 
 class PoetBin {
  public:
@@ -133,13 +133,10 @@ class PoetBin {
   BitMatrix rinc_outputs(const BitMatrix& features) const;
 
   int predict(const BitVector& example_bits) const;
+  // The scalar dataset path: rinc_outputs, then the output-layer argmax per
+  // example. The fused word pass must match it bit for bit.
   std::vector<int> predict_dataset(const BitMatrix& features) const;
   double accuracy(const BitMatrix& features, const std::vector<int>& labels) const;
-
-  // The scalar output-layer argmax over an already-materialized RINC bank
-  // (n x >= nc*P). predict_dataset is rinc_outputs + this; the fused word
-  // pass and the Runtime's non-fused path must both match it bit for bit.
-  std::vector<int> predict_from_rinc_bits(const BitMatrix& rinc_bits) const;
 
   // Word-parallel (bitsliced + threaded) equivalents, bit-identical to the
   // scalar paths above, running on a caller-supplied persistent engine.
@@ -165,10 +162,13 @@ class PoetBin {
   // the true labels, from the seeded init — the paper's A4 adaptation step,
   // exposed so a deployed model can re-adapt to new data without
   // re-distilling the RINC bank. Validates the label range and bank width.
-  // `engine`, when non-null, spreads classes across its pool (gradients are
-  // block-local per class, so any thread count is bit-identical);
-  // OutputLayerConfig.word_parallel picks the bitsliced or the scalar
-  // oracle path, which match bit for bit.
+  // The squared-hinge active set is computed 64 examples per word op (the
+  // per-example activation/compare collapses into per-combo tables plus
+  // two lut_reduce passes on the active SIMD backend) and saturated
+  // examples are skipped for free; the weights and codes are bit-identical
+  // to the per-example scalar loop, on every backend. `engine`, when
+  // non-null, spreads classes across its pool (gradients are block-local
+  // per class, so any thread count is bit-identical).
   void retrain_output_layer(const BitMatrix& rinc_bits,
                             const std::vector<int>& labels,
                             const BatchEngine* engine = nullptr);

@@ -84,7 +84,6 @@ RincModule RincModule::train_impl(const BitMatrix& features,
   if (level == 0) {
     LevelDtConfig dt_config;
     dt_config.n_inputs = config.lut_inputs;
-    dt_config.word_parallel = config.word_parallel_training;
     LevelDtResult fit =
         train_level_dt(features, targets, weights, dt_config, engine);
     module.leaf_ = std::move(fit.lut);
@@ -100,7 +99,6 @@ RincModule RincModule::train_impl(const BitMatrix& features,
 
   AdaboostConfig boost_config = config.adaboost;
   boost_config.n_rounds = n_children;
-  boost_config.word_parallel = config.word_parallel_training;
 
   std::size_t remaining = dt_budget;
   auto train_weak = [&](std::span<const double> round_weights,
@@ -112,10 +110,8 @@ RincModule RincModule::train_impl(const BitMatrix& features,
     RincModule child = train_impl(features, targets, round_weights, config,
                                   level - 1, child_budget, engine);
     // The weak learner's dataset pass rides the bitsliced inference path
-    // when word-parallel training is on (bit-identical per PR 1's tests).
-    BitVector predictions = config.word_parallel_training
-                                ? child.eval_dataset_batched(features)
-                                : child.eval_dataset(features);
+    // (bit-identical to the scalar eval_dataset).
+    BitVector predictions = child.eval_dataset_batched(features);
     module.children_.push_back(std::move(child));
     return predictions;
   };

@@ -33,11 +33,6 @@ struct RincConfig {
   std::size_t levels = 2;      // L: 0 = bare LevelDT, 1 = one Adaboost layer...
   std::size_t total_dts = 36;  // leaf DT budget; clamped to P^L
   AdaboostConfig adaboost;     // epsilon clamping etc. (n_rounds is derived)
-  // Word-parallel training: bitsliced LevelDT entropy scans, word-parallel
-  // Adaboost error/reweight loops and bitsliced weak-learner dataset passes.
-  // The same toggle the inference side exposes as the batch engine; results
-  // are bit-identical to the scalar paths (see LevelDtConfig/AdaboostConfig).
-  bool word_parallel_training = true;
 };
 
 class RincModule {
@@ -47,6 +42,9 @@ class RincModule {
   // Trains a RINC-`config.levels` on binary `features` against the binary
   // `targets`, starting from `weights` (empty = uniform). The weights thread
   // through the recursive Adaboost exactly as Algorithm 2 prescribes.
+  // Training runs word-parallel throughout (bitsliced LevelDT scans,
+  // word-parallel Adaboost loops, bitsliced weak-learner dataset passes),
+  // bit-identical to the scalar trainer the tests hold it to.
   // `engine`, when non-null, parallelises the LevelDT candidate scans over
   // its thread pool (identical results at any thread count); leave it null
   // when modules are already trained in parallel, as PoetBin::train does.

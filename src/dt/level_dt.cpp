@@ -21,9 +21,52 @@ inline std::size_t column_bit(const std::uint64_t* words, std::size_t i) {
   return (words[i >> 6] >> (i & 63)) & 1ULL;
 }
 
-// Reference implementation: one node_id/target bit extraction per example
-// per candidate. Kept verbatim as the semantics the word-parallel path must
-// reproduce bit for bit (tests compare the two).
+// Validates the inputs both scans share and normalises them: empty
+// `weights` become uniform (backed by `uniform`), and `candidates` receives
+// the deduplicated candidate list in tie-break order. Returns the depth.
+std::size_t prepare_scan(const BitMatrix& features, const BitVector& targets,
+                         const LevelDtConfig& config,
+                         std::span<const double>& weights,
+                         std::vector<double>& uniform,
+                         std::vector<std::size_t>& candidates) {
+  const std::size_t n = features.rows();
+  const std::size_t n_features = features.cols();
+  POETBIN_CHECK(targets.size() == n);
+  POETBIN_CHECK(config.n_inputs >= 1);
+  POETBIN_CHECK_MSG(config.n_inputs <= 16, "LUT arity beyond hardware range");
+  POETBIN_CHECK_MSG(n > 0, "cannot train on an empty dataset");
+
+  if (weights.empty()) {
+    uniform.assign(n, 1.0 / static_cast<double>(n));
+    weights = uniform;
+  }
+  POETBIN_CHECK(weights.size() == n);
+
+  if (config.candidate_features.empty()) {
+    candidates.resize(n_features);
+    std::iota(candidates.begin(), candidates.end(), std::size_t{0});
+  } else {
+    // Deduplicate, keeping first-occurrence order (the tie-break order).
+    // Duplicates would otherwise pass the size check below yet run the
+    // level loop out of usable features mid-scan.
+    std::vector<bool> seen(n_features, false);
+    candidates.reserve(config.candidate_features.size());
+    for (const auto c : config.candidate_features) {
+      POETBIN_CHECK(c < n_features);
+      if (seen[c]) continue;
+      seen[c] = true;
+      candidates.push_back(c);
+    }
+  }
+  const std::size_t depth = std::min(config.n_inputs, candidates.size());
+  POETBIN_CHECK_MSG(depth == config.n_inputs,
+                    "not enough candidate features for the requested LUT arity");
+  return depth;
+}
+
+// The scalar scan behind train_level_dt_scalar: one node_id/target bit
+// extraction per example per candidate — the semantics the word-parallel
+// scan must reproduce bit for bit (tests compare the two).
 LevelDtResult train_scalar(const BitMatrix& features, const BitVector& targets,
                            std::span<const double> weights,
                            const std::vector<std::size_t>& candidates,
@@ -371,40 +414,10 @@ LevelDtResult train_level_dt(const BitMatrix& features, const BitVector& targets
                              std::span<const double> weights,
                              const LevelDtConfig& config,
                              const BatchEngine* engine) {
-  const std::size_t n = features.rows();
-  const std::size_t n_features = features.cols();
-  POETBIN_CHECK(targets.size() == n);
-  POETBIN_CHECK(config.n_inputs >= 1);
-  POETBIN_CHECK_MSG(config.n_inputs <= 16, "LUT arity beyond hardware range");
-  POETBIN_CHECK_MSG(n > 0, "cannot train on an empty dataset");
-
   std::vector<double> uniform;
-  if (weights.empty()) {
-    uniform.assign(n, 1.0 / static_cast<double>(n));
-    weights = uniform;
-  }
-  POETBIN_CHECK(weights.size() == n);
-
   std::vector<std::size_t> candidates;
-  if (config.candidate_features.empty()) {
-    candidates.resize(n_features);
-    std::iota(candidates.begin(), candidates.end(), std::size_t{0});
-  } else {
-    // Deduplicate, keeping first-occurrence order (the tie-break order).
-    // Duplicates would otherwise pass the size check below yet run the
-    // level loop out of usable features mid-scan.
-    std::vector<bool> seen(n_features, false);
-    candidates.reserve(config.candidate_features.size());
-    for (const auto c : config.candidate_features) {
-      POETBIN_CHECK(c < n_features);
-      if (seen[c]) continue;
-      seen[c] = true;
-      candidates.push_back(c);
-    }
-  }
-  const std::size_t depth = std::min(config.n_inputs, candidates.size());
-  POETBIN_CHECK_MSG(depth == config.n_inputs,
-                    "not enough candidate features for the requested LUT arity");
+  const std::size_t depth =
+      prepare_scan(features, targets, config, weights, uniform, candidates);
 
   // The recurrence carries one 2^P-double mass buffer per candidate at the
   // final level; cap the total and fall back to the scalar scan (identical
@@ -413,10 +426,21 @@ LevelDtResult train_level_dt(const BitMatrix& features, const BitVector& targets
   constexpr std::size_t kMaxCarriedBytes = std::size_t{1} << 28;  // 256 MiB
   const std::size_t carried_bytes =
       (candidates.size() << depth) * sizeof(double);
-  if (config.word_parallel && carried_bytes <= kMaxCarriedBytes) {
+  if (carried_bytes <= kMaxCarriedBytes) {
     return train_bitsliced(features, targets, weights, candidates, depth,
                            engine);
   }
+  return train_scalar(features, targets, weights, candidates, depth);
+}
+
+LevelDtResult train_level_dt_scalar(const BitMatrix& features,
+                                    const BitVector& targets,
+                                    std::span<const double> weights,
+                                    const LevelDtConfig& config) {
+  std::vector<double> uniform;
+  std::vector<std::size_t> candidates;
+  const std::size_t depth =
+      prepare_scan(features, targets, config, weights, uniform, candidates);
   return train_scalar(features, targets, weights, candidates, depth);
 }
 

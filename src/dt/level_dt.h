@@ -29,17 +29,6 @@ struct LevelDtConfig {
   // entries are deduplicated (first occurrence wins the tie-break order) and
   // features already used by this tree are always excluded, per Algorithm 1.
   std::vector<std::size_t> candidate_features;
-  // Word-parallel entropy scan: per-bucket class masses are gathered from
-  // the packed candidate-column words (64 examples per word op) instead of
-  // extracting one bit per example. Per-candidate scores agree with the
-  // scalar scan to accumulated rounding (masses are derived subtractively
-  // and carried across levels), so feature selection matches the scalar
-  // path unless two candidates score within a few ulps of each other —
-  // exact duplicates still tie exactly and resolve identically. Once
-  // selection matches, LUT contents, reported entropy and weighted error
-  // are bit-identical (they come from exact in-order rebuilds). The scalar
-  // path remains as the test reference.
-  bool word_parallel = true;
 };
 
 struct LevelDtResult {
@@ -52,14 +41,33 @@ struct LevelDtResult {
 
 // Trains Algorithm 1. `targets` holds the binary class per example;
 // `weights` must sum to something positive (Adaboost passes a distribution).
-// If `weights` is empty, uniform weights are used. When `engine` is non-null
-// and the word-parallel path is enabled, the per-level scan over candidate
-// features is spread across the engine's thread pool (results are identical
-// at any thread count: each candidate's score is computed independently and
-// the argmin keeps the scalar tie-break order).
+// If `weights` is empty, uniform weights are used.
+//
+// The candidate scan is word-parallel: per-bucket class masses are gathered
+// from the packed candidate-column words (64 examples per word op) instead
+// of extracting one bit per example. Per-candidate scores agree with the
+// scalar scan below to accumulated rounding (masses are derived
+// subtractively and carried across levels), so feature selection matches
+// it unless two candidates score within a few ulps of each other — exact
+// duplicates still tie exactly and resolve identically. Once selection
+// matches, LUT contents, reported entropy and weighted error are
+// bit-identical (they come from exact in-order rebuilds). When `engine` is
+// non-null the per-level scan is spread across its thread pool (identical
+// results at any thread count: each candidate's score is computed
+// independently and the argmin keeps the scalar tie-break order).
 LevelDtResult train_level_dt(const BitMatrix& features, const BitVector& targets,
                              std::span<const double> weights,
                              const LevelDtConfig& config,
                              const BatchEngine* engine = nullptr);
+
+// The scalar scan: one node-id/target bit extraction per example per
+// candidate. train_level_dt falls back to it when the word-parallel scan's
+// carried per-candidate mass buffers would exceed 256 MiB (extreme P x
+// candidate-count combinations); it is also the reference the tests hold
+// the word-parallel scan to.
+LevelDtResult train_level_dt_scalar(const BitMatrix& features,
+                                    const BitVector& targets,
+                                    std::span<const double> weights,
+                                    const LevelDtConfig& config);
 
 }  // namespace poetbin

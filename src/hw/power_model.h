@@ -10,8 +10,9 @@
 //
 // Calibration: the per-operation constants are the paper's own Table 4
 // values; the per-LUT activity energy is calibrated on the paper's MNIST
-// point and the latency model on the MNIST/SVHN points (see EXPERIMENTS.md
-// for the validation against the remaining points).
+// point and the latency model on the MNIST/SVHN points; bench_table3_power
+// and bench_table7_latency_area print the remaining points beside the
+// paper's.
 #pragma once
 
 #include <cstddef>
@@ -86,7 +87,7 @@ double classifier_energy_joules(const ClassifierArch& arch, Precision precision,
 // Paper: a 512-input binary neuron (XNOR array + adder tree + comparator)
 // draws 26 mW of logic+signal power; we scale linearly with fan-in, which
 // reproduces the paper's MNIST number exactly and keeps CIFAR/SVHN within
-// the same order of magnitude (see EXPERIMENTS.md).
+// the same order of magnitude (bench_table6_energy prints both).
 double binary_neuron_power_watts(std::size_t fan_in);
 
 // ------------------------------------------------------------- Tables 3/7

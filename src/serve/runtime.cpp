@@ -1,7 +1,6 @@
 #include "serve/runtime.h"
 
 #include <atomic>
-#include <map>
 #include <mutex>
 #include <utility>
 
@@ -53,34 +52,25 @@ int scalar_predict(const ModelVersion& version,
 
 }  // namespace
 
-// One atomically swappable model slot. Readers load the shared_ptr; a
-// publish is a single atomic store. The slot itself never moves once
-// created (named slots live behind unique_ptr in the registry map).
-struct Runtime::Slot {
-  std::atomic<Snapshot> current;
-};
-
 struct Runtime::State {
   RuntimeOptions options;
   WordBackend backend = WordBackend::kScalar64;
   std::unique_ptr<BatchEngine> engine;
   std::atomic<std::uint64_t> next_version{1};
 
-  Slot primary;
-  // Prediction cache for the primary slot (null when cache_bytes == 0).
-  // Its epoch is pinned to the primary version sequence in publish().
+  // The atomically swappable model slot. Readers load the shared_ptr; a
+  // publish is a single atomic store.
+  std::atomic<Snapshot> current;
+  // Prediction cache (null when cache_bytes == 0). Its epoch is pinned to
+  // the version sequence in publish().
   std::unique_ptr<PredictCache> cache;
 
-  // Lock order: mutate_mu -> registry_mu -> engine_mu (each optional).
-  // mutate_mu serializes read-modify-write publishes (reload, retrain,
-  // load_model) so concurrent mutators can't interleave their compat
-  // check and swap. engine_mu serializes dataset passes on the one
-  // non-reentrant engine. registry_mu guards the named-slot map; Slot
-  // references are only used while it is held.
+  // Lock order: mutate_mu -> engine_mu (each optional). mutate_mu
+  // serializes read-modify-write publishes (reload, retrain) so concurrent
+  // mutators can't interleave their compat check and swap. engine_mu
+  // serializes dataset passes on the one non-reentrant engine.
   std::mutex mutate_mu;
-  mutable std::mutex registry_mu;
   mutable std::mutex engine_mu;
-  std::map<std::string, std::unique_ptr<Slot>> named;
 };
 
 Runtime::Runtime(PoetBin model, RuntimeOptions options)
@@ -107,15 +97,14 @@ Runtime::Runtime(PoetBin model, RuntimeOptions options, ModelFormat format,
     state_->cache = std::make_unique<PredictCache>(
         PredictCacheOptions{.capacity_bytes = options.cache_bytes});
   }
-  publish(state_->primary, std::move(model), format, std::move(source_path),
-          std::move(conv));
+  publish(std::move(model), format, std::move(source_path), std::move(conv));
 }
 
 Runtime::Runtime(Runtime&&) noexcept = default;
 Runtime& Runtime::operator=(Runtime&&) noexcept = default;
 Runtime::~Runtime() = default;
 
-void Runtime::publish(Slot& slot, PoetBin model, ModelFormat format,
+void Runtime::publish(PoetBin model, ModelFormat format,
                       std::string source_path,
                       std::shared_ptr<const RincConvLayer> conv) {
   auto version = std::make_shared<const ModelVersion>(ModelVersion{
@@ -123,9 +112,8 @@ void Runtime::publish(Slot& slot, PoetBin model, ModelFormat format,
       std::move(source_path), std::move(conv)});
   // Invalidate the cache generation BEFORE the slot store: any reader that
   // can see the new model already sees the new epoch, so a probe can never
-  // resurrect an old version's answer after the swap. (Named slots share
-  // the version counter but not the cache.)
-  if (&slot == &state_->primary && state_->cache != nullptr) {
+  // resurrect an old version's answer after the swap.
+  if (state_->cache != nullptr) {
     state_->cache->set_epoch(version->version);
   }
   // order: seq_cst (default) — this store is the RCU publish point. It
@@ -135,7 +123,7 @@ void Runtime::publish(Slot& slot, PoetBin model, ModelFormat format,
   // which is what lets hot_reload_test assert per-thread tag monotonicity.
   // Writers are serialized by mutate_mu; the store itself stays lock-free
   // with respect to readers.
-  slot.current.store(std::move(version));
+  state_->current.store(std::move(version));
 }
 
 Runtime Runtime::train(const BitMatrix& features,
@@ -183,7 +171,7 @@ Runtime::Snapshot Runtime::snapshot() const {
   // store: acquiring the pointer makes the pointed-to ModelVersion (and the
   // cache epoch bumped before the publish) visible. The returned
   // shared_ptr then pins the version for the request's lifetime.
-  return state_->primary.current.load();
+  return state_->current.load();
 }
 
 const PoetBin& Runtime::model() const { return snapshot()->model; }
@@ -215,7 +203,7 @@ IoStatus Runtime::reload(const std::string& path) {
   const Snapshot serving = snapshot();
   IoStatus compatible = check_compatible(*serving, *loaded, path);
   if (!compatible.ok()) return compatible;
-  publish(state_->primary, std::move(loaded->model), loaded->format, path,
+  publish(std::move(loaded->model), loaded->format, path,
           std::move(loaded->conv));
   return IoStatus();
 }
@@ -234,13 +222,7 @@ std::vector<int> Runtime::predict_on(const ModelVersion& version,
     conv_bits = version.conv->eval_dataset_batched(features, *state_->engine);
     input = &conv_bits;
   }
-  if (state_->options.fused_argmax) {
-    return state_->engine->predict_dataset(version.model, *input);
-  }
-  // Debug path: materialize the RINC bank word-parallel, then run the
-  // scalar argmax — the exact loop predict_dataset's fused pass must match.
-  return version.model.predict_from_rinc_bits(
-      state_->engine->rinc_outputs(version.model, *input));
+  return state_->engine->predict_dataset(version.model, *input);
 }
 
 std::vector<int> Runtime::predict(const BitMatrix& features) const {
@@ -311,101 +293,8 @@ void Runtime::retrain_output_layer(const BitMatrix& features,
     const BitMatrix rinc_bits = state_->engine->rinc_outputs(next, *input);
     next.retrain_output_layer(rinc_bits, labels, state_->engine.get());
   }
-  publish(state_->primary, std::move(next), serving->format,
-          serving->source_path, serving->conv);
-}
-
-// --- named model registry ---------------------------------------------------
-
-void Runtime::add_model(const std::string& name, PoetBin model) {
-  POETBIN_CHECK_MSG(!name.empty(), "model name must be non-empty");
-  std::lock_guard<std::mutex> lock(state_->registry_mu);
-  std::unique_ptr<Slot>& slot = state_->named[name];
-  if (!slot) slot = std::make_unique<Slot>();
-  publish(*slot, std::move(model), ModelFormat::kText, std::string());
-}
-
-void Runtime::add_model(const std::string& name, ConvModel model) {
-  POETBIN_CHECK_MSG(!name.empty(), "model name must be non-empty");
-  std::lock_guard<std::mutex> lock(state_->registry_mu);
-  std::unique_ptr<Slot>& slot = state_->named[name];
-  if (!slot) slot = std::make_unique<Slot>();
-  publish(*slot, std::move(model.classifier), ModelFormat::kText,
-          std::string(),
-          std::make_shared<const RincConvLayer>(std::move(model.conv)));
-}
-
-IoStatus Runtime::load_model(const std::string& name,
-                             const std::string& path) {
-  POETBIN_CHECK_MSG(!name.empty(), "model name must be non-empty");
-  std::lock_guard<std::mutex> mutate(state_->mutate_mu);
-  IoResult<LoadedModel> loaded =
-      read_model_file_any(path, PackedVerify::kTrustChecksum);
-  if (!loaded.ok()) return loaded.error();
-  std::lock_guard<std::mutex> lock(state_->registry_mu);
-  std::unique_ptr<Slot>& slot = state_->named[name];
-  if (!slot) {
-    slot = std::make_unique<Slot>();
-  } else if (const Snapshot serving = slot->current.load()) {
-    IoStatus compatible = check_compatible(*serving, *loaded, path);
-    if (!compatible.ok()) return compatible;
-  }
-  publish(*slot, std::move(loaded->model), loaded->format, path,
-          std::move(loaded->conv));
-  return IoStatus();
-}
-
-IoStatus Runtime::reload_model(const std::string& name) {
-  const Snapshot serving = snapshot(name);
-  if (serving == nullptr) {
-    return ModelIoError{ModelIoError::Kind::kFileNotFound,
-                        "no model named '" + name + "'"};
-  }
-  if (serving->source_path.empty()) {
-    return ModelIoError{
-        ModelIoError::Kind::kFileNotFound,
-        "model '" + name + "' has no recorded path to reload from"};
-  }
-  return load_model(name, serving->source_path);
-}
-
-bool Runtime::remove_model(const std::string& name) {
-  std::lock_guard<std::mutex> lock(state_->registry_mu);
-  return state_->named.erase(name) > 0;
-}
-
-bool Runtime::has_model(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(state_->registry_mu);
-  return state_->named.count(name) > 0;
-}
-
-std::vector<std::string> Runtime::model_names() const {
-  std::lock_guard<std::mutex> lock(state_->registry_mu);
-  std::vector<std::string> names;
-  names.reserve(state_->named.size());
-  for (const auto& [name, slot] : state_->named) names.push_back(name);
-  return names;
-}
-
-Runtime::Snapshot Runtime::snapshot(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(state_->registry_mu);
-  const auto it = state_->named.find(name);
-  if (it == state_->named.end()) return nullptr;
-  return it->second->current.load();
-}
-
-std::vector<int> Runtime::predict(const std::string& name,
-                                  const BitMatrix& features) const {
-  const Snapshot snap = snapshot(name);
-  POETBIN_CHECK_MSG(snap != nullptr, "predict() on an unknown model name");
-  return predict_on(*snap, features);
-}
-
-int Runtime::predict_one(const std::string& name,
-                         const BitVector& example_bits) const {
-  const Snapshot snap = snapshot(name);
-  POETBIN_CHECK_MSG(snap != nullptr, "predict_one() on an unknown model name");
-  return scalar_predict(*snap, example_bits);
+  publish(std::move(next), serving->format, serving->source_path,
+          serving->conv);
 }
 
 }  // namespace poetbin

@@ -4,7 +4,7 @@
 // and the process-global word-backend override — and every `*_batched` call
 // used to tear a thread pool up and down. A Runtime bundles them the way a
 // serving system wants them: it holds one or more loaded (or freshly
-// trained) models behind atomically swappable version slots, resolves the
+// trained) model behind an atomically swappable version slot, resolves the
 // SIMD word backend once, and keeps a single persistent BatchEngine alive
 // across requests and across model versions, behind a narrow request API.
 //
@@ -16,7 +16,7 @@
 //   ...
 //   IoStatus swapped = rt.reload();   // hot-swap from the recorded path
 //
-// Model storage is RCU-shaped: each slot holds a shared_ptr<const
+// Model storage is RCU-shaped: the slot holds a shared_ptr<const
 // ModelVersion> that readers snapshot atomically. reload() and
 // retrain_output_layer() build the next version off to the side and publish
 // it with one atomic pointer swap — requests already running (including a
@@ -31,21 +31,16 @@
 // reload() re-reads. A packed model's LUT tables stay mmap-backed; the
 // snapshot keeps the mapping alive for as long as any request uses it.
 //
-// Beyond the primary model, a Runtime is a small registry: add_model /
-// load_model publish additional named models that share the same engine
-// and the same swap semantics (an A/B candidate, a per-tenant variant).
-//
 // Every path is bit-identical to the scalar PoetBin reference: predict()
-// runs the fused bitsliced argmax (or, with fused_argmax = false, a
-// materialized rinc_outputs + the scalar argmax loop), and predict_one()
-// is the scalar per-example evaluation.
+// runs the fused bitsliced argmax, and predict_one() is the scalar
+// per-example evaluation.
 //
 // Concurrency contract: everything here may be called concurrently.
 // Dataset-level requests (predict / rinc_outputs / accuracy and the dataset
 // half of retrain) serialize internally on the one engine — the pool is not
 // re-entrant, so overlapping callers queue instead of aborting.
 // predict_one() is a lock-free snapshot plus scalar evaluation. Mutators
-// (reload / retrain / load_model) serialize against each other and publish
+// (reload / retrain) serialize against each other and publish
 // atomically, so readers never see a half-swapped model. For
 // high-throughput concurrent predict_one traffic, wrap the Runtime in a
 // serve::MicroBatcher (serve/micro_batcher.h), which packs requests into
@@ -83,21 +78,15 @@ struct RuntimeOptions {
   // (the CPUID-probed default, or whatever POETBIN_FORCE_BACKEND or an
   // earlier Runtime pinned).
   std::optional<WordBackend> forced_backend;
-  // Fuse the output-layer argmax into the bitsliced word pass (no
-  // materialized rinc_outputs matrix). Off = evaluate the RINC bank
-  // word-parallel, then run the scalar argmax over the materialized bank —
-  // same results bit for bit, useful for debugging the fused path.
-  bool fused_argmax = true;
   // Size in bytes of the lock-free prediction cache
-  // (serve/predict_cache.h) in front of the primary model's predict_one
+  // (serve/predict_cache.h) in front of the model's predict_one
   // path and the MicroBatcher's fused windows. 0 disables caching — the
   // library default, so offline/batch users and exact-count tests see no
   // behavior change; the serving CLI turns it on (`serve --cache-mb=N`).
   // A hit is bit-identical to what the serving version's scalar predict
   // would return: every reload/retrain publication invalidates by epoch,
   // and entries are XOR-verified against a second hash so collisions read
-  // as misses. Named-model requests bypass the cache (it is pinned to the
-  // primary slot's version sequence).
+  // as misses.
   std::size_t cache_bytes = 0;
 };
 
@@ -160,7 +149,7 @@ class Runtime {
   using LoadResult = IoResult<Runtime>;
   static LoadResult load(const std::string& path, RuntimeOptions options = {});
 
-  // Serialize the current primary model; the error carries the failing path.
+  // Serialize the current model; the error carries the failing path.
   IoStatus save(const std::string& path) const;         // text format
   IoStatus save_packed(const std::string& path) const;  // packed format
 
@@ -168,15 +157,13 @@ class Runtime {
   Runtime& operator=(Runtime&&) noexcept;
   ~Runtime();
 
-  // --- primary model ------------------------------------------------------
-
-  // Atomic snapshot of the current primary version; never null.
+  // Atomic snapshot of the current version; never null.
   Snapshot snapshot() const;
 
-  // Borrow of the current primary model (the classifier, for conv
-  // versions). Valid until the next successful reload/retrain publishes a
-  // new version (the slot holds the old version alive until then); take a
-  // snapshot() to pin one version across swaps.
+  // Borrow of the current model (the classifier, for conv versions). Valid
+  // until the next successful reload/retrain publishes a new version (the
+  // slot holds the old version alive until then); take a snapshot() to pin
+  // one version across swaps.
   const PoetBin& model() const;
 
   std::uint64_t model_version() const;
@@ -189,7 +176,7 @@ class Runtime {
   // The backend that was active when this Runtime resolved dispatch.
   WordBackend backend() const;
 
-  // Atomically replaces the primary model from its recorded source path
+  // Atomically replaces the model from its recorded source path
   // (no-argument form) or an explicit path. In-flight requests finish on
   // the old version; on any failure — including a valid model whose
   // n_classes/n_features don't match the one being served
@@ -227,43 +214,14 @@ class Runtime {
   void retrain_output_layer(const BitMatrix& features,
                             const std::vector<int>& labels);
 
-  // --- named model registry ----------------------------------------------
-  //
-  // Additional models sharing this Runtime's engine, each behind its own
-  // atomically swappable slot. Names are caller-chosen, non-empty strings.
-
-  // Publishes `model` under `name` (replacing any previous version).
-  void add_model(const std::string& name, PoetBin model);
-  void add_model(const std::string& name, ConvModel model);
-  // Loads text-or-packed from `path` into `name`'s slot. When the slot
-  // already serves a model, the same compatibility rule as reload applies.
-  IoStatus load_model(const std::string& name, const std::string& path);
-  // Re-reads a named model from its recorded source path.
-  IoStatus reload_model(const std::string& name);
-  bool remove_model(const std::string& name);
-  bool has_model(const std::string& name) const;
-  std::vector<std::string> model_names() const;
-
-  // Snapshot of a named model; nullptr when the name is unknown.
-  Snapshot snapshot(const std::string& name) const;
-
-  // Named-model requests; abort on an unknown name (snapshot() first when
-  // the name is caller-controlled).
-  std::vector<int> predict(const std::string& name,
-                           const BitMatrix& features) const;
-  int predict_one(const std::string& name,
-                  const BitVector& example_bits) const;
-
  private:
-  struct Slot;
   struct State;
 
   Runtime(PoetBin model, RuntimeOptions options, ModelFormat format,
           std::string source_path,
           std::shared_ptr<const RincConvLayer> conv = nullptr);
 
-  void publish(Slot& slot, PoetBin model, ModelFormat format,
-               std::string source_path,
+  void publish(PoetBin model, ModelFormat format, std::string source_path,
                std::shared_ptr<const RincConvLayer> conv = nullptr);
   std::vector<int> predict_on(const ModelVersion& version,
                               const BitMatrix& features) const;

@@ -1,6 +1,6 @@
-// Atomic hot reload under live traffic: Runtime's RCU version slots, the
-// kReload/kModelInfo wire frames, the named-model registry, and the
-// process-global forced_backend contract.
+// Atomic hot reload under live traffic: Runtime's RCU version slot, held
+// snapshots pinning their version, the kReload/kModelInfo wire frames, and
+// the process-global forced_backend contract.
 //
 // The instrument is a version-tagged model: every output code is rigged so
 // predict() returns one constant class regardless of input. Swapping
@@ -421,7 +421,8 @@ TEST(HotReload, NetServerCacheOnReloadAndWireStats) {
 }
 
 // Every reload failure mode leaves the serving version untouched: missing
-// file, corrupt bytes, and a valid-but-incompatible model.
+// file, corrupt bytes, and a valid-but-incompatible model. A snapshot held
+// across the successful reload that follows keeps its version.
 TEST(HotReload, FailedReloadKeepsOldVersionServing) {
   const std::string path = temp_path("hot_reload_fail.pbm");
   ASSERT_TRUE(write_packed_model_file(tagged_model(2), path).ok());
@@ -455,42 +456,20 @@ TEST(HotReload, FailedReloadKeepsOldVersionServing) {
   EXPECT_EQ(runtime.predict_one(bits), 2);
   EXPECT_EQ(runtime.model_version(), 1u);
   EXPECT_EQ(runtime.source_path(), path);
-}
 
-// The named-model registry shares the engine but swaps independently of
-// the primary slot.
-TEST(HotReload, NamedModelRegistryPublishesAndReloads) {
-  Runtime runtime(tagged_model(0), {.threads = 1});
-  const BitVector bits = example_bits(11);
-  EXPECT_FALSE(runtime.has_model("candidate"));
-  EXPECT_EQ(runtime.snapshot("candidate"), nullptr);
-
-  runtime.add_model("candidate", tagged_model(1));
-  ASSERT_TRUE(runtime.has_model("candidate"));
-  EXPECT_EQ(runtime.predict_one("candidate", bits), 1);
-  EXPECT_EQ(runtime.predict_one(bits), 0);  // primary untouched
-
-  const std::string path = temp_path("hot_reload_named.pbm");
-  ASSERT_TRUE(write_packed_model_file(tagged_model(2), path).ok());
-  ASSERT_TRUE(runtime.load_model("candidate", path).ok());
-  EXPECT_EQ(runtime.predict_one("candidate", bits), 2);
-  Runtime::Snapshot snap = runtime.snapshot("candidate");
-  ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(snap->format, ModelFormat::kPacked);
-  EXPECT_EQ(snap->source_path, path);
-
-  // reload_model re-reads the recorded path after a push.
+  // A held snapshot pins its version: after a successful reload from the
+  // rewritten packed file, new requests see the new model while the
+  // snapshot keeps predicting the old one (and keeps its mapping alive).
+  const Runtime::Snapshot held = runtime.snapshot();
   ASSERT_TRUE(write_packed_model_file(tagged_model(1), path).ok());
-  ASSERT_TRUE(runtime.reload_model("candidate").ok());
-  EXPECT_EQ(runtime.predict_one("candidate", bits), 1);
-  // The old snapshot still pins the version it captured.
-  EXPECT_EQ(snap->model.predict(bits), 2);
-
-  EXPECT_EQ(runtime.model_names(),
-            std::vector<std::string>{"candidate"});
-  EXPECT_TRUE(runtime.remove_model("candidate"));
-  EXPECT_FALSE(runtime.remove_model("candidate"));
-  EXPECT_FALSE(runtime.has_model("candidate"));
+  ASSERT_TRUE(runtime.reload().ok());
+  EXPECT_EQ(runtime.predict_one(bits), 1);
+  EXPECT_EQ(held->version, 1u);
+  EXPECT_EQ(held->model.predict(bits), 2);
+  BitMatrix batch(2, kFeatures);
+  for (std::size_t b = 0; b < kFeatures; ++b) batch.set(0, b, bits.get(b));
+  EXPECT_EQ(runtime.predict_snapshot(held, batch), (std::vector<int>{2, 2}));
+  EXPECT_EQ(runtime.predict(batch), (std::vector<int>{1, 1}));
 }
 
 // A conv model whose classifier predicts `tag` everywhere: the conv front
@@ -630,26 +609,6 @@ TEST(HotReload, ConvRuntimeSaveRoundTrips) {
     EXPECT_EQ(loaded->predict_one(example_bits(8)), 1);
     std::remove(path.c_str());
   }
-}
-
-// A conv model in the named registry: add_model(ConvModel) publishes, the
-// named predict paths run the conv front end, and the slot swaps to a
-// same-width dense model.
-TEST(HotReload, NamedRegistryServesConvModels) {
-  Runtime runtime(tagged_model(0), {.threads = 1});
-  runtime.add_model("convnet", conv_tagged_model(2));
-  Runtime::Snapshot snap = runtime.snapshot("convnet");
-  ASSERT_NE(snap, nullptr);
-  ASSERT_TRUE(snap->is_conv());
-  EXPECT_EQ(snap->n_features(), kFeatures);
-  EXPECT_EQ(runtime.predict_one("convnet", example_bits(4)), 2);
-  EXPECT_EQ(runtime.predict_one(example_bits(4)), 0);  // primary untouched
-
-  const std::string path = temp_path("named_conv_swap.pbm");
-  ASSERT_TRUE(write_packed_model_file(tagged_model(1), path).ok());
-  ASSERT_TRUE(runtime.load_model("convnet", path).ok());
-  EXPECT_EQ(runtime.predict_one("convnet", example_bits(4)), 1);
-  EXPECT_FALSE(runtime.snapshot("convnet")->is_conv());
 }
 
 // A conv model whose wire width differs is an incompatible reload target.

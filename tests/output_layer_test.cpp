@@ -1,4 +1,5 @@
-// Word-parallel output-layer retraining vs the scalar oracle: bit-identical
+// Word-parallel output-layer retraining vs the scalar oracle
+// (tests/reference): bit-identical
 // trained neurons (weights, biases, quantized codes) on ragged dataset
 // sizes, degenerate configs (zero epochs, one class), every available SIMD
 // backend and any thread count — plus the input-validation regressions
@@ -11,6 +12,7 @@
 #include "core/batch_eval.h"
 #include "core/poetbin.h"
 #include "dt/lut.h"
+#include "reference/scalar_reference.h"
 #include "test_util.h"
 #include "util/word_backend.h"
 
@@ -24,12 +26,18 @@ using testing::random_bits;
 // touches the modules, so trivial 1-input leaf LUTs satisfy from_parts and
 // the output layer can be fitted directly on arbitrary packed bits. This
 // keeps the ragged sweep fast (no distillation).
-PoetBin make_shell(std::size_t n_classes, std::size_t p,
-                   const OutputLayerConfig& ocfg) {
+PoetBinConfig shell_config(std::size_t n_classes, std::size_t p,
+                           const OutputLayerConfig& ocfg) {
   PoetBinConfig config;
   config.n_classes = n_classes;
   config.rinc.lut_inputs = p;
   config.output = ocfg;
+  return config;
+}
+
+PoetBin make_shell(std::size_t n_classes, std::size_t p,
+                   const OutputLayerConfig& ocfg) {
+  const PoetBinConfig config = shell_config(n_classes, p, ocfg);
   std::vector<RincModule> modules;
   for (std::size_t m = 0; m < n_classes * p; ++m) {
     modules.push_back(RincModule::make_leaf(Lut({0}, BitVector(2))));
@@ -43,6 +51,15 @@ PoetBin make_shell(std::size_t n_classes, std::size_t p,
   }
   return PoetBin::from_parts(config, std::move(modules), std::move(neurons),
                              QuantizerParams{});
+}
+
+// The scalar oracle's retrain of a fresh shell.
+PoetBin scalar_retrain(std::size_t n_classes, std::size_t p,
+                       const OutputLayerConfig& ocfg, const BitMatrix& bank,
+                       const std::vector<int>& labels) {
+  return reference::retrain_output_layer_scalar(
+      make_shell(n_classes, p, ocfg), shell_config(n_classes, p, ocfg), bank,
+      labels);
 }
 
 std::vector<int> random_labels(std::size_t n, std::size_t n_classes,
@@ -76,15 +93,11 @@ void run_compare(std::size_t n, std::size_t n_classes, std::size_t p,
                  std::size_t epochs, const BatchEngine* engine = nullptr) {
   const BitMatrix bank = random_bits(n, n_classes * p, 1000 + n);
   const std::vector<int> labels = random_labels(n, n_classes, 2000 + n);
-  OutputLayerConfig scalar_cfg;
-  scalar_cfg.epochs = epochs;
-  scalar_cfg.word_parallel = false;
-  OutputLayerConfig word_cfg = scalar_cfg;
-  word_cfg.word_parallel = true;
+  OutputLayerConfig cfg;
+  cfg.epochs = epochs;
 
-  PoetBin scalar = make_shell(n_classes, p, scalar_cfg);
-  scalar.retrain_output_layer(bank, labels);
-  PoetBin word = make_shell(n_classes, p, word_cfg);
+  const PoetBin scalar = scalar_retrain(n_classes, p, cfg, bank, labels);
+  PoetBin word = make_shell(n_classes, p, cfg);
   word.retrain_output_layer(bank, labels, engine);
   expect_same_output_layer(scalar, word, n);
 }
@@ -115,18 +128,14 @@ TEST(OutputLayerRetrain, BitIdenticalOnEveryBackend) {
   const std::size_t n = 500;
   const BitMatrix bank = random_bits(n, 5 * 4, 77);
   const std::vector<int> labels = random_labels(n, 5, 78);
-  OutputLayerConfig scalar_cfg;
-  scalar_cfg.epochs = 50;
-  scalar_cfg.word_parallel = false;
-  PoetBin scalar = make_shell(5, 4, scalar_cfg);
-  scalar.retrain_output_layer(bank, labels);
+  OutputLayerConfig cfg;
+  cfg.epochs = 50;
+  const PoetBin scalar = scalar_retrain(5, 4, cfg, bank, labels);
 
-  OutputLayerConfig word_cfg = scalar_cfg;
-  word_cfg.word_parallel = true;
   BackendGuard guard;
   for (const auto backend : available_word_backends()) {
     set_word_backend(backend);
-    PoetBin word = make_shell(5, 4, word_cfg);
+    PoetBin word = make_shell(5, 4, cfg);
     word.retrain_output_layer(bank, labels);
     SCOPED_TRACE(word_backend_name(backend));
     expect_same_output_layer(scalar, word, n);
@@ -150,9 +159,9 @@ TEST(OutputLayerRetrain, ThreadCountDoesNotChangeWeights) {
   }
 }
 
-// End-to-end: PoetBin::train with the flag toggled distils identical RINC
-// banks (distillation ignores the output config), so the full models must
-// match neuron for neuron and prediction for prediction.
+// End-to-end: the scalar oracle retrained on a trained model's own RINC
+// bank must match the output layer PoetBin::train fitted, neuron for neuron
+// and prediction for prediction.
 TEST(OutputLayerRetrain, EndToEndTrainMatchesScalarPath) {
   const std::size_t n = 400;
   const auto data = testing::prototype_dataset(n, 48, 5);
@@ -175,12 +184,10 @@ TEST(OutputLayerRetrain, EndToEndTrainMatchesScalarPath) {
   config.rinc.levels = 1;
   config.rinc.total_dts = 3;
   config.output.epochs = 60;
-  config.output.word_parallel = false;
-  const PoetBin scalar =
-      PoetBin::train(data.features, intermediate, labels, config);
-  config.output.word_parallel = true;
   const PoetBin word =
       PoetBin::train(data.features, intermediate, labels, config);
+  const PoetBin scalar = reference::retrain_output_layer_scalar(
+      word, config, word.rinc_outputs(data.features), labels);
   expect_same_output_layer(scalar, word, n);
   EXPECT_EQ(scalar.predict_dataset(data.features),
             word.predict_dataset(data.features));
@@ -199,10 +206,7 @@ TEST(OutputLayerRetrain, ToleratesDirtyColumnTailWords) {
   const std::vector<int> labels = random_labels(n, 3, 56);
   OutputLayerConfig cfg;
   cfg.epochs = 30;
-  cfg.word_parallel = false;
-  PoetBin scalar = make_shell(3, 4, cfg);
-  scalar.retrain_output_layer(clean, labels);
-  cfg.word_parallel = true;
+  const PoetBin scalar = scalar_retrain(3, 4, cfg, clean, labels);
   PoetBin word = make_shell(3, 4, cfg);
   word.retrain_output_layer(dirty, labels);
   expect_same_output_layer(scalar, word, n);

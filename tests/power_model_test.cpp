@@ -73,7 +73,8 @@ TEST(Table6, BinaryNeuronModelReproducesMnistExactly) {
 
 TEST(Table6, BinaryEnergiesWithinOrderOfMagnitude) {
   // Paper: CIFAR-10 3.9e-5, SVHN 9.2e-6; the linear fan-in model lands in
-  // the same decade (documented substitution, EXPERIMENTS.md).
+  // the same decade (a documented substitution; bench_table6_energy prints
+  // the modelled energies).
   const double cifar = classifier_energy_joules(arch_c1(), Precision::kBinary1);
   const double svhn = classifier_energy_joules(arch_s1(), Precision::kBinary1);
   EXPECT_GT(cifar, 3.9e-6);
@@ -138,7 +139,7 @@ TEST(Table3, MnistPowerCalibrated) {
 
 TEST(Table3, OtherDatasetsWithinFactorTwoish) {
   // Paper: CIFAR-10 total 0.341 W, SVHN total 0.417 W. The single-parameter
-  // activity model predicts within ~2.5x (see EXPERIMENTS.md).
+  // activity model predicts within ~2.5x (bench_table3_power prints both).
   const double cifar = poetbin_total_power_watts(hw_spec_cifar10());
   const double svhn = poetbin_total_power_watts(hw_spec_svhn());
   EXPECT_GT(cifar, 0.341 / 2.5);

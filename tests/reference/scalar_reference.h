@@ -1,0 +1,53 @@
+// Scalar training oracles: per-example reference implementations of the
+// word-parallel trainers in src/. Each one runs the semantics of its
+// production counterpart one example (or one (example, class) pair) at a
+// time, with no word ops and no thread pool, so the bit-identity tests and
+// bench_train_batch have something independent to hold the production
+// paths to. The LevelDT scalar scan is not here: it stays in src/ as
+// train_level_dt's over-cap fallback (train_level_dt_scalar).
+#pragma once
+
+#include <cstddef>
+#include <span>
+#include <vector>
+
+#include "boost/adaboost.h"
+#include "core/poetbin.h"
+#include "core/rinc.h"
+#include "util/bit_matrix.h"
+#include "util/bitvector.h"
+
+namespace poetbin::reference {
+
+// run_adaboost with the per-example error and exp-reweight loops. Same
+// contract and results, bit for bit.
+AdaboostResult run_adaboost_scalar(const BitVector& targets,
+                                   WeakTrainFn train_weak,
+                                   const AdaboostConfig& config,
+                                   std::span<const double> initial_weights = {});
+
+// A RINC module trained by the scalar oracles, plus the training error
+// RincModule::train would report for it (the module built from make_leaf /
+// make_internal does not carry one).
+struct RincFit {
+  RincModule module;
+  double train_error = 0.0;
+};
+
+// RincModule::train on train_level_dt_scalar, run_adaboost_scalar and the
+// scalar eval_dataset weak-learner pass.
+RincFit train_rinc_scalar(const BitMatrix& features, const BitVector& targets,
+                          std::span<const double> weights,
+                          const RincConfig& config);
+
+// PoetBin::retrain_output_layer with the per-(example, class) squared-hinge
+// loop: the same seeded init, the same production momentum_step, and the
+// same shared quantizer fit. `config` must be the config `model` was built
+// with; the result keeps `model`'s RINC bank and carries the new output
+// layer.
+PoetBin retrain_output_layer_scalar(const PoetBin& model,
+                                    const PoetBinConfig& config,
+                                    const BitMatrix& rinc_bits,
+                                    const std::vector<int>& labels);
+
+}  // namespace poetbin::reference

@@ -1,5 +1,6 @@
-// Word-parallel training paths vs their scalar references: bit-identical
-// LevelDT fits and Adaboost weight trajectories on ragged dataset sizes,
+// Word-parallel training paths vs their scalar references (the LevelDT
+// scalar scan and the tests/reference oracles): bit-identical LevelDT fits,
+// Adaboost weight trajectories and RINC modules on ragged dataset sizes,
 // empty-weight-span defaulting, and tail-word hygiene after raw-word writes.
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "core/batch_eval.h"
 #include "core/rinc.h"
 #include "dt/level_dt.h"
+#include "reference/scalar_reference.h"
 #include "test_util.h"
 
 namespace poetbin {
@@ -47,10 +49,10 @@ TEST_P(WordParallelRaggedTest, LevelDtFitsBitIdentical) {
       n);
   const std::vector<double> weights = lognormal_weights(n, 7 + n);
 
-  const LevelDtResult scalar = train_level_dt(
-      features, targets, weights, {.n_inputs = 5, .word_parallel = false});
-  const LevelDtResult sliced = train_level_dt(
-      features, targets, weights, {.n_inputs = 5, .word_parallel = true});
+  const LevelDtResult scalar =
+      train_level_dt_scalar(features, targets, weights, {.n_inputs = 5});
+  const LevelDtResult sliced =
+      train_level_dt(features, targets, weights, {.n_inputs = 5});
   expect_same_fit(scalar, sliced, n);
 }
 
@@ -62,7 +64,7 @@ TEST_P(WordParallelRaggedTest, LevelDtThreadedScanMatchesSerial) {
       n);
   const std::vector<double> weights = lognormal_weights(n, 9 + n);
 
-  const LevelDtConfig config{.n_inputs = 4, .word_parallel = true};
+  const LevelDtConfig config{.n_inputs = 4};
   const LevelDtResult serial =
       train_level_dt(features, targets, weights, config);
   const BatchEngine engine(4);
@@ -70,8 +72,8 @@ TEST_P(WordParallelRaggedTest, LevelDtThreadedScanMatchesSerial) {
       train_level_dt(features, targets, weights, config, &engine);
   expect_same_fit(serial, threaded, n);
 
-  const LevelDtResult scalar = train_level_dt(
-      features, targets, weights, {.n_inputs = 4, .word_parallel = false});
+  const LevelDtResult scalar =
+      train_level_dt_scalar(features, targets, weights, config);
   expect_same_fit(scalar, threaded, n);
 }
 
@@ -86,23 +88,24 @@ TEST_P(WordParallelRaggedTest, AdaboostTrajectoriesBitIdentical) {
       0.05, n);
 
   // The probe records every weight vector each path's weak learner sees.
-  auto run_with = [&](bool word_parallel,
-                      std::vector<std::vector<double>>& seen) {
-    auto probe = [&](std::span<const double> weights, std::size_t round) {
+  auto probe_into = [&](bool scalar, std::vector<std::vector<double>>& seen) {
+    return [&, scalar](std::span<const double> weights, std::size_t round) {
       seen.emplace_back(weights.begin(), weights.end());
-      LevelDtConfig config{.n_inputs = 1, .word_parallel = word_parallel};
+      LevelDtConfig config{.n_inputs = 1};
       // Rotate the stump's candidate pool so rounds differ.
       config.candidate_features = {round % 9, (round + 3) % 9, (round + 6) % 9};
-      return train_level_dt(features, targets, weights, config)
-          .lut.eval_dataset(features);
+      const LevelDtResult fit =
+          scalar ? train_level_dt_scalar(features, targets, weights, config)
+                 : train_level_dt(features, targets, weights, config);
+      return fit.lut.eval_dataset(features);
     };
-    return run_adaboost(targets, probe,
-                        {.n_rounds = 4, .word_parallel = word_parallel});
   };
 
   std::vector<std::vector<double>> scalar_seen, word_seen;
-  const AdaboostResult scalar = run_with(false, scalar_seen);
-  const AdaboostResult word = run_with(true, word_seen);
+  const AdaboostResult scalar = reference::run_adaboost_scalar(
+      targets, probe_into(true, scalar_seen), {.n_rounds = 4});
+  const AdaboostResult word =
+      run_adaboost(targets, probe_into(false, word_seen), {.n_rounds = 4});
 
   ASSERT_EQ(scalar.rounds.size(), word.rounds.size());
   for (std::size_t r = 0; r < scalar.rounds.size(); ++r) {
@@ -128,12 +131,14 @@ TEST(WordParallelTraining, EmptyWeightSpanDefaultsToUniform) {
       features, [](const BitVector& x) { return x.get(2); }, 0.1, 12);
   const std::vector<double> uniform(500, 1.0 / 500.0);
 
-  for (const bool word_parallel : {false, true}) {
-    const LevelDtConfig config{.n_inputs = 4, .word_parallel = word_parallel};
-    const LevelDtResult defaulted =
-        train_level_dt(features, targets, {}, config);
-    const LevelDtResult explicit_uniform =
-        train_level_dt(features, targets, uniform, config);
+  const LevelDtConfig config{.n_inputs = 4};
+  for (const bool scalar : {true, false}) {
+    auto fit = [&](std::span<const double> weights) {
+      return scalar ? train_level_dt_scalar(features, targets, weights, config)
+                    : train_level_dt(features, targets, weights, config);
+    };
+    const LevelDtResult defaulted = fit({});
+    const LevelDtResult explicit_uniform = fit(uniform);
     EXPECT_EQ(defaulted.lut, explicit_uniform.lut);
     EXPECT_EQ(defaulted.weighted_error, explicit_uniform.weighted_error);
   }
@@ -148,16 +153,13 @@ TEST(WordParallelTraining, RincModulesIdenticalAcrossPaths) {
       },
       0.08, 22);
 
-  RincConfig scalar_config{.lut_inputs = 4, .levels = 2, .total_dts = 10,
-                           .word_parallel_training = false};
-  RincConfig word_config = scalar_config;
-  word_config.word_parallel_training = true;
+  const RincConfig config{.lut_inputs = 4, .levels = 2, .total_dts = 10};
+  const reference::RincFit reference_fit =
+      reference::train_rinc_scalar(features, targets, {}, config);
+  const RincModule& scalar = reference_fit.module;
+  const RincModule word = RincModule::train(features, targets, {}, config);
 
-  const RincModule scalar =
-      RincModule::train(features, targets, {}, scalar_config);
-  const RincModule word = RincModule::train(features, targets, {}, word_config);
-
-  EXPECT_EQ(scalar.train_error(), word.train_error());
+  EXPECT_EQ(reference_fit.train_error, word.train_error());
   EXPECT_TRUE(scalar.eval_dataset(features) == word.eval_dataset(features));
   const auto scalar_leaves = scalar.leaf_luts();
   const auto word_leaves = word.leaf_luts();
@@ -198,10 +200,10 @@ TEST(WordParallelTraining, ToleratesDirtyColumnTailWords) {
   }
   const std::vector<double> weights = lognormal_weights(n, 43);
 
-  const LevelDtResult reference = train_level_dt(
-      clean, targets, weights, {.n_inputs = 4, .word_parallel = false});
-  const LevelDtResult sliced = train_level_dt(
-      dirty, targets, weights, {.n_inputs = 4, .word_parallel = true});
+  const LevelDtResult reference =
+      train_level_dt_scalar(clean, targets, weights, {.n_inputs = 4});
+  const LevelDtResult sliced =
+      train_level_dt(dirty, targets, weights, {.n_inputs = 4});
   expect_same_fit(reference, sliced, n);
 }
 
@@ -213,10 +215,10 @@ TEST(WordParallelTraining, HugeArityFallsBackWithoutCarriedBuffers) {
   const BitMatrix features = random_bits(n, 600, 51);
   const BitVector targets = targets_from(
       features, [](const BitVector& x) { return x.get(10); }, 0.2, 52);
-  const LevelDtResult scalar = train_level_dt(
-      features, targets, {}, {.n_inputs = 16, .word_parallel = false});
-  const LevelDtResult word = train_level_dt(
-      features, targets, {}, {.n_inputs = 16, .word_parallel = true});
+  const LevelDtResult scalar =
+      train_level_dt_scalar(features, targets, {}, {.n_inputs = 16});
+  const LevelDtResult word =
+      train_level_dt(features, targets, {}, {.n_inputs = 16});
   expect_same_fit(scalar, word, n);
 }
 

@@ -23,6 +23,12 @@ Rules (each with the incident that motivated it):
                          signatures never reappear — they constructed a
                          thread pool per call (PR 5's churn bug); callers
                          pass a BatchEngine.
+  no-second-path-knobs   The removed second-path switches never reappear in
+                         src/ or examples/: the `word_parallel*` training
+                         flags, `RuntimeOptions::fused_argmax` and
+                         `PoetBin::predict_from_rinc_bits`. Each operation
+                         has one production path; scalar oracles live in
+                         tests/reference/.
   frame-payload-bound    Byte-size constants declared in the wire protocol
                          stay within kMaxFramePayload; a constant that
                          outgrows the frame cap would make the server
@@ -168,6 +174,28 @@ def check_no_batched_shims(root):
     return violations
 
 
+# --- rule: no-second-path-knobs ---------------------------------------------
+
+SECOND_PATH_KNOB = re.compile(r"word_parallel|fused_argmax|"
+                              r"predict_from_rinc_bits")
+
+
+def check_no_second_path_knobs(root):
+    violations = []
+    for path in iter_files(root, ["src", "examples"], CXX_EXTENSIONS):
+        for i, line in enumerate(read_lines(path)):
+            if allow_marker("no-second-path-knobs", line):
+                continue
+            match = SECOND_PATH_KNOB.search(line)
+            if match:
+                violations.append(Violation(
+                    "no-second-path-knobs", relpath(root, path), i + 1,
+                    f"'{match.group(0)}' selected a second production path "
+                    "and was removed; keep one path per operation and put "
+                    "scalar oracles in tests/reference/"))
+    return violations
+
+
 # --- rule: frame-payload-bound ----------------------------------------------
 
 CONSTEXPR_BYTES = re.compile(
@@ -273,6 +301,7 @@ RULES = [
     check_memory_order_comment,
     check_atomic_model_publish,
     check_no_batched_shims,
+    check_no_second_path_knobs,
     check_frame_payload_bound,
     check_no_rand_time,
     check_tsan_supp_clean,
@@ -319,6 +348,8 @@ SELF_TEST_VIOLATIONS = [
     ("no-batched-shims", "src/core/bad_shim.h",
      "std::vector<int> predict_dataset_batched(const BitMatrix& x, "
      "std::size_t n_threads);\n"),
+    ("no-second-path-knobs", "src/serve/bad_knob.h",
+     "  bool fused_argmax = true;\n"),
     ("frame-payload-bound", "src/serve/protocol.h",
      CLEAN_PROTOCOL +
      "inline constexpr std::uint32_t kStatsPayloadBytes = 1u << 21;\n"),
