@@ -1,17 +1,21 @@
 // RINC conv layer: scalar patch oracle vs bitsliced word-parallel eval.
 //
 // The bitsliced conv pass (core/batch_eval.cpp) never materializes patches:
-// each patch bit of each output position is a pointer into the packed input
-// columns (or a shared zero buffer for padding), and the channel modules
-// Shannon-reduce 64 examples per word op. This bench times that against the
-// scalar eval_dataset oracle on a CIFAR-sized binary feature map, one row
-// per available SIMD word backend plus a threaded row, every row verified
-// bit-identical.
+// each word chunk of frames is copied once into a zero-padded frame whose
+// rows are grouped by stride phase, so a patch bit of one output row is a
+// contiguous run across every output column, and each channel module's
+// LUTs Shannon-reduce a whole row per kernel call, 64 examples per word
+// op. This bench times that against the scalar eval_dataset oracle on a
+// CIFAR-sized binary feature map, one row per available SIMD word backend
+// plus a threaded row, every row verified bit-identical.
 //
 // Acceptance bar (gated only at POETBIN_BENCH_SCALE >= 1): the
 // single-threaded bitsliced conv on the default backend must be >= 10x the
 // scalar path. The fused ConvModel predict (conv pass + classifier argmax
-// on one engine) is timed against the scalar predict_dataset as well.
+// per chunk on one engine) is timed against the scalar predict_dataset as
+// well, and so is its per-call fixed cost: one-thread calls of 256 and
+// 1024 frames, whose latency ratio is 0.25 when a call costs only its
+// frames (conv_predict_call_ratio, informational).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -191,7 +195,34 @@ int main() {
     report("fused conv+argmax (1t)", fused_s, n_examples, predict_scalar_s);
     json.add("conv_predict_fused_ms", 1e3 * fused_s);
     json.add("conv_predict_speedup_1t", predict_scalar_s / fused_s);
-    std::printf("\n");
+
+    // Call size: the median latency of 256- and 1024-frame calls on one
+    // thread. A call that costs only its frames makes the ratio 0.25; fixed
+    // per-call work pushes it towards 1.
+    double call_ms[2] = {0.0, 0.0};
+    const std::size_t call_rows[2] = {256, 1024};
+    for (std::size_t k = 0; k < 2; ++k) {
+      std::vector<std::size_t> rows(call_rows[k]);
+      for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i % n_examples;
+      const BitMatrix call = frames.select_rows(rows);
+      std::vector<double> samples;
+      for (std::size_t r = 0; r < 41; ++r) {
+        samples.push_back(time_best_of(1, [&] {
+          fused_pred = model.predict_dataset_batched(call, engine);
+        }));
+      }
+      std::nth_element(samples.begin(), samples.begin() + 20, samples.end());
+      call_ms[k] = 1e3 * samples[20];
+      std::printf("  %4zu-frame call (1t)          %10.3f ms  %9.1f ns/frame\n",
+                  call_rows[k], call_ms[k],
+                  1e6 * call_ms[k] / static_cast<double>(call_rows[k]));
+    }
+    json.add("conv_predict_call256_ms", call_ms[0]);
+    json.add("conv_predict_call1024_ms", call_ms[1]);
+    json.add("conv_predict_call_ratio", call_ms[0] / call_ms[1]);
+    std::printf("  -> 256/1024-frame latency ratio: %.2f (0.25 = no fixed "
+                "cost)\n\n",
+                call_ms[0] / call_ms[1]);
   }
 
   json.add("acceptance_pass", pass ? 1.0 : 0.0);

@@ -1,6 +1,7 @@
 #include "core/batch_eval.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <condition_variable>
@@ -17,116 +18,94 @@ namespace poetbin {
 
 namespace {
 
-// All-ones in the positions a dataset of n_rows bits occupies within its
-// last word (0 means the last word is full).
-std::uint64_t tail_mask(std::size_t n_rows) {
-  const std::size_t rem = n_rows & 63;
-  return rem == 0 ? ~0ULL : (1ULL << rem) - 1;
+// Arena words eval_rinc_into needs for `module` over n_words words: an
+// internal node holds its children's outputs while the deepest child runs.
+std::size_t rinc_scratch_words(const RincModule& module, std::size_t n_words) {
+  if (module.is_leaf()) return 0;
+  std::size_t deepest = 0;
+  for (const auto& child : module.children()) {
+    deepest = std::max(deepest, rinc_scratch_words(child, n_words));
+  }
+  return module.children().size() * n_words + deepest;
 }
 
-// Shared guts of the public word kernels once the splat table and the input
-// word streams are resolved. `splat` is the LUT's precomputed splat words
-// (Lut::splat_words — owned or viewing a packed-model mapping, so nothing
-// is rebuilt per chunk). `columns[j]` must expose words
-// [word_begin, word_end) of address bit j at offsets word_begin..; the
-// kernels pass either BitMatrix column words (absolute indexing) or child
-// scratch buffers (rebased to 0) through `base`. The Shannon reduction
-// itself — the 2^P - 1 word muxes per output word — runs on the active SIMD
-// word backend; only the dataset's last word needs the tail re-masked.
-void reduce_words(const std::uint64_t* splat, std::size_t arity,
-                  const std::vector<const std::uint64_t*>& columns,
-                  std::size_t word_begin, std::size_t word_end,
-                  std::size_t base, std::size_t n_rows, std::uint64_t* out) {
-  word_ops().lut_reduce(splat, arity, columns.data(), base, word_begin,
-                        word_end, out);
-  const std::size_t last_word = BitVector::words_needed(n_rows);
-  if (word_begin < word_end && word_end == last_word) {
-    out[word_end - 1 - word_begin] &= tail_mask(n_rows);
+// One LUT over absolute feature columns. The Shannon reduction — 2^P - 1
+// word muxes per output word — runs on the active SIMD word backend,
+// reading the LUT's precomputed splat words (owned or viewing a
+// packed-model mapping), so nothing is rebuilt per call.
+void eval_lut_into(const Lut& lut, const std::uint64_t* const* columns,
+                   std::size_t n_columns, std::size_t word_begin,
+                   std::size_t word_end, std::uint64_t* out) {
+  const std::size_t arity = lut.arity();
+  std::array<const std::uint64_t*, kMaxLutArity> inputs{};
+  for (std::size_t j = 0; j < arity; ++j) {
+    POETBIN_CHECK(lut.inputs()[j] < n_columns);
+    inputs[j] = columns[lut.inputs()[j]];
   }
+  word_ops().lut_reduce(lut.splat_words().data(), arity, inputs.data(),
+                        /*base=*/0, word_begin, word_end, out);
+}
+
+void eval_rinc_into(const RincModule& module,
+                    const std::uint64_t* const* columns, std::size_t n_columns,
+                    std::size_t word_begin, std::size_t word_end,
+                    std::uint64_t* out, std::uint64_t* arena) {
+  if (module.is_leaf()) {
+    eval_lut_into(module.leaf_lut(), columns, n_columns, word_begin, word_end,
+                  out);
+    return;
+  }
+  const auto& children = module.children();
+  const std::size_t n_words = word_end - word_begin;
+  std::uint64_t* const child_words = arena;
+  arena += children.size() * n_words;
+  std::array<const std::uint64_t*, kMaxLutArity> inputs{};
+  for (std::size_t c = 0; c < children.size(); ++c) {
+    inputs[c] = child_words + c * n_words;
+    eval_rinc_into(children[c], columns, n_columns, word_begin, word_end,
+                   child_words + c * n_words, arena);
+  }
+  // Child outputs are rebased to the range, hence base = word_begin.
+  word_ops().lut_reduce(module.mat_lut().splat_words().data(),
+                        children.size(), inputs.data(), word_begin, word_begin,
+                        word_end, out);
 }
 
 }  // namespace
 
-void eval_lut_words(const Lut& lut, const BitMatrix& features,
-                    std::size_t word_begin, std::size_t word_end,
-                    std::uint64_t* out) {
-  POETBIN_CHECK(word_begin <= word_end);
-  POETBIN_CHECK(word_end <= features.word_count());
-  const std::size_t arity = lut.arity();
-  std::vector<const std::uint64_t*> columns(arity);
-  for (std::size_t j = 0; j < arity; ++j) {
-    POETBIN_CHECK(lut.inputs()[j] < features.cols());
-    columns[j] = features.column_words(lut.inputs()[j]).data();
+std::vector<const std::uint64_t*> column_pointers(const BitMatrix& features) {
+  std::vector<const std::uint64_t*> columns(features.cols());
+  for (std::size_t f = 0; f < columns.size(); ++f) {
+    columns[f] = features.column_words(f).data();
   }
-  reduce_words(lut.splat_words().data(), arity, columns, word_begin, word_end,
-               /*base=*/0, features.rows(), out);
+  return columns;
 }
 
-void eval_rinc_words(const RincModule& module, const BitMatrix& features,
-                     std::size_t word_begin, std::size_t word_end,
-                     std::uint64_t* out) {
-  if (module.is_leaf()) {
-    eval_lut_words(module.leaf_lut(), features, word_begin, word_end, out);
-    return;
-  }
-  const auto& children = module.children();
-  const std::size_t n_words = word_end - word_begin;
-  std::vector<WordVec> child_words(children.size());
-  std::vector<const std::uint64_t*> columns(children.size());
-  for (std::size_t c = 0; c < children.size(); ++c) {
-    child_words[c].resize(n_words);
-    eval_rinc_words(children[c], features, word_begin, word_end,
-                    child_words[c].data());
-    columns[c] = child_words[c].data();
-  }
-  // Child buffers are rebased to the chunk, hence base = word_begin.
-  reduce_words(module.mat_lut().splat_words().data(), children.size(), columns,
-               word_begin, word_end, word_begin, features.rows(), out);
-}
-
-void eval_rinc_patch_words(const RincModule& module,
-                           const std::uint64_t* const* patch_columns,
-                           std::size_t n_patch_bits, std::size_t n_rows,
-                           std::size_t word_begin, std::size_t word_end,
-                           std::uint64_t* out) {
+void eval_rinc_words(const RincModule& module,
+                     const std::uint64_t* const* columns,
+                     std::size_t n_columns, std::size_t word_begin,
+                     std::size_t word_end, std::uint64_t* out) {
   POETBIN_CHECK(word_begin <= word_end);
-  POETBIN_CHECK(word_end <= BitVector::words_needed(n_rows));
-  if (module.is_leaf()) {
-    const Lut& lut = module.leaf_lut();
-    const std::size_t arity = lut.arity();
-    std::vector<const std::uint64_t*> columns(arity);
-    for (std::size_t j = 0; j < arity; ++j) {
-      POETBIN_CHECK(lut.inputs()[j] < n_patch_bits);
-      columns[j] = patch_columns[lut.inputs()[j]];
-    }
-    reduce_words(lut.splat_words().data(), arity, columns, word_begin,
-                 word_end, /*base=*/0, n_rows, out);
-    return;
-  }
-  const auto& children = module.children();
-  const std::size_t n_words = word_end - word_begin;
-  std::vector<WordVec> child_words(children.size());
-  std::vector<const std::uint64_t*> columns(children.size());
-  for (std::size_t c = 0; c < children.size(); ++c) {
-    child_words[c].resize(n_words);
-    eval_rinc_patch_words(children[c], patch_columns, n_patch_bits, n_rows,
-                          word_begin, word_end, child_words[c].data());
-    columns[c] = child_words[c].data();
-  }
-  // Child buffers are rebased to the chunk, hence base = word_begin.
-  reduce_words(module.mat_lut().splat_words().data(), children.size(), columns,
-               word_begin, word_end, word_begin, n_rows, out);
+  static thread_local WordVec arena;
+  const std::size_t need = rinc_scratch_words(module, word_end - word_begin);
+  if (arena.size() < need) arena.resize(need);
+  eval_rinc_into(module, columns, n_columns, word_begin, word_end, out,
+                 arena.data());
 }
 
 BitVector Lut::eval_dataset_bitsliced(const BitMatrix& features) const {
   BitVector out(features.rows());
-  eval_lut_words(*this, features, 0, features.word_count(), out.words());
+  eval_lut_into(*this, column_pointers(features).data(), features.cols(), 0,
+                features.word_count(), out.words());
+  out.mask_tail_word();
   return out;
 }
 
 BitVector RincModule::eval_dataset_batched(const BitMatrix& features) const {
   BitVector out(features.rows());
-  eval_rinc_words(*this, features, 0, features.word_count(), out.words());
+  eval_rinc_words(*this, column_pointers(features).data(), features.cols(), 0,
+                  features.word_count(), out.words());
+  out.mask_tail_word();
   return out;
 }
 
@@ -266,19 +245,211 @@ struct WordChunks {
   std::size_t n_words = 0;
   std::size_t chunk_words = 0;
   std::size_t n_chunks = 0;
+
+  std::size_t begin(std::size_t chunk) const { return chunk * chunk_words; }
+  std::size_t end(std::size_t chunk) const {
+    return std::min(n_words, begin(chunk) + chunk_words);
+  }
 };
 
-// Word-aligned chunking of the example range: a few chunks per thread for
-// load balance, but no smaller than 16 words (1024 examples) so per-chunk
-// setup (table splatting, child buffers) stays amortized.
+// Chunk bounds, in words. The cap bounds every per-thread scratch buffer —
+// the conv pass's padded frame and conv output above all — so scratch
+// stays cache-sized and never grows with the call's row count. The floor
+// keeps a chunk at least half a cache line of each output column.
+constexpr std::size_t kMinChunkWords = 4;
+constexpr std::size_t kMaxChunkWords = 16;
+
+// Word-aligned chunking of the example range: one thread takes it in
+// chunks of kMaxChunkWords; a pool aims for four chunks per thread (load
+// balance), so a call of 4 x threads words or more gives every thread at
+// least one chunk.
 WordChunks chunk_words(std::size_t n_words, std::size_t n_threads) {
   WordChunks chunks;
   chunks.n_words = n_words;
   if (n_words == 0) return chunks;
-  const std::size_t target = std::max<std::size_t>(1, 4 * n_threads);
-  chunks.chunk_words = std::max<std::size_t>(16, (n_words + target - 1) / target);
+  const std::size_t target = n_threads > 1 ? 4 * n_threads : 1;
+  chunks.chunk_words = std::clamp<std::size_t>(
+      (n_words + target - 1) / target, kMinChunkWords, kMaxChunkWords);
   chunks.n_chunks = (n_words + chunks.chunk_words - 1) / chunks.chunk_words;
   return chunks;
+}
+
+// Checks the fused argmax's preconditions. False when every prediction is
+// class 0: with zero or one output neuron the scalar argmax keeps its
+// class-0 start and has nothing to compare.
+bool needs_argmax(const PoetBin& model) {
+  const auto& neurons = model.output_neurons();
+  if (neurons.size() <= 1) return false;
+  const std::size_t p = model.lut_inputs();
+  POETBIN_CHECK(p <= kMaxLutArity);
+  for (const auto& neuron : neurons) {
+    POETBIN_CHECK(neuron.input_modules.size() == p);
+    POETBIN_CHECK(neuron.codes.size() == (std::size_t{1} << p));
+  }
+  POETBIN_CHECK_MSG(model.code_plane_count() >= 1, "model has no code planes");
+  return true;
+}
+
+// The fused classifier over words [word_begin, word_end) of a feature
+// matrix given as column pointers (see eval_rinc_words), for a model that
+// needs_argmax: the RINC bank into chunk-sized word buffers, each output
+// neuron's code bit-planes Shannon-reduced from its P module words, the
+// bitsliced MSB-first comparator across classes, and finally the
+// class-index planes un-sliced into predictions[0, n_rows) — n_rows counts
+// the valid rows from 64 * word_begin on. Code planes are boolean
+// functions of the neuron's P inputs, so they reduce with the same kernel
+// as the LUT layers: the model holds them precomputed
+// (PoetBin::code_plane), and nothing is splatted per call.
+void classify_words(const PoetBin& model, const std::uint64_t* const* columns,
+                    std::size_t n_columns, std::size_t word_begin,
+                    std::size_t word_end, std::size_t n_rows,
+                    int* predictions) {
+  const auto& modules = model.modules();
+  const auto& neurons = model.output_neurons();
+  const std::size_t p = model.lut_inputs();
+  const std::size_t n_planes = model.code_plane_count();
+  const std::size_t n_class_planes =
+      static_cast<std::size_t>(std::bit_width(neurons.size() - 1));
+  const std::size_t n_chunk = word_end - word_begin;
+  const WordOps& ops = word_ops();
+
+  // Chunk-sized word buffers, reused across chunks per thread: the RINC
+  // bank's outputs, the candidate/best code planes and the class index
+  // planes all stay cache-resident.
+  static thread_local WordVec module_words, cand, best, cls;
+  static thread_local std::vector<std::uint64_t*> cand_ptrs, best_ptrs,
+      cls_ptrs;
+  module_words.resize(modules.size() * n_chunk);
+  cand.resize(n_planes * n_chunk);
+  best.resize(n_planes * n_chunk);
+  cls.assign(n_class_planes * n_chunk, 0);
+  cand_ptrs.resize(n_planes);
+  best_ptrs.resize(n_planes);
+  cls_ptrs.resize(n_class_planes);
+  for (std::size_t plane = 0; plane < n_planes; ++plane) {
+    cand_ptrs[plane] = cand.data() + plane * n_chunk;
+    best_ptrs[plane] = best.data() + plane * n_chunk;
+  }
+  for (std::size_t q = 0; q < n_class_planes; ++q) {
+    cls_ptrs[q] = cls.data() + q * n_chunk;
+  }
+
+  for (std::size_t m = 0; m < modules.size(); ++m) {
+    eval_rinc_words(modules[m], columns, n_columns, word_begin, word_end,
+                    module_words.data() + m * n_chunk);
+  }
+
+  std::array<const std::uint64_t*, kMaxLutArity> inputs{};
+  for (std::size_t c = 0; c < neurons.size(); ++c) {
+    for (std::size_t j = 0; j < p; ++j) {
+      inputs[j] = module_words.data() + neurons[c].input_modules[j] * n_chunk;
+    }
+    // Class 0 seeds the running best directly; later classes reduce into
+    // the candidate planes and run the bitsliced comparator. Bits beyond
+    // the dataset in its last word carry garbage codes, but the un-slicing
+    // below never reads them. Module words are rebased to the range,
+    // hence base = word_begin.
+    std::uint64_t* const* out_ptrs =
+        c == 0 ? best_ptrs.data() : cand_ptrs.data();
+    for (std::size_t plane = 0; plane < n_planes; ++plane) {
+      ops.lut_reduce(model.code_plane(c, plane), p, inputs.data(), word_begin,
+                     word_begin, word_end, out_ptrs[plane]);
+    }
+    if (c != 0) {
+      ops.argmax_update(cand_ptrs.data(), best_ptrs.data(), n_planes,
+                        cls_ptrs.data(), n_class_planes,
+                        static_cast<std::uint32_t>(c), n_chunk);
+    }
+  }
+
+  for (std::size_t w = 0; w < n_chunk; ++w) {
+    const std::size_t rows = std::min<std::size_t>(64, n_rows - 64 * w);
+    for (std::size_t i = 0; i < rows; ++i) {
+      int class_index = 0;
+      for (std::size_t q = 0; q < n_class_planes; ++q) {
+        class_index |= static_cast<int>((cls[q * n_chunk + w] >> i) & 1u)
+                       << q;
+      }
+      predictions[64 * w + i] = class_index;
+    }
+  }
+}
+
+// The conv pass over words [word_begin, word_end) of `frames`. Returns the
+// chunk's conv output in a thread-local buffer, feature-major with
+// word_end - word_begin words per output bit (the same feature order as
+// eval_dataset: channel, then oy, then ox).
+const std::uint64_t* conv_chunk(const RincConvLayer& layer,
+                                const BitMatrix& frames,
+                                std::size_t word_begin, std::size_t word_end) {
+  const BinShape3 in = layer.input_shape();
+  const BinShape3 out = layer.output_shape();
+  const RincConvConfig& config = layer.config();
+  const std::size_t n_words = word_end - word_begin;
+  const std::size_t stride = config.stride;
+  const std::size_t pad = config.padding;
+  const std::size_t padded_h = in.height + 2 * pad;
+  const std::size_t padded_w = in.width + 2 * pad;
+  const std::size_t phase_w = (padded_w + stride - 1) / stride;
+
+  // The zero-padded frame, n_words words per pixel, each row's pixels
+  // grouped by stride phase: pixel (c, py, px) is cell
+  // ((c * padded_h + py) * stride + px % stride) * phase_w + px / stride,
+  // so pixels kx, kx + stride, kx + 2 * stride, ... are consecutive cells.
+  static thread_local WordVec padded;
+  static thread_local WordVec conv_out;
+  padded.resize(in.channels * padded_h * stride * phase_w * n_words);
+  conv_out.resize(out.flat() * n_words);
+  const auto cell = [&](std::size_t c, std::size_t py, std::size_t px) {
+    return padded.data() +
+           (((c * padded_h + py) * stride + px % stride) * phase_w +
+            px / stride) *
+               n_words;
+  };
+  for (std::size_t c = 0; c < in.channels; ++c) {
+    for (std::size_t py = 0; py < padded_h; ++py) {
+      for (std::size_t px = 0; px < padded_w; ++px) {
+        std::uint64_t* dst = cell(c, py, px);
+        if (py < pad || py >= pad + in.height || px < pad ||
+            px >= pad + in.width) {
+          std::fill_n(dst, n_words, 0);
+          continue;
+        }
+        const std::size_t feature =
+            (c * in.height + py - pad) * in.width + px - pad;
+        std::copy_n(frames.column_words(feature).data() + word_begin, n_words,
+                    dst);
+      }
+    }
+  }
+
+  // For output row oy, patch bit (c, ky, kx) — the scalar gather's
+  // c -> ky -> kx order — across every ox is the run of out.width cells
+  // that starts at pixel (c, oy * stride + ky, kx). Each channel module
+  // reduces the whole row at once, and its MAT writes the row's conv
+  // output bits (out.width consecutive features) in place.
+  static thread_local std::vector<const std::uint64_t*> patch;
+  patch.resize(layer.patch_bits());
+  const std::size_t kernel = config.kernel;
+  const std::size_t positions = out.height * out.width;
+  const std::size_t row_words = out.width * n_words;
+  const auto& modules = layer.channel_modules();
+  for (std::size_t oy = 0; oy < out.height; ++oy) {
+    std::size_t bit = 0;
+    for (std::size_t c = 0; c < in.channels; ++c) {
+      for (std::size_t ky = 0; ky < kernel; ++ky) {
+        for (std::size_t kx = 0; kx < kernel; ++kx) {
+          patch[bit++] = cell(c, oy * stride + ky, kx);
+        }
+      }
+    }
+    for (std::size_t ch = 0; ch < modules.size(); ++ch) {
+      eval_rinc_words(modules[ch], patch.data(), patch.size(), 0, row_words,
+                      conv_out.data() + (ch * positions + oy * out.width) *
+                                            n_words);
+    }
+  }
+  return conv_out.data();
 }
 
 }  // namespace
@@ -286,12 +457,15 @@ WordChunks chunk_words(std::size_t n_words, std::size_t n_threads) {
 BitVector BatchEngine::eval_dataset(const RincModule& module,
                                     const BitMatrix& features) const {
   BitVector out(features.rows());
+  const auto columns = column_pointers(features);
   const WordChunks chunks = chunk_words(features.word_count(), n_threads_);
   parallel_for(chunks.n_chunks, [&](std::size_t chunk) {
-    const std::size_t begin = chunk * chunks.chunk_words;
-    const std::size_t end = std::min(chunks.n_words, begin + chunks.chunk_words);
-    eval_rinc_words(module, features, begin, end, out.words() + begin);
+    const std::size_t begin = chunks.begin(chunk);
+    const std::size_t end = chunks.end(chunk);
+    eval_rinc_words(module, columns.data(), columns.size(), begin, end,
+                    out.words() + begin);
   });
+  out.mask_tail_word();
   return out;
 }
 
@@ -299,6 +473,7 @@ BitMatrix BatchEngine::rinc_outputs(const PoetBin& model,
                                     const BitMatrix& features) const {
   const auto& modules = model.modules();
   BitMatrix out(features.rows(), modules.size());
+  const auto columns = column_pointers(features);
   // One job per (module, chunk): module count alone (nc x P) can be smaller
   // than the pool on large machines, and a single huge module should still
   // spread across threads.
@@ -306,112 +481,29 @@ BitMatrix BatchEngine::rinc_outputs(const PoetBin& model,
   parallel_for(modules.size() * chunks.n_chunks, [&](std::size_t job) {
     const std::size_t m = job / chunks.n_chunks;
     const std::size_t chunk = job % chunks.n_chunks;
-    const std::size_t begin = chunk * chunks.chunk_words;
-    const std::size_t end = std::min(chunks.n_words, begin + chunks.chunk_words);
-    eval_rinc_words(modules[m], features, begin, end,
+    const std::size_t begin = chunks.begin(chunk);
+    const std::size_t end = chunks.end(chunk);
+    eval_rinc_words(modules[m], columns.data(), columns.size(), begin, end,
                     out.column(m).words() + begin);
   });
+  for (std::size_t m = 0; m < modules.size(); ++m) {
+    out.column(m).mask_tail_word();
+  }
   return out;
 }
 
 std::vector<int> BatchEngine::predict_dataset(const PoetBin& model,
                                               const BitMatrix& features) const {
   const std::size_t n = features.rows();
-  const auto& neurons = model.output_neurons();
   std::vector<int> predictions(n, 0);
-  // With zero or one output neuron every example is class 0 (the scalar
-  // argmax initializes to class 0), and there is nothing to compare.
-  if (n == 0 || neurons.size() <= 1) return predictions;
-
-  const auto& modules = model.modules();
-  const std::size_t p = model.lut_inputs();
-  const std::size_t n_combos = std::size_t{1} << p;
-
-  // Code bit-planes: each plane of each neuron's code is a boolean
-  // function of its P input bits, so it Shannon-reduces with the same word
-  // kernel as the LUT layers — the argmax becomes pure word ops. The model
-  // holds the planes precomputed (PoetBin::code_plane), owned on the heap
-  // or viewing a packed-model mapping; nothing is splatted per call.
-  for (const auto& neuron : neurons) {
-    POETBIN_CHECK(neuron.input_modules.size() == p);
-    POETBIN_CHECK(neuron.codes.size() == n_combos);
-  }
-  const std::size_t n_planes = model.code_plane_count();
-  POETBIN_CHECK_MSG(n_planes >= 1, "model has no code planes");
-  const std::size_t n_class_planes =
-      static_cast<std::size_t>(std::bit_width(neurons.size() - 1));
-
-  const WordOps& ops = word_ops();
+  if (n == 0 || !needs_argmax(model)) return predictions;
+  const auto columns = column_pointers(features);
   const WordChunks chunks = chunk_words(features.word_count(), n_threads_);
   parallel_for(chunks.n_chunks, [&](std::size_t chunk) {
-    const std::size_t word_begin = chunk * chunks.chunk_words;
-    const std::size_t word_end =
-        std::min(chunks.n_words, word_begin + chunks.chunk_words);
-    const std::size_t n_chunk = word_end - word_begin;
-
-    // Chunk-sized word buffers, reused across chunks per worker thread: the
-    // RINC bank's outputs, the candidate/best code planes and the class
-    // index planes all stay cache-resident — predict never materializes an
-    // n-row intermediate matrix.
-    static thread_local WordVec module_words, cand, best, cls;
-    static thread_local std::vector<const std::uint64_t*> columns;
-    static thread_local std::vector<std::uint64_t*> cand_ptrs, best_ptrs,
-        cls_ptrs;
-    module_words.resize(modules.size() * n_chunk);
-    cand.resize(n_planes * n_chunk);
-    best.resize(n_planes * n_chunk);
-    cls.assign(n_class_planes * n_chunk, 0);
-    columns.resize(p);
-    cand_ptrs.resize(n_planes);
-    best_ptrs.resize(n_planes);
-    cls_ptrs.resize(n_class_planes);
-    for (std::size_t plane = 0; plane < n_planes; ++plane) {
-      cand_ptrs[plane] = cand.data() + plane * n_chunk;
-      best_ptrs[plane] = best.data() + plane * n_chunk;
-    }
-    for (std::size_t q = 0; q < n_class_planes; ++q) {
-      cls_ptrs[q] = cls.data() + q * n_chunk;
-    }
-
-    for (std::size_t m = 0; m < modules.size(); ++m) {
-      eval_rinc_words(modules[m], features, word_begin, word_end,
-                      module_words.data() + m * n_chunk);
-    }
-
-    for (std::size_t c = 0; c < neurons.size(); ++c) {
-      for (std::size_t j = 0; j < p; ++j) {
-        columns[j] =
-            module_words.data() + neurons[c].input_modules[j] * n_chunk;
-      }
-      // Class 0 seeds the running best directly; later classes reduce into
-      // the candidate planes and run the bitsliced comparator. Bits beyond
-      // n in the dataset's last word carry garbage codes, but the
-      // extraction below never reads them.
-      std::uint64_t* const* out_ptrs = c == 0 ? best_ptrs.data()
-                                              : cand_ptrs.data();
-      for (std::size_t plane = 0; plane < n_planes; ++plane) {
-        ops.lut_reduce(model.code_plane(c, plane), p, columns.data(),
-                       word_begin, word_begin, word_end, out_ptrs[plane]);
-      }
-      if (c != 0) {
-        ops.argmax_update(cand_ptrs.data(), best_ptrs.data(), n_planes,
-                          cls_ptrs.data(), n_class_planes,
-                          static_cast<std::uint32_t>(c), n_chunk);
-      }
-    }
-
-    // Un-slice the class-index planes into per-example predictions.
-    for (std::size_t w = 0; w < n_chunk; ++w) {
-      const std::size_t row0 = (word_begin + w) * 64;
-      const std::size_t rows = std::min<std::size_t>(64, n - row0);
-      for (std::size_t q = 0; q < n_class_planes; ++q) {
-        const std::uint64_t plane_bits = cls[q * n_chunk + w];
-        for (std::size_t i = 0; i < rows; ++i) {
-          predictions[row0 + i] |=
-              static_cast<int>((plane_bits >> i) & 1u) << q;
-        }
-      }
-    }
+    const std::size_t begin = chunks.begin(chunk);
+    const std::size_t end = chunks.end(chunk);
+    classify_words(model, columns.data(), columns.size(), begin, end,
+                   n - 64 * begin, predictions.data() + 64 * begin);
   });
   return predictions;
 }
@@ -445,78 +537,59 @@ BitMatrix RincConvLayer::eval_dataset_batched(const BitMatrix& inputs,
                                               const BatchEngine& engine) const {
   POETBIN_CHECK(inputs.cols() == in_shape_.flat());
   const std::size_t n = inputs.rows();
-  const std::size_t positions = out_shape_.height * out_shape_.width;
-  const std::size_t n_bits = patch_bits();
-  BitMatrix out(n, out_shape_.flat());
+  const std::size_t n_out = out_shape_.flat();
+  BitMatrix out(n, n_out);
   if (n == 0 || modules_.empty()) return out;
-
-  // One shared all-zero column backs every padding bit of every position:
-  // "padding bits pre-masked" is simply reading packed zeros.
-  const WordVec zeros(inputs.word_count(), 0);
-
-  // The im2col transpose as pointers instead of copied bits:
-  // table[p * n_bits + j] is the packed input column behind patch bit j of
-  // output position p (same c -> ky -> kx bit order as gather_patches).
-  std::vector<const std::uint64_t*> table(positions * n_bits);
-  const std::size_t in_h = in_shape_.height;
-  const std::size_t in_w = in_shape_.width;
-  const std::size_t plane = in_h * in_w;
-  const std::size_t kernel = config_.kernel;
-  for (std::size_t oy = 0; oy < out_shape_.height; ++oy) {
-    for (std::size_t ox = 0; ox < out_shape_.width; ++ox) {
-      const std::size_t p = oy * out_shape_.width + ox;
-      std::size_t bit = 0;
-      for (std::size_t c = 0; c < in_shape_.channels; ++c) {
-        for (std::size_t ky = 0; ky < kernel; ++ky) {
-          const long iy = static_cast<long>(oy * config_.stride + ky) -
-                          static_cast<long>(config_.padding);
-          for (std::size_t kx = 0; kx < kernel; ++kx, ++bit) {
-            const long ix = static_cast<long>(ox * config_.stride + kx) -
-                            static_cast<long>(config_.padding);
-            const bool in_frame = iy >= 0 && ix >= 0 &&
-                                  iy < static_cast<long>(in_h) &&
-                                  ix < static_cast<long>(in_w);
-            table[p * n_bits + bit] =
-                in_frame ? inputs
-                               .column_words(c * plane +
-                                             static_cast<std::size_t>(iy) *
-                                                 in_w +
-                                             static_cast<std::size_t>(ix))
-                               .data()
-                         : zeros.data();
-          }
-        }
-      }
-    }
-  }
-
-  // One job per (channel, position, chunk): each writes a disjoint word
-  // range of one output column, so any thread count is race-free and
-  // bit-identical (word kernels are exact).
+  // One job per word chunk, each writing disjoint words of every output
+  // column, so any thread count is race-free and bit-identical.
   const WordChunks chunks =
       chunk_words(inputs.word_count(), engine.n_threads());
-  engine.parallel_for(
-      modules_.size() * positions * chunks.n_chunks, [&](std::size_t job) {
-        const std::size_t channel = job / (positions * chunks.n_chunks);
-        const std::size_t rest = job % (positions * chunks.n_chunks);
-        const std::size_t p = rest / chunks.n_chunks;
-        const std::size_t chunk = rest % chunks.n_chunks;
-        const std::size_t begin = chunk * chunks.chunk_words;
-        const std::size_t end =
-            std::min(chunks.n_words, begin + chunks.chunk_words);
-        eval_rinc_patch_words(
-            modules_[channel], table.data() + p * n_bits, n_bits, n, begin,
-            end, out.column(channel * positions + p).words() + begin);
-      });
+  engine.parallel_for(chunks.n_chunks, [&](std::size_t chunk) {
+    const std::size_t begin = chunks.begin(chunk);
+    const std::size_t end = chunks.end(chunk);
+    const std::size_t n_words = end - begin;
+    const std::uint64_t* conv_out = conv_chunk(*this, inputs, begin, end);
+    for (std::size_t f = 0; f < n_out; ++f) {
+      std::uint64_t* dst = out.column(f).words() + begin;
+      std::copy_n(conv_out + f * n_words, n_words, dst);
+      if (end == chunks.n_words) {
+        dst[n_words - 1] &= BitVector::tail_word_mask(n);
+      }
+    }
+  });
   return out;
+}
+
+std::vector<int> predict_conv_dataset(const RincConvLayer& conv,
+                                      const PoetBin& classifier,
+                                      const BitMatrix& frames,
+                                      const BatchEngine& engine) {
+  POETBIN_CHECK(frames.cols() == conv.input_shape().flat());
+  const std::size_t n = frames.rows();
+  std::vector<int> predictions(n, 0);
+  if (n == 0 || !needs_argmax(classifier)) return predictions;
+  const std::size_t n_out = conv.output_shape().flat();
+  const WordChunks chunks =
+      chunk_words(frames.word_count(), engine.n_threads());
+  engine.parallel_for(chunks.n_chunks, [&](std::size_t chunk) {
+    const std::size_t begin = chunks.begin(chunk);
+    const std::size_t end = chunks.end(chunk);
+    const std::size_t n_words = end - begin;
+    const std::uint64_t* conv_out = conv_chunk(conv, frames, begin, end);
+    static thread_local std::vector<const std::uint64_t*> columns;
+    columns.resize(n_out);
+    for (std::size_t f = 0; f < n_out; ++f) {
+      columns[f] = conv_out + f * n_words;
+    }
+    classify_words(classifier, columns.data(), n_out, 0, n_words,
+                   n - 64 * begin, predictions.data() + 64 * begin);
+  });
+  return predictions;
 }
 
 std::vector<int> ConvModel::predict_dataset_batched(
     const BitMatrix& frames, const BatchEngine& engine) const {
-  // Two sequential passes on one engine (parallel_for is not re-entrant,
-  // but back-to-back calls are the intended use).
-  return engine.predict_dataset(classifier,
-                                conv.eval_dataset_batched(frames, engine));
+  return predict_conv_dataset(conv, classifier, frames, engine);
 }
 
 }  // namespace poetbin

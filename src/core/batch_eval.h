@@ -7,10 +7,11 @@
 // such word ops, and a whole dataset pass is an embarrassingly parallel
 // loop over word indices, which BatchEngine chunks across a thread pool.
 //
-// Word kernels (`eval_lut_words`, `eval_rinc_words`) are exposed for tests
-// and for callers that manage their own parallelism; everything else goes
-// through `Lut::eval_dataset_bitsliced`, `RincModule::eval_dataset_batched`
-// or a BatchEngine.
+// One word kernel, `eval_rinc_words`, evaluates any RINC hierarchy over
+// column-word pointers: a BitMatrix's columns, a chunk-local buffer, or the
+// conv pass's row runs of a padded frame (core/rinc_conv.h). Everything
+// else goes through `Lut::eval_dataset_bitsliced`,
+// `RincModule::eval_dataset_batched` or a BatchEngine.
 #pragma once
 
 #include <atomic>
@@ -27,31 +28,22 @@
 
 namespace poetbin {
 
-// Evaluates `lut` for the 64-example blocks [64*word_begin, 64*word_end) of
-// `features`, writing one packed output word per block to `out` (which must
-// hold word_end - word_begin words). If the range covers the dataset's last
-// word, bits beyond features.rows() are zeroed.
-void eval_lut_words(const Lut& lut, const BitMatrix& features,
-                    std::size_t word_begin, std::size_t word_end,
-                    std::uint64_t* out);
+// Word 0 of every column of `features`, the input form of eval_rinc_words.
+std::vector<const std::uint64_t*> column_pointers(const BitMatrix& features);
 
-// Same contract for a whole RINC hierarchy: children are evaluated into
-// word buffers and the MAT LUT combines them with word ops.
-void eval_rinc_words(const RincModule& module, const BitMatrix& features,
-                     std::size_t word_begin, std::size_t word_end,
-                     std::uint64_t* out);
-
-// Same contract over a *virtual* feature matrix given as column-word
-// pointers: patch bit j resolves to patch_columns[j], absolute-indexed
-// packed words (word w holds examples [64w, 64w + 64)) — a real input
-// column, or a shared all-zero buffer for conv padding bits. This is what
-// lets RincConvLayer::eval_dataset_batched skip the im2col materialization:
-// the transpose is a pointer table, not a copied patch matrix.
-void eval_rinc_patch_words(const RincModule& module,
-                           const std::uint64_t* const* patch_columns,
-                           std::size_t n_patch_bits, std::size_t n_rows,
-                           std::size_t word_begin, std::size_t word_end,
-                           std::uint64_t* out);
+// Evaluates `module` for words [word_begin, word_end) of a feature matrix
+// given as column pointers — feature f's word w is columns[f][w], and
+// every feature the module references must be below n_columns (checked
+// per leaf) — writing word_end - word_begin words to `out`. Leaves reduce
+// their input columns in place; an internal node reduces its children's
+// outputs, which live in a thread-local arena, so a call allocates nothing
+// once the arena has grown to fit. Bits beyond the dataset in its last
+// word are whatever the tables make of the input's tail bits: callers that
+// publish a BitVector mask its tail word.
+void eval_rinc_words(const RincModule& module,
+                     const std::uint64_t* const* columns,
+                     std::size_t n_columns, std::size_t word_begin,
+                     std::size_t word_end, std::uint64_t* out);
 
 // Multithreaded batch driver. Owns a persistent pool of worker threads and
 // chunks the example range (in whole words) across them. All eval methods
@@ -63,8 +55,14 @@ void eval_rinc_patch_words(const RincModule& module,
 // chunk it evaluates the RINC bank into cache-resident word buffers,
 // Shannon-reduces each output neuron's quantized code into bit-planes, and
 // runs a bitsliced MSB-first comparator across classes — no per-example
-// combo assembly, no materialized rinc_outputs matrix. Word kernels run on
-// the active SIMD backend (util/word_backend.h).
+// combo assembly, no materialized rinc_outputs matrix. The conv predict
+// (predict_conv_dataset, core/rinc_conv.h) runs the same chunk body on each
+// chunk's conv output. Word kernels run on the active SIMD backend
+// (util/word_backend.h).
+//
+// Chunking: one thread takes the word range in chunks of at most 16 words
+// (1024 examples); a pool cuts it into about four chunks per thread, so any
+// call of 4 x threads words or more spreads across every thread.
 class BatchEngine {
  public:
   // 0 = std::thread::hardware_concurrency(); 1 = run inline, no workers.

@@ -11,11 +11,17 @@
 //
 // Inference has two paths: the scalar `eval_dataset` oracle (materializes
 // one patch row per example x position) and the bitsliced
-// `eval_dataset_batched`, which never materializes patches at all — each
-// patch bit of each output position is just a *pointer* to the packed
-// column words of the corresponding input feature (or to a shared zero
-// buffer for padding), so the channel modules Shannon-reduce straight over
-// the input columns, 64 examples per word op, on the active SIMD backend.
+// `eval_dataset_batched`, which never materializes patches. Each chunk of
+// up to 16 words (1024 examples) is copied once into a thread-local
+// zero-padded frame, one run of chunk words per padded pixel, with each
+// row's pixels grouped by stride phase (px % stride). Patch bit (c, ky, kx)
+// of one output row is then a single contiguous run across every output
+// column ox, so each leaf and MAT LUT of a channel module Shannon-reduces
+// out_w x chunk words in one kernel call on the active SIMD backend, and
+// the MAT's result is already the chunk's conv output for that row.
+// `predict_conv_dataset` feeds each chunk's conv output straight into the
+// classifier's fused argmax, so a predict never builds the n x out-bits
+// conv output matrix.
 #pragma once
 
 #include <cstddef>
@@ -90,12 +96,9 @@ class RincConvLayer {
   BitMatrix eval_dataset(const BitMatrix& inputs) const;
 
   // Word-parallel layer application, bit-identical to eval_dataset at any
-  // thread count and on every word backend. The im2col-style transpose is
-  // done once per call as a (position x patch-bit) table of column-word
-  // pointers — padding resolves to a shared zero buffer, so padding bits
-  // are pre-masked by construction — and (channel x position x chunk) jobs
-  // spread across the engine's pool, each writing disjoint words of the
-  // output columns. Defined in core/batch_eval.cpp.
+  // thread count and on every word backend: the padded-frame row-run pass
+  // described above, one job per word chunk across the engine's pool.
+  // Defined in core/batch_eval.cpp.
   BitMatrix eval_dataset_batched(const BitMatrix& inputs,
                                  const BatchEngine& engine) const;
 
@@ -138,11 +141,20 @@ struct ConvModel {
   // Scalar dataset oracle: conv eval_dataset then classifier
   // predict_dataset.
   std::vector<int> predict_dataset(const BitMatrix& frames) const;
-  // Fused word-parallel path, bit-identical to predict_dataset: bitsliced
-  // conv pass, then the classifier's fused bitsliced argmax, both on the
-  // same engine. Defined in core/batch_eval.cpp.
+  // Fused word-parallel path, bit-identical to predict_dataset: see
+  // predict_conv_dataset.
   std::vector<int> predict_dataset_batched(const BitMatrix& frames,
                                            const BatchEngine& engine) const;
 };
+
+// Fused word-parallel conv predict, bit-identical to the scalar
+// ConvModel::predict_dataset: per word chunk, the conv pass writes the
+// chunk's conv output bits to a thread-local buffer and the classifier's
+// fused argmax (BatchEngine::predict_dataset's chunk body) runs on it.
+// Defined in core/batch_eval.cpp.
+std::vector<int> predict_conv_dataset(const RincConvLayer& conv,
+                                      const PoetBin& classifier,
+                                      const BitMatrix& frames,
+                                      const BatchEngine& engine);
 
 }  // namespace poetbin

@@ -1,6 +1,7 @@
 #include "dt/lut.h"
 
 #include "util/check.h"
+#include "util/word_backend.h"
 
 namespace poetbin {
 
@@ -18,7 +19,8 @@ WordVec splat_of(const BitVector& table) {
 
 Lut::Lut(std::vector<std::size_t> inputs, BitVector table)
     : inputs_(std::move(inputs)), table_(std::move(table)) {
-  POETBIN_CHECK_MSG(inputs_.size() < 24, "LUT arity unrealistically large");
+  POETBIN_CHECK_MSG(inputs_.size() <= kMaxLutArity,
+                    "LUT arity unrealistically large");
   POETBIN_CHECK(table_.size() == (std::size_t{1} << inputs_.size()));
   splat_ = WordStorage(splat_of(table_));
 }
@@ -27,7 +29,8 @@ Lut::Lut(std::vector<std::size_t> inputs, BitVector table, WordStorage splat)
     : inputs_(std::move(inputs)),
       table_(std::move(table)),
       splat_(std::move(splat)) {
-  POETBIN_CHECK_MSG(inputs_.size() < 24, "LUT arity unrealistically large");
+  POETBIN_CHECK_MSG(inputs_.size() <= kMaxLutArity,
+                    "LUT arity unrealistically large");
   POETBIN_CHECK(table_.size() == (std::size_t{1} << inputs_.size()));
   POETBIN_CHECK_MSG(splat_.size() == table_.size(),
                     "pre-splatted LUT table has the wrong word count");

@@ -213,16 +213,13 @@ std::vector<int> Runtime::predict_on(const ModelVersion& version,
   // The engine pool is not re-entrant: dataset passes from concurrent
   // callers (and from mutators) queue here instead of aborting.
   std::lock_guard<std::mutex> lock(state_->engine_mu);
-  // Conv front end first: flatten the frames to conv output bits on the
-  // same engine (two sequential parallel_for passes are the intended use
-  // of one engine), then the classifier consumes those bits.
-  const BitMatrix* input = &features;
-  BitMatrix conv_bits;
+  // A conv version runs the fused conv predict: each word chunk's conv
+  // output feeds the classifier's argmax directly.
   if (version.conv != nullptr) {
-    conv_bits = version.conv->eval_dataset_batched(features, *state_->engine);
-    input = &conv_bits;
+    return predict_conv_dataset(*version.conv, version.model, features,
+                                *state_->engine);
   }
-  return state_->engine->predict_dataset(version.model, *input);
+  return state_->engine->predict_dataset(version.model, features);
 }
 
 std::vector<int> Runtime::predict(const BitMatrix& features) const {

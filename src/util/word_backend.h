@@ -27,11 +27,16 @@ namespace poetbin {
 
 enum class WordBackend { kScalar64, kAvx2, kAvx512, kNeon };
 
+// Widest table WordOps::lut_reduce accepts: Lut's constructor enforces it
+// (the model file formats stop at 16 inputs).
+inline constexpr std::size_t kMaxLutArity = 23;
+
 // The kernel table one backend provides. All ranges are in 64-bit words; a
 // backend is free to process them in wider blocks internally, finishing any
-// ragged remainder at scalar width. No function masks dataset tails — bits
-// beyond the logical size are the caller's contract, exactly as with the
-// raw scalar loops these replace.
+// ragged remainder at scalar width (lut_reduce instead runs it as one
+// zero-padded block). No function masks dataset tails — bits beyond the
+// logical size are the caller's contract, exactly as with the raw scalar
+// loops these replace.
 struct WordOps {
   WordBackend kind;
   const char* name;          // "scalar64" / "avx2" / "avx512" / "neon"
@@ -42,7 +47,9 @@ struct WordOps {
   //       table(columns[0][w - base], ..., columns[arity-1][w - base])
   // for w in [word_begin, word_end), where `splat` holds the 2^arity truth
   // table entries splatted to full words (~0 for 1, 0 for 0). Arity 0 writes
-  // the constant splat[0].
+  // the constant splat[0]. arity <= kMaxLutArity. The SIMD backends reduce
+  // depth-first in registers (util/word_backend_shannon.h), broadcasting
+  // entries straight from `splat`, so a call has no per-call setup cost.
   void (*lut_reduce)(const std::uint64_t* splat, std::size_t arity,
                      const std::uint64_t* const* columns, std::size_t base,
                      std::size_t word_begin, std::size_t word_end,

@@ -1,10 +1,11 @@
 // AVX2 backend: four 64-bit words (256 examples) per step.
 //
 // Only bitwise logic and elementwise double multiplies run at vector width,
-// so every result is bit-identical to the scalar64 reference; ragged
-// sub-block tails fall through to the shared scalar bodies in
-// word_backend_impl.h. Compiled with -mavx2 (see CMakeLists.txt) and only
-// when the toolchain supports it; runtime CPUID dispatch lives in
+// so every result is bit-identical to the scalar64 reference. The LUT
+// reduction is the shared depth-first kernel (util/word_backend_shannon.h);
+// the other ops' ragged sub-block tails fall through to the shared scalar
+// bodies in word_backend_impl.h. Compiled with -mavx2 (see CMakeLists.txt)
+// and only when the toolchain supports it; runtime CPUID dispatch lives in
 // word_backend.cpp.
 #include "util/word_backend.h"
 
@@ -12,9 +13,8 @@
 
 #include <immintrin.h>
 
-#include <vector>
-
 #include "util/word_backend_impl.h"
+#include "util/word_backend_shannon.h"
 
 namespace poetbin {
 
@@ -22,75 +22,26 @@ namespace {
 
 constexpr std::size_t kBlock = 4;  // 64-bit words per __m256i
 
-inline __m256i mux(__m256i f0, __m256i f1, __m256i x) {
+// Vector traits for the shared depth-first Shannon reduction
+// (util/word_backend_shannon.h).
+struct Avx2Traits {
+  using Vec = __m256i;
+  static constexpr std::size_t kBlock = 4;
+  static Vec load(const std::uint64_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  static void store(std::uint64_t* p, Vec v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  static Vec splat(const std::uint64_t* p) {
+    return _mm256_set1_epi64x(static_cast<long long>(*p));
+  }
   // f0 ^ ((f0 ^ f1) & x): bitwise select x ? f1 : f0.
-  return _mm256_xor_si256(f0,
-                          _mm256_and_si256(_mm256_xor_si256(f0, f1), x));
-}
-
-void lut_reduce_avx2(const std::uint64_t* splat, std::size_t arity,
-                     const std::uint64_t* const* columns, std::size_t base,
-                     std::size_t word_begin, std::size_t word_end,
-                     std::uint64_t* out) {
-  const std::size_t n_words = word_end - word_begin;
-  const std::size_t blocks = n_words / kBlock;
-  if (blocks == 0) {
-    word_impl::lut_reduce(splat, arity, columns, base, word_begin, word_end,
-                          out);
-    return;
+  static Vec mux(Vec f0, Vec f1, Vec x) {
+    return _mm256_xor_si256(f0,
+                            _mm256_and_si256(_mm256_xor_si256(f0, f1), x));
   }
-  // Broadcast the splatted table once per call (amortized over the whole
-  // word range); scratch holds the live half-table between reduction levels.
-  // Both live in 64-byte-aligned WordVec storage (vector<__m256i> would
-  // trip -Wignored-attributes) with one vector per kBlock words.
-  static thread_local WordVec vsplat;
-  static thread_local WordVec scratch;
-  const std::size_t table_size = std::size_t{1} << arity;
-  if (vsplat.size() < table_size * kBlock) vsplat.resize(table_size * kBlock);
-  for (std::size_t a = 0; a < table_size; ++a) {
-    for (std::size_t l = 0; l < kBlock; ++l) {
-      vsplat[a * kBlock + l] = splat[a];
-    }
-  }
-  const std::size_t half = arity == 0 ? 0 : table_size / 2;
-  if (scratch.size() < half * kBlock) scratch.resize(half * kBlock);
-  auto at = [](WordVec& v, std::size_t k) {
-    return _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(v.data() + k * kBlock));
-  };
-
-  for (std::size_t blk = 0; blk < blocks; ++blk) {
-    const std::size_t w = word_begin + blk * kBlock;
-    if (arity == 0) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + blk * kBlock),
-                          at(vsplat, 0));
-      continue;
-    }
-    std::size_t h = half;
-    const __m256i x0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(columns[0] + (w - base)));
-    for (std::size_t k = 0; k < h; ++k) {
-      _mm256_store_si256(
-          reinterpret_cast<__m256i*>(scratch.data() + k * kBlock),
-          mux(at(vsplat, 2 * k), at(vsplat, 2 * k + 1), x0));
-    }
-    for (std::size_t j = 1; j < arity; ++j) {
-      h >>= 1;
-      const __m256i x = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(columns[j] + (w - base)));
-      for (std::size_t k = 0; k < h; ++k) {
-        _mm256_store_si256(
-            reinterpret_cast<__m256i*>(scratch.data() + k * kBlock),
-            mux(at(scratch, 2 * k), at(scratch, 2 * k + 1), x));
-      }
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + blk * kBlock),
-                        at(scratch, 0));
-  }
-  word_impl::lut_reduce(splat, arity, columns, base,
-                        word_begin + blocks * kBlock, word_end,
-                        out + blocks * kBlock);
-}
+};
 
 void and_words_avx2(const std::uint64_t* a, const std::uint64_t* b,
                     std::uint64_t* dst, std::size_t n_words) {
@@ -221,7 +172,7 @@ const WordOps& avx2_word_ops() {
       .kind = WordBackend::kAvx2,
       .name = "avx2",
       .block_words = kBlock,
-      .lut_reduce = lut_reduce_avx2,
+      .lut_reduce = word_impl::simd_lut_reduce<Avx2Traits>,
       .and_words = and_words_avx2,
       .or_words = or_words_avx2,
       .xor_words = xor_words_avx2,

@@ -1,11 +1,12 @@
 // AVX-512 backend: eight 64-bit words (512 examples) per step.
 //
-// The Shannon mux collapses to a single vpternlogq per table level, and the
-// Adaboost reweight blend uses the native 8-bit lane masks. As with AVX2,
+// The Shannon mux collapses to a single vpternlogq, the LUT reduction runs
+// depth-first in registers (util/word_backend_shannon.h), and the Adaboost
+// reweight blend uses the native 8-bit lane masks. As with AVX2,
 // everything is exact bitwise logic or elementwise IEEE multiplies, so the
-// results are bit-identical to scalar64; ragged tails fall through to the
-// shared scalar bodies. Compiled with -mavx512f -mavx512bw -mavx512vl and
-// dispatched at runtime in word_backend.cpp.
+// results are bit-identical to scalar64; the other ops' ragged tails fall
+// through to the shared scalar bodies. Compiled with -mavx512f -mavx512bw
+// -mavx512vl and dispatched at runtime in word_backend.cpp.
 #include "util/word_backend.h"
 
 #if defined(POETBIN_HAVE_AVX512)
@@ -18,9 +19,8 @@
 
 #include <immintrin.h>
 
-#include <vector>
-
 #include "util/word_backend_impl.h"
+#include "util/word_backend_shannon.h"
 
 namespace poetbin {
 
@@ -32,64 +32,23 @@ constexpr std::size_t kBlock = 8;  // 64-bit words per __m512i
 // (f0_bit << 2) | (f1_bit << 1) | x_bit, so the truth table is 0b11011000.
 constexpr int kMuxImm = 0xD8;
 
-inline __m512i mux(__m512i f0, __m512i f1, __m512i x) {
+inline __m512i avx512_mux(__m512i f0, __m512i f1, __m512i x) {
   return _mm512_ternarylogic_epi64(f0, f1, x, kMuxImm);
 }
 
-void lut_reduce_avx512(const std::uint64_t* splat, std::size_t arity,
-                       const std::uint64_t* const* columns, std::size_t base,
-                       std::size_t word_begin, std::size_t word_end,
-                       std::uint64_t* out) {
-  const std::size_t n_words = word_end - word_begin;
-  const std::size_t blocks = n_words / kBlock;
-  if (blocks == 0) {
-    word_impl::lut_reduce(splat, arity, columns, base, word_begin, word_end,
-                          out);
-    return;
+// Vector traits for the shared depth-first Shannon reduction
+// (util/word_backend_shannon.h). A table entry's broadcast is a load-port
+// vpbroadcastq, so it issues beside the vpternlogq muxes.
+struct Avx512Traits {
+  using Vec = __m512i;
+  static constexpr std::size_t kBlock = 8;
+  static Vec load(const std::uint64_t* p) { return _mm512_loadu_si512(p); }
+  static void store(std::uint64_t* p, Vec v) { _mm512_storeu_si512(p, v); }
+  static Vec splat(const std::uint64_t* p) {
+    return _mm512_set1_epi64(static_cast<long long>(*p));
   }
-  // 64-byte-aligned WordVec storage (vector<__m512i> would trip
-  // -Wignored-attributes) with one vector per kBlock words.
-  static thread_local WordVec vsplat;
-  static thread_local WordVec scratch;
-  const std::size_t table_size = std::size_t{1} << arity;
-  if (vsplat.size() < table_size * kBlock) vsplat.resize(table_size * kBlock);
-  for (std::size_t a = 0; a < table_size; ++a) {
-    for (std::size_t l = 0; l < kBlock; ++l) {
-      vsplat[a * kBlock + l] = splat[a];
-    }
-  }
-  const std::size_t half = arity == 0 ? 0 : table_size / 2;
-  if (scratch.size() < half * kBlock) scratch.resize(half * kBlock);
-  auto at = [](WordVec& v, std::size_t k) {
-    return _mm512_load_si512(v.data() + k * kBlock);
-  };
-
-  for (std::size_t blk = 0; blk < blocks; ++blk) {
-    const std::size_t w = word_begin + blk * kBlock;
-    if (arity == 0) {
-      _mm512_storeu_si512(out + blk * kBlock, at(vsplat, 0));
-      continue;
-    }
-    std::size_t h = half;
-    const __m512i x0 = _mm512_loadu_si512(columns[0] + (w - base));
-    for (std::size_t k = 0; k < h; ++k) {
-      _mm512_store_si512(scratch.data() + k * kBlock,
-                         mux(at(vsplat, 2 * k), at(vsplat, 2 * k + 1), x0));
-    }
-    for (std::size_t j = 1; j < arity; ++j) {
-      h >>= 1;
-      const __m512i x = _mm512_loadu_si512(columns[j] + (w - base));
-      for (std::size_t k = 0; k < h; ++k) {
-        _mm512_store_si512(scratch.data() + k * kBlock,
-                           mux(at(scratch, 2 * k), at(scratch, 2 * k + 1), x));
-      }
-    }
-    _mm512_storeu_si512(out + blk * kBlock, at(scratch, 0));
-  }
-  word_impl::lut_reduce(splat, arity, columns, base,
-                        word_begin + blocks * kBlock, word_end,
-                        out + blocks * kBlock);
-}
+  static Vec mux(Vec f0, Vec f1, Vec x) { return avx512_mux(f0, f1, x); }
+};
 
 void and_words_avx512(const std::uint64_t* a, const std::uint64_t* b,
                       std::uint64_t* dst, std::size_t n_words) {
@@ -156,7 +115,7 @@ void argmax_update_avx512(const std::uint64_t* const* cand_planes,
       const __m512i c = _mm512_loadu_si512(cand_planes[p] + w);
       const __m512i b = _mm512_loadu_si512(best_planes[p] + w);
       // b ^ ((b ^ c) & gt): select c where gt — the same mux as the LUT path.
-      _mm512_storeu_si512(best_planes[p] + w, mux(b, c, gt));
+      _mm512_storeu_si512(best_planes[p] + w, avx512_mux(b, c, gt));
     }
     for (std::size_t q = 0; q < n_class_planes; ++q) {
       const __m512i v = _mm512_loadu_si512(class_planes[q] + w);
@@ -207,7 +166,7 @@ const WordOps& avx512_word_ops() {
         .kind = WordBackend::kAvx512,
         .name = "avx512",
         .block_words = kBlock,
-        .lut_reduce = lut_reduce_avx512,
+        .lut_reduce = word_impl::simd_lut_reduce<Avx512Traits>,
         .and_words = and_words_avx512,
         .or_words = or_words_avx512,
         .xor_words = xor_words_avx512,

@@ -1,10 +1,12 @@
 // Internal: scalar (64-bit word) kernel bodies shared by the backends.
 //
-// The scalar64 backend calls these directly; the AVX2/AVX-512 backends call
-// them for the ragged sub-block tail of each range. Keeping one definition
-// guarantees every backend's remainder path is literally the reference
-// implementation. Not part of the public surface — include only from
-// word_backend*.cpp.
+// The scalar64 backend calls these directly; the SIMD backends call them
+// for the ragged sub-block tail of each range (except lut_reduce, whose
+// tail runs as one zero-padded vector block, util/word_backend_shannon.h).
+// Keeping one definition guarantees every backend's remainder path is
+// literally the reference implementation, and shannon_reduce stays the
+// LUT oracle every backend is tested against. Not part of the public
+// surface — include only from word_backend*.cpp.
 #pragma once
 
 #include <bit>

@@ -2,13 +2,15 @@
 // step.
 //
 // Only bitwise logic runs at vector width, so every result is bit-identical
-// to the scalar64 reference; ragged sub-block tails fall through to the
-// shared scalar bodies in word_backend_impl.h. Compiled with -march=armv8-a
-// in its own TU (see CMakeLists.txt) and only for aarch64 targets; the
-// runtime hwcap probe lives in word_backend.cpp. popcount/hamming stay on
-// the scalar bodies (they compile to CNT+ADDV inline on arm64 and are not
-// on the gated hot paths), scale_by_mask likewise, and entropy_sum must be
-// the shared body by contract (log2 is not exact).
+// to the scalar64 reference. The LUT reduction is the shared depth-first
+// kernel (util/word_backend_shannon.h); the other ops' ragged sub-block
+// tails fall through to the shared scalar bodies in word_backend_impl.h.
+// Compiled with -march=armv8-a in its own TU (see CMakeLists.txt) and only
+// for aarch64 targets; the runtime hwcap probe lives in word_backend.cpp.
+// popcount/hamming stay on the scalar bodies (they compile to CNT+ADDV
+// inline on arm64 and are not on the gated hot paths), scale_by_mask
+// likewise, and entropy_sum must be the shared body by contract (log2 is
+// not exact).
 #include "util/word_backend.h"
 
 #if defined(POETBIN_HAVE_NEON)
@@ -16,6 +18,7 @@
 #include <arm_neon.h>
 
 #include "util/word_backend_impl.h"
+#include "util/word_backend_shannon.h"
 
 namespace poetbin {
 
@@ -23,67 +26,17 @@ namespace {
 
 constexpr std::size_t kBlock = 2;  // 64-bit words per uint64x2_t
 
-inline uint64x2_t mux(uint64x2_t f0, uint64x2_t f1, uint64x2_t x) {
-  // f0 ^ ((f0 ^ f1) & x): bitwise select x ? f1 : f0.
-  return veorq_u64(f0, vandq_u64(veorq_u64(f0, f1), x));
-}
-
-void lut_reduce_neon(const std::uint64_t* splat, std::size_t arity,
-                     const std::uint64_t* const* columns, std::size_t base,
-                     std::size_t word_begin, std::size_t word_end,
-                     std::uint64_t* out) {
-  const std::size_t n_words = word_end - word_begin;
-  const std::size_t blocks = n_words / kBlock;
-  if (blocks == 0) {
-    word_impl::lut_reduce(splat, arity, columns, base, word_begin, word_end,
-                          out);
-    return;
-  }
-  // Broadcast the splatted table once per call (amortized over the whole
-  // word range); scratch holds the live half-table between reduction
-  // levels. Both live in 64-byte-aligned WordVec storage, one vector per
-  // kBlock words.
-  static thread_local WordVec vsplat;
-  static thread_local WordVec scratch;
-  const std::size_t table_size = std::size_t{1} << arity;
-  if (vsplat.size() < table_size * kBlock) vsplat.resize(table_size * kBlock);
-  for (std::size_t a = 0; a < table_size; ++a) {
-    for (std::size_t l = 0; l < kBlock; ++l) {
-      vsplat[a * kBlock + l] = splat[a];
-    }
-  }
-  const std::size_t half = arity == 0 ? 0 : table_size / 2;
-  if (scratch.size() < half * kBlock) scratch.resize(half * kBlock);
-  auto at = [](WordVec& v, std::size_t k) {
-    return vld1q_u64(v.data() + k * kBlock);
-  };
-
-  for (std::size_t blk = 0; blk < blocks; ++blk) {
-    const std::size_t w = word_begin + blk * kBlock;
-    if (arity == 0) {
-      vst1q_u64(out + blk * kBlock, at(vsplat, 0));
-      continue;
-    }
-    std::size_t h = half;
-    const uint64x2_t x0 = vld1q_u64(columns[0] + (w - base));
-    for (std::size_t k = 0; k < h; ++k) {
-      vst1q_u64(scratch.data() + k * kBlock,
-                mux(at(vsplat, 2 * k), at(vsplat, 2 * k + 1), x0));
-    }
-    for (std::size_t j = 1; j < arity; ++j) {
-      h >>= 1;
-      const uint64x2_t x = vld1q_u64(columns[j] + (w - base));
-      for (std::size_t k = 0; k < h; ++k) {
-        vst1q_u64(scratch.data() + k * kBlock,
-                  mux(at(scratch, 2 * k), at(scratch, 2 * k + 1), x));
-      }
-    }
-    vst1q_u64(out + blk * kBlock, at(scratch, 0));
-  }
-  word_impl::lut_reduce(splat, arity, columns, base,
-                        word_begin + blocks * kBlock, word_end,
-                        out + blocks * kBlock);
-}
+// Vector traits for the shared depth-first Shannon reduction
+// (util/word_backend_shannon.h). The mux is one BSL.
+struct NeonTraits {
+  using Vec = uint64x2_t;
+  static constexpr std::size_t kBlock = 2;
+  static Vec load(const std::uint64_t* p) { return vld1q_u64(p); }
+  static void store(std::uint64_t* p, Vec v) { vst1q_u64(p, v); }
+  static Vec splat(const std::uint64_t* p) { return vld1q_dup_u64(p); }
+  // vbsl: bits of f1 where x is set, bits of f0 elsewhere.
+  static Vec mux(Vec f0, Vec f1, Vec x) { return vbslq_u64(x, f1, f0); }
+};
 
 void and_words_neon(const std::uint64_t* a, const std::uint64_t* b,
                     std::uint64_t* dst, std::size_t n_words) {
@@ -166,7 +119,7 @@ const WordOps& neon_word_ops() {
       .kind = WordBackend::kNeon,
       .name = "neon",
       .block_words = kBlock,
-      .lut_reduce = lut_reduce_neon,
+      .lut_reduce = word_impl::simd_lut_reduce<NeonTraits>,
       .and_words = and_words_neon,
       .or_words = or_words_neon,
       .xor_words = xor_words_neon,

@@ -82,7 +82,8 @@ TEST(EvalLutWords, PartialWordRange) {
   const BitVector full = lut.eval_dataset(features);
   // Evaluate words [2, 5) only and compare against the matching slice.
   std::vector<std::uint64_t> words(3);
-  eval_lut_words(lut, features, 2, 5, words.data());
+  eval_rinc_words(RincModule::make_leaf(lut), column_pointers(features).data(),
+                  features.cols(), 2, 5, words.data());
   for (std::size_t w = 0; w < 3; ++w) {
     EXPECT_EQ(words[w], full.words()[2 + w]) << "word " << w;
   }

@@ -160,9 +160,11 @@ struct ConvGeom {
 
 // The acceptance bar for eval_dataset_batched: bit-identical to the scalar
 // eval_dataset on every available word backend and several engine widths,
-// across geometries that stress each indexing path (pointwise 1x1, strided,
-// maximum padding, multi-channel, non-square) and example counts straddling
-// the 64-bit word boundary.
+// across geometries that stress each indexing path of the padded,
+// stride-phase-split frame (pointwise 1x1, strided, stride 3, stride above
+// the kernel, kernel 5, maximum padding, multi-channel, non-square) and
+// example counts straddling the 64-bit word boundary, the 16-word chunk
+// boundary and full 8-word SIMD blocks.
 TEST(RincConvBatched, BitIdenticalAcrossShapesBackendsAndThreads) {
   const std::vector<ConvGeom> geoms = {
       {{1, 8, 8}, 2, 3, 1, 1},  // canonical same-size conv
@@ -171,6 +173,9 @@ TEST(RincConvBatched, BitIdenticalAcrossShapesBackendsAndThreads) {
       {{1, 8, 8}, 2, 3, 1, 2},  // padding = kernel - 1 (max legal)
       {{3, 6, 6}, 2, 2, 2, 0},  // multi-channel, stride = kernel
       {{2, 7, 5}, 3, 3, 2, 1},  // non-square frame, every knob odd
+      {{2, 11, 10}, 2, 3, 3, 1},  // stride 3: three phases per row
+      {{1, 9, 9}, 2, 2, 3, 0},  // stride above the kernel: skipped pixels
+      {{1, 9, 8}, 2, 5, 1, 2},  // kernel 5, padding 2
   };
   testing::BackendGuard guard;
   std::uint64_t seed = 500;
@@ -206,7 +211,7 @@ TEST(RincConvBatched, BitIdenticalAcrossShapesBackendsAndThreads) {
     ASSERT_EQ(layer.output_shape(),
               (BinShape3{geom.out_channels, out_h, out_w}));
 
-    for (const std::size_t n : {1u, 63u, 64u, 65u, 130u}) {
+    for (const std::size_t n : {1u, 63u, 64u, 65u, 130u, 1025u, 2100u}) {
       const BitMatrix inputs =
           testing::random_bits(n, geom.in_shape.flat(), seed++);
       set_word_backend(WordBackend::kScalar64);

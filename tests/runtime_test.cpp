@@ -9,11 +9,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/rinc_conv.h"
 #include "core/serialize.h"
 #include "serve/micro_batcher.h"
 #include "serve/runtime.h"
 #include "serve/serve_stats.h"
 #include "test_util.h"
+#include "util/word_backend.h"
 
 namespace poetbin {
 namespace {
@@ -300,6 +302,90 @@ TEST(MicroBatcher, ConcurrentProducersWithThreadedEngine) {
   }
   for (auto& producer : producers) producer.join();
   EXPECT_EQ(served, fx.scalar_preds);
+}
+
+// A random conv model: a 3-channel RINC-1 conv over 2x6x6 frames feeding a
+// 4-class classifier with random 8-bit codes. Random tables reach every
+// Shannon path; the structure is all that matters for bit-identity.
+RincModule random_rinc1(std::size_t leaves, std::size_t arity,
+                        std::size_t n_features, Rng& rng) {
+  std::vector<RincModule> children;
+  for (std::size_t l = 0; l < leaves; ++l) {
+    std::vector<std::size_t> inputs(arity);
+    for (auto& input : inputs) input = rng.next_index(n_features);
+    BitVector table(std::size_t{1} << arity);
+    for (std::size_t a = 0; a < table.size(); ++a) {
+      table.set(a, rng.next_bool());
+    }
+    children.push_back(
+        RincModule::make_leaf(Lut(std::move(inputs), std::move(table))));
+  }
+  std::vector<double> alphas(leaves);
+  for (auto& alpha : alphas) alpha = rng.next_double() + 0.1;
+  return RincModule::make_internal(std::move(children),
+                                   MatModule(std::move(alphas)));
+}
+
+ConvModel random_conv_model(std::uint64_t seed) {
+  Rng rng(seed);
+  const BinShape3 in_shape{2, 6, 6};
+  RincConvConfig config;
+  config.out_channels = 3;
+  config.kernel = 3;
+  config.stride = 1;
+  config.padding = 1;
+  config.rinc = {.lut_inputs = 4, .levels = 1, .total_dts = 4};
+  std::vector<RincModule> channels;
+  for (std::size_t c = 0; c < config.out_channels; ++c) {
+    channels.push_back(random_rinc1(4, 4, 2 * 3 * 3, rng));
+  }
+  ConvModel model;
+  model.conv = RincConvLayer::from_parts(in_shape, config, std::move(channels));
+  const std::size_t n_conv_bits = model.conv.output_shape().flat();
+  PoetBinConfig classifier;
+  classifier.rinc = {.lut_inputs = 4, .levels = 1, .total_dts = 4};
+  classifier.n_classes = 4;
+  std::vector<RincModule> modules;
+  for (std::size_t m = 0; m < 4 * 4; ++m) {
+    modules.push_back(random_rinc1(4, 4, n_conv_bits, rng));
+  }
+  const QuantizerParams quantizer;
+  std::vector<SparseOutputNeuron> neurons(4);
+  for (std::size_t c = 0; c < neurons.size(); ++c) {
+    neurons[c].weights.assign(4, 0.0f);
+    for (std::size_t j = 0; j < 4; ++j) {
+      neurons[c].input_modules.push_back(c * 4 + j);
+    }
+    neurons[c].codes.resize(16);
+    for (auto& code : neurons[c].codes) {
+      code = static_cast<std::uint32_t>(rng.next_index(quantizer.levels()));
+    }
+  }
+  model.classifier = PoetBin::from_parts(classifier, std::move(modules),
+                                         std::move(neurons), quantizer);
+  return model;
+}
+
+// Conv Runtime predicts run the fused conv pass (each chunk's conv output
+// feeds the classifier argmax directly). On 1025 frames — 17 words, so
+// chunks cross word and SIMD-block boundaries and end in a ragged word —
+// they must match the scalar conv + classifier oracle on every backend,
+// inline and on a pool.
+TEST(Runtime, ConvPredictMatchesScalarOracle) {
+  const ConvModel model = random_conv_model(91);
+  const BitMatrix frames = testing::random_bits(1025, model.n_features(), 92);
+  const std::vector<int> want = model.predict_dataset(frames);
+  testing::BackendGuard guard;
+  for (const WordBackend backend : available_word_backends()) {
+    set_word_backend(backend);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      const Runtime runtime(model, {.threads = threads});
+      EXPECT_EQ(runtime.predict(frames), want)
+          << word_backend_name(backend) << " x" << threads;
+      EXPECT_EQ(runtime.predict_snapshot(runtime.snapshot(), frames), want)
+          << word_backend_name(backend) << " x" << threads;
+    }
+  }
 }
 
 // The caller-supplied-engine overloads match the scalar paths (these are

@@ -203,8 +203,9 @@ TEST(WordBackendOps, PopcountKernelsBitIdenticalAcrossBackends) {
 TEST(WordBackendOps, LutEvalBitIdenticalAcrossBackends) {
   BackendGuard guard;
   Rng rng(73);
-  for (const std::size_t arity : {std::size_t{1}, std::size_t{4},
-                                  std::size_t{6}, std::size_t{8}}) {
+  // Every arity up to 6 is its own unrolled subtree; 7 and up fold 64-entry
+  // subtrees through the level stack (12 is bench_model_load's leaf arity).
+  for (const std::size_t arity : {0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12}) {
     for (const std::size_t n : kRaggedSizes) {
       const BitMatrix features = testing::random_bits(n, 32, rng.next_u64());
       const Lut lut = random_lut(arity, features.cols(), rng);
