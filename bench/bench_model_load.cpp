@@ -1,15 +1,16 @@
-// Model load: text parse vs packed mmap load, plus hot-swap latency under
-// live predict_one traffic.
+// Model load: text parse vs packed load, plus hot-swap latency under live
+// predict_one traffic.
 //
 // The packed format (core/packed_model.h) exists so a serving worker can
-// map a model in and serve without parsing: the row measures exactly that
-// trade on a level-1 RINC model with wide leaf LUTs, where the text form
-// has to parse 2^arity table characters per leaf while the trusting packed
-// load (PackedVerify::kTrustChecksum — what Runtime::load runs) reads only
-// the compact table words and never pages the splat section in. The full-
-// verification depth (what pack/unpack tooling runs) is recorded alongside
-// for the honest picture. Loaded-model equivalence is checked bit for bit
-// on every run.
+// read a model in and serve without text parsing: the row measures exactly
+// that trade on a level-1 RINC model with wide leaf LUTs, where the text
+// form has to parse 2^arity table characters per leaf while the packed
+// load reads the file once and copies each compact table's words. The
+// trusting depth (PackedVerify::kTrustChecksum — what Runtime::load runs)
+// checks structure only; the full-verification depth (what pack/unpack
+// tooling runs) adds the CRC pass and the MAT table re-derivation and is
+// recorded alongside for the honest picture. Loaded-model equivalence is
+// checked bit for bit on every run.
 //
 // The hot-swap half loads the packed file into a Runtime, hammers
 // predict_one from 4 threads, and measures reload() latency mid-traffic —
@@ -125,14 +126,14 @@ double median_ms(Fn load, std::size_t reps) {
 
 int main() {
   bench::print_header(
-      "Model load: text parse vs packed mmap load + hot swap under traffic",
+      "Model load: text parse vs packed load + hot swap under traffic",
       "level-1 RINC, 10 classes; acceptance: trusting packed load >= 50x "
       "text parse");
   bench::JsonResults json("model_load");
   bench::report_word_backends(json);
 
   // Leaf arity 12 at full scale (80 modules x 13 nodes, 4096-entry leaf
-  // tables, ~2.7 MB text / ~22 MB packed); 10 on quick CI sweeps.
+  // tables, ~2.7 MB text / ~0.6 MB packed); 10 on quick CI sweeps.
   const double scale = bench::bench_scale();
   const std::size_t p = 8;
   const std::size_t leaf_arity = scale >= 1.0 ? 12 : 10;

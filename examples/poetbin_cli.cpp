@@ -21,7 +21,7 @@
 // are bit-identical and every reload/retrain invalidates by epoch; size it
 // with --cache-mb=N or turn it off with --no-cache.
 //
-// `pack`/`unpack` convert between the text format and the mmap-ready packed
+// `pack`/`unpack` convert between the text format and the compact packed
 // binary format (core/packed_model.h); both accept either format as input
 // (sniffed by magic), so `pack packed.pbm other.pbm` is a byte-identical
 // re-pack. `eval` and `serve` likewise accept either format. Convolutional

@@ -31,8 +31,7 @@ std::size_t rinc_scratch_words(const RincModule& module, std::size_t n_words) {
 
 // One LUT over absolute feature columns. The Shannon reduction — 2^P - 1
 // word muxes per output word — runs on the active SIMD word backend,
-// reading the LUT's precomputed splat words (owned or viewing a
-// packed-model mapping), so nothing is rebuilt per call.
+// reading the LUT's compact table words, so nothing is rebuilt per call.
 void eval_lut_into(const Lut& lut, const std::uint64_t* const* columns,
                    std::size_t n_columns, std::size_t word_begin,
                    std::size_t word_end, std::uint64_t* out) {
@@ -42,7 +41,7 @@ void eval_lut_into(const Lut& lut, const std::uint64_t* const* columns,
     POETBIN_CHECK(lut.inputs()[j] < n_columns);
     inputs[j] = columns[lut.inputs()[j]];
   }
-  word_ops().lut_reduce(lut.splat_words().data(), arity, inputs.data(),
+  word_ops().lut_reduce(lut.table().words(), arity, inputs.data(),
                         /*base=*/0, word_begin, word_end, out);
 }
 
@@ -66,7 +65,7 @@ void eval_rinc_into(const RincModule& module,
                    child_words + c * n_words, arena);
   }
   // Child outputs are rebased to the range, hence base = word_begin.
-  word_ops().lut_reduce(module.mat_lut().splat_words().data(),
+  word_ops().lut_reduce(module.mat_lut().table().words(),
                         children.size(), inputs.data(), word_begin, word_begin,
                         word_end, out);
 }
@@ -298,8 +297,8 @@ bool needs_argmax(const PoetBin& model) {
 // class-index planes un-sliced into predictions[0, n_rows) — n_rows counts
 // the valid rows from 64 * word_begin on. Code planes are boolean
 // functions of the neuron's P inputs, so they reduce with the same kernel
-// as the LUT layers: the model holds them precomputed
-// (PoetBin::code_plane), and nothing is splatted per call.
+// as the LUT layers: the model holds them precomputed as compact tables
+// (PoetBin::code_plane), and nothing is rebuilt per call.
 void classify_words(const PoetBin& model, const std::uint64_t* const* columns,
                     std::size_t n_columns, std::size_t word_begin,
                     std::size_t word_end, std::size_t n_rows,

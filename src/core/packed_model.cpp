@@ -10,58 +10,41 @@
 #include <utility>
 #include <vector>
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "boost/mat.h"
 #include "dt/lut.h"
 #include "util/bitvector.h"
-#include "util/word_storage.h"
 
 namespace poetbin {
 
 namespace {
 
 constexpr char kMagic[8] = {'P', 'o', 'E', 'T', 'B', 'i', 'N', 'P'};
-constexpr std::uint32_t kFormatVersion = 2;
+constexpr std::uint32_t kFormatVersion = 3;
 constexpr std::size_t kHeaderBytes = 64;
 constexpr std::size_t kSectionEntryBytes = 24;
-constexpr std::size_t kNodeRecordBytes = 32;
 constexpr std::size_t kPayloadAlignment = 64;
-// Splat tables are additionally aligned to 8 words (64 bytes) inside the
-// splat section so every mapped table starts on a cache line.
-constexpr std::size_t kSplatAlignWords = 8;
 
-// Section ids. The set is closed per version; unknown ids are rejected so
-// a file cannot smuggle payload the checksum "covers" but no one reads.
-// Version 1 files carry sections 1..11; version 2 adds kSecConvConfig.
+// Section ids. The set is closed; unknown ids are rejected so a file cannot
+// smuggle payload the checksum "covers" but no one reads.
 enum SectionId : std::uint32_t {
-  kSecConfig = 1,        // 8 u64 scalars (see pack_config)
-  kSecQuantizer = 2,     // u64 bits + f32 min + f32 max bit patterns
-  kSecNodes = 3,         // pre-order 32-byte node records
-  kSecLeafInputs = 4,    // u64 feature indices, all leaves concatenated
-  kSecMatWeights = 5,    // f64 MAT weights, all internal nodes concatenated
-  kSecSplat = 6,         // u64 splat words, every LUT table (leaf + MAT)
-  kSecOutputWiring = 7,  // u64 module indices, nc x P
-  kSecOutputWeights = 8, // f32 bit patterns, nc x (P weights + bias)
-  kSecOutputCodes = 9,   // u32 codes, nc x 2^P
-  kSecCodePlanes = 10,   // u64 plane words, nc x n_planes x 2^P
-  kSecTables = 11,       // compact truth-table bits, every node, pre-order
-  kSecConvConfig = 12,   // 8 u64 conv scalars (v2); zero length = dense
+  kSecConfig = 1,         // 5 u64 scalars (see write_packed_common)
+  kSecQuantizer = 2,      // u64 bits + f32 min + f32 max bit patterns
+  kSecNodes = 3,          // pre-order node records: u32 kind, u32 fanin
+  kSecLeafInputs = 4,     // u64 feature indices, pre-order
+  kSecMatWeights = 5,     // f64 MAT weights, pre-order
+  kSecOutputWiring = 6,   // u64 module indices, nc x P
+  kSecOutputWeights = 7,  // f32 bit patterns, nc x (P weights + bias)
+  kSecOutputCodes = 8,    // u32 codes, nc x 2^P
+  kSecTables = 9,         // compact truth-table words, every node, pre-order
+  kSecConvConfig = 10,    // 7 u64 conv scalars; zero length = dense
 };
-constexpr std::uint32_t kSectionCount = 12;
-constexpr std::uint32_t kSectionCountV1 = 11;
-
-struct NodeRecord {
-  std::uint32_t kind = 0;   // 0 = leaf, 1 = internal (MAT)
-  std::uint32_t fanin = 0;  // leaf arity / MAT child count
-  std::uint64_t splat_offset = 0;  // word offset of the table in kSecSplat
-  std::uint64_t aux_offset = 0;    // leaf: word offset in kSecLeafInputs;
-                                   // internal: element offset in kSecMatWeights
-  std::uint64_t reserved = 0;
-};
+constexpr std::uint32_t kSectionCount = 10;
+constexpr const char* kSectionNames[kSectionCount] = {
+    "config",         "quantizer",      "nodes",         "leaf-inputs",
+    "mat-weights",    "output-wiring",  "output-weights", "output-codes",
+    "tables",         "conv-config"};
 
 // --- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) -------------------------
 
@@ -112,27 +95,7 @@ void append_scalar(std::vector<std::uint8_t>& out, T value) {
 }
 
 void append_f32_bits(std::vector<std::uint8_t>& out, float value) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  append_scalar(out, bits);
-}
-
-void append_f64_bits(std::vector<std::uint8_t>& out, double value) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  append_scalar(out, bits);
-}
-
-float f32_from_bits(std::uint32_t bits) {
-  float value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-double f64_from_bits(std::uint64_t bits) {
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
+  append_scalar(out, std::bit_cast<std::uint32_t>(value));
 }
 
 // --- writer -----------------------------------------------------------------
@@ -144,72 +107,39 @@ struct SectionBuffers {
   std::vector<std::uint8_t>& of(SectionId id) { return payload[id - 1]; }
 };
 
-void append_splat_table(SectionBuffers& sections, const Lut& lut,
-                        std::uint64_t* splat_offset_words) {
-  std::vector<std::uint8_t>& splat = sections.of(kSecSplat);
-  while ((splat.size() / sizeof(std::uint64_t)) % kSplatAlignWords != 0) {
-    append_scalar<std::uint64_t>(splat, 0);
-  }
-  *splat_offset_words = splat.size() / sizeof(std::uint64_t);
-  for (const std::uint64_t word : lut.splat_words()) {
-    append_scalar(splat, word);
-  }
-  // The same table again, one BIT per entry, in kSecTables. The loader
-  // builds the in-memory Lut from these few compact words so a fast load
-  // never has to page the (64x larger) splat section in — the splats stay
-  // cold until the first word-parallel eval faults them.
-  std::vector<std::uint8_t>& tables = sections.of(kSecTables);
+void append_table(SectionBuffers& sections, const Lut& lut) {
   const BitVector& table = lut.table();
   for (std::size_t w = 0; w < table.word_count(); ++w) {
-    append_scalar(tables, table.words()[w]);
+    append_scalar(sections.of(kSecTables), table.words()[w]);
   }
 }
 
-void append_node_record(SectionBuffers& sections, const NodeRecord& record) {
-  std::vector<std::uint8_t>& nodes = sections.of(kSecNodes);
-  append_scalar(nodes, record.kind);
-  append_scalar(nodes, record.fanin);
-  append_scalar(nodes, record.splat_offset);
-  append_scalar(nodes, record.aux_offset);
-  append_scalar(nodes, record.reserved);
+void append_node_record(SectionBuffers& sections, std::uint32_t kind,
+                        std::size_t fanin) {
+  append_scalar(sections.of(kSecNodes), kind);
+  append_scalar(sections.of(kSecNodes), static_cast<std::uint32_t>(fanin));
 }
 
 void pack_module(const RincModule& module, SectionBuffers& sections) {
-  NodeRecord record;
   if (module.is_leaf()) {
     const Lut& lut = module.leaf_lut();
-    record.kind = 0;
-    record.fanin = static_cast<std::uint32_t>(lut.arity());
-    record.aux_offset =
-        sections.of(kSecLeafInputs).size() / sizeof(std::uint64_t);
+    append_node_record(sections, 0, lut.arity());
     for (const std::size_t input : lut.inputs()) {
       append_scalar(sections.of(kSecLeafInputs),
                     static_cast<std::uint64_t>(input));
     }
-    append_splat_table(sections, lut, &record.splat_offset);
-    append_node_record(sections, record);
+    append_table(sections, lut);
     return;
   }
-  record.kind = 1;
-  record.fanin = static_cast<std::uint32_t>(module.children().size());
-  record.aux_offset =
-      sections.of(kSecMatWeights).size() / sizeof(std::uint64_t);
+  append_node_record(sections, 1, module.children().size());
   for (const double weight : module.mat().weights()) {
-    append_f64_bits(sections.of(kSecMatWeights), weight);
+    append_scalar(sections.of(kSecMatWeights),
+                  std::bit_cast<std::uint64_t>(weight));
   }
-  append_splat_table(sections, module.mat_lut(), &record.splat_offset);
-  append_node_record(sections, record);
+  append_table(sections, module.mat_lut());
   for (const RincModule& child : module.children()) {
     pack_module(child, sections);
   }
-}
-
-std::size_t count_nodes(const RincModule& module) {
-  std::size_t total = 1;
-  for (const RincModule& child : module.children()) {
-    total += count_nodes(child);
-  }
-  return total;
 }
 
 // --- loader -----------------------------------------------------------------
@@ -228,102 +158,61 @@ void expect(bool condition, const char* message) {
   if (!condition) fail(ModelIoError::Kind::kCorruptSection, message);
 }
 
-// RAII read-only mapping of a whole file. Owned by a shared_ptr that the
-// loaded model (and every copy of it) holds as its storage keepalive.
-class PackedMapping {
- public:
-  PackedMapping(const PackedMapping&) = delete;
-  PackedMapping& operator=(const PackedMapping&) = delete;
-
-  ~PackedMapping() {
-    if (addr_ != MAP_FAILED) munmap(addr_, size_);
+// The whole file, read once into a heap buffer that the parse frees.
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) {
+    fail(ModelIoError::Kind::kFileNotFound,
+         "cannot open '" + path + "' for reading");
   }
-
-  // Throws PackFailure (kFileNotFound / kCorruptSection) on failure.
-  static std::shared_ptr<const PackedMapping> open(const std::string& path) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
-      fail(ModelIoError::Kind::kFileNotFound,
-           "cannot open '" + path + "' for reading");
-    }
-    struct stat st = {};
-    if (fstat(fd, &st) != 0 || st.st_size < 0) {
-      close(fd);
-      fail(ModelIoError::Kind::kFileNotFound, "cannot stat '" + path + "'");
-    }
-    const auto size = static_cast<std::size_t>(st.st_size);
-    if (size < kHeaderBytes) {
-      close(fd);
-      fail(ModelIoError::Kind::kCorruptSection,
-           "'" + path + "' is too small to hold a packed-model header");
-    }
-    void* addr = mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    close(fd);  // the mapping keeps its own reference
-    if (addr == MAP_FAILED) {
-      fail(ModelIoError::Kind::kCorruptSection, "cannot map '" + path + "'");
-    }
-    return std::shared_ptr<const PackedMapping>(new PackedMapping(addr, size));
+  const std::streamoff size = in.tellg();
+  in.seekg(0);
+  if (size < 0 || !in) {
+    fail(ModelIoError::Kind::kFileNotFound, "cannot read '" + path + "'");
   }
-
-  const std::uint8_t* bytes() const {
-    return static_cast<const std::uint8_t*>(addr_);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  if (!in.read(reinterpret_cast<char*>(bytes.data()), size)) {
+    fail(ModelIoError::Kind::kFileNotFound, "cannot read '" + path + "'");
   }
-  std::size_t size() const { return size_; }
+  return bytes;
+}
 
- private:
-  PackedMapping(void* addr, std::size_t size) : addr_(addr), size_(size) {}
-
-  void* addr_ = MAP_FAILED;
-  std::size_t size_ = 0;
-};
-
-struct Section {
-  std::uint64_t offset = 0;
-  std::uint64_t length = 0;
-};
-
-// A validated window into one section: bounds-checked typed reads. Offsets
-// are element offsets (of the accessor's type), not bytes.
-struct SectionView {
+// One section's payload, consumed front to back by bounds-checked reads.
+// Every section is written in the order the loader reads it, so after the
+// parse each one must be used up exactly.
+struct SectionReader {
   const std::uint8_t* base = nullptr;
   std::uint64_t length = 0;
   const char* name = "";
+  std::uint64_t cursor = 0;  // bytes consumed
 
-  std::uint64_t count_of(std::size_t element_bytes) const {
-    return length / element_bytes;
-  }
-  void require_range(std::uint64_t first, std::uint64_t count,
-                     std::size_t element_bytes) const {
-    const std::uint64_t total = count_of(element_bytes);
-    if (first > total || count > total - first) {
+  const std::uint8_t* take(std::uint64_t count, std::size_t element_bytes) {
+    if (count > (length - cursor) / element_bytes) {
       fail(ModelIoError::Kind::kCorruptSection,
            std::string("reference beyond the end of the ") + name +
                " section");
     }
+    const std::uint8_t* at = base + cursor;
+    cursor += count * element_bytes;
+    return at;
   }
-  std::uint64_t u64_at(std::uint64_t index) const {
-    require_range(index, 1, sizeof(std::uint64_t));
-    return load_scalar<std::uint64_t>(base + index * sizeof(std::uint64_t));
+  template <typename T>
+  T next() {
+    return load_scalar<T>(take(1, sizeof(T)));
   }
-  std::uint32_t u32_at(std::uint64_t index) const {
-    require_range(index, 1, sizeof(std::uint32_t));
-    return load_scalar<std::uint32_t>(base + index * sizeof(std::uint32_t));
-  }
-  // Pointer to a validated word range (for mapping-backed WordStorage views;
-  // the section offset is 64-byte aligned so word access is aligned).
-  const std::uint64_t* words_at(std::uint64_t first,
-                                std::uint64_t count) const {
-    require_range(first, count, sizeof(std::uint64_t));
-    return reinterpret_cast<const std::uint64_t*>(
-        base + first * sizeof(std::uint64_t));
+  void expect_done() const {
+    if (cursor != length) {
+      fail(ModelIoError::Kind::kCorruptSection,
+           std::string("bytes left over in the ") + name + " section");
+    }
   }
 };
 
 struct PackedFile {
-  std::shared_ptr<const PackedMapping> mapping;
-  SectionView sections[kSectionCount];
+  std::vector<std::uint8_t> bytes;
+  SectionReader sections[kSectionCount];
 
-  const SectionView& view(SectionId id) const { return sections[id - 1]; }
+  SectionReader& section(SectionId id) { return sections[id - 1]; }
 };
 
 PackedFile parse_container(const std::string& path, PackedVerify verify) {
@@ -332,37 +221,35 @@ PackedFile parse_container(const std::string& path, PackedVerify verify) {
          "packed models are little-endian; this host is not");
   }
   PackedFile file;
-  file.mapping = PackedMapping::open(path);
-  const std::uint8_t* bytes = file.mapping->bytes();
-  const std::size_t size = file.mapping->size();
-
+  file.bytes = read_file(path);
+  const std::uint8_t* bytes = file.bytes.data();
+  const std::size_t size = file.bytes.size();
+  if (size < kHeaderBytes) {
+    fail(ModelIoError::Kind::kCorruptSection,
+         "'" + path + "' is too small to hold a packed-model header");
+  }
   if (std::memcmp(bytes, kMagic, sizeof(kMagic)) != 0) {
     fail(ModelIoError::Kind::kVersionMismatch,
          "'" + path + "' is not a packed poetbin model (bad magic)");
   }
   const auto version = load_scalar<std::uint32_t>(bytes + 8);
-  if (version != 1 && version != kFormatVersion) {
+  if (version != kFormatVersion) {
     fail(ModelIoError::Kind::kVersionMismatch,
-         "unsupported packed-model version " + std::to_string(version));
+         "unsupported packed-model version " + std::to_string(version) +
+             " (this build reads version " + std::to_string(kFormatVersion) +
+             "; re-pack the model from text)");
   }
-  // Version 1 predates the conv-config section; its files carry 11
-  // sections and parse as dense models (the conv view stays empty).
-  const std::uint32_t expected_sections =
-      version == 1 ? kSectionCountV1 : kSectionCount;
   expect(load_scalar<std::uint32_t>(bytes + 12) == kHeaderBytes,
          "unexpected header size");
   const auto section_count = load_scalar<std::uint32_t>(bytes + 16);
   const auto stored_crc = load_scalar<std::uint32_t>(bytes + 20);
   const auto stored_size = load_scalar<std::uint64_t>(bytes + 24);
   expect(stored_size == size, "header file size does not match the file");
-  expect(section_count == expected_sections, "unexpected section count");
+  expect(section_count == kSectionCount, "unexpected section count");
   const std::size_t table_end =
       kHeaderBytes + std::size_t{section_count} * kSectionEntryBytes;
   expect(table_end <= size, "section table runs past the end of the file");
 
-  // The CRC pass reads the whole file — the single most expensive part of a
-  // load — so kTrustChecksum skips it (serving loads trust the producer's
-  // checksum; pack/unpack and the tests verify it).
   if (verify == PackedVerify::kFull) {
     const std::uint32_t actual_crc =
         crc32(bytes + kHeaderBytes, size - kHeaderBytes);
@@ -378,140 +265,85 @@ PackedFile parse_container(const std::string& path, PackedVerify verify) {
     const auto id = load_scalar<std::uint32_t>(entry);
     const auto offset = load_scalar<std::uint64_t>(entry + 8);
     const auto length = load_scalar<std::uint64_t>(entry + 16);
-    expect(id >= 1 && id <= expected_sections, "unknown section id");
+    expect(id >= 1 && id <= kSectionCount, "unknown section id");
     expect(!present[id - 1], "duplicate section id");
     present[id - 1] = true;
     expect(offset % kPayloadAlignment == 0, "misaligned section offset");
     expect(offset >= table_end, "section overlaps the header");
     expect(offset <= size && length <= size - offset,
            "section runs past the end of the file");
-    file.sections[id - 1] = SectionView{bytes + offset, length, ""};
-  }
-  static const char* kSectionNames[kSectionCount] = {
-      "config",        "quantizer",      "nodes",       "leaf-inputs",
-      "mat-weights",   "splat",          "output-wiring",
-      "output-weights", "output-codes",  "code-planes", "tables",
-      "conv-config"};
-  for (std::uint32_t id = 1; id <= expected_sections; ++id) {
-    expect(present[id - 1], "missing section");
-  }
-  for (std::uint32_t id = 1; id <= kSectionCount; ++id) {
-    file.sections[id - 1].name = kSectionNames[id - 1];
+    file.sections[id - 1] =
+        SectionReader{bytes + offset, length, kSectionNames[id - 1]};
   }
   return file;
 }
 
 // Pre-order node reader mirroring pack_module.
 struct NodeReader {
-  const SectionView& nodes;
-  const SectionView& leaf_inputs;
-  const SectionView& mat_weights;
-  const SectionView& splat;
-  const SectionView& tables;
+  SectionReader& nodes;
+  SectionReader& leaf_inputs;
+  SectionReader& mat_weights;
+  SectionReader& tables;
   PackedVerify verify;
-  std::uint64_t cursor = 0;
-  std::uint64_t n_records = 0;
-  std::uint64_t table_cursor = 0;  // word offset into kSecTables, pre-order
 
-  NodeRecord next_record() {
-    expect(cursor < n_records, "node tree walks past the node records");
-    const std::uint8_t* at = nodes.base + cursor * kNodeRecordBytes;
-    ++cursor;
-    NodeRecord record;
-    record.kind = load_scalar<std::uint32_t>(at);
-    record.fanin = load_scalar<std::uint32_t>(at + 4);
-    record.splat_offset = load_scalar<std::uint64_t>(at + 8);
-    record.aux_offset = load_scalar<std::uint64_t>(at + 16);
-    return record;
-  }
-
-  // Builds one node's truth table from the compact kSecTables bits and a
-  // WordStorage view over its (bounds-checked, UNREAD) splat words. Keeping
-  // the fast load off the splat section is the point of storing the table
-  // twice: this touches a few words where the splats span pages. kFull
-  // additionally reads the splat words and checks them against the table —
-  // the purity the word kernels silently rely on.
-  std::pair<WordStorage, BitVector> read_table(std::uint64_t offset,
-                                               std::size_t arity) {
-    const std::uint64_t n_entries = std::uint64_t{1} << arity;
-    const std::uint64_t* splat_words = splat.words_at(offset, n_entries);
-    const std::uint64_t n_words = (n_entries + 63) / 64;
-    const std::uint64_t* table_words = tables.words_at(table_cursor, n_words);
-    table_cursor += n_words;
-    BitVector table(static_cast<std::size_t>(n_entries));
-    std::memcpy(table.words(), table_words,
-                static_cast<std::size_t>(n_words) * sizeof(std::uint64_t));
-    expect(table.words()[table.word_count() - 1] ==
-               (table.words()[table.word_count() - 1] &
-                BitVector::tail_word_mask(table.size())),
+  BitVector read_table(std::size_t arity) {
+    BitVector table(std::size_t{1} << arity);
+    const std::size_t n_words = table.word_count();
+    std::memcpy(table.words(), tables.take(n_words, sizeof(std::uint64_t)),
+                n_words * sizeof(std::uint64_t));
+    const std::uint64_t last = table.words()[n_words - 1];
+    expect(last == (last & BitVector::tail_word_mask(table.size())),
            "table word has bits past the table size");
-    if (verify == PackedVerify::kFull) {
-      for (std::uint64_t a = 0; a < n_entries; ++a) {
-        const std::uint64_t want =
-            table.get(static_cast<std::size_t>(a)) ? ~std::uint64_t{0} : 0;
-        expect(splat_words[a] == want,
-               "splat words do not match the packed table bits");
-      }
-    }
-    return {WordStorage(splat_words, static_cast<std::size_t>(n_entries)),
-            std::move(table)};
+    return table;
   }
 
-  RincModule load_node() {
-    const NodeRecord record = next_record();
-    if (record.kind == 0) {
-      expect(record.fanin >= 1 && record.fanin <= 16, "bad leaf arity");
-      const std::size_t arity = record.fanin;
-      leaf_inputs.require_range(record.aux_offset, arity,
-                                sizeof(std::uint64_t));
-      std::vector<std::size_t> inputs(arity);
-      for (std::size_t i = 0; i < arity; ++i) {
-        const std::uint64_t input = leaf_inputs.u64_at(record.aux_offset + i);
-        expect(input <= (std::uint64_t{1} << 32),
+  // `levels` is how many internal-node levels may still follow.
+  RincModule load_node(std::size_t levels) {
+    const auto kind = nodes.next<std::uint32_t>();
+    const auto fanin = nodes.next<std::uint32_t>();
+    if (kind == 0) {
+      expect(fanin >= 1 && fanin <= 16, "bad leaf arity");
+      std::vector<std::size_t> inputs(fanin);
+      for (std::size_t& input : inputs) {
+        const auto index = leaf_inputs.next<std::uint64_t>();
+        expect(index <= (std::uint64_t{1} << 32),
                "leaf input feature index implausibly large");
-        inputs[i] = static_cast<std::size_t>(input);
+        input = static_cast<std::size_t>(index);
       }
-      auto [view, table] = read_table(record.splat_offset, arity);
-      return RincModule::make_leaf(
-          Lut(std::move(inputs), std::move(table), std::move(view)));
+      return RincModule::make_leaf(Lut(std::move(inputs), read_table(fanin)));
     }
-    expect(record.kind == 1, "bad node kind");
-    expect(record.fanin >= 1 && record.fanin <= 20, "bad node fanin");
-    const std::size_t fanin = record.fanin;
-    mat_weights.require_range(record.aux_offset, fanin,
-                              sizeof(std::uint64_t));
+    expect(kind == 1, "bad node kind");
+    expect(levels > 0, "module tree deeper than its RINC levels");
+    expect(fanin >= 1 && fanin <= 20, "bad node fanin");
     std::vector<double> weights(fanin);
-    for (std::size_t i = 0; i < fanin; ++i) {
-      weights[i] = f64_from_bits(mat_weights.u64_at(record.aux_offset + i));
+    for (double& weight : weights) {
+      weight = std::bit_cast<double>(mat_weights.next<std::uint64_t>());
     }
-    auto [view, table] = read_table(record.splat_offset, fanin);
+    BitVector table = read_table(fanin);
     std::vector<RincModule> children;
     children.reserve(fanin);
     for (std::size_t c = 0; c < fanin; ++c) {
-      children.push_back(load_node());
-    }
-    for (const RincModule& child : children) {
-      expect(child.level() == children.front().level(),
+      children.push_back(load_node(levels - 1));
+      expect(children.back().level() == children.front().level(),
              "node children at mixed RINC levels");
     }
     MatModule mat(std::move(weights));
     // The stored MAT table must be the table the weights imply — eval reads
-    // the mapped table while retrain/export read the weights, and the two
-    // must never diverge. Re-deriving every table is 2^fanin x fanin float
-    // work per internal node, so it rides the kFull depth.
+    // the table while retrain/export read the weights, and the two must
+    // never diverge. Re-deriving every table is 2^fanin x fanin float work
+    // per internal node, so it rides the kFull depth.
     if (verify == PackedVerify::kFull) {
-      const BitVector expected = mat.to_table();
-      expect(table == expected, "MAT table does not match the MAT weights");
+      expect(table == mat.to_table(),
+             "MAT table does not match the MAT weights");
     }
-    Lut mat_lut(std::vector<std::size_t>(fanin, 0), std::move(table),
-                std::move(view));
-    return RincModule::make_internal(std::move(children), std::move(mat),
-                                     std::move(mat_lut));
+    return RincModule::make_internal(
+        std::move(children), std::move(mat),
+        Lut(std::vector<std::size_t>(fanin, 0), std::move(table)));
   }
 };
 
 // A parsed packed file: the classifier plus, for conv files, the conv
-// front end (which holds the mapping keepalive its LUT splats view).
+// front end.
 struct ParsedPacked {
   PoetBin model;
   std::shared_ptr<const RincConvLayer> conv;  // null = dense model
@@ -520,62 +352,49 @@ struct ParsedPacked {
 ParsedPacked parse_packed(const std::string& path, PackedVerify verify) {
   PackedFile file = parse_container(path, verify);
 
-  // config: 8 u64 scalars.
-  const SectionView& config_sec = file.view(kSecConfig);
-  expect(config_sec.length == 8 * sizeof(std::uint64_t),
-         "config section has the wrong size");
+  SectionReader& config_sec = file.section(kSecConfig);
   PoetBinConfig config;
-  config.rinc.lut_inputs = static_cast<std::size_t>(config_sec.u64_at(0));
-  config.rinc.levels = static_cast<std::size_t>(config_sec.u64_at(1));
-  config.rinc.total_dts = static_cast<std::size_t>(config_sec.u64_at(2));
-  config.n_classes = static_cast<std::size_t>(config_sec.u64_at(3));
-  const std::uint64_t quant_bits = config_sec.u64_at(4);
-  const std::uint64_t n_modules = config_sec.u64_at(5);
-  const std::uint64_t n_nodes = config_sec.u64_at(6);
-  const std::uint64_t n_planes = config_sec.u64_at(7);
+  config.rinc.lut_inputs = config_sec.next<std::uint64_t>();
+  config.rinc.levels = config_sec.next<std::uint64_t>();
+  config.rinc.total_dts = config_sec.next<std::uint64_t>();
+  config.n_classes = config_sec.next<std::uint64_t>();
+  const auto quant_bits = config_sec.next<std::uint64_t>();
+  config_sec.expect_done();
   expect(config.rinc.lut_inputs >= 1 && config.rinc.lut_inputs <= 16,
          "config P out of range");
+  expect(config.rinc.levels <= kMaxRincLevels,
+         "config RINC levels out of range");
   expect(config.n_classes >= 1 && config.n_classes <= (std::size_t{1} << 20),
          "config class count out of range");
   expect(quant_bits >= 1 && quant_bits <= 24,
          "config quantizer bits out of range");
   config.output.quant_bits = static_cast<int>(quant_bits);
-  expect(n_modules == config.n_classes * config.rinc.lut_inputs,
-         "config module count does not match nc x P");
-  expect(n_nodes >= n_modules, "config node count below the module count");
-  expect(n_planes >= 1 && n_planes <= 32, "config plane count out of range");
 
-  // quantizer: u64 bits + two f32 bit patterns.
-  const SectionView& quant_sec = file.view(kSecQuantizer);
-  expect(quant_sec.length == sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t),
-         "quantizer section has the wrong size");
+  SectionReader& quant_sec = file.section(kSecQuantizer);
   QuantizerParams quantizer;
-  expect(quant_sec.u64_at(0) == quant_bits, "quantizer/config bit mismatch");
+  expect(quant_sec.next<std::uint64_t>() == quant_bits,
+         "quantizer/config bit mismatch");
   quantizer.bits = static_cast<int>(quant_bits);
-  quantizer.min_value = f32_from_bits(quant_sec.u32_at(2));
-  quantizer.max_value = f32_from_bits(quant_sec.u32_at(3));
+  quantizer.min_value = std::bit_cast<float>(quant_sec.next<std::uint32_t>());
+  quantizer.max_value = std::bit_cast<float>(quant_sec.next<std::uint32_t>());
+  quant_sec.expect_done();
 
-  // conv config (version 2): 8 u64 scalars, or a zero-length section for a
-  // dense model (version-1 files always land here with an empty view).
   // Every geometry contract RincConvLayer::from_parts would abort on is
   // replicated as a typed error first — corrupt bytes must never abort a
   // loading process.
-  const SectionView& conv_sec = file.view(kSecConvConfig);
+  SectionReader& conv_sec = file.section(kSecConvConfig);
   const bool has_conv = conv_sec.length != 0;
   BinShape3 conv_in_shape;
   RincConvConfig conv_config;
-  std::uint64_t n_conv_nodes = 0;
   if (has_conv) {
-    expect(conv_sec.length == 8 * sizeof(std::uint64_t),
-           "conv-config section has the wrong size");
-    conv_in_shape.channels = static_cast<std::size_t>(conv_sec.u64_at(0));
-    conv_in_shape.height = static_cast<std::size_t>(conv_sec.u64_at(1));
-    conv_in_shape.width = static_cast<std::size_t>(conv_sec.u64_at(2));
-    conv_config.out_channels = static_cast<std::size_t>(conv_sec.u64_at(3));
-    conv_config.kernel = static_cast<std::size_t>(conv_sec.u64_at(4));
-    conv_config.stride = static_cast<std::size_t>(conv_sec.u64_at(5));
-    conv_config.padding = static_cast<std::size_t>(conv_sec.u64_at(6));
-    n_conv_nodes = conv_sec.u64_at(7);
+    conv_in_shape.channels = conv_sec.next<std::uint64_t>();
+    conv_in_shape.height = conv_sec.next<std::uint64_t>();
+    conv_in_shape.width = conv_sec.next<std::uint64_t>();
+    conv_config.out_channels = conv_sec.next<std::uint64_t>();
+    conv_config.kernel = conv_sec.next<std::uint64_t>();
+    conv_config.stride = conv_sec.next<std::uint64_t>();
+    conv_config.padding = conv_sec.next<std::uint64_t>();
+    conv_sec.expect_done();
     const std::size_t dim_cap = std::size_t{1} << 16;
     expect(conv_in_shape.channels >= 1 && conv_in_shape.channels <= dim_cap &&
                conv_in_shape.height >= 1 && conv_in_shape.height <= dim_cap &&
@@ -595,54 +414,26 @@ ParsedPacked parse_packed(const std::string& path, PackedVerify verify) {
                conv_in_shape.width + 2 * conv_config.padding >=
                    conv_config.kernel,
            "conv kernel does not fit the padded frame");
-    expect(n_conv_nodes >= conv_config.out_channels,
-           "conv node count below the channel count");
-  }
-
-  // Whole-section splat purity scan (kFull only — it pages the biggest
-  // section in): every word the kernels might read is a pure splat (0 or
-  // ~0), padding included. A fast load trusts the checksummed producer and
-  // leaves the splats untouched until the first word-parallel eval.
-  const SectionView& splat_sec = file.view(kSecSplat);
-  expect(splat_sec.length % sizeof(std::uint64_t) == 0,
-         "splat section is not word-sized");
-  if (verify == PackedVerify::kFull) {
-    const std::uint64_t n_words = splat_sec.count_of(sizeof(std::uint64_t));
-    const std::uint64_t* words = splat_sec.words_at(0, n_words);
-    for (std::uint64_t w = 0; w < n_words; ++w) {
-      expect(words[w] == 0 || words[w] == ~std::uint64_t{0},
-             "splat word is not 0 or ~0");
-    }
   }
 
   // Node trees, pre-order: one per classifier module, then (for conv
   // files) one per conv output channel, all in the same shared sections.
-  // The config node count covers the classifier trees only.
-  const SectionView& nodes_sec = file.view(kSecNodes);
-  expect(nodes_sec.length == (n_nodes + n_conv_nodes) * kNodeRecordBytes,
-         "nodes section size does not match the config node counts");
-  const SectionView& tables_sec = file.view(kSecTables);
-  expect(tables_sec.length % sizeof(std::uint64_t) == 0,
-         "tables section is not word-sized");
-  NodeReader reader{nodes_sec,  file.view(kSecLeafInputs),
-                    file.view(kSecMatWeights), splat_sec,
-                    tables_sec, verify,        0,
-                    n_nodes + n_conv_nodes,    0};
+  NodeReader reader{file.section(kSecNodes), file.section(kSecLeafInputs),
+                    file.section(kSecMatWeights), file.section(kSecTables),
+                    verify};
+  const std::size_t p = config.rinc.lut_inputs;
+  const std::size_t n_modules = config.n_classes * p;
   std::vector<RincModule> modules;
-  modules.reserve(static_cast<std::size_t>(n_modules));
-  for (std::uint64_t m = 0; m < n_modules; ++m) {
-    modules.push_back(reader.load_node());
+  for (std::size_t m = 0; m < n_modules; ++m) {
+    modules.push_back(reader.load_node(config.rinc.levels));
   }
-  expect(reader.cursor == n_nodes,
-         "classifier trees do not cover the config node count");
   std::vector<RincModule> conv_modules;
   if (has_conv) {
     const std::size_t patch_bits =
         conv_in_shape.channels * conv_config.kernel * conv_config.kernel;
-    conv_modules.reserve(conv_config.out_channels);
     for (std::size_t channel = 0; channel < conv_config.out_channels;
          ++channel) {
-      conv_modules.push_back(reader.load_node());
+      conv_modules.push_back(reader.load_node(kMaxRincLevels));
       for (const std::size_t feature :
            conv_modules.back().distinct_features()) {
         expect(feature < patch_bits,
@@ -651,82 +442,45 @@ ParsedPacked parse_packed(const std::string& path, PackedVerify verify) {
       }
     }
   }
-  expect(reader.cursor == n_nodes + n_conv_nodes,
-         "node records left over after the module trees");
-  expect(reader.table_cursor == tables_sec.count_of(sizeof(std::uint64_t)),
-         "table words left over after the module trees");
 
   // Output layer.
-  const std::size_t p = config.rinc.lut_inputs;
   const std::size_t n_combos = std::size_t{1} << p;
-  const std::uint32_t levels = quantizer.levels();
-  const SectionView& wiring_sec = file.view(kSecOutputWiring);
-  const SectionView& weights_sec = file.view(kSecOutputWeights);
-  const SectionView& codes_sec = file.view(kSecOutputCodes);
-  expect(wiring_sec.length == config.n_classes * p * sizeof(std::uint64_t),
-         "output wiring section has the wrong size");
-  expect(weights_sec.length ==
-             config.n_classes * (p + 1) * sizeof(std::uint32_t),
-         "output weights section has the wrong size");
-  expect(codes_sec.length == config.n_classes * n_combos * sizeof(std::uint32_t),
-         "output codes section has the wrong size");
-
-  std::vector<SparseOutputNeuron> output(config.n_classes);
+  SectionReader& wiring_sec = file.section(kSecOutputWiring);
+  SectionReader& weights_sec = file.section(kSecOutputWeights);
+  SectionReader& codes_sec = file.section(kSecOutputCodes);
+  std::vector<SparseOutputNeuron> output;
   for (std::size_t c = 0; c < config.n_classes; ++c) {
-    SparseOutputNeuron& neuron = output[c];
-    neuron.input_modules.resize(p);
-    neuron.weights.resize(p);
-    neuron.codes.resize(n_combos);
+    SparseOutputNeuron& neuron = output.emplace_back();
     for (std::size_t i = 0; i < p; ++i) {
-      const std::uint64_t module_index = wiring_sec.u64_at(c * p + i);
+      const auto module_index = wiring_sec.next<std::uint64_t>();
       expect(module_index < n_modules,
              "output wiring references a missing module");
-      neuron.input_modules[i] = static_cast<std::size_t>(module_index);
-      neuron.weights[i] = f32_from_bits(weights_sec.u32_at(c * (p + 1) + i));
+      neuron.input_modules.push_back(static_cast<std::size_t>(module_index));
     }
-    neuron.bias = f32_from_bits(weights_sec.u32_at(c * (p + 1) + p));
-    for (std::size_t a = 0; a < n_combos; ++a) {
-      const std::uint32_t code = codes_sec.u32_at(c * n_combos + a);
-      expect(code < levels, "output code beyond quantizer range");
-      expect((static_cast<std::uint64_t>(code) >> n_planes) == 0,
-             "output code has bits above the stored plane count");
-      neuron.codes[a] = code;
+    for (std::size_t i = 0; i < p; ++i) {
+      neuron.weights.push_back(
+          std::bit_cast<float>(weights_sec.next<std::uint32_t>()));
     }
-  }
-
-  // Code bit-planes: must equal the splat of the stored codes bit for bit —
-  // the fused argmax trusts them without looking at the codes again.
-  const SectionView& planes_sec = file.view(kSecCodePlanes);
-  const std::uint64_t n_plane_words =
-      std::uint64_t{config.n_classes} * n_planes * n_combos;
-  expect(planes_sec.length == n_plane_words * sizeof(std::uint64_t),
-         "code-planes section has the wrong size");
-  const std::uint64_t* plane_words = planes_sec.words_at(0, n_plane_words);
-  for (std::size_t c = 0; c < config.n_classes; ++c) {
-    for (std::uint64_t q = 0; q < n_planes; ++q) {
-      const std::uint64_t* plane =
-          plane_words + (c * n_planes + q) * n_combos;
-      for (std::size_t a = 0; a < n_combos; ++a) {
-        const std::uint64_t want =
-            (output[c].codes[a] >> q) & 1u ? ~std::uint64_t{0} : 0;
-        expect(plane[a] == want, "code plane does not match the codes");
-      }
+    neuron.bias = std::bit_cast<float>(weights_sec.next<std::uint32_t>());
+    const std::uint8_t* codes = codes_sec.take(n_combos, sizeof(std::uint32_t));
+    neuron.codes.resize(n_combos);
+    std::memcpy(neuron.codes.data(), codes, n_combos * sizeof(std::uint32_t));
+    for (const std::uint32_t code : neuron.codes) {
+      expect(code < quantizer.levels(), "output code beyond quantizer range");
     }
   }
+  for (const SectionReader& section : file.sections) section.expect_done();
 
   ParsedPacked parsed{
-      PoetBin::from_parts(
-          std::move(config), std::move(modules), std::move(output), quantizer,
-          WordStorage(plane_words, static_cast<std::size_t>(n_plane_words)),
-          static_cast<std::size_t>(n_planes), file.mapping),
+      PoetBin::from_parts(std::move(config), std::move(modules),
+                          std::move(output), quantizer),
       nullptr};
   if (has_conv) {
     // Every from_parts contract was expect()-checked above, so this cannot
-    // abort on file contents. The layer keeps the mapping alive for the
-    // conv LUT splats it views.
+    // abort on file contents.
     parsed.conv = std::make_shared<const RincConvLayer>(
         RincConvLayer::from_parts(conv_in_shape, std::move(conv_config),
-                                  std::move(conv_modules), file.mapping));
+                                  std::move(conv_modules)));
     expect(parsed.model.n_features() <= parsed.conv->output_shape().flat(),
            "classifier wired beyond the conv output width");
   }
@@ -735,7 +489,7 @@ ParsedPacked parse_packed(const std::string& path, PackedVerify verify) {
 
 // Shared writer body: the classifier sections, plus (when `conv` is
 // non-null) the conv-config section and the conv channel trees appended to
-// the shared node/splat/table sections after the classifier trees.
+// the shared node/table sections after the classifier trees.
 IoStatus write_packed_common(const PoetBin& model, const RincConvLayer* conv,
                              const std::string& path) {
   if (!host_is_little_endian()) {
@@ -750,106 +504,65 @@ IoStatus write_packed_common(const PoetBin& model, const RincConvLayer* conv,
 
   SectionBuffers sections;
 
-  // config
-  {
-    std::vector<std::uint8_t>& config = sections.of(kSecConfig);
-    std::uint64_t n_nodes = 0;
-    for (const RincModule& module : model.modules()) {
-      n_nodes += count_nodes(module);
-    }
-    const RincModule& first = model.modules().front();
-    append_scalar<std::uint64_t>(config, model.lut_inputs());
-    append_scalar<std::uint64_t>(config, first.level());
-    append_scalar<std::uint64_t>(config, first.leaf_dt_count());
-    append_scalar<std::uint64_t>(config, model.n_classes());
-    append_scalar<std::uint64_t>(config,
-                                 static_cast<std::uint64_t>(model.quant_bits()));
-    append_scalar<std::uint64_t>(config, model.n_modules());
-    append_scalar<std::uint64_t>(config, n_nodes);
-    append_scalar<std::uint64_t>(config, model.code_plane_count());
+  const RincModule& first = model.modules().front();
+  for (const std::uint64_t scalar :
+       {std::uint64_t{model.lut_inputs()}, std::uint64_t{first.level()},
+        std::uint64_t{first.leaf_dt_count()}, std::uint64_t{model.n_classes()},
+        static_cast<std::uint64_t>(model.quant_bits())}) {
+    append_scalar(sections.of(kSecConfig), scalar);
   }
 
-  // quantizer
-  {
-    const QuantizerParams& q = model.quantizer();
-    std::vector<std::uint8_t>& quant = sections.of(kSecQuantizer);
-    append_scalar<std::uint64_t>(quant, static_cast<std::uint64_t>(q.bits));
-    append_f32_bits(quant, q.min_value);
-    append_f32_bits(quant, q.max_value);
-  }
+  const QuantizerParams& q = model.quantizer();
+  append_scalar(sections.of(kSecQuantizer), static_cast<std::uint64_t>(q.bits));
+  append_f32_bits(sections.of(kSecQuantizer), q.min_value);
+  append_f32_bits(sections.of(kSecQuantizer), q.max_value);
 
-  // nodes + leaf inputs + MAT weights + splat tables
   for (const RincModule& module : model.modules()) {
     pack_module(module, sections);
   }
 
-  // conv config + channel trees (after the classifier trees, same
-  // sections, same dual splat/compact table storage)
   if (conv != nullptr) {
-    std::uint64_t n_conv_nodes = 0;
-    for (const RincModule& module : conv->channel_modules()) {
-      n_conv_nodes += count_nodes(module);
-    }
     const BinShape3 shape = conv->input_shape();
     const RincConvConfig& cc = conv->config();
-    std::vector<std::uint8_t>& conv_sec = sections.of(kSecConvConfig);
-    append_scalar<std::uint64_t>(conv_sec, shape.channels);
-    append_scalar<std::uint64_t>(conv_sec, shape.height);
-    append_scalar<std::uint64_t>(conv_sec, shape.width);
-    append_scalar<std::uint64_t>(conv_sec, cc.out_channels);
-    append_scalar<std::uint64_t>(conv_sec, cc.kernel);
-    append_scalar<std::uint64_t>(conv_sec, cc.stride);
-    append_scalar<std::uint64_t>(conv_sec, cc.padding);
-    append_scalar<std::uint64_t>(conv_sec, n_conv_nodes);
+    for (const std::uint64_t scalar :
+         {shape.channels, shape.height, shape.width, cc.out_channels,
+          cc.kernel, cc.stride, cc.padding}) {
+      append_scalar(sections.of(kSecConvConfig), scalar);
+    }
     for (const RincModule& module : conv->channel_modules()) {
       pack_module(module, sections);
     }
   }
 
-  // output layer + code planes
-  {
-    const std::size_t p = model.lut_inputs();
-    const std::size_t n_combos = std::size_t{1} << p;
-    const std::size_t n_planes = model.code_plane_count();
-    for (std::size_t c = 0; c < model.n_classes(); ++c) {
-      const SparseOutputNeuron& neuron = model.output_neurons()[c];
-      for (const std::size_t module_index : neuron.input_modules) {
-        append_scalar<std::uint64_t>(sections.of(kSecOutputWiring),
-                                     module_index);
-      }
-      for (const float weight : neuron.weights) {
-        append_f32_bits(sections.of(kSecOutputWeights), weight);
-      }
-      append_f32_bits(sections.of(kSecOutputWeights), neuron.bias);
-      for (const std::uint32_t code : neuron.codes) {
-        append_scalar(sections.of(kSecOutputCodes), code);
-      }
-      for (std::size_t q = 0; q < n_planes; ++q) {
-        const std::uint64_t* plane = model.code_plane(c, q);
-        for (std::size_t a = 0; a < n_combos; ++a) {
-          append_scalar(sections.of(kSecCodePlanes), plane[a]);
-        }
-      }
+  for (const SparseOutputNeuron& neuron : model.output_neurons()) {
+    for (const std::size_t module_index : neuron.input_modules) {
+      append_scalar(sections.of(kSecOutputWiring),
+                    static_cast<std::uint64_t>(module_index));
+    }
+    for (const float weight : neuron.weights) {
+      append_f32_bits(sections.of(kSecOutputWeights), weight);
+    }
+    append_f32_bits(sections.of(kSecOutputWeights), neuron.bias);
+    for (const std::uint32_t code : neuron.codes) {
+      append_scalar(sections.of(kSecOutputCodes), code);
     }
   }
 
   // Lay the file out: header, section table, aligned payloads.
   std::vector<std::uint8_t> buffer(
       kHeaderBytes + kSectionCount * kSectionEntryBytes, 0);
-  Section table[kSectionCount];
   for (std::uint32_t id = 1; id <= kSectionCount; ++id) {
     while (buffer.size() % kPayloadAlignment != 0) buffer.push_back(0);
     const std::vector<std::uint8_t>& payload =
         sections.of(static_cast<SectionId>(id));
-    table[id - 1] = Section{buffer.size(), payload.size()};
-    buffer.insert(buffer.end(), payload.begin(), payload.end());
-  }
-  for (std::uint32_t id = 1; id <= kSectionCount; ++id) {
+    const std::uint64_t offset = buffer.size();
+    const std::uint64_t length = payload.size();
     std::uint8_t* entry =
         buffer.data() + kHeaderBytes + (id - 1) * kSectionEntryBytes;
     std::memcpy(entry, &id, sizeof(id));
-    std::memcpy(entry + 8, &table[id - 1].offset, sizeof(std::uint64_t));
-    std::memcpy(entry + 16, &table[id - 1].length, sizeof(std::uint64_t));
+    std::memcpy(entry + 8, &offset, sizeof(offset));
+    std::memcpy(entry + 16, &length, sizeof(length));
+    buffer.insert(buffer.end(), payload.begin(), payload.end());
   }
 
   std::memcpy(buffer.data(), kMagic, sizeof(kMagic));
@@ -865,10 +578,9 @@ IoStatus write_packed_common(const PoetBin& model, const RincConvLayer* conv,
       crc32(buffer.data() + kHeaderBytes, buffer.size() - kHeaderBytes);
   std::memcpy(buffer.data() + 20, &crc, sizeof(crc));
 
-  // Publish atomically: temp file + rename. Serving workers mmap the file
-  // they loaded, and truncating a mapped inode in place SIGBUSes every
-  // reader of its pages — the rename swaps the directory entry instead, so
-  // live mappings keep the old inode and the next reload opens the new one.
+  // Publish atomically: temp file + rename. A reader racing the push (a
+  // serve --watch poll, a reload) opens either the complete old file or the
+  // complete new one, never a torn half-write.
   const std::string temp = path + ".tmp." + std::to_string(::getpid());
   std::ofstream out(temp, std::ios::binary | std::ios::trunc);
   if (!out) {

@@ -1,29 +1,27 @@
-// Versioned, 64-byte-aligned binary packed model format with mmap loading.
+// Versioned, 64-byte-aligned binary packed model format.
 //
 // The text format (core/serialize.h) is the debuggable interchange form; a
-// serving fleet wants the opposite trade: a worker should map a model in
-// and serve, with no parsing and no per-LUT heap reconstruction. The packed
-// format lays the data out exactly the way the eval kernels consume it —
-// splatted LUT truth tables (one word per entry) and output-layer code
-// bit-planes — so the loader hands the kernels pointers INTO the read-only
-// file mapping (util/word_storage.h views) instead of copying. Truth tables
-// are stored twice: splatted for the word kernels, and compact (one bit per
-// entry, kTables) for the loader — building the in-memory skeleton off the
-// compact copy means a fast load never reads the splat section at all; its
-// pages fault in lazily at the first word-parallel eval.
+// serving fleet wants the opposite trade: a worker should read a model in
+// and serve, with no text parsing. The packed format stores every LUT as
+// its compact truth table (one bit per entry, word-padded) — the same
+// words the eval kernels reduce from — plus the wiring, MAT weights and
+// output codes as raw little-endian scalars. A load is one read of the
+// whole file into a heap buffer, a structural parse that copies the tables
+// into the model, and the buffer is freed; the loaded model never refers
+// to the file again. The output layer's code bit-planes are not stored:
+// PoetBin rebuilds them from the codes.
 //
 // Load-time validation comes in two depths (PackedVerify):
 //   kFull (default)  — header/section structure, CRC32 over the payload,
-//     and semantic cross-checks (splat purity + splat/table agreement, MAT
-//     table consistency, code/plane agreement). O(file); what pack/unpack
-//     tooling and the tests run.
-//   kTrustChecksum   — structure and the cheap semantic checks only; skips
-//     the CRC pass and every splat-section read, trusting the producer's
-//     checksum. O(metadata); what serving loads (Runtime::load) run, and
-//     what makes a packed load orders of magnitude faster than a text
-//     parse. Content corruption inside the splat section goes undetected
-//     until it changes predictions — push through pack (which re-verifies)
-//     when that matters.
+//     and the re-derivation of every MAT table from its weights. What
+//     pack/unpack tooling and the tests run.
+//   kTrustChecksum   — structure only; skips the CRC pass and the MAT
+//     re-derivation, trusting the producer's checksum. What serving loads
+//     (Runtime::load) run. A file damaged after it was written (for example
+//     a `cp` over a file a reader is loading) still fails with a typed
+//     error wherever the damage breaks the structure, but damage inside a
+//     table, weight or code goes undetected — push through pack (which
+//     verifies fully) when that matters.
 // Either way a well-formed file loads bit-identical to the same model
 // loaded from text — every eval path, every backend.
 //
@@ -32,33 +30,32 @@
 //
 //   header (64 bytes):
 //     0  char[8]  magic "PoETBiNP"
-//     8  u32      format version (2; version-1 files still load)
+//     8  u32      format version (3; earlier versions are rejected with
+//                 kVersionMismatch — re-pack them from text)
 //     12 u32      header bytes (64)
-//     16 u32      section count
+//     16 u32      section count (10)
 //     20 u32      CRC32 (IEEE) over file[64, file_size)
 //     24 u64      file size in bytes
 //     32 ...      zero reserved
 //   section table (24 bytes per entry, immediately after the header):
 //     u32 id, u32 reserved, u64 payload offset, u64 payload length
-//   payloads: each section's offset is 64-byte aligned; splat tables are
-//   additionally aligned to 8-word boundaries inside kSplat.
+//   payloads: each section's offset is 64-byte aligned.
 //
-// Sections: config scalars, quantizer, pre-order node records (leaf/MAT),
-// leaf input indices, MAT weights, splat words, output wiring/weights/
-// codes, the precomputed code bit-planes of the fused argmax, and the
-// compact truth-table bits (pre-order, each table padded to whole words).
-// Version 2 adds a conv-config section (8 u64 scalars: input shape, output
-// channels, kernel, stride, padding, conv node count). A zero-length
-// conv-config section means a dense model; otherwise the per-channel conv
-// module trees ride the SAME node/splat/table sections, appended pre-order
-// after the classifier trees, so conv LUTs get the identical dual (splat +
-// compact) storage and a kTrustChecksum load never pages their splats
-// either. Version-1 files parse as dense models unchanged.
+// Sections, each read front to back and required to be used up exactly:
+// config scalars (P, levels, total DTs, classes, quantizer bits),
+// quantizer, pre-order node records (u32 kind, u32 fanin), leaf input
+// indices, MAT weights, output wiring / weights / codes, the compact truth
+// tables of every node in pre-order, and the conv config (input shape,
+// output channels, kernel, stride, padding). A zero-length conv-config
+// section means a dense model; otherwise the per-channel conv module trees
+// follow the classifier trees in the same node/input/weight/table
+// sections.
 //
 // Error contract matches the text loader: kFileNotFound, kVersionMismatch
 // (bad magic or version), kCorruptSection (truncation, misalignment,
-// out-of-range contents), kChecksumMismatch (CRC), each as a typed
-// ModelIoError — malformed bytes never abort a loading process.
+// out-of-range contents, a module tree deeper than its declared levels),
+// kChecksumMismatch (CRC), each as a typed ModelIoError — malformed bytes
+// never abort a loading process.
 #pragma once
 
 #include <memory>
@@ -80,16 +77,15 @@ const char* model_format_name(ModelFormat format);
 
 // How deep read_packed_model_file validates (see the header comment).
 enum class PackedVerify {
-  kFull,           // structure + CRC + content cross-checks; O(file)
-  kTrustChecksum,  // structure + cheap checks; never reads the splats
+  kFull,           // structure + CRC + MAT table re-derivation
+  kTrustChecksum,  // structure only
 };
 
 // Writes `model` in the packed format. kWriteFailed on I/O trouble. The
-// write is an atomic publish (same-directory temp file + rename): pushing
-// over a file that serving workers have mapped never truncates their inode
-// — they keep serving the old bytes until their next reload. Third-party
-// pushers must follow the same rule; overwriting a mapped packed file in
-// place SIGBUSes its readers.
+// write is an atomic publish (same-directory temp file + rename): a reader
+// racing the push reads the complete old file or the complete new one.
+// Third-party pushers must follow the same rule; overwriting a packed file
+// in place can hand a concurrent reload a torn file.
 IoStatus write_packed_model_file(const PoetBin& model,
                                  const std::string& path);
 
@@ -98,9 +94,7 @@ IoStatus write_packed_model_file(const PoetBin& model,
 IoStatus write_packed_conv_model_file(const ConvModel& model,
                                       const std::string& path);
 
-// Maps and validates a packed model file. The returned model's LUT splats
-// and code bit-planes view the mapping, which stays alive (shared) for the
-// model's lifetime and every copy of it. Returns kIncompatibleModel for a
+// Reads and validates a packed model file. Returns kIncompatibleModel for a
 // packed *conv* model — this entry point's contract is a dense PoetBin;
 // conv files load through read_model_file_any.
 IoResult<PoetBin> read_packed_model_file(
@@ -111,18 +105,17 @@ IoResult<PoetBin> read_packed_model_file(
 bool is_packed_model_file(const std::string& path);
 
 // A loaded model plus the format it was read in. `conv`, when non-null, is
-// a convolutional front end whose flattened output feeds `model` (the
-// layer holds the mapping keepalive its LUTs view); null means a dense
-// model whose features are the wire features.
+// a convolutional front end whose flattened output feeds `model`; null
+// means a dense model whose features are the wire features.
 struct LoadedModel {
   PoetBin model;
   ModelFormat format = ModelFormat::kText;
   std::shared_ptr<const RincConvLayer> conv;
 };
 
-// Format-sniffing loader: packed files go through the mmap path (at the
-// given verify depth), text files through the dense or conv text parser
-// (by header line). The error comes from whichever loader ran.
+// Format-sniffing loader: packed files go through the packed reader (at
+// the given verify depth), text files through the dense or conv text
+// parser (by header line). The error comes from whichever loader ran.
 IoResult<LoadedModel> read_model_file_any(
     const std::string& path, PackedVerify verify = PackedVerify::kFull);
 

@@ -107,34 +107,6 @@ PoetBin PoetBin::from_parts(PoetBinConfig config,
   return model;
 }
 
-PoetBin PoetBin::from_parts(PoetBinConfig config,
-                            std::vector<RincModule> modules,
-                            std::vector<SparseOutputNeuron> output_neurons,
-                            QuantizerParams quantizer,
-                            WordStorage code_planes, std::size_t n_planes,
-                            std::shared_ptr<const void> storage_keepalive) {
-  PoetBin model;
-  {
-    // Reuse the first overload's structural validation, then replace the
-    // heap planes it builds with the supplied (mapping-backed) ones.
-    model = from_parts(std::move(config), std::move(modules),
-                       std::move(output_neurons), quantizer);
-  }
-  POETBIN_CHECK_MSG(n_planes >= 1, "code planes need at least one plane");
-  // Supplied planes must be at least as wide as the codes need (extra
-  // all-zero high planes cannot change the MSB-first comparator) and sized
-  // exactly; the packed loader additionally verifies their contents.
-  POETBIN_CHECK_MSG(n_planes >= model.n_code_planes_,
-                    "externally supplied code planes narrower than the codes");
-  const std::size_t n_combos = std::size_t{1} << model.lut_inputs();
-  POETBIN_CHECK(code_planes.size() ==
-                model.output_.size() * n_planes * n_combos);
-  model.code_planes_ = std::move(code_planes);
-  model.n_code_planes_ = n_planes;
-  model.storage_keepalive_ = std::move(storage_keepalive);
-  return model;
-}
-
 std::size_t PoetBin::n_features() const {
   std::size_t n_features = 0;
   for (const auto& module : modules_) {
@@ -146,26 +118,23 @@ std::size_t PoetBin::n_features() const {
 }
 
 void PoetBin::rebuild_code_planes() {
-  // Planes always live on the heap after a rebuild: retraining a
-  // mapping-backed model republishes its (new) output layer in owned
-  // storage while the module LUTs keep viewing the mapping.
-  const std::size_t p = config_.rinc.lut_inputs;
-  const std::size_t n_combos = std::size_t{1} << p;
+  const std::size_t n_combos = std::size_t{1} << config_.rinc.lut_inputs;
   std::uint32_t max_code = 1;
   for (const auto& neuron : output_) {
     for (const auto code : neuron.codes) max_code = std::max(max_code, code);
   }
   n_code_planes_ = static_cast<std::size_t>(std::bit_width(max_code));
-  WordVec planes(output_.size() * n_code_planes_ * n_combos);
+  code_planes_.assign(output_.size() * n_code_planes_ * code_plane_words(), 0);
   for (std::size_t c = 0; c < output_.size(); ++c) {
     for (std::size_t plane = 0; plane < n_code_planes_; ++plane) {
-      std::uint64_t* out = planes.data() + (c * n_code_planes_ + plane) * n_combos;
+      std::uint64_t* out = code_planes_.data() +
+                           (c * n_code_planes_ + plane) * code_plane_words();
       for (std::size_t a = 0; a < n_combos; ++a) {
-        out[a] = (output_[c].codes[a] >> plane) & 1u ? ~0ULL : 0ULL;
+        out[a >> 6] |= std::uint64_t{(output_[c].codes[a] >> plane) & 1u}
+                       << (a & 63);
       }
     }
   }
-  code_planes_ = WordStorage(std::move(planes));
 }
 
 BitMatrix PoetBin::rinc_outputs(const BitMatrix& features) const {
@@ -234,6 +203,7 @@ void train_output(std::vector<SparseOutputNeuron>& output,
   const std::size_t n_words = BitVector::words_needed(n);
   const std::uint64_t tail = BitVector::tail_word_mask(n);
   const std::size_t n_combos = std::size_t{1} << p;
+  const std::size_t n_table_words = BitVector::words_needed(n_combos);
 
   // Fixed for the whole retrain: each class's label mask words and packed
   // per-example table key — combo bits, plus the target sign at bit P so
@@ -279,11 +249,12 @@ void train_output(std::vector<SparseOutputNeuron>& output,
       SparseOutputNeuron& neuron = output[c];
       // Reused per worker thread across epochs (the engine's pool persists).
       static thread_local std::vector<float> grad_table, weight_grad;
-      static thread_local WordVec splat_pos, splat_neg, active_pos, active_neg;
+      static thread_local WordVec table_pos, table_neg, active_pos,
+          active_neg;
       static thread_local std::vector<const std::uint64_t*> columns;
       grad_table.resize(2 * n_combos);
-      splat_pos.resize(n_combos);
-      splat_neg.resize(n_combos);
+      table_pos.assign(n_table_words, 0);
+      table_neg.assign(n_table_words, 0);
       active_pos.resize(n_words);
       active_neg.resize(n_words);
       columns.resize(p);
@@ -295,20 +266,20 @@ void train_output(std::vector<SparseOutputNeuron>& output,
         const float logit = neuron.activation(a);
         const float pos_target = 1.0f;
         const float pos_hinge = 1.0f - pos_target * logit;
-        splat_pos[a] = !(pos_hinge <= 0.0f) ? ~0ULL : 0ULL;
+        table_pos[a >> 6] |= std::uint64_t{!(pos_hinge <= 0.0f)} << (a & 63);
         grad_table[n_combos + a] = -2.0f * pos_hinge * pos_target * inv_n;
         const float neg_target = -1.0f;
         const float neg_hinge = 1.0f - neg_target * logit;
-        splat_neg[a] = !(neg_hinge <= 0.0f) ? ~0ULL : 0ULL;
+        table_neg[a >> 6] |= std::uint64_t{!(neg_hinge <= 0.0f)} << (a & 63);
         grad_table[a] = -2.0f * neg_hinge * neg_target * inv_n;
       }
 
       for (std::size_t j = 0; j < p; ++j) {
         columns[j] = rinc_bits.column_words(c * p + j).data();
       }
-      ops.lut_reduce(splat_pos.data(), p, columns.data(), /*base=*/0, 0,
+      ops.lut_reduce(table_pos.data(), p, columns.data(), /*base=*/0, 0,
                      n_words, active_pos.data());
-      ops.lut_reduce(splat_neg.data(), p, columns.data(), /*base=*/0, 0,
+      ops.lut_reduce(table_neg.data(), p, columns.data(), /*base=*/0, 0,
                      n_words, active_neg.data());
 
       weight_grad.assign(p, 0.0f);
@@ -402,8 +373,7 @@ void PoetBin::retrain_output_layer(const BitMatrix& rinc_bits,
     }
   }
   // The fused argmax reads the precomputed planes; keep them in sync with
-  // the fresh codes (heap storage — a retrained mapping-backed model keeps
-  // its module LUTs on the mapping but owns its new output layer).
+  // the fresh codes.
   rebuild_code_planes();
 }
 

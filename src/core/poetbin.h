@@ -11,14 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "core/rinc.h"
 #include "nn/quantize.h"
+#include "util/aligned_vector.h"
 #include "util/bit_matrix.h"
-#include "util/word_storage.h"
 
 namespace poetbin {
 
@@ -88,20 +86,6 @@ class PoetBin {
                             std::vector<SparseOutputNeuron> output_neurons,
                             QuantizerParams quantizer);
 
-  // Reconstruction with externally supplied code bit-planes and a storage
-  // keepalive: the packed-model loader passes planes that view the file
-  // mapping (and modules whose LUT splats do too), plus the handle that
-  // keeps the mapping alive for the model's lifetime — copies of the model
-  // share it. `code_planes` must hold nc x n_planes x 2^P words laid out
-  // [neuron][plane][combo]; the loader verifies they match the codes bit
-  // for bit before trusting them (sizes are validated here).
-  static PoetBin from_parts(PoetBinConfig config,
-                            std::vector<RincModule> modules,
-                            std::vector<SparseOutputNeuron> output_neurons,
-                            QuantizerParams quantizer,
-                            WordStorage code_planes, std::size_t n_planes,
-                            std::shared_ptr<const void> storage_keepalive);
-
   std::size_t n_classes() const { return output_.size(); }
   std::size_t n_modules() const { return modules_.size(); }
   std::size_t lut_inputs() const { return config_.rinc.lut_inputs; }
@@ -117,16 +101,16 @@ class PoetBin {
   std::size_t n_features() const;
 
   // Output-layer code bit-planes, precomputed for the fused argmax: plane
-  // `q` of neuron `c` is the 2^P-entry splat of bit q of c's codes, ready
-  // for the same Shannon-reduction kernel the LUT layers use. Maintained
-  // by from_parts/retrain_output_layer; a packed model maps them straight
-  // from the file. code_plane_count() is bit_width of the largest code
-  // (>= 1 whenever the output layer exists).
+  // `q` of neuron `c` is the compact 2^P-entry truth table of bit q of c's
+  // codes (word-padded, tail bits zero), ready for the same
+  // Shannon-reduction kernel the LUT layers use. Rebuilt from the codes by
+  // from_parts/retrain_output_layer. code_plane_count() is bit_width of the
+  // largest code (>= 1 whenever the output layer exists).
   std::size_t code_plane_count() const { return n_code_planes_; }
   const std::uint64_t* code_plane(std::size_t neuron,
                                   std::size_t plane) const {
     return code_planes_.data() +
-           (neuron * n_code_planes_ + plane) * (std::size_t{1} << lut_inputs());
+           (neuron * n_code_planes_ + plane) * code_plane_words();
   }
 
   // Intermediate bits produced by the RINC bank (n x nc*P).
@@ -174,19 +158,19 @@ class PoetBin {
                             const BatchEngine* engine = nullptr);
 
  private:
-  // Recomputes code_planes_/n_code_planes_ from the current codes (heap
-  // storage). Called whenever the output layer changes.
+  // Recomputes code_planes_/n_code_planes_ from the current codes. Called
+  // whenever the output layer changes.
   void rebuild_code_planes();
+  std::size_t code_plane_words() const {
+    return BitVector::words_needed(std::size_t{1} << lut_inputs());
+  }
 
   PoetBinConfig config_;
   std::vector<RincModule> modules_;        // nc * P, module j targets column j
   std::vector<SparseOutputNeuron> output_; // nc neurons
   QuantizerParams quantizer_;              // shared scale -> comparable codes
-  WordStorage code_planes_;                // nc x n_planes x 2^P words
+  WordVec code_planes_;  // nc x n_planes compact 2^P-bit tables
   std::size_t n_code_planes_ = 0;
-  // Non-null when modules_/code_planes_ view a packed-model mapping; keeps
-  // the mapping alive for this model and every copy of it.
-  std::shared_ptr<const void> storage_keepalive_;
 };
 
 }  // namespace poetbin

@@ -202,30 +202,15 @@ std::size_t RincModule::depth_in_luts() const {
   return 1 + deepest;
 }
 
-void RincModule::collect_features(std::vector<bool>& seen,
-                                  std::size_t n_features) const {
-  if (is_leaf()) {
-    for (const auto f : leaf_.inputs()) {
-      POETBIN_CHECK(f < n_features);
-      seen[f] = true;
-    }
-    return;
-  }
-  for (const auto& child : children_) child.collect_features(seen, n_features);
-}
-
 std::vector<std::size_t> RincModule::distinct_features() const {
-  // Upper-bound the feature index space by scanning leaves first.
-  std::size_t max_feature = 0;
-  for (const auto* lut : leaf_luts()) {
-    for (const auto f : lut->inputs()) max_feature = std::max(max_feature, f);
-  }
-  std::vector<bool> seen(max_feature + 1, false);
-  collect_features(seen, max_feature + 1);
+  // Sorted and deduplicated, so the cost does not depend on how large an
+  // index a (possibly hostile) loaded model holds.
   std::vector<std::size_t> out;
-  for (std::size_t f = 0; f < seen.size(); ++f) {
-    if (seen[f]) out.push_back(f);
+  for (const Lut* lut : leaf_luts()) {
+    out.insert(out.end(), lut->inputs().begin(), lut->inputs().end());
   }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

@@ -59,8 +59,8 @@ class RincModule {
   static RincModule make_internal(std::vector<RincModule> children,
                                   MatModule mat);
   // Reconstruction with a prebuilt MAT LUT (the packed-model loader passes
-  // a table whose splat words view the file mapping, skipping the 2^fanin
-  // to_table() enumeration). `mat_lut` must have fanin zero-filled inputs
+  // the stored table, skipping the 2^fanin x fanin to_table() enumeration
+  // unless it verifies fully). `mat_lut` must have fanin zero-filled inputs
   // and a 2^fanin table equal to mat.to_table() — the loader's checksum
   // covers that equality; sizes are validated here.
   static RincModule make_internal(std::vector<RincModule> children,
@@ -94,7 +94,7 @@ class RincModule {
   std::size_t leaf_dt_count() const;
   // LUT levels on the critical path (1 for RINC-0, L+1 for a full RINC-L).
   std::size_t depth_in_luts() const;
-  // Distinct input features referenced anywhere in the module.
+  // Distinct input features referenced anywhere in the module, ascending.
   std::vector<std::size_t> distinct_features() const;
   // Leaf LUTs in deterministic (depth-first) order.
   std::vector<const Lut*> leaf_luts() const;
@@ -110,7 +110,6 @@ class RincModule {
   Lut mat_lut_;  // inputs() is empty (the fanins are child modules, not features)
   double train_error_ = 0.0;
 
-  void collect_features(std::vector<bool>& seen, std::size_t n_features) const;
   void collect_leaves(std::vector<const Lut*>& out) const;
   static RincModule train_impl(const BitMatrix& features, const BitVector& targets,
                                std::span<const double> weights,

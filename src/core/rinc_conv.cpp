@@ -40,9 +40,9 @@ void RincConvLayer::validate(BinShape3 in_shape,
                     "conv kernel wider than the padded frame");
 }
 
-RincConvLayer RincConvLayer::from_parts(
-    BinShape3 in_shape, RincConvConfig config, std::vector<RincModule> modules,
-    std::shared_ptr<const void> storage_keepalive) {
+RincConvLayer RincConvLayer::from_parts(BinShape3 in_shape,
+                                        RincConvConfig config,
+                                        std::vector<RincModule> modules) {
   validate(in_shape, config);
   POETBIN_CHECK_MSG(modules.size() == config.out_channels,
                     "conv layer needs one module per output channel");
@@ -51,7 +51,6 @@ RincConvLayer RincConvLayer::from_parts(
   layer.config_ = std::move(config);
   layer.out_shape_ = conv_output_shape(in_shape, layer.config_);
   layer.modules_ = std::move(modules);
-  layer.storage_keepalive_ = std::move(storage_keepalive);
   for (const auto& module : layer.modules_) {
     for (std::size_t feature : module.distinct_features()) {
       POETBIN_CHECK_MSG(feature < layer.patch_bits(),

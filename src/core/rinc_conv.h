@@ -17,15 +17,16 @@
 // row's pixels grouped by stride phase (px % stride). Patch bit (c, ky, kx)
 // of one output row is then a single contiguous run across every output
 // column ox, so each leaf and MAT LUT of a channel module Shannon-reduces
-// out_w x chunk words in one kernel call on the active SIMD backend, and
-// the MAT's result is already the chunk's conv output for that row.
+// out_w x chunk words in one kernel call on the active SIMD backend,
+// straight from its compact truth table (the layer holds no other copy of
+// its tables), and the MAT's result is already the chunk's conv output for
+// that row.
 // `predict_conv_dataset` feeds each chunk's conv output straight into the
 // classifier's fused argmax, so a predict never builds the n x out-bits
 // conv output matrix.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "core/poetbin.h"
@@ -70,13 +71,9 @@ class RincConvLayer {
   // Reconstruction from stored artefacts (deserialization, hand-built
   // layers in tests): validates the geometry, that `modules` holds exactly
   // config.out_channels entries, and that no module references a feature
-  // at or beyond patch_bits(). `storage_keepalive`, when non-null, is held
-  // for the layer's lifetime (packed-model loads pass the file mapping the
-  // module LUT splats view).
-  static RincConvLayer from_parts(
-      BinShape3 in_shape, RincConvConfig config,
-      std::vector<RincModule> modules,
-      std::shared_ptr<const void> storage_keepalive = nullptr);
+  // at or beyond patch_bits().
+  static RincConvLayer from_parts(BinShape3 in_shape, RincConvConfig config,
+                                  std::vector<RincModule> modules);
 
   // Aborts (POETBIN_CHECK) unless the geometry is servable: nonzero
   // in_shape dims, out_channels, kernel and stride; padding < kernel (a
@@ -119,9 +116,6 @@ class RincConvLayer {
   BinShape3 out_shape_;
   RincConvConfig config_;
   std::vector<RincModule> modules_;  // one per output channel
-  // Non-null when the module LUT tables view a packed-model mapping; keeps
-  // the mapping alive for this layer and every copy of it.
-  std::shared_ptr<const void> storage_keepalive_;
 };
 
 // A servable convolutional model: a RINC conv front end whose flattened

@@ -56,7 +56,8 @@ void save_module(const RincModule& module, std::ostream& out) {
   for (const auto& child : module.children()) save_module(child, out);
 }
 
-RincModule load_module(std::istream& in) {
+// `levels` is how many internal-node levels may still follow.
+RincModule load_module(std::istream& in, std::size_t levels) {
   std::string kind;
   expect(static_cast<bool>(in >> kind), "truncated model file");
   if (kind == "leaf") {
@@ -75,6 +76,7 @@ RincModule load_module(std::istream& in) {
         Lut(std::move(inputs), bits_from_string(table_text)));
   }
   expect(kind == "node", "expected 'leaf' or 'node'");
+  expect(levels > 0, "module tree deeper than its RINC levels");
   std::size_t fanin = 0;
   expect(static_cast<bool>(in >> fanin), "truncated node record");
   expect(fanin >= 1 && fanin <= 20, "bad node fanin");
@@ -84,7 +86,9 @@ RincModule load_module(std::istream& in) {
   }
   std::vector<RincModule> children;
   children.reserve(fanin);
-  for (std::size_t c = 0; c < fanin; ++c) children.push_back(load_module(in));
+  for (std::size_t c = 0; c < fanin; ++c) {
+    children.push_back(load_module(in, levels - 1));
+  }
   // make_internal aborts on mixed child levels (a builder-contract check);
   // reject them here so a corrupt file surfaces as an error, not an abort.
   for (const auto& child : children) {
@@ -124,6 +128,7 @@ PoetBin parse_model(std::istream& in) {
   config.rinc.total_dts = total_dts;
   expect(config.rinc.lut_inputs >= 1 && config.rinc.lut_inputs <= 16,
          "config P out of range");
+  expect(levels <= kMaxRincLevels, "config RINC levels out of range");
   expect(config.n_classes >= 1 && config.n_classes <= (std::size_t{1} << 20),
          "config class count out of range");
   expect(config.output.quant_bits >= 1 && config.output.quant_bits <= 24,
@@ -146,7 +151,7 @@ PoetBin parse_model(std::istream& in) {
     expect(static_cast<bool>(in >> token >> index) && token == "module" &&
                index == m,
            "module records out of order");
-    modules.push_back(load_module(in));
+    modules.push_back(load_module(in, levels));
   }
 
   std::vector<SparseOutputNeuron> output(config.n_classes);
@@ -228,7 +233,7 @@ ConvModel parse_conv_model(std::istream& in) {
     expect(static_cast<bool>(in >> token >> index) && token == "channel" &&
                index == channel,
            "channel records out of order");
-    modules.push_back(load_module(in));
+    modules.push_back(load_module(in, kMaxRincLevels));
     for (const std::size_t feature : modules.back().distinct_features()) {
       expect(feature < patch_bits,
              "conv channel module references a feature beyond the patch "
@@ -248,8 +253,7 @@ ConvModel parse_conv_model(std::istream& in) {
 // Atomic text publish shared by the file writers: write a same-directory
 // temp file and rename it over `path`. A concurrent reader — including a
 // serve --watch poll racing the push — sees the complete old file or the
-// complete new one, never a truncated half-write, and any live mmap of the
-// old inode stays valid.
+// complete new one, never a truncated half-write.
 template <typename WriteBody>
 IoStatus write_text_model_file(const std::string& path,
                                const WriteBody& write_body) {

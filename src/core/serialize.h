@@ -62,6 +62,13 @@ struct ModelIoError {
 
 const char* model_io_error_kind_name(ModelIoError::Kind kind);
 
+// Deepest RINC module tree the model loaders accept. A classifier tree may
+// be no deeper than its config's declared levels, which may not exceed this
+// cap; conv channel trees, whose levels are not stored, take the cap
+// itself. Both loaders enforce it while descending, so a hostile file
+// cannot recurse them off the stack.
+inline constexpr std::size_t kMaxRincLevels = 8;
+
 // expected-style carrier of a loaded T or a ModelIoError. Kept minimal on
 // purpose (std::expected is C++23): value access on an error — or error
 // access on a value — is a contract violation and aborts.

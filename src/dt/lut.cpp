@@ -5,35 +5,11 @@
 
 namespace poetbin {
 
-namespace {
-
-WordVec splat_of(const BitVector& table) {
-  WordVec splat(table.size());
-  for (std::size_t a = 0; a < table.size(); ++a) {
-    splat[a] = table.get(a) ? ~0ULL : 0ULL;
-  }
-  return splat;
-}
-
-}  // namespace
-
 Lut::Lut(std::vector<std::size_t> inputs, BitVector table)
     : inputs_(std::move(inputs)), table_(std::move(table)) {
   POETBIN_CHECK_MSG(inputs_.size() <= kMaxLutArity,
                     "LUT arity unrealistically large");
   POETBIN_CHECK(table_.size() == (std::size_t{1} << inputs_.size()));
-  splat_ = WordStorage(splat_of(table_));
-}
-
-Lut::Lut(std::vector<std::size_t> inputs, BitVector table, WordStorage splat)
-    : inputs_(std::move(inputs)),
-      table_(std::move(table)),
-      splat_(std::move(splat)) {
-  POETBIN_CHECK_MSG(inputs_.size() <= kMaxLutArity,
-                    "LUT arity unrealistically large");
-  POETBIN_CHECK(table_.size() == (std::size_t{1} << inputs_.size()));
-  POETBIN_CHECK_MSG(splat_.size() == table_.size(),
-                    "pre-splatted LUT table has the wrong word count");
 }
 
 std::size_t Lut::address_of(const BitVector& example_bits) const {

@@ -5,16 +5,18 @@
 // the Input-vs-Output table of Fig. 1. Address convention: bit j of the
 // table address is the value of input feature `inputs()[j]` (the feature
 // selected at DT level j), so address = sum_j x[inputs[j]] << j.
+//
+// The compact 2^P-bit table is the LUT's only representation: the scalar
+// lookups read its bits, and the word-parallel kernels
+// (WordOps::lut_reduce) reduce straight from its words.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "util/bit_matrix.h"
 #include "util/bitvector.h"
-#include "util/word_storage.h"
 
 namespace poetbin {
 
@@ -23,23 +25,10 @@ class Lut {
   Lut() = default;
   Lut(std::vector<std::size_t> inputs, BitVector table);
 
-  // Reconstruction with a pre-splatted table — the packed-model loader
-  // injects a view into the file mapping here, so the word kernels read
-  // the mapping directly and load time never re-splats. `splat` must hold
-  // table.size() words, each 0 or ~0, matching `table` bit for bit (the
-  // loader validates; the kernels trust it).
-  Lut(std::vector<std::size_t> inputs, BitVector table, WordStorage splat);
-
   std::size_t arity() const { return inputs_.size(); }
   std::size_t table_size() const { return table_.size(); }
   const std::vector<std::size_t>& inputs() const { return inputs_; }
   const BitVector& table() const { return table_; }
-
-  // Truth table splatted to one word per entry (splat[a] is ~0 when
-  // table[a] is set) — the constant array the Shannon-reduction kernels
-  // consume. Built eagerly at construction, or borrowed from a packed
-  // model mapping.
-  std::span<const std::uint64_t> splat_words() const { return splat_.words(); }
 
   bool lookup(std::size_t address) const { return table_.get(address); }
 
@@ -67,8 +56,7 @@ class Lut {
 
  private:
   std::vector<std::size_t> inputs_;
-  BitVector table_;     // size 2^arity
-  WordStorage splat_;   // one word per table entry (owned or mapping view)
+  BitVector table_;  // size 2^arity, tail bits zero
 };
 
 }  // namespace poetbin

@@ -1,5 +1,7 @@
 #include "serve/predict_cache.h"
 
+#include <cstdlib>
+
 #include "util/check.h"
 
 namespace poetbin {
@@ -59,6 +61,10 @@ int entry_prediction(std::uint64_t data) {
   return static_cast<int>(data >> 48);
 }
 
+std::atomic_ref<std::uint64_t> atomic_word(std::uint64_t& word) {
+  return std::atomic_ref<std::uint64_t>(word);
+}
+
 }  // namespace
 
 PredictCache::PredictCache(PredictCacheOptions options) {
@@ -76,7 +82,10 @@ PredictCache::PredictCache(PredictCacheOptions options) {
   bucket_mask_ = shard_entries_ / kBucketEntries - 1;
   shards_ = std::make_unique<Shard[]>(n_shards_);
   for (std::size_t s = 0; s < n_shards_; ++s) {
-    shards_[s].entries = std::make_unique<Entry[]>(shard_entries_);
+    shards_[s].entries.reset(
+        static_cast<Entry*>(std::calloc(shard_entries_, sizeof(Entry))));
+    POETBIN_CHECK_MSG(shards_[s].entries != nullptr,
+                      "prediction cache allocation failed");
   }
 }
 
@@ -107,12 +116,13 @@ bool PredictCache::probe(const Key& key, int* prediction) {
     // interleaving XOR-mismatches into a miss), and (b) a hit synchronizes
     // with the inserter, so the hitter's later snapshot loads can never see
     // a model version older than the one that computed this entry.
-    const std::uint64_t data = bucket[e].data.load(std::memory_order_acquire);
+    const std::uint64_t data =
+        atomic_word(bucket[e].data).load(std::memory_order_acquire);
     // order: relaxed — sequenced after the acquire load of data, and the
     // XOR verification tolerates ANY stale or torn check value (it reads as
     // a miss); the acquire above is what makes the matching pair visible.
     const std::uint64_t check =
-        bucket[e].check.load(std::memory_order_relaxed);
+        atomic_word(bucket[e].check).load(std::memory_order_relaxed);
     if ((check ^ data) != key.verify || (data & kTagMask) != tag) continue;
     if (entry_epoch(data) != current) {
       // The key matched but the entry predates the serving version: a
@@ -153,9 +163,10 @@ void PredictCache::insert(const Key& key, int prediction,
     // order: relaxed (both) — the victim scan is a heuristic: a torn or
     // stale (old, check) view only changes WHICH slot gets replaced, and
     // probe()'s XOR verification protects readers of whatever we overwrite.
-    const std::uint64_t old = bucket[e].data.load(std::memory_order_relaxed);
+    const std::uint64_t old =
+        atomic_word(bucket[e].data).load(std::memory_order_relaxed);
     const std::uint64_t check =
-        bucket[e].check.load(std::memory_order_relaxed);
+        atomic_word(bucket[e].check).load(std::memory_order_relaxed);
     if ((check ^ old) == key.verify && (old & kTagMask) == tag) {
       victim = e;
       evicting = false;
@@ -172,13 +183,14 @@ void PredictCache::insert(const Key& key, int prediction,
     victim = static_cast<std::size_t>((key.hash >> 46) & (kBucketEntries - 1));
     evicting = true;
   }
+  Entry& slot = bucket[victim];
   // order: check first relaxed, then data release — the release makes the
   // check store visible to any reader that acquires the new data word, so
   // a verified pair is always matched; a reader that catches the pair
   // half-visible XOR-mismatches into a miss. The data release additionally
   // carries the inserter's happens-before (see probe()).
-  bucket[victim].check.store(key.verify ^ data, std::memory_order_relaxed);
-  bucket[victim].data.store(data, std::memory_order_release);
+  atomic_word(slot.check).store(key.verify ^ data, std::memory_order_relaxed);
+  atomic_word(slot.data).store(data, std::memory_order_release);
   // order: relaxed — monotonic statistics counters, no ordering needed.
   shard->counters.inserts.fetch_add(1, std::memory_order_relaxed);
   if (evicting) {
@@ -214,8 +226,9 @@ void PredictCache::clear() {
       // order: relaxed (both) — concurrent probes may observe the pair
       // half-cleared, which XOR-mismatches into a miss; an all-zero entry
       // never verifies (a real key's verify word is nonzero w.h.p.).
-      shards_[s].entries[e].check.store(0, std::memory_order_relaxed);
-      shards_[s].entries[e].data.store(0, std::memory_order_relaxed);
+      Entry& entry = shards_[s].entries[e];
+      atomic_word(entry.check).store(0, std::memory_order_relaxed);
+      atomic_word(entry.data).store(0, std::memory_order_relaxed);
     }
   }
 }

@@ -56,6 +56,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 
 #include "util/bitvector.h"
@@ -137,12 +138,19 @@ class PredictCache {
   //   check = key.verify ^ data
   // tag16 is the top 16 bits of key.hash (disjoint from the bucket-index
   // bits); zeroed entries never match (a real key's verify is nonzero with
-  // overwhelming probability, and probe demands an exact XOR match).
+  // overwhelming probability, and probe demands an exact XOR match). The
+  // words are plain and only ever accessed through std::atomic_ref, so a
+  // shard's entries can come zeroed from calloc: the kernel's zero pages
+  // fault in as traffic first touches them, instead of the constructor
+  // writing the whole capacity before the first request.
   struct Entry {
-    std::atomic<std::uint64_t> check{0};
-    std::atomic<std::uint64_t> data{0};
+    std::uint64_t check;
+    std::uint64_t data;
   };
   static_assert(sizeof(Entry) == 16);
+  struct FreeEntries {
+    void operator()(Entry* entries) const { std::free(entries); }
+  };
 
   static constexpr std::size_t kBucketEntries = 4;  // one cache line
 
@@ -155,7 +163,7 @@ class PredictCache {
   };
 
   struct Shard {
-    std::unique_ptr<Entry[]> entries;
+    std::unique_ptr<Entry[], FreeEntries> entries;
     Counters counters;
   };
 

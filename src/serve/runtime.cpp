@@ -273,8 +273,7 @@ void Runtime::retrain_output_layer(const BitMatrix& features,
   std::lock_guard<std::mutex> mutate(state_->mutate_mu);
   const Snapshot serving = snapshot();
   // Retrain a copy off to the side; readers keep serving the old weights
-  // until the publish below. A mapping-backed copy shares the old
-  // version's LUT storage (cheap) and grows heap-owned output planes.
+  // until the publish below.
   PoetBin next = serving->model;
   {
     std::lock_guard<std::mutex> lock(state_->engine_mu);

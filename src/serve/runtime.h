@@ -28,8 +28,8 @@
 //
 // Formats: Runtime::load sniffs text vs packed (core/packed_model.h) and
 // remembers both the format and the source path, which is what no-argument
-// reload() re-reads. A packed model's LUT tables stay mmap-backed; the
-// snapshot keeps the mapping alive for as long as any request uses it.
+// reload() re-reads. Either way the loaded version owns its tables; the
+// file is not touched again until the next reload.
 //
 // Every path is bit-identical to the scalar PoetBin reference: predict()
 // runs the fused bitsliced argmax, and predict_one() is the scalar
@@ -114,8 +114,7 @@ struct ModelVersion {
 class Runtime {
  public:
   // A shared snapshot of one model version. Holding it keeps the version
-  // (and, for packed models, the file mapping under it) alive across any
-  // number of hot swaps.
+  // alive across any number of hot swaps.
   using Snapshot = std::shared_ptr<const ModelVersion>;
 
   // Takes ownership of the model (PoetBin is a few KB of LUT tables; copy
@@ -143,9 +142,8 @@ class Runtime {
   // bytes never abort, so a serving worker survives a bad model on disk.
   // The path and format are recorded for reload(). Packed files load in
   // PackedVerify::kTrustChecksum mode — structural validation without the
-  // O(file) CRC/content passes — which is what makes load and hot reload
-  // near-instant; run files through `poetbin_cli pack` (full verification)
-  // when provenance is in doubt.
+  // CRC pass or the MAT table re-derivation; run files through
+  // `poetbin_cli pack` (full verification) when provenance is in doubt.
   using LoadResult = IoResult<Runtime>;
   static LoadResult load(const std::string& path, RuntimeOptions options = {});
 

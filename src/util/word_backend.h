@@ -45,12 +45,14 @@ struct WordOps {
   // Shannon-reduced LUT evaluation, the batch-inference inner loop:
   //   out[w - word_begin] =
   //       table(columns[0][w - base], ..., columns[arity-1][w - base])
-  // for w in [word_begin, word_end), where `splat` holds the 2^arity truth
-  // table entries splatted to full words (~0 for 1, 0 for 0). Arity 0 writes
-  // the constant splat[0]. arity <= kMaxLutArity. The SIMD backends reduce
-  // depth-first in registers (util/word_backend_shannon.h), broadcasting
-  // entries straight from `splat`, so a call has no per-call setup cost.
-  void (*lut_reduce)(const std::uint64_t* splat, std::size_t arity,
+  // for w in [word_begin, word_end), where `table` is the compact truth
+  // table: entry a is bit a % 64 of word a / 64, padded to whole words with
+  // the bits past 2^arity zero (a BitVector's words). Arity 0 writes the
+  // constant entry 0 as 0 or ~0. arity <= kMaxLutArity. The SIMD backends
+  // reduce depth-first in registers (util/word_backend_shannon.h), expanding
+  // each entry through a constant byte table, so a call has no per-call
+  // setup cost.
+  void (*lut_reduce)(const std::uint64_t* table, std::size_t arity,
                      const std::uint64_t* const* columns, std::size_t base,
                      std::size_t word_begin, std::size_t word_end,
                      std::uint64_t* out);

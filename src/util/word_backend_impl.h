@@ -19,21 +19,26 @@
 
 namespace poetbin::word_impl {
 
+// Table entry `e` of a compact truth table as a 0 / ~0 word.
+inline std::uint64_t entry_word(const std::uint64_t* table, std::size_t e) {
+  return std::uint64_t{0} - ((table[e >> 6] >> (e & 63)) & 1u);
+}
+
 // One word of LUT output from `arity` input words: iteratively
-// Shannon-reduce the splatted truth table over address bit 0, then 1, ...
+// Shannon-reduce the truth table over address bit 0, then 1, ...
 // Each step is the bitwise mux f0 ^ ((f0 ^ f1) & x) applied to adjacent
 // half-tables, so the whole evaluation is 2^arity - 1 word muxes and touches
-// no per-example state. `scratch` must hold at least 2^(arity-1) words
-// (unused when arity == 0).
-inline std::uint64_t shannon_reduce(const std::uint64_t* splat,
+// no per-example state. `table` holds the 2^arity entries one bit each;
+// `scratch` must hold at least 2^(arity-1) words (unused when arity == 0).
+inline std::uint64_t shannon_reduce(const std::uint64_t* table,
                                     std::size_t arity, const std::uint64_t* in,
                                     std::uint64_t* scratch) {
-  if (arity == 0) return splat[0];
+  if (arity == 0) return entry_word(table, 0);
   std::size_t half = std::size_t{1} << (arity - 1);
   const std::uint64_t x0 = in[0];
   for (std::size_t k = 0; k < half; ++k) {
-    const std::uint64_t f0 = splat[2 * k];
-    const std::uint64_t f1 = splat[2 * k + 1];
+    const std::uint64_t f0 = entry_word(table, 2 * k);
+    const std::uint64_t f1 = entry_word(table, 2 * k + 1);
     scratch[k] = f0 ^ ((f0 ^ f1) & x0);
   }
   for (std::size_t j = 1; j < arity; ++j) {
@@ -48,7 +53,7 @@ inline std::uint64_t shannon_reduce(const std::uint64_t* splat,
   return scratch[0];
 }
 
-inline void lut_reduce(const std::uint64_t* splat, std::size_t arity,
+inline void lut_reduce(const std::uint64_t* table, std::size_t arity,
                        const std::uint64_t* const* columns, std::size_t base,
                        std::size_t word_begin, std::size_t word_end,
                        std::uint64_t* out) {
@@ -61,7 +66,7 @@ inline void lut_reduce(const std::uint64_t* splat, std::size_t arity,
   for (std::size_t w = word_begin; w < word_end; ++w) {
     for (std::size_t j = 0; j < arity; ++j) in[j] = columns[j][w - base];
     out[w - word_begin] =
-        shannon_reduce(splat, arity, in.data(), scratch.data());
+        shannon_reduce(table, arity, in.data(), scratch.data());
   }
 }
 

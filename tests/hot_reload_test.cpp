@@ -459,7 +459,7 @@ TEST(HotReload, FailedReloadKeepsOldVersionServing) {
 
   // A held snapshot pins its version: after a successful reload from the
   // rewritten packed file, new requests see the new model while the
-  // snapshot keeps predicting the old one (and keeps its mapping alive).
+  // snapshot keeps predicting the old one.
   const Runtime::Snapshot held = runtime.snapshot();
   ASSERT_TRUE(write_packed_model_file(tagged_model(1), path).ok());
   ASSERT_TRUE(runtime.reload().ok());

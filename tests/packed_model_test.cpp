@@ -57,7 +57,7 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-// Writes the fixture model once; every read-side test maps this file.
+// Writes the fixture model once; every read-side test loads this file.
 const std::string& packed_fixture_path() {
   static const std::string path = [] {
     const std::string p = temp_path("poetbin_fixture.pbm");
@@ -158,7 +158,7 @@ TEST(PackedModel, TextPackedTextIsByteIdentical) {
 }
 
 // Packing the unpacked model again must reproduce the packed bytes too —
-// the writer is deterministic and nothing is lost in the mapping round trip.
+// the writer is deterministic and nothing is lost in the round trip.
 TEST(PackedModel, PackedRoundTripIsByteIdentical) {
   const IoResult<PoetBin> unpacked =
       read_packed_model_file(packed_fixture_path());
@@ -196,24 +196,8 @@ TEST(PackedModel, BitIdenticalAcrossBackendsAndThreads) {
   }
 }
 
-// Every mapped splat table starts on a cache line: the section is 64-byte
-// aligned in the file, tables are padded to 8-word boundaries inside it, and
-// mmap returns page-aligned bases.
-TEST(PackedModel, MappedSplatTablesAreCacheLineAligned) {
-  const IoResult<PoetBin> loaded =
-      read_packed_model_file(packed_fixture_path());
-  ASSERT_TRUE(loaded.ok());
-  for (const RincModule& module : loaded->modules()) {
-    for (const Lut* lut : module.leaf_luts()) {
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(lut->splat_words().data()) %
-                    64,
-                0u);
-    }
-  }
-}
-
-// Copies of a mapping-backed model share the mapping keepalive: the copy
-// stays valid after the original is destroyed.
+// A loaded model owns its tables outright: a copy stays valid after the
+// original (and the file buffer it was parsed from) is gone.
 TEST(PackedModel, CopySurvivesOriginalDestruction) {
   const Fixture& fx = fixture();
   auto original = std::make_unique<PoetBin>();
@@ -228,9 +212,9 @@ TEST(PackedModel, CopySurvivesOriginalDestruction) {
             fx.model.predict_dataset(fx.data.features));
 }
 
-// Retraining a mapping-backed model rebuilds heap-owned code planes while
-// the module LUTs keep reading the mapping — and stays bit-identical to
-// retraining the same model loaded from text.
+// Retraining a packed-loaded model rebuilds its code planes from the new
+// codes and stays bit-identical to retraining the same model loaded from
+// text.
 TEST(PackedModel, RetrainOutputLayerMatchesTextLoadedRetrain) {
   const Fixture& fx = fixture();
   IoResult<PoetBin> packed = read_packed_model_file(packed_fixture_path());
@@ -291,6 +275,20 @@ TEST(PackedModel, FutureVersionIsVersionMismatch) {
       [](std::vector<std::uint8_t>& bytes) { bytes[8] = 9; });
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ModelIoError::Kind::kVersionMismatch);
+}
+
+// Versions 1 and 2 carried the splat and code-plane sections this build
+// no longer reads; they are a typed mismatch, never a misparse.
+TEST(PackedModel, OlderVersionsAreVersionMismatch) {
+  for (const std::uint8_t version : {1, 2}) {
+    const IoResult<PoetBin> result = load_mutated(
+        "old_version.pbm", [version](std::vector<std::uint8_t>& bytes) {
+          bytes[8] = version;
+          fix_crc(bytes);
+        });
+    ASSERT_FALSE(result.ok()) << "version " << int{version};
+    EXPECT_EQ(result.error().kind, ModelIoError::Kind::kVersionMismatch);
+  }
 }
 
 TEST(PackedModel, FlippedPayloadByteIsChecksumMismatch) {
@@ -434,34 +432,10 @@ TEST(PackedModel, HeaderFileSizeMismatchIsCorruptSection) {
   EXPECT_EQ(result.error().kind, ModelIoError::Kind::kCorruptSection);
 }
 
-TEST(PackedModel, ImpureSplatWordIsCorruptSection) {
-  const IoResult<PoetBin> result = load_mutated(
-      "impure_splat.pbm", [](std::vector<std::uint8_t>& bytes) {
-        const std::uint64_t splat_offset = section_field(bytes, 5, 8);
-        bytes[splat_offset] ^= 0x02;  // neither 0 nor ~0 afterwards
-        fix_crc(bytes);
-      });
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().kind, ModelIoError::Kind::kCorruptSection);
-}
-
-TEST(PackedModel, CodePlaneMismatchIsCorruptSection) {
-  const IoResult<PoetBin> result = load_mutated(
-      "bad_plane.pbm", [](std::vector<std::uint8_t>& bytes) {
-        const std::uint64_t planes_offset = section_field(bytes, 9, 8);
-        for (std::size_t i = 0; i < 8; ++i) {
-          bytes[planes_offset + i] = ~bytes[planes_offset + i];
-        }
-        fix_crc(bytes);
-      });
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().kind, ModelIoError::Kind::kCorruptSection);
-}
-
 TEST(PackedModel, OutOfRangeWiringIsCorruptSection) {
   const IoResult<PoetBin> result = load_mutated(
       "bad_wiring.pbm", [](std::vector<std::uint8_t>& bytes) {
-        const std::uint64_t wiring_offset = section_field(bytes, 6, 8);
+        const std::uint64_t wiring_offset = section_field(bytes, 5, 8);
         const std::uint64_t bogus = 1u << 20;
         std::memcpy(bytes.data() + wiring_offset, &bogus, sizeof(bogus));
         fix_crc(bytes);
@@ -485,7 +459,36 @@ TEST(PackedModel, EveryTruncationPointFailsCleanly) {
   std::remove(path.c_str());
 }
 
-// --- convolutional packed models (format version 2) -----------------------
+// Byte-flip sweep: every single-byte corruption must come back as a typed
+// error or, under kFull, as the identical model (only the reserved header
+// bytes sit outside the CRC). A kTrustChecksum load may accept a different
+// model, but it must never crash or read out of bounds (ASan-clean).
+TEST(PackedModel, EveryByteFlipFailsCleanlyOrLoadsIdentically) {
+  const Fixture& fx = fixture();
+  const std::vector<int> want = fx.model.predict_dataset(fx.data.features);
+  const std::vector<std::uint8_t> bytes = read_bytes(packed_fixture_path());
+  const std::string path = temp_path("flip_sweep.pbm");
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    for (const std::uint8_t mask : {0x01, 0xFF}) {
+      std::vector<std::uint8_t> flipped = bytes;
+      flipped[at] ^= mask;
+      write_bytes(path, flipped);
+      const IoResult<PoetBin> full = read_packed_model_file(path);
+      if (full.ok()) {
+        EXPECT_EQ(full->predict_dataset(fx.data.features), want)
+            << "byte " << at << " ^ " << int{mask};
+      }
+      const IoResult<PoetBin> trusting =
+          read_packed_model_file(path, PackedVerify::kTrustChecksum);
+      if (trusting.ok()) {
+        EXPECT_EQ(trusting->n_classes(), fx.model.n_classes());
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// --- convolutional packed models --------------------------------------------
 
 // Trains a small ConvModel once: 2-channel RINC conv over 1x6x6 frames,
 // 4-class classifier on the flattened conv outputs.
@@ -533,7 +536,7 @@ const ConvFixture& conv_fixture() {
   }();
 }
 
-// Writes the conv fixture once; every conv read-side test maps this file.
+// Writes the conv fixture once; every conv read-side test loads this file.
 const std::string& packed_conv_fixture_path() {
   static const std::string path = [] {
     const std::string p = temp_path("poetbin_conv_fixture.pbm");
@@ -561,7 +564,7 @@ TEST(PackedConvModel, RoundTripPreservesPredictions) {
   const ConvModel round{*loaded->conv, loaded->model};
   const std::vector<int> want = fx.model.predict_dataset(fx.frames);
   EXPECT_EQ(round.predict_dataset(fx.frames), want);
-  // The fused word-parallel path over the mapped LUTs, across backends.
+  // The fused word-parallel path over the loaded LUTs, across backends.
   testing::BackendGuard guard;
   for (const WordBackend backend : available_word_backends()) {
     set_word_backend(backend);
@@ -574,8 +577,7 @@ TEST(PackedConvModel, RoundTripPreservesPredictions) {
 }
 
 // The serving load depth (kTrustChecksum, what Runtime::load runs) must be
-// bit-identical to full verification for conv files too — and must never
-// have paged the conv splat section to get there.
+// bit-identical to full verification for conv files too.
 TEST(PackedConvModel, TrustChecksumLoadsIdenticallyToFullVerify) {
   const ConvFixture& fx = conv_fixture();
   const IoResult<LoadedModel> trusting = read_model_file_any(
@@ -588,7 +590,7 @@ TEST(PackedConvModel, TrustChecksumLoadsIdenticallyToFullVerify) {
 }
 
 // Re-packing a loaded conv model reproduces the file byte for byte: the
-// writer is deterministic and the mapping round trip is lossless.
+// writer is deterministic and the round trip is lossless.
 TEST(PackedConvModel, PackedRoundTripIsByteIdentical) {
   const IoResult<LoadedModel> loaded =
       read_model_file_any(packed_conv_fixture_path());
@@ -705,15 +707,45 @@ TEST(PackedConvModel, EveryTruncationPointFailsCleanly) {
   std::remove(path.c_str());
 }
 
+// The byte-flip sweep of the dense test, over a conv file.
+TEST(PackedConvModel, EveryByteFlipFailsCleanlyOrLoadsIdentically) {
+  const ConvFixture& fx = conv_fixture();
+  const std::vector<int> want = fx.model.predict_dataset(fx.frames);
+  const std::vector<std::uint8_t> bytes =
+      read_bytes(packed_conv_fixture_path());
+  const std::string path = temp_path("conv_flip_sweep.pbm");
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    for (const std::uint8_t mask : {0x01, 0xFF}) {
+      std::vector<std::uint8_t> flipped = bytes;
+      flipped[at] ^= mask;
+      write_bytes(path, flipped);
+      const IoResult<LoadedModel> full = read_model_file_any(path);
+      if (full.ok()) {
+        ASSERT_NE(full->conv, nullptr) << "byte " << at;
+        EXPECT_EQ(ConvModel({*full->conv, full->model})
+                      .predict_dataset(fx.frames),
+                  want)
+            << "byte " << at << " ^ " << int{mask};
+      }
+      const IoResult<LoadedModel> trusting =
+          read_model_file_any(path, PackedVerify::kTrustChecksum);
+      if (trusting.ok()) {
+        EXPECT_NE(trusting->conv, nullptr);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // Corrupt conv geometry in an otherwise well-formed file (CRC fixed up) is
 // a typed kCorruptSection, never a validate() abort.
 TEST(PackedConvModel, CorruptConvGeometryIsCorruptSection) {
   const std::vector<std::uint8_t> bytes =
       read_bytes(packed_conv_fixture_path());
-  // Section table entry 11 (0-based, id order) is conv-config; its payload
-  // holds 8 u64 scalars starting with the input shape.
-  const std::uint64_t conv_offset = section_field(bytes, 11, 8);
-  ASSERT_GT(section_field(bytes, 11, 16), 0u);  // non-empty on a conv file
+  // Section table entry 9 (0-based, id order) is conv-config; its payload
+  // holds 7 u64 scalars starting with the input shape.
+  const std::uint64_t conv_offset = section_field(bytes, 9, 8);
+  ASSERT_GT(section_field(bytes, 9, 16), 0u);  // non-empty on a conv file
   const auto corrupt_scalar = [&](std::size_t index, std::uint64_t value,
                                   const std::string& name) {
     std::vector<std::uint8_t> mutated = bytes;
@@ -733,6 +765,132 @@ TEST(PackedConvModel, CorruptConvGeometryIsCorruptSection) {
   corrupt_scalar(4, std::uint64_t{1} << 32, "kernel beyond the cap");
   corrupt_scalar(5, 0, "zero stride");
   corrupt_scalar(6, 99, "padding >= kernel");
+}
+
+// --- module depth cap -------------------------------------------------------
+
+// A fanin-1 chain of `depth` MAT nodes over one leaf reading `feature`.
+RincModule chain_module(std::size_t depth, std::size_t feature) {
+  BitVector table(2);
+  table.set(1, true);
+  RincModule module = RincModule::make_leaf(Lut({feature}, std::move(table)));
+  for (std::size_t d = 0; d < depth; ++d) {
+    std::vector<RincModule> children;
+    children.push_back(std::move(module));
+    module = RincModule::make_internal(std::move(children), MatModule({1.0}));
+  }
+  return module;
+}
+
+// One class over P = 2 modules of the given levels. Both writers declare the
+// first module's level as the model's RINC levels.
+PoetBin two_module_model(std::size_t first_level, std::size_t second_level) {
+  PoetBinConfig config;
+  config.rinc.lut_inputs = 2;
+  config.n_classes = 1;
+  std::vector<RincModule> modules;
+  modules.push_back(chain_module(first_level, 0));
+  modules.push_back(chain_module(second_level, 1));
+  std::vector<SparseOutputNeuron> neurons(1);
+  neurons[0].input_modules = {0, 1};
+  neurons[0].weights.assign(2, 0.0f);
+  neurons[0].codes = {0, 1, 2, 3};
+  return PoetBin::from_parts(config, std::move(modules), std::move(neurons),
+                             QuantizerParams{});
+}
+
+// A 1 x 2 x 2 conv front end whose one channel module is `depth` deep,
+// feeding a two-module classifier.
+ConvModel conv_model_of_depth(std::size_t depth) {
+  RincConvConfig config;
+  config.out_channels = 1;
+  config.kernel = 1;
+  config.stride = 1;
+  config.padding = 0;
+  std::vector<RincModule> channels;
+  channels.push_back(chain_module(depth, 0));
+  ConvModel model;
+  model.conv = RincConvLayer::from_parts({1, 2, 2}, config, std::move(channels));
+  model.classifier = two_module_model(0, 0);
+  return model;
+}
+
+// Loads `path` (text or packed) and expects kCorruptSection.
+void expect_corrupt(const std::string& path) {
+  const IoResult<LoadedModel> loaded = read_model_file_any(path);
+  ASSERT_FALSE(loaded.ok()) << path;
+  EXPECT_EQ(loaded.error().kind, ModelIoError::Kind::kCorruptSection)
+      << loaded.error().message;
+}
+
+// A classifier tree one level deeper than the config declares is a typed
+// error in both formats; a shallower one still loads (the declared levels
+// cap the depth, they do not fix it).
+TEST(ModuleDepthCap, DenseTreeBeyondDeclaredLevelsIsCorruptSection) {
+  const std::string text = temp_path("deep_dense.txt");
+  const std::string packed = temp_path("deep_dense.pbm");
+  const PoetBin deep = two_module_model(1, 2);
+  ASSERT_TRUE(write_model_file(deep, text).ok());
+  ASSERT_TRUE(write_packed_model_file(deep, packed).ok());
+  expect_corrupt(text);
+  expect_corrupt(packed);
+
+  const PoetBin shallow = two_module_model(2, 1);
+  const BitMatrix features = testing::random_bits(70, 2, 5);
+  ASSERT_TRUE(write_model_file(shallow, text).ok());
+  ASSERT_TRUE(write_packed_model_file(shallow, packed).ok());
+  for (const std::string& path : {text, packed}) {
+    const IoResult<LoadedModel> loaded = read_model_file_any(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    EXPECT_EQ(loaded->model.predict_dataset(features),
+              shallow.predict_dataset(features));
+  }
+  std::remove(text.c_str());
+  std::remove(packed.c_str());
+}
+
+// Conv channel trees store no levels, so they take kMaxRincLevels.
+TEST(ModuleDepthCap, ConvTreeBeyondTheCapIsCorruptSection) {
+  const std::string text = temp_path("deep_conv.txt");
+  const std::string packed = temp_path("deep_conv.pbm");
+  const ConvModel deep = conv_model_of_depth(kMaxRincLevels + 1);
+  ASSERT_TRUE(write_conv_model_file(deep, text).ok());
+  ASSERT_TRUE(write_packed_conv_model_file(deep, packed).ok());
+  expect_corrupt(text);
+  expect_corrupt(packed);
+
+  const ConvModel capped = conv_model_of_depth(kMaxRincLevels);
+  ASSERT_TRUE(write_conv_model_file(capped, text).ok());
+  ASSERT_TRUE(write_packed_conv_model_file(capped, packed).ok());
+  for (const std::string& path : {text, packed}) {
+    const IoResult<LoadedModel> loaded = read_model_file_any(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    ASSERT_NE(loaded->conv, nullptr);
+    EXPECT_EQ(loaded->conv->channel_modules().front().level(),
+              kMaxRincLevels);
+  }
+  std::remove(text.c_str());
+  std::remove(packed.c_str());
+}
+
+// A hostile 20,000-deep module fails fast with a typed error instead of
+// recursing the text parser off the stack.
+TEST(ModuleDepthCap, TwentyThousandDeepTextFailsCleanly) {
+  std::string nested;
+  for (int i = 0; i < 20000; ++i) nested += "node 1 1.0\n";
+  nested += "leaf 1 0 01\n";
+  std::stringstream dense(
+      "poetbin-model v1\nconfig 1 1 1 1 1\nquantizer 1 0 1\nmodule 0\n" +
+      nested);
+  const IoResult<PoetBin> dense_result = read_model(dense);
+  ASSERT_FALSE(dense_result.ok());
+  EXPECT_EQ(dense_result.error().kind, ModelIoError::Kind::kCorruptSection);
+
+  std::stringstream conv(
+      "poetbin-conv-model v1\nconv 1 2 2 1 1 1 0\nchannel 0\n" + nested);
+  const IoResult<ConvModel> conv_result = read_conv_model(conv);
+  ASSERT_FALSE(conv_result.ok());
+  EXPECT_EQ(conv_result.error().kind, ModelIoError::Kind::kCorruptSection);
 }
 
 }  // namespace

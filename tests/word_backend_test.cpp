@@ -204,8 +204,10 @@ TEST(WordBackendOps, LutEvalBitIdenticalAcrossBackends) {
   BackendGuard guard;
   Rng rng(73);
   // Every arity up to 6 is its own unrolled subtree; 7 and up fold 64-entry
-  // subtrees through the level stack (12 is bench_model_load's leaf arity).
-  for (const std::size_t arity : {0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12}) {
+  // subtrees through the level stack (12 is bench_model_load's leaf arity;
+  // 16 and 20 are the packed leaf and MAT-fanin caps, the first to stack
+  // past depth 6 and to index table bytes at high subtree offsets).
+  for (const std::size_t arity : {0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20}) {
     for (const std::size_t n : kRaggedSizes) {
       const BitMatrix features = testing::random_bits(n, 32, rng.next_u64());
       const Lut lut = random_lut(arity, features.cols(), rng);

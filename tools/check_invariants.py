@@ -16,9 +16,11 @@ Rules (each with the incident that motivated it):
                          relaxed loads nobody dares touch.
   atomic-model-publish   Model artifacts (*.pbm) are pushed with the atomic
                          temp+rename writers / `mv`, never `cp`-in-place:
-                         overwriting a mapped packed model truncates the
-                         inode under the serving workers and SIGBUSes them
-                         (PR 7). Scans scripts, CI and docs.
+                         a reload racing an in-place copy reads a torn
+                         file, which a kFull load rejects by CRC but a
+                         kTrustChecksum load (what serving runs) catches
+                         only where the damage breaks the structure.
+                         Scans scripts, CI and docs.
   no-batched-shims       The removed `*_batched(..., n_threads)` shim
                          signatures never reappear — they constructed a
                          thread pool per call (PR 5's churn bug); callers
@@ -29,6 +31,13 @@ Rules (each with the incident that motivated it):
                          `PoetBin::predict_from_rinc_bits`. Each operation
                          has one production path; scalar oracles live in
                          tests/reference/.
+  no-splat-representation  The compact truth table is every LUT's only
+                         representation: `splat_words`, `WordStorage`,
+                         `word_storage.h`, `storage_keepalive` and
+                         `mmap(` never reappear in src/: the 64x splat
+                         copy of each table, the mmap views it was loaded
+                         through and their keepalives are gone, and the
+                         kernels read the compact bits.
   frame-payload-bound    Byte-size constants declared in the wire protocol
                          stay within kMaxFramePayload; a constant that
                          outgrows the frame cap would make the server
@@ -127,8 +136,8 @@ def check_memory_order_comment(root):
 # --- rule: atomic-model-publish ---------------------------------------------
 
 # A `cp` (or shutil.copy*) whose arguments mention a packed-model artifact.
-# Copying onto a mapped .pbm truncates the readers' inode; pushes must go
-# through the temp+rename writers or `mv`.
+# Copying onto a .pbm in place can hand a racing reload a torn file; pushes
+# must go through the temp+rename writers or `mv`.
 CP_PBM = re.compile(r"\bcp\b[^\n|&;]*\.pbm\b")
 SHUTIL_COPY_PBM = re.compile(r"shutil\.copy\w*\([^)]*\.pbm")
 
@@ -149,8 +158,8 @@ def check_atomic_model_publish(root):
                 violations.append(Violation(
                     "atomic-model-publish", relpath(root, path), i + 1,
                     "model artifact pushed with cp/copy — use the atomic "
-                    "temp+rename writers or `mv` (cp-in-place SIGBUSes "
-                    "workers mapping the old inode)"))
+                    "temp+rename writers or `mv` (cp-in-place hands a "
+                    "racing reload a torn file)"))
     return violations
 
 
@@ -193,6 +202,28 @@ def check_no_second_path_knobs(root):
                     f"'{match.group(0)}' selected a second production path "
                     "and was removed; keep one path per operation and put "
                     "scalar oracles in tests/reference/"))
+    return violations
+
+
+# --- rule: no-splat-representation ------------------------------------------
+
+SPLAT_REPRESENTATION = re.compile(r"splat_words|WordStorage|word_storage\.h|"
+                                  r"storage_keepalive|mmap\s*\(")
+
+
+def check_no_splat_representation(root):
+    violations = []
+    for path in iter_files(root, ["src"], CXX_EXTENSIONS):
+        for i, line in enumerate(read_lines(path)):
+            if allow_marker("no-splat-representation", line):
+                continue
+            match = SPLAT_REPRESENTATION.search(line)
+            if match:
+                violations.append(Violation(
+                    "no-splat-representation", relpath(root, path), i + 1,
+                    f"'{match.group(0)}' belongs to the removed second LUT "
+                    "representation; kernels read the compact truth table "
+                    "and models own their tables"))
     return violations
 
 
@@ -302,6 +333,7 @@ RULES = [
     check_atomic_model_publish,
     check_no_batched_shims,
     check_no_second_path_knobs,
+    check_no_splat_representation,
     check_frame_payload_bound,
     check_no_rand_time,
     check_tsan_supp_clean,
@@ -350,6 +382,8 @@ SELF_TEST_VIOLATIONS = [
      "std::size_t n_threads);\n"),
     ("no-second-path-knobs", "src/serve/bad_knob.h",
      "  bool fused_argmax = true;\n"),
+    ("no-splat-representation", "src/dt/bad_lut.h",
+     "  std::span<const std::uint64_t> splat_words() const;\n"),
     ("frame-payload-bound", "src/serve/protocol.h",
      CLEAN_PROTOCOL +
      "inline constexpr std::uint32_t kStatsPayloadBytes = 1u << 21;\n"),
