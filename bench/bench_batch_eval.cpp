@@ -10,9 +10,13 @@
 // regression diff covers all of them; the unsuffixed keys are the default
 // backend, matching older artifacts. The fused output-layer argmax
 // (predict_dataset_batched) is benchmarked against the scalar
-// predict_dataset on a 10-class model, and the serving section times
-// MicroBatcher predict_one traffic (window 64) against the scalar
-// one-example-at-a-time loop (gate: >= 5x at P=6, serve_microbatch_* rows).
+// predict_dataset on a 10-class model. The per-example section times 4096
+// single PoetBin::predict calls (the compiled gather program) against the
+// per-bit scalar walk in tests/reference on the served M1 RINC-1 shape and
+// the paper's M1 RINC-2 shape (predict_one_* rows). The serving section
+// times MicroBatcher predict_one traffic (window 64) against the per-bit
+// walk run one example at a time (gate: >= 5x at P=6, serve_microbatch_*
+// rows).
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -24,6 +28,7 @@
 #include "core/rinc.h"
 #include "dt/lut.h"
 #include "nn/quantize.h"
+#include "reference/scalar_reference.h"
 #include "serve/micro_batcher.h"
 #include "serve/runtime.h"
 #include "util/bit_matrix.h"
@@ -72,17 +77,31 @@ RincModule random_rinc(std::size_t level, std::size_t fanin,
   return RincModule::make_internal(std::move(children), MatModule(alphas));
 }
 
-// 10-class PoET-BiN with random RINC-1 modules and random quantized codes:
-// realistic output-layer shape for the fused argmax without a full training
-// run.
-PoetBin random_model(std::size_t p, std::size_t n_features, Rng& rng) {
+// The paper's M1 module (Table 1): a RINC-2 over 32 P-input leaves, four
+// RINC-1 subgroups of 8 under one MAT.
+RincModule paper_rinc2(std::size_t p, std::size_t n_features, Rng& rng) {
+  std::vector<RincModule> groups;
+  for (std::size_t g = 0; g < 4; ++g) {
+    groups.push_back(random_rinc(1, 8, p, n_features, rng));
+  }
+  std::vector<double> alphas(groups.size());
+  for (auto& alpha : alphas) alpha = rng.next_double() + 0.1;
+  return RincModule::make_internal(std::move(groups), MatModule(alphas));
+}
+
+// 10-class PoET-BiN with random RINC-1 modules (or the paper's RINC-2) and
+// random quantized codes: realistic output-layer shape for the fused
+// argmax without a full training run.
+PoetBin random_model(std::size_t p, std::size_t n_features, Rng& rng,
+                     bool rinc2 = false) {
   PoetBinConfig config;
   config.rinc.lut_inputs = p;
   config.n_classes = 10;
   const std::size_t n_modules = config.n_classes * p;
   std::vector<RincModule> modules;
   for (std::size_t m = 0; m < n_modules; ++m) {
-    modules.push_back(random_rinc(1, p, p, n_features, rng));
+    modules.push_back(rinc2 ? paper_rinc2(p, n_features, rng)
+                            : random_rinc(1, p, p, n_features, rng));
   }
   const QuantizerParams quantizer;  // 8-bit codes
   const std::size_t n_combos = std::size_t{1} << p;
@@ -255,12 +274,66 @@ int main() {
     std::printf("\n");
   }
 
+  // --- Per-example predict: the gather program vs the per-bit walk ----------
+  // 4096 single predict calls on the served M1 shape (P = 8, RINC-1
+  // modules of 8 leaves, 512 input bits) and on the paper's M1 RINC-2 (32
+  // leaves in four subgroups). Every answer must match the walk.
+  {
+    constexpr std::size_t kSingles = 4096;
+    const BitMatrix single_bits = random_bits(kSingles, n_features, 4321);
+    std::vector<BitVector> rows;
+    rows.reserve(kSingles);
+    for (std::size_t i = 0; i < kSingles; ++i) {
+      rows.push_back(single_bits.row(i));
+    }
+    for (const bool rinc2 : {false, true}) {
+      const char* shape = rinc2 ? "m1_rinc2" : "m1_rinc1";
+      const PoetBin model = random_model(8, n_features, rng, rinc2);
+      std::printf("PoET-BiN single predict, %s, %zu calls:\n", shape,
+                  kSingles);
+      std::vector<int> walk_pred(kSingles), gather_pred(kSingles);
+      const double walk_s = time_best_of(3, [&] {
+        for (std::size_t i = 0; i < kSingles; ++i) {
+          walk_pred[i] = reference::predict_walk(model, rows[i]);
+        }
+      });
+      report("per-bit walk (reference)", walk_s, kSingles, walk_s);
+      char key[64], label[64];
+      std::snprintf(key, sizeof key, "predict_one_%s_walk_ms", shape);
+      json.add(key, 1e3 * walk_s);
+      for (const auto backend : backends) {
+        set_word_backend(backend);
+        const double gather_s = time_best_of(5, [&] {
+          for (std::size_t i = 0; i < kSingles; ++i) {
+            gather_pred[i] = model.predict(rows[i]);
+          }
+        });
+        if (gather_pred != walk_pred) {
+          std::printf("  ERROR: gather predict (%s) disagrees with the walk\n",
+                      word_backend_name(backend));
+          return 1;
+        }
+        std::snprintf(label, sizeof label, "gather predict (%s)",
+                      word_backend_name(backend));
+        report(label, gather_s, kSingles, walk_s);
+        std::snprintf(key, sizeof key, "predict_one_%s_gather_%s_ms", shape,
+                      word_backend_name(backend));
+        json.add(key, 1e3 * gather_s);
+        if (backend == default_backend) {
+          std::snprintf(key, sizeof key, "predict_one_%s_gather_ms", shape);
+          json.add(key, 1e3 * gather_s);
+        }
+      }
+      set_word_backend(default_backend);
+      std::printf("\n");
+    }
+  }
+
   // --- Serving: micro-batched predict_one vs one example at a time ----------
-  // The MicroBatcher packs single-example requests into 64-wide windows and
-  // dispatches each window as one fused bitsliced pass on the Runtime's
-  // persistent engine (single thread here, so the row isolates the
-  // batching win, not thread parallelism). Gate: >= 5x the scalar
-  // one-example-at-a-time loop at P=6, window 64.
+  // The MicroBatcher collects single-example requests into 64-wide windows
+  // and answers each window's rows with the compiled gather program
+  // (single engine thread). Gate: >= 5x the per-bit scalar walk run one
+  // example at a time at P=6, window 64.
   for (const std::size_t p : {std::size_t{6}, std::size_t{8}}) {
     const PoetBin model = random_model(p, n_features, rng);
     std::printf("PoET-BiN serving, 10 classes, P=%zu, window 64:\n", p);
@@ -272,10 +345,10 @@ int main() {
     std::vector<int> single_pred(n_examples), served_pred(n_examples);
     const double single_s = time_best_of(3, [&] {
       for (std::size_t i = 0; i < n_examples; ++i) {
-        single_pred[i] = model.predict(rows[i]);
+        single_pred[i] = reference::predict_walk(model, rows[i]);
       }
     });
-    report("one example at a time", single_s, n_examples, single_s);
+    report("per-bit walk, one at a time", single_s, n_examples, single_s);
 
     const Runtime runtime(model, {.threads = 1});
     const double serve_s = time_best_of(5, [&] {
@@ -291,7 +364,7 @@ int main() {
       }
     });
     if (served_pred != single_pred) {
-      std::printf("  ERROR: micro-batched serving disagrees with scalar\n");
+      std::printf("  ERROR: micro-batched serving disagrees with the walk\n");
       return 1;
     }
     report("micro-batched (window 64, 1t)", serve_s, n_examples, single_s);

@@ -1,22 +1,23 @@
-// Network serving: micro-batched NetServer vs the naive one-request-per-
-// dispatch server, over real loopback TCP with zipf-skewed pipelined
-// clients.
+// Network serving: the micro-batched NetServer over real loopback TCP with
+// zipf-skewed pipelined clients.
 //
 // The workload is the serving shape the front end was built for: 8 client
 // threads, each pipelining bursts of 16 predict requests over its own
 // connection against one single-threaded worker with a 64-wide micro-batch
-// window. Every response is checked bit for bit against the scalar
-// PoetBin::predict of the requested key, so the row doubles as an e2e
-// bit-identity test under concurrency.
+// window. Every response is checked bit for bit against the per-bit
+// scalar walk (tests/reference) of the requested key, so the row doubles
+// as an e2e bit-identity test under concurrency.
 //
-// Acceptance (gated only at POETBIN_BENCH_SCALE >= 1): micro-batched
-// throughput >= 3x the naive server on the same workload. Bit-identity is
-// a hard failure at any scale.
+// Acceptance (gated only at POETBIN_BENCH_SCALE >= 1): windowed uncached
+// throughput at least the lowest of five runs of the commit before
+// per-example gather evaluation (kBaselineMinKqps, measured on a 4-vCPU
+// AVX-512 Xeon alternating with this code). Bit-identity is a hard
+// failure at any scale.
 //
-// Three rows run: naive, micro-batch with the prediction cache OFF — the
-// gated pair, so the 3x target keeps measuring the uncached dispatch path —
-// and micro-batch with the cache ON (informational here; the dedicated
-// cache sweep with its own acceptance lives in bench_serve_cache).
+// Two rows run: the prediction cache OFF — the gated row, so the target
+// keeps measuring the uncached dispatch path — and the cache ON
+// (informational here; the dedicated cache sweep with its own acceptance
+// lives in bench_serve_cache).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -27,6 +28,7 @@
 #include "core/poetbin.h"
 #include "core/rinc.h"
 #include "dt/lut.h"
+#include "reference/scalar_reference.h"
 #include "serve/net_client.h"
 #include "serve/net_server.h"
 #include "serve/runtime.h"
@@ -43,6 +45,10 @@ constexpr std::size_t kClientThreads = 8;
 constexpr std::size_t kPipelineDepth = 16;
 constexpr std::size_t kKeySpace = 1024;
 constexpr double kZipfTheta = 0.99;
+// Windowed uncached kqps of the commit before per-example gather
+// evaluation: the lowest of five runs alternating with this code on a
+// 4-vCPU AVX-512 Xeon (runs 375, 411, 408, 392, 450 kqps; median 408).
+constexpr double kBaselineMinKqps = 374.8;
 
 Lut random_lut(std::size_t arity, std::size_t n_features, Rng& rng) {
   std::vector<std::size_t> inputs(arity);
@@ -114,15 +120,14 @@ double percentile(std::vector<double>& sorted, double q) {
   return sorted[at];
 }
 
-// Runs one server mode to completion and measures it. The key pool and the
-// expected scalar predictions are shared, read-only.
+// Runs one server configuration to completion and measures it. The key
+// pool and the expected scalar predictions are shared, read-only.
 ModeResult run_mode(const PoetBin& model, const std::vector<BitVector>& pool,
-                    const std::vector<int>& expected, bool micro_batch,
-                    std::size_t cache_bytes, std::size_t bursts_per_thread) {
+                    const std::vector<int>& expected, std::size_t cache_bytes,
+                    std::size_t bursts_per_thread) {
   Runtime runtime(model, {.threads = 1, .cache_bytes = cache_bytes});
   NetServer server(runtime,
                    {.port = 0,
-                    .micro_batch = micro_batch,
                     .max_batch = 64,
                     .max_wait = std::chrono::microseconds(200)});
   std::string error;
@@ -205,9 +210,9 @@ void report(const char* label, const ModeResult& r) {
 
 int main() {
   bench::print_header(
-      "Network serving: micro-batched TCP front end vs naive dispatch",
+      "Network serving: micro-batched TCP front end",
       "8 pipelined clients (depth 16, zipf 0.99) on loopback; acceptance: "
-      "micro-batch >= 3x naive throughput");
+      "uncached kqps >= the pre-gather commit's lowest of five runs");
   bench::JsonResults json("serve_net");
 
   Rng rng(20260807);
@@ -228,7 +233,7 @@ int main() {
   }
   std::vector<int> expected(kKeySpace);
   for (std::size_t k = 0; k < kKeySpace; ++k) {
-    expected[k] = model.predict(pool[k]);
+    expected[k] = reference::predict_walk(model, pool[k]);
   }
 
   const std::size_t bursts_per_thread = std::max(
@@ -239,48 +244,36 @@ int main() {
               p, n_features, kKeySpace, kClientThreads, bursts_per_thread,
               kPipelineDepth);
 
-  const ModeResult naive =
-      run_mode(model, pool, expected, /*micro_batch=*/false,
-               /*cache_bytes=*/0, bursts_per_thread);
-  report("naive dispatch", naive);
-  const ModeResult micro =
-      run_mode(model, pool, expected, /*micro_batch=*/true,
-               /*cache_bytes=*/0, bursts_per_thread);
+  const ModeResult micro = run_mode(model, pool, expected,
+                                    /*cache_bytes=*/0, bursts_per_thread);
   report("micro-batch (window 64)", micro);
-  const ModeResult cached =
-      run_mode(model, pool, expected, /*micro_batch=*/true,
-               /*cache_bytes=*/8u << 20, bursts_per_thread);
+  const ModeResult cached = run_mode(model, pool, expected,
+                                     /*cache_bytes=*/8u << 20,
+                                     bursts_per_thread);
   report("micro-batch + cache", cached);
 
-  bool pass = true;
-  if (naive.requests == 0 || micro.requests == 0 || cached.requests == 0 ||
-      naive.transport_errors > 0 || micro.transport_errors > 0 ||
-      cached.transport_errors > 0) {
-    std::printf("  ERROR: transport failures (naive %zu, micro %zu, "
-                "cached %zu)\n",
-                naive.transport_errors, micro.transport_errors,
-                cached.transport_errors);
+  if (micro.requests == 0 || cached.requests == 0 ||
+      micro.transport_errors > 0 || cached.transport_errors > 0) {
+    std::printf("  ERROR: transport failures (micro %zu, cached %zu)\n",
+                micro.transport_errors, cached.transport_errors);
     return 1;
   }
-  if (naive.mismatches > 0 || micro.mismatches > 0 || cached.mismatches > 0) {
-    std::printf("  ERROR: served predictions disagree with scalar predict "
-                "(naive %zu, micro %zu, cached %zu)\n",
-                naive.mismatches, micro.mismatches, cached.mismatches);
+  if (micro.mismatches > 0 || cached.mismatches > 0) {
+    std::printf("  ERROR: served predictions disagree with the scalar walk "
+                "(micro %zu, cached %zu)\n",
+                micro.mismatches, cached.mismatches);
     return 1;
   }
 
-  const double naive_rps = static_cast<double>(naive.requests) / naive.seconds;
   const double micro_rps = static_cast<double>(micro.requests) / micro.seconds;
   const double cached_rps =
       static_cast<double>(cached.requests) / cached.seconds;
-  const double speedup = micro_rps / naive_rps;
-  std::printf("  -> micro-batch vs naive throughput: %.2fx (target 3x)\n",
-              speedup);
+  std::printf("  -> uncached %.0f kqps vs baseline floor %.0f kqps\n",
+              micro_rps / 1e3, kBaselineMinKqps);
   std::printf("  -> cache on vs off: %.2fx (hit rate %.1f%%, informational)\n",
               cached_rps / micro_rps, 100.0 * cached.stats.cache_hit_rate());
-  if (speedup < 3.0) pass = false;
+  const bool pass = micro_rps / 1e3 >= kBaselineMinKqps;
 
-  json.add("serve_net_naive_kqps", naive_rps / 1e3);
   json.add("serve_net_micro_kqps", micro_rps / 1e3);
   json.add("serve_net_micro_cached_kqps", cached_rps / 1e3);
   json.add("serve_net_cache_hit_rate", cached.stats.cache_hit_rate());
@@ -288,9 +281,6 @@ int main() {
   json.add("serve_net_micro_p50_ms", micro.p50_ms);
   json.add("serve_net_micro_p99_ms", micro.p99_ms);
   json.add("serve_net_micro_p999_ms", micro.p999_ms);
-  json.add("serve_net_naive_p50_ms", naive.p50_ms);
-  json.add("serve_net_naive_p999_ms", naive.p999_ms);
-  json.add("serve_net_speedup_vs_naive", speedup);
   json.add("serve_net_micro_mean_fill", micro.stats.mean_window_fill());
   json.add("acceptance_pass", pass ? 1.0 : 0.0);
 
@@ -299,7 +289,7 @@ int main() {
                 pass ? "above" : "below");
     return 0;
   }
-  std::printf("acceptance (micro-batch >= 3x naive): %s\n",
+  std::printf("acceptance (uncached kqps >= baseline floor): %s\n",
               pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

@@ -103,21 +103,11 @@ PoetBin PoetBin::from_parts(PoetBinConfig config,
   model.modules_ = std::move(modules);
   model.output_ = std::move(output_neurons);
   model.quantizer_ = quantizer;
-  model.rebuild_code_planes();
+  model.compile();
   return model;
 }
 
-std::size_t PoetBin::n_features() const {
-  std::size_t n_features = 0;
-  for (const auto& module : modules_) {
-    for (const auto f : module.distinct_features()) {
-      n_features = std::max(n_features, f + 1);
-    }
-  }
-  return n_features;
-}
-
-void PoetBin::rebuild_code_planes() {
+void PoetBin::compile() {
   const std::size_t n_combos = std::size_t{1} << config_.rinc.lut_inputs;
   std::uint32_t max_code = 1;
   for (const auto& neuron : output_) {
@@ -135,6 +125,7 @@ void PoetBin::rebuild_code_planes() {
       }
     }
   }
+  program_ = GatherProgram::compile(modules_, output_);
 }
 
 BitMatrix PoetBin::rinc_outputs(const BitMatrix& features) const {
@@ -372,31 +363,15 @@ void PoetBin::retrain_output_layer(const BitMatrix& rinc_bits,
       output_[c].codes[combo] = quantize_value(activations(c, combo), quantizer_);
     }
   }
-  // The fused argmax reads the precomputed planes; keep them in sync with
-  // the fresh codes.
-  rebuild_code_planes();
+  // The fused argmax and predict read derived copies of the codes; keep
+  // them in sync.
+  compile();
 }
 
 int PoetBin::predict(const BitVector& example_bits) const {
-  std::size_t best_class = 0;
-  std::uint32_t best_code = 0;
-  for (std::size_t c = 0; c < output_.size(); ++c) {
-    const SparseOutputNeuron& neuron = output_[c];
-    std::size_t combo = 0;
-    for (std::size_t j = 0; j < neuron.input_modules.size(); ++j) {
-      if (modules_[neuron.input_modules[j]].eval(example_bits)) {
-        combo |= std::size_t{1} << j;
-      }
-    }
-    const std::uint32_t code = neuron.codes[combo];
-    // Ties resolve to the lower class index, same rule as the comparator
-    // tree the hardware would instantiate.
-    if (c == 0 || code > best_code) {
-      best_code = code;
-      best_class = c;
-    }
-  }
-  return static_cast<int>(best_class);
+  POETBIN_CHECK_MSG(example_bits.size() >= n_features(),
+                    "example narrower than the model's feature width");
+  return program_.predict(example_bits);
 }
 
 std::vector<int> PoetBin::predict_dataset(const BitMatrix& features) const {

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/gather_program.h"
 #include "core/rinc.h"
 #include "nn/quantize.h"
 #include "util/aligned_vector.h"
@@ -98,7 +99,8 @@ class PoetBin {
   // Input feature width the model serves: highest referenced feature
   // index + 1 (the model stores wiring, not a width — this is the single
   // derivation rule the netlist exporter and the network server share).
-  std::size_t n_features() const;
+  // Computed once by the compile step.
+  std::size_t n_features() const { return program_.n_features(); }
 
   // Output-layer code bit-planes, precomputed for the fused argmax: plane
   // `q` of neuron `c` is the compact 2^P-entry truth table of bit q of c's
@@ -116,6 +118,12 @@ class PoetBin {
   // Intermediate bits produced by the RINC bank (n x nc*P).
   BitMatrix rinc_outputs(const BitMatrix& features) const;
 
+  // One example's class: runs the gather program compiled from this
+  // model (core/gather_program.h) — per RINC level one address gather and
+  // one table read per LUT, then the output-layer argmax (ties to the
+  // lower class). Checks example_bits.size() >= n_features() once; bits
+  // past n_features() are ignored. Bit-identical to the per-bit scalar
+  // walk in tests/reference.
   int predict(const BitVector& example_bits) const;
   // The scalar dataset path: rinc_outputs, then the output-layer argmax per
   // example. The fused word pass must match it bit for bit.
@@ -158,9 +166,11 @@ class PoetBin {
                             const BatchEngine* engine = nullptr);
 
  private:
-  // Recomputes code_planes_/n_code_planes_ from the current codes. Called
+  // Rebuilds what is derived from the modules and the output layer: the
+  // code planes the fused argmax reads and the gather program predict
+  // runs (which also fixes n_features()). Called by from_parts and
   // whenever the output layer changes.
-  void rebuild_code_planes();
+  void compile();
   std::size_t code_plane_words() const {
     return BitVector::words_needed(std::size_t{1} << lut_inputs());
   }
@@ -171,6 +181,7 @@ class PoetBin {
   QuantizerParams quantizer_;              // shared scale -> comparable codes
   WordVec code_planes_;  // nc x n_planes compact 2^P-bit tables
   std::size_t n_code_planes_ = 0;
+  GatherProgram program_;
 };
 
 }  // namespace poetbin

@@ -151,15 +151,6 @@ const Lut& RincModule::mat_lut() const {
   return mat_lut_;
 }
 
-bool RincModule::eval(const BitVector& example_bits) const {
-  if (is_leaf()) return leaf_.eval(example_bits);
-  std::size_t combo = 0;
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (children_[i].eval(example_bits)) combo |= std::size_t{1} << i;
-  }
-  return mat_lut_.lookup(combo);
-}
-
 BitVector RincModule::eval_dataset(const BitMatrix& features) const {
   if (is_leaf()) return leaf_.eval_dataset(features);
   const std::size_t n = features.rows();

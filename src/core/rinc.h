@@ -77,7 +77,6 @@ class RincModule {
   const Lut& mat_lut() const;           // MAT encoded as a LUT (level >= 1)
   const std::vector<RincModule>& children() const { return children_; }
 
-  bool eval(const BitVector& example_bits) const;
   BitVector eval_dataset(const BitMatrix& features) const;
 
   // Bitsliced dataset pass (64 examples per word op, the whole hierarchy

@@ -12,15 +12,6 @@ Lut::Lut(std::vector<std::size_t> inputs, BitVector table)
   POETBIN_CHECK(table_.size() == (std::size_t{1} << inputs_.size()));
 }
 
-std::size_t Lut::address_of(const BitVector& example_bits) const {
-  std::size_t address = 0;
-  for (std::size_t j = 0; j < inputs_.size(); ++j) {
-    POETBIN_CHECK(inputs_[j] < example_bits.size());
-    if (example_bits.get(inputs_[j])) address |= std::size_t{1} << j;
-  }
-  return address;
-}
-
 BitVector Lut::eval_dataset(const BitMatrix& features) const {
   const std::size_t n = features.rows();
   BitVector out(n);

@@ -32,12 +32,6 @@ class Lut {
 
   bool lookup(std::size_t address) const { return table_.get(address); }
 
-  // Address of one example's row bits (size = full feature count).
-  std::size_t address_of(const BitVector& example_bits) const;
-  bool eval(const BitVector& example_bits) const {
-    return lookup(address_of(example_bits));
-  }
-
   // Evaluates all rows of a feature-major dataset in one pass per input.
   BitVector eval_dataset(const BitMatrix& features) const;
 

@@ -43,18 +43,52 @@ bool MicroBatcher::try_close(const std::shared_ptr<Batch>& batch) {
 void MicroBatcher::dispatch(const std::shared_ptr<Batch>& batch,
                             bool timed_out) {
   // The batch is exclusively owned by its dispatcher once try_close
-  // succeeded, so packing needs no lock — only the word pass serializes,
-  // letting window N+1 pack while window N's predict is still in flight.
+  // succeeded, so it is evaluated without holding mu_. Pin the version
+  // here so cache inserts below tag results with the version that
+  // actually computed them, not whatever is current by insert time.
   const std::size_t k = batch->examples.size();
-  const std::size_t n_features = batch->examples[0]->size();
+  const Runtime::Snapshot snap = runtime_->snapshot();
+  std::vector<int> predictions(k);
+  if (!snap->is_conv()) {
+    // Dense: each row runs the model's compiled gather program on its own
+    // bits — no packing, no engine, so windows need not serialize.
+    for (std::size_t i = 0; i < k; ++i) {
+      predictions[i] = snap->model.predict(*batch->examples[i]);
+    }
+  } else {
+    predictions = predict_conv_window(snap, batch->examples);
+  }
+  if (PredictCache* cache = runtime_->cache()) {
+    for (std::size_t i = 0; i < k; ++i) {
+      cache->insert(PredictCache::make_key(*batch->examples[i]),
+                    predictions[i], snap->version);
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    batch->results = std::move(predictions);
+    batch->done = true;
+    stats_.record_window(batch->examples.size(), options_.max_batch, timed_out);
+    stats_.requests += batch->examples.size();
+  }
+  batch->cv.notify_all();
+}
+
+std::vector<int> MicroBatcher::predict_conv_window(
+    const Runtime::Snapshot& snap,
+    const std::vector<const BitVector*>& examples) {
+  // Conv frames carry out_h x out_w positions each, so the window keeps
+  // the packed conv pass: scatter each frame's set bits into the
+  // feature-major columns (the per-row word/bit split supports windows
+  // wider than 64).
+  const std::size_t k = examples.size();
+  const std::size_t n_features = examples[0]->size();
   BitMatrix packed(k, n_features);
   for (std::size_t i = 0; i < k; ++i) {
-    const BitVector& example = *batch->examples[i];
+    const BitVector& example = *examples[i];
     POETBIN_CHECK_MSG(example.size() == n_features,
                       "all examples in a micro-batch must have the same "
                       "feature count");
-    // Scatter the example's set bits into the feature-major columns; the
-    // per-row word/bit split supports windows wider than 64.
     const std::uint64_t row_bit = 1ULL << (i & 63);
     const std::size_t row_word = i >> 6;
     const std::uint64_t* words = example.words();
@@ -72,31 +106,10 @@ void MicroBatcher::dispatch(const std::shared_ptr<Batch>& batch,
       }
     }
   }
-  std::vector<int> predictions;
-  Runtime::Snapshot snap;
-  {
-    // One fused pass at a time: the Runtime's engine is not re-entrant, and
-    // a second window can close while the first is still in flight. Pin the
-    // version here so cache inserts below tag results with the version that
-    // actually computed them, not whatever is current by insert time.
-    std::lock_guard<std::mutex> dispatch_lock(dispatch_mu_);
-    snap = runtime_->snapshot();
-    predictions = runtime_->predict_snapshot(snap, packed);
-  }
-  if (PredictCache* cache = runtime_->cache()) {
-    for (std::size_t i = 0; i < k; ++i) {
-      cache->insert(PredictCache::make_key(*batch->examples[i]),
-                    predictions[i], snap->version);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    batch->results = std::move(predictions);
-    batch->done = true;
-    stats_.record_window(batch->examples.size(), options_.max_batch, timed_out);
-    stats_.requests += batch->examples.size();
-  }
-  batch->cv.notify_all();
+  // One engine pass at a time: the Runtime's engine is not re-entrant, and
+  // a second window can close while the first is still in flight.
+  std::lock_guard<std::mutex> dispatch_lock(dispatch_mu_);
+  return runtime_->predict_snapshot(snap, packed);
 }
 
 int MicroBatcher::await(const std::shared_ptr<Batch>& batch, std::size_t index,

@@ -1,11 +1,17 @@
 // Micro-batching front end for concurrent single-example serving.
 //
-// The word engine evaluates 64 examples per word op, but a serving endpoint
-// receives requests one example at a time. A MicroBatcher turns the
-// offline-only batch advantage into a concurrent-serving primitive: it
-// packs in-flight predict_one requests into one bitsliced BitMatrix and
-// dispatches them through the wrapped Runtime as a single fused-argmax
-// pass, bit-identical to calling PoetBin::predict on each example.
+// A MicroBatcher collects in-flight predict_one requests into windows and
+// answers each window in one dispatch. For a dense model the dispatch runs
+// every row through the model's compiled gather program
+// (PoetBin::predict, core/gather_program.h), about a microsecond a row.
+// For a conv model it packs the window into one bitsliced BitMatrix and
+// runs it through the wrapped Runtime as a single predict_snapshot pass.
+// Either way the answers are bit-identical to the per-bit scalar walk.
+//
+// Dense models keep the window for what it batches around the evaluation:
+// a NetServer connection submits a whole read's frames, waits once and
+// answers them in one write, so under open-loop traffic a window turns
+// many requests into one wake-up and one syscall pair.
 //
 // Two entry points share one open batch window:
 //
@@ -23,16 +29,17 @@
 //
 // Lifetime: the caller's example bits must stay alive until the request's
 // result is returned (predict_one) or Ticket::get() completes — the
-// batcher stores pointers, not copies. Dispatches are serialized on an
-// internal mutex (the Runtime's engine is not re-entrant), so the batcher
-// may be shared freely across producer threads.
+// batcher stores pointers, not copies. Conv dispatches are serialized on
+// an internal mutex (the Runtime's engine is not re-entrant); dense ones
+// need no engine. The batcher may be shared freely across producer
+// threads.
 //
 // Prediction cache: when the Runtime has one (RuntimeOptions::cache_bytes),
 // both entry points probe it BEFORE joining a window — a hit skips the
 // window entirely (predict_one returns immediately; submit hands back an
 // already-resolved Ticket) — and a dispatched window inserts its results
 // tagged with the model version that computed them. Hits are bit-identical
-// to the fused pass by the cache's epoch-invalidation contract
+// to a dispatch by the cache's epoch-invalidation contract
 // (serve/predict_cache.h). stats() folds the cache's counters into its
 // snapshot, so one read tells the whole serving story.
 #pragma once
@@ -53,8 +60,9 @@
 namespace poetbin {
 
 struct MicroBatcherOptions {
-  // Window size in examples. 64 fills exactly one word of the bitsliced
-  // pass; larger windows trade latency for fewer dispatches.
+  // Window size in examples. 64 fills exactly one word of a conv
+  // window's bitsliced pass; larger windows trade latency for fewer
+  // dispatches.
   std::size_t max_batch = 64;
   // How long a blocking request may wait for the window to fill before the
   // partial batch is dispatched anyway. 0 = dispatch immediately (blocking
@@ -116,10 +124,15 @@ class MicroBatcher {
   // Marks `batch` closed and detaches it from the open slot. Returns true
   // when the caller claimed the (single) dispatch. Requires mu_.
   bool try_close(const std::shared_ptr<Batch>& batch);
-  // Packs, predicts and publishes results for a closed batch. `timed_out`
-  // marks a leader-timeout dispatch (a partial window that went out because
-  // its oldest blocking request ran out of max_wait) for the stats.
+  // Predicts and publishes results for a closed batch. `timed_out` marks a
+  // leader-timeout dispatch (a partial window that went out because its
+  // oldest blocking request ran out of max_wait) for the stats.
   void dispatch(const std::shared_ptr<Batch>& batch, bool timed_out = false);
+  // A conv version's window: packed into a BitMatrix and run as one
+  // predict_snapshot pass, serialized on dispatch_mu_.
+  std::vector<int> predict_conv_window(
+      const Runtime::Snapshot& snap,
+      const std::vector<const BitVector*>& examples);
   // Blocks until `batch` is done, dispatching it on timeout if nobody else
   // has. Returns the result at `index`.
   int await(const std::shared_ptr<Batch>& batch, std::size_t index,
@@ -133,7 +146,7 @@ class MicroBatcher {
   MicroBatcherOptions options_;
 
   mutable std::mutex mu_;   // guards open_, batch states and the stats
-  std::mutex dispatch_mu_;  // serializes Runtime::predict calls
+  std::mutex dispatch_mu_;  // serializes conv windows' engine passes
   std::shared_ptr<Batch> open_;
   ServeStats stats_;
   // Requests answered straight from the cache — kept out of mu_ so the

@@ -113,13 +113,10 @@ NetServer::NetServer(Runtime& runtime, NetServerOptions options)
       // The snapshot's n_features() is the wire width: the frame size for
       // conv models, the classifier's feature count for dense ones.
       n_features_(options.n_features != 0 ? options.n_features
-                                          : runtime.snapshot()->n_features()) {
+                                          : runtime.snapshot()->n_features()),
+      batcher_(runtime, MicroBatcherOptions{.max_batch = options.max_batch,
+                                            .max_wait = options.max_wait}) {
   POETBIN_CHECK_MSG(n_features_ > 0, "served model references no features");
-  if (options_.micro_batch) {
-    batcher_ = std::make_unique<MicroBatcher>(
-        runtime, MicroBatcherOptions{.max_batch = options_.max_batch,
-                                     .max_wait = options_.max_wait});
-  }
 }
 
 NetServer::~NetServer() { stop(); }
@@ -158,18 +155,8 @@ ServeStats NetServer::stats() const {
     std::lock_guard<std::mutex> lock(conn_mu_);
     merged = net_stats_;
   }
-  if (batcher_ != nullptr) {
-    // The batcher's snapshot already folds in the Runtime cache's counters.
-    merged.merge(batcher_->stats());
-  } else if (const PredictCache* cache = runtime_->cache()) {
-    // Naive mode probes the cache through Runtime::predict_one.
-    const PredictCacheStats c = cache->stats();
-    merged.cache_hits += c.hits;
-    merged.cache_misses += c.misses;
-    merged.cache_inserts += c.inserts;
-    merged.cache_evictions += c.evictions;
-    merged.cache_stale += c.stale;
-  }
+  // The batcher's snapshot already folds in the Runtime cache's counters.
+  merged.merge(batcher_.stats());
   return merged;
 }
 
@@ -263,22 +250,19 @@ void NetServer::handle_connection(int fd) {
       // Submit the round's predictions; slots is stable from here on.
       tickets.clear();
       ticket_slot.clear();
-      if (batcher_ != nullptr) {
-        for (std::size_t s = 0; s < slots.size(); ++s) {
-          if (slots[s].rejected ||
-              slots[s].request.type != wire::MsgType::kPredict) {
-            continue;
-          }
-          tickets.push_back(batcher_->submit(slots[s].request.bits));
-          ticket_slot.push_back(static_cast<int>(s));
+      for (std::size_t s = 0; s < slots.size(); ++s) {
+        if (slots[s].rejected ||
+            slots[s].request.type != wire::MsgType::kPredict) {
+          continue;
         }
+        tickets.push_back(batcher_.submit(slots[s].request.bits));
+        ticket_slot.push_back(static_cast<int>(s));
       }
 
       // Build the responses in frame order and ship them in one write.
       out.clear();
       std::size_t next_ticket = 0;
       std::size_t round_errors = 0;
-      std::uint64_t naive_requests = 0;
       for (std::size_t s = 0; s < slots.size(); ++s) {
         Slot& slot = slots[s];
         if (slot.rejected) {
@@ -288,15 +272,9 @@ void NetServer::handle_connection(int fd) {
         }
         switch (slot.request.type) {
           case wire::MsgType::kPredict: {
-            int prediction = 0;
-            if (batcher_ != nullptr) {
-              POETBIN_CHECK(next_ticket < tickets.size() &&
-                            ticket_slot[next_ticket] == static_cast<int>(s));
-              prediction = tickets[next_ticket++].get();
-            } else {
-              prediction = runtime_->predict_one(slot.request.bits);
-              ++naive_requests;
-            }
+            POETBIN_CHECK(next_ticket < tickets.size() &&
+                          ticket_slot[next_ticket] == static_cast<int>(s));
+            const int prediction = tickets[next_ticket++].get();
             wire::encode_predict_response(
                 wire::Status::kOk, static_cast<std::uint16_t>(prediction),
                 &out);
@@ -353,10 +331,9 @@ void NetServer::handle_connection(int fd) {
           }
         }
       }
-      if (round_errors > 0 || naive_requests > 0) {
+      if (round_errors > 0) {
         std::lock_guard<std::mutex> lock(conn_mu_);
         net_stats_.errors += round_errors;
-        net_stats_.requests += naive_requests;
       }
       if (!out.empty() &&
           !send_all(fd, out.data(), out.size(),
@@ -589,9 +566,9 @@ int run_sharded_server(const std::string& model_path,
     for (const pid_t pid : pids) ::waitpid(pid, nullptr, 0);
     return 1;
   }
-  std::printf("serving %s on %s:%u with %zu worker(s) [%s]\n",
+  std::printf("serving %s on %s:%u with %zu worker(s)\n",
               model_path.c_str(), server_opts.host.c_str(), server_opts.port,
-              workers, server_opts.micro_batch ? "micro-batch" : "naive");
+              workers);
   std::fflush(stdout);
 
   int exit_code = 0;

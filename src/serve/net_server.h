@@ -3,12 +3,12 @@
 // A NetServer owns one listening socket and answers wire-protocol frames
 // (serve/protocol.h): packed input bits in, predicted class out. One thread
 // accepts; each connection gets a handler thread that *drains* every
-// complete frame buffered on its socket per read — so pipelined clients
-// (several requests in flight per connection) fill micro-batch windows even
-// with few connections, and the fused 64-wide word pass does the work of 64
-// scalar evaluations. With micro_batch = false every request runs the
-// scalar predict_one path one at a time — the naive baseline the bench
-// compares against.
+// complete frame buffered on its socket per read, submits the read's
+// predicts to one MicroBatcher, and answers them in frame order with one
+// write — so pipelined clients (several requests in flight per connection)
+// pay one wake-up and one syscall pair per read, not per request. A dense
+// model answers each request with its compiled gather program
+// (PoetBin::predict); a conv model's window runs one bitsliced pass.
 //
 //   Runtime rt(model, {.threads = 1});
 //   NetServer server(rt, {.port = 0});          // 0 = pick an ephemeral port
@@ -65,10 +65,8 @@ struct NetServerOptions {
   // Set SO_REUSEPORT before bind so several forked workers can share one
   // port (the kernel balances accepts across them).
   bool reuse_port = false;
-  // true: requests go through a MicroBatcher (64-wide fused word pass).
-  // false: every request runs Runtime::predict_one inline — the naive
-  // one-request-per-dispatch baseline.
-  bool micro_batch = true;
+  // MicroBatcher window: at most max_batch requests, dispatched when full
+  // or when its oldest blocking request has waited max_wait.
   std::size_t max_batch = 64;
   std::chrono::microseconds max_wait{200};
   // Cap on a mid-frame read stall or a blocked response write. Idle
@@ -103,8 +101,7 @@ class NetServer {
   std::size_t n_features() const { return n_features_; }
 
   // Merged counters: connection/error counts from the network layer plus
-  // the MicroBatcher's window + cache stats (or naive-path request counts,
-  // with the cache counters folded from the Runtime directly).
+  // the MicroBatcher's window + cache stats.
   ServeStats stats() const;
 
  private:
@@ -114,7 +111,7 @@ class NetServer {
   Runtime* runtime_;
   NetServerOptions options_;
   std::size_t n_features_;
-  std::unique_ptr<MicroBatcher> batcher_;  // null in naive mode
+  MicroBatcher batcher_;
 
   int listen_fd_ = -1;
   std::uint16_t bound_port_ = 0;

@@ -35,10 +35,11 @@ IoStatus check_compatible(const ModelVersion& serving,
   return IoStatus();
 }
 
-// Scalar single-example predict for one version: the conv oracle per
-// frame ahead of the classifier when the version has a conv front end
-// (mirrors ConvModel::predict without copying the layer per request).
-int scalar_predict(const ModelVersion& version,
+// Single-example predict for one version: the classifier's gather
+// program, behind the scalar conv oracle per frame when the version has a
+// conv front end (mirrors ConvModel::predict without copying the layer per
+// request).
+int predict_example(const ModelVersion& version,
                    const BitVector& example_bits) {
   if (version.conv == nullptr) return version.model.predict(example_bits);
   POETBIN_CHECK_MSG(example_bits.size() == version.n_features(),
@@ -251,7 +252,7 @@ BitMatrix Runtime::rinc_outputs(const BitMatrix& features) const {
 
 int Runtime::predict_one(const BitVector& example_bits) const {
   PredictCache* cache = state_->cache.get();
-  if (cache == nullptr) return scalar_predict(*snapshot(), example_bits);
+  if (cache == nullptr) return predict_example(*snapshot(), example_bits);
   // The cache keys on the raw request bits, so for conv versions a hit
   // skips the whole conv + classifier pass.
   const PredictCache::Key key = PredictCache::make_key(example_bits);
@@ -261,7 +262,7 @@ int Runtime::predict_one(const BitVector& example_bits) const {
   // reload between the predict and the insert leaves the entry stale
   // (harmless) instead of labeling an old answer as current (wrong).
   const Snapshot snap = snapshot();
-  prediction = scalar_predict(*snap, example_bits);
+  prediction = predict_example(*snap, example_bits);
   cache->insert(key, prediction, snap->version);
   return prediction;
 }

@@ -12,7 +12,7 @@
 //   if (!loaded.ok()) die(loaded.error().message);
 //   Runtime rt = std::move(loaded).value();
 //   std::vector<int> preds = rt.predict(test_features);   // fused word pass
-//   int one = rt.predict_one(example_bits);               // scalar path
+//   int one = rt.predict_one(example_bits);               // one example
 //   ...
 //   IoStatus swapped = rt.reload();   // hot-swap from the recorded path
 //
@@ -31,20 +31,23 @@
 // reload() re-reads. Either way the loaded version owns its tables; the
 // file is not touched again until the next reload.
 //
-// Every path is bit-identical to the scalar PoetBin reference: predict()
-// runs the fused bitsliced argmax, and predict_one() is the scalar
-// per-example evaluation.
+// Every path is bit-identical to the per-bit scalar walk
+// (tests/reference): predict() runs the fused bitsliced argmax, and
+// predict_one() runs the model's compiled gather program
+// (PoetBin::predict, core/gather_program.h) on one example — one address
+// gather and one table read per LUT, about a microsecond for the served
+// M1 shape — or, for a conv version, the scalar conv oracle ahead of it.
 //
 // Concurrency contract: everything here may be called concurrently.
 // Dataset-level requests (predict / rinc_outputs / accuracy and the dataset
 // half of retrain) serialize internally on the one engine — the pool is not
 // re-entrant, so overlapping callers queue instead of aborting.
-// predict_one() is a lock-free snapshot plus scalar evaluation. Mutators
-// (reload / retrain) serialize against each other and publish
-// atomically, so readers never see a half-swapped model. For
-// high-throughput concurrent predict_one traffic, wrap the Runtime in a
-// serve::MicroBatcher (serve/micro_batcher.h), which packs requests into
-// 64-wide words and dispatches them through this engine as one fused pass.
+// predict_one() is a lock-free snapshot plus one gather-program run.
+// Mutators (reload / retrain) serialize against each other and publish
+// atomically, so readers never see a half-swapped model. A network front
+// end wraps the Runtime in a serve::MicroBatcher (serve/micro_batcher.h),
+// which answers a window of requests per dispatch: dense rows through the
+// gather program, conv frames as one bitsliced pass on this engine.
 #pragma once
 
 #include <cstddef>
@@ -80,7 +83,7 @@ struct RuntimeOptions {
   std::optional<WordBackend> forced_backend;
   // Size in bytes of the lock-free prediction cache
   // (serve/predict_cache.h) in front of the model's predict_one
-  // path and the MicroBatcher's fused windows. 0 disables caching — the
+  // path and the MicroBatcher's windows. 0 disables caching — the
   // library default, so offline/batch users and exact-count tests see no
   // behavior change; the serving CLI turns it on (`serve --cache-mb=N`).
   // A hit is bit-identical to what the serving version's scalar predict
@@ -185,8 +188,8 @@ class Runtime {
   // Dataset-level requests; callers may overlap (they queue on the engine).
   std::vector<int> predict(const BitMatrix& features) const;
   // Dataset predict pinned to a caller-held snapshot. The MicroBatcher
-  // dispatches windows through this so it can tag its cache inserts with
-  // the version that actually computed them (never the version that
+  // dispatches conv windows through this so it can tag its cache inserts
+  // with the version that actually computed them (never the version that
   // happens to be current by insert time).
   std::vector<int> predict_snapshot(const Snapshot& snap,
                                     const BitMatrix& features) const;
@@ -194,10 +197,11 @@ class Runtime {
                   const std::vector<int>& labels) const;
   BitMatrix rinc_outputs(const BitMatrix& features) const;
 
-  // Scalar single-example request; lock-free snapshot, safe concurrently
-  // with everything including reload/retrain. With cache_bytes set, probes
-  // the prediction cache first and inserts on a miss — bit-identical
-  // either way.
+  // Single-example request: the snapshot's gather program (conv versions
+  // run the scalar conv oracle first); lock-free, safe concurrently with
+  // everything including reload/retrain. With cache_bytes set, probes the
+  // prediction cache first and inserts on a miss — bit-identical either
+  // way.
   int predict_one(const BitVector& example_bits) const;
 
   // The prediction cache, or nullptr when cache_bytes was 0. Probe/insert

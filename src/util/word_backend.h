@@ -57,6 +57,34 @@ struct WordOps {
                      std::size_t word_begin, std::size_t word_end,
                      std::uint64_t* out);
 
+  // Per-example address gather, the inner loop of PoetBin::predict
+  // (core/gather_program.h). For each of n_groups groups of 64 output bits:
+  //   bit k of out[g] = bit (select[64g + k] & 7) of src[i(64g + k)]
+  // so byte b of out[g] (little-endian) is eight address bits of one LUT.
+  // The 32-bit source indices come two per word, low half first:
+  // i(n) = (index[n / 2] >> (32 * (n % 2))) & 0xFFFFFFFF. Every index is
+  // < src_bytes and src is read only inside [0, src_bytes).
+  // select[64g + k] >> 3 must equal k % 8: the byte's slot inside its
+  // 64-bit lane, which is the form vpshufbitqmb consumes. The
+  // AVX-512 backend runs vpermb + vpshufbitqmb when the CPU has VBMI and
+  // BITALG (sources over 128 bytes stage each group's bytes first); every
+  // other backend runs the scalar loop.
+  void (*gather_bits)(const std::uint8_t* src, std::size_t src_bytes,
+                      const std::uint64_t* index, const std::uint8_t* select,
+                      std::size_t n_groups, std::uint64_t* out);
+
+  // Table reads after a gather, for a level of LUTs sharing one arity
+  // (1..8): for t < n_luts,
+  //   bit t of out = bit (address[t] & (2^arity - 1)) of LUT t's table,
+  // where word j of LUT t's table is planes[j * stride + t] and stride is
+  // n_luts rounded up to a multiple of 8. address and every plane are
+  // readable up to stride; the planes' padding words must be zero, which
+  // makes out's bits past n_luts zero. out holds ceil(n_luts / 64) words.
+  // AVX-512 reads eight LUTs per step; the others run the scalar loop.
+  void (*lut_lookup)(const std::uint8_t* address, const std::uint64_t* planes,
+                     std::size_t arity, std::size_t n_luts,
+                     std::uint64_t* out);
+
   // dst[w] = a[w] OP b[w] (dst may alias either operand).
   void (*and_words)(const std::uint64_t* a, const std::uint64_t* b,
                     std::uint64_t* dst, std::size_t n_words);

@@ -173,6 +173,8 @@ const WordOps& avx2_word_ops() {
       .name = "avx2",
       .block_words = kBlock,
       .lut_reduce = word_impl::simd_lut_reduce<Avx2Traits>,
+      .gather_bits = word_impl::gather_bits,
+      .lut_lookup = word_impl::lut_lookup,
       .and_words = and_words_avx2,
       .or_words = or_words_avx2,
       .xor_words = xor_words_avx2,

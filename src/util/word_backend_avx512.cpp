@@ -148,7 +148,53 @@ void scale_by_mask_avx512(const std::uint64_t* bits, std::size_t n_bits,
                            factor0, factor1, weights + full_words * 64);
 }
 
+// Eight LUTs per step: widen their address bytes to qword lanes, load
+// each lane's table word (a merge-masked load per further plane, keyed on
+// address bits 6-7), shift the addressed bit down and test it.
+void lut_lookup_avx512(const std::uint8_t* address,
+                       const std::uint64_t* planes, std::size_t arity,
+                       std::size_t n_luts, std::uint64_t* out) {
+  const std::size_t stride = (n_luts + 7) / 8 * 8;
+  const std::size_t n_planes = arity > 6 ? std::size_t{1} << (arity - 6) : 1;
+  const __m512i mask = _mm512_set1_epi64((1 << arity) - 1);
+  const __m512i low6 = _mm512_set1_epi64(63);
+  const __m512i one = _mm512_set1_epi64(1);
+  std::uint64_t acc = 0;
+  for (std::size_t t = 0; t < stride; t += 8) {
+    const __m512i a = _mm512_and_si512(
+        _mm512_cvtepu8_epi64(_mm_loadl_epi64(
+            reinterpret_cast<const __m128i*>(address + t))),
+        mask);
+    __m512i word = _mm512_loadu_si512(planes + t);
+    if (n_planes > 1) {
+      const __m512i plane = _mm512_srli_epi64(a, 6);
+      for (std::size_t j = 1; j < n_planes; ++j) {
+        const __mmask8 pick = _mm512_cmpeq_epi64_mask(
+            plane, _mm512_set1_epi64(static_cast<long long>(j)));
+        word = _mm512_mask_loadu_epi64(word, pick, planes + j * stride + t);
+      }
+    }
+    const __mmask8 bits = _mm512_test_epi64_mask(
+        _mm512_srlv_epi64(word, _mm512_and_si512(a, low6)), one);
+    acc |= std::uint64_t{bits} << (t & 63);
+    if ((t & 63) == 56) {
+      out[t >> 6] = acc;
+      acc = 0;
+    }
+  }
+  if ((stride & 63) != 0) out[stride >> 6] = acc;
+}
+
 }  // namespace
+
+#if defined(POETBIN_HAVE_AVX512VBMI)
+// Defined in word_backend_avx512vbmi.cpp (the only TU compiled with
+// -mavx512vbmi -mavx512bitalg); selected below only when CPUID reports both.
+void avx512_vbmi_gather_bits(const std::uint8_t* src, std::size_t src_bytes,
+                             const std::uint64_t* index,
+                             const std::uint8_t* select, std::size_t n_groups,
+                             std::uint64_t* out);
+#endif
 
 #if defined(POETBIN_HAVE_AVX512VPOPCNT)
 // Defined in word_backend_avx512popcnt.cpp (the only TU compiled with
@@ -167,6 +213,9 @@ const WordOps& avx512_word_ops() {
         .name = "avx512",
         .block_words = kBlock,
         .lut_reduce = word_impl::simd_lut_reduce<Avx512Traits>,
+        // The scalar loop unless VBMI + BITALG upgrade it below.
+        .gather_bits = word_impl::gather_bits,
+        .lut_lookup = lut_lookup_avx512,
         .and_words = and_words_avx512,
         .or_words = or_words_avx512,
         .xor_words = xor_words_avx512,
@@ -188,6 +237,14 @@ const WordOps& avx512_word_ops() {
     if (__builtin_cpu_supports("avx512vpopcntdq")) {
       table.popcount_words = avx512_vpopcnt_popcount_words;
       table.hamming_words = avx512_vpopcnt_hamming_words;
+    }
+#endif
+#if defined(POETBIN_HAVE_AVX512VBMI)
+    // VBMI (vpermb) and BITALG (vpshufbitqmb) are separate extensions
+    // (Ice Lake+); both must be present for the gather body.
+    if (__builtin_cpu_supports("avx512vbmi") &&
+        __builtin_cpu_supports("avx512bitalg")) {
+      table.gather_bits = avx512_vbmi_gather_bits;
     }
 #endif
     return table;

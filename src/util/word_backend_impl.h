@@ -53,6 +53,36 @@ inline std::uint64_t shannon_reduce(const std::uint64_t* table,
   return scratch[0];
 }
 
+inline void gather_bits(const std::uint8_t* src, std::size_t /*src_bytes*/,
+                        const std::uint64_t* index, const std::uint8_t* select,
+                        std::size_t n_groups, std::uint64_t* out) {
+  for (std::size_t g = 0; g < n_groups; ++g, index += 32, select += 64) {
+    std::uint64_t word = 0;
+    for (std::size_t k = 0; k < 64; ++k) {
+      const auto i = static_cast<std::uint32_t>(index[k / 2] >> (32 * (k % 2)));
+      word |= std::uint64_t{(src[i] >> (select[k] & 7u)) & 1u} << k;
+    }
+    out[g] = word;
+  }
+}
+
+inline void lut_lookup(const std::uint8_t* address,
+                       const std::uint64_t* planes, std::size_t arity,
+                       std::size_t n_luts, std::uint64_t* out) {
+  const std::size_t stride = (n_luts + 7) / 8 * 8;
+  const unsigned mask = (1u << arity) - 1;
+  std::uint64_t acc = 0;
+  for (std::size_t t = 0; t < n_luts; ++t) {
+    const unsigned a = address[t] & mask;
+    acc |= ((planes[(a >> 6) * stride + t] >> (a & 63)) & 1u) << (t & 63);
+    if ((t & 63) == 63) {
+      out[t >> 6] = acc;
+      acc = 0;
+    }
+  }
+  if ((n_luts & 63) != 0) out[n_luts >> 6] = acc;
+}
+
 inline void lut_reduce(const std::uint64_t* table, std::size_t arity,
                        const std::uint64_t* const* columns, std::size_t base,
                        std::size_t word_begin, std::size_t word_end,

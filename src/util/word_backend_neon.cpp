@@ -120,6 +120,8 @@ const WordOps& neon_word_ops() {
       .name = "neon",
       .block_words = kBlock,
       .lut_reduce = word_impl::simd_lut_reduce<NeonTraits>,
+      .gather_bits = word_impl::gather_bits,
+      .lut_lookup = word_impl::lut_lookup,
       .and_words = and_words_neon,
       .or_words = or_words_neon,
       .xor_words = xor_words_neon,

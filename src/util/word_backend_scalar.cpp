@@ -11,6 +11,8 @@ const WordOps& scalar64_word_ops() {
       .name = "scalar64",
       .block_words = 1,
       .lut_reduce = word_impl::lut_reduce,
+      .gather_bits = word_impl::gather_bits,
+      .lut_lookup = word_impl::lut_lookup,
       .and_words = word_impl::and_words,
       .or_words = word_impl::or_words,
       .xor_words = word_impl::xor_words,

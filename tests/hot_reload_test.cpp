@@ -170,7 +170,6 @@ TEST(HotReload, NetServerKReloadUnderEightClientThreads) {
   ASSERT_TRUE(loaded.ok()) << loaded.error().message;
   Runtime runtime = std::move(loaded).value();
   NetServer server(runtime, {.port = 0,
-                             .micro_batch = true,
                              .max_batch = 16,
                              .max_wait = std::chrono::microseconds(200),
                              .n_features = kFeatures});
@@ -382,7 +381,6 @@ TEST(HotReload, NetServerCacheOnReloadAndWireStats) {
   ASSERT_TRUE(loaded.ok()) << loaded.error().message;
   Runtime runtime = std::move(loaded).value();
   NetServer server(runtime, {.port = 0,
-                             .micro_batch = true,
                              .max_batch = 16,
                              .max_wait = std::chrono::microseconds(200),
                              .n_features = kFeatures});
@@ -539,7 +537,6 @@ TEST(HotReload, ConvModelServesAndHotSwapsWithDense) {
   EXPECT_EQ(runtime.predict(frames), std::vector<int>(frames.rows(), 0));
 
   NetServer server(runtime, {.port = 0,
-                             .micro_batch = true,
                              .max_batch = 16,
                              .max_wait = std::chrono::microseconds(200)});
   std::string error;

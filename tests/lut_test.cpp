@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/scalar_reference.h"
 #include "test_util.h"
 
 namespace poetbin {
@@ -15,11 +16,14 @@ TEST(Lut, AddressBitJComesFromInputJ) {
 
   BitVector example(8);
   example.set(5, true);
-  EXPECT_TRUE(lut.eval(example));
+  EXPECT_EQ(reference::lut_address(lut, example), 1u);
+  EXPECT_TRUE(lut.lookup(reference::lut_address(lut, example)));
   example.set(2, true);
-  EXPECT_FALSE(lut.eval(example));  // address 3
+  EXPECT_EQ(reference::lut_address(lut, example), 3u);
+  EXPECT_FALSE(lut.lookup(reference::lut_address(lut, example)));
   example.set(5, false);
-  EXPECT_FALSE(lut.eval(example));  // address 2
+  EXPECT_EQ(reference::lut_address(lut, example), 2u);
+  EXPECT_FALSE(lut.lookup(reference::lut_address(lut, example)));
 }
 
 TEST(Lut, TableSizeMustMatchArity) {
@@ -36,7 +40,9 @@ TEST(Lut, EvalDatasetMatchesPerExampleEval) {
 
   const BitVector dataset_eval = lut.eval_dataset(features);
   for (std::size_t i = 0; i < features.rows(); ++i) {
-    EXPECT_EQ(dataset_eval.get(i), lut.eval(features.row(i))) << "row " << i;
+    EXPECT_EQ(dataset_eval.get(i),
+              lut.lookup(reference::lut_address(lut, features.row(i))))
+        << "row " << i;
   }
 }
 
@@ -45,7 +51,7 @@ TEST(Lut, AddressesMatchAddressOf) {
   const Lut lut({0, 9, 4}, BitVector(8));
   const auto addrs = lut.addresses(features);
   for (std::size_t i = 0; i < features.rows(); ++i) {
-    EXPECT_EQ(addrs[i], lut.address_of(features.row(i)));
+    EXPECT_EQ(addrs[i], reference::lut_address(lut, features.row(i)));
   }
 }
 

@@ -58,10 +58,9 @@ const ServeFixture& fixture() {
   return *fx;
 }
 
-NetServerOptions loopback_options(bool micro_batch) {
+NetServerOptions loopback_options() {
   NetServerOptions options;
   options.port = 0;  // ephemeral
-  options.micro_batch = micro_batch;
   options.max_batch = 16;
   options.max_wait = std::chrono::microseconds(200);
   // The fixture's rows are dataset-width; force the served width to match
@@ -72,57 +71,53 @@ NetServerOptions loopback_options(bool micro_batch) {
 
 TEST(NetServer, LoopbackPredictionsMatchScalarUnderConcurrency) {
   const ServeFixture& fx = fixture();
-  for (const bool micro_batch : {true, false}) {
-    Runtime runtime(fx.model, {.threads = 1});
-    NetServer server(runtime, loopback_options(micro_batch));
-    std::string error;
-    ASSERT_TRUE(server.start(&error)) << error;
+  Runtime runtime(fx.model, {.threads = 1});
+  NetServer server(runtime, loopback_options());
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
 
-    constexpr std::size_t kThreads = 8;
-    std::vector<int> served(fx.rows.size(), -1);
-    std::vector<std::thread> clients;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      clients.emplace_back([&, t] {
-        NetClient client;
-        ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
-        // Pipelined bursts over this thread's slice of the dataset.
-        std::vector<const BitVector*> burst;
-        std::vector<std::size_t> burst_rows;
-        std::vector<wire::Response> responses;
-        for (std::size_t i = t; i < fx.rows.size(); i += kThreads) {
-          burst.push_back(&fx.rows[i]);
-          burst_rows.push_back(i);
-          if (burst.size() == 8 || i + kThreads >= fx.rows.size()) {
-            ASSERT_TRUE(client.predict_pipelined(burst, &responses));
-            ASSERT_EQ(responses.size(), burst.size());
-            for (std::size_t b = 0; b < burst.size(); ++b) {
-              ASSERT_EQ(responses[b].status, wire::Status::kOk);
-              served[burst_rows[b]] = responses[b].prediction;
-            }
-            burst.clear();
-            burst_rows.clear();
+  constexpr std::size_t kThreads = 8;
+  std::vector<int> served(fx.rows.size(), -1);
+  std::vector<std::thread> clients;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      NetClient client;
+      ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+      // Pipelined bursts over this thread's slice of the dataset.
+      std::vector<const BitVector*> burst;
+      std::vector<std::size_t> burst_rows;
+      std::vector<wire::Response> responses;
+      for (std::size_t i = t; i < fx.rows.size(); i += kThreads) {
+        burst.push_back(&fx.rows[i]);
+        burst_rows.push_back(i);
+        if (burst.size() == 8 || i + kThreads >= fx.rows.size()) {
+          ASSERT_TRUE(client.predict_pipelined(burst, &responses));
+          ASSERT_EQ(responses.size(), burst.size());
+          for (std::size_t b = 0; b < burst.size(); ++b) {
+            ASSERT_EQ(responses[b].status, wire::Status::kOk);
+            served[burst_rows[b]] = responses[b].prediction;
           }
+          burst.clear();
+          burst_rows.clear();
         }
-      });
-    }
-    for (auto& client : clients) client.join();
-    EXPECT_EQ(served, fx.scalar_preds) << "micro_batch=" << micro_batch;
-
-    const ServeStats stats = server.stats();
-    EXPECT_EQ(stats.requests, fx.rows.size());
-    EXPECT_EQ(stats.connections, kThreads);
-    EXPECT_EQ(stats.errors, 0u);
-    if (micro_batch) {
-      EXPECT_GT(stats.batches, 0u);
-    }
-    server.stop();
+      }
+    });
   }
+  for (auto& client : clients) client.join();
+  EXPECT_EQ(served, fx.scalar_preds);
+
+  const ServeStats stats = server.stats();
+  EXPECT_EQ(stats.requests, fx.rows.size());
+  EXPECT_EQ(stats.connections, kThreads);
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_GT(stats.batches, 0u);
+  server.stop();
 }
 
 TEST(NetServer, InfoReportsServedShape) {
   const ServeFixture& fx = fixture();
   Runtime runtime(fx.model, {.threads = 1});
-  NetServer server(runtime, loopback_options(true));
+  NetServer server(runtime, loopback_options());
   ASSERT_TRUE(server.start());
   NetClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
@@ -137,7 +132,7 @@ TEST(NetServer, InfoReportsServedShape) {
 TEST(NetServer, DerivedFeatureWidthCoversEveryReferencedFeature) {
   const ServeFixture& fx = fixture();
   Runtime runtime(fx.model, {.threads = 1});
-  NetServerOptions options = loopback_options(true);
+  NetServerOptions options = loopback_options();
   options.n_features = 0;  // derive from the model
   NetServer server(runtime, options);
   ASSERT_TRUE(server.start());
@@ -155,7 +150,7 @@ TEST(NetServer, DerivedFeatureWidthCoversEveryReferencedFeature) {
 TEST(NetServer, WrongWidthIsRejectedAndConnectionSurvives) {
   const ServeFixture& fx = fixture();
   Runtime runtime(fx.model, {.threads = 1});
-  NetServer server(runtime, loopback_options(true));
+  NetServer server(runtime, loopback_options());
   ASSERT_TRUE(server.start());
   NetClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
@@ -176,7 +171,7 @@ TEST(NetServer, WrongWidthIsRejectedAndConnectionSurvives) {
 TEST(NetServer, MalformedFramesGetCleanErrorReplies) {
   const ServeFixture& fx = fixture();
   Runtime runtime(fx.model, {.threads = 1});
-  NetServer server(runtime, loopback_options(true));
+  NetServer server(runtime, loopback_options());
   ASSERT_TRUE(server.start());
   NetClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
@@ -207,7 +202,7 @@ TEST(NetServer, MalformedFramesGetCleanErrorReplies) {
 TEST(NetServer, OversizedFrameAnswersThenCloses) {
   const ServeFixture& fx = fixture();
   Runtime runtime(fx.model, {.threads = 1});
-  NetServer server(runtime, loopback_options(true));
+  NetServer server(runtime, loopback_options());
   ASSERT_TRUE(server.start());
   NetClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
@@ -231,7 +226,7 @@ TEST(NetServer, OversizedFrameAnswersThenCloses) {
 TEST(NetServer, StatsRequestReturnsLiveCounters) {
   const ServeFixture& fx = fixture();
   Runtime runtime(fx.model, {.threads = 1});
-  NetServer server(runtime, loopback_options(true));
+  NetServer server(runtime, loopback_options());
   ASSERT_TRUE(server.start());
   NetClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
@@ -254,7 +249,7 @@ TEST(NetServer, StopUnblocksIdleConnectionsAndIsRestartable) {
   Runtime runtime(fx.model, {.threads = 1});
   std::uint16_t first_port = 0;
   {
-    NetServer server(runtime, loopback_options(true));
+    NetServer server(runtime, loopback_options());
     ASSERT_TRUE(server.start());
     first_port = server.port();
     // An idle connection (no request in flight) must not wedge stop().
@@ -263,7 +258,7 @@ TEST(NetServer, StopUnblocksIdleConnectionsAndIsRestartable) {
     server.stop();
   }
   // A fresh server instance starts cleanly afterwards.
-  NetServer again(runtime, loopback_options(true));
+  NetServer again(runtime, loopback_options());
   ASSERT_TRUE(again.start());
   EXPECT_NE(again.port(), 0);
   NetClient client;

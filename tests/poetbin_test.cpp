@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/scalar_reference.h"
 #include "test_util.h"
 
 namespace poetbin {
@@ -73,7 +74,9 @@ TEST(PoetBin, PredictDatasetMatchesSinglePredict) {
                                        toy.data.labels, config);
   const auto batch = model.predict_dataset(toy.data.features);
   for (std::size_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(batch[i], model.predict(toy.data.features.row(i))) << i;
+    const BitVector row = toy.data.features.row(i);
+    EXPECT_EQ(batch[i], reference::predict_walk(model, row)) << i;
+    EXPECT_EQ(model.predict(row), batch[i]) << i;
   }
 }
 

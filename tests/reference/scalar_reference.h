@@ -1,10 +1,11 @@
-// Scalar training oracles: per-example reference implementations of the
-// word-parallel trainers in src/. Each one runs the semantics of its
-// production counterpart one example (or one (example, class) pair) at a
-// time, with no word ops and no thread pool, so the bit-identity tests and
-// bench_train_batch have something independent to hold the production
-// paths to. The LevelDT scalar scan is not here: it stays in src/ as
-// train_level_dt's over-cap fallback (train_level_dt_scalar).
+// Scalar oracles: per-example reference implementations of the
+// word-parallel trainers in src/ and of the per-example predict. Each one
+// runs the semantics of its production counterpart one example (or one
+// (example, class) pair) at a time, with no word ops, no thread pool and no
+// compiled program, so the bit-identity tests and the benches have
+// something independent to hold the production paths to. The LevelDT
+// scalar scan is not here: it stays in src/ as train_level_dt's over-cap
+// fallback (train_level_dt_scalar).
 #pragma once
 
 #include <cstddef>
@@ -49,5 +50,20 @@ PoetBin retrain_output_layer_scalar(const PoetBin& model,
                                     const PoetBinConfig& config,
                                     const BitMatrix& rinc_bits,
                                     const std::vector<int>& labels);
+
+// One LUT's address for one example: bit j is example bit inputs()[j]
+// (BitVector::get checks each index).
+std::size_t lut_address(const Lut& lut, const BitVector& example_bits);
+
+// One RINC module on one example: each leaf looks up its address, each
+// MAT the combo of its children's bits.
+bool eval_module(const RincModule& module, const BitVector& example_bits);
+
+// PoetBin::predict as a per-bit walk: each output neuron reads its P
+// modules, each module evaluates its tree leaf by leaf with one
+// BitVector::get per input (which checks the index), then the argmax over
+// the neurons' codes with ties to the lower class. The oracle the gather
+// program is held to.
+int predict_walk(const PoetBin& model, const BitVector& example_bits);
 
 }  // namespace poetbin::reference

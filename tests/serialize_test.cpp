@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "reference/scalar_reference.h"
 #include "test_util.h"
 
 namespace poetbin {
@@ -404,11 +405,11 @@ TEST(RincFromParts, HandBuiltModuleEvaluates) {
       std::move(leaves), MatModule({1.0, 1.0, 1.0}));
 
   BitVector example(3);
-  EXPECT_FALSE(majority.eval(example));
+  EXPECT_FALSE(reference::eval_module(majority, example));
   example.set(0, true);
-  EXPECT_FALSE(majority.eval(example));
+  EXPECT_FALSE(reference::eval_module(majority, example));
   example.set(2, true);
-  EXPECT_TRUE(majority.eval(example));
+  EXPECT_TRUE(reference::eval_module(majority, example));
 }
 
 }  // namespace

@@ -287,6 +287,74 @@ TEST(WordBackendOps, EntropySumIdenticalAcrossBackends) {
   }
 }
 
+TEST(WordBackendOps, GatherBitsBitIdenticalAcrossBackends) {
+  // Each backend's table entry is called directly (on AVX-512 hosts with
+  // VBMI + BITALG that is the vpermb + vpshufbitqmb body), on sources on
+  // both sides of its two-register (128-byte) path. The source vector is
+  // exactly src_bytes long, so a read past it shows under ASan.
+  Rng rng(77);
+  for (const std::size_t src_bytes : {1u, 7u, 64u, 65u, 128u, 129u, 300u}) {
+    for (const std::size_t n_groups : {0u, 1u, 3u, 9u}) {
+      std::vector<std::uint8_t> src(src_bytes);
+      for (auto& byte : src) byte = static_cast<std::uint8_t>(rng.next_u64());
+      std::vector<std::uint64_t> index(32 * n_groups, 0);
+      std::vector<std::uint8_t> select(64 * n_groups);
+      std::vector<std::uint64_t> want(n_groups, 0);
+      for (std::size_t k = 0; k < select.size(); ++k) {
+        const std::size_t at = rng.next_index(src_bytes);
+        index[k / 2] |= std::uint64_t{at} << (32 * (k % 2));
+        const std::size_t bit = rng.next_index(8);
+        select[k] = static_cast<std::uint8_t>((k % 8) * 8 + bit);
+        want[k / 64] |= std::uint64_t{(src[at] >> bit) & 1u} << (k % 64);
+      }
+      for (const auto backend : available_word_backends()) {
+        std::vector<std::uint64_t> got(n_groups, ~std::uint64_t{0});
+        word_ops_for(backend)->gather_bits(src.data(), src_bytes, index.data(),
+                                           select.data(), n_groups,
+                                           got.data());
+        EXPECT_EQ(got, want) << word_backend_name(backend) << " src_bytes "
+                             << src_bytes << " groups " << n_groups;
+      }
+    }
+  }
+}
+
+TEST(WordBackendOps, LutLookupBitIdenticalAcrossBackends) {
+  // Plane-major tables at every uniform arity, ragged LUT counts; address
+  // bytes carry junk above the arity, which the lookup must mask.
+  Rng rng(78);
+  for (std::size_t arity = 1; arity <= 8; ++arity) {
+    const std::size_t n_planes =
+        BitVector::words_needed(std::size_t{1} << arity);
+    for (const std::size_t n_luts : {1u, 7u, 8u, 9u, 63u, 64u, 65u, 200u}) {
+      const std::size_t stride = (n_luts + 7) / 8 * 8;
+      std::vector<std::uint64_t> planes(n_planes * stride, 0);
+      for (std::size_t t = 0; t < n_luts; ++t) {
+        for (std::size_t j = 0; j < n_planes; ++j) {
+          planes[j * stride + t] = rng.next_u64();
+        }
+      }
+      std::vector<std::uint8_t> address(stride);
+      for (auto& byte : address) {
+        byte = static_cast<std::uint8_t>(rng.next_u64());
+      }
+      std::vector<std::uint64_t> want((n_luts + 63) / 64, 0);
+      for (std::size_t t = 0; t < n_luts; ++t) {
+        const std::size_t a = address[t] & ((1u << arity) - 1);
+        want[t / 64] |= ((planes[(a / 64) * stride + t] >> (a % 64)) & 1u)
+                        << (t % 64);
+      }
+      for (const auto backend : available_word_backends()) {
+        std::vector<std::uint64_t> got(want.size(), ~std::uint64_t{0});
+        word_ops_for(backend)->lut_lookup(address.data(), planes.data(), arity,
+                                          n_luts, got.data());
+        EXPECT_EQ(got, want) << word_backend_name(backend) << " arity "
+                             << arity << " luts " << n_luts;
+      }
+    }
+  }
+}
+
 TEST(FusedArgmax, MatchesScalarPredictOnRaggedSizes) {
   BackendGuard guard;
   Rng rng(89);

@@ -27,8 +27,9 @@ Rules (each with the incident that motivated it):
                          pass a BatchEngine.
   no-second-path-knobs   The removed second-path switches never reappear in
                          src/ or examples/: the `word_parallel*` training
-                         flags, `RuntimeOptions::fused_argmax` and
-                         `PoetBin::predict_from_rinc_bits`. Each operation
+                         flags, `RuntimeOptions::fused_argmax`,
+                         `PoetBin::predict_from_rinc_bits` and
+                         `NetServerOptions::micro_batch`. Each operation
                          has one production path; scalar oracles live in
                          tests/reference/.
   no-splat-representation  The compact truth table is every LUT's only
@@ -186,7 +187,7 @@ def check_no_batched_shims(root):
 # --- rule: no-second-path-knobs ---------------------------------------------
 
 SECOND_PATH_KNOB = re.compile(r"word_parallel|fused_argmax|"
-                              r"predict_from_rinc_bits")
+                              r"predict_from_rinc_bits|\bmicro_batch\b")
 
 
 def check_no_second_path_knobs(root):
@@ -382,6 +383,8 @@ SELF_TEST_VIOLATIONS = [
      "std::size_t n_threads);\n"),
     ("no-second-path-knobs", "src/serve/bad_knob.h",
      "  bool fused_argmax = true;\n"),
+    ("no-second-path-knobs", "src/serve/bad_server.h",
+     "  bool micro_batch = true;\n"),
     ("no-splat-representation", "src/dt/bad_lut.h",
      "  std::span<const std::uint64_t> splat_words() const;\n"),
     ("frame-payload-bound", "src/serve/protocol.h",
@@ -429,8 +432,10 @@ def self_test():
         for failure in failures:
             print("  " + failure)
         return 1
-    print(f"self-test OK: all {len(SELF_TEST_VIOLATIONS)} rules fire on "
-          "seeded violations and pass a clean tree")
+    n_rules = len({rule for rule, _, _ in SELF_TEST_VIOLATIONS})
+    print(f"self-test OK: all {n_rules} rules fire on "
+          f"{len(SELF_TEST_VIOLATIONS)} seeded violations and pass a clean "
+          "tree")
     return 0
 
 
