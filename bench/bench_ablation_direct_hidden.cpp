@@ -50,8 +50,9 @@ int main() {
     const RincModule& module = modules.back();
     total_luts += module.lut_count();
     const BitVector train_bits =
-        module.eval_dataset(result.train_bits.features);
-    const BitVector test_bits = module.eval_dataset(result.test_bits.features);
+        module.eval_dataset_batched(result.train_bits.features);
+    const BitVector test_bits =
+        module.eval_dataset_batched(result.test_bits.features);
     for (std::size_t i = 0; i < train_inputs.rows(); ++i) {
       train_inputs(i, j) = train_bits.get(i) ? 1.0f : 0.0f;
     }

@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "core/batch_eval.h"
 #include "core/poetbin.h"
 #include "util/table.h"
 
@@ -23,14 +24,16 @@ int main() {
 
   TablePrinter table(
       {"q (bits)", "accuracy(%)", "output LUTs", "total LUTs", "note"});
+  const BatchEngine engine;
   for (const int qbits : {1, 2, 4, 8, 16}) {
     PoetBinConfig poet_config = config.poetbin;
     poet_config.output.quant_bits = qbits;
     const PoetBin model =
         PoetBin::train(base.train_bits.features, base.teacher_train_bits,
                        base.train_bits.labels, poet_config);
-    const double accuracy =
-        model.accuracy(base.test_bits.features, base.test_bits.labels);
+    const double accuracy = prediction_accuracy(
+        model.predict_dataset_batched(base.test_bits.features, engine),
+        base.test_bits.labels);
     const std::size_t output_luts = model.n_classes() * qbits;
     std::string note;
     if (qbits == 8) note = "paper's choice";

@@ -58,7 +58,7 @@ Task make_task(std::size_t n_train, std::size_t n_test, std::uint64_t seed) {
 }
 
 double test_accuracy(const RincModule& module, const Task& task) {
-  const BitVector predictions = module.eval_dataset(task.test_x);
+  const BitVector predictions = module.eval_dataset_batched(task.test_x);
   return static_cast<double>(predictions.xnor_popcount(task.test_y)) /
          static_cast<double>(task.test_y.size());
 }
@@ -129,8 +129,8 @@ int main() {
     const LevelDtResult level_fit = train_level_dt(
         task.train_x, task.train_y, {}, {.n_inputs = budget});
     const double level_acc =
-        static_cast<double>(Lut(level_fit.lut)
-                                .eval_dataset(task.test_x)
+        static_cast<double>(RincModule::make_leaf(level_fit.lut)
+                                .eval_dataset_batched(task.test_x)
                                 .xnor_popcount(task.test_y)) /
         task.test_y.size();
     const ClassicDt classic = ClassicDt::train(task.train_x, task.train_y, {},

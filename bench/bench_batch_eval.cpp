@@ -2,7 +2,8 @@
 //
 // Acceptance bars (gated only at POETBIN_BENCH_SCALE >= 1):
 //   - the single-threaded bitsliced path on the default (widest) backend
-//     must be >= 8x the scalar eval_dataset throughput on 10k examples;
+//     must be >= 8x the scalar column-scan throughput on 10k examples
+//     (reference::eval_dataset, tests/reference);
 //   - on AVX2-capable hosts the avx2 backend must be >= 1.5x the scalar64
 //     word path on the P=6 RINC-2 eval.
 // Every backend the host supports is timed and written to
@@ -10,13 +11,14 @@
 // regression diff covers all of them; the unsuffixed keys are the default
 // backend, matching older artifacts. The fused output-layer argmax
 // (predict_dataset_batched) is benchmarked against the scalar
-// predict_dataset on a 10-class model. The per-example section times 4096
-// single PoetBin::predict calls (the compiled gather program) against the
-// per-bit scalar walk in tests/reference on the served M1 RINC-1 shape and
-// the paper's M1 RINC-2 shape (predict_one_* rows). The serving section
+// reference::predict_dataset on a 10-class model. The per-example section
+// times 4096 single PoetBin::predict calls (the compiled gather program)
+// against the per-bit scalar walk in tests/reference on the served M1
+// RINC-1 shape and the paper's M1 RINC-2 shape (predict_one_* rows). The serving section
 // times MicroBatcher predict_one traffic (window 64) against the per-bit
 // walk run one example at a time (gate: >= 5x at P=6, serve_microbatch_*
 // rows).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -59,6 +61,29 @@ Lut random_lut(std::size_t arity, std::size_t n_features, Rng& rng) {
   BitVector table(std::size_t{1} << arity);
   for (std::size_t a = 0; a < table.size(); ++a) table.set(a, rng.next_bool());
   return Lut(std::move(inputs), std::move(table));
+}
+
+// `module` over every row on the engine's pool, chunked like the engine's
+// own passes (4 to 16 words a chunk, about four chunks per thread), each
+// job writing its own words of the output.
+BitVector eval_threaded(const BatchEngine& engine, const RincModule& module,
+                        const BitMatrix& features) {
+  BitVector out(features.rows());
+  const auto columns = column_pointers(features);
+  const std::size_t n_words = features.word_count();
+  const std::size_t target =
+      engine.n_threads() > 1 ? 4 * engine.n_threads() : 1;
+  const std::size_t chunk_words =
+      std::clamp<std::size_t>((n_words + target - 1) / target, 4, 16);
+  engine.parallel_for(
+      (n_words + chunk_words - 1) / chunk_words, [&](std::size_t chunk) {
+        const std::size_t begin = chunk * chunk_words;
+        const std::size_t end = std::min(n_words, begin + chunk_words);
+        eval_rinc_words(module, columns.data(), columns.size(), begin, end,
+                        out.words() + begin);
+      });
+  out.mask_tail_word();
+  return out;
 }
 
 RincModule random_rinc(std::size_t level, std::size_t fanin,
@@ -174,7 +199,9 @@ int main() {
 
     BitVector scalar_out, sliced_out, threaded_out;
     const double scalar_s =
-        time_best_of(3, [&] { scalar_out = module.eval_dataset(features); });
+        time_best_of(3, [&] {
+          scalar_out = reference::eval_dataset(module, features);
+        });
     report("scalar eval_dataset", scalar_s, n_examples, scalar_s);
 
     char key[64], label[64];
@@ -207,7 +234,7 @@ int main() {
 
     const BatchEngine engine(hw);
     const double threaded_s = time_best_of(
-        5, [&] { threaded_out = engine.eval_dataset(module, features); });
+        5, [&] { threaded_out = eval_threaded(engine, module, features); });
     if (!(threaded_out == scalar_out)) {
       std::printf("  ERROR: threaded output disagrees with scalar path\n");
       return 1;
@@ -248,7 +275,9 @@ int main() {
                 model.n_modules());
     std::vector<int> scalar_pred, fused_pred;
     const double scalar_s =
-        time_best_of(3, [&] { scalar_pred = model.predict_dataset(features); });
+        time_best_of(3, [&] {
+          scalar_pred = reference::predict_dataset(model, features);
+        });
     report("scalar predict_dataset", scalar_s, n_examples, scalar_s);
     char key[64], label[64];
     std::snprintf(key, sizeof key, "predict_p%zu_scalar_ms", p);

@@ -60,9 +60,10 @@ void BM_LutEvalDataset(benchmark::State& state) {
   Rng rng(3);
   BitVector table(256);
   for (std::size_t i = 0; i < 256; ++i) table.set(i, rng.next_bool());
-  const Lut lut({3, 97, 200, 301, 402, 17, 450, 260}, table);
+  const RincModule leaf = RincModule::make_leaf(
+      Lut({3, 97, 200, 301, 402, 17, 450, 260}, table));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lut.eval_dataset(features));
+    benchmark::DoNotOptimize(leaf.eval_dataset_batched(features));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
@@ -113,7 +114,7 @@ void BM_RincEval(benchmark::State& state) {
   const RincModule module = RincModule::train(
       features, targets, {}, {.lut_inputs = 6, .levels = 2, .total_dts = 18});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(module.eval_dataset(features));
+    benchmark::DoNotOptimize(module.eval_dataset_batched(features));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2000);
 }

@@ -5,17 +5,21 @@
 // rows are grouped by stride phase, so a patch bit of one output row is a
 // contiguous run across every output column, and each channel module's
 // LUTs Shannon-reduce a whole row per kernel call, 64 examples per word
-// op. This bench times that against the scalar eval_dataset oracle on a
+// op. This bench times that against the scalar patch oracle
+// (reference::conv_eval_dataset, tests/reference) on a
 // CIFAR-sized binary feature map, one row per available SIMD word backend
 // plus a threaded row, every row verified bit-identical.
 //
 // Acceptance bar (gated only at POETBIN_BENCH_SCALE >= 1): the
 // single-threaded bitsliced conv on the default backend must be >= 10x the
 // scalar path. The fused ConvModel predict (conv pass + classifier argmax
-// per chunk on one engine) is timed against the scalar predict_dataset as
-// well, and so is its per-call fixed cost: one-thread calls of 256 and
-// 1024 frames, whose latency ratio is 0.25 when a call costs only its
-// frames (conv_predict_call_ratio, informational).
+// per chunk on one engine) is timed against the scalar
+// reference::predict_dataset as well, and so is its per-call fixed cost:
+// one-thread calls of 256 and 1024 frames, whose latency ratio is 0.25 when
+// a call costs only its frames (conv_predict_call_ratio, informational).
+// The single-frame path, ConvModel::predict (RincConvLayer::eval_frame then
+// the classifier's gather program), is timed one call at a time over 1024
+// frames (conv_predict_one_us, the median, informational).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -26,6 +30,7 @@
 #include "core/batch_eval.h"
 #include "core/poetbin.h"
 #include "core/rinc_conv.h"
+#include "reference/scalar_reference.h"
 #include "util/bit_matrix.h"
 #include "util/rng.h"
 #include "util/word_backend.h"
@@ -108,7 +113,9 @@ int main() {
 
   BitMatrix scalar_out, sliced_out;
   const double scalar_s =
-      time_best_of(3, [&] { scalar_out = layer.eval_dataset(frames); });
+      time_best_of(3, [&] {
+        scalar_out = reference::conv_eval_dataset(layer, frames);
+      });
   report("scalar eval_dataset", scalar_s, n_examples, scalar_s);
   json.add("conv_eval_scalar_ms", 1e3 * scalar_s);
 
@@ -157,7 +164,8 @@ int main() {
   {
     ConvModel model;
     model.conv = layer;
-    const BitMatrix conv_out = model.conv.eval_dataset(train_inputs);
+    const BitMatrix conv_out =
+        model.conv.eval_dataset_batched(train_inputs, BatchEngine(1));
     std::vector<int> labels(train_inputs.rows());
     for (std::size_t i = 0; i < labels.size(); ++i) {
       labels[i] = static_cast<int>(i % 10);
@@ -179,7 +187,7 @@ int main() {
     std::printf("ConvModel predict, 10 classes:\n");
     std::vector<int> scalar_pred, fused_pred;
     const double predict_scalar_s = time_best_of(
-        3, [&] { scalar_pred = model.predict_dataset(frames); });
+        3, [&] { scalar_pred = reference::predict_dataset(model, frames); });
     report("scalar predict_dataset", predict_scalar_s, n_examples,
            predict_scalar_s);
     json.add("conv_predict_scalar_ms", 1e3 * predict_scalar_s);
@@ -221,8 +229,34 @@ int main() {
     json.add("conv_predict_call1024_ms", call_ms[1]);
     json.add("conv_predict_call_ratio", call_ms[0] / call_ms[1]);
     std::printf("  -> 256/1024-frame latency ratio: %.2f (0.25 = no fixed "
-                "cost)\n\n",
+                "cost)\n",
                 call_ms[0] / call_ms[1]);
+
+    // Single-frame predict: each of 1024 frames timed on its own, every
+    // answer checked against the oracle.
+    constexpr std::size_t kSingleFrames = 1024;
+    std::vector<BitVector> single_rows;
+    for (std::size_t i = 0; i < kSingleFrames; ++i) {
+      single_rows.push_back(frames.row(i % n_examples));
+    }
+    std::vector<double> single_us(kSingleFrames);
+    for (std::size_t i = 0; i < kSingleFrames; ++i) {
+      int predicted = 0;
+      single_us[i] = 1e6 * time_best_of(1, [&] {
+        predicted = model.predict(single_rows[i]);
+      });
+      if (predicted != scalar_pred[i % n_examples]) {
+        std::printf("  ERROR: single-frame predict disagrees with scalar\n");
+        return 1;
+      }
+    }
+    std::nth_element(single_us.begin(), single_us.begin() + kSingleFrames / 2,
+                     single_us.end());
+    const double predict_one_us = single_us[kSingleFrames / 2];
+    json.add("conv_predict_one_us", predict_one_us);
+    std::printf("  single-frame predict (1t)    %10.3f us/frame (median of "
+                "%zu)\n\n",
+                predict_one_us, kSingleFrames);
   }
 
   json.add("acceptance_pass", pass ? 1.0 : 0.0);

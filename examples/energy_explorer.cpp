@@ -70,7 +70,7 @@ int main() {
             RincModule::train(task.train_x, task.train_y, {},
                               {.lut_inputs = p, .levels = levels,
                                .total_dts = dts});
-        const BitVector predictions = module.eval_dataset(task.test_x);
+        const BitVector predictions = module.eval_dataset_batched(task.test_x);
         const double accuracy =
             100.0 *
             static_cast<double>(predictions.xnor_popcount(task.test_y)) /

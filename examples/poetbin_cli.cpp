@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "core/batch_eval.h"
 #include "core/packed_model.h"
 #include "core/pipeline.h"
 #include "core/rinc_conv.h"
@@ -180,7 +181,9 @@ int cmd_train_conv(const std::string& path, double scale) {
 
   // Classifier trains on what the conv layer actually produces, with the
   // usual per-class intermediate supervision blocks.
-  const BitMatrix conv_out = model.conv.eval_dataset(train_frames);
+  const BatchEngine engine;
+  const BitMatrix conv_out = model.conv.eval_dataset_batched(train_frames,
+                                                             engine);
   std::vector<int> labels(n_train);
   for (std::size_t i = 0; i < n_train; ++i) {
     labels[i] = label_of(train_frames, i);
@@ -200,7 +203,8 @@ int cmd_train_conv(const std::string& path, double scale) {
       PoetBin::train(conv_out, intermediate, labels, classifier_config);
 
   const BitMatrix test_frames = random_frames(n_test);
-  const std::vector<int> predicted = model.predict_dataset(test_frames);
+  const std::vector<int> predicted =
+      model.predict_dataset_batched(test_frames, engine);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < n_test; ++i) {
     correct += predicted[i] == label_of(test_frames, i);

@@ -58,7 +58,7 @@ int main() {
   for (std::size_t i = 0; i < n_test; ++i) test_y.set(i, targets.get(n_train + i));
 
   auto accuracy = [&](const RincModule& module) {
-    const BitVector predictions = module.eval_dataset(test_x);
+    const BitVector predictions = module.eval_dataset_batched(test_x);
     return 100.0 * static_cast<double>(predictions.xnor_popcount(test_y)) /
            static_cast<double>(n_test);
   };
@@ -91,7 +91,7 @@ int main() {
               100.0 * prune.removed_fraction_6luts());
 
   const RincNetlist netlist = build_rinc_netlist(module, n_features);
-  const BitVector software = module.eval_dataset(test_x);
+  const BitVector software = module.eval_dataset_batched(test_x);
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < n_test; ++i) {
     if (netlist.eval(test_x.row(i)) != software.get(i)) ++mismatches;

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "core/batch_eval.h"
 #include "core/pipeline.h"
 #include "hw/netlist_builder.h"
 #include "hw/vhdl.h"
@@ -32,7 +33,9 @@ int main() {
               netlist.netlist.n_luts(), netlist.netlist.depth(), n_features);
 
   // --- verification: netlist vs model on every test vector ---------------
-  const auto model_pred = result.model.predict_dataset(result.test_bits.features);
+  const BatchEngine engine;
+  const auto model_pred =
+      result.model.predict_dataset_batched(result.test_bits.features, engine);
   const auto netlist_pred = netlist.predict_dataset(result.test_bits.features);
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < model_pred.size(); ++i) {

@@ -92,14 +92,6 @@ void eval_rinc_words(const RincModule& module,
                  arena.data());
 }
 
-BitVector Lut::eval_dataset_bitsliced(const BitMatrix& features) const {
-  BitVector out(features.rows());
-  eval_lut_into(*this, column_pointers(features).data(), features.cols(), 0,
-                features.word_count(), out.words());
-  out.mask_tail_word();
-  return out;
-}
-
 BitVector RincModule::eval_dataset_batched(const BitMatrix& features) const {
   BitVector out(features.rows());
   eval_rinc_words(*this, column_pointers(features).data(), features.cols(), 0,
@@ -274,8 +266,8 @@ WordChunks chunk_words(std::size_t n_words, std::size_t n_threads) {
 }
 
 // Checks the fused argmax's preconditions. False when every prediction is
-// class 0: with zero or one output neuron the scalar argmax keeps its
-// class-0 start and has nothing to compare.
+// class 0: with zero or one output neuron PoetBin::predict's argmax keeps
+// its class-0 start and has nothing to compare.
 bool needs_argmax(const PoetBin& model) {
   const auto& neurons = model.output_neurons();
   if (neurons.size() <= 1) return false;
@@ -376,8 +368,8 @@ void classify_words(const PoetBin& model, const std::uint64_t* const* columns,
 
 // The conv pass over words [word_begin, word_end) of `frames`. Returns the
 // chunk's conv output in a thread-local buffer, feature-major with
-// word_end - word_begin words per output bit (the same feature order as
-// eval_dataset: channel, then oy, then ox).
+// word_end - word_begin words per output bit (the layer's output order:
+// channel, then oy, then ox).
 const std::uint64_t* conv_chunk(const RincConvLayer& layer,
                                 const BitMatrix& frames,
                                 std::size_t word_begin, std::size_t word_end) {
@@ -422,8 +414,8 @@ const std::uint64_t* conv_chunk(const RincConvLayer& layer,
     }
   }
 
-  // For output row oy, patch bit (c, ky, kx) — the scalar gather's
-  // c -> ky -> kx order — across every ox is the run of out.width cells
+  // For output row oy, patch bit (c, ky, kx) — gather_patches' c -> ky ->
+  // kx order — across every ox is the run of out.width cells
   // that starts at pixel (c, oy * stride + ky, kx). Each channel module
   // reduces the whole row at once, and its MAT writes the row's conv
   // output bits (out.width consecutive features) in place.
@@ -452,21 +444,6 @@ const std::uint64_t* conv_chunk(const RincConvLayer& layer,
 }
 
 }  // namespace
-
-BitVector BatchEngine::eval_dataset(const RincModule& module,
-                                    const BitMatrix& features) const {
-  BitVector out(features.rows());
-  const auto columns = column_pointers(features);
-  const WordChunks chunks = chunk_words(features.word_count(), n_threads_);
-  parallel_for(chunks.n_chunks, [&](std::size_t chunk) {
-    const std::size_t begin = chunks.begin(chunk);
-    const std::size_t end = chunks.end(chunk);
-    eval_rinc_words(module, columns.data(), columns.size(), begin, end,
-                    out.words() + begin);
-  });
-  out.mask_tail_word();
-  return out;
-}
 
 BitMatrix BatchEngine::rinc_outputs(const PoetBin& model,
                                     const BitMatrix& features) const {
@@ -507,27 +484,11 @@ std::vector<int> BatchEngine::predict_dataset(const PoetBin& model,
   return predictions;
 }
 
-double BatchEngine::accuracy(const PoetBin& model, const BitMatrix& features,
-                             const std::vector<int>& labels) const {
-  return prediction_accuracy(predict_dataset(model, features), labels);
-}
-
 // --- PoetBin conveniences (declared in poetbin.h) --------------------------
-
-BitMatrix PoetBin::rinc_outputs_batched(const BitMatrix& features,
-                                        const BatchEngine& engine) const {
-  return engine.rinc_outputs(*this, features);
-}
 
 std::vector<int> PoetBin::predict_dataset_batched(
     const BitMatrix& features, const BatchEngine& engine) const {
   return engine.predict_dataset(*this, features);
-}
-
-double PoetBin::accuracy_batched(const BitMatrix& features,
-                                 const std::vector<int>& labels,
-                                 const BatchEngine& engine) const {
-  return engine.accuracy(*this, features, labels);
 }
 
 // --- RincConvLayer / ConvModel (declared in core/rinc_conv.h) --------------

@@ -9,9 +9,12 @@
 //
 // One word kernel, `eval_rinc_words`, evaluates any RINC hierarchy over
 // column-word pointers: a BitMatrix's columns, a chunk-local buffer, or the
-// conv pass's row runs of a padded frame (core/rinc_conv.h). Everything
-// else goes through `Lut::eval_dataset_bitsliced`,
-// `RincModule::eval_dataset_batched` or a BatchEngine.
+// conv pass's row runs of a padded frame (core/rinc_conv.h). It is the
+// only dataset evaluator in the library: `RincModule::eval_dataset_batched`
+// runs it over a whole matrix on the calling thread, and a BatchEngine
+// spreads it (and the fused argmax, `classify_words`) over a pool. The
+// per-example scalar oracles the tests hold it to live in
+// tests/reference/.
 #pragma once
 
 #include <atomic>
@@ -46,10 +49,10 @@ void eval_rinc_words(const RincModule& module,
                      std::size_t word_end, std::uint64_t* out);
 
 // Multithreaded batch driver. Owns a persistent pool of worker threads and
-// chunks the example range (in whole words) across them. All eval methods
-// return bit-identical results to the scalar paths; the pool is not
-// re-entrant (one dataset pass at a time per engine — enforced by a cheap
-// in-use check that aborts on overlapping parallel_for calls).
+// chunks the example range (in whole words) across them. Results are
+// bit-identical at any thread count and on every word backend; the pool is
+// not re-entrant (one dataset pass at a time per engine — enforced by a
+// cheap in-use check that aborts on overlapping parallel_for calls).
 //
 // predict_dataset fuses the output-layer argmax into the word pass: per
 // chunk it evaluates the RINC bank into cache-resident word buffers,
@@ -74,14 +77,11 @@ class BatchEngine {
 
   std::size_t n_threads() const { return n_threads_; }
 
-  // Bitsliced equivalents of the scalar dataset paths.
-  BitVector eval_dataset(const RincModule& module,
-                         const BitMatrix& features) const;
+  // The RINC bank's output bits (n x nc*P), one job per (module, chunk).
   BitMatrix rinc_outputs(const PoetBin& model, const BitMatrix& features) const;
+  // Every row's class through the fused argmax described above.
   std::vector<int> predict_dataset(const PoetBin& model,
                                    const BitMatrix& features) const;
-  double accuracy(const PoetBin& model, const BitMatrix& features,
-                  const std::vector<int>& labels) const;
 
   // Runs fn(job) for job in [0, n_jobs) on the pool plus the calling
   // thread. Exposed for callers with custom per-chunk work.

@@ -72,8 +72,8 @@ PoetBin PoetBin::train(const BitMatrix& features,
   }
 
   // The output layer retrains on the RINC bank's outputs; produce them with
-  // the bitsliced batch engine (bit-identical to the scalar path), and
-  // reuse the same engine to spread retraining across classes.
+  // the bitsliced batch engine, and reuse the same engine to spread
+  // retraining across classes.
   const BitMatrix rinc_bits = engine.rinc_outputs(model, features);
   model.retrain_output_layer(rinc_bits, labels, &engine);
   return model;
@@ -126,14 +126,6 @@ void PoetBin::compile() {
     }
   }
   program_ = GatherProgram::compile(modules_, output_);
-}
-
-BitMatrix PoetBin::rinc_outputs(const BitMatrix& features) const {
-  BitMatrix out(features.rows(), modules_.size());
-  for (std::size_t j = 0; j < modules_.size(); ++j) {
-    out.column(j) = modules_[j].eval_dataset(features);
-  }
-  return out;
 }
 
 // noinline: an inlined copy in train_output could contract differently from
@@ -374,30 +366,6 @@ int PoetBin::predict(const BitVector& example_bits) const {
   return program_.predict(example_bits);
 }
 
-std::vector<int> PoetBin::predict_dataset(const BitMatrix& features) const {
-  const BitMatrix bits = rinc_outputs(features);
-  const std::size_t n = bits.rows();
-  const std::size_t p = config_.rinc.lut_inputs;
-  std::vector<int> predictions(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t best_class = 0;
-    std::uint32_t best_code = 0;
-    for (std::size_t c = 0; c < output_.size(); ++c) {
-      std::size_t combo = 0;
-      for (std::size_t j = 0; j < p; ++j) {
-        if (bits.get(i, output_[c].input_modules[j])) combo |= std::size_t{1} << j;
-      }
-      const std::uint32_t code = output_[c].codes[combo];
-      if (c == 0 || code > best_code) {
-        best_code = code;
-        best_class = c;
-      }
-    }
-    predictions[i] = static_cast<int>(best_class);
-  }
-  return predictions;
-}
-
 double prediction_accuracy(const std::vector<int>& predictions,
                            const std::vector<int>& labels) {
   POETBIN_CHECK(predictions.size() == labels.size());
@@ -407,11 +375,6 @@ double prediction_accuracy(const std::vector<int>& predictions,
   }
   return labels.empty() ? 0.0
                         : static_cast<double>(correct) / labels.size();
-}
-
-double PoetBin::accuracy(const BitMatrix& features,
-                         const std::vector<int>& labels) const {
-  return prediction_accuracy(predict_dataset(features), labels);
 }
 
 double PoetBin::intermediate_fidelity(const BitMatrix& rinc_bits,

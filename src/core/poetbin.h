@@ -24,8 +24,9 @@ namespace poetbin {
 class BatchEngine;  // core/batch_eval.h
 
 // Fraction of predictions matching their labels (0.0 for an empty set).
-// Sizes must agree. The single scoring convention behind PoetBin::accuracy,
-// BatchEngine::accuracy and Runtime::accuracy.
+// Sizes must agree. The single scoring convention behind
+// Runtime::accuracy and the benches and tests that score a prediction
+// vector.
 double prediction_accuracy(const std::vector<int>& predictions,
                            const std::vector<int>& labels);
 
@@ -115,9 +116,6 @@ class PoetBin {
            (neuron * n_code_planes_ + plane) * code_plane_words();
   }
 
-  // Intermediate bits produced by the RINC bank (n x nc*P).
-  BitMatrix rinc_outputs(const BitMatrix& features) const;
-
   // One example's class: runs the gather program compiled from this
   // model (core/gather_program.h) — per RINC level one address gather and
   // one table read per LUT, then the output-layer argmax (ties to the
@@ -125,20 +123,11 @@ class PoetBin {
   // past n_features() are ignored. Bit-identical to the per-bit scalar
   // walk in tests/reference.
   int predict(const BitVector& example_bits) const;
-  // The scalar dataset path: rinc_outputs, then the output-layer argmax per
-  // example. The fused word pass must match it bit for bit.
-  std::vector<int> predict_dataset(const BitMatrix& features) const;
-  double accuracy(const BitMatrix& features, const std::vector<int>& labels) const;
-
-  // Word-parallel (bitsliced + threaded) equivalents, bit-identical to the
-  // scalar paths above, running on a caller-supplied persistent engine.
-  BitMatrix rinc_outputs_batched(const BitMatrix& features,
-                                 const BatchEngine& engine) const;
+  // A dataset's classes: BatchEngine::predict_dataset on `engine`, the
+  // fused word pass (bit-identical to predict on every row). The RINC
+  // bank's output bits come from BatchEngine::rinc_outputs.
   std::vector<int> predict_dataset_batched(const BitMatrix& features,
                                            const BatchEngine& engine) const;
-  double accuracy_batched(const BitMatrix& features,
-                          const std::vector<int>& labels,
-                          const BatchEngine& engine) const;
 
   // Fraction of intermediate bits where RINC output matches the teacher
   // target (diagnostic for distillation quality).

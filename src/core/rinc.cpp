@@ -109,8 +109,7 @@ RincModule RincModule::train_impl(const BitMatrix& features,
     remaining -= child_budget;
     RincModule child = train_impl(features, targets, round_weights, config,
                                   level - 1, child_budget, engine);
-    // The weak learner's dataset pass rides the bitsliced inference path
-    // (bit-identical to the scalar eval_dataset).
+    // The weak learner's dataset pass rides the bitsliced inference path.
     BitVector predictions = child.eval_dataset_batched(features);
     module.children_.push_back(std::move(child));
     return predictions;
@@ -149,25 +148,6 @@ const MatModule& RincModule::mat() const {
 const Lut& RincModule::mat_lut() const {
   POETBIN_CHECK_MSG(!is_leaf(), "mat_lut() on a RINC-0 module");
   return mat_lut_;
-}
-
-BitVector RincModule::eval_dataset(const BitMatrix& features) const {
-  if (is_leaf()) return leaf_.eval_dataset(features);
-  const std::size_t n = features.rows();
-  std::vector<BitVector> child_bits;
-  child_bits.reserve(children_.size());
-  for (const auto& child : children_) {
-    child_bits.push_back(child.eval_dataset(features));
-  }
-  BitVector out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t combo = 0;
-    for (std::size_t c = 0; c < child_bits.size(); ++c) {
-      if (child_bits[c].get(i)) combo |= std::size_t{1} << c;
-    }
-    if (mat_lut_.lookup(combo)) out.set(i, true);
-  }
-  return out;
 }
 
 std::size_t RincModule::lut_count() const {

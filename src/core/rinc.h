@@ -77,11 +77,10 @@ class RincModule {
   const Lut& mat_lut() const;           // MAT encoded as a LUT (level >= 1)
   const std::vector<RincModule>& children() const { return children_; }
 
-  BitVector eval_dataset(const BitMatrix& features) const;
-
-  // Bitsliced dataset pass (64 examples per word op, the whole hierarchy
-  // evaluated as a DAG of word muxes). Bit-identical to eval_dataset;
-  // defined in core/batch_eval.cpp. Use a BatchEngine for the threaded
+  // The module's output bit for every row of `features`: the bitsliced
+  // pass (64 examples per word op, the whole hierarchy evaluated as a DAG
+  // of word muxes), bit-identical to the per-example walk the tests hold it
+  // to. Defined in core/batch_eval.cpp. Use a BatchEngine for the threaded
   // version.
   BitVector eval_dataset_batched(const BitMatrix& features) const;
 

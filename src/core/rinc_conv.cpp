@@ -1,6 +1,7 @@
 #include "core/rinc_conv.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -18,6 +19,24 @@ BinShape3 conv_output_shape(BinShape3 in_shape, const RincConvConfig& config) {
           (in_shape.width + 2 * config.padding - config.kernel) /
                   config.stride +
               1};
+}
+
+// `module` on one patch, patch[f] holding patch bit f: each leaf reads its
+// address bit by bit, each MAT the combo of its children's outputs.
+bool eval_patch(const RincModule& module, const std::uint8_t* patch) {
+  if (module.is_leaf()) {
+    const Lut& lut = module.leaf_lut();
+    std::size_t address = 0;
+    for (std::size_t j = 0; j < lut.arity(); ++j) {
+      address |= std::size_t{patch[lut.inputs()[j]]} << j;
+    }
+    return lut.lookup(address);
+  }
+  std::size_t combo = 0;
+  for (std::size_t c = 0; c < module.children().size(); ++c) {
+    if (eval_patch(module.children()[c], patch)) combo |= std::size_t{1} << c;
+  }
+  return module.mat_lut().lookup(combo);
 }
 
 }  // namespace
@@ -160,19 +179,34 @@ RincConvLayer RincConvLayer::train(const BitMatrix& inputs, BinShape3 in_shape,
   return layer;
 }
 
-BitMatrix RincConvLayer::eval_dataset(const BitMatrix& inputs) const {
-  POETBIN_CHECK(inputs.cols() == in_shape_.flat());
-  const std::size_t n = inputs.rows();
+BitVector RincConvLayer::eval_frame(const BitVector& frame) const {
+  POETBIN_CHECK_MSG(frame.size() == in_shape_.flat(),
+                    "frame bits must match the conv input shape");
+  const std::size_t kernel = config_.kernel;
+  const std::size_t pad = config_.padding;
   const std::size_t positions = out_shape_.height * out_shape_.width;
-  const BitMatrix patches = gather_patches(inputs);
-
-  BitMatrix out(n, out_shape_.flat());
-  for (std::size_t channel = 0; channel < modules_.size(); ++channel) {
-    const BitVector bits = modules_[channel].eval_dataset(patches);
-    for (std::size_t example = 0; example < n; ++example) {
-      for (std::size_t p = 0; p < positions; ++p) {
-        if (bits.get(example * positions + p)) {
-          out.set(example, channel * positions + p, true);
+  std::vector<std::uint8_t> patch(patch_bits());
+  BitVector out(out_shape_.flat());
+  for (std::size_t oy = 0; oy < out_shape_.height; ++oy) {
+    for (std::size_t ox = 0; ox < out_shape_.width; ++ox) {
+      std::size_t bit = 0;
+      for (std::size_t c = 0; c < in_shape_.channels; ++c) {
+        for (std::size_t ky = 0; ky < kernel; ++ky) {
+          const std::size_t py = oy * config_.stride + ky;
+          for (std::size_t kx = 0; kx < kernel; ++kx, ++bit) {
+            const std::size_t px = ox * config_.stride + kx;
+            const bool inside = py >= pad && py - pad < in_shape_.height &&
+                                px >= pad && px - pad < in_shape_.width;
+            patch[bit] = inside && frame.get((c * in_shape_.height + py -
+                                              pad) * in_shape_.width +
+                                             px - pad);
+          }
+        }
+      }
+      const std::size_t position = oy * out_shape_.width + ox;
+      for (std::size_t ch = 0; ch < modules_.size(); ++ch) {
+        if (eval_patch(modules_[ch], patch.data())) {
+          out.set(ch * positions + position, true);
         }
       }
     }
@@ -187,32 +221,7 @@ std::size_t RincConvLayer::lut_count_per_position() const {
 }
 
 int ConvModel::predict(const BitVector& frame_bits) const {
-  POETBIN_CHECK_MSG(frame_bits.size() == n_features(),
-                    "frame bits must match the conv input shape");
-  BitMatrix frame(1, frame_bits.size());
-  for (std::size_t b = 0; b < frame_bits.size(); ++b) {
-    if (frame_bits.get(b)) frame.set(0, b, true);
-  }
-  const BitMatrix conv_bits = conv.eval_dataset(frame);
-  return classifier.predict(conv_bits.row(0));
-}
-
-std::vector<int> ConvModel::predict_dataset(const BitMatrix& frames) const {
-  return classifier.predict_dataset(conv.eval_dataset(frames));
-}
-
-double RincConvLayer::fidelity(const BitMatrix& inputs,
-                               const BitMatrix& targets) const {
-  const BitMatrix predicted = eval_dataset(inputs);
-  POETBIN_CHECK(predicted.rows() == targets.rows());
-  POETBIN_CHECK(predicted.cols() == targets.cols());
-  if (predicted.rows() == 0 || predicted.cols() == 0) return 1.0;
-  std::size_t agree = 0;
-  for (std::size_t c = 0; c < predicted.cols(); ++c) {
-    agree += predicted.column(c).xnor_popcount(targets.column(c));
-  }
-  return static_cast<double>(agree) /
-         static_cast<double>(predicted.rows() * predicted.cols());
+  return classifier.predict(conv.eval_frame(frame_bits));
 }
 
 }  // namespace poetbin

@@ -9,8 +9,7 @@
 // kernel is shared). Training pools the patches of all examples and all
 // positions into one distillation dataset per channel.
 //
-// Inference has two paths: the scalar `eval_dataset` oracle (materializes
-// one patch row per example x position) and the bitsliced
+// Inference has one path per shape. A dataset runs the bitsliced
 // `eval_dataset_batched`, which never materializes patches. Each chunk of
 // up to 16 words (1024 examples) is copied once into a thread-local
 // zero-padded frame, one run of chunk words per padded pixel, with each
@@ -23,7 +22,8 @@
 // that row.
 // `predict_conv_dataset` feeds each chunk's conv output straight into the
 // classifier's fused argmax, so a predict never builds the n x out-bits
-// conv output matrix.
+// conv output matrix. One frame runs `eval_frame`, a direct walk over the
+// frame's bits that shares no code with the word pass.
 #pragma once
 
 #include <cstddef>
@@ -88,25 +88,27 @@ class RincConvLayer {
     return in_shape_.channels * config_.kernel * config_.kernel;
   }
 
-  // Applies the layer to n examples; returns n x out_shape().flat() bits.
-  // Scalar reference path (the oracle for the bitsliced pass).
-  BitMatrix eval_dataset(const BitMatrix& inputs) const;
-
-  // Word-parallel layer application, bit-identical to eval_dataset at any
-  // thread count and on every word backend: the padded-frame row-run pass
-  // described above, one job per word chunk across the engine's pool.
-  // Defined in core/batch_eval.cpp.
+  // Applies the layer to n examples; returns n x out_shape().flat() bits
+  // (channel, then oy, then ox). The padded-frame row-run pass described
+  // above, one job per word chunk across the engine's pool, bit-identical
+  // at any thread count and on every word backend. Defined in
+  // core/batch_eval.cpp.
   BitMatrix eval_dataset_batched(const BitMatrix& inputs,
                                  const BatchEngine& engine) const;
+
+  // Applies the layer to one frame of input_shape().flat() bits (checked);
+  // returns its out_shape().flat() output bits in the same order. For each
+  // output position it reads the patch bits in gather_patches' c -> ky ->
+  // kx order, out-of-frame bits as 0, and walks each channel module leaf
+  // by leaf. No BitMatrix and no word kernel: it is the independent side
+  // of every check against the word pass.
+  BitVector eval_frame(const BitVector& frame) const;
 
   const std::vector<RincModule>& channel_modules() const { return modules_; }
   // LUTs for one instantiation of every channel module. In hardware the
   // modules are replicated per position (fully parallel single-cycle conv)
   // or time-multiplexed; both costs derive from this count.
   std::size_t lut_count_per_position() const;
-
-  // Fraction of output bits matching the targets (distillation fidelity).
-  double fidelity(const BitMatrix& inputs, const BitMatrix& targets) const;
 
  private:
   // Patch rows (one per example x position) for the whole dataset.
@@ -130,19 +132,17 @@ struct ConvModel {
   std::size_t n_features() const { return conv.input_shape().flat(); }
   std::size_t n_classes() const { return classifier.n_classes(); }
 
-  // Scalar single-frame predict (the serving cache/fallback path).
+  // One frame's class: conv.eval_frame, then the classifier's gather
+  // program (PoetBin::predict).
   int predict(const BitVector& frame_bits) const;
-  // Scalar dataset oracle: conv eval_dataset then classifier
-  // predict_dataset.
-  std::vector<int> predict_dataset(const BitMatrix& frames) const;
-  // Fused word-parallel path, bit-identical to predict_dataset: see
-  // predict_conv_dataset.
+  // A dataset's classes through the fused word pass, bit-identical to
+  // predict on every row: see predict_conv_dataset.
   std::vector<int> predict_dataset_batched(const BitMatrix& frames,
                                            const BatchEngine& engine) const;
 };
 
-// Fused word-parallel conv predict, bit-identical to the scalar
-// ConvModel::predict_dataset: per word chunk, the conv pass writes the
+// Fused word-parallel conv predict, bit-identical to ConvModel::predict on
+// every frame: per word chunk, the conv pass writes the
 // chunk's conv output bits to a thread-local buffer and the classifier's
 // fused argmax (BatchEngine::predict_dataset's chunk body) runs on it.
 // Defined in core/batch_eval.cpp.

@@ -36,19 +36,12 @@ IoStatus check_compatible(const ModelVersion& serving,
 }
 
 // Single-example predict for one version: the classifier's gather
-// program, behind the scalar conv oracle per frame when the version has a
-// conv front end (mirrors ConvModel::predict without copying the layer per
-// request).
+// program, behind the conv front end's single-frame walk when the version
+// has one (the same call ConvModel::predict makes, on the shared layer).
 int predict_example(const ModelVersion& version,
-                   const BitVector& example_bits) {
+                    const BitVector& example_bits) {
   if (version.conv == nullptr) return version.model.predict(example_bits);
-  POETBIN_CHECK_MSG(example_bits.size() == version.n_features(),
-                    "frame bits must match the conv input shape");
-  BitMatrix frame(1, example_bits.size());
-  for (std::size_t b = 0; b < example_bits.size(); ++b) {
-    if (example_bits.get(b)) frame.set(0, b, true);
-  }
-  return version.model.predict(version.conv->eval_dataset(frame).row(0));
+  return version.model.predict(version.conv->eval_frame(example_bits));
 }
 
 }  // namespace

@@ -36,7 +36,8 @@
 // predict_one() runs the model's compiled gather program
 // (PoetBin::predict, core/gather_program.h) on one example — one address
 // gather and one table read per LUT, about a microsecond for the served
-// M1 shape — or, for a conv version, the scalar conv oracle ahead of it.
+// M1 shape — behind, for a conv version, the conv layer's single-frame
+// walk (RincConvLayer::eval_frame).
 //
 // Concurrency contract: everything here may be called concurrently.
 // Dataset-level requests (predict / rinc_outputs / accuracy and the dataset
@@ -86,7 +87,7 @@ struct RuntimeOptions {
   // path and the MicroBatcher's windows. 0 disables caching — the
   // library default, so offline/batch users and exact-count tests see no
   // behavior change; the serving CLI turns it on (`serve --cache-mb=N`).
-  // A hit is bit-identical to what the serving version's scalar predict
+  // A hit is bit-identical to what the serving version's predict_one
   // would return: every reload/retrain publication invalidates by epoch,
   // and entries are XOR-verified against a second hash so collisions read
   // as misses.
@@ -126,7 +127,7 @@ class Runtime {
 
   // Convolutional variant: requests carry C x H x W frames, the conv front
   // end runs word-parallel ahead of the classifier on every dataset path,
-  // and predict_one evaluates the scalar conv oracle per frame.
+  // and predict_one walks one frame through RincConvLayer::eval_frame.
   explicit Runtime(ConvModel model, RuntimeOptions options = {});
 
   // Train-then-serve in one step: PoetBin::train with `config`, wrapped in
@@ -198,7 +199,7 @@ class Runtime {
   BitMatrix rinc_outputs(const BitMatrix& features) const;
 
   // Single-example request: the snapshot's gather program (conv versions
-  // run the scalar conv oracle first); lock-free, safe concurrently with
+  // run RincConvLayer::eval_frame first); lock-free, safe concurrently with
   // everything including reload/retrain. With cache_bytes set, probes the
   // prediction cache first and inserts on a miss — bit-identical either
   // way.

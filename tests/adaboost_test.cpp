@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dt/level_dt.h"
+#include "reference/scalar_reference.h"
 #include "test_util.h"
 
 namespace poetbin {
@@ -20,7 +21,7 @@ WeakTrainFn stump_trainer(const BitMatrix& features, const BitVector& targets,
     const LevelDtResult fit =
         train_level_dt(features, targets, weights, {.n_inputs = 1});
     store.push_back(fit.lut);
-    return fit.lut.eval_dataset(features);
+    return reference::eval_dataset(fit.lut, features);
   };
 }
 
@@ -92,7 +93,9 @@ TEST(Adaboost, TrainPredictionsConsistentWithMatOverRounds) {
       targets, stump_trainer(features, targets, store), {.n_rounds = 6});
   // Recompute combined predictions from the stored weak LUTs + MAT.
   std::vector<BitVector> weak_outputs;
-  for (const auto& lut : store) weak_outputs.push_back(lut.eval_dataset(features));
+  for (const auto& lut : store) {
+    weak_outputs.push_back(reference::eval_dataset(lut, features));
+  }
   for (std::size_t i = 0; i < features.rows(); ++i) {
     std::size_t combo = 0;
     for (std::size_t r = 0; r < weak_outputs.size(); ++r) {
@@ -180,12 +183,12 @@ TEST(Adaboost, ReweightingFocusesOnMistakes) {
     const LevelDtResult fit =
         train_level_dt(features, targets, weights, {.n_inputs = 1});
     store.push_back(fit.lut);
-    return fit.lut.eval_dataset(features);
+    return reference::eval_dataset(fit.lut, features);
   };
   run_adaboost(targets, probe, {.n_rounds = 2});
   ASSERT_EQ(seen_weights.size(), 2u);
 
-  const BitVector round0 = store[0].eval_dataset(features);
+  const BitVector round0 = reference::eval_dataset(store[0], features);
   double wrong_mass = 0.0;
   double right_mass = 0.0;
   for (std::size_t i = 0; i < features.rows(); ++i) {

@@ -1,7 +1,7 @@
 // The batch engine's contract is exact: bitsliced and threaded paths must be
-// bit-identical to the scalar eval_dataset/predict_dataset paths on any
-// model and any dataset shape, including ragged tails (rows % 64 != 0) and
-// empty inputs.
+// bit-identical to the column-scan oracles in tests/reference on any model
+// and any dataset shape, including ragged tails (rows % 64 != 0) and empty
+// inputs.
 #include "core/batch_eval.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "core/rinc.h"
 #include "dt/lut.h"
 #include "nn/quantize.h"
+#include "reference/scalar_reference.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -51,7 +52,8 @@ TEST(EvalLutWords, MatchesScalarAcrossAritiesAndShapes) {
           std::size_t{100}, std::size_t{128}, std::size_t{1000}}) {
       const BitMatrix features = testing::random_bits(rows, 32, rng.next_u64());
       const Lut lut = random_lut(arity, features.cols(), rng);
-      EXPECT_EQ(lut.eval_dataset_bitsliced(features), lut.eval_dataset(features))
+      EXPECT_EQ(RincModule::make_leaf(lut).eval_dataset_batched(features),
+                reference::eval_dataset(lut, features))
           << "arity " << arity << ", rows " << rows;
     }
   }
@@ -61,9 +63,10 @@ TEST(EvalLutWords, EmptyDataset) {
   Rng rng(18);
   const BitMatrix features(0, 16);
   const Lut lut = random_lut(4, 16, rng);
-  const BitVector out = lut.eval_dataset_bitsliced(features);
+  const BitVector out =
+      RincModule::make_leaf(lut).eval_dataset_batched(features);
   EXPECT_EQ(out.size(), 0u);
-  EXPECT_EQ(out, lut.eval_dataset(features));
+  EXPECT_EQ(out, reference::eval_dataset(lut, features));
 }
 
 TEST(EvalLutWords, ConstantTablesMaskTheTail) {
@@ -71,7 +74,8 @@ TEST(EvalLutWords, ConstantTablesMaskTheTail) {
   // output's popcount would count garbage bits beyond rows().
   const BitMatrix features = testing::random_bits(70, 8, 3);
   const Lut one({0, 1}, BitVector(4, true));
-  const BitVector out = one.eval_dataset_bitsliced(features);
+  const BitVector out =
+      RincModule::make_leaf(one).eval_dataset_batched(features);
   EXPECT_EQ(out.popcount(), 70u);
 }
 
@@ -79,7 +83,7 @@ TEST(EvalLutWords, PartialWordRange) {
   Rng rng(19);
   const BitMatrix features = testing::random_bits(400, 24, 21);
   const Lut lut = random_lut(6, features.cols(), rng);
-  const BitVector full = lut.eval_dataset(features);
+  const BitVector full = reference::eval_dataset(lut, features);
   // Evaluate words [2, 5) only and compare against the matching slice.
   std::vector<std::uint64_t> words(3);
   eval_rinc_words(RincModule::make_leaf(lut), column_pointers(features).data(),
@@ -96,7 +100,7 @@ TEST(EvalRincWords, MatchesScalarOnRandomHierarchies) {
       const BitMatrix features = testing::random_bits(rows, 40, rng.next_u64());
       const RincModule module = random_rinc(level, 4, features.cols(), rng);
       EXPECT_EQ(module.eval_dataset_batched(features),
-                module.eval_dataset(features))
+                reference::eval_dataset(module, features))
           << "level " << level << ", rows " << rows;
     }
   }
@@ -115,18 +119,75 @@ TEST(EvalRincWords, MatchesScalarOnTrainedModule) {
   config.total_dts = 4;
   const RincModule module =
       RincModule::train(features, targets, /*weights=*/{}, config);
-  EXPECT_EQ(module.eval_dataset_batched(features), module.eval_dataset(features));
+  EXPECT_EQ(module.eval_dataset_batched(features),
+            reference::eval_dataset(module, features));
+}
+
+// A PoetBin assembled from random parts: `config.n_classes` x P random
+// RINC-`level` modules of fan-in P over `n_features` features, and an
+// output layer of random weights quantized to config.output.quant_bits.
+PoetBin random_poetbin(const PoetBinConfig& config, std::size_t level,
+                       std::size_t n_features, Rng& rng) {
+  const std::size_t p = config.rinc.lut_inputs;
+  const std::size_t n_modules = config.n_classes * p;
+  std::vector<RincModule> modules;
+  for (std::size_t m = 0; m < n_modules; ++m) {
+    modules.push_back(random_rinc(level, p, n_features, rng));
+  }
+
+  const std::size_t n_combos = std::size_t{1} << p;
+  Matrix activations(config.n_classes, n_combos);
+  std::vector<SparseOutputNeuron> neurons(config.n_classes);
+  for (std::size_t c = 0; c < config.n_classes; ++c) {
+    neurons[c].input_modules.resize(p);
+    neurons[c].weights.resize(p);
+    for (std::size_t j = 0; j < p; ++j) {
+      neurons[c].input_modules[j] = c * p + j;
+      neurons[c].weights[j] = static_cast<float>(rng.gaussian(0.0, 1.0));
+    }
+    neurons[c].bias = static_cast<float>(rng.gaussian(0.0, 0.5));
+    for (std::size_t combo = 0; combo < n_combos; ++combo) {
+      activations(c, combo) = neurons[c].activation(combo);
+    }
+  }
+  const QuantizerParams quantizer =
+      fit_quantizer(activations, config.output.quant_bits);
+  for (std::size_t c = 0; c < config.n_classes; ++c) {
+    neurons[c].codes.resize(n_combos);
+    for (std::size_t combo = 0; combo < n_combos; ++combo) {
+      neurons[c].codes[combo] =
+          quantize_value(activations(c, combo), quantizer);
+    }
+  }
+  return PoetBin::from_parts(config, std::move(modules), std::move(neurons),
+                             quantizer);
+}
+
+// A small bank of RINC-2 modules (fan-in 3) behind a 2-class output layer.
+PoetBinConfig small_bank_config() {
+  PoetBinConfig config;
+  config.rinc.lut_inputs = 3;
+  config.rinc.levels = 2;
+  config.rinc.total_dts = 9;
+  config.n_classes = 2;
+  config.output.quant_bits = 4;
+  return config;
 }
 
 TEST(BatchEngine, ThreadCountsAgreeWithScalar) {
   Rng rng(29);
   const BitMatrix features = testing::random_bits(3000, 32, 37);
-  const RincModule module = random_rinc(2, 3, features.cols(), rng);
-  const BitVector scalar = module.eval_dataset(features);
+  const PoetBin model =
+      random_poetbin(small_bank_config(), 2, features.cols(), rng);
+  const BitMatrix scalar = reference::rinc_outputs(model, features);
+  const std::vector<int> scalar_preds =
+      reference::predict_dataset(model, features);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3},
                                     std::size_t{8}}) {
     const BatchEngine engine(threads);
-    EXPECT_EQ(engine.eval_dataset(module, features), scalar)
+    EXPECT_EQ(engine.rinc_outputs(model, features), scalar)
+        << threads << " threads";
+    EXPECT_EQ(engine.predict_dataset(model, features), scalar_preds)
         << threads << " threads";
   }
 }
@@ -136,22 +197,26 @@ TEST(BatchEngine, EngineIsReusableAcrossCalls) {
   const BatchEngine engine(4);
   for (int pass = 0; pass < 3; ++pass) {
     const BitMatrix features = testing::random_bits(700, 20, rng.next_u64());
-    const RincModule module = random_rinc(1, 5, features.cols(), rng);
-    EXPECT_EQ(engine.eval_dataset(module, features),
-              module.eval_dataset(features));
+    const PoetBin model =
+        random_poetbin(small_bank_config(), 1, features.cols(), rng);
+    EXPECT_EQ(engine.rinc_outputs(model, features),
+              reference::rinc_outputs(model, features));
   }
 }
 
 TEST(BatchEngine, EmptyDataset) {
   Rng rng(37);
-  const RincModule module = random_rinc(1, 3, 16, rng);
+  const PoetBin model = random_poetbin(small_bank_config(), 1, 16, rng);
   const BatchEngine engine(2);
   const BitMatrix features(0, 16);
-  EXPECT_EQ(engine.eval_dataset(module, features).size(), 0u);
+  const BitMatrix bank = engine.rinc_outputs(model, features);
+  EXPECT_EQ(bank.rows(), 0u);
+  EXPECT_EQ(bank.cols(), model.n_modules());
+  EXPECT_TRUE(engine.predict_dataset(model, features).empty());
 }
 
 // A full PoetBin assembled from random parts: rinc_outputs / predict /
-// accuracy must match the scalar paths exactly.
+// accuracy must match the scalar oracles exactly.
 class BatchEnginePoetBin : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -161,39 +226,7 @@ class BatchEnginePoetBin : public ::testing::Test {
     config_.rinc.total_dts = 4;
     config_.n_classes = 5;
     config_.output.quant_bits = 6;
-
-    const std::size_t n_modules = config_.n_classes * config_.rinc.lut_inputs;
-    std::vector<RincModule> modules;
-    for (std::size_t m = 0; m < n_modules; ++m) {
-      modules.push_back(random_rinc(1, config_.rinc.lut_inputs, 32, rng));
-    }
-
-    const std::size_t n_combos = std::size_t{1} << config_.rinc.lut_inputs;
-    Matrix activations(config_.n_classes, n_combos);
-    std::vector<SparseOutputNeuron> neurons(config_.n_classes);
-    for (std::size_t c = 0; c < config_.n_classes; ++c) {
-      neurons[c].input_modules.resize(config_.rinc.lut_inputs);
-      neurons[c].weights.resize(config_.rinc.lut_inputs);
-      for (std::size_t j = 0; j < config_.rinc.lut_inputs; ++j) {
-        neurons[c].input_modules[j] = c * config_.rinc.lut_inputs + j;
-        neurons[c].weights[j] = static_cast<float>(rng.gaussian(0.0, 1.0));
-      }
-      neurons[c].bias = static_cast<float>(rng.gaussian(0.0, 0.5));
-      for (std::size_t combo = 0; combo < n_combos; ++combo) {
-        activations(c, combo) = neurons[c].activation(combo);
-      }
-    }
-    const QuantizerParams quantizer =
-        fit_quantizer(activations, config_.output.quant_bits);
-    for (std::size_t c = 0; c < config_.n_classes; ++c) {
-      neurons[c].codes.resize(n_combos);
-      for (std::size_t combo = 0; combo < n_combos; ++combo) {
-        neurons[c].codes[combo] =
-            quantize_value(activations(c, combo), quantizer);
-      }
-    }
-    model_ = PoetBin::from_parts(config_, std::move(modules),
-                                 std::move(neurons), quantizer);
+    model_ = random_poetbin(config_, 1, 32, rng);
   }
 
   PoetBinConfig config_;
@@ -205,15 +238,15 @@ TEST_F(BatchEnginePoetBin, RincOutputsMatchScalar) {
   for (const std::size_t rows : {std::size_t{1}, std::size_t{64},
                                  std::size_t{129}, std::size_t{777}}) {
     const BitMatrix features = testing::random_bits(rows, 32, 43 + rows);
-    EXPECT_EQ(model_.rinc_outputs_batched(features, engine),
-              model_.rinc_outputs(features))
+    EXPECT_EQ(engine.rinc_outputs(model_, features),
+              reference::rinc_outputs(model_, features))
         << rows << " rows";
   }
 }
 
 TEST_F(BatchEnginePoetBin, PredictionsMatchScalarIncludingTies) {
   const BitMatrix features = testing::random_bits(1017, 32, 47);
-  const std::vector<int> scalar = model_.predict_dataset(features);
+  const std::vector<int> scalar = reference::predict_dataset(model_, features);
   const BatchEngine inline_engine(1);
   const BatchEngine threaded_engine(4);
   EXPECT_EQ(model_.predict_dataset_batched(features, inline_engine), scalar);
@@ -227,16 +260,24 @@ TEST_F(BatchEnginePoetBin, AccuracyMatchesScalar) {
   for (auto& label : labels) {
     label = static_cast<int>(rng.next_index(config_.n_classes));
   }
+  const std::vector<int> scalar = reference::predict_dataset(model_, features);
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    correct += scalar[i] == labels[i] ? 1 : 0;
+  }
   const BatchEngine engine(3);
-  EXPECT_DOUBLE_EQ(model_.accuracy_batched(features, labels, engine),
-                   model_.accuracy(features, labels));
+  EXPECT_DOUBLE_EQ(
+      prediction_accuracy(engine.predict_dataset(model_, features), labels),
+      static_cast<double>(correct) / static_cast<double>(labels.size()));
 }
 
 TEST_F(BatchEnginePoetBin, EmptyDataset) {
   const BitMatrix features(0, 32);
   const BatchEngine engine(1);
   EXPECT_TRUE(model_.predict_dataset_batched(features, engine).empty());
-  EXPECT_EQ(model_.accuracy_batched(features, {}, engine), 0.0);
+  EXPECT_EQ(prediction_accuracy(
+                model_.predict_dataset_batched(features, engine), {}),
+            0.0);
 }
 
 // The engine documents "one dataset pass at a time"; since PR 3 that

@@ -277,7 +277,7 @@ TEST(GatherPredict, FeatureWidthSurvivesFromPartsTrainRetrainAndCopy) {
   EXPECT_EQ(width, derived_width(trained));
   EXPECT_GT(width, 0u);
 
-  const BitMatrix bank = trained.rinc_outputs(features);
+  const BitMatrix bank = reference::rinc_outputs(trained, features);
   std::vector<int> shifted(labels.size());
   for (std::size_t i = 0; i < labels.size(); ++i) {
     shifted[i] = (labels[i] + 1) % static_cast<int>(n_classes);

@@ -8,6 +8,7 @@
 #include "hw/netlist_builder.h"
 #include "hw/power_model.h"
 #include "hw/vhdl.h"
+#include "reference/scalar_reference.h"
 
 namespace poetbin {
 namespace {
@@ -39,7 +40,8 @@ TEST_F(EndToEnd, NetlistMatchesModelOnTestSet) {
   const PipelineResult& r = result();
   const PoetBinNetlist netlist =
       build_poetbin_netlist(r.model, r.test_bits.n_features());
-  const auto model_predictions = r.model.predict_dataset(r.test_bits.features);
+  const auto model_predictions =
+      reference::predict_dataset(r.model, r.test_bits.features);
   const auto netlist_predictions =
       netlist.predict_dataset(r.test_bits.features);
   EXPECT_EQ(model_predictions, netlist_predictions);

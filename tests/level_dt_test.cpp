@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/scalar_reference.h"
 #include "test_util.h"
 
 namespace poetbin {
@@ -19,7 +20,8 @@ TEST(LevelDt, LearnsSingleFeatureExactly) {
       train_level_dt(features, targets, {}, {.n_inputs = 1});
   EXPECT_EQ(fit.weighted_error, 0.0);
   EXPECT_EQ(fit.lut.inputs()[0], 4u);
-  EXPECT_EQ(bit_accuracy(fit.lut.eval_dataset(features), targets), 1.0);
+  EXPECT_EQ(bit_accuracy(reference::eval_dataset(fit.lut, features), targets),
+            1.0);
 }
 
 TEST(LevelDt, LearnsConjunctionExactly) {

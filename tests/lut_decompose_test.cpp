@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/scalar_reference.h"
 #include "test_util.h"
 
 namespace poetbin {
@@ -55,7 +56,7 @@ TEST(Prune, EasyTargetCreatesRemovableMats) {
   EXPECT_GT(stats.removed_fraction_6luts(), 0.3);
 
   // Pruning safety: the module's decisions still track the dominant DT.
-  const BitVector predictions = module.eval_dataset(features);
+  const BitVector predictions = reference::eval_dataset(module, features);
   std::size_t agree = 0;
   for (std::size_t i = 0; i < 800; ++i) {
     if (predictions.get(i) == features.get(i, 5)) ++agree;

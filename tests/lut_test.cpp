@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/rinc.h"
 #include "reference/scalar_reference.h"
 #include "test_util.h"
 
@@ -38,7 +39,8 @@ TEST(Lut, EvalDatasetMatchesPerExampleEval) {
   for (std::size_t i = 0; i < 16; ++i) table.set(i, rng.next_bool());
   const Lut lut({3, 7, 11, 15}, table);
 
-  const BitVector dataset_eval = lut.eval_dataset(features);
+  const BitVector dataset_eval =
+      RincModule::make_leaf(lut).eval_dataset_batched(features);
   for (std::size_t i = 0; i < features.rows(); ++i) {
     EXPECT_EQ(dataset_eval.get(i),
               lut.lookup(reference::lut_address(lut, features.row(i))))
@@ -49,7 +51,7 @@ TEST(Lut, EvalDatasetMatchesPerExampleEval) {
 TEST(Lut, AddressesMatchAddressOf) {
   const BitMatrix features = testing::random_bits(40, 10, 7);
   const Lut lut({0, 9, 4}, BitVector(8));
-  const auto addrs = lut.addresses(features);
+  const auto addrs = reference::lut_addresses(lut, features);
   for (std::size_t i = 0; i < features.rows(); ++i) {
     EXPECT_EQ(addrs[i], reference::lut_address(lut, features.row(i)));
   }
@@ -59,8 +61,12 @@ TEST(Lut, ConstantTables) {
   const BitMatrix features = testing::random_bits(20, 4, 8);
   const Lut zero({0, 1}, BitVector(4, false));
   const Lut one({0, 1}, BitVector(4, true));
-  EXPECT_EQ(zero.eval_dataset(features).popcount(), 0u);
-  EXPECT_EQ(one.eval_dataset(features).popcount(), 20u);
+  EXPECT_EQ(reference::eval_dataset(zero, features).popcount(), 0u);
+  EXPECT_EQ(reference::eval_dataset(one, features).popcount(), 20u);
+  EXPECT_EQ(RincModule::make_leaf(zero).eval_dataset_batched(features),
+            reference::eval_dataset(zero, features));
+  EXPECT_EQ(RincModule::make_leaf(one).eval_dataset_batched(features),
+            reference::eval_dataset(one, features));
 }
 
 TEST(Lut, IdentityAndNegationOfSingleInput) {
@@ -71,8 +77,10 @@ TEST(Lut, IdentityAndNegationOfSingleInput) {
   negation.set(0, true);
   const Lut id_lut({1}, identity);
   const Lut not_lut({1}, negation);
-  const BitVector id_out = id_lut.eval_dataset(features);
-  const BitVector not_out = not_lut.eval_dataset(features);
+  const BitVector id_out =
+      RincModule::make_leaf(id_lut).eval_dataset_batched(features);
+  const BitVector not_out =
+      RincModule::make_leaf(not_lut).eval_dataset_batched(features);
   for (std::size_t i = 0; i < 64; ++i) {
     EXPECT_EQ(id_out.get(i), features.get(i, 1));
     EXPECT_EQ(not_out.get(i), !features.get(i, 1));

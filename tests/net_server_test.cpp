@@ -14,6 +14,7 @@
 #include "serve/net_client.h"
 #include "serve/protocol.h"
 #include "serve/runtime.h"
+#include "reference/scalar_reference.h"
 #include "test_util.h"
 
 namespace poetbin {
@@ -48,7 +49,7 @@ const ServeFixture& fixture() {
     config.threads = 1;
     f->model = PoetBin::train(f->data.features, intermediate, f->data.labels,
                               config);
-    f->scalar_preds = f->model.predict_dataset(f->data.features);
+    f->scalar_preds = reference::predict_dataset(f->model, f->data.features);
     f->rows.reserve(f->data.size());
     for (std::size_t i = 0; i < f->data.size(); ++i) {
       f->rows.push_back(f->data.features.row(i));

@@ -105,7 +105,8 @@ TEST(PoetBinNetlist, MatchesModelBitExactly) {
   EXPECT_EQ(netlist.class_code_bits.size(), 10u);
   EXPECT_EQ(netlist.class_code_bits[0].size(), 8u);
 
-  const auto model_predictions = model.predict_dataset(data.features);
+  const auto model_predictions =
+      reference::predict_dataset(model, data.features);
   const auto netlist_predictions = netlist.predict_dataset(data.features);
   EXPECT_EQ(model_predictions, netlist_predictions);
 }
@@ -129,7 +130,7 @@ TEST(PoetBinNetlist, CodeBitsReconstructNeuronCodes) {
 
   // For each example, decode each class's code bits and compare with the
   // model's combo-indexed code table.
-  const BitMatrix rinc_bits = model.rinc_outputs(data.features);
+  const BitMatrix rinc_bits = reference::rinc_outputs(model, data.features);
   for (std::size_t i = 0; i < 20; ++i) {
     const auto values = netlist.netlist.simulate(data.features.row(i));
     for (std::size_t c = 0; c < model.n_classes(); ++c) {

@@ -187,10 +187,10 @@ TEST(OutputLayerRetrain, EndToEndTrainMatchesScalarPath) {
   const PoetBin word =
       PoetBin::train(data.features, intermediate, labels, config);
   const PoetBin scalar = reference::retrain_output_layer_scalar(
-      word, config, word.rinc_outputs(data.features), labels);
+      word, config, reference::rinc_outputs(word, data.features), labels);
   expect_same_output_layer(scalar, word, n);
-  EXPECT_EQ(scalar.predict_dataset(data.features),
-            word.predict_dataset(data.features));
+  EXPECT_EQ(reference::predict_dataset(scalar, data.features),
+            reference::predict_dataset(word, data.features));
 }
 
 // The word path gathers through lut_reduce planes whose tail bits are

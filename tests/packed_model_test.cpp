@@ -17,6 +17,7 @@
 #include "core/batch_eval.h"
 #include "core/rinc.h"
 #include "dt/lut.h"
+#include "reference/scalar_reference.h"
 #include "test_util.h"
 
 namespace poetbin {
@@ -136,10 +137,10 @@ TEST(PackedModel, RoundTripPreservesPredictions) {
   EXPECT_EQ(loaded->n_classes(), fx.model.n_classes());
   EXPECT_EQ(loaded->lut_count(), fx.model.lut_count());
   EXPECT_EQ(loaded->n_features(), fx.model.n_features());
-  EXPECT_EQ(loaded->predict_dataset(fx.data.features),
-            fx.model.predict_dataset(fx.data.features));
-  EXPECT_EQ(loaded->rinc_outputs(fx.data.features),
-            fx.model.rinc_outputs(fx.data.features));
+  EXPECT_EQ(reference::predict_dataset(*loaded, fx.data.features),
+            reference::predict_dataset(fx.model, fx.data.features));
+  EXPECT_EQ(reference::rinc_outputs(*loaded, fx.data.features),
+            reference::rinc_outputs(fx.model, fx.data.features));
 }
 
 // The binary format stores exact float/double bit patterns, so a model that
@@ -177,20 +178,21 @@ TEST(PackedModel, BitIdenticalAcrossBackendsAndThreads) {
   const IoResult<PoetBin> loaded =
       read_packed_model_file(packed_fixture_path());
   ASSERT_TRUE(loaded.ok());
-  const std::vector<int> want = fx.model.predict_dataset(fx.data.features);
+  const std::vector<int> want =
+      reference::predict_dataset(fx.model, fx.data.features);
 
   testing::BackendGuard guard;
   for (const WordBackend backend : available_word_backends()) {
     set_word_backend(backend);
-    EXPECT_EQ(loaded->predict_dataset(fx.data.features), want)
+    EXPECT_EQ(reference::predict_dataset(*loaded, fx.data.features), want)
         << word_backend_name(backend);
     for (const std::size_t threads : {1u, 2u, 5u}) {
       const BatchEngine engine(threads);
       EXPECT_EQ(loaded->predict_dataset_batched(fx.data.features, engine),
                 want)
           << word_backend_name(backend) << " x" << threads;
-      EXPECT_EQ(loaded->rinc_outputs_batched(fx.data.features, engine),
-                fx.model.rinc_outputs(fx.data.features))
+      EXPECT_EQ(engine.rinc_outputs(*loaded, fx.data.features),
+                reference::rinc_outputs(fx.model, fx.data.features))
           << word_backend_name(backend) << " x" << threads;
     }
   }
@@ -208,8 +210,8 @@ TEST(PackedModel, CopySurvivesOriginalDestruction) {
   }
   PoetBin copy = *original;
   original.reset();
-  EXPECT_EQ(copy.predict_dataset(fx.data.features),
-            fx.model.predict_dataset(fx.data.features));
+  EXPECT_EQ(reference::predict_dataset(copy, fx.data.features),
+            reference::predict_dataset(fx.model, fx.data.features));
 }
 
 // Retraining a packed-loaded model rebuilds its code planes from the new
@@ -224,11 +226,12 @@ TEST(PackedModel, RetrainOutputLayerMatchesTextLoadedRetrain) {
   IoResult<PoetBin> text = read_model(stream);
   ASSERT_TRUE(text.ok());
 
-  const BitMatrix rinc_bits = fx.model.rinc_outputs(fx.data.features);
+  const BitMatrix rinc_bits =
+      reference::rinc_outputs(fx.model, fx.data.features);
   packed->retrain_output_layer(rinc_bits, fx.data.labels);
   text->retrain_output_layer(rinc_bits, fx.data.labels);
-  EXPECT_EQ(packed->predict_dataset(fx.data.features),
-            text->predict_dataset(fx.data.features));
+  EXPECT_EQ(reference::predict_dataset(*packed, fx.data.features),
+            reference::predict_dataset(*text, fx.data.features));
 }
 
 TEST(PackedModel, SniffsFormats) {
@@ -247,8 +250,8 @@ TEST(PackedModel, SniffsFormats) {
   const IoResult<LoadedModel> text = read_model_file_any(text_path);
   ASSERT_TRUE(text.ok());
   EXPECT_EQ(text->format, ModelFormat::kText);
-  EXPECT_EQ(packed->model.predict_dataset(fx.data.features),
-            text->model.predict_dataset(fx.data.features));
+  EXPECT_EQ(reference::predict_dataset(packed->model, fx.data.features),
+            reference::predict_dataset(text->model, fx.data.features));
   std::remove(text_path.c_str());
 
   EXPECT_STREQ(model_format_name(ModelFormat::kText), "text");
@@ -308,8 +311,8 @@ TEST(PackedModel, TrustChecksumLoadsIdenticallyToFullVerify) {
   const IoResult<PoetBin> trusting = read_packed_model_file(
       packed_fixture_path(), PackedVerify::kTrustChecksum);
   ASSERT_TRUE(trusting.ok()) << trusting.error().message;
-  EXPECT_EQ(trusting->predict_dataset(fx.data.features),
-            fx.model.predict_dataset(fx.data.features));
+  EXPECT_EQ(reference::predict_dataset(*trusting, fx.data.features),
+            reference::predict_dataset(fx.model, fx.data.features));
   std::stringstream reprinted;
   save_model(*trusting, reprinted);
   std::stringstream original;
@@ -333,8 +336,8 @@ TEST(PackedModel, TrustChecksumSkipsTheCrcPass) {
   const IoResult<PoetBin> trusting = load_mutated(
       "crc_field_trust.pbm", corrupt_crc_field, PackedVerify::kTrustChecksum);
   ASSERT_TRUE(trusting.ok()) << trusting.error().message;
-  EXPECT_EQ(trusting->predict_dataset(fx.data.features),
-            fx.model.predict_dataset(fx.data.features));
+  EXPECT_EQ(reference::predict_dataset(*trusting, fx.data.features),
+            reference::predict_dataset(fx.model, fx.data.features));
 }
 
 // Trusting the checksum does not mean trusting the structure: truncation
@@ -465,7 +468,8 @@ TEST(PackedModel, EveryTruncationPointFailsCleanly) {
 // model, but it must never crash or read out of bounds (ASan-clean).
 TEST(PackedModel, EveryByteFlipFailsCleanlyOrLoadsIdentically) {
   const Fixture& fx = fixture();
-  const std::vector<int> want = fx.model.predict_dataset(fx.data.features);
+  const std::vector<int> want =
+      reference::predict_dataset(fx.model, fx.data.features);
   const std::vector<std::uint8_t> bytes = read_bytes(packed_fixture_path());
   const std::string path = temp_path("flip_sweep.pbm");
   for (std::size_t at = 0; at < bytes.size(); ++at) {
@@ -475,7 +479,7 @@ TEST(PackedModel, EveryByteFlipFailsCleanlyOrLoadsIdentically) {
       write_bytes(path, flipped);
       const IoResult<PoetBin> full = read_packed_model_file(path);
       if (full.ok()) {
-        EXPECT_EQ(full->predict_dataset(fx.data.features), want)
+        EXPECT_EQ(reference::predict_dataset(*full, fx.data.features), want)
             << "byte " << at << " ^ " << int{mask};
       }
       const IoResult<PoetBin> trusting =
@@ -508,7 +512,7 @@ struct ConvFixture {
     const BitMatrix targets = testing::random_bits(200, 2 * 6 * 6, 62);
     model.conv = RincConvLayer::train(frames, in_shape, targets, config);
 
-    const BitMatrix conv_out = model.conv.eval_dataset(frames);
+    const BitMatrix conv_out = reference::conv_eval_dataset(model.conv, frames);
     std::vector<int> labels(frames.rows());
     for (std::size_t i = 0; i < labels.size(); ++i) {
       labels[i] = static_cast<int>(i % 4);
@@ -562,8 +566,8 @@ TEST(PackedConvModel, RoundTripPreservesPredictions) {
   EXPECT_EQ(loaded->conv->config().padding, fx.model.conv.config().padding);
 
   const ConvModel round{*loaded->conv, loaded->model};
-  const std::vector<int> want = fx.model.predict_dataset(fx.frames);
-  EXPECT_EQ(round.predict_dataset(fx.frames), want);
+  const std::vector<int> want = reference::predict_dataset(fx.model, fx.frames);
+  EXPECT_EQ(reference::predict_dataset(round, fx.frames), want);
   // The fused word-parallel path over the loaded LUTs, across backends.
   testing::BackendGuard guard;
   for (const WordBackend backend : available_word_backends()) {
@@ -585,8 +589,8 @@ TEST(PackedConvModel, TrustChecksumLoadsIdenticallyToFullVerify) {
   ASSERT_TRUE(trusting.ok()) << trusting.error().message;
   ASSERT_NE(trusting->conv, nullptr);
   const ConvModel round{*trusting->conv, trusting->model};
-  EXPECT_EQ(round.predict_dataset(fx.frames),
-            fx.model.predict_dataset(fx.frames));
+  EXPECT_EQ(reference::predict_dataset(round, fx.frames),
+            reference::predict_dataset(fx.model, fx.frames));
 }
 
 // Re-packing a loaded conv model reproduces the file byte for byte: the
@@ -638,8 +642,8 @@ TEST(PackedConvModel, TextConvSniffsThroughReadAny) {
   EXPECT_EQ(loaded->format, ModelFormat::kText);
   ASSERT_NE(loaded->conv, nullptr);
   const ConvModel round{*loaded->conv, loaded->model};
-  EXPECT_EQ(round.predict_dataset(fx.frames),
-            fx.model.predict_dataset(fx.frames));
+  EXPECT_EQ(reference::predict_dataset(round, fx.frames),
+            reference::predict_dataset(fx.model, fx.frames));
   std::remove(text_path.c_str());
 }
 
@@ -710,7 +714,7 @@ TEST(PackedConvModel, EveryTruncationPointFailsCleanly) {
 // The byte-flip sweep of the dense test, over a conv file.
 TEST(PackedConvModel, EveryByteFlipFailsCleanlyOrLoadsIdentically) {
   const ConvFixture& fx = conv_fixture();
-  const std::vector<int> want = fx.model.predict_dataset(fx.frames);
+  const std::vector<int> want = reference::predict_dataset(fx.model, fx.frames);
   const std::vector<std::uint8_t> bytes =
       read_bytes(packed_conv_fixture_path());
   const std::string path = temp_path("conv_flip_sweep.pbm");
@@ -722,8 +726,8 @@ TEST(PackedConvModel, EveryByteFlipFailsCleanlyOrLoadsIdentically) {
       const IoResult<LoadedModel> full = read_model_file_any(path);
       if (full.ok()) {
         ASSERT_NE(full->conv, nullptr) << "byte " << at;
-        EXPECT_EQ(ConvModel({*full->conv, full->model})
-                      .predict_dataset(fx.frames),
+        EXPECT_EQ(reference::predict_dataset(
+                      ConvModel({*full->conv, full->model}), fx.frames),
                   want)
             << "byte " << at << " ^ " << int{mask};
       }
@@ -842,8 +846,8 @@ TEST(ModuleDepthCap, DenseTreeBeyondDeclaredLevelsIsCorruptSection) {
   for (const std::string& path : {text, packed}) {
     const IoResult<LoadedModel> loaded = read_model_file_any(path);
     ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-    EXPECT_EQ(loaded->model.predict_dataset(features),
-              shallow.predict_dataset(features));
+    EXPECT_EQ(reference::predict_dataset(loaded->model, features),
+              reference::predict_dataset(shallow, features));
   }
   std::remove(text.c_str());
   std::remove(packed.c_str());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/batch_eval.h"
 #include "reference/scalar_reference.h"
 #include "test_util.h"
 
@@ -49,6 +50,13 @@ PoetBinConfig toy_config(std::size_t p, std::size_t n_classes) {
   return config;
 }
 
+// Accuracy of the fused word pass on `data`.
+double accuracy(const PoetBin& model, const BinaryDataset& data) {
+  return prediction_accuracy(
+      model.predict_dataset_batched(data.features, BatchEngine(1)),
+      data.labels);
+}
+
 TEST(PoetBin, ShapesAndLutCount) {
   const ToyProblem toy = make_toy(600, 4, 5, 1);
   const PoetBinConfig config = toy_config(4, 5);
@@ -64,7 +72,7 @@ TEST(PoetBin, BeatsChanceComfortably) {
   const ToyProblem toy = make_toy(800, 4, 5, 2);
   const PoetBin model = PoetBin::train(toy.data.features, toy.intermediate,
                                        toy.data.labels, toy_config(4, 5));
-  EXPECT_GT(model.accuracy(toy.data.features, toy.data.labels), 0.8);
+  EXPECT_GT(accuracy(model, toy.data), 0.8);
 }
 
 TEST(PoetBin, PredictDatasetMatchesSinglePredict) {
@@ -72,7 +80,9 @@ TEST(PoetBin, PredictDatasetMatchesSinglePredict) {
   PoetBinConfig config = toy_config(3, 4);
   const PoetBin model = PoetBin::train(toy.data.features, toy.intermediate,
                                        toy.data.labels, config);
-  const auto batch = model.predict_dataset(toy.data.features);
+  const auto batch = reference::predict_dataset(model, toy.data.features);
+  EXPECT_EQ(model.predict_dataset_batched(toy.data.features, BatchEngine(2)),
+            batch);
   for (std::size_t i = 0; i < 50; ++i) {
     const BitVector row = toy.data.features.row(i);
     EXPECT_EQ(batch[i], reference::predict_walk(model, row)) << i;
@@ -84,7 +94,8 @@ TEST(PoetBin, RincOutputsShapeAndFidelity) {
   const ToyProblem toy = make_toy(500, 4, 5, 4);
   const PoetBin model = PoetBin::train(toy.data.features, toy.intermediate,
                                        toy.data.labels, toy_config(4, 5));
-  const BitMatrix outputs = model.rinc_outputs(toy.data.features);
+  const BitMatrix outputs =
+      BatchEngine(1).rinc_outputs(model, toy.data.features);
   EXPECT_EQ(outputs.rows(), 500u);
   EXPECT_EQ(outputs.cols(), 20u);
   const double fidelity =
@@ -147,8 +158,8 @@ TEST(PoetBin, EightBitBeatsOneBitQuantization) {
       toy.data.features, toy.intermediate, toy.data.labels, coarse);
   const PoetBin fine_model = PoetBin::train(toy.data.features, toy.intermediate,
                                             toy.data.labels, fine);
-  EXPECT_GE(fine_model.accuracy(toy.data.features, toy.data.labels) + 0.02,
-            coarse_model.accuracy(toy.data.features, toy.data.labels));
+  EXPECT_GE(accuracy(fine_model, toy.data) + 0.02,
+            accuracy(coarse_model, toy.data));
 }
 
 TEST(PoetBin, RejectsMismatchedIntermediateWidth) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/poetbin.h"
+#include "reference/scalar_reference.h"
 #include "test_util.h"
 
 namespace poetbin {
@@ -35,10 +36,10 @@ TEST(PoetBinThreads, ParallelEqualsSerial) {
   const PoetBin parallel = PoetBin::train(data.features, intermediate,
                                           data.labels, parallel_config);
 
-  EXPECT_EQ(serial.rinc_outputs(data.features),
-            parallel.rinc_outputs(data.features));
-  EXPECT_EQ(serial.predict_dataset(data.features),
-            parallel.predict_dataset(data.features));
+  EXPECT_EQ(reference::rinc_outputs(serial, data.features),
+            reference::rinc_outputs(parallel, data.features));
+  EXPECT_EQ(reference::predict_dataset(serial, data.features),
+            reference::predict_dataset(parallel, data.features));
   EXPECT_EQ(serial.lut_count(), parallel.lut_count());
   for (std::size_t c = 0; c < serial.n_classes(); ++c) {
     EXPECT_EQ(serial.output_neurons()[c].codes,

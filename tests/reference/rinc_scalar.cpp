@@ -38,7 +38,7 @@ RincFit train_level(const BitMatrix& features, const BitVector& targets,
     remaining -= child_budget;
     RincFit child = train_level(features, targets, round_weights, config,
                                 level - 1, child_budget);
-    BitVector predictions = child.module.eval_dataset(features);
+    BitVector predictions = eval_dataset(child.module, features);
     children.push_back(std::move(child.module));
     return predictions;
   };

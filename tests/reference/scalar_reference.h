@@ -1,20 +1,23 @@
 // Scalar oracles: per-example reference implementations of the
-// word-parallel trainers in src/ and of the per-example predict. Each one
-// runs the semantics of its production counterpart one example (or one
-// (example, class) pair) at a time, with no word ops, no thread pool and no
-// compiled program, so the bit-identity tests and the benches have
-// something independent to hold the production paths to. The LevelDT
-// scalar scan is not here: it stays in src/ as train_level_dt's over-cap
-// fallback (train_level_dt_scalar).
+// word-parallel trainers in src/, of the per-example predict and of the
+// dataset passes. Each one runs the semantics of its production
+// counterpart one example (or one (example, class) pair) at a time, with
+// no word ops, no thread pool and no compiled program, so the bit-identity
+// tests and the benches have something independent to hold the production
+// paths to. The LevelDT scalar scan is not here: it stays in src/ as
+// train_level_dt's over-cap fallback (train_level_dt_scalar).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "boost/adaboost.h"
 #include "core/poetbin.h"
 #include "core/rinc.h"
+#include "core/rinc_conv.h"
+#include "dt/lut.h"
 #include "util/bit_matrix.h"
 #include "util/bitvector.h"
 
@@ -36,7 +39,7 @@ struct RincFit {
 };
 
 // RincModule::train on train_level_dt_scalar, run_adaboost_scalar and the
-// scalar eval_dataset weak-learner pass.
+// column-scan eval_dataset weak-learner pass below.
 RincFit train_rinc_scalar(const BitMatrix& features, const BitVector& targets,
                           std::span<const double> weights,
                           const RincConfig& config);
@@ -65,5 +68,35 @@ bool eval_module(const RincModule& module, const BitVector& example_bits);
 // the neurons' codes with ties to the lower class. The oracle the gather
 // program is held to.
 int predict_walk(const PoetBin& model, const BitVector& example_bits);
+
+// --- dataset oracles: column scans over a feature-major BitMatrix ---------
+//
+// Each leaf assembles every row's address from its input columns, one bit
+// per row per input, and each MAT the combo of its children's output bits;
+// the word pass (RincModule::eval_dataset_batched, BatchEngine,
+// predict_conv_dataset) must match them bit for bit.
+
+// Every row's address into `lut`: bit j is the row's feature inputs()[j]
+// (checked against features.cols()).
+std::vector<std::size_t> lut_addresses(const Lut& lut,
+                                       const BitMatrix& features);
+// `lut`'s output bit for every row.
+BitVector eval_dataset(const Lut& lut, const BitMatrix& features);
+// `module`'s output bit for every row.
+BitVector eval_dataset(const RincModule& module, const BitMatrix& features);
+// The RINC bank's output bits (n x nc*P), module j in column j.
+BitMatrix rinc_outputs(const PoetBin& model, const BitMatrix& features);
+// rinc_outputs, then each row's output-layer argmax (ties to the lower
+// class).
+std::vector<int> predict_dataset(const PoetBin& model,
+                                 const BitMatrix& features);
+// The conv layer over n frames: one patch row per (frame, position) in
+// c -> ky -> kx order with out-of-frame bits 0, each channel module
+// evaluated over the patch rows, output bits channel, then oy, then ox.
+BitMatrix conv_eval_dataset(const RincConvLayer& layer,
+                            const BitMatrix& frames);
+// conv_eval_dataset, then the classifier's predict_dataset.
+std::vector<int> predict_dataset(const ConvModel& model,
+                                 const BitMatrix& frames);
 
 }  // namespace poetbin::reference

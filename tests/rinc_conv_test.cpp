@@ -4,6 +4,7 @@
 
 #include "core/batch_eval.h"
 #include "dt/lut.h"
+#include "reference/scalar_reference.h"
 #include "test_util.h"
 
 namespace poetbin {
@@ -61,15 +62,26 @@ RincConvConfig base_config() {
   return config;
 }
 
+// Fraction of the layer's output bits matching `targets` (distillation
+// fidelity), from the word pass.
+double fidelity(const RincConvLayer& layer, const BitMatrix& inputs,
+                const BitMatrix& targets) {
+  const BatchEngine engine(1);
+  return PoetBin::intermediate_fidelity(
+      layer.eval_dataset_batched(inputs, engine), targets);
+}
+
 TEST(RincConv, OutputShapes) {
   const ConvProblem problem = make_problem(20, 1);
   const RincConvLayer layer = RincConvLayer::train(
       problem.inputs, problem.in_shape, problem.targets, base_config());
   EXPECT_EQ(layer.output_shape(), (BinShape3{2, 8, 8}));
   EXPECT_EQ(layer.patch_bits(), 9u);
-  const BitMatrix out = layer.eval_dataset(problem.inputs);
+  const BatchEngine engine(1);
+  const BitMatrix out = layer.eval_dataset_batched(problem.inputs, engine);
   EXPECT_EQ(out.rows(), 20u);
   EXPECT_EQ(out.cols(), 128u);
+  EXPECT_EQ(layer.eval_frame(problem.inputs.row(0)).size(), 128u);
 }
 
 TEST(RincConv, LearnsExactPatchFunctions) {
@@ -78,7 +90,7 @@ TEST(RincConv, LearnsExactPatchFunctions) {
       problem.inputs, problem.in_shape, problem.targets, base_config());
   // Both teacher channels are functions of <= 5 patch bits; the pooled
   // patch dataset (60 x 64 rows) covers the space, so fidelity must be 1.
-  EXPECT_DOUBLE_EQ(layer.fidelity(problem.inputs, problem.targets), 1.0);
+  EXPECT_DOUBLE_EQ(fidelity(layer, problem.inputs, problem.targets), 1.0);
 }
 
 TEST(RincConv, GeneralisesToFreshInputs) {
@@ -87,8 +99,8 @@ TEST(RincConv, GeneralisesToFreshInputs) {
       RincConvLayer::train(train_problem.inputs, train_problem.in_shape,
                            train_problem.targets, base_config());
   const ConvProblem test_problem = make_problem(30, 999);
-  EXPECT_DOUBLE_EQ(layer.fidelity(test_problem.inputs, test_problem.targets),
-                   1.0);
+  EXPECT_DOUBLE_EQ(
+      fidelity(layer, test_problem.inputs, test_problem.targets), 1.0);
 }
 
 TEST(RincConv, WeightSharingIsTranslationEquivariant) {
@@ -97,19 +109,18 @@ TEST(RincConv, WeightSharingIsTranslationEquivariant) {
       problem.inputs, problem.in_shape, problem.targets, base_config());
 
   // One lit pixel at (3, 3) vs (4, 5): channel outputs must shift with it.
-  BitMatrix a(1, 64);
-  a.set(0, 3 * 8 + 3, true);
-  BitMatrix b(1, 64);
-  b.set(0, 4 * 8 + 5, true);
-  const BitMatrix out_a = layer.eval_dataset(a);
-  const BitMatrix out_b = layer.eval_dataset(b);
+  BitVector a(64);
+  a.set(3 * 8 + 3, true);
+  BitVector b(64);
+  b.set(4 * 8 + 5, true);
+  const BitVector out_a = layer.eval_frame(a);
+  const BitVector out_b = layer.eval_frame(b);
   for (std::size_t channel = 0; channel < 2; ++channel) {
     for (long dr = -1; dr <= 1; ++dr) {
       for (long dc = -1; dc <= 1; ++dc) {
         const std::size_t pa = static_cast<std::size_t>((3 + dr) * 8 + 3 + dc);
         const std::size_t pb = static_cast<std::size_t>((4 + dr) * 8 + 5 + dc);
-        EXPECT_EQ(out_a.get(0, channel * 64 + pa),
-                  out_b.get(0, channel * 64 + pb))
+        EXPECT_EQ(out_a.get(channel * 64 + pa), out_b.get(channel * 64 + pb))
             << "channel " << channel << " offset " << dr << "," << dc;
       }
     }
@@ -145,7 +156,7 @@ TEST(RincConv, PatchSubsamplingStillLearns) {
   config.max_train_patches = 500;  // force subsampling (60*64 = 3840 rows)
   const RincConvLayer layer = RincConvLayer::train(
       problem.inputs, problem.in_shape, problem.targets, config);
-  EXPECT_GT(layer.fidelity(problem.inputs, problem.targets), 0.95);
+  EXPECT_GT(fidelity(layer, problem.inputs, problem.targets), 0.95);
 }
 
 // --- bitsliced path: bit-identity against the scalar oracle ---------------
@@ -159,12 +170,14 @@ struct ConvGeom {
 };
 
 // The acceptance bar for eval_dataset_batched: bit-identical to the scalar
-// eval_dataset on every available word backend and several engine widths,
+// reference::conv_eval_dataset on every available word backend and several
+// engine widths,
 // across geometries that stress each indexing path of the padded,
 // stride-phase-split frame (pointwise 1x1, strided, stride 3, stride above
 // the kernel, kernel 5, maximum padding, multi-channel, non-square) and
 // example counts straddling the 64-bit word boundary, the 16-word chunk
-// boundary and full 8-word SIMD blocks.
+// boundary and full 8-word SIMD blocks. The single-frame walk, eval_frame,
+// must match the same oracle row by row on every geometry and size.
 TEST(RincConvBatched, BitIdenticalAcrossShapesBackendsAndThreads) {
   const std::vector<ConvGeom> geoms = {
       {{1, 8, 8}, 2, 3, 1, 1},  // canonical same-size conv
@@ -214,8 +227,12 @@ TEST(RincConvBatched, BitIdenticalAcrossShapesBackendsAndThreads) {
     for (const std::size_t n : {1u, 63u, 64u, 65u, 130u, 1025u, 2100u}) {
       const BitMatrix inputs =
           testing::random_bits(n, geom.in_shape.flat(), seed++);
-      set_word_backend(WordBackend::kScalar64);
-      const BitMatrix want = layer.eval_dataset(inputs);
+      const BitMatrix want = reference::conv_eval_dataset(layer, inputs);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(layer.eval_frame(inputs.row(i)), want.row(i))
+            << "row " << i << " of n=" << n << " kernel=" << geom.kernel
+            << " stride=" << geom.stride << " padding=" << geom.padding;
+      }
       for (const WordBackend backend : available_word_backends()) {
         set_word_backend(backend);
         for (const std::size_t threads : {1u, 2u, 5u}) {
@@ -237,7 +254,8 @@ TEST(RincConvBatched, ConvModelFusedPredictMatchesScalar) {
   ConvModel model;
   model.conv = RincConvLayer::train(problem.inputs, problem.in_shape,
                                     problem.targets, base_config());
-  const BitMatrix conv_out = model.conv.eval_dataset(problem.inputs);
+  const BitMatrix conv_out =
+      model.conv.eval_dataset_batched(problem.inputs, BatchEngine(1));
   std::vector<int> labels(problem.inputs.rows());
   for (std::size_t i = 0; i < labels.size(); ++i) {
     labels[i] = static_cast<int>(i % 4);
@@ -255,9 +273,10 @@ TEST(RincConvBatched, ConvModelFusedPredictMatchesScalar) {
   model.classifier =
       PoetBin::train(conv_out, intermediate, labels, classifier_config);
 
-  const std::vector<int> want = model.predict_dataset(problem.inputs);
-  // Scalar single-frame path agrees with the dataset oracle.
-  for (std::size_t i = 0; i < 8; ++i) {
+  const std::vector<int> want =
+      reference::predict_dataset(model, problem.inputs);
+  // The single-frame path agrees with the dataset oracle.
+  for (std::size_t i = 0; i < problem.inputs.rows(); ++i) {
     EXPECT_EQ(model.predict(problem.inputs.row(i)), want[i]);
   }
   testing::BackendGuard guard;

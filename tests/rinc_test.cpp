@@ -91,7 +91,8 @@ TEST(Rinc, EvalDatasetMatchesPerExampleEval) {
   });
   const RincModule module = RincModule::train(
       features, targets, {}, {.lut_inputs = 3, .levels = 2, .total_dts = 9});
-  const BitVector batch = module.eval_dataset(features);
+  const BitVector batch = module.eval_dataset_batched(features);
+  EXPECT_EQ(batch, reference::eval_dataset(module, features));
   for (std::size_t i = 0; i < features.rows(); ++i) {
     EXPECT_EQ(batch.get(i), reference::eval_module(module, features.row(i)))
         << "row " << i;
@@ -111,7 +112,7 @@ TEST(Rinc, HigherLevelsImproveHardFunctions) {
     const RincModule module = RincModule::train(
         features, targets, {},
         {.lut_inputs = 4, .levels = level, .total_dts = 0 /* full */});
-    const BitVector predictions = module.eval_dataset(features);
+    const BitVector predictions = module.eval_dataset_batched(features);
     errors[level] = 1.0 - bit_accuracy(predictions, targets);
   }
   EXPECT_LT(errors[1], errors[0]);
@@ -142,7 +143,7 @@ TEST(Rinc, MoreDtsNeverHurtTrainAccuracyMuch) {
         features, targets, {},
         {.lut_inputs = 4, .levels = 2, .total_dts = dts});
     const double error =
-        1.0 - bit_accuracy(module.eval_dataset(features), targets);
+        1.0 - bit_accuracy(reference::eval_dataset(module, features), targets);
     EXPECT_LE(error, previous_error + 0.05) << dts << " DTs";
     previous_error = error;
   }
@@ -170,7 +171,7 @@ TEST(Rinc, WeightedTrainingFollowsTheWeights) {
       RincModule::train(features, targets, second_half_only,
                         {.lut_inputs = 2, .levels = 1, .total_dts = 2});
   // Must classify the upweighted half correctly.
-  const BitVector predictions = module.eval_dataset(features);
+  const BitVector predictions = module.eval_dataset_batched(features);
   std::size_t correct = 0;
   for (std::size_t i = n / 2; i < n; ++i) {
     if (predictions.get(i) == targets.get(i)) ++correct;
@@ -194,7 +195,7 @@ TEST(Rinc, DeterministicAcrossRuns) {
   const RincConfig config{.lut_inputs = 4, .levels = 2, .total_dts = 8};
   const RincModule a = RincModule::train(features, targets, {}, config);
   const RincModule b = RincModule::train(features, targets, {}, config);
-  EXPECT_EQ(a.eval_dataset(features), b.eval_dataset(features));
+  EXPECT_EQ(a.eval_dataset_batched(features), b.eval_dataset_batched(features));
   EXPECT_EQ(a.lut_count(), b.lut_count());
 }
 

@@ -1,7 +1,7 @@
 // Serving-layer contract: a Runtime (loaded from disk or trained in
 // memory) and a MicroBatcher on top of it must reproduce the scalar
-// PoetBin reference bit for bit — under every SIMD word backend, at any
-// thread count, fused or not, and under concurrent producers.
+// oracles in tests/reference bit for bit — under every SIMD word backend,
+// at any thread count, fused or not, and under concurrent producers.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,6 +11,7 @@
 
 #include "core/rinc_conv.h"
 #include "core/serialize.h"
+#include "reference/scalar_reference.h"
 #include "serve/micro_batcher.h"
 #include "serve/runtime.h"
 #include "serve/serve_stats.h"
@@ -50,8 +51,8 @@ const ServeFixture& fixture() {
     config.threads = 1;
     f->model = PoetBin::train(f->data.features, intermediate, f->data.labels,
                               config);
-    f->scalar_preds = f->model.predict_dataset(f->data.features);
-    f->scalar_accuracy = f->model.accuracy(f->data.features, f->data.labels);
+    f->scalar_preds = reference::predict_dataset(f->model, f->data.features);
+    f->scalar_accuracy = prediction_accuracy(f->scalar_preds, f->data.labels);
     f->rows.reserve(f->data.size());
     for (std::size_t i = 0; i < f->data.size(); ++i) {
       f->rows.push_back(f->data.features.row(i));
@@ -61,8 +62,8 @@ const ServeFixture& fixture() {
   return *fx;
 }
 
-// The fused word pass against the scalar PoetBin::predict_dataset, which
-// materializes the RINC bank and runs the per-example argmax.
+// The fused word pass against the column-scan oracle, which materializes
+// the RINC bank and runs the per-example argmax.
 TEST(Runtime, PredictMatchesScalarFusedAndMaterialized) {
   const ServeFixture& fx = fixture();
   const Runtime runtime(fx.model, {.threads = 2});
@@ -83,13 +84,13 @@ TEST(Runtime, RincOutputsMatchScalar) {
   const ServeFixture& fx = fixture();
   const Runtime runtime(fx.model, {.threads = 3});
   EXPECT_EQ(runtime.rinc_outputs(fx.data.features),
-            fx.model.rinc_outputs(fx.data.features));
+            reference::rinc_outputs(fx.model, fx.data.features));
 }
 
 // The satellite contract: save a trained model, reload it under each
 // forced backend and several thread counts, and every Runtime (and a
-// MicroBatcher on top of it) predicts bit-identically to the scalar
-// PoetBin::predict_dataset of the original model.
+// MicroBatcher on top of it) predicts bit-identically to the column-scan
+// oracle on the original model.
 TEST(Runtime, SerializedReloadIsBitIdenticalUnderEveryBackend) {
   const ServeFixture& fx = fixture();
   testing::BackendGuard guard;
@@ -140,14 +141,14 @@ TEST(Runtime, RetrainOutputLayerMatchesScalarRetrain) {
   Runtime runtime(fx.model, {.threads = 2});
   runtime.retrain_output_layer(fx.data.features, fx.data.labels);
 
-  PoetBin reference = fx.model;
-  reference.retrain_output_layer(reference.rinc_outputs(fx.data.features),
-                                 fx.data.labels, /*engine=*/nullptr);
-  for (std::size_t c = 0; c < reference.n_classes(); ++c) {
+  PoetBin want = fx.model;
+  want.retrain_output_layer(reference::rinc_outputs(want, fx.data.features),
+                            fx.data.labels, /*engine=*/nullptr);
+  for (std::size_t c = 0; c < want.n_classes(); ++c) {
     EXPECT_EQ(runtime.model().output_neurons()[c].codes,
-              reference.output_neurons()[c].codes);
+              want.output_neurons()[c].codes);
     EXPECT_EQ(runtime.model().output_neurons()[c].weights,
-              reference.output_neurons()[c].weights);
+              want.output_neurons()[c].weights);
   }
 }
 
@@ -370,11 +371,12 @@ ConvModel random_conv_model(std::uint64_t seed) {
 // feeds the classifier argmax directly). On 1025 frames — 17 words, so
 // chunks cross word and SIMD-block boundaries and end in a ragged word —
 // they must match the scalar conv + classifier oracle on every backend,
-// inline and on a pool.
+// inline and on a pool. predict_one (the single-frame walk, then the
+// gather program) must match it on every frame too.
 TEST(Runtime, ConvPredictMatchesScalarOracle) {
   const ConvModel model = random_conv_model(91);
   const BitMatrix frames = testing::random_bits(1025, model.n_features(), 92);
-  const std::vector<int> want = model.predict_dataset(frames);
+  const std::vector<int> want = reference::predict_dataset(model, frames);
   testing::BackendGuard guard;
   for (const WordBackend backend : available_word_backends()) {
     set_word_backend(backend);
@@ -384,21 +386,27 @@ TEST(Runtime, ConvPredictMatchesScalarOracle) {
           << word_backend_name(backend) << " x" << threads;
       EXPECT_EQ(runtime.predict_snapshot(runtime.snapshot(), frames), want)
           << word_backend_name(backend) << " x" << threads;
+      for (std::size_t i = 0; i < frames.rows(); ++i) {
+        ASSERT_EQ(runtime.predict_one(frames.row(i)), want[i])
+            << word_backend_name(backend) << " x" << threads << " frame "
+            << i;
+      }
     }
   }
 }
 
-// The caller-supplied-engine overloads match the scalar paths (these are
-// the only batched entry points now that the n_threads shims are gone).
+// The caller-supplied-engine entry points match the scalar oracles (these
+// are the only batched entry points now that the n_threads shims are gone).
 TEST(PoetBinEngineOverloads, CallerSuppliedEngineMatchesScalar) {
   const ServeFixture& fx = fixture();
   const BatchEngine engine(3);
   EXPECT_EQ(fx.model.predict_dataset_batched(fx.data.features, engine),
             fx.scalar_preds);
-  EXPECT_EQ(fx.model.rinc_outputs_batched(fx.data.features, engine),
-            fx.model.rinc_outputs(fx.data.features));
+  EXPECT_EQ(engine.rinc_outputs(fx.model, fx.data.features),
+            reference::rinc_outputs(fx.model, fx.data.features));
   EXPECT_DOUBLE_EQ(
-      fx.model.accuracy_batched(fx.data.features, fx.data.labels, engine),
+      prediction_accuracy(engine.predict_dataset(fx.model, fx.data.features),
+                          fx.data.labels),
       fx.scalar_accuracy);
 }
 

@@ -50,8 +50,8 @@ TEST(Serialize, RoundTripPreservesPredictions) {
   EXPECT_EQ(loaded->n_modules(), fx.model.n_modules());
   EXPECT_EQ(loaded->n_classes(), fx.model.n_classes());
   EXPECT_EQ(loaded->lut_count(), fx.model.lut_count());
-  EXPECT_EQ(loaded->predict_dataset(fx.data.features),
-            fx.model.predict_dataset(fx.data.features));
+  EXPECT_EQ(reference::predict_dataset(*loaded, fx.data.features),
+            reference::predict_dataset(fx.model, fx.data.features));
 }
 
 TEST(Serialize, RoundTripPreservesRincBits) {
@@ -60,8 +60,8 @@ TEST(Serialize, RoundTripPreservesRincBits) {
   save_model(fx.model, stream);
   const IoResult<PoetBin> loaded = read_model(stream);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->rinc_outputs(fx.data.features),
-            fx.model.rinc_outputs(fx.data.features));
+  EXPECT_EQ(reference::rinc_outputs(*loaded, fx.data.features),
+            reference::rinc_outputs(fx.model, fx.data.features));
 }
 
 TEST(Serialize, SavedTextIsStable) {
@@ -91,8 +91,8 @@ TEST(Serialize, FileRoundTrip) {
   ASSERT_TRUE(write_model_file(fx.model, path).ok());
   const IoResult<PoetBin> loaded = read_model_file(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->predict_dataset(fx.data.features),
-            fx.model.predict_dataset(fx.data.features));
+  EXPECT_EQ(reference::predict_dataset(*loaded, fx.data.features),
+            reference::predict_dataset(fx.model, fx.data.features));
   std::remove(path.c_str());
 }
 
@@ -211,8 +211,8 @@ TEST_P(SerializeShapeSweep, RoundTripsEveryShape) {
   save_model(model, stream);
   const IoResult<PoetBin> loaded = read_model(stream);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->predict_dataset(data.features),
-            model.predict_dataset(data.features));
+  EXPECT_EQ(reference::predict_dataset(*loaded, data.features),
+            reference::predict_dataset(model, data.features));
   EXPECT_EQ(loaded->lut_count(), model.lut_count());
 }
 
@@ -246,7 +246,7 @@ struct ConvFixture {
     const BitMatrix targets = testing::random_bits(200, 2 * 6 * 6, 56);
     model.conv = RincConvLayer::train(frames, in_shape, targets, config);
 
-    const BitMatrix conv_out = model.conv.eval_dataset(frames);
+    const BitMatrix conv_out = reference::conv_eval_dataset(model.conv, frames);
     std::vector<int> labels(frames.rows());
     for (std::size_t i = 0; i < labels.size(); ++i) {
       labels[i] = static_cast<int>(i % 4);
@@ -282,10 +282,10 @@ TEST(ConvSerialize, RoundTripPreservesPredictions) {
   EXPECT_EQ(loaded->conv.input_shape(), fx.model.conv.input_shape());
   EXPECT_EQ(loaded->conv.output_shape(), fx.model.conv.output_shape());
   EXPECT_EQ(loaded->n_features(), fx.model.n_features());
-  EXPECT_EQ(loaded->conv.eval_dataset(fx.frames),
-            fx.model.conv.eval_dataset(fx.frames));
-  EXPECT_EQ(loaded->predict_dataset(fx.frames),
-            fx.model.predict_dataset(fx.frames));
+  EXPECT_EQ(reference::conv_eval_dataset(loaded->conv, fx.frames),
+            reference::conv_eval_dataset(fx.model.conv, fx.frames));
+  EXPECT_EQ(reference::predict_dataset(*loaded, fx.frames),
+            reference::predict_dataset(fx.model, fx.frames));
 }
 
 TEST(ConvSerialize, DoubleRoundTripIsIdentity) {
@@ -305,8 +305,8 @@ TEST(ConvSerialize, FileRoundTrip) {
   ASSERT_TRUE(write_conv_model_file(fx.model, path).ok());
   const IoResult<ConvModel> loaded = read_conv_model_file(path);
   ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-  EXPECT_EQ(loaded->predict_dataset(fx.frames),
-            fx.model.predict_dataset(fx.frames));
+  EXPECT_EQ(reference::predict_dataset(*loaded, fx.frames),
+            reference::predict_dataset(fx.model, fx.frames));
   std::remove(path.c_str());
 }
 

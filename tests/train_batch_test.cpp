@@ -97,7 +97,7 @@ TEST_P(WordParallelRaggedTest, AdaboostTrajectoriesBitIdentical) {
       const LevelDtResult fit =
           scalar ? train_level_dt_scalar(features, targets, weights, config)
                  : train_level_dt(features, targets, weights, config);
-      return fit.lut.eval_dataset(features);
+      return reference::eval_dataset(fit.lut, features);
     };
   };
 
@@ -160,7 +160,8 @@ TEST(WordParallelTraining, RincModulesIdenticalAcrossPaths) {
   const RincModule word = RincModule::train(features, targets, {}, config);
 
   EXPECT_EQ(reference_fit.train_error, word.train_error());
-  EXPECT_TRUE(scalar.eval_dataset(features) == word.eval_dataset(features));
+  EXPECT_TRUE(reference::eval_dataset(scalar, features) ==
+              reference::eval_dataset(word, features));
   const auto scalar_leaves = scalar.leaf_luts();
   const auto word_leaves = word.leaf_luts();
   ASSERT_EQ(scalar_leaves.size(), word_leaves.size());
@@ -182,7 +183,8 @@ TEST(WordParallelTraining, RincTrainWithEngineMatchesSerial) {
   const RincModule threaded =
       RincModule::train(features, targets, {}, config, &engine);
   EXPECT_EQ(serial.train_error(), threaded.train_error());
-  EXPECT_TRUE(serial.eval_dataset(features) == threaded.eval_dataset(features));
+  EXPECT_TRUE(reference::eval_dataset(serial, features) ==
+              reference::eval_dataset(threaded, features));
 }
 
 TEST(WordParallelTraining, ToleratesDirtyColumnTailWords) {

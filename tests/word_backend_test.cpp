@@ -18,6 +18,7 @@
 #include "dt/entropy.h"
 #include "dt/lut.h"
 #include "nn/quantize.h"
+#include "reference/scalar_reference.h"
 #include "test_util.h"
 #include "util/bitvector.h"
 #include "util/rng.h"
@@ -211,11 +212,12 @@ TEST(WordBackendOps, LutEvalBitIdenticalAcrossBackends) {
     for (const std::size_t n : kRaggedSizes) {
       const BitMatrix features = testing::random_bits(n, 32, rng.next_u64());
       const Lut lut = random_lut(arity, features.cols(), rng);
-      // The scalar model path never touches the word backend.
-      const BitVector reference = lut.eval_dataset(features);
+      // The column-scan oracle never touches the word backend.
+      const BitVector want = reference::eval_dataset(lut, features);
+      const RincModule leaf = RincModule::make_leaf(lut);
       for (const auto backend : available_word_backends()) {
         set_word_backend(backend);
-        EXPECT_EQ(lut.eval_dataset_bitsliced(features), reference)
+        EXPECT_EQ(leaf.eval_dataset_batched(features), want)
             << word_backend_name(backend) << " arity=" << arity << " n=" << n;
       }
     }
@@ -228,10 +230,10 @@ TEST(WordBackendOps, RincEvalBitIdenticalAcrossBackends) {
   for (const std::size_t n : kRaggedSizes) {
     const BitMatrix features = testing::random_bits(n, 40, rng.next_u64());
     const RincModule module = random_rinc(2, 4, features.cols(), rng);
-    const BitVector reference = module.eval_dataset(features);
+    const BitVector want = reference::eval_dataset(module, features);
     for (const auto backend : available_word_backends()) {
       set_word_backend(backend);
-      EXPECT_EQ(module.eval_dataset_batched(features), reference)
+      EXPECT_EQ(module.eval_dataset_batched(features), want)
           << word_backend_name(backend) << " n=" << n;
     }
   }
@@ -363,14 +365,14 @@ TEST(FusedArgmax, MatchesScalarPredictOnRaggedSizes) {
   const BatchEngine threaded_engine(3);
   for (const std::size_t n : kRaggedSizes) {
     const BitMatrix features = testing::random_bits(n, 32, 101 + n);
-    const std::vector<int> reference = model.predict_dataset(features);
+    const std::vector<int> want = reference::predict_dataset(model, features);
     for (const auto backend : available_word_backends()) {
       set_word_backend(backend);
       EXPECT_EQ(model.predict_dataset_batched(features, inline_engine),
-                reference)
+                want)
           << word_backend_name(backend) << " n=" << n;
       EXPECT_EQ(model.predict_dataset_batched(features, threaded_engine),
-                reference)
+                want)
           << word_backend_name(backend) << " threaded, n=" << n;
     }
   }
@@ -386,12 +388,12 @@ TEST(FusedArgmax, TieBreaksToLowestClassLikePredictDataset) {
   for (auto& code : shared) code = rng.next_index(256);
   const PoetBin model = make_model(/*n_classes=*/6, p, rng, &shared);
   const BitMatrix features = testing::random_bits(321, 32, 103);
-  const std::vector<int> reference = model.predict_dataset(features);
-  for (const int prediction : reference) EXPECT_EQ(prediction, 0);
+  const std::vector<int> want = reference::predict_dataset(model, features);
+  for (const int prediction : want) EXPECT_EQ(prediction, 0);
   const BatchEngine engine(1);
   for (const auto backend : available_word_backends()) {
     set_word_backend(backend);
-    EXPECT_EQ(model.predict_dataset_batched(features, engine), reference)
+    EXPECT_EQ(model.predict_dataset_batched(features, engine), want)
         << word_backend_name(backend);
   }
 }
@@ -428,14 +430,14 @@ TEST(FusedArgmax, PartialTiesMatchScalar) {
                                             std::move(neurons),
                                             QuantizerParams{});
   const BitMatrix features = testing::random_bits(500, 32, 109);
-  const std::vector<int> reference = model.predict_dataset(features);
-  for (const int prediction : reference) {
+  const std::vector<int> want = reference::predict_dataset(model, features);
+  for (const int prediction : want) {
     EXPECT_TRUE(prediction == 0 || prediction == 2) << prediction;
   }
   const BatchEngine engine(1);
   for (const auto backend : available_word_backends()) {
     set_word_backend(backend);
-    EXPECT_EQ(model.predict_dataset_batched(features, engine), reference)
+    EXPECT_EQ(model.predict_dataset_batched(features, engine), want)
         << word_backend_name(backend);
   }
 }
@@ -445,11 +447,11 @@ TEST(FusedArgmax, DegenerateClassCounts) {
   Rng rng(113);
   const PoetBin one_class = make_model(/*n_classes=*/1, /*p=*/3, rng);
   const BitMatrix features = testing::random_bits(130, 32, 127);
-  const std::vector<int> reference = one_class.predict_dataset(features);
+  const std::vector<int> want = reference::predict_dataset(one_class, features);
   const BatchEngine engine(1);
   for (const auto backend : available_word_backends()) {
     set_word_backend(backend);
-    EXPECT_EQ(one_class.predict_dataset_batched(features, engine), reference)
+    EXPECT_EQ(one_class.predict_dataset_batched(features, engine), want)
         << word_backend_name(backend);
   }
   // Empty dataset: no predictions, no crash.
@@ -464,11 +466,14 @@ TEST(FusedArgmax, AccuracyMatchesScalar) {
   const BitMatrix features = testing::random_bits(777, 32, 137);
   std::vector<int> labels(features.rows());
   for (auto& label : labels) label = static_cast<int>(rng.next_index(5));
-  const double reference = model.accuracy(features, labels);
+  const double want =
+      prediction_accuracy(reference::predict_dataset(model, features), labels);
   const BatchEngine engine(2);
   for (const auto backend : available_word_backends()) {
     set_word_backend(backend);
-    EXPECT_EQ(model.accuracy_batched(features, labels, engine), reference)
+    EXPECT_EQ(prediction_accuracy(
+                  model.predict_dataset_batched(features, engine), labels),
+              want)
         << word_backend_name(backend);
   }
 }

@@ -26,12 +26,25 @@ Rules (each with the incident that motivated it):
                          thread pool per call (PR 5's churn bug); callers
                          pass a BatchEngine.
   no-second-path-knobs   The removed second-path switches never reappear in
-                         src/ or examples/: the `word_parallel*` training
+                         src/, examples/ or bench/: the `word_parallel*`
+                         training
                          flags, `RuntimeOptions::fused_argmax`,
                          `PoetBin::predict_from_rinc_bits` and
                          `NetServerOptions::micro_batch`. Each operation
                          has one production path; scalar oracles live in
                          tests/reference/.
+  no-scalar-dataset-twins  The scalar dataset evaluators deleted from the
+                         library never reappear in src/ or examples/:
+                         `eval_dataset_bitsliced`, `rinc_outputs_batched`,
+                         `accuracy_batched`, and definitions of
+                         `Lut::eval_dataset` / `Lut::addresses`, the scalar
+                         `RincModule::` / `RincConvLayer::eval_dataset`,
+                         `RincConvLayer::fidelity`, `PoetBin::` /
+                         `ConvModel::predict_dataset`,
+                         `PoetBin::rinc_outputs`, `PoetBin::accuracy` and
+                         `BatchEngine::eval_dataset` / `accuracy`. Each
+                         dataset operation has one word-pass implementation;
+                         the column-scan oracles live in tests/reference/.
   no-splat-representation  The compact truth table is every LUT's only
                          representation: `splat_words`, `WordStorage`,
                          `word_storage.h`, `storage_keepalive` and
@@ -192,7 +205,8 @@ SECOND_PATH_KNOB = re.compile(r"word_parallel|fused_argmax|"
 
 def check_no_second_path_knobs(root):
     violations = []
-    for path in iter_files(root, ["src", "examples"], CXX_EXTENSIONS):
+    for path in iter_files(root, ["src", "examples", "bench"],
+                           CXX_EXTENSIONS):
         for i, line in enumerate(read_lines(path)):
             if allow_marker("no-second-path-knobs", line):
                 continue
@@ -203,6 +217,33 @@ def check_no_second_path_knobs(root):
                     f"'{match.group(0)}' selected a second production path "
                     "and was removed; keep one path per operation and put "
                     "scalar oracles in tests/reference/"))
+    return violations
+
+
+# --- rule: no-scalar-dataset-twins -----------------------------------------
+
+SCALAR_DATASET_TWIN = re.compile(
+    r"eval_dataset_bitsliced|rinc_outputs_batched|accuracy_batched|"
+    r"\b(?:Lut|RincModule|RincConvLayer|BatchEngine)::eval_dataset\s*\(|"
+    r"\b(?:PoetBin|ConvModel)::predict_dataset\s*\(|"
+    r"\bLut::addresses\b|\bRincConvLayer::fidelity\b|"
+    r"\bPoetBin::rinc_outputs\s*\(|\b(?:PoetBin|BatchEngine)::accuracy\b")
+
+
+def check_no_scalar_dataset_twins(root):
+    violations = []
+    for path in iter_files(root, ["src", "examples"], CXX_EXTENSIONS):
+        for i, line in enumerate(read_lines(path)):
+            if allow_marker("no-scalar-dataset-twins", line):
+                continue
+            match = SCALAR_DATASET_TWIN.search(line)
+            if match:
+                violations.append(Violation(
+                    "no-scalar-dataset-twins", relpath(root, path), i + 1,
+                    f"'{match.group(0)}' is a deleted scalar twin of a "
+                    "dataset pass; use the word pass (eval_dataset_batched, "
+                    "BatchEngine, predict_conv_dataset) and keep column-scan "
+                    "oracles in tests/reference/"))
     return violations
 
 
@@ -334,6 +375,7 @@ RULES = [
     check_atomic_model_publish,
     check_no_batched_shims,
     check_no_second_path_knobs,
+    check_no_scalar_dataset_twins,
     check_no_splat_representation,
     check_frame_payload_bound,
     check_no_rand_time,
@@ -368,6 +410,12 @@ def seed_clean_tree(root):
     write(root, "src/core/good.cpp",
           "// order: relaxed - statistics counter only.\n"
           "n.fetch_add(1, std::memory_order_relaxed);\n")
+    # The surviving word-pass entry points share a prefix with the deleted
+    # scalar twins and must not trip no-scalar-dataset-twins.
+    write(root, "src/core/good_batch.cpp",
+          "BitVector RincModule::eval_dataset_batched(const BitMatrix& f) "
+          "const {\n"
+          "std::vector<int> PoetBin::predict_dataset_batched(\n")
     write(root, "tools/push.sh", "mv model.tmp.$$ model.pbm\n")
     write(root, "tsan.supp", "# no suppressions\n")
 
@@ -385,6 +433,12 @@ SELF_TEST_VIOLATIONS = [
      "  bool fused_argmax = true;\n"),
     ("no-second-path-knobs", "src/serve/bad_server.h",
      "  bool micro_batch = true;\n"),
+    ("no-second-path-knobs", "bench/bad_bench.cpp",
+     "  json.add(\"rinc2_train_word_parallel_ms\", ms);\n"),
+    ("no-scalar-dataset-twins", "src/core/bad_rinc.cpp",
+     "BitVector RincModule::eval_dataset(const BitMatrix& features) const {\n"),
+    ("no-scalar-dataset-twins", "examples/bad_example.cpp",
+     "  const double acc = model.accuracy_batched(x, labels, engine);\n"),
     ("no-splat-representation", "src/dt/bad_lut.h",
      "  std::span<const std::uint64_t> splat_words() const;\n"),
     ("frame-payload-bound", "src/serve/protocol.h",
