@@ -152,19 +152,19 @@ int main() {
   const std::size_t reps = 5;
   const double text_ms = median_ms(
       [&] {
-        const IoResult<PoetBin> loaded = read_model_file(text_file);
+        const IoResult<LoadedModel> loaded = read_model_file_any(text_file);
         if (!loaded.ok()) std::abort();
       },
       reps);
   const double packed_full_ms = median_ms(
       [&] {
-        const IoResult<PoetBin> loaded = read_packed_model_file(packed_file);
+        const IoResult<LoadedModel> loaded = read_model_file_any(packed_file);
         if (!loaded.ok()) std::abort();
       },
       reps);
   const double packed_ms = median_ms(
       [&] {
-        const IoResult<PoetBin> loaded = read_packed_model_file(
+        const IoResult<LoadedModel> loaded = read_model_file_any(
             packed_file, PackedVerify::kTrustChecksum);
         if (!loaded.ok()) std::abort();
       },
@@ -179,8 +179,8 @@ int main() {
   // must agree on random examples.
   std::size_t mismatches = 0;
   {
-    const IoResult<PoetBin> from_text = read_model_file(text_file);
-    const IoResult<PoetBin> from_packed = read_packed_model_file(packed_file);
+    const IoResult<LoadedModel> from_text = read_model_file_any(text_file);
+    const IoResult<LoadedModel> from_packed = read_model_file_any(packed_file);
     for (std::size_t i = 0; i < 256; ++i) {
       BitVector bits(n_features);
       Rng example_rng = rng.fork(i);
@@ -188,7 +188,7 @@ int main() {
         bits.words()[w] = example_rng.next_u64();
       }
       bits.mask_tail_word();
-      if (from_text->predict(bits) != from_packed->predict(bits)) {
+      if (from_text->model.predict(bits) != from_packed->model.predict(bits)) {
         ++mismatches;
       }
     }

@@ -2,21 +2,21 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include <unistd.h>
-
 #include "boost/mat.h"
+#include "core/model_parts.h"
 #include "dt/lut.h"
 #include "util/bitvector.h"
 
 namespace poetbin {
+
+using model_io::expect;
+using model_io::fail;
 
 namespace {
 
@@ -29,7 +29,7 @@ constexpr std::size_t kPayloadAlignment = 64;
 // Section ids. The set is closed; unknown ids are rejected so a file cannot
 // smuggle payload the checksum "covers" but no one reads.
 enum SectionId : std::uint32_t {
-  kSecConfig = 1,         // 5 u64 scalars (see write_packed_common)
+  kSecConfig = 1,         // 5 u64 scalars (see write_packed)
   kSecQuantizer = 2,      // u64 bits + f32 min + f32 max bit patterns
   kSecNodes = 3,          // pre-order node records: u32 kind, u32 fanin
   kSecLeafInputs = 4,     // u64 feature indices, pre-order
@@ -73,12 +73,6 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
 }
 
 // --- little-endian scalar plumbing ------------------------------------------
-
-// The format is little-endian by declaration; on the (currently untargeted)
-// big-endian host we reject files instead of byte-swapping.
-bool host_is_little_endian() {
-  return std::endian::native == std::endian::little;
-}
 
 template <typename T>
 T load_scalar(const std::uint8_t* at) {
@@ -142,372 +136,20 @@ void pack_module(const RincModule& module, SectionBuffers& sections) {
   }
 }
 
-// --- loader -----------------------------------------------------------------
-
-// Load-failure carrier, converted to the IoResult error arm at the API
-// boundary (same pattern as the text parser).
-struct PackFailure {
-  ModelIoError error;
-};
-
-[[noreturn]] void fail(ModelIoError::Kind kind, std::string message) {
-  throw PackFailure{{kind, std::move(message)}};
-}
-
-void expect(bool condition, const char* message) {
-  if (!condition) fail(ModelIoError::Kind::kCorruptSection, message);
-}
-
-// The whole file, read once into a heap buffer that the parse frees.
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    fail(ModelIoError::Kind::kFileNotFound,
-         "cannot open '" + path + "' for reading");
-  }
-  const std::streamoff size = in.tellg();
-  in.seekg(0);
-  if (size < 0 || !in) {
-    fail(ModelIoError::Kind::kFileNotFound, "cannot read '" + path + "'");
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (!in.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    fail(ModelIoError::Kind::kFileNotFound, "cannot read '" + path + "'");
-  }
-  return bytes;
-}
-
-// One section's payload, consumed front to back by bounds-checked reads.
-// Every section is written in the order the loader reads it, so after the
-// parse each one must be used up exactly.
-struct SectionReader {
-  const std::uint8_t* base = nullptr;
-  std::uint64_t length = 0;
-  const char* name = "";
-  std::uint64_t cursor = 0;  // bytes consumed
-
-  const std::uint8_t* take(std::uint64_t count, std::size_t element_bytes) {
-    if (count > (length - cursor) / element_bytes) {
-      fail(ModelIoError::Kind::kCorruptSection,
-           std::string("reference beyond the end of the ") + name +
-               " section");
-    }
-    const std::uint8_t* at = base + cursor;
-    cursor += count * element_bytes;
-    return at;
-  }
-  template <typename T>
-  T next() {
-    return load_scalar<T>(take(1, sizeof(T)));
-  }
-  void expect_done() const {
-    if (cursor != length) {
-      fail(ModelIoError::Kind::kCorruptSection,
-           std::string("bytes left over in the ") + name + " section");
-    }
-  }
-};
-
-struct PackedFile {
-  std::vector<std::uint8_t> bytes;
-  SectionReader sections[kSectionCount];
-
-  SectionReader& section(SectionId id) { return sections[id - 1]; }
-};
-
-PackedFile parse_container(const std::string& path, PackedVerify verify) {
-  if (!host_is_little_endian()) {
-    fail(ModelIoError::Kind::kVersionMismatch,
-         "packed models are little-endian; this host is not");
-  }
-  PackedFile file;
-  file.bytes = read_file(path);
-  const std::uint8_t* bytes = file.bytes.data();
-  const std::size_t size = file.bytes.size();
-  if (size < kHeaderBytes) {
-    fail(ModelIoError::Kind::kCorruptSection,
-         "'" + path + "' is too small to hold a packed-model header");
-  }
-  if (std::memcmp(bytes, kMagic, sizeof(kMagic)) != 0) {
-    fail(ModelIoError::Kind::kVersionMismatch,
-         "'" + path + "' is not a packed poetbin model (bad magic)");
-  }
-  const auto version = load_scalar<std::uint32_t>(bytes + 8);
-  if (version != kFormatVersion) {
-    fail(ModelIoError::Kind::kVersionMismatch,
-         "unsupported packed-model version " + std::to_string(version) +
-             " (this build reads version " + std::to_string(kFormatVersion) +
-             "; re-pack the model from text)");
-  }
-  expect(load_scalar<std::uint32_t>(bytes + 12) == kHeaderBytes,
-         "unexpected header size");
-  const auto section_count = load_scalar<std::uint32_t>(bytes + 16);
-  const auto stored_crc = load_scalar<std::uint32_t>(bytes + 20);
-  const auto stored_size = load_scalar<std::uint64_t>(bytes + 24);
-  expect(stored_size == size, "header file size does not match the file");
-  expect(section_count == kSectionCount, "unexpected section count");
-  const std::size_t table_end =
-      kHeaderBytes + std::size_t{section_count} * kSectionEntryBytes;
-  expect(table_end <= size, "section table runs past the end of the file");
-
-  if (verify == PackedVerify::kFull) {
-    const std::uint32_t actual_crc =
-        crc32(bytes + kHeaderBytes, size - kHeaderBytes);
-    if (actual_crc != stored_crc) {
-      fail(ModelIoError::Kind::kChecksumMismatch,
-           "packed-model checksum mismatch in '" + path + "'");
-    }
-  }
-
-  bool present[kSectionCount] = {};
-  for (std::uint32_t i = 0; i < section_count; ++i) {
-    const std::uint8_t* entry = bytes + kHeaderBytes + i * kSectionEntryBytes;
-    const auto id = load_scalar<std::uint32_t>(entry);
-    const auto offset = load_scalar<std::uint64_t>(entry + 8);
-    const auto length = load_scalar<std::uint64_t>(entry + 16);
-    expect(id >= 1 && id <= kSectionCount, "unknown section id");
-    expect(!present[id - 1], "duplicate section id");
-    present[id - 1] = true;
-    expect(offset % kPayloadAlignment == 0, "misaligned section offset");
-    expect(offset >= table_end, "section overlaps the header");
-    expect(offset <= size && length <= size - offset,
-           "section runs past the end of the file");
-    file.sections[id - 1] =
-        SectionReader{bytes + offset, length, kSectionNames[id - 1]};
-  }
-  return file;
-}
-
-// Pre-order node reader mirroring pack_module.
-struct NodeReader {
-  SectionReader& nodes;
-  SectionReader& leaf_inputs;
-  SectionReader& mat_weights;
-  SectionReader& tables;
-  PackedVerify verify;
-
-  BitVector read_table(std::size_t arity) {
-    BitVector table(std::size_t{1} << arity);
-    const std::size_t n_words = table.word_count();
-    std::memcpy(table.words(), tables.take(n_words, sizeof(std::uint64_t)),
-                n_words * sizeof(std::uint64_t));
-    const std::uint64_t last = table.words()[n_words - 1];
-    expect(last == (last & BitVector::tail_word_mask(table.size())),
-           "table word has bits past the table size");
-    return table;
-  }
-
-  // `levels` is how many internal-node levels may still follow.
-  RincModule load_node(std::size_t levels) {
-    const auto kind = nodes.next<std::uint32_t>();
-    const auto fanin = nodes.next<std::uint32_t>();
-    if (kind == 0) {
-      expect(fanin >= 1 && fanin <= 16, "bad leaf arity");
-      std::vector<std::size_t> inputs(fanin);
-      for (std::size_t& input : inputs) {
-        const auto index = leaf_inputs.next<std::uint64_t>();
-        expect(index <= (std::uint64_t{1} << 32),
-               "leaf input feature index implausibly large");
-        input = static_cast<std::size_t>(index);
-      }
-      return RincModule::make_leaf(Lut(std::move(inputs), read_table(fanin)));
-    }
-    expect(kind == 1, "bad node kind");
-    expect(levels > 0, "module tree deeper than its RINC levels");
-    expect(fanin >= 1 && fanin <= 20, "bad node fanin");
-    std::vector<double> weights(fanin);
-    for (double& weight : weights) {
-      weight = std::bit_cast<double>(mat_weights.next<std::uint64_t>());
-    }
-    BitVector table = read_table(fanin);
-    std::vector<RincModule> children;
-    children.reserve(fanin);
-    for (std::size_t c = 0; c < fanin; ++c) {
-      children.push_back(load_node(levels - 1));
-      expect(children.back().level() == children.front().level(),
-             "node children at mixed RINC levels");
-    }
-    MatModule mat(std::move(weights));
-    // The stored MAT table must be the table the weights imply — eval reads
-    // the table while retrain/export read the weights, and the two must
-    // never diverge. Re-deriving every table is 2^fanin x fanin float work
-    // per internal node, so it rides the kFull depth.
-    if (verify == PackedVerify::kFull) {
-      expect(table == mat.to_table(),
-             "MAT table does not match the MAT weights");
-    }
-    return RincModule::make_internal(
-        std::move(children), std::move(mat),
-        Lut(std::vector<std::size_t>(fanin, 0), std::move(table)));
-  }
-};
-
-// A parsed packed file: the classifier plus, for conv files, the conv
-// front end.
-struct ParsedPacked {
-  PoetBin model;
-  std::shared_ptr<const RincConvLayer> conv;  // null = dense model
-};
-
-ParsedPacked parse_packed(const std::string& path, PackedVerify verify) {
-  PackedFile file = parse_container(path, verify);
-
-  SectionReader& config_sec = file.section(kSecConfig);
-  PoetBinConfig config;
-  config.rinc.lut_inputs = config_sec.next<std::uint64_t>();
-  config.rinc.levels = config_sec.next<std::uint64_t>();
-  config.rinc.total_dts = config_sec.next<std::uint64_t>();
-  config.n_classes = config_sec.next<std::uint64_t>();
-  const auto quant_bits = config_sec.next<std::uint64_t>();
-  config_sec.expect_done();
-  expect(config.rinc.lut_inputs >= 1 && config.rinc.lut_inputs <= 16,
-         "config P out of range");
-  expect(config.rinc.levels <= kMaxRincLevels,
-         "config RINC levels out of range");
-  expect(config.n_classes >= 1 && config.n_classes <= (std::size_t{1} << 20),
-         "config class count out of range");
-  expect(quant_bits >= 1 && quant_bits <= 24,
-         "config quantizer bits out of range");
-  config.output.quant_bits = static_cast<int>(quant_bits);
-
-  SectionReader& quant_sec = file.section(kSecQuantizer);
-  QuantizerParams quantizer;
-  expect(quant_sec.next<std::uint64_t>() == quant_bits,
-         "quantizer/config bit mismatch");
-  quantizer.bits = static_cast<int>(quant_bits);
-  quantizer.min_value = std::bit_cast<float>(quant_sec.next<std::uint32_t>());
-  quantizer.max_value = std::bit_cast<float>(quant_sec.next<std::uint32_t>());
-  quant_sec.expect_done();
-
-  // Every geometry contract RincConvLayer::from_parts would abort on is
-  // replicated as a typed error first — corrupt bytes must never abort a
-  // loading process.
-  SectionReader& conv_sec = file.section(kSecConvConfig);
-  const bool has_conv = conv_sec.length != 0;
-  BinShape3 conv_in_shape;
-  RincConvConfig conv_config;
-  if (has_conv) {
-    conv_in_shape.channels = conv_sec.next<std::uint64_t>();
-    conv_in_shape.height = conv_sec.next<std::uint64_t>();
-    conv_in_shape.width = conv_sec.next<std::uint64_t>();
-    conv_config.out_channels = conv_sec.next<std::uint64_t>();
-    conv_config.kernel = conv_sec.next<std::uint64_t>();
-    conv_config.stride = conv_sec.next<std::uint64_t>();
-    conv_config.padding = conv_sec.next<std::uint64_t>();
-    conv_sec.expect_done();
-    const std::size_t dim_cap = std::size_t{1} << 16;
-    expect(conv_in_shape.channels >= 1 && conv_in_shape.channels <= dim_cap &&
-               conv_in_shape.height >= 1 && conv_in_shape.height <= dim_cap &&
-               conv_in_shape.width >= 1 && conv_in_shape.width <= dim_cap,
-           "conv input shape out of range");
-    expect(conv_config.out_channels >= 1 &&
-               conv_config.out_channels <= dim_cap,
-           "conv output channel count out of range");
-    expect(conv_config.kernel >= 1 && conv_config.kernel <= dim_cap,
-           "conv kernel out of range");
-    expect(conv_config.stride >= 1 && conv_config.stride <= dim_cap,
-           "conv stride out of range");
-    expect(conv_config.padding < conv_config.kernel,
-           "conv padding must be smaller than the kernel");
-    expect(conv_in_shape.height + 2 * conv_config.padding >=
-                   conv_config.kernel &&
-               conv_in_shape.width + 2 * conv_config.padding >=
-                   conv_config.kernel,
-           "conv kernel does not fit the padded frame");
-  }
-
-  // Node trees, pre-order: one per classifier module, then (for conv
-  // files) one per conv output channel, all in the same shared sections.
-  NodeReader reader{file.section(kSecNodes), file.section(kSecLeafInputs),
-                    file.section(kSecMatWeights), file.section(kSecTables),
-                    verify};
-  const std::size_t p = config.rinc.lut_inputs;
-  const std::size_t n_modules = config.n_classes * p;
-  std::vector<RincModule> modules;
-  for (std::size_t m = 0; m < n_modules; ++m) {
-    modules.push_back(reader.load_node(config.rinc.levels));
-  }
-  std::vector<RincModule> conv_modules;
-  if (has_conv) {
-    const std::size_t patch_bits =
-        conv_in_shape.channels * conv_config.kernel * conv_config.kernel;
-    for (std::size_t channel = 0; channel < conv_config.out_channels;
-         ++channel) {
-      conv_modules.push_back(reader.load_node(kMaxRincLevels));
-      for (const std::size_t feature :
-           conv_modules.back().distinct_features()) {
-        expect(feature < patch_bits,
-               "conv channel module references a feature beyond the patch "
-               "width");
-      }
-    }
-  }
-
-  // Output layer.
-  const std::size_t n_combos = std::size_t{1} << p;
-  SectionReader& wiring_sec = file.section(kSecOutputWiring);
-  SectionReader& weights_sec = file.section(kSecOutputWeights);
-  SectionReader& codes_sec = file.section(kSecOutputCodes);
-  std::vector<SparseOutputNeuron> output;
-  for (std::size_t c = 0; c < config.n_classes; ++c) {
-    SparseOutputNeuron& neuron = output.emplace_back();
-    for (std::size_t i = 0; i < p; ++i) {
-      const auto module_index = wiring_sec.next<std::uint64_t>();
-      expect(module_index < n_modules,
-             "output wiring references a missing module");
-      neuron.input_modules.push_back(static_cast<std::size_t>(module_index));
-    }
-    for (std::size_t i = 0; i < p; ++i) {
-      neuron.weights.push_back(
-          std::bit_cast<float>(weights_sec.next<std::uint32_t>()));
-    }
-    neuron.bias = std::bit_cast<float>(weights_sec.next<std::uint32_t>());
-    const std::uint8_t* codes = codes_sec.take(n_combos, sizeof(std::uint32_t));
-    neuron.codes.resize(n_combos);
-    std::memcpy(neuron.codes.data(), codes, n_combos * sizeof(std::uint32_t));
-    for (const std::uint32_t code : neuron.codes) {
-      expect(code < quantizer.levels(), "output code beyond quantizer range");
-    }
-  }
-  for (const SectionReader& section : file.sections) section.expect_done();
-
-  ParsedPacked parsed{
-      PoetBin::from_parts(std::move(config), std::move(modules),
-                          std::move(output), quantizer),
-      nullptr};
-  if (has_conv) {
-    // Every from_parts contract was expect()-checked above, so this cannot
-    // abort on file contents.
-    parsed.conv = std::make_shared<const RincConvLayer>(
-        RincConvLayer::from_parts(conv_in_shape, std::move(conv_config),
-                                  std::move(conv_modules)));
-    expect(parsed.model.n_features() <= parsed.conv->output_shape().flat(),
-           "classifier wired beyond the conv output width");
-  }
-  return parsed;
-}
-
-// Shared writer body: the classifier sections, plus (when `conv` is
-// non-null) the conv-config section and the conv channel trees appended to
-// the shared node/table sections after the classifier trees.
-IoStatus write_packed_common(const PoetBin& model, const RincConvLayer* conv,
-                             const std::string& path) {
-  if (!host_is_little_endian()) {
-    return ModelIoError{ModelIoError::Kind::kWriteFailed,
-                        "packed models are little-endian; this host is not"};
-  }
-  if (model.n_classes() == 0 ||
-      model.n_modules() != model.n_classes() * model.lut_inputs()) {
-    return ModelIoError{ModelIoError::Kind::kWriteFailed,
-                        "refusing to pack an empty or inconsistent model"};
-  }
-
+// Writes the classifier sections, plus (when `conv` is non-null) the
+// conv-config section and the conv channel trees appended to the shared
+// node/table sections after the classifier trees. The publish helper's
+// decode refuses the bytes on a big-endian host.
+IoStatus write_packed(const PoetBin& model, const RincConvLayer* conv,
+                      const std::string& path) {
   SectionBuffers sections;
 
-  const RincModule& first = model.modules().front();
+  const bool empty = model.modules().empty();
   for (const std::uint64_t scalar :
-       {std::uint64_t{model.lut_inputs()}, std::uint64_t{first.level()},
-        std::uint64_t{first.leaf_dt_count()}, std::uint64_t{model.n_classes()},
+       {std::uint64_t{model.lut_inputs()},
+        std::uint64_t{empty ? 0 : model.modules().front().level()},
+        std::uint64_t{empty ? 0 : model.modules().front().leaf_dt_count()},
+        std::uint64_t{model.n_classes()},
         static_cast<std::uint64_t>(model.quant_bits())}) {
     append_scalar(sections.of(kSecConfig), scalar);
   }
@@ -577,120 +219,235 @@ IoStatus write_packed_common(const PoetBin& model, const RincConvLayer* conv,
   const std::uint32_t crc =
       crc32(buffer.data() + kHeaderBytes, buffer.size() - kHeaderBytes);
   std::memcpy(buffer.data() + 20, &crc, sizeof(crc));
-
-  // Publish atomically: temp file + rename. A reader racing the push (a
-  // serve --watch poll, a reload) opens either the complete old file or the
-  // complete new one, never a torn half-write.
-  const std::string temp = path + ".tmp." + std::to_string(::getpid());
-  std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return ModelIoError{ModelIoError::Kind::kWriteFailed,
-                        "cannot open '" + temp + "' for writing"};
-  }
-  out.write(reinterpret_cast<const char*>(buffer.data()),
-            static_cast<std::streamsize>(buffer.size()));
-  out.flush();
-  out.close();
-  if (!out) {
-    std::remove(temp.c_str());
-    return ModelIoError{ModelIoError::Kind::kWriteFailed,
-                        "write to '" + temp + "' failed"};
-  }
-  if (std::rename(temp.c_str(), path.c_str()) != 0) {
-    std::remove(temp.c_str());
-    return ModelIoError{ModelIoError::Kind::kWriteFailed,
-                        "cannot rename '" + temp + "' over '" + path + "'"};
-  }
-  return IoStatus();
+  return model_io::publish_model_file(
+      path, std::string_view(reinterpret_cast<const char*>(buffer.data()),
+                             buffer.size()));
 }
 
-// Cheap text sniff for read_model_file_any: true when the file's first
-// token is the conv text header.
-bool is_text_conv_model_file(const std::string& path) {
-  std::ifstream in(path);
-  std::string token;
-  return static_cast<bool>(in >> token) && token == "poetbin-conv-model";
+// --- decoder ----------------------------------------------------------------
+
+// One section's payload, consumed front to back by bounds-checked reads.
+// Every section is written in the order the decoder reads it, so after the
+// parse each one must be used up exactly.
+struct SectionReader {
+  const std::uint8_t* base = nullptr;
+  std::uint64_t length = 0;
+  const char* name = "";
+  std::uint64_t cursor = 0;  // bytes consumed
+
+  const std::uint8_t* take(std::uint64_t count, std::size_t element_bytes) {
+    if (count > (length - cursor) / element_bytes) {
+      fail(ModelIoError::Kind::kCorruptSection,
+           std::string("reference beyond the end of the ") + name +
+               " section");
+    }
+    const std::uint8_t* at = base + cursor;
+    cursor += count * element_bytes;
+    return at;
+  }
+  template <typename T>
+  T next() {
+    return load_scalar<T>(take(1, sizeof(T)));
+  }
+  void expect_done() const {
+    if (cursor != length) {
+      fail(ModelIoError::Kind::kCorruptSection,
+           std::string("bytes left over in the ") + name + " section");
+    }
+  }
+};
+
+struct Sections {
+  SectionReader readers[kSectionCount];
+
+  SectionReader& operator[](SectionId id) { return readers[id - 1]; }
+};
+
+// Header and section table; the payloads stay in the caller's buffer.
+Sections parse_container(const std::uint8_t* bytes, std::size_t size,
+                         PackedVerify verify) {
+  // The format is little-endian by declaration; on the (currently
+  // untargeted) big-endian host we reject files instead of byte-swapping.
+  if (std::endian::native != std::endian::little) {
+    fail(ModelIoError::Kind::kVersionMismatch,
+         "packed models are little-endian; this host is not");
+  }
+  expect(size >= kHeaderBytes, "too small to hold a packed-model header");
+  const auto version = load_scalar<std::uint32_t>(bytes + 8);
+  if (version != kFormatVersion) {
+    fail(ModelIoError::Kind::kVersionMismatch,
+         "unsupported packed-model version " + std::to_string(version) +
+             " (this build reads version " + std::to_string(kFormatVersion) +
+             "; re-pack the model from text)");
+  }
+  expect(load_scalar<std::uint32_t>(bytes + 12) == kHeaderBytes,
+         "unexpected header size");
+  const auto section_count = load_scalar<std::uint32_t>(bytes + 16);
+  const auto stored_crc = load_scalar<std::uint32_t>(bytes + 20);
+  const auto stored_size = load_scalar<std::uint64_t>(bytes + 24);
+  expect(stored_size == size, "header file size does not match the file");
+  expect(section_count == kSectionCount, "unexpected section count");
+  const std::size_t table_end =
+      kHeaderBytes + std::size_t{section_count} * kSectionEntryBytes;
+  expect(table_end <= size, "section table runs past the end of the file");
+
+  if (verify == PackedVerify::kFull &&
+      crc32(bytes + kHeaderBytes, size - kHeaderBytes) != stored_crc) {
+    fail(ModelIoError::Kind::kChecksumMismatch,
+         "packed-model checksum mismatch");
+  }
+
+  Sections sections;
+  bool present[kSectionCount] = {};
+  for (std::uint32_t i = 0; i < section_count; ++i) {
+    const std::uint8_t* entry = bytes + kHeaderBytes + i * kSectionEntryBytes;
+    const auto id = load_scalar<std::uint32_t>(entry);
+    const auto offset = load_scalar<std::uint64_t>(entry + 8);
+    const auto length = load_scalar<std::uint64_t>(entry + 16);
+    expect(id >= 1 && id <= kSectionCount, "unknown section id");
+    expect(!present[id - 1], "duplicate section id");
+    present[id - 1] = true;
+    expect(offset % kPayloadAlignment == 0, "misaligned section offset");
+    expect(offset >= table_end, "section overlaps the header");
+    expect(offset <= size && length <= size - offset,
+           "section runs past the end of the file");
+    sections.readers[id - 1] =
+        SectionReader{bytes + offset, length, kSectionNames[id - 1]};
+  }
+  return sections;
 }
+
+// model_io::decode_tree's source over the node, leaf-input, MAT-weight and
+// table sections, in the pre-order pack_module wrote them.
+struct PackedSource {
+  Sections& sections;
+  PackedVerify verify;
+
+  model_io::NodeRecord node() {
+    const auto kind = sections[kSecNodes].next<std::uint32_t>();
+    const auto fanin = sections[kSecNodes].next<std::uint32_t>();
+    expect(kind <= 1, "bad node kind");
+    return {kind == 0, fanin};
+  }
+  std::uint64_t leaf_input() {
+    return sections[kSecLeafInputs].next<std::uint64_t>();
+  }
+  double weight() {
+    return std::bit_cast<double>(
+        sections[kSecMatWeights].next<std::uint64_t>());
+  }
+  BitVector table(std::size_t arity) {
+    BitVector table(std::size_t{1} << arity);
+    const std::size_t n_words = table.word_count();
+    std::memcpy(table.words(),
+                sections[kSecTables].take(n_words, sizeof(std::uint64_t)),
+                n_words * sizeof(std::uint64_t));
+    const std::uint64_t last = table.words()[n_words - 1];
+    expect(last == (last & BitVector::tail_word_mask(table.size())),
+           "table word has bits past the table size");
+    return table;
+  }
+  Lut mat_lut(const MatModule& mat) {
+    BitVector stored = table(mat.arity());
+    // The stored MAT table must be the table the weights imply — eval reads
+    // the table while retrain/export read the weights, and the two must
+    // never diverge. Re-deriving every table is 2^fanin x fanin float work
+    // per internal node, so it rides the kFull depth.
+    if (verify == PackedVerify::kFull) {
+      expect(stored == mat.to_table(),
+             "MAT table does not match the MAT weights");
+    }
+    return Lut(std::vector<std::size_t>(mat.arity(), 0), std::move(stored));
+  }
+};
 
 }  // namespace
 
-const char* model_format_name(ModelFormat format) {
-  switch (format) {
-    case ModelFormat::kText: return "text";
-    case ModelFormat::kPacked: return "packed";
-  }
-  return "unknown";
+namespace model_io {
+
+bool has_packed_magic(const std::uint8_t* data, std::size_t size) {
+  return size >= sizeof(kMagic) &&
+         std::memcmp(data, kMagic, sizeof(kMagic)) == 0;
 }
+
+ModelParts decode_packed(const std::uint8_t* data, std::size_t size,
+                         PackedVerify verify) {
+  Sections sections = parse_container(data, size, verify);
+  ModelParts parts;
+
+  SectionReader& config = sections[kSecConfig];
+  parts.config.rinc.lut_inputs = config.next<std::uint64_t>();
+  parts.config.rinc.levels = config.next<std::uint64_t>();
+  parts.config.rinc.total_dts = config.next<std::uint64_t>();
+  parts.config.n_classes = config.next<std::uint64_t>();
+  parts.quant_bits = config.next<std::uint64_t>();
+  config.expect_done();
+
+  SectionReader& quantizer = sections[kSecQuantizer];
+  parts.quantizer_bits = quantizer.next<std::uint64_t>();
+  for (float* bound : {&parts.quantizer.min_value, &parts.quantizer.max_value}) {
+    *bound = std::bit_cast<float>(quantizer.next<std::uint32_t>());
+  }
+  quantizer.expect_done();
+
+  SectionReader& conv = sections[kSecConvConfig];
+  if (conv.length != 0) {
+    ModelParts::Conv& c = parts.conv.emplace();
+    for (std::size_t* field :
+         {&c.in_shape.channels, &c.in_shape.height, &c.in_shape.width,
+          &c.config.out_channels, &c.config.kernel, &c.config.stride,
+          &c.config.padding}) {
+      *field = conv.next<std::uint64_t>();
+    }
+    conv.expect_done();
+  }
+  check_header(parts);
+
+  // Node trees, pre-order: one per classifier module, then (for conv
+  // files) one per conv output channel, all in the same shared sections.
+  PackedSource source{sections, verify};
+  const std::size_t p = parts.config.rinc.lut_inputs;
+  for (std::size_t m = 0; m < parts.config.n_classes * p; ++m) {
+    parts.modules.push_back(decode_tree(source, parts.config.rinc.levels));
+  }
+  if (parts.conv) {
+    for (std::size_t c = 0; c < parts.conv->config.out_channels; ++c) {
+      parts.conv->modules.push_back(decode_tree(source, kMaxRincLevels));
+    }
+  }
+
+  const std::size_t n_combos = std::size_t{1} << p;
+  for (std::size_t c = 0; c < parts.config.n_classes; ++c) {
+    SparseOutputNeuron& neuron = parts.output.emplace_back();
+    for (std::size_t i = 0; i < p; ++i) {
+      neuron.input_modules.push_back(static_cast<std::size_t>(
+          sections[kSecOutputWiring].next<std::uint64_t>()));
+    }
+    for (std::size_t i = 0; i < p; ++i) {
+      neuron.weights.push_back(std::bit_cast<float>(
+          sections[kSecOutputWeights].next<std::uint32_t>()));
+    }
+    neuron.bias = std::bit_cast<float>(
+        sections[kSecOutputWeights].next<std::uint32_t>());
+    const std::uint8_t* codes =
+        sections[kSecOutputCodes].take(n_combos, sizeof(std::uint32_t));
+    neuron.codes.resize(n_combos);
+    std::memcpy(neuron.codes.data(), codes, n_combos * sizeof(std::uint32_t));
+  }
+  for (const SectionReader& section : sections.readers) section.expect_done();
+  return parts;
+}
+
+}  // namespace model_io
 
 IoStatus write_packed_model_file(const PoetBin& model,
                                  const std::string& path) {
-  return write_packed_common(model, nullptr, path);
+  return write_packed(model, nullptr, path);
 }
 
 IoStatus write_packed_conv_model_file(const ConvModel& model,
                                       const std::string& path) {
-  if (model.conv.channel_modules().empty() ||
-      model.conv.channel_modules().size() !=
-          model.conv.config().out_channels) {
-    return ModelIoError{ModelIoError::Kind::kWriteFailed,
-                        "refusing to pack an empty or inconsistent conv "
-                        "layer"};
-  }
-  if (model.classifier.n_features() > model.conv.output_shape().flat()) {
-    return ModelIoError{ModelIoError::Kind::kWriteFailed,
-                        "refusing to pack a conv model whose classifier is "
-                        "wired beyond the conv output width"};
-  }
-  return write_packed_common(model.classifier, &model.conv, path);
-}
-
-IoResult<PoetBin> read_packed_model_file(const std::string& path,
-                                         PackedVerify verify) {
-  try {
-    ParsedPacked parsed = parse_packed(path, verify);
-    if (parsed.conv != nullptr) {
-      return ModelIoError{
-          ModelIoError::Kind::kIncompatibleModel,
-          path + ": packed file holds a convolutional model; load it "
-                 "through read_model_file_any"};
-    }
-    return std::move(parsed.model);
-  } catch (const PackFailure& failure) {
-    return ModelIoError{failure.error.kind,
-                        path + ": " + failure.error.message};
-  }
-}
-
-bool is_packed_model_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char head[sizeof(kMagic)] = {};
-  if (!in.read(head, sizeof(head))) return false;
-  return std::memcmp(head, kMagic, sizeof(kMagic)) == 0;
-}
-
-IoResult<LoadedModel> read_model_file_any(const std::string& path,
-                                          PackedVerify verify) {
-  if (is_packed_model_file(path)) {
-    try {
-      ParsedPacked parsed = parse_packed(path, verify);
-      return LoadedModel{std::move(parsed.model), ModelFormat::kPacked,
-                         std::move(parsed.conv)};
-    } catch (const PackFailure& failure) {
-      return ModelIoError{failure.error.kind,
-                          path + ": " + failure.error.message};
-    }
-  }
-  if (is_text_conv_model_file(path)) {
-    IoResult<ConvModel> conv = read_conv_model_file(path);
-    if (!conv.ok()) return conv.error();
-    ConvModel model = std::move(conv).value();
-    return LoadedModel{
-        std::move(model.classifier), ModelFormat::kText,
-        std::make_shared<const RincConvLayer>(std::move(model.conv))};
-  }
-  IoResult<PoetBin> text = read_model_file(path);
-  if (!text.ok()) return text.error();
-  return LoadedModel{std::move(text).value(), ModelFormat::kText, nullptr};
+  return write_packed(model.classifier, &model.conv, path);
 }
 
 }  // namespace poetbin

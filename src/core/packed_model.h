@@ -5,16 +5,20 @@
 // and serve, with no text parsing. The packed format stores every LUT as
 // its compact truth table (one bit per entry, word-padded) — the same
 // words the eval kernels reduce from — plus the wiring, MAT weights and
-// output codes as raw little-endian scalars. A load is one read of the
-// whole file into a heap buffer, a structural parse that copies the tables
-// into the model, and the buffer is freed; the loaded model never refers
-// to the file again. The output layer's code bit-planes are not stored:
-// PoetBin rebuilds them from the codes.
+// output codes as raw little-endian scalars. The output layer's code
+// bit-planes are not stored: PoetBin rebuilds them from the codes.
+//
+// A packed file loads through read_model_bytes / read_model_file_any
+// (core/serialize.h) like a text one: packed_model.cpp decodes the
+// container and its sections from memory into plain parts, and
+// serialize.cpp validates them — the same checks, in the same place, as
+// for text — before the model is built. The loaded model never refers to
+// the bytes again.
 //
 // Load-time validation comes in two depths (PackedVerify):
 //   kFull (default)  — header/section structure, CRC32 over the payload,
 //     and the re-derivation of every MAT table from its weights. What
-//     pack/unpack tooling and the tests run.
+//     pack/unpack tooling, the writers' own check and the tests run.
 //   kTrustChecksum   — structure only; skips the CRC pass and the MAT
 //     re-derivation, trusting the producer's checksum. What serving loads
 //     (Runtime::load) run. A file damaged after it was written (for example
@@ -26,7 +30,7 @@
 // loaded from text — every eval path, every backend.
 //
 // Layout (all integers little-endian; the format is declared LE-only and
-// loaders reject big-endian hosts rather than byte-swapping):
+// the codec rejects big-endian hosts rather than byte-swapping):
 //
 //   header (64 bytes):
 //     0  char[8]  magic "PoETBiNP"
@@ -50,15 +54,8 @@
 // section means a dense model; otherwise the per-channel conv module trees
 // follow the classifier trees in the same node/input/weight/table
 // sections.
-//
-// Error contract matches the text loader: kFileNotFound, kVersionMismatch
-// (bad magic or version), kCorruptSection (truncation, misalignment,
-// out-of-range contents, a module tree deeper than its declared levels),
-// kChecksumMismatch (CRC), each as a typed ModelIoError — malformed bytes
-// never abort a loading process.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "core/poetbin.h"
@@ -67,56 +64,18 @@
 
 namespace poetbin {
 
-// Which on-disk representation a model came from (or should go to).
-enum class ModelFormat {
-  kText,    // core/serialize.h line format
-  kPacked,  // this header's binary format
-};
-
-const char* model_format_name(ModelFormat format);
-
-// How deep read_packed_model_file validates (see the header comment).
-enum class PackedVerify {
-  kFull,           // structure + CRC + MAT table re-derivation
-  kTrustChecksum,  // structure only
-};
-
-// Writes `model` in the packed format. kWriteFailed on I/O trouble. The
-// write is an atomic publish (same-directory temp file + rename): a reader
-// racing the push reads the complete old file or the complete new one.
-// Third-party pushers must follow the same rule; overwriting a packed file
-// in place can hand a concurrent reload a torn file.
+// Writes `model` in the packed format. kWriteFailed on I/O trouble or when
+// the bytes would not load back. The write is an atomic publish
+// (same-directory temp file + rename): a reader racing the push reads the
+// complete old file or the complete new one. Third-party pushers must
+// follow the same rule; overwriting a packed file in place can hand a
+// concurrent reload a torn file.
 IoStatus write_packed_model_file(const PoetBin& model,
                                  const std::string& path);
 
 // Packs a convolutional model (conv layer + classifier) in the same file,
-// same atomic-publish contract. Loaded back through read_model_file_any.
+// same contract.
 IoStatus write_packed_conv_model_file(const ConvModel& model,
                                       const std::string& path);
-
-// Reads and validates a packed model file. Returns kIncompatibleModel for a
-// packed *conv* model — this entry point's contract is a dense PoetBin;
-// conv files load through read_model_file_any.
-IoResult<PoetBin> read_packed_model_file(
-    const std::string& path, PackedVerify verify = PackedVerify::kFull);
-
-// Cheap magic sniff: true when the file starts with the packed magic.
-// false for text models, short files, or unreadable paths.
-bool is_packed_model_file(const std::string& path);
-
-// A loaded model plus the format it was read in. `conv`, when non-null, is
-// a convolutional front end whose flattened output feeds `model`; null
-// means a dense model whose features are the wire features.
-struct LoadedModel {
-  PoetBin model;
-  ModelFormat format = ModelFormat::kText;
-  std::shared_ptr<const RincConvLayer> conv;
-};
-
-// Format-sniffing loader: packed files go through the packed reader (at
-// the given verify depth), text files through the dense or conv text
-// parser (by header line). The error comes from whichever loader ran.
-IoResult<LoadedModel> read_model_file_any(
-    const std::string& path, PackedVerify verify = PackedVerify::kFull);
 
 }  // namespace poetbin

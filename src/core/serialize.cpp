@@ -1,269 +1,118 @@
 #include "core/serialize.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <streambuf>
 #include <utility>
 
 #include <unistd.h>
 
+#include "core/model_parts.h"
+
 namespace poetbin {
 
-namespace {
+using model_io::expect;
+using model_io::fail;
+using model_io::ModelParts;
 
-// Internal parse-failure carrier. The parser fails via exception so the
-// recursive-descent module loader stays readable; read_model converts it
-// into the IoResult error arm at the single API boundary.
-struct ParseFailure {
-  ModelIoError error;
-};
+namespace model_io {
 
-[[noreturn]] void fail(ModelIoError::Kind kind, std::string message) {
-  throw ParseFailure{{kind, std::move(message)}};
-}
+// --- the validator ----------------------------------------------------------
 
-void expect(bool condition, const char* message) {
-  if (!condition) fail(ModelIoError::Kind::kCorruptSection, message);
-}
-
-std::string bits_to_string(const BitVector& bits) {
-  return bits.to_string();  // bit 0 first
-}
-
-BitVector bits_from_string(const std::string& text) {
-  BitVector bits(text.size());
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    expect(text[i] == '0' || text[i] == '1',
-           "malformed bit string in model file");
-    if (text[i] == '1') bits.set(i, true);
-  }
-  return bits;
-}
-
-void save_module(const RincModule& module, std::ostream& out) {
-  if (module.is_leaf()) {
-    const Lut& lut = module.leaf_lut();
-    out << "leaf " << lut.arity();
-    for (const auto input : lut.inputs()) out << ' ' << input;
-    out << ' ' << bits_to_string(lut.table()) << '\n';
-    return;
-  }
-  out << "node " << module.children().size();
-  for (const auto weight : module.mat().weights()) out << ' ' << weight;
-  out << '\n';
-  for (const auto& child : module.children()) save_module(child, out);
-}
-
-// `levels` is how many internal-node levels may still follow.
-RincModule load_module(std::istream& in, std::size_t levels) {
-  std::string kind;
-  expect(static_cast<bool>(in >> kind), "truncated model file");
-  if (kind == "leaf") {
-    std::size_t arity = 0;
-    expect(static_cast<bool>(in >> arity), "truncated leaf record");
-    expect(arity >= 1 && arity <= 16, "bad leaf arity");
-    std::vector<std::size_t> inputs(arity);
-    for (auto& input : inputs) {
-      expect(static_cast<bool>(in >> input), "truncated leaf inputs");
-    }
-    std::string table_text;
-    expect(static_cast<bool>(in >> table_text), "truncated leaf table");
-    expect(table_text.size() == (std::size_t{1} << arity),
-           "leaf table size mismatch");
-    return RincModule::make_leaf(
-        Lut(std::move(inputs), bits_from_string(table_text)));
-  }
-  expect(kind == "node", "expected 'leaf' or 'node'");
-  expect(levels > 0, "module tree deeper than its RINC levels");
-  std::size_t fanin = 0;
-  expect(static_cast<bool>(in >> fanin), "truncated node record");
-  expect(fanin >= 1 && fanin <= 20, "bad node fanin");
-  std::vector<double> weights(fanin);
-  for (auto& weight : weights) {
-    expect(static_cast<bool>(in >> weight), "truncated node weights");
-  }
-  std::vector<RincModule> children;
-  children.reserve(fanin);
-  for (std::size_t c = 0; c < fanin; ++c) {
-    children.push_back(load_module(in, levels - 1));
-  }
-  // make_internal aborts on mixed child levels (a builder-contract check);
-  // reject them here so a corrupt file surfaces as an error, not an abort.
-  for (const auto& child : children) {
-    expect(child.level() == children.front().level(),
-           "node children at mixed RINC levels");
-  }
-  return RincModule::make_internal(std::move(children),
-                                   MatModule(std::move(weights)));
-}
-
-// The whole parser body; throws ParseFailure on any structural problem.
-// Every check that PoetBin::from_parts (or a constructor downstream) would
-// abort on is replicated here first, so corrupt bytes can never abort a
-// loading process.
-PoetBin parse_model(std::istream& in) {
-  std::string token;
-  std::string version;
-  if (!(in >> token >> version) || token != "poetbin-model") {
-    fail(ModelIoError::Kind::kVersionMismatch,
-         "unrecognised model file header (expected 'poetbin-model v1')");
-  }
-  if (version != "v1") {
-    fail(ModelIoError::Kind::kVersionMismatch,
-         "unsupported model format version '" + version + "'");
-  }
-
-  PoetBinConfig config;
-  std::size_t levels = 0;
-  std::size_t total_dts = 0;
-  expect(static_cast<bool>(in >> token) && token == "config",
-         "expected 'config' section");
-  expect(static_cast<bool>(in >> config.rinc.lut_inputs >> levels >>
-                           total_dts >> config.n_classes >>
-                           config.output.quant_bits),
-         "truncated config section");
-  config.rinc.levels = levels;
-  config.rinc.total_dts = total_dts;
+void check_header(const ModelParts& parts) {
+  const PoetBinConfig& config = parts.config;
   expect(config.rinc.lut_inputs >= 1 && config.rinc.lut_inputs <= 16,
          "config P out of range");
-  expect(levels <= kMaxRincLevels, "config RINC levels out of range");
+  expect(config.rinc.levels <= kMaxRincLevels,
+         "config RINC levels out of range");
   expect(config.n_classes >= 1 && config.n_classes <= (std::size_t{1} << 20),
          "config class count out of range");
-  expect(config.output.quant_bits >= 1 && config.output.quant_bits <= 24,
+  expect(parts.quant_bits >= 1 && parts.quant_bits <= kMaxQuantBits,
          "config quantizer bits out of range");
-
-  QuantizerParams quantizer;
-  expect(static_cast<bool>(in >> token) && token == "quantizer",
-         "expected 'quantizer' section");
-  expect(static_cast<bool>(in >> quantizer.bits >> quantizer.min_value >>
-                           quantizer.max_value),
-         "truncated quantizer section");
-  expect(quantizer.bits == config.output.quant_bits,
+  expect(parts.quantizer_bits == parts.quant_bits,
          "quantizer/config bit mismatch");
-
-  const std::size_t n_modules = config.n_classes * config.rinc.lut_inputs;
-  std::vector<RincModule> modules;
-  modules.reserve(n_modules);
-  for (std::size_t m = 0; m < n_modules; ++m) {
-    std::size_t index = 0;
-    expect(static_cast<bool>(in >> token >> index) && token == "module" &&
-               index == m,
-           "module records out of order");
-    modules.push_back(load_module(in, levels));
-  }
-
-  std::vector<SparseOutputNeuron> output(config.n_classes);
-  const std::size_t n_combos = std::size_t{1} << config.rinc.lut_inputs;
-  for (std::size_t c = 0; c < config.n_classes; ++c) {
-    std::size_t index = 0;
-    SparseOutputNeuron& neuron = output[c];
-    expect(static_cast<bool>(in >> token >> index >> neuron.bias) &&
-               token == "output" && index == c,
-           "output records out of order");
-    neuron.input_modules.resize(config.rinc.lut_inputs);
-    neuron.weights.resize(config.rinc.lut_inputs);
-    neuron.codes.resize(n_combos);
-    for (auto& m : neuron.input_modules) {
-      expect(static_cast<bool>(in >> m), "truncated output wiring");
-      expect(m < n_modules, "output wiring references a missing module");
-    }
-    for (auto& w : neuron.weights) {
-      expect(static_cast<bool>(in >> w), "truncated output weights");
-    }
-    for (auto& code : neuron.codes) {
-      expect(static_cast<bool>(in >> code), "truncated output codes");
-      expect(code < quantizer.levels(), "output code beyond quantizer range");
-    }
-  }
-
-  return PoetBin::from_parts(std::move(config), std::move(modules),
-                             std::move(output), quantizer);
-}
-
-// Conv parser body: conv geometry + per-channel modules, then the embedded
-// classifier via parse_model (the dense grammar, header included). Every
-// check RincConvLayer::from_parts / PoetBin::from_parts would abort on is
-// replicated here as a typed error first.
-ConvModel parse_conv_model(std::istream& in) {
-  std::string token;
-  std::string version;
-  if (!(in >> token >> version) || token != "poetbin-conv-model") {
-    fail(ModelIoError::Kind::kVersionMismatch,
-         "unrecognised conv model file header (expected "
-         "'poetbin-conv-model v1')");
-  }
-  if (version != "v1") {
-    fail(ModelIoError::Kind::kVersionMismatch,
-         "unsupported conv model format version '" + version + "'");
-  }
-
-  BinShape3 in_shape;
-  RincConvConfig config;
-  expect(static_cast<bool>(in >> token) && token == "conv",
-         "expected 'conv' section");
-  expect(static_cast<bool>(in >> in_shape.channels >> in_shape.height >>
-                           in_shape.width >> config.out_channels >>
-                           config.kernel >> config.stride >> config.padding),
-         "truncated conv section");
+  if (!parts.conv) return;
+  // Every geometry contract RincConvLayer::from_parts would abort on.
+  const BinShape3& shape = parts.conv->in_shape;
+  const RincConvConfig& conv = parts.conv->config;
   const std::size_t dim_cap = std::size_t{1} << 16;
-  expect(in_shape.channels >= 1 && in_shape.channels <= dim_cap &&
-             in_shape.height >= 1 && in_shape.height <= dim_cap &&
-             in_shape.width >= 1 && in_shape.width <= dim_cap,
+  expect(shape.channels >= 1 && shape.channels <= dim_cap &&
+             shape.height >= 1 && shape.height <= dim_cap &&
+             shape.width >= 1 && shape.width <= dim_cap,
          "conv input shape out of range");
-  expect(config.out_channels >= 1 && config.out_channels <= dim_cap,
+  expect(conv.out_channels >= 1 && conv.out_channels <= dim_cap,
          "conv output channel count out of range");
-  expect(config.kernel >= 1 && config.kernel <= dim_cap,
+  expect(conv.kernel >= 1 && conv.kernel <= dim_cap,
          "conv kernel out of range");
-  expect(config.stride >= 1 && config.stride <= dim_cap,
+  expect(conv.stride >= 1 && conv.stride <= dim_cap,
          "conv stride out of range");
-  expect(config.padding < config.kernel,
+  expect(conv.padding < conv.kernel,
          "conv padding must be smaller than the kernel");
-  expect(in_shape.height + 2 * config.padding >= config.kernel &&
-             in_shape.width + 2 * config.padding >= config.kernel,
+  expect(shape.height + 2 * conv.padding >= conv.kernel &&
+             shape.width + 2 * conv.padding >= conv.kernel,
          "conv kernel does not fit the padded frame");
-
-  const std::size_t patch_bits =
-      in_shape.channels * config.kernel * config.kernel;
-  std::vector<RincModule> modules;
-  modules.reserve(config.out_channels);
-  for (std::size_t channel = 0; channel < config.out_channels; ++channel) {
-    std::size_t index = 0;
-    expect(static_cast<bool>(in >> token >> index) && token == "channel" &&
-               index == channel,
-           "channel records out of order");
-    modules.push_back(load_module(in, kMaxRincLevels));
-    for (const std::size_t feature : modules.back().distinct_features()) {
-      expect(feature < patch_bits,
-             "conv channel module references a feature beyond the patch "
-             "width");
-    }
-  }
-
-  ConvModel model;
-  model.conv =
-      RincConvLayer::from_parts(in_shape, std::move(config), std::move(modules));
-  model.classifier = parse_model(in);
-  expect(model.classifier.n_features() <= model.conv.output_shape().flat(),
-         "classifier wired beyond the conv output width");
-  return model;
 }
 
-// Atomic text publish shared by the file writers: write a same-directory
-// temp file and rename it over `path`. A concurrent reader — including a
-// serve --watch poll racing the push — sees the complete old file or the
-// complete new one, never a truncated half-write.
-template <typename WriteBody>
-IoStatus write_text_model_file(const std::string& path,
-                               const WriteBody& write_body) {
+LoadedModel assemble_model(ModelParts parts, ModelFormat format) {
+  parts.config.output.quant_bits = static_cast<int>(parts.quant_bits);
+  parts.quantizer.bits = static_cast<int>(parts.quant_bits);
+  for (const SparseOutputNeuron& neuron : parts.output) {
+    for (const std::size_t module : neuron.input_modules) {
+      expect(module < parts.modules.size(),
+             "output wiring references a missing module");
+    }
+    for (const std::uint32_t code : neuron.codes) {
+      expect(code < parts.quantizer.levels(),
+             "output code beyond quantizer range");
+    }
+  }
+  LoadedModel loaded{
+      PoetBin::from_parts(std::move(parts.config), std::move(parts.modules),
+                          std::move(parts.output), parts.quantizer),
+      format, nullptr};
+  if (parts.conv) {
+    ModelParts::Conv& conv = *parts.conv;
+    const std::size_t patch_bits =
+        conv.in_shape.channels * conv.config.kernel * conv.config.kernel;
+    for (const RincModule& module : conv.modules) {
+      for (const std::size_t feature : module.distinct_features()) {
+        expect(feature < patch_bits,
+               "conv channel module references a feature beyond the patch "
+               "width");
+      }
+    }
+    loaded.conv = std::make_shared<const RincConvLayer>(
+        RincConvLayer::from_parts(conv.in_shape, std::move(conv.config),
+                                  std::move(conv.modules)));
+    expect(loaded.model.n_features() <= loaded.conv->output_shape().flat(),
+           "classifier wired beyond the conv output width");
+  }
+  return loaded;
+}
+
+// --- the publish helper -----------------------------------------------------
+
+IoStatus publish_model_file(const std::string& path, std::string_view bytes) {
+  const IoResult<LoadedModel> check =
+      read_model_bytes(bytes.data(), bytes.size());
+  if (!check.ok()) {
+    return ModelIoError{ModelIoError::Kind::kWriteFailed,
+                        "refusing to write '" + path +
+                            "', which would not load: " +
+                            check.error().message};
+  }
   const std::string temp = path + ".tmp." + std::to_string(::getpid());
-  std::ofstream out(temp);
+  std::ofstream out(temp, std::ios::binary | std::ios::trunc);
   if (!out) {
     return ModelIoError{ModelIoError::Kind::kWriteFailed,
                         "cannot open '" + temp + "' for writing"};
   }
-  write_body(out);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out.flush();
   out.close();
   if (!out) {
@@ -279,6 +128,169 @@ IoStatus write_text_model_file(const std::string& path,
   return IoStatus();
 }
 
+}  // namespace model_io
+
+namespace {
+
+// --- the text codec ---------------------------------------------------------
+
+void save_module(const RincModule& module, std::ostream& out) {
+  if (module.is_leaf()) {
+    const Lut& lut = module.leaf_lut();
+    out << "leaf " << lut.arity();
+    for (const auto input : lut.inputs()) out << ' ' << input;
+    out << ' ' << lut.table().to_string() << '\n';  // bit 0 first
+    return;
+  }
+  out << "node " << module.children().size();
+  for (const auto weight : module.mat().weights()) out << ' ' << weight;
+  out << '\n';
+  for (const auto& child : module.children()) save_module(child, out);
+}
+
+// A read-only view of the caller's bytes, so the text decoder reads its
+// tokens straight from memory.
+struct MemoryBuf : std::streambuf {
+  MemoryBuf(const char* data, std::size_t size) {
+    char* begin = const_cast<char*>(data);
+    setg(begin, begin, begin + size);
+  }
+};
+
+// Whitespace-separated tokens; model_io::decode_tree's text source.
+struct TextSource {
+  std::istream& in;
+
+  template <typename T>
+  T next(const char* truncated) {
+    T value{};
+    expect(static_cast<bool>(in >> value), truncated);
+    return value;
+  }
+  // Reads a section's opening `word`.
+  void section(const std::string& word) {
+    std::string token;
+    if (!(in >> token) || token != word) {
+      fail(ModelIoError::Kind::kCorruptSection,
+           "expected '" + word + "' section");
+    }
+  }
+  // Reads `keyword <index>` and requires both.
+  void record(const char* keyword, std::size_t index, const char* message) {
+    std::string token;
+    std::size_t at = 0;
+    expect(static_cast<bool>(in >> token >> at) && token == keyword &&
+               at == index,
+           message);
+  }
+
+  model_io::NodeRecord node() {
+    const auto kind = next<std::string>("truncated model file");
+    const bool leaf = kind == "leaf";
+    expect(leaf || kind == "node", "expected 'leaf' or 'node'");
+    return {leaf, next<std::size_t>(leaf ? "truncated leaf record"
+                                         : "truncated node record")};
+  }
+  std::uint64_t leaf_input() {
+    return next<std::uint64_t>("truncated leaf inputs");
+  }
+  double weight() { return next<double>("truncated node weights"); }
+  BitVector table(std::size_t arity) {
+    const auto text = next<std::string>("truncated leaf table");
+    expect(text.size() == (std::size_t{1} << arity),
+           "leaf table size mismatch");
+    BitVector bits(text.size());
+    for (std::size_t i = 0; i < text.size(); ++i) {
+      expect(text[i] == '0' || text[i] == '1',
+             "malformed bit string in model file");
+      if (text[i] == '1') bits.set(i, true);
+    }
+    return bits;
+  }
+  Lut mat_lut(const MatModule& mat) {
+    return Lut(std::vector<std::size_t>(mat.arity(), 0), mat.to_table());
+  }
+};
+
+void expect_version(const std::string& version) {
+  if (version != "v1") {
+    fail(ModelIoError::Kind::kVersionMismatch,
+         "unsupported model format version '" + version + "'");
+  }
+}
+
+// A dense file, or a conv file: its conv section, then the embedded dense
+// classifier, header included.
+ModelParts decode_text(std::istream& in) {
+  TextSource source{in};
+  ModelParts parts;
+  std::string magic;
+  std::string version;
+  in >> magic >> version;
+  if (magic == "poetbin-conv-model") {
+    expect_version(version);
+    ModelParts::Conv& conv = parts.conv.emplace();
+    source.section("conv");
+    for (std::size_t* field :
+         {&conv.in_shape.channels, &conv.in_shape.height,
+          &conv.in_shape.width, &conv.config.out_channels,
+          &conv.config.kernel, &conv.config.stride, &conv.config.padding}) {
+      *field = source.next<std::size_t>("truncated conv section");
+    }
+    // Unchecked counts are safe to loop on: every record consumes input.
+    for (std::size_t c = 0; c < conv.config.out_channels; ++c) {
+      source.record("channel", c, "channel records out of order");
+      conv.modules.push_back(model_io::decode_tree(source, kMaxRincLevels));
+    }
+    magic.clear();
+    in >> magic >> version;
+  }
+  if (magic != "poetbin-model") {
+    fail(ModelIoError::Kind::kVersionMismatch,
+         "unrecognised model file header (expected 'poetbin-model v1')");
+  }
+  expect_version(version);
+
+  PoetBinConfig& config = parts.config;
+  source.section("config");
+  for (std::size_t* field :
+       {&config.rinc.lut_inputs, &config.rinc.levels, &config.rinc.total_dts,
+        &config.n_classes}) {
+    *field = source.next<std::size_t>("truncated config section");
+  }
+  parts.quant_bits = source.next<std::uint64_t>("truncated config section");
+  source.section("quantizer");
+  parts.quantizer_bits =
+      source.next<std::uint64_t>("truncated quantizer section");
+  parts.quantizer.min_value = source.next<float>("truncated quantizer section");
+  parts.quantizer.max_value = source.next<float>("truncated quantizer section");
+  model_io::check_header(parts);
+
+  const std::size_t p = config.rinc.lut_inputs;
+  for (std::size_t m = 0; m < config.n_classes * p; ++m) {
+    source.record("module", m, "module records out of order");
+    parts.modules.push_back(model_io::decode_tree(source, config.rinc.levels));
+  }
+  for (std::size_t c = 0; c < config.n_classes; ++c) {
+    SparseOutputNeuron& neuron = parts.output.emplace_back();
+    source.record("output", c, "output records out of order");
+    neuron.bias = source.next<float>("output records out of order");
+    neuron.input_modules.resize(p);
+    neuron.weights.resize(p);
+    neuron.codes.resize(std::size_t{1} << p);
+    for (auto& m : neuron.input_modules) {
+      m = source.next<std::size_t>("truncated output wiring");
+    }
+    for (auto& w : neuron.weights) {
+      w = source.next<float>("truncated output weights");
+    }
+    for (auto& code : neuron.codes) {
+      code = source.next<std::uint32_t>("truncated output codes");
+    }
+  }
+  return parts;
+}
+
 }  // namespace
 
 const char* model_io_error_kind_name(ModelIoError::Kind kind) {
@@ -291,6 +303,53 @@ const char* model_io_error_kind_name(ModelIoError::Kind kind) {
     case ModelIoError::Kind::kIncompatibleModel: return "incompatible-model";
   }
   return "unknown";
+}
+
+const char* model_format_name(ModelFormat format) {
+  switch (format) {
+    case ModelFormat::kText: return "text";
+    case ModelFormat::kPacked: return "packed";
+  }
+  return "unknown";
+}
+
+IoResult<LoadedModel> read_model_bytes(const void* data, std::size_t size,
+                                       PackedVerify verify) {
+  const auto* bytes = static_cast<const std::uint8_t*>(data);
+  try {
+    if (model_io::has_packed_magic(bytes, size)) {
+      return model_io::assemble_model(
+          model_io::decode_packed(bytes, size, verify), ModelFormat::kPacked);
+    }
+    MemoryBuf buffer(static_cast<const char*>(data), size);
+    std::istream in(&buffer);
+    return model_io::assemble_model(decode_text(in), ModelFormat::kText);
+  } catch (const model_io::DecodeFailure& failure) {
+    return failure.error;
+  }
+}
+
+IoResult<LoadedModel> read_model_file_any(const std::string& path,
+                                          PackedVerify verify) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  std::string bytes;
+  if (in) {
+    bytes.resize(
+        static_cast<std::size_t>(std::max<std::streamoff>(in.tellg(), 0)));
+    in.seekg(0);
+    in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  if (!in) {
+    return ModelIoError{ModelIoError::Kind::kFileNotFound,
+                        "cannot open '" + path + "' for reading"};
+  }
+  IoResult<LoadedModel> loaded =
+      read_model_bytes(bytes.data(), bytes.size(), verify);
+  if (!loaded.ok()) {
+    return ModelIoError{loaded.error().kind,
+                        path + ": " + loaded.error().message};
+  }
+  return loaded;
 }
 
 void save_model(const PoetBin& model, std::ostream& out) {
@@ -318,33 +377,6 @@ void save_model(const PoetBin& model, std::ostream& out) {
   }
 }
 
-IoResult<PoetBin> read_model(std::istream& in) {
-  try {
-    return parse_model(in);
-  } catch (const ParseFailure& failure) {
-    return failure.error;
-  }
-}
-
-IoResult<PoetBin> read_model_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return ModelIoError{ModelIoError::Kind::kFileNotFound,
-                        "cannot open '" + path + "' for reading"};
-  }
-  IoResult<PoetBin> result = read_model(in);
-  if (!result.ok()) {
-    return ModelIoError{result.error().kind,
-                        path + ": " + result.error().message};
-  }
-  return result;
-}
-
-IoStatus write_model_file(const PoetBin& model, const std::string& path) {
-  return write_text_model_file(
-      path, [&](std::ostream& out) { save_model(model, out); });
-}
-
 void save_conv_model(const ConvModel& model, std::ostream& out) {
   const BinShape3 shape = model.conv.input_shape();
   const RincConvConfig& config = model.conv.config();
@@ -360,32 +392,17 @@ void save_conv_model(const ConvModel& model, std::ostream& out) {
   save_model(model.classifier, out);
 }
 
-IoResult<ConvModel> read_conv_model(std::istream& in) {
-  try {
-    return parse_conv_model(in);
-  } catch (const ParseFailure& failure) {
-    return failure.error;
-  }
-}
-
-IoResult<ConvModel> read_conv_model_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return ModelIoError{ModelIoError::Kind::kFileNotFound,
-                        "cannot open '" + path + "' for reading"};
-  }
-  IoResult<ConvModel> result = read_conv_model(in);
-  if (!result.ok()) {
-    return ModelIoError{result.error().kind,
-                        path + ": " + result.error().message};
-  }
-  return result;
+IoStatus write_model_file(const PoetBin& model, const std::string& path) {
+  std::ostringstream out;
+  save_model(model, out);
+  return model_io::publish_model_file(path, out.view());
 }
 
 IoStatus write_conv_model_file(const ConvModel& model,
                                const std::string& path) {
-  return write_text_model_file(
-      path, [&](std::ostream& out) { save_conv_model(model, out); });
+  std::ostringstream out;
+  save_conv_model(model, out);
+  return model_io::publish_model_file(path, out.view());
 }
 
 }  // namespace poetbin

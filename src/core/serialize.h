@@ -1,23 +1,28 @@
-// Plain-text serialization of trained models, with typed I/O errors.
+// Model files: the text format, the typed I/O errors and the one loader.
 //
 // A trained PoET-BiN classifier is just LUT contents and wiring — a few
 // kilobytes — so a human-readable line format is both debuggable and
-// diff-friendly. The format is versioned; loaders validate structure and
-// return a typed ModelIoError on malformed input rather than constructing
-// broken models (or aborting the process, as earlier revisions did — a
-// serving worker must survive a bad model file on disk).
+// diff-friendly; core/packed_model.h describes the binary form serving
+// loads. Both formats decode from memory through one entry point,
+// read_model_bytes, which sniffs the packed magic or the text header, and
+// read_model_file_any is one file read plus that call. Each decoder only
+// turns its bytes into plain parts; serialize.cpp validates them, with the
+// per-node checks core/model_parts.h runs while a decoder descends — every
+// range and consistency check of either format, once, before the model is
+// built — so malformed bytes come back as a typed ModelIoError, never as an
+// abort or a broken model. Every writer publishes through one temp file and
+// rename, and refuses bytes its own loader would reject.
 //
 //   poetbin-model v1
 //   config <P> <L> <total_dts> <n_classes> <qbits>
 //   quantizer <bits> <min> <max>
 //   module <index>
 //     leaf <arity> <input...> <table-bits>
-//     node <fanin>   ... children follow depth-first ... <mat-table-bits>
+//     node <fanin> <mat-weight...>   (its fanin children follow, depth-first)
 //   output <class> <bias> <weight...> <codes...>
 //
 // A convolutional model (core/rinc_conv.h ConvModel) prepends a conv
-// section and embeds the classifier verbatim (its own header included, so
-// the dense parser reads it unchanged):
+// section and embeds the classifier verbatim, its own header included:
 //
 //   poetbin-conv-model v1
 //   conv <in_c> <in_h> <in_w> <out_channels> <kernel> <stride> <padding>
@@ -32,6 +37,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <utility>
 #include <variant>
@@ -62,10 +68,10 @@ struct ModelIoError {
 
 const char* model_io_error_kind_name(ModelIoError::Kind kind);
 
-// Deepest RINC module tree the model loaders accept. A classifier tree may
-// be no deeper than its config's declared levels, which may not exceed this
+// Deepest RINC module tree a model file may hold. A classifier tree may be
+// no deeper than its config's declared levels, which may not exceed this
 // cap; conv channel trees, whose levels are not stored, take the cap
-// itself. Both loaders enforce it while descending, so a hostile file
+// itself. The decoders enforce it while descending, so a hostile file
 // cannot recurse them off the stack.
 inline constexpr std::size_t kMaxRincLevels = 8;
 
@@ -127,25 +133,49 @@ class [[nodiscard]] IoStatus {
   ModelIoError error_;
 };
 
+// Which on-disk representation a model came from (or should go to).
+enum class ModelFormat {
+  kText,    // this header's line format
+  kPacked,  // core/packed_model.h's binary format
+};
+
+const char* model_format_name(ModelFormat format);
+
+// How deep a packed load validates (see core/packed_model.h). Text loads
+// always check everything.
+enum class PackedVerify {
+  kFull,           // structure + CRC + MAT table re-derivation
+  kTrustChecksum,  // structure only
+};
+
+// A loaded model plus the format it was read in. `conv`, when non-null, is
+// a convolutional front end whose flattened output feeds `model`; null
+// means a dense model whose features are the wire features.
+struct LoadedModel {
+  PoetBin model;
+  ModelFormat format = ModelFormat::kText;
+  std::shared_ptr<const RincConvLayer> conv;
+};
+
+// The one model decoder: `size` bytes of a packed file (by its magic) or of
+// a dense or conv text file (by its header line). kVersionMismatch for an
+// unknown header or version, kChecksumMismatch for a packed CRC failure
+// (kFull only), kCorruptSection for anything else malformed.
+IoResult<LoadedModel> read_model_bytes(
+    const void* data, std::size_t size,
+    PackedVerify verify = PackedVerify::kFull);
+
+// read_model_bytes over the whole file at `path`, read once. kFileNotFound
+// when it cannot be read; decode errors carry the path in their message.
+IoResult<LoadedModel> read_model_file_any(
+    const std::string& path, PackedVerify verify = PackedVerify::kFull);
+
 void save_model(const PoetBin& model, std::ostream& out);
-
-// Non-aborting parse: returns the model or a typed error
-// (kVersionMismatch for a bad header, kCorruptSection for anything
-// structurally wrong after it).
-IoResult<PoetBin> read_model(std::istream& in);
-
-// File wrappers. read_model_file adds kFileNotFound when the path cannot
-// be opened; write_model_file reports kWriteFailed when it cannot be
-// written or flushed.
-IoResult<PoetBin> read_model_file(const std::string& path);
-IoStatus write_model_file(const PoetBin& model, const std::string& path);
-
-// Convolutional variants, same error contract: the conv geometry and every
-// per-channel module are validated before construction, so corrupt bytes
-// surface as typed errors, never as a from_parts abort.
 void save_conv_model(const ConvModel& model, std::ostream& out);
-IoResult<ConvModel> read_conv_model(std::istream& in);
-IoResult<ConvModel> read_conv_model_file(const std::string& path);
+
+// Text file writers: kWriteFailed when the path cannot be written, or when
+// the model would not load back (a leaf input past the index bound, say).
+IoStatus write_model_file(const PoetBin& model, const std::string& path);
 IoStatus write_conv_model_file(const ConvModel& model,
                                const std::string& path);
 

@@ -8,7 +8,7 @@
 namespace poetbin {
 
 QuantizerParams fit_quantizer(const Matrix& values, int bits) {
-  POETBIN_CHECK(bits >= 1 && bits <= 16);
+  POETBIN_CHECK(bits >= 1 && bits <= kMaxQuantBits);
   POETBIN_CHECK(values.size() > 0);
   QuantizerParams params;
   params.bits = bits;

@@ -13,6 +13,10 @@
 
 namespace poetbin {
 
+// Widest quantizer fit_quantizer accepts, and so the widest a model file may
+// declare: a loaded model must survive retrain_output_layer.
+inline constexpr int kMaxQuantBits = 16;
+
 struct QuantizerParams {
   int bits = 8;
   float min_value = 0.0f;

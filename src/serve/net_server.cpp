@@ -112,8 +112,7 @@ NetServer::NetServer(Runtime& runtime, NetServerOptions options)
       options_(options),
       // The snapshot's n_features() is the wire width: the frame size for
       // conv models, the classifier's feature count for dense ones.
-      n_features_(options.n_features != 0 ? options.n_features
-                                          : runtime.snapshot()->n_features()),
+      n_features_(runtime.snapshot()->n_features()),
       batcher_(runtime, MicroBatcherOptions{.max_batch = options.max_batch,
                                             .max_wait = options.max_wait}) {
   POETBIN_CHECK_MSG(n_features_ > 0, "served model references no features");

@@ -72,9 +72,6 @@ struct NetServerOptions {
   // Cap on a mid-frame read stall or a blocked response write. Idle
   // connections (no partial frame) may stay open indefinitely.
   std::chrono::milliseconds io_timeout{5000};
-  // Input bit width served; 0 derives it from the model (highest referenced
-  // feature index + 1, the same rule the netlist exporter uses).
-  std::size_t n_features = 0;
 };
 
 class NetServer {

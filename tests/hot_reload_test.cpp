@@ -99,12 +99,12 @@ TEST(HotReload, TaggedModelPredictsItsTagThroughBothFormats) {
     const std::string packed = temp_path("tagged.pbm");
     ASSERT_TRUE(write_model_file(model, text).ok());
     ASSERT_TRUE(write_packed_model_file(model, packed).ok());
-    const IoResult<PoetBin> from_text = read_model_file(text);
-    const IoResult<PoetBin> from_packed = read_packed_model_file(packed);
+    const IoResult<LoadedModel> from_text = read_model_file_any(text);
+    const IoResult<LoadedModel> from_packed = read_model_file_any(packed);
     ASSERT_TRUE(from_text.ok());
     ASSERT_TRUE(from_packed.ok()) << from_packed.error().message;
-    EXPECT_EQ(from_text->predict(example_bits(tag)), tag);
-    EXPECT_EQ(from_packed->predict(example_bits(tag)), tag);
+    EXPECT_EQ(from_text->model.predict(example_bits(tag)), tag);
+    EXPECT_EQ(from_packed->model.predict(example_bits(tag)), tag);
   }
 }
 
@@ -171,8 +171,7 @@ TEST(HotReload, NetServerKReloadUnderEightClientThreads) {
   Runtime runtime = std::move(loaded).value();
   NetServer server(runtime, {.port = 0,
                              .max_batch = 16,
-                             .max_wait = std::chrono::microseconds(200),
-                             .n_features = kFeatures});
+                             .max_wait = std::chrono::microseconds(200)});
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
@@ -382,8 +381,7 @@ TEST(HotReload, NetServerCacheOnReloadAndWireStats) {
   Runtime runtime = std::move(loaded).value();
   NetServer server(runtime, {.port = 0,
                              .max_batch = 16,
-                             .max_wait = std::chrono::microseconds(200),
-                             .n_features = kFeatures});
+                             .max_wait = std::chrono::microseconds(200)});
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 

@@ -50,9 +50,16 @@ const ServeFixture& fixture() {
     f->model = PoetBin::train(f->data.features, intermediate, f->data.labels,
                               config);
     f->scalar_preds = reference::predict_dataset(f->model, f->data.features);
+    // The server serves the model's own width (its highest referenced
+    // feature + 1), so each request carries a row cut to that width.
+    const std::size_t width = f->model.n_features();
     f->rows.reserve(f->data.size());
     for (std::size_t i = 0; i < f->data.size(); ++i) {
-      f->rows.push_back(f->data.features.row(i));
+      BitVector row(width);
+      for (std::size_t b = 0; b < width; ++b) {
+        row.set(b, f->data.features.get(i, b));
+      }
+      f->rows.push_back(std::move(row));
     }
     return f;
   }();
@@ -64,9 +71,6 @@ NetServerOptions loopback_options() {
   options.port = 0;  // ephemeral
   options.max_batch = 16;
   options.max_wait = std::chrono::microseconds(200);
-  // The fixture's rows are dataset-width; force the served width to match
-  // instead of deriving it from the model's referenced features.
-  options.n_features = 64;
   return options;
 }
 
@@ -125,7 +129,7 @@ TEST(NetServer, InfoReportsServedShape) {
   wire::Response info;
   ASSERT_TRUE(client.info(&info));
   ASSERT_EQ(info.status, wire::Status::kOk);
-  EXPECT_EQ(info.n_features, 64u);
+  EXPECT_EQ(info.n_features, fx.model.n_features());
   EXPECT_EQ(info.n_classes, fx.model.n_classes());
   server.stop();
 }
@@ -133,9 +137,7 @@ TEST(NetServer, InfoReportsServedShape) {
 TEST(NetServer, DerivedFeatureWidthCoversEveryReferencedFeature) {
   const ServeFixture& fx = fixture();
   Runtime runtime(fx.model, {.threads = 1});
-  NetServerOptions options = loopback_options();
-  options.n_features = 0;  // derive from the model
-  NetServer server(runtime, options);
+  NetServer server(runtime, loopback_options());
   ASSERT_TRUE(server.start());
   EXPECT_GT(server.n_features(), 0u);
   EXPECT_LE(server.n_features(), 64u);

@@ -18,6 +18,7 @@
 #include "core/rinc.h"
 #include "dt/lut.h"
 #include "reference/scalar_reference.h"
+#include "serve/runtime.h"
 #include "test_util.h"
 
 namespace poetbin {
@@ -76,14 +77,6 @@ std::vector<std::uint8_t> read_bytes(const std::string& path) {
                                    std::istreambuf_iterator<char>());
 }
 
-void write_bytes(const std::string& path,
-                 const std::vector<std::uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
-
 // Test-local CRC32 (same IEEE polynomial as the format) so structural
 // corruptions can be re-checksummed — otherwise every mutation would stop at
 // kChecksumMismatch and never reach the structural validators.
@@ -113,59 +106,65 @@ std::uint64_t section_field(const std::vector<std::uint8_t>& bytes,
   return value;
 }
 
-// Applies `mutate` to a copy of the packed fixture, rewrites it, and returns
-// the load result.
-IoResult<PoetBin> load_mutated(
-    const std::string& name,
-    const std::function<void(std::vector<std::uint8_t>&)>& mutate,
+// `bytes` through the one model decoder.
+IoResult<LoadedModel> decode(const std::vector<std::uint8_t>& bytes,
+                             PackedVerify verify = PackedVerify::kFull) {
+  return read_model_bytes(bytes.data(), bytes.size(), verify);
+}
+
+// Applies `mutate` to a copy of the packed fixture and returns the load
+// result.
+using Bytes = std::vector<std::uint8_t>;
+
+IoResult<LoadedModel> load_mutated(
+    const std::function<void(Bytes&)>& mutate,
     PackedVerify verify = PackedVerify::kFull) {
   std::vector<std::uint8_t> bytes = read_bytes(packed_fixture_path());
   mutate(bytes);
-  const std::string path = temp_path(name);
-  write_bytes(path, bytes);
-  IoResult<PoetBin> result = read_packed_model_file(path, verify);
-  std::remove(path.c_str());
-  return result;
+  return decode(bytes, verify);
+}
+
+// The packed fixture, loaded at `verify` depth.
+IoResult<LoadedModel> load_fixture(PackedVerify verify = PackedVerify::kFull) {
+  return read_model_file_any(packed_fixture_path(), verify);
+}
+
+std::string saved(const PoetBin& model) {
+  std::stringstream out;
+  save_model(model, out);
+  return out.str();
 }
 
 TEST(PackedModel, RoundTripPreservesPredictions) {
   const Fixture& fx = fixture();
-  const IoResult<PoetBin> loaded =
-      read_packed_model_file(packed_fixture_path());
+  const IoResult<LoadedModel> loaded = load_fixture();
   ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-  EXPECT_EQ(loaded->n_modules(), fx.model.n_modules());
-  EXPECT_EQ(loaded->n_classes(), fx.model.n_classes());
-  EXPECT_EQ(loaded->lut_count(), fx.model.lut_count());
-  EXPECT_EQ(loaded->n_features(), fx.model.n_features());
-  EXPECT_EQ(reference::predict_dataset(*loaded, fx.data.features),
+  EXPECT_EQ(loaded->format, ModelFormat::kPacked);
+  EXPECT_EQ(loaded->model.n_modules(), fx.model.n_modules());
+  EXPECT_EQ(loaded->model.n_classes(), fx.model.n_classes());
+  EXPECT_EQ(loaded->model.lut_count(), fx.model.lut_count());
+  EXPECT_EQ(loaded->model.n_features(), fx.model.n_features());
+  EXPECT_EQ(reference::predict_dataset(loaded->model, fx.data.features),
             reference::predict_dataset(fx.model, fx.data.features));
-  EXPECT_EQ(reference::rinc_outputs(*loaded, fx.data.features),
+  EXPECT_EQ(reference::rinc_outputs(loaded->model, fx.data.features),
             reference::rinc_outputs(fx.model, fx.data.features));
 }
 
 // The binary format stores exact float/double bit patterns, so a model that
 // went text -> packed -> text must reproduce the text byte for byte.
 TEST(PackedModel, TextPackedTextIsByteIdentical) {
-  const Fixture& fx = fixture();
-  std::stringstream original;
-  save_model(fx.model, original);
-
-  const IoResult<PoetBin> unpacked =
-      read_packed_model_file(packed_fixture_path());
+  const IoResult<LoadedModel> unpacked = load_fixture();
   ASSERT_TRUE(unpacked.ok());
-  std::stringstream reprinted;
-  save_model(*unpacked, reprinted);
-  EXPECT_EQ(original.str(), reprinted.str());
+  EXPECT_EQ(saved(fixture().model), saved(unpacked->model));
 }
 
 // Packing the unpacked model again must reproduce the packed bytes too —
 // the writer is deterministic and nothing is lost in the round trip.
 TEST(PackedModel, PackedRoundTripIsByteIdentical) {
-  const IoResult<PoetBin> unpacked =
-      read_packed_model_file(packed_fixture_path());
+  const IoResult<LoadedModel> unpacked = load_fixture();
   ASSERT_TRUE(unpacked.ok());
   const std::string again = temp_path("poetbin_repacked.pbm");
-  ASSERT_TRUE(write_packed_model_file(*unpacked, again).ok());
+  ASSERT_TRUE(write_packed_model_file(unpacked->model, again).ok());
   EXPECT_EQ(read_bytes(packed_fixture_path()), read_bytes(again));
   std::remove(again.c_str());
 }
@@ -175,23 +174,23 @@ TEST(PackedModel, PackedRoundTripIsByteIdentical) {
 // thread counts.
 TEST(PackedModel, BitIdenticalAcrossBackendsAndThreads) {
   const Fixture& fx = fixture();
-  const IoResult<PoetBin> loaded =
-      read_packed_model_file(packed_fixture_path());
+  const IoResult<LoadedModel> loaded = load_fixture();
   ASSERT_TRUE(loaded.ok());
+  const PoetBin& model = loaded->model;
   const std::vector<int> want =
       reference::predict_dataset(fx.model, fx.data.features);
 
   testing::BackendGuard guard;
   for (const WordBackend backend : available_word_backends()) {
     set_word_backend(backend);
-    EXPECT_EQ(reference::predict_dataset(*loaded, fx.data.features), want)
+    EXPECT_EQ(reference::predict_dataset(model, fx.data.features), want)
         << word_backend_name(backend);
     for (const std::size_t threads : {1u, 2u, 5u}) {
       const BatchEngine engine(threads);
-      EXPECT_EQ(loaded->predict_dataset_batched(fx.data.features, engine),
+      EXPECT_EQ(model.predict_dataset_batched(fx.data.features, engine),
                 want)
           << word_backend_name(backend) << " x" << threads;
-      EXPECT_EQ(engine.rinc_outputs(*loaded, fx.data.features),
+      EXPECT_EQ(engine.rinc_outputs(model, fx.data.features),
                 reference::rinc_outputs(fx.model, fx.data.features))
           << word_backend_name(backend) << " x" << threads;
     }
@@ -204,9 +203,9 @@ TEST(PackedModel, CopySurvivesOriginalDestruction) {
   const Fixture& fx = fixture();
   auto original = std::make_unique<PoetBin>();
   {
-    IoResult<PoetBin> loaded = read_packed_model_file(packed_fixture_path());
+    IoResult<LoadedModel> loaded = load_fixture();
     ASSERT_TRUE(loaded.ok());
-    *original = std::move(loaded).value();
+    *original = std::move(loaded->model);
   }
   PoetBin copy = *original;
   original.reset();
@@ -219,29 +218,25 @@ TEST(PackedModel, CopySurvivesOriginalDestruction) {
 // text.
 TEST(PackedModel, RetrainOutputLayerMatchesTextLoadedRetrain) {
   const Fixture& fx = fixture();
-  IoResult<PoetBin> packed = read_packed_model_file(packed_fixture_path());
+  IoResult<LoadedModel> packed = load_fixture();
   ASSERT_TRUE(packed.ok());
-  std::stringstream stream;
-  save_model(fx.model, stream);
-  IoResult<PoetBin> text = read_model(stream);
+  const std::string text_bytes = saved(fx.model);
+  IoResult<LoadedModel> text =
+      read_model_bytes(text_bytes.data(), text_bytes.size());
   ASSERT_TRUE(text.ok());
 
   const BitMatrix rinc_bits =
       reference::rinc_outputs(fx.model, fx.data.features);
-  packed->retrain_output_layer(rinc_bits, fx.data.labels);
-  text->retrain_output_layer(rinc_bits, fx.data.labels);
-  EXPECT_EQ(reference::predict_dataset(*packed, fx.data.features),
-            reference::predict_dataset(*text, fx.data.features));
+  packed->model.retrain_output_layer(rinc_bits, fx.data.labels);
+  text->model.retrain_output_layer(rinc_bits, fx.data.labels);
+  EXPECT_EQ(reference::predict_dataset(packed->model, fx.data.features),
+            reference::predict_dataset(text->model, fx.data.features));
 }
 
 TEST(PackedModel, SniffsFormats) {
   const Fixture& fx = fixture();
-  EXPECT_TRUE(is_packed_model_file(packed_fixture_path()));
-
   const std::string text_path = temp_path("poetbin_fixture.txt");
   ASSERT_TRUE(write_model_file(fx.model, text_path).ok());
-  EXPECT_FALSE(is_packed_model_file(text_path));
-  EXPECT_FALSE(is_packed_model_file("/nonexistent/model.pbm"));
 
   const IoResult<LoadedModel> packed =
       read_model_file_any(packed_fixture_path());
@@ -259,23 +254,22 @@ TEST(PackedModel, SniffsFormats) {
 }
 
 TEST(PackedModel, MissingFileIsTypedError) {
-  const IoResult<PoetBin> result =
-      read_packed_model_file("/nonexistent/model.pbm");
+  const IoResult<LoadedModel> result =
+      read_model_file_any("/nonexistent/model.pbm");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ModelIoError::Kind::kFileNotFound);
 }
 
 TEST(PackedModel, BadMagicIsVersionMismatch) {
-  const IoResult<PoetBin> result = load_mutated(
-      "bad_magic.pbm", [](std::vector<std::uint8_t>& bytes) { bytes[0] = 'X'; });
+  const IoResult<LoadedModel> result =
+      load_mutated([](Bytes& bytes) { bytes[0] = 'X'; });
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ModelIoError::Kind::kVersionMismatch);
 }
 
 TEST(PackedModel, FutureVersionIsVersionMismatch) {
-  const IoResult<PoetBin> result = load_mutated(
-      "bad_version.pbm",
-      [](std::vector<std::uint8_t>& bytes) { bytes[8] = 9; });
+  const IoResult<LoadedModel> result =
+      load_mutated([](Bytes& bytes) { bytes[8] = 9; });
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ModelIoError::Kind::kVersionMismatch);
 }
@@ -284,8 +278,8 @@ TEST(PackedModel, FutureVersionIsVersionMismatch) {
 // no longer reads; they are a typed mismatch, never a misparse.
 TEST(PackedModel, OlderVersionsAreVersionMismatch) {
   for (const std::uint8_t version : {1, 2}) {
-    const IoResult<PoetBin> result = load_mutated(
-        "old_version.pbm", [version](std::vector<std::uint8_t>& bytes) {
+    const IoResult<LoadedModel> result =
+        load_mutated([version](Bytes& bytes) {
           bytes[8] = version;
           fix_crc(bytes);
         });
@@ -295,8 +289,8 @@ TEST(PackedModel, OlderVersionsAreVersionMismatch) {
 }
 
 TEST(PackedModel, FlippedPayloadByteIsChecksumMismatch) {
-  const IoResult<PoetBin> result = load_mutated(
-      "bad_crc.pbm", [](std::vector<std::uint8_t>& bytes) {
+  const IoResult<LoadedModel> result =
+      load_mutated([](Bytes& bytes) {
         bytes[bytes.size() / 2] ^= 0x40;  // no CRC fix-up
       });
   ASSERT_FALSE(result.ok());
@@ -308,16 +302,12 @@ TEST(PackedModel, FlippedPayloadByteIsChecksumMismatch) {
 // file.
 TEST(PackedModel, TrustChecksumLoadsIdenticallyToFullVerify) {
   const Fixture& fx = fixture();
-  const IoResult<PoetBin> trusting = read_packed_model_file(
-      packed_fixture_path(), PackedVerify::kTrustChecksum);
+  const IoResult<LoadedModel> trusting =
+      load_fixture(PackedVerify::kTrustChecksum);
   ASSERT_TRUE(trusting.ok()) << trusting.error().message;
-  EXPECT_EQ(reference::predict_dataset(*trusting, fx.data.features),
+  EXPECT_EQ(reference::predict_dataset(trusting->model, fx.data.features),
             reference::predict_dataset(fx.model, fx.data.features));
-  std::stringstream reprinted;
-  save_model(*trusting, reprinted);
-  std::stringstream original;
-  save_model(fx.model, original);
-  EXPECT_EQ(original.str(), reprinted.str());
+  EXPECT_EQ(saved(fx.model), saved(trusting->model));
 }
 
 // The documented trade of the trusting depth: a wrong checksum FIELD (the
@@ -327,32 +317,29 @@ TEST(PackedModel, TrustChecksumSkipsTheCrcPass) {
   const auto corrupt_crc_field = [](std::vector<std::uint8_t>& bytes) {
     bytes[20] ^= 0xFF;  // stored CRC32, not covered by itself
   };
-  const IoResult<PoetBin> full =
-      load_mutated("crc_field_full.pbm", corrupt_crc_field);
+  const IoResult<LoadedModel> full = load_mutated(corrupt_crc_field);
   ASSERT_FALSE(full.ok());
   EXPECT_EQ(full.error().kind, ModelIoError::Kind::kChecksumMismatch);
 
   const Fixture& fx = fixture();
-  const IoResult<PoetBin> trusting = load_mutated(
-      "crc_field_trust.pbm", corrupt_crc_field, PackedVerify::kTrustChecksum);
+  const IoResult<LoadedModel> trusting =
+      load_mutated(corrupt_crc_field, PackedVerify::kTrustChecksum);
   ASSERT_TRUE(trusting.ok()) << trusting.error().message;
-  EXPECT_EQ(reference::predict_dataset(*trusting, fx.data.features),
+  EXPECT_EQ(reference::predict_dataset(trusting->model, fx.data.features),
             reference::predict_dataset(fx.model, fx.data.features));
 }
 
 // Trusting the checksum does not mean trusting the structure: truncation
 // and header corruption still fail with the same typed errors.
 TEST(PackedModel, TrustChecksumStillRejectsStructuralDamage) {
-  const IoResult<PoetBin> truncated = load_mutated(
-      "trust_trunc.pbm",
-      [](std::vector<std::uint8_t>& bytes) { bytes.resize(bytes.size() / 2); },
+  const IoResult<LoadedModel> truncated = load_mutated(
+      [](Bytes& bytes) { bytes.resize(bytes.size() / 2); },
       PackedVerify::kTrustChecksum);
   ASSERT_FALSE(truncated.ok());
   EXPECT_EQ(truncated.error().kind, ModelIoError::Kind::kCorruptSection);
 
-  const IoResult<PoetBin> bad_magic = load_mutated(
-      "trust_magic.pbm",
-      [](std::vector<std::uint8_t>& bytes) { bytes[0] = 'X'; },
+  const IoResult<LoadedModel> bad_magic = load_mutated(
+      [](Bytes& bytes) { bytes[0] = 'X'; },
       PackedVerify::kTrustChecksum);
   ASSERT_FALSE(bad_magic.ok());
   EXPECT_EQ(bad_magic.error().kind, ModelIoError::Kind::kVersionMismatch);
@@ -376,25 +363,22 @@ TEST(PackedModel, WriteIsAtomicPublishWithNoTempLeftovers) {
 }
 
 TEST(PackedModel, TruncatedFileIsCorruptSection) {
-  const IoResult<PoetBin> result = load_mutated(
-      "truncated.pbm", [](std::vector<std::uint8_t>& bytes) {
-        bytes.resize(bytes.size() / 2);
-      });
+  const IoResult<LoadedModel> result =
+      load_mutated([](Bytes& bytes) { bytes.resize(bytes.size() / 2); });
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ModelIoError::Kind::kCorruptSection);
 }
 
 TEST(PackedModel, HeaderSizedStubIsCorruptSection) {
-  const IoResult<PoetBin> result = load_mutated(
-      "stub.pbm",
-      [](std::vector<std::uint8_t>& bytes) { bytes.resize(40); });
+  const IoResult<LoadedModel> result =
+      load_mutated([](Bytes& bytes) { bytes.resize(40); });
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ModelIoError::Kind::kCorruptSection);
 }
 
 TEST(PackedModel, MisalignedSectionOffsetIsCorruptSection) {
-  const IoResult<PoetBin> result = load_mutated(
-      "misaligned.pbm", [](std::vector<std::uint8_t>& bytes) {
+  const IoResult<LoadedModel> result =
+      load_mutated([](Bytes& bytes) {
         std::uint64_t offset = section_field(bytes, 0, 8) + 8;
         std::memcpy(bytes.data() + 64 + 8, &offset, sizeof(offset));
         fix_crc(bytes);
@@ -404,8 +388,8 @@ TEST(PackedModel, MisalignedSectionOffsetIsCorruptSection) {
 }
 
 TEST(PackedModel, SectionLengthMismatchIsCorruptSection) {
-  const IoResult<PoetBin> result = load_mutated(
-      "bad_length.pbm", [](std::vector<std::uint8_t>& bytes) {
+  const IoResult<LoadedModel> result =
+      load_mutated([](Bytes& bytes) {
         std::uint64_t length = section_field(bytes, 0, 16) + 8;
         std::memcpy(bytes.data() + 64 + 16, &length, sizeof(length));
         fix_crc(bytes);
@@ -415,8 +399,8 @@ TEST(PackedModel, SectionLengthMismatchIsCorruptSection) {
 }
 
 TEST(PackedModel, SectionBeyondFileIsCorruptSection) {
-  const IoResult<PoetBin> result = load_mutated(
-      "runaway_section.pbm", [](std::vector<std::uint8_t>& bytes) {
+  const IoResult<LoadedModel> result =
+      load_mutated([](Bytes& bytes) {
         const std::uint64_t offset = bytes.size() * 2;
         std::memcpy(bytes.data() + 64 + 8, &offset, sizeof(offset));
         fix_crc(bytes);
@@ -426,8 +410,8 @@ TEST(PackedModel, SectionBeyondFileIsCorruptSection) {
 }
 
 TEST(PackedModel, HeaderFileSizeMismatchIsCorruptSection) {
-  const IoResult<PoetBin> result = load_mutated(
-      "bad_filesize.pbm", [](std::vector<std::uint8_t>& bytes) {
+  const IoResult<LoadedModel> result =
+      load_mutated([](Bytes& bytes) {
         const std::uint64_t size = bytes.size() + 64;
         std::memcpy(bytes.data() + 24, &size, sizeof(size));
       });
@@ -436,8 +420,8 @@ TEST(PackedModel, HeaderFileSizeMismatchIsCorruptSection) {
 }
 
 TEST(PackedModel, OutOfRangeWiringIsCorruptSection) {
-  const IoResult<PoetBin> result = load_mutated(
-      "bad_wiring.pbm", [](std::vector<std::uint8_t>& bytes) {
+  const IoResult<LoadedModel> result =
+      load_mutated([](Bytes& bytes) {
         const std::uint64_t wiring_offset = section_field(bytes, 5, 8);
         const std::uint64_t bogus = 1u << 20;
         std::memcpy(bytes.data() + wiring_offset, &bogus, sizeof(bogus));
@@ -451,15 +435,12 @@ TEST(PackedModel, OutOfRangeWiringIsCorruptSection) {
 // never an abort, never out-of-bounds reads (ASan-clean).
 TEST(PackedModel, EveryTruncationPointFailsCleanly) {
   const std::vector<std::uint8_t> bytes = read_bytes(packed_fixture_path());
-  const std::string path = temp_path("trunc_sweep.pbm");
   for (std::size_t cut = 0; cut < bytes.size();
        cut += 1 + bytes.size() / 61) {
-    write_bytes(path,
-                std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + cut));
-    const IoResult<PoetBin> result = read_packed_model_file(path);
+    const IoResult<LoadedModel> result = decode(
+        std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + cut));
     EXPECT_FALSE(result.ok()) << "prefix of " << cut << " bytes loaded";
   }
-  std::remove(path.c_str());
 }
 
 // Byte-flip sweep: every single-byte corruption must come back as a typed
@@ -471,25 +452,23 @@ TEST(PackedModel, EveryByteFlipFailsCleanlyOrLoadsIdentically) {
   const std::vector<int> want =
       reference::predict_dataset(fx.model, fx.data.features);
   const std::vector<std::uint8_t> bytes = read_bytes(packed_fixture_path());
-  const std::string path = temp_path("flip_sweep.pbm");
   for (std::size_t at = 0; at < bytes.size(); ++at) {
     for (const std::uint8_t mask : {0x01, 0xFF}) {
       std::vector<std::uint8_t> flipped = bytes;
       flipped[at] ^= mask;
-      write_bytes(path, flipped);
-      const IoResult<PoetBin> full = read_packed_model_file(path);
+      const IoResult<LoadedModel> full = decode(flipped);
       if (full.ok()) {
-        EXPECT_EQ(reference::predict_dataset(*full, fx.data.features), want)
+        EXPECT_EQ(reference::predict_dataset(full->model, fx.data.features),
+                  want)
             << "byte " << at << " ^ " << int{mask};
       }
-      const IoResult<PoetBin> trusting =
-          read_packed_model_file(path, PackedVerify::kTrustChecksum);
+      const IoResult<LoadedModel> trusting =
+          decode(flipped, PackedVerify::kTrustChecksum);
       if (trusting.ok()) {
-        EXPECT_EQ(trusting->n_classes(), fx.model.n_classes());
+        EXPECT_EQ(trusting->model.n_classes(), fx.model.n_classes());
       }
     }
   }
-  std::remove(path.c_str());
 }
 
 // --- convolutional packed models --------------------------------------------
@@ -622,21 +601,11 @@ TEST(PackedConvModel, TextPackedTextIsByteIdentical) {
   EXPECT_EQ(original.str(), reprinted.str());
 }
 
-// The dense entry point's contract: a packed conv file is a typed
-// kIncompatibleModel, never a silently truncated model.
-TEST(PackedConvModel, DenseEntryPointRejectsConvFile) {
-  const IoResult<PoetBin> result =
-      read_packed_model_file(packed_conv_fixture_path());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().kind, ModelIoError::Kind::kIncompatibleModel);
-}
-
 // Conv text files sniff through read_model_file_any like packed ones.
 TEST(PackedConvModel, TextConvSniffsThroughReadAny) {
   const ConvFixture& fx = conv_fixture();
   const std::string text_path = temp_path("poetbin_conv_fixture.txt");
   ASSERT_TRUE(write_conv_model_file(fx.model, text_path).ok());
-  EXPECT_FALSE(is_packed_model_file(text_path));
   const IoResult<LoadedModel> loaded = read_model_file_any(text_path);
   ASSERT_TRUE(loaded.ok()) << loaded.error().message;
   EXPECT_EQ(loaded->format, ModelFormat::kText);
@@ -700,15 +669,12 @@ TEST(PackedConvModel, WriterRejectsInconsistentConvModels) {
 TEST(PackedConvModel, EveryTruncationPointFailsCleanly) {
   const std::vector<std::uint8_t> bytes =
       read_bytes(packed_conv_fixture_path());
-  const std::string path = temp_path("conv_trunc_sweep.pbm");
   for (std::size_t cut = 0; cut < bytes.size();
        cut += 1 + bytes.size() / 61) {
-    write_bytes(path,
-                std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + cut));
-    const IoResult<LoadedModel> result = read_model_file_any(path);
+    const IoResult<LoadedModel> result = decode(
+        std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + cut));
     EXPECT_FALSE(result.ok()) << "prefix of " << cut << " bytes loaded";
   }
-  std::remove(path.c_str());
 }
 
 // The byte-flip sweep of the dense test, over a conv file.
@@ -717,13 +683,11 @@ TEST(PackedConvModel, EveryByteFlipFailsCleanlyOrLoadsIdentically) {
   const std::vector<int> want = reference::predict_dataset(fx.model, fx.frames);
   const std::vector<std::uint8_t> bytes =
       read_bytes(packed_conv_fixture_path());
-  const std::string path = temp_path("conv_flip_sweep.pbm");
   for (std::size_t at = 0; at < bytes.size(); ++at) {
     for (const std::uint8_t mask : {0x01, 0xFF}) {
       std::vector<std::uint8_t> flipped = bytes;
       flipped[at] ^= mask;
-      write_bytes(path, flipped);
-      const IoResult<LoadedModel> full = read_model_file_any(path);
+      const IoResult<LoadedModel> full = decode(flipped);
       if (full.ok()) {
         ASSERT_NE(full->conv, nullptr) << "byte " << at;
         EXPECT_EQ(reference::predict_dataset(
@@ -732,13 +696,12 @@ TEST(PackedConvModel, EveryByteFlipFailsCleanlyOrLoadsIdentically) {
             << "byte " << at << " ^ " << int{mask};
       }
       const IoResult<LoadedModel> trusting =
-          read_model_file_any(path, PackedVerify::kTrustChecksum);
+          decode(flipped, PackedVerify::kTrustChecksum);
       if (trusting.ok()) {
         EXPECT_NE(trusting->conv, nullptr);
       }
     }
   }
-  std::remove(path.c_str());
 }
 
 // Corrupt conv geometry in an otherwise well-formed file (CRC fixed up) is
@@ -756,10 +719,7 @@ TEST(PackedConvModel, CorruptConvGeometryIsCorruptSection) {
     std::memcpy(mutated.data() + conv_offset + index * 8, &value,
                 sizeof(value));
     fix_crc(mutated);
-    const std::string path = temp_path("conv_corrupt.pbm");
-    write_bytes(path, mutated);
-    const IoResult<LoadedModel> result = read_model_file_any(path);
-    std::remove(path.c_str());
+    const IoResult<LoadedModel> result = decode(mutated);
     ASSERT_FALSE(result.ok()) << name;
     EXPECT_EQ(result.error().kind, ModelIoError::Kind::kCorruptSection)
         << name;
@@ -819,12 +779,19 @@ ConvModel conv_model_of_depth(std::size_t depth) {
   return model;
 }
 
-// Loads `path` (text or packed) and expects kCorruptSection.
-void expect_corrupt(const std::string& path) {
-  const IoResult<LoadedModel> loaded = read_model_file_any(path);
-  ASSERT_FALSE(loaded.ok()) << path;
+// A too-deep tree is a typed kCorruptSection from the text decoder, and
+// the writers refuse to publish it: their own check is the same decoder.
+void expect_too_deep(const std::string& text, const IoStatus& packed) {
+  const IoResult<LoadedModel> loaded =
+      read_model_bytes(text.data(), text.size());
+  ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.error().kind, ModelIoError::Kind::kCorruptSection)
       << loaded.error().message;
+  ASSERT_FALSE(packed.ok());
+  EXPECT_EQ(packed.error().kind, ModelIoError::Kind::kWriteFailed);
+  EXPECT_NE(packed.error().message.find("deeper than its RINC levels"),
+            std::string::npos)
+      << packed.error().message;
 }
 
 // A classifier tree one level deeper than the config declares is a typed
@@ -834,10 +801,8 @@ TEST(ModuleDepthCap, DenseTreeBeyondDeclaredLevelsIsCorruptSection) {
   const std::string text = temp_path("deep_dense.txt");
   const std::string packed = temp_path("deep_dense.pbm");
   const PoetBin deep = two_module_model(1, 2);
-  ASSERT_TRUE(write_model_file(deep, text).ok());
-  ASSERT_TRUE(write_packed_model_file(deep, packed).ok());
-  expect_corrupt(text);
-  expect_corrupt(packed);
+  expect_too_deep(saved(deep), write_packed_model_file(deep, packed));
+  EXPECT_FALSE(write_model_file(deep, text).ok());
 
   const PoetBin shallow = two_module_model(2, 1);
   const BitMatrix features = testing::random_bits(70, 2, 5);
@@ -849,6 +814,17 @@ TEST(ModuleDepthCap, DenseTreeBeyondDeclaredLevelsIsCorruptSection) {
     EXPECT_EQ(reference::predict_dataset(loaded->model, features),
               reference::predict_dataset(shallow, features));
   }
+
+  // The packed decoder itself: the same file declaring one level fewer
+  // (config scalar 1) than its first tree holds.
+  Bytes bytes = read_bytes(packed);
+  const std::uint64_t declared = 1;
+  std::memcpy(bytes.data() + section_field(bytes, 0, 8) + 8, &declared,
+              sizeof(declared));
+  fix_crc(bytes);
+  const IoResult<LoadedModel> patched = decode(bytes);
+  ASSERT_FALSE(patched.ok());
+  EXPECT_EQ(patched.error().kind, ModelIoError::Kind::kCorruptSection);
   std::remove(text.c_str());
   std::remove(packed.c_str());
 }
@@ -858,10 +834,10 @@ TEST(ModuleDepthCap, ConvTreeBeyondTheCapIsCorruptSection) {
   const std::string text = temp_path("deep_conv.txt");
   const std::string packed = temp_path("deep_conv.pbm");
   const ConvModel deep = conv_model_of_depth(kMaxRincLevels + 1);
-  ASSERT_TRUE(write_conv_model_file(deep, text).ok());
-  ASSERT_TRUE(write_packed_conv_model_file(deep, packed).ok());
-  expect_corrupt(text);
-  expect_corrupt(packed);
+  std::stringstream deep_text;
+  save_conv_model(deep, deep_text);
+  expect_too_deep(deep_text.str(), write_packed_conv_model_file(deep, packed));
+  EXPECT_FALSE(write_conv_model_file(deep, text).ok());
 
   const ConvModel capped = conv_model_of_depth(kMaxRincLevels);
   ASSERT_TRUE(write_conv_model_file(capped, text).ok());
@@ -883,18 +859,112 @@ TEST(ModuleDepthCap, TwentyThousandDeepTextFailsCleanly) {
   std::string nested;
   for (int i = 0; i < 20000; ++i) nested += "node 1 1.0\n";
   nested += "leaf 1 0 01\n";
-  std::stringstream dense(
-      "poetbin-model v1\nconfig 1 1 1 1 1\nquantizer 1 0 1\nmodule 0\n" +
-      nested);
-  const IoResult<PoetBin> dense_result = read_model(dense);
-  ASSERT_FALSE(dense_result.ok());
-  EXPECT_EQ(dense_result.error().kind, ModelIoError::Kind::kCorruptSection);
+  for (const std::string& text :
+       {"poetbin-model v1\nconfig 1 1 1 1 1\nquantizer 1 0 1\nmodule 0\n" +
+            nested,
+        "poetbin-conv-model v1\nconv 1 2 2 1 1 1 0\nchannel 0\n" +
+            nested}) {
+    const IoResult<LoadedModel> result =
+        read_model_bytes(text.data(), text.size());
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().kind, ModelIoError::Kind::kCorruptSection);
+  }
+}
 
-  std::stringstream conv(
-      "poetbin-conv-model v1\nconv 1 2 2 1 1 1 0\nchannel 0\n" + nested);
-  const IoResult<ConvModel> conv_result = read_conv_model(conv);
-  ASSERT_FALSE(conv_result.ok());
-  EXPECT_EQ(conv_result.error().kind, ModelIoError::Kind::kCorruptSection);
+// --- one validator for both encodings ----------------------------------------
+
+// `text` with the whitespace-delimited token after the first `anchor`
+// (skipping `skip` more tokens) replaced by `to`.
+std::string replace_token(const std::string& text, const std::string& anchor,
+                          std::size_t skip, const std::string& to) {
+  std::size_t at = text.find(anchor);
+  EXPECT_NE(at, std::string::npos) << anchor;
+  at += anchor.size();
+  for (std::size_t s = 0; s < skip; ++s) at = text.find(' ', at) + 1;
+  const std::size_t end = text.find_first_of(" \n", at);
+  return text.substr(0, at) + to + text.substr(end);
+}
+
+// The packed fixture with its config and quantizer records declaring
+// `bits`, CRC fixed up.
+Bytes packed_with_quant_bits(std::uint64_t bits) {
+  Bytes bytes = read_bytes(packed_fixture_path());
+  std::memcpy(bytes.data() + section_field(bytes, 0, 8) + 4 * 8, &bits,
+              sizeof(bits));
+  std::memcpy(bytes.data() + section_field(bytes, 1, 8), &bits, sizeof(bits));
+  fix_crc(bytes);
+  return bytes;
+}
+
+// A file may declare no wider a quantizer than fit_quantizer retrains: one
+// bit more is a typed error in both encodings, and a kMaxQuantBits model
+// loads and survives a retrain through the serving Runtime.
+TEST(QuantBitsCap, OneBitPastTheTrainerIsCorruptSectionInBothEncodings) {
+  const Fixture& fx = fixture();
+  for (const int bits : {kMaxQuantBits + 1, kMaxQuantBits}) {
+    const std::string value = std::to_string(bits);
+    const std::string text = replace_token(
+        replace_token(saved(fx.model), "config ", 4, value), "quantizer ", 0,
+        value);
+    const Bytes packed = packed_with_quant_bits(bits);
+    std::vector<IoResult<LoadedModel>> loads;
+    loads.push_back(read_model_bytes(text.data(), text.size()));
+    loads.push_back(decode(packed));
+    for (IoResult<LoadedModel>& loaded : loads) {
+      if (bits > kMaxQuantBits) {
+        ASSERT_FALSE(loaded.ok()) << bits;
+        EXPECT_EQ(loaded.error().kind, ModelIoError::Kind::kCorruptSection);
+        continue;
+      }
+      ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+      EXPECT_EQ(loaded->model.quant_bits(), kMaxQuantBits);
+      Runtime runtime(std::move(loaded->model), {.threads = 1});
+      runtime.retrain_output_layer(fx.data.features, fx.data.labels);
+      EXPECT_EQ(runtime.snapshot()->model.quant_bits(), kMaxQuantBits);
+    }
+  }
+}
+
+// A leaf input past 2^32 is one typed error in both encodings, and neither
+// writer publishes a model holding one: a file pack writes always loads.
+TEST(LeafInputBound, IndexPastTwoToThe32IsCorruptSectionInBothEncodings) {
+  const Fixture& fx = fixture();
+  const std::uint64_t index = (std::uint64_t{1} << 32) + 1;
+  const std::string text =
+      replace_token(saved(fx.model), "leaf ", 1, std::to_string(index));
+  Bytes packed = read_bytes(packed_fixture_path());
+  std::memcpy(packed.data() + section_field(packed, 3, 8), &index,
+              sizeof(index));
+  fix_crc(packed);
+  for (const IoResult<LoadedModel>& loaded :
+       {read_model_bytes(text.data(), text.size()), decode(packed)}) {
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().kind, ModelIoError::Kind::kCorruptSection);
+    EXPECT_EQ(loaded.error().message,
+              "leaf input feature index implausibly large");
+  }
+
+  PoetBinConfig config;
+  config.rinc.lut_inputs = 1;
+  config.n_classes = 1;
+  BitVector table(2);
+  table.set(1, true);
+  std::vector<RincModule> modules;
+  modules.push_back(RincModule::make_leaf(
+      Lut({static_cast<std::size_t>(index)}, std::move(table))));
+  std::vector<SparseOutputNeuron> neurons(1);
+  neurons[0].input_modules = {0};
+  neurons[0].weights = {1.0f};
+  neurons[0].codes = {0, 1};
+  const PoetBin wide = PoetBin::from_parts(config, std::move(modules),
+                                           std::move(neurons), {});
+  const std::string path = temp_path("wide_leaf.pbm");
+  for (const IoStatus& written :
+       {write_packed_model_file(wide, path), write_model_file(wide, path)}) {
+    ASSERT_FALSE(written.ok());
+    EXPECT_EQ(written.error().kind, ModelIoError::Kind::kWriteFailed);
+  }
+  EXPECT_FALSE(std::ifstream(path).good());
 }
 
 }  // namespace

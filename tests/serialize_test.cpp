@@ -40,27 +40,46 @@ const Fixture& fixture() {
   return fx;
 }
 
+// `bytes` through the one model decoder.
+IoResult<LoadedModel> decode(const std::string& bytes) {
+  return read_model_bytes(bytes.data(), bytes.size());
+}
+
+std::string saved(const PoetBin& model) {
+  std::stringstream out;
+  save_model(model, out);
+  return out.str();
+}
+
+std::string saved(const ConvModel& model) {
+  std::stringstream out;
+  save_conv_model(model, out);
+  return out.str();
+}
+
+ConvModel conv_model(const LoadedModel& loaded) {
+  return ConvModel{*loaded.conv, loaded.model};
+}
+
 TEST(Serialize, RoundTripPreservesPredictions) {
   const Fixture& fx = fixture();
-  std::stringstream stream;
-  save_model(fx.model, stream);
-  const IoResult<PoetBin> loaded = read_model(stream);
+  const IoResult<LoadedModel> loaded = decode(saved(fx.model));
   ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->format, ModelFormat::kText);
+  EXPECT_EQ(loaded->conv, nullptr);
 
-  EXPECT_EQ(loaded->n_modules(), fx.model.n_modules());
-  EXPECT_EQ(loaded->n_classes(), fx.model.n_classes());
-  EXPECT_EQ(loaded->lut_count(), fx.model.lut_count());
-  EXPECT_EQ(reference::predict_dataset(*loaded, fx.data.features),
+  EXPECT_EQ(loaded->model.n_modules(), fx.model.n_modules());
+  EXPECT_EQ(loaded->model.n_classes(), fx.model.n_classes());
+  EXPECT_EQ(loaded->model.lut_count(), fx.model.lut_count());
+  EXPECT_EQ(reference::predict_dataset(loaded->model, fx.data.features),
             reference::predict_dataset(fx.model, fx.data.features));
 }
 
 TEST(Serialize, RoundTripPreservesRincBits) {
   const Fixture& fx = fixture();
-  std::stringstream stream;
-  save_model(fx.model, stream);
-  const IoResult<PoetBin> loaded = read_model(stream);
+  const IoResult<LoadedModel> loaded = decode(saved(fx.model));
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(reference::rinc_outputs(*loaded, fx.data.features),
+  EXPECT_EQ(reference::rinc_outputs(loaded->model, fx.data.features),
             reference::rinc_outputs(fx.model, fx.data.features));
 }
 
@@ -76,29 +95,27 @@ TEST(Serialize, SavedTextIsStable) {
 
 TEST(Serialize, DoubleRoundTripIsIdentity) {
   const Fixture& fx = fixture();
-  std::stringstream first;
-  save_model(fx.model, first);
-  const IoResult<PoetBin> once = read_model(first);
+  const std::string first = saved(fx.model);
+  const IoResult<LoadedModel> once = decode(first);
   ASSERT_TRUE(once.ok());
-  std::stringstream second;
-  save_model(*once, second);
-  EXPECT_EQ(first.str(), second.str());
+  EXPECT_EQ(first, saved(once->model));
 }
 
 TEST(Serialize, FileRoundTrip) {
   const Fixture& fx = fixture();
   const std::string path = ::testing::TempDir() + "/poetbin_model.txt";
   ASSERT_TRUE(write_model_file(fx.model, path).ok());
-  const IoResult<PoetBin> loaded = read_model_file(path);
+  const IoResult<LoadedModel> loaded = read_model_file_any(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(reference::predict_dataset(*loaded, fx.data.features),
+  EXPECT_EQ(loaded->format, ModelFormat::kText);
+  EXPECT_EQ(reference::predict_dataset(loaded->model, fx.data.features),
             reference::predict_dataset(fx.model, fx.data.features));
   std::remove(path.c_str());
 }
 
 TEST(Serialize, MissingFileIsTypedError) {
-  const IoResult<PoetBin> result =
-      read_model_file("/nonexistent/path/model.txt");
+  const IoResult<LoadedModel> result =
+      read_model_file_any("/nonexistent/path/model.txt");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ModelIoError::Kind::kFileNotFound);
   EXPECT_NE(result.error().message.find("/nonexistent/path/model.txt"),
@@ -114,26 +131,21 @@ TEST(Serialize, UnwritablePathIsTypedError) {
 }
 
 TEST(Serialize, MalformedHeaderIsVersionMismatch) {
-  std::stringstream stream("not-a-model v9\n");
-  const IoResult<PoetBin> result = read_model(stream);
+  const IoResult<LoadedModel> result = decode("not-a-model v9\n");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ModelIoError::Kind::kVersionMismatch);
 }
 
 TEST(Serialize, FutureVersionIsVersionMismatch) {
-  std::stringstream stream("poetbin-model v2\n");
-  const IoResult<PoetBin> result = read_model(stream);
+  const IoResult<LoadedModel> result = decode("poetbin-model v2\n");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ModelIoError::Kind::kVersionMismatch);
 }
 
 TEST(Serialize, TruncatedBodyIsCorruptSection) {
   const Fixture& fx = fixture();
-  std::stringstream stream;
-  save_model(fx.model, stream);
-  const std::string text = stream.str();
-  std::stringstream truncated(text.substr(0, text.size() / 2));
-  const IoResult<PoetBin> result = read_model(truncated);
+  const std::string text = saved(fx.model);
+  const IoResult<LoadedModel> result = decode(text.substr(0, text.size() / 2));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ModelIoError::Kind::kCorruptSection);
 }
@@ -143,16 +155,13 @@ TEST(Serialize, TruncatedBodyIsCorruptSection) {
 // of a real saved model (a poor man's fuzzer with a deterministic corpus).
 TEST(Serialize, EveryTruncationPointFailsCleanly) {
   const Fixture& fx = fixture();
-  std::stringstream stream;
-  save_model(fx.model, stream);
-  const std::string text = stream.str();
+  const std::string text = saved(fx.model);
   // Stop before the final token: a cut inside it just shortens one number,
   // which can legitimately still parse; every earlier cut drops >= 1 token.
   const std::size_t limit = text.rfind(' ');
   ASSERT_NE(limit, std::string::npos);
   for (std::size_t cut = 0; cut < limit; cut += 1 + text.size() / 97) {
-    std::stringstream truncated(text.substr(0, cut));
-    const IoResult<PoetBin> result = read_model(truncated);
+    const IoResult<LoadedModel> result = decode(text.substr(0, cut));
     EXPECT_FALSE(result.ok()) << "prefix of " << cut << " bytes parsed";
   }
 }
@@ -161,9 +170,7 @@ TEST(Serialize, EveryTruncationPointFailsCleanly) {
 // kCorruptSection instead of feeding POETBIN_CHECK aborts downstream.
 TEST(Serialize, OutOfRangeFieldsAreCorruptSection) {
   const Fixture& fx = fixture();
-  std::stringstream stream;
-  save_model(fx.model, stream);
-  const std::string text = stream.str();
+  const std::string text = saved(fx.model);
   // Swaps the whitespace-delimited token right after the first `anchor` for
   // `to` (shape-agnostic: no assumption about the trained values).
   const auto corrupt_token_after = [&](const std::string& anchor,
@@ -173,8 +180,8 @@ TEST(Serialize, OutOfRangeFieldsAreCorruptSection) {
     const std::size_t tok = at + anchor.size();
     std::size_t end = text.find_first_of(" \n", tok);
     if (end == std::string::npos) end = text.size();
-    std::stringstream in(text.substr(0, tok) + to + text.substr(end));
-    const IoResult<PoetBin> result = read_model(in);
+    const IoResult<LoadedModel> result =
+        decode(text.substr(0, tok) + to + text.substr(end));
     ASSERT_FALSE(result.ok()) << anchor << " -> " << to;
     EXPECT_EQ(result.error().kind, ModelIoError::Kind::kCorruptSection);
   };
@@ -207,13 +214,11 @@ TEST_P(SerializeShapeSweep, RoundTripsEveryShape) {
   const PoetBin model =
       PoetBin::train(data.features, intermediate, data.labels, config);
 
-  std::stringstream stream;
-  save_model(model, stream);
-  const IoResult<PoetBin> loaded = read_model(stream);
+  const IoResult<LoadedModel> loaded = decode(saved(model));
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(reference::predict_dataset(*loaded, data.features),
+  EXPECT_EQ(reference::predict_dataset(loaded->model, data.features),
             reference::predict_dataset(model, data.features));
-  EXPECT_EQ(loaded->lut_count(), model.lut_count());
+  EXPECT_EQ(loaded->model.lut_count(), model.lut_count());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -274,52 +279,50 @@ const ConvFixture& conv_fixture() {
 
 TEST(ConvSerialize, RoundTripPreservesPredictions) {
   const ConvFixture& fx = conv_fixture();
-  std::stringstream stream;
-  save_conv_model(fx.model, stream);
-  EXPECT_NE(stream.str().find("poetbin-conv-model v1"), std::string::npos);
-  const IoResult<ConvModel> loaded = read_conv_model(stream);
-  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-  EXPECT_EQ(loaded->conv.input_shape(), fx.model.conv.input_shape());
-  EXPECT_EQ(loaded->conv.output_shape(), fx.model.conv.output_shape());
-  EXPECT_EQ(loaded->n_features(), fx.model.n_features());
-  EXPECT_EQ(reference::conv_eval_dataset(loaded->conv, fx.frames),
+  const std::string text = saved(fx.model);
+  EXPECT_NE(text.find("poetbin-conv-model v1"), std::string::npos);
+  const IoResult<LoadedModel> result = decode(text);
+  ASSERT_TRUE(result.ok()) << result.error().message;
+  ASSERT_NE(result->conv, nullptr);
+  const ConvModel loaded = conv_model(*result);
+  EXPECT_EQ(loaded.conv.input_shape(), fx.model.conv.input_shape());
+  EXPECT_EQ(loaded.conv.output_shape(), fx.model.conv.output_shape());
+  EXPECT_EQ(loaded.n_features(), fx.model.n_features());
+  EXPECT_EQ(reference::conv_eval_dataset(loaded.conv, fx.frames),
             reference::conv_eval_dataset(fx.model.conv, fx.frames));
-  EXPECT_EQ(reference::predict_dataset(*loaded, fx.frames),
+  EXPECT_EQ(reference::predict_dataset(loaded, fx.frames),
             reference::predict_dataset(fx.model, fx.frames));
 }
 
 TEST(ConvSerialize, DoubleRoundTripIsIdentity) {
   const ConvFixture& fx = conv_fixture();
-  std::stringstream first;
-  save_conv_model(fx.model, first);
-  const IoResult<ConvModel> once = read_conv_model(first);
+  const std::string first = saved(fx.model);
+  const IoResult<LoadedModel> once = decode(first);
   ASSERT_TRUE(once.ok());
-  std::stringstream second;
-  save_conv_model(*once, second);
-  EXPECT_EQ(first.str(), second.str());
+  EXPECT_EQ(first, saved(conv_model(*once)));
 }
 
 TEST(ConvSerialize, FileRoundTrip) {
   const ConvFixture& fx = conv_fixture();
   const std::string path = ::testing::TempDir() + "/poetbin_conv_model.txt";
   ASSERT_TRUE(write_conv_model_file(fx.model, path).ok());
-  const IoResult<ConvModel> loaded = read_conv_model_file(path);
+  const IoResult<LoadedModel> loaded = read_model_file_any(path);
   ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-  EXPECT_EQ(reference::predict_dataset(*loaded, fx.frames),
+  ASSERT_NE(loaded->conv, nullptr);
+  EXPECT_EQ(reference::predict_dataset(conv_model(*loaded), fx.frames),
             reference::predict_dataset(fx.model, fx.frames));
   std::remove(path.c_str());
 }
 
 TEST(ConvSerialize, MissingFileIsTypedError) {
-  const IoResult<ConvModel> result =
-      read_conv_model_file("/nonexistent/path/conv_model.txt");
+  const IoResult<LoadedModel> result =
+      read_model_file_any("/nonexistent/path/conv_model.txt");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ModelIoError::Kind::kFileNotFound);
 }
 
 TEST(ConvSerialize, MalformedHeaderIsVersionMismatch) {
-  std::stringstream stream("poetbin-conv-model v9\n");
-  const IoResult<ConvModel> result = read_conv_model(stream);
+  const IoResult<LoadedModel> result = decode("poetbin-conv-model v9\n");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ModelIoError::Kind::kVersionMismatch);
 }
@@ -328,9 +331,7 @@ TEST(ConvSerialize, MalformedHeaderIsVersionMismatch) {
 // validate() abort (the loader replicates every from_parts contract).
 TEST(ConvSerialize, OutOfRangeGeometryIsCorruptSection) {
   const ConvFixture& fx = conv_fixture();
-  std::stringstream stream;
-  save_conv_model(fx.model, stream);
-  const std::string text = stream.str();
+  const std::string text = saved(fx.model);
   // The conv record is "conv <in_c> <in_h> <in_w> <out_c> <k> <s> <p>";
   // swap single tokens for structurally impossible values.
   const auto corrupt_conv_token = [&](std::size_t token_index,
@@ -342,8 +343,8 @@ TEST(ConvSerialize, OutOfRangeGeometryIsCorruptSection) {
       tok = text.find(' ', tok) + 1;
     }
     std::size_t end = text.find_first_of(" \n", tok);
-    std::stringstream in(text.substr(0, tok) + to + text.substr(end));
-    const IoResult<ConvModel> result = read_conv_model(in);
+    const IoResult<LoadedModel> result =
+        decode(text.substr(0, tok) + to + text.substr(end));
     ASSERT_FALSE(result.ok()) << "token " << token_index << " -> " << to;
     EXPECT_EQ(result.error().kind, ModelIoError::Kind::kCorruptSection);
   };
@@ -356,26 +357,32 @@ TEST(ConvSerialize, OutOfRangeGeometryIsCorruptSection) {
 
 TEST(ConvSerialize, EveryTruncationPointFailsCleanly) {
   const ConvFixture& fx = conv_fixture();
-  std::stringstream stream;
-  save_conv_model(fx.model, stream);
-  const std::string text = stream.str();
+  const std::string text = saved(fx.model);
   const std::size_t limit = text.rfind(' ');
   ASSERT_NE(limit, std::string::npos);
   for (std::size_t cut = 0; cut < limit; cut += 1 + text.size() / 97) {
-    std::stringstream truncated(text.substr(0, cut));
-    const IoResult<ConvModel> result = read_conv_model(truncated);
+    const IoResult<LoadedModel> result = decode(text.substr(0, cut));
     EXPECT_FALSE(result.ok()) << "prefix of " << cut << " bytes parsed";
   }
 }
 
-// The dense parser must not quietly accept a conv file (and vice versa).
-TEST(ConvSerialize, DenseParserRejectsConvHeader) {
-  const ConvFixture& fx = conv_fixture();
-  std::stringstream stream;
-  save_conv_model(fx.model, stream);
-  const IoResult<PoetBin> result = read_model(stream);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().kind, ModelIoError::Kind::kVersionMismatch);
+// The header line picks the grammar: a conv body under a dense header, or
+// a dense body under a conv header, is a typed error, never a misparse.
+TEST(ConvSerialize, HeaderLinePicksTheGrammar) {
+  const std::string conv_text = saved(conv_fixture().model);
+  const std::string dense_text = saved(fixture().model);
+  const std::string conv_header = "poetbin-conv-model v1\n";
+  ASSERT_EQ(conv_text.rfind(conv_header, 0), 0u);
+  const IoResult<LoadedModel> dense_header_conv_body =
+      decode("poetbin-model v1\n" + conv_text.substr(conv_header.size()));
+  ASSERT_FALSE(dense_header_conv_body.ok());
+  EXPECT_EQ(dense_header_conv_body.error().kind,
+            ModelIoError::Kind::kCorruptSection);
+  const IoResult<LoadedModel> conv_header_dense_body =
+      decode(conv_header + dense_text);
+  ASSERT_FALSE(conv_header_dense_body.ok());
+  EXPECT_EQ(conv_header_dense_body.error().kind,
+            ModelIoError::Kind::kCorruptSection);
 }
 
 TEST(RincFromParts, RejectsMixedLevels) {
@@ -410,6 +417,135 @@ TEST(RincFromParts, HandBuiltModuleEvaluates) {
   EXPECT_FALSE(reference::eval_module(majority, example));
   example.set(2, true);
   EXPECT_TRUE(reference::eval_module(majority, example));
+}
+
+// --- text mutation sweep --------------------------------------------------
+
+// A leaf over `inputs` whose table bit a is bit a of `pattern`.
+RincModule pattern_leaf(std::vector<std::size_t> inputs,
+                        std::uint64_t pattern) {
+  BitVector table(std::size_t{1} << inputs.size());
+  for (std::size_t a = 0; a < table.size(); ++a) {
+    table.set(a, ((pattern >> (a % 64)) & 1u) != 0);
+  }
+  return RincModule::make_leaf(Lut(std::move(inputs), std::move(table)));
+}
+
+// A level-1 module: two arity-3 leaves over features seeded by `m`, under a
+// fanin-2 MAT.
+RincModule small_module(std::size_t m, std::size_t n_features) {
+  std::vector<RincModule> leaves;
+  for (std::size_t l = 0; l < 2; ++l) {
+    std::vector<std::size_t> inputs;
+    for (std::size_t j = 0; j < 3; ++j) {
+      inputs.push_back((m * 5 + l * 3 + j * 2) % n_features);
+    }
+    leaves.push_back(pattern_leaf(std::move(inputs), 0x96u + m * 13 + l));
+  }
+  return RincModule::make_internal(std::move(leaves),
+                                   MatModule({0.75, -0.5 + 0.25 * m}));
+}
+
+// A two-class classifier over `n_features` with P = `p` level-1 modules
+// per class and a 4-bit quantizer.
+PoetBin small_classifier(std::size_t p, std::size_t n_features) {
+  PoetBinConfig config;
+  config.rinc = {.lut_inputs = p, .levels = 1, .total_dts = 2};
+  config.n_classes = 2;
+  std::vector<RincModule> modules;
+  for (std::size_t m = 0; m < 2 * p; ++m) {
+    modules.push_back(small_module(m, n_features));
+  }
+  std::vector<SparseOutputNeuron> neurons(2);
+  for (std::size_t c = 0; c < 2; ++c) {
+    for (std::size_t i = 0; i < p; ++i) {
+      neurons[c].input_modules.push_back(c * p + i);
+    }
+    neurons[c].weights.assign(p, 0.5f);
+    neurons[c].bias = -0.25f;
+    for (std::size_t a = 0; a < (std::size_t{1} << p); ++a) {
+      neurons[c].codes.push_back(static_cast<std::uint32_t>((a * 7 + c) % 16));
+    }
+  }
+  QuantizerParams quantizer;
+  quantizer.bits = 4;
+  config.output.quant_bits = 4;
+  return PoetBin::from_parts(config, std::move(modules), std::move(neurons),
+                             quantizer);
+}
+
+// Replaces every whitespace-delimited token of `text`, in turn, with each
+// hostile value and decodes the result. Each load must come back as a typed
+// error, or as a model `agrees` finds consistent with its oracle.
+template <typename Agrees>
+void sweep_tokens(const std::string& text, const Agrees& agrees) {
+  const char* const kValues[] = {"0",   "-1",  "17",
+                                 "9",   "4294967297",
+                                 "18446744073709551615",
+                                 "x",   "nan", "1e300"};
+  std::size_t loads = 0;
+  std::size_t at = text.find_first_not_of(" \n");
+  while (at != std::string::npos) {
+    std::size_t end = text.find_first_of(" \n", at);
+    if (end == std::string::npos) end = text.size();
+    for (const char* value : kValues) {
+      const std::string mutated = text.substr(0, at) + value + text.substr(end);
+      const IoResult<LoadedModel> loaded = decode(mutated);
+      if (!loaded.ok()) continue;
+      ++loads;
+      ASSERT_TRUE(agrees(*loaded))
+          << "token at byte " << at << " -> " << value;
+    }
+    at = text.find_first_not_of(" \n", end);
+  }
+  EXPECT_GT(loads, 0u);  // some swaps (a weight, a code) stay well-formed
+}
+
+BitMatrix sample_rows(std::size_t width, std::uint64_t seed) {
+  return testing::random_bits(24, width, seed);
+}
+
+TEST(TextMutation, EveryTokenSwapInADenseModelFailsOrPredictsLikeTheWalk) {
+  const std::string text = saved(small_classifier(3, 12));
+  ASSERT_TRUE(decode(text).ok());
+  sweep_tokens(text, [](const LoadedModel& loaded) {
+    if (loaded.conv != nullptr) return false;
+    const BitMatrix rows = sample_rows(loaded.model.n_features(), 3);
+    for (std::size_t r = 0; r < rows.rows(); ++r) {
+      const BitVector row = rows.row(r);
+      if (loaded.model.predict(row) !=
+          reference::predict_walk(loaded.model, row)) {
+        return false;
+      }
+    }
+    return true;
+  });
+}
+
+TEST(TextMutation, EveryTokenSwapInAConvModelFailsOrPredictsLikeTheOracle) {
+  RincConvConfig config;
+  config.out_channels = 2;
+  config.kernel = 3;
+  config.stride = 1;
+  config.padding = 1;
+  std::vector<RincModule> channels;
+  for (std::size_t c = 0; c < 2; ++c) channels.push_back(small_module(c, 9));
+  ConvModel model;
+  model.conv =
+      RincConvLayer::from_parts({1, 4, 4}, config, std::move(channels));
+  model.classifier = small_classifier(2, 2 * 4 * 4);
+  const std::string text = saved(model);
+  ASSERT_TRUE(decode(text).ok());
+  sweep_tokens(text, [](const LoadedModel& loaded) {
+    if (loaded.conv == nullptr) return false;
+    const ConvModel round = conv_model(loaded);
+    const BitMatrix frames = sample_rows(round.n_features(), 4);
+    const std::vector<int> want = reference::predict_dataset(round, frames);
+    for (std::size_t r = 0; r < frames.rows(); ++r) {
+      if (round.predict(frames.row(r)) != want[r]) return false;
+    }
+    return true;
+  });
 }
 
 }  // namespace

@@ -52,6 +52,17 @@ Rules (each with the incident that motivated it):
                          copy of each table, the mmap views it was loaded
                          through and their keepalives are gone, and the
                          kernels read the compact bits.
+  one-model-decoder      Model files load through one decoder: the deleted
+                         per-format entry points (`read_model`,
+                         `read_conv_model`, `read_model_file`,
+                         `read_conv_model_file`, `read_packed_model_file`,
+                         `is_packed_model_file`, `is_text_conv_model_file`)
+                         never reappear in src/, examples/ or bench/, and
+                         `std::rename(` appears in src/ only in the file
+                         holding the one publish helper
+                         (src/core/serialize.cpp). Two loaders had drifted
+                         apart until pack wrote files its own loader
+                         rejected.
   frame-payload-bound    Byte-size constants declared in the wire protocol
                          stay within kMaxFramePayload; a constant that
                          outgrows the frame cap would make the server
@@ -269,6 +280,39 @@ def check_no_splat_representation(root):
     return violations
 
 
+# --- rule: one-model-decoder ------------------------------------------------
+
+DELETED_MODEL_ENTRY = re.compile(
+    r"\b(?:read_model|read_conv_model|read_model_file|read_conv_model_file|"
+    r"read_packed_model_file|is_packed_model_file|is_text_conv_model_file)\b")
+RENAME_CALL = re.compile(r"(?<![\w.>])(?:std::|::)?rename\s*\(")
+PUBLISH_HELPER_FILE = os.path.join("src", "core", "serialize.cpp")
+
+
+def check_one_model_decoder(root):
+    violations = []
+    for path in iter_files(root, ["src", "examples", "bench"],
+                           CXX_EXTENSIONS):
+        rel = relpath(root, path)
+        in_src = rel.startswith("src" + os.sep)
+        for i, line in enumerate(read_lines(path)):
+            if allow_marker("one-model-decoder", line):
+                continue
+            match = DELETED_MODEL_ENTRY.search(line)
+            if match:
+                violations.append(Violation(
+                    "one-model-decoder", rel, i + 1,
+                    f"'{match.group(0)}' was a per-format model loader; "
+                    "load through read_model_bytes / read_model_file_any"))
+            if in_src and rel != PUBLISH_HELPER_FILE and \
+                    RENAME_CALL.search(line.split("//", 1)[0]):
+                violations.append(Violation(
+                    "one-model-decoder", rel, i + 1,
+                    "rename( outside the model publish helper; writers "
+                    "publish through model_io::publish_model_file"))
+    return violations
+
+
 # --- rule: frame-payload-bound ----------------------------------------------
 
 CONSTEXPR_BYTES = re.compile(
@@ -377,6 +421,7 @@ RULES = [
     check_no_second_path_knobs,
     check_no_scalar_dataset_twins,
     check_no_splat_representation,
+    check_one_model_decoder,
     check_frame_payload_bound,
     check_no_rand_time,
     check_tsan_supp_clean,
@@ -416,6 +461,13 @@ def seed_clean_tree(root):
           "BitVector RincModule::eval_dataset_batched(const BitMatrix& f) "
           "const {\n"
           "std::vector<int> PoetBin::predict_dataset_batched(\n")
+    # The one decoder's entry points share prefixes with the deleted
+    # loaders, and the publish helper's file may rename.
+    write(root, "src/core/serialize.cpp",
+          "return read_model_bytes(bytes.data(), bytes.size());\n"
+          "if (std::rename(temp.c_str(), path.c_str()) != 0) {\n")
+    write(root, "bench/good_load.cpp",
+          "const auto loaded = read_model_file_any(path);\n")
     write(root, "tools/push.sh", "mv model.tmp.$$ model.pbm\n")
     write(root, "tsan.supp", "# no suppressions\n")
 
@@ -441,6 +493,12 @@ SELF_TEST_VIOLATIONS = [
      "  const double acc = model.accuracy_batched(x, labels, engine);\n"),
     ("no-splat-representation", "src/dt/bad_lut.h",
      "  std::span<const std::uint64_t> splat_words() const;\n"),
+    ("one-model-decoder", "src/core/bad_loader.h",
+     "IoResult<PoetBin> read_packed_model_file(const std::string& path);\n"),
+    ("one-model-decoder", "bench/bad_load_bench.cpp",
+     "  const IoResult<PoetBin> loaded = read_model_file(text_file);\n"),
+    ("one-model-decoder", "src/serve/bad_publish.cpp",
+     "  if (std::rename(temp.c_str(), path.c_str()) != 0) {\n"),
     ("frame-payload-bound", "src/serve/protocol.h",
      CLEAN_PROTOCOL +
      "inline constexpr std::uint32_t kStatsPayloadBytes = 1u << 21;\n"),
