@@ -12,6 +12,12 @@
 // recorded alongside for the honest picture. Loaded-model equivalence is
 // checked bit for bit on every run.
 //
+// Runtime::load of the packed file is timed twice, with the serving
+// default 8 MiB prediction cache and with none, in a process that has
+// already destroyed a cached Runtime: a cache table whose setup grows with
+// its capacity (a heap-recycled table zeroed by calloc, for one) shows up
+// as runtime_load_cache_ms pulling away from runtime_load_nocache_ms.
+//
 // The hot-swap half loads the packed file into a Runtime, hammers
 // predict_one from 4 threads, and measures reload() latency mid-traffic —
 // the publish half of the RCU swap that serve --watch and kReload ride.
@@ -122,6 +128,25 @@ double median_ms(Fn load, std::size_t reps) {
   return times[times.size() / 2];
 }
 
+// Median Runtime::load of `path`; each Runtime is destroyed after its
+// sample's clock stops, so teardown is never timed and every sample after
+// the first follows a destroyed Runtime of the same options.
+double median_runtime_load_ms(const std::string& path,
+                              std::size_t cache_bytes, std::size_t reps) {
+  std::vector<double> times;
+  times.reserve(reps);
+  for (std::size_t r = 0; r < reps; ++r) {
+    const auto t0 = Clock::now();
+    const Runtime::LoadResult loaded =
+        Runtime::load(path, {.threads = 1, .cache_bytes = cache_bytes});
+    const auto t1 = Clock::now();
+    if (!loaded.ok()) std::abort();
+    times.push_back(1e3 * std::chrono::duration<double>(t1 - t0).count());
+  }
+  std::sort(times.begin(), times.end());
+  return times[times.size() / 2];
+}
+
 }  // namespace
 
 int main() {
@@ -174,6 +199,22 @@ int main() {
               "full %8.3f ms, packed trusting %7.3f ms  -> %.0fx\n",
               leaf_arity, model.modules().size(), text_ms, packed_full_ms,
               packed_ms, speedup);
+
+  // Runtime setup with and without the prediction cache, both timed after
+  // a cached Runtime has come and gone in this process.
+  constexpr std::size_t kCacheBytes = 8u << 20;
+  if (!Runtime::load(packed_file, {.threads = 1, .cache_bytes = kCacheBytes})
+           .ok()) {
+    std::printf("  ERROR: could not load %s\n", packed_file.c_str());
+    return 1;
+  }
+  const double runtime_cache_ms =
+      median_runtime_load_ms(packed_file, kCacheBytes, 3 * reps);
+  const double runtime_nocache_ms =
+      median_runtime_load_ms(packed_file, 0, 3 * reps);
+  std::printf("  Runtime::load: %7.3f ms with the 8 MiB prediction cache, "
+              "%7.3f ms without\n",
+              runtime_cache_ms, runtime_nocache_ms);
 
   // Bit-identity across the formats: scalar predictions of the two loads
   // must agree on random examples.
@@ -263,6 +304,8 @@ int main() {
   json.add("text_parse_ms", text_ms);
   json.add("packed_load_full_ms", packed_full_ms);
   json.add("packed_load_ms", packed_ms);
+  json.add("runtime_load_cache_ms", runtime_cache_ms);
+  json.add("runtime_load_nocache_ms", runtime_nocache_ms);
   json.add("hot_swap_ms", hot_swap_ms);
   json.add("load_speedup", speedup);
 

@@ -110,9 +110,37 @@ struct StageLayout {
 template <class T>
 std::size_t append(WordVec& words, const T* data, std::size_t count) {
   const std::size_t at = words.size();
-  words.resize(at + (count * sizeof(T) + 7) / 8, 0);
-  if (count > 0) std::memcpy(words.data() + at, data, count * sizeof(T));
+  if constexpr (sizeof(T) == sizeof(std::uint64_t)) {
+    words.insert(words.end(), data, data + count);
+  } else {
+    words.resize(at + (count * sizeof(T) + 7) / 8, 0);
+    if (count > 0) std::memcpy(words.data() + at, data, count * sizeof(T));
+  }
   return at;
+}
+
+// An upper bound on the program's words, so compile allocates once: every
+// table and code table, plus per LUT two record words and five words of
+// gather arrays per address byte (8 uint32 indices, 8 selectors), per
+// stage up to 7 padding bytes and 7 padding LUTs of uniform planes, and
+// the staged byte list.
+std::size_t word_bound(const std::vector<std::vector<Node>>& levels,
+                       const std::vector<SparseOutputNeuron>& output,
+                       std::size_t n_staged) {
+  auto lut_words = [](std::size_t arity, std::size_t table_words) {
+    return table_words + 2 + 5 * ((arity + 7) / 8);
+  };
+  std::size_t bound = n_staged + (levels.size() + 1) * (5 * 7 + 7 * 4);
+  for (const std::vector<Node>& nodes : levels) {
+    for (const Node& node : nodes) {
+      bound += lut_words(node.arity(), node.lut->table().word_count());
+    }
+  }
+  for (const SparseOutputNeuron& neuron : output) {
+    bound += lut_words(neuron.input_modules.size(),
+                       (neuron.codes.size() * sizeof(std::uint32_t) + 7) / 8);
+  }
+  return bound;
 }
 
 // The stage's address of the LUT whose record word is `record`.
@@ -172,6 +200,9 @@ GatherProgram GatherProgram::compile(
     }
     std::sort(staged.begin(), staged.end());
     staged.erase(std::unique(staged.begin(), staged.end()), staged.end());
+  }
+  words.reserve(word_bound(levels, output, staged.size()));
+  if (!staged.empty()) {
     program.n_staged_ = staged.size();
     program.staged_at_ = append(words, staged.data(), staged.size());
   }

@@ -116,12 +116,15 @@ void PoetBin::compile() {
   n_code_planes_ = static_cast<std::size_t>(std::bit_width(max_code));
   code_planes_.assign(output_.size() * n_code_planes_ * code_plane_words(), 0);
   for (std::size_t c = 0; c < output_.size(); ++c) {
-    for (std::size_t plane = 0; plane < n_code_planes_; ++plane) {
-      std::uint64_t* out = code_planes_.data() +
-                           (c * n_code_planes_ + plane) * code_plane_words();
-      for (std::size_t a = 0; a < n_combos; ++a) {
-        out[a >> 6] |= std::uint64_t{(output_[c].codes[a] >> plane) & 1u}
-                       << (a & 63);
+    const std::uint32_t* codes = output_[c].codes.data();
+    std::uint64_t* planes =
+        code_planes_.data() + c * n_code_planes_ * code_plane_words();
+    // Only the set bits of each code touch a plane.
+    for (std::size_t a = 0; a < n_combos; ++a) {
+      for (std::uint32_t code = codes[a]; code != 0; code &= code - 1) {
+        planes[static_cast<std::size_t>(std::countr_zero(code)) *
+                   code_plane_words() +
+               (a >> 6)] |= std::uint64_t{1} << (a & 63);
       }
     }
   }

@@ -408,8 +408,8 @@ int run_sharded_server(const std::string& model_path,
                        const ShardedServeOptions& options) {
   // Pre-validate (text or packed) before forking so a bad path fails with
   // one typed error instead of N worker deaths; each worker then loads the
-  // file itself — a packed model maps read-only pages the kernel shares
-  // across the shard group, and per-worker loading is what records the
+  // file itself, reading it into its own heap buffer (nothing is shared
+  // across the shard group), and per-worker loading is what records the
   // source path its Runtime hot-reloads from.
   {
     const IoResult<LoadedModel> model = read_model_file_any(model_path);

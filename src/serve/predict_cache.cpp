@@ -1,6 +1,6 @@
 #include "serve/predict_cache.h"
 
-#include <cstdlib>
+#include <sys/mman.h>
 
 #include "util/check.h"
 
@@ -80,13 +80,21 @@ PredictCache::PredictCache(PredictCacheOptions options) {
   shard_bits_ = log2_pow2(shards);
   shard_entries_ = total_entries / shards;
   bucket_mask_ = shard_entries_ / kBucketEntries - 1;
+  // The one mapping in src/: an anonymous, zero-filled cache table, not a
+  // model-file view (see Entry in the header for why it is not calloc).
+  void* table = ::mmap(  // invariants: allow-no-splat-representation
+      nullptr, capacity_entries() * sizeof(Entry), PROT_READ | PROT_WRITE,
+      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  POETBIN_CHECK_MSG(table != MAP_FAILED, "prediction cache allocation failed");
+  table_ = static_cast<Entry*>(table);
   shards_ = std::make_unique<Shard[]>(n_shards_);
   for (std::size_t s = 0; s < n_shards_; ++s) {
-    shards_[s].entries.reset(
-        static_cast<Entry*>(std::calloc(shard_entries_, sizeof(Entry))));
-    POETBIN_CHECK_MSG(shards_[s].entries != nullptr,
-                      "prediction cache allocation failed");
+    shards_[s].entries = table_ + s * shard_entries_;
   }
+}
+
+PredictCache::~PredictCache() {
+  ::munmap(table_, capacity_entries() * sizeof(Entry));
 }
 
 PredictCache::Key PredictCache::make_key(const BitVector& bits) {
@@ -221,15 +229,14 @@ std::uint64_t PredictCache::epoch() const {
 }
 
 void PredictCache::clear() {
-  for (std::size_t s = 0; s < n_shards_; ++s) {
-    for (std::size_t e = 0; e < shard_entries_; ++e) {
-      // order: relaxed (both) — concurrent probes may observe the pair
-      // half-cleared, which XOR-mismatches into a miss; an all-zero entry
-      // never verifies (a real key's verify word is nonzero w.h.p.).
-      Entry& entry = shards_[s].entries[e];
-      atomic_word(entry.check).store(0, std::memory_order_relaxed);
-      atomic_word(entry.data).store(0, std::memory_order_relaxed);
-    }
+  const std::size_t n_entries = capacity_entries();
+  for (std::size_t e = 0; e < n_entries; ++e) {
+    // order: relaxed (both) — concurrent probes may observe the pair
+    // half-cleared, which XOR-mismatches into a miss; an all-zero entry
+    // never verifies (a real key's verify word is nonzero w.h.p.).
+    Entry& entry = table_[e];
+    atomic_word(entry.check).store(0, std::memory_order_relaxed);
+    atomic_word(entry.data).store(0, std::memory_order_relaxed);
   }
 }
 

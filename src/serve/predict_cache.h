@@ -46,17 +46,17 @@
 // ordering checks pin this down.
 //
 // Capacity is fixed at construction (power-of-two entries, 16 bytes each)
-// and split across power-of-two shards; each shard owns its entries and its
-// own cache-line-padded hit/miss/insert/evict/stale counters, so counter
-// traffic never bounces a line between shards. Buckets are 4 entries = one
-// cache line. A full bucket replaces a hash-chosen victim (replace on
-// collision) — old entries are evicted by new traffic, never scanned.
+// and split across power-of-two shards; each shard owns one contiguous
+// slice of the table and its own cache-line-padded hit/miss/insert/evict/
+// stale counters, so counter traffic never bounces a line between shards.
+// Buckets are 4 entries = one cache line. A full bucket replaces a
+// hash-chosen victim (replace on collision) — old entries are evicted by
+// new traffic, never scanned.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 
 #include "util/bitvector.h"
@@ -94,6 +94,7 @@ class PredictCache {
   };
 
   explicit PredictCache(PredictCacheOptions options = {});
+  ~PredictCache();
 
   PredictCache(const PredictCache&) = delete;
   PredictCache& operator=(const PredictCache&) = delete;
@@ -139,18 +140,17 @@ class PredictCache {
   // tag16 is the top 16 bits of key.hash (disjoint from the bucket-index
   // bits); zeroed entries never match (a real key's verify is nonzero with
   // overwhelming probability, and probe demands an exact XOR match). The
-  // words are plain and only ever accessed through std::atomic_ref, so a
-  // shard's entries can come zeroed from calloc: the kernel's zero pages
-  // fault in as traffic first touches them, instead of the constructor
-  // writing the whole capacity before the first request.
+  // words are plain and only ever accessed through std::atomic_ref, so the
+  // whole table is one private anonymous mapping: the kernel hands out
+  // zeroed pages as traffic first touches them, and construction costs the
+  // same for any capacity. (calloc would not do: once glibc has freed any
+  // chunk of 512 KiB or more, it raises its mmap threshold and serves the
+  // next tables from the heap, memset and all — 8 MiB of writes per cache.)
   struct Entry {
     std::uint64_t check;
     std::uint64_t data;
   };
   static_assert(sizeof(Entry) == 16);
-  struct FreeEntries {
-    void operator()(Entry* entries) const { std::free(entries); }
-  };
 
   static constexpr std::size_t kBucketEntries = 4;  // one cache line
 
@@ -163,7 +163,7 @@ class PredictCache {
   };
 
   struct Shard {
-    std::unique_ptr<Entry[], FreeEntries> entries;
+    Entry* entries = nullptr;  // view into table_ at s * shard_entries_
     Counters counters;
   };
 
@@ -173,6 +173,7 @@ class PredictCache {
   std::size_t shard_bits_ = 0;     // log2(n_shards_)
   std::size_t shard_entries_ = 0;  // power of two, multiple of kBucketEntries
   std::size_t bucket_mask_ = 0;    // buckets per shard - 1
+  Entry* table_ = nullptr;  // capacity_entries() entries, one mapping
   std::unique_ptr<Shard[]> shards_;
   std::atomic<std::uint64_t> epoch_{0};
 };

@@ -2,12 +2,15 @@
 // key-verification (deliberate hash collisions must read as misses, never
 // as another key's prediction), epoch invalidation and the 2^32 wraparound
 // clear, the bucketed replace-on-collision victim policy, and value
-// integrity under concurrent probe/insert/clear traffic. Runtime-level
-// tests pin the library default (cache off) and the predict_one
-// probe-insert path.
+// integrity under concurrent probe/insert/clear traffic, and that a new
+// cache starts empty even where a filled one was just destroyed.
+// Runtime-level tests pin the library default (cache off), the predict_one
+// probe-insert path and a reloaded Runtime's empty cache.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,6 +30,42 @@ BitVector bits_from_seed(std::uint64_t seed, std::size_t n_bits = 192) {
   }
   bits.mask_tail_word();
   return bits;
+}
+
+// Inserts 4 x capacity random keys, as perfbench's cache fill does, so
+// every bucket of the table ends up holding live entries. Returns the keys.
+std::vector<PredictCache::Key> fill_every_bucket(PredictCache* cache,
+                                                 std::uint64_t version) {
+  Rng rng(0xf111cac4eULL);
+  std::vector<PredictCache::Key> keys(4 * cache->capacity_entries());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = {rng.next_u64(), rng.next_u64()};
+    cache->insert(keys[i], static_cast<int>(i % 10), version);
+  }
+  return keys;
+}
+
+// A fresh cache of the same capacity must miss on every key of the
+// destroyed one and count nothing else: no hit, stale match, insert or
+// eviction. Recycled memory that kept old entries would hit here.
+void expect_starts_empty(PredictCache* cache,
+                         const std::vector<PredictCache::Key>& keys) {
+  const PredictCacheStats before = cache->stats();
+  EXPECT_EQ(before.hits + before.misses + before.inserts + before.evictions +
+                before.stale,
+            0u);
+  std::size_t hits = 0;
+  for (const PredictCache::Key& key : keys) {
+    int prediction = -1;
+    if (cache->probe(key, &prediction)) ++hits;
+  }
+  EXPECT_EQ(hits, 0u);
+  const PredictCacheStats after = cache->stats();
+  EXPECT_EQ(after.hits, 0u);
+  EXPECT_EQ(after.misses, keys.size());
+  EXPECT_EQ(after.inserts, 0u);
+  EXPECT_EQ(after.evictions, 0u);
+  EXPECT_EQ(after.stale, 0u);
 }
 
 // A single-shard, single-bucket (4-entry) cache: every key lands in the
@@ -178,6 +217,23 @@ TEST(PredictCache, CapacityAndShardsRoundToPowersOfTwo) {
   EXPECT_EQ(one.n_shards(), 1u);
 }
 
+TEST(PredictCache, NewCacheStartsEmptyAfterAFilledOneIsDestroyed) {
+  // 1 MiB: large enough for glibc to recycle a freed table from its heap,
+  // unzeroed, once its dynamic mmap threshold has risen.
+  const PredictCacheOptions options{.capacity_bytes = 1u << 20};
+  std::vector<PredictCache::Key> keys;
+  {
+    PredictCache filled(options);
+    keys = fill_every_bucket(&filled, /*version=*/0);
+    const PredictCacheStats stats = filled.stats();
+    EXPECT_EQ(stats.inserts, keys.size());
+    EXPECT_GT(stats.evictions, 0u);  // every bucket overflowed
+  }
+  PredictCache fresh(options);
+  EXPECT_EQ(fresh.capacity_entries(), keys.size() / 4);
+  expect_starts_empty(&fresh, keys);
+}
+
 TEST(PredictCache, ConcurrentProbeInsertClearNeverServesWrongValue) {
   // 4 writers + 4 readers over 512 keys with a fixed key -> value mapping,
   // while a chaos thread clears and re-pins the epoch. Any hit must return
@@ -231,8 +287,13 @@ TEST(PredictCache, ConcurrentProbeInsertClearNeverServesWrongValue) {
   EXPECT_GT(hits.load(), 0u);
 }
 
-TEST(RuntimeCache, DisabledByDefaultAndPredictOneUsesIt) {
-  const BinaryDataset data = testing::prototype_dataset(200, 48, 11);
+struct TrainedModel {
+  BinaryDataset data;
+  PoetBin model;
+};
+
+TrainedModel small_trained_model() {
+  BinaryDataset data = testing::prototype_dataset(200, 48, 11);
   const std::size_t p = 4;
   BitMatrix intermediate(data.size(), data.n_classes * p);
   Rng rng(13);
@@ -247,8 +308,15 @@ TEST(RuntimeCache, DisabledByDefaultAndPredictOneUsesIt) {
   config.n_classes = data.n_classes;
   config.output.epochs = 10;
   config.threads = 1;
-  const PoetBin model =
+  PoetBin model =
       PoetBin::train(data.features, intermediate, data.labels, config);
+  return {std::move(data), std::move(model)};
+}
+
+TEST(RuntimeCache, DisabledByDefaultAndPredictOneUsesIt) {
+  const TrainedModel trained = small_trained_model();
+  const BinaryDataset& data = trained.data;
+  const PoetBin& model = trained.model;
 
   const Runtime plain(model, {.threads = 1});
   EXPECT_EQ(plain.cache(), nullptr);
@@ -270,6 +338,32 @@ TEST(RuntimeCache, DisabledByDefaultAndPredictOneUsesIt) {
   (void)mutated.predict_one(row);
   mutated.retrain_output_layer(data.features, data.labels);
   EXPECT_EQ(mutated.predict_one(row), mutated.model().predict(row));
+}
+
+TEST(RuntimeCache, LoadedAgainAfterAFilledRuntimeStartsEmpty) {
+  const TrainedModel trained = small_trained_model();
+  const std::string path = ::testing::TempDir() + "/runtime_cache_model.txt";
+  ASSERT_TRUE(Runtime(trained.model, {.threads = 1}).save(path).ok());
+  const RuntimeOptions options{.threads = 1, .cache_bytes = 1u << 20};
+  const BitVector row = trained.data.features.row(0);
+  const int expected = trained.model.predict(row);
+
+  std::vector<PredictCache::Key> keys;
+  {
+    Runtime::LoadResult first = Runtime::load(path, options);
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first->predict_one(row), expected);  // miss + insert
+    EXPECT_EQ(first->predict_one(row), expected);  // hit
+    keys = fill_every_bucket(first->cache(), first->model_version());
+  }
+  Runtime::LoadResult second = Runtime::load(path, options);
+  ASSERT_TRUE(second.ok());
+  ASSERT_NE(second->cache(), nullptr);
+  expect_starts_empty(second->cache(), keys);
+  // The served row misses too, and is recomputed to the same answer.
+  EXPECT_EQ(second->predict_one(row), expected);
+  EXPECT_EQ(second->cache()->stats().hits, 0u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

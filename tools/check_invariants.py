@@ -51,7 +51,9 @@ Rules (each with the incident that motivated it):
                          `mmap(` never reappear in src/: the 64x splat
                          copy of each table, the mmap views it was loaded
                          through and their keepalives are gone, and the
-                         kernels read the compact bits.
+                         kernels read the compact bits. The one allowed
+                         `mmap(` is the prediction cache's anonymous,
+                         zero-filled table, behind the rule's allow marker.
   one-model-decoder      Model files load through one decoder: the deleted
                          per-format entry points (`read_model`,
                          `read_conv_model`, `read_model_file`,
