@@ -12,6 +12,8 @@
 #include "core/rinc.h"
 #include "dt/classic_dt.h"
 #include "hw/lut_decompose.h"
+#include "hw/netlist_builder.h"
+#include "hw/netlist_opt.h"
 #include "util/csv.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -57,6 +59,17 @@ Task make_task(std::size_t n_train, std::size_t n_test, std::uint64_t seed) {
   return task;
 }
 
+// 6-LUTs of the module's netlist as built and after optimize_netlist.
+struct SixLuts {
+  std::size_t raw = 0;
+  std::size_t kept = 0;
+};
+
+SixLuts six_luts(const RincModule& module, const Task& task) {
+  const Netlist built = build_rinc_netlist(module, task.train_x.cols());
+  return {six_lut_count(built), six_lut_count(optimize_netlist(built))};
+}
+
 double test_accuracy(const RincModule& module, const Task& task) {
   const BitVector predictions = module.eval_dataset_batched(task.test_x);
   return static_cast<double>(predictions.xnor_popcount(task.test_y)) /
@@ -75,47 +88,50 @@ int main() {
                               static_cast<std::size_t>(1000 * scale), 7);
 
   CsvWriter csv("ablation_sweep.csv",
-                {"P", "L", "dts", "test_accuracy", "six_luts", "depth_levels"});
+                {"P", "L", "dts", "test_accuracy", "six_luts", "six_luts_kept",
+                 "depth_levels"});
 
   // --- level ladder at fixed P ---
   std::printf("Capacity ladder (P=6, full trees):\n");
-  TablePrinter ladder({"L", "inputs capacity", "6-LUTs", "test acc(%)"});
+  TablePrinter ladder(
+      {"L", "inputs capacity", "6-LUTs", "kept 6-LUTs", "test acc(%)"});
   for (const std::size_t levels : {0u, 1u, 2u}) {
     const RincModule module = RincModule::train(
         task.train_x, task.train_y, {},
         {.lut_inputs = 6, .levels = levels, .total_dts = 0});
-    const PruneStats stats = prune_rinc(module);
+    const SixLuts luts = six_luts(module, task);
     std::size_t capacity = 6;
     for (std::size_t l = 0; l < levels; ++l) capacity *= 6;
     ladder.add_row({std::to_string(levels), std::to_string(capacity),
-                    std::to_string(stats.raw_6luts),
+                    std::to_string(luts.raw), std::to_string(luts.kept),
                     pct(test_accuracy(module, task))});
     csv.add_row({"6", std::to_string(levels),
                  std::to_string(module.leaf_dt_count()),
                  TablePrinter::fmt(test_accuracy(module, task), 4),
-                 std::to_string(stats.raw_6luts),
+                 std::to_string(luts.raw), std::to_string(luts.kept),
                  std::to_string(module.depth_in_luts())});
   }
   ladder.print(std::cout);
 
   // --- P x DTs frontier at L=2 ---
   std::printf("\nFrontier (L=2):\n");
-  TablePrinter frontier({"P", "DTs", "6-LUTs", "test acc(%)", "acc/LUT"});
+  TablePrinter frontier(
+      {"P", "DTs", "6-LUTs", "kept 6-LUTs", "test acc(%)", "acc/LUT"});
   for (const std::size_t p : {4u, 6u, 8u}) {
     for (const std::size_t dts : {8u, 16u, 32u}) {
       if (dts > p * p) continue;
       const RincModule module =
           RincModule::train(task.train_x, task.train_y, {},
                             {.lut_inputs = p, .levels = 2, .total_dts = dts});
-      const PruneStats stats = prune_rinc(module);
+      const SixLuts luts = six_luts(module, task);
       const double accuracy = test_accuracy(module, task);
       frontier.add_row(
-          {std::to_string(p), std::to_string(dts),
-           std::to_string(stats.raw_6luts), pct(accuracy),
-           TablePrinter::fmt(accuracy / stats.raw_6luts, 4)});
+          {std::to_string(p), std::to_string(dts), std::to_string(luts.raw),
+           std::to_string(luts.kept), pct(accuracy),
+           TablePrinter::fmt(accuracy / luts.raw, 4)});
       csv.add_row({std::to_string(p), "2", std::to_string(dts),
-                   TablePrinter::fmt(accuracy, 4),
-                   std::to_string(stats.raw_6luts),
+                   TablePrinter::fmt(accuracy, 4), std::to_string(luts.raw),
+                   std::to_string(luts.kept),
                    std::to_string(module.depth_in_luts())});
     }
   }

@@ -125,10 +125,10 @@ void BM_NetlistSimulate(benchmark::State& state) {
   const BitVector targets = majority_targets(features);
   const RincModule module = RincModule::train(
       features, targets, {}, {.lut_inputs = 6, .levels = 2, .total_dts = 18});
-  const RincNetlist netlist = build_rinc_netlist(module, 256);
+  const Netlist netlist = build_rinc_netlist(module, 256);
   const BitVector row = features.row(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(netlist.netlist.simulate(row));
+    benchmark::DoNotOptimize(netlist.simulate(row));
   }
 }
 BENCHMARK(BM_NetlistSimulate);

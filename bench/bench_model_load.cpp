@@ -32,6 +32,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -115,17 +116,42 @@ std::string temp_path(const char* name) {
 }
 
 template <typename Fn>
+double time_ms(Fn load) {
+  const auto t0 = Clock::now();
+  load();
+  const auto t1 = Clock::now();
+  return 1e3 * std::chrono::duration<double>(t1 - t0).count();
+}
+
+double median(std::vector<double> times) {
+  std::sort(times.begin(), times.end());
+  return times[times.size() / 2];
+}
+
+template <typename Fn>
 double median_ms(Fn load, std::size_t reps) {
   std::vector<double> times;
   times.reserve(reps);
-  for (std::size_t r = 0; r < reps; ++r) {
-    const auto t0 = Clock::now();
-    load();
-    const auto t1 = Clock::now();
-    times.push_back(1e3 * std::chrono::duration<double>(t1 - t0).count());
+  for (std::size_t r = 0; r < reps; ++r) times.push_back(time_ms(load));
+  return median(std::move(times));
+}
+
+// Medians of `a` and `b` over `rounds` rounds of one `a` rep followed by
+// `b_per_round` `b` reps, so both medians sample the same stretch of
+// machine state and a ratio of them does not swing with it.
+template <typename FnA, typename FnB>
+std::pair<double, double> interleaved_medians_ms(FnA a, FnB b,
+                                                 std::size_t rounds,
+                                                 std::size_t b_per_round) {
+  std::vector<double> a_times;
+  std::vector<double> b_times;
+  a_times.reserve(rounds);
+  b_times.reserve(rounds * b_per_round);
+  for (std::size_t r = 0; r < rounds; ++r) {
+    a_times.push_back(time_ms(a));
+    for (std::size_t k = 0; k < b_per_round; ++k) b_times.push_back(time_ms(b));
   }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+  return {median(std::move(a_times)), median(std::move(b_times))};
 }
 
 // Median Runtime::load of `path`; each Runtime is destroyed after its
@@ -143,8 +169,7 @@ double median_runtime_load_ms(const std::string& path,
     if (!loaded.ok()) std::abort();
     times.push_back(1e3 * std::chrono::duration<double>(t1 - t0).count());
   }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+  return median(std::move(times));
 }
 
 }  // namespace
@@ -174,26 +199,26 @@ int main() {
     return 1;
   }
 
+  // The gated ratio's two sides run interleaved: 5 text reps, each
+  // followed by 3 trusting packed reps.
   const std::size_t reps = 5;
-  const double text_ms = median_ms(
+  const auto [text_ms, packed_ms] = interleaved_medians_ms(
       [&] {
         const IoResult<LoadedModel> loaded = read_model_file_any(text_file);
         if (!loaded.ok()) std::abort();
       },
-      reps);
+      [&] {
+        const IoResult<LoadedModel> loaded = read_model_file_any(
+            packed_file, PackedVerify::kTrustChecksum);
+        if (!loaded.ok()) std::abort();
+      },
+      reps, 3);
   const double packed_full_ms = median_ms(
       [&] {
         const IoResult<LoadedModel> loaded = read_model_file_any(packed_file);
         if (!loaded.ok()) std::abort();
       },
       reps);
-  const double packed_ms = median_ms(
-      [&] {
-        const IoResult<LoadedModel> loaded = read_model_file_any(
-            packed_file, PackedVerify::kTrustChecksum);
-        if (!loaded.ok()) std::abort();
-      },
-      3 * reps);
   const double speedup = text_ms / packed_ms;
   std::printf("  leaf arity %zu (%zu modules): text parse %8.3f ms, packed "
               "full %8.3f ms, packed trusting %7.3f ms  -> %.0fx\n",

@@ -9,6 +9,8 @@
 
 #include "core/rinc.h"
 #include "hw/lut_decompose.h"
+#include "hw/netlist_builder.h"
+#include "hw/netlist_opt.h"
 #include "hw/power_model.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -57,7 +59,7 @@ int main() {
               "distilled binary neuron (majority-of-20 task, 256 features)\n\n");
   const Task task = make_task(9);
 
-  TablePrinter table({"P", "L", "DTs", "acc(%)", "6-LUTs (pruned)",
+  TablePrinter table({"P", "L", "DTs", "acc(%)", "6-LUTs (optimized)",
                       "latency(ns)", "energy/inf (J)"});
   for (const std::size_t p : {4u, 6u, 8u}) {
     for (const std::size_t levels : {1u, 2u}) {
@@ -76,7 +78,9 @@ int main() {
             static_cast<double>(predictions.xnor_popcount(task.test_y)) /
             static_cast<double>(task.test_y.size());
 
-        const PruneStats prune = prune_rinc(module);
+        const Netlist built = build_rinc_netlist(module, task.train_x.cols());
+        const std::size_t raw_6luts = six_lut_count(built);
+        const std::size_t kept_6luts = six_lut_count(optimize_netlist(built));
         PoetBinHwSpec spec;
         spec.lut_inputs = p;
         spec.levels = levels;
@@ -85,11 +89,12 @@ int main() {
         spec.n_classes = 0;  // single neuron: no output layer
         spec.qbits = 0;
         spec.clock_mhz = p <= 6 ? 100.0 : 62.5;
-        spec.prune_fraction = prune.removed_fraction_6luts();
+        spec.prune_fraction = 1.0 - static_cast<double>(kept_6luts) /
+                                        static_cast<double>(raw_6luts);
 
         table.add_row({std::to_string(p), std::to_string(levels),
                        std::to_string(dts), TablePrinter::fmt(accuracy, 2),
-                       std::to_string(prune.kept_6luts),
+                       std::to_string(kept_6luts),
                        TablePrinter::fmt(poetbin_latency_ns(spec), 2),
                        TablePrinter::sci(poetbin_energy_joules(spec), 2)});
       }

@@ -12,6 +12,8 @@
 
 #include "core/pipeline.h"
 #include "hw/lut_decompose.h"
+#include "hw/netlist_builder.h"
+#include "hw/netlist_opt.h"
 #include "hw/power_model.h"
 #include "serve/micro_batcher.h"
 #include "serve/runtime.h"
@@ -59,14 +61,18 @@ int main(int argc, char** argv) {
   std::printf("  RINC/teacher bit fidelity : %6.2f%% (test)\n",
               100 * result.fidelity_test);
 
-  const PruneStats prune = prune_poetbin(result.model);
+  const Netlist built = build_poetbin_netlist(
+      result.model, result.train_bits.n_features()).netlist;
+  const std::size_t raw_6luts = six_lut_count(built);
+  const std::size_t kept_6luts = six_lut_count(optimize_netlist(built));
+  const double removed_fraction = 1.0 - static_cast<double>(kept_6luts) /
+                                            static_cast<double>(raw_6luts);
   std::printf("\n--- hardware footprint ---\n");
   std::printf("  RINC modules              : %zu\n", result.model.n_modules());
   std::printf("  LUTs (module units)       : %zu\n", result.model.lut_count());
-  std::printf("  6-input LUTs (decomposed) : %zu raw, %zu after pruning "
-              "(%.1f%% removed)\n",
-              prune.raw_6luts, prune.kept_6luts,
-              100.0 * prune.removed_fraction_6luts());
+  std::printf("  6-input LUTs (decomposed) : %zu raw, %zu after netlist "
+              "optimization (%.1f%% removed)\n",
+              raw_6luts, kept_6luts, 100.0 * removed_fraction);
 
   PoetBinHwSpec spec;
   spec.name = family_paper_dataset(family);
@@ -76,7 +82,7 @@ int main(int argc, char** argv) {
   spec.n_modules = result.model.n_modules();
   spec.qbits = config.poetbin.output.quant_bits;
   spec.clock_mhz = spec.lut_inputs <= 6 ? 100.0 : 62.5;
-  spec.prune_fraction = prune.removed_fraction_6luts();
+  spec.prune_fraction = removed_fraction;
   std::printf("  modelled latency          : %.2f ns (single cycle @ %.1f "
               "MHz)\n",
               poetbin_latency_ns(spec), spec.clock_mhz);

@@ -51,6 +51,7 @@
 #include "core/rinc_conv.h"
 #include "core/serialize.h"
 #include "hw/netlist_builder.h"
+#include "hw/netlist_opt.h"
 #include "hw/verilog.h"
 #include "hw/vhdl.h"
 #include "serve/net_server.h"
@@ -276,21 +277,19 @@ int cmd_export(const std::string& path, const std::string& out_dir) {
                  "yet\n");
     return 1;
   }
-  const PoetBin* model = &loaded->model;
-  // The serialized model does not record the feature count; use the highest
-  // referenced feature index.
-  std::size_t n_features = 0;
-  for (const auto& module : model->modules()) {
-    for (const auto f : module.distinct_features()) {
-      n_features = std::max(n_features, f + 1);
-    }
-  }
-  const PoetBinNetlist netlist = build_poetbin_netlist(*model, n_features);
+  // The model's feature width is one past its highest referenced feature.
+  const std::size_t n_features = loaded->model.n_features();
+  // Ship what synthesis would keep: the optimized netlist, whose outputs
+  // stay in the built netlist's order.
+  PoetBinNetlist netlist = build_poetbin_netlist(loaded->model, n_features);
+  const std::size_t raw_luts = netlist.netlist.n_luts();
+  netlist.netlist = optimize_netlist(netlist.netlist);
   std::filesystem::create_directories(out_dir);
   std::ofstream(out_dir + "/poetbin_classifier.vhd") << generate_vhdl(netlist);
   std::ofstream(out_dir + "/poetbin_classifier.v") << generate_verilog(netlist);
-  std::printf("exported %zu-LUT netlist (%zu inputs) to %s/{.vhd,.v}\n",
-              netlist.netlist.n_luts(), n_features, out_dir.c_str());
+  std::printf("exported %zu-LUT optimized netlist (%zu before optimization, "
+              "%zu inputs) to %s/{.vhd,.v}\n",
+              netlist.netlist.n_luts(), raw_luts, n_features, out_dir.c_str());
   return 0;
 }
 

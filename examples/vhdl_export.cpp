@@ -1,9 +1,10 @@
 // Automatic VHDL generation (the paper's SS4.2 Python-script contribution,
-// here in C++): trains a small PoET-BiN classifier, writes the synthesizable
-// entity and a self-checking testbench to ./vhdl_out/, and proves the
-// netlist the VHDL encodes is bit-exact against the C++ model on the full
-// test set — the same verification loop the paper runs between its FPGA
-// and PyTorch.
+// here in C++): trains a small PoET-BiN classifier, optimizes its netlist
+// the way synthesis would, writes the synthesizable entity and a
+// self-checking testbench to ./vhdl_out/, and proves the optimized netlist
+// the VHDL encodes is bit-exact against the C++ model on the full test set
+// — the same verification loop the paper runs between its FPGA and
+// PyTorch. Exits non-zero on any mismatch.
 //
 //   $ ./vhdl_export
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include "core/batch_eval.h"
 #include "core/pipeline.h"
 #include "hw/netlist_builder.h"
+#include "hw/netlist_opt.h"
 #include "hw/vhdl.h"
 
 using namespace poetbin;
@@ -28,9 +30,13 @@ int main() {
               100 * result.a4);
 
   const std::size_t n_features = result.train_bits.n_features();
-  const PoetBinNetlist netlist = build_poetbin_netlist(result.model, n_features);
-  std::printf("netlist: %zu LUTs, depth %zu, %zu inputs\n",
-              netlist.netlist.n_luts(), netlist.netlist.depth(), n_features);
+  PoetBinNetlist netlist = build_poetbin_netlist(result.model, n_features);
+  NetlistOptStats opt;
+  netlist.netlist = optimize_netlist(netlist.netlist, &opt);
+  std::printf("netlist: %zu LUTs, optimized to %zu (%.1f%% removed), depth "
+              "%zu, %zu inputs\n",
+              opt.luts_before, opt.luts_after, 100.0 * opt.removed_fraction(),
+              netlist.netlist.depth(), n_features);
 
   // --- verification: netlist vs model on every test vector ---------------
   const BatchEngine engine;
@@ -41,7 +47,8 @@ int main() {
   for (std::size_t i = 0; i < model_pred.size(); ++i) {
     if (model_pred[i] != netlist_pred[i]) ++mismatches;
   }
-  std::printf("netlist vs model on %zu test vectors: %zu mismatches %s\n",
+  std::printf("optimized netlist vs model on %zu test vectors: %zu "
+              "mismatches %s\n",
               model_pred.size(), mismatches,
               mismatches == 0 ? "(bit-exact)" : "(BUG!)");
 

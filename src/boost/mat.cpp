@@ -33,18 +33,4 @@ BitVector MatModule::to_table() const {
   return table;
 }
 
-std::vector<bool> MatModule::removable_inputs() const {
-  const std::size_t arity = weights_.size();
-  std::vector<bool> removable(arity, true);
-  const std::size_t n_combos = std::size_t{1} << arity;
-  for (std::size_t combo = 0; combo < n_combos; ++combo) {
-    const bool out = eval_combo(combo);
-    for (std::size_t i = 0; i < arity; ++i) {
-      if (!removable[i]) continue;
-      if (eval_combo(combo ^ (std::size_t{1} << i)) != out) removable[i] = false;
-    }
-  }
-  return removable;
-}
-
 }  // namespace poetbin

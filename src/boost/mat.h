@@ -38,11 +38,6 @@ class MatModule {
   // Truth table over all 2^G combinations (LUT contents).
   BitVector to_table() const;
 
-  // Input i is removable when flipping bit i can never change the output —
-  // exactly the near-zero-weight fanins the paper reports the Xilinx
-  // synthesizer strips (§4.3). Exhaustive over 2^(G-1) combos.
-  std::vector<bool> removable_inputs() const;
-
  private:
   std::vector<double> weights_;
 };

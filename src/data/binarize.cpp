@@ -24,14 +24,4 @@ BitVector pack_targets(const std::vector<int>& values) {
   return out;
 }
 
-std::vector<double> column_means(const BitMatrix& bits) {
-  std::vector<double> means(bits.cols(), 0.0);
-  if (bits.rows() == 0) return means;
-  for (std::size_t c = 0; c < bits.cols(); ++c) {
-    means[c] = static_cast<double>(bits.column(c).popcount()) /
-               static_cast<double>(bits.rows());
-  }
-  return means;
-}
-
 }  // namespace poetbin

@@ -23,8 +23,4 @@ BitMatrix binarize_activations(const std::vector<float>& activations,
 // per-neuron distillation targets.
 BitVector pack_targets(const std::vector<int>& values);
 
-// Fraction of set bits per column; used to verify binary features are not
-// degenerate (all-0 / all-1 columns carry no information for any DT).
-std::vector<double> column_means(const BitMatrix& bits);
-
 }  // namespace poetbin

@@ -54,14 +54,4 @@ std::pair<ImageDataset, ImageDataset> split_dataset(const ImageDataset& dataset,
   return {make_part(0, n_first), make_part(n_first, dataset.size())};
 }
 
-std::vector<std::size_t> class_histogram(const std::vector<int>& labels,
-                                         std::size_t n_classes) {
-  std::vector<std::size_t> histogram(n_classes, 0);
-  for (const int label : labels) {
-    POETBIN_CHECK(label >= 0 && static_cast<std::size_t>(label) < n_classes);
-    ++histogram[static_cast<std::size_t>(label)];
-  }
-  return histogram;
-}
-
 }  // namespace poetbin

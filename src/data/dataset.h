@@ -56,8 +56,4 @@ void shuffle_dataset(ImageDataset& dataset, Rng& rng);
 std::pair<ImageDataset, ImageDataset> split_dataset(const ImageDataset& dataset,
                                                     std::size_t n_first);
 
-// Class frequency histogram; useful for sanity checks in tests.
-std::vector<std::size_t> class_histogram(const std::vector<int>& labels,
-                                         std::size_t n_classes);
-
 }  // namespace poetbin

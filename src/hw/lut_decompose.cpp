@@ -9,66 +9,12 @@ std::size_t six_lut_cost(std::size_t arity) {
 
 std::size_t six_lut_levels(std::size_t arity) { return arity <= 6 ? 1 : 2; }
 
-namespace {
-
-void prune_walk(const RincModule& module, bool alive, PruneStats& stats) {
-  if (module.is_leaf()) {
-    const std::size_t cost6 = six_lut_cost(module.leaf_lut().arity());
-    stats.raw_luts += 1;
-    stats.raw_6luts += cost6;
-    if (alive) {
-      stats.kept_luts += 1;
-      stats.kept_6luts += cost6;
-    }
-    return;
+std::size_t six_lut_count(const Netlist& netlist) {
+  std::size_t total = 0;
+  for (const auto& [arity, count] : netlist.arity_histogram()) {
+    total += count * six_lut_cost(arity);
   }
-
-  const std::vector<bool> removable = module.mat().removable_inputs();
-  std::size_t kept_fanins = 0;
-  for (std::size_t c = 0; c < module.children().size(); ++c) {
-    const bool child_alive = alive && !removable[c];
-    if (child_alive) ++kept_fanins;
-    prune_walk(module.children()[c], child_alive, stats);
-  }
-
-  const std::size_t raw_cost = six_lut_cost(module.children().size());
-  stats.raw_luts += 1;
-  stats.raw_6luts += raw_cost;
-  if (alive) {
-    // A MAT with all fanins dead degenerates to a constant (cost 0); with
-    // exactly one live fanin it is a wire (cost 0); otherwise it shrinks to
-    // the kept arity.
-    if (kept_fanins >= 2) {
-      stats.kept_luts += 1;
-      stats.kept_6luts += six_lut_cost(kept_fanins);
-    } else if (kept_fanins == 1) {
-      // Wire: no LUT needed, child drives through.
-    }
-  }
-}
-
-}  // namespace
-
-PruneStats prune_rinc(const RincModule& module) {
-  PruneStats stats;
-  prune_walk(module, /*alive=*/true, stats);
-  return stats;
-}
-
-PruneStats prune_poetbin(const PoetBin& model) {
-  PruneStats stats;
-  for (const auto& module : model.modules()) {
-    prune_walk(module, /*alive=*/true, stats);
-  }
-  const std::size_t output_luts =
-      model.n_classes() * static_cast<std::size_t>(model.quant_bits());
-  const std::size_t output_cost =
-      output_luts * six_lut_cost(model.lut_inputs());
-  stats.raw_luts += output_luts;
-  stats.kept_luts += output_luts;
-  stats.raw_6luts += output_cost;
-  stats.kept_6luts += output_cost;
-  return stats;
+  return total;
 }
 
 }  // namespace poetbin

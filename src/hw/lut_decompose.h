@@ -1,19 +1,17 @@
-// 8->6 input LUT decomposition and synthesizer-pruning model.
+// 8->6 input LUT decomposition.
 //
 // Spartan-6 slices provide 6-input LUTs; the paper notes each 8-input LUT
 // maps to four 6-input LUTs (plus dedicated mux resources that are not
 // counted). It also reports that the Xilinx synthesizer removes LUTs whose
 // MAT fanin weight is too small to ever flip the threshold (~36% of LUTs on
-// CIFAR-10). `prune_rinc` reproduces that analysis exactly on a trained
-// module: a MAT input is dead iff flipping it never changes the MAT output
-// (MatModule::removable_inputs), in which case its entire child subtree is
-// removed and the MAT shrinks.
+// CIFAR-10). `optimize_netlist` (hw/netlist_opt.h) reproduces that analysis
+// on a built netlist; `six_lut_count` of the netlist before and after it
+// gives the raw and kept 6-LUT counts.
 #pragma once
 
 #include <cstddef>
 
-#include "core/poetbin.h"
-#include "core/rinc.h"
+#include "hw/netlist.h"
 
 namespace poetbin {
 
@@ -24,25 +22,8 @@ std::size_t six_lut_cost(std::size_t arity);
 // (the mux stage after the four 6-LUTs adds one level).
 std::size_t six_lut_levels(std::size_t arity);
 
-struct PruneStats {
-  std::size_t raw_luts = 0;      // module-unit LUTs before pruning
-  std::size_t kept_luts = 0;     // after dead-fanin removal
-  std::size_t raw_6luts = 0;     // after 8->6 decomposition, before pruning
-  std::size_t kept_6luts = 0;    // after both
-
-  double removed_fraction_6luts() const {
-    return raw_6luts == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(kept_6luts) /
-                           static_cast<double>(raw_6luts);
-  }
-};
-
-// Analyses one trained RINC module.
-PruneStats prune_rinc(const RincModule& module);
-
-// Whole classifier: all RINC modules plus the q x nc output-layer LUTs
-// (which are never pruned — their fanins are live by construction).
-PruneStats prune_poetbin(const PoetBin& model);
+// 6-LUTs after decomposition of every LUT in `netlist`: the sum of
+// six_lut_cost over its LUT arities.
+std::size_t six_lut_count(const Netlist& netlist);
 
 }  // namespace poetbin

@@ -44,24 +44,17 @@ std::vector<std::size_t> add_primary_inputs(Netlist& netlist,
 
 }  // namespace
 
-RincNetlist build_rinc_netlist(const RincModule& module, std::size_t n_features) {
-  RincNetlist result;
-  result.n_features = n_features;
-  const auto input_nodes = add_primary_inputs(result.netlist, n_features);
-  result.output_node = add_module(result.netlist, module, input_nodes, "rinc");
-  result.netlist.mark_output(result.output_node);
-  return result;
-}
-
-bool RincNetlist::eval(const BitVector& feature_bits) const {
-  POETBIN_CHECK(feature_bits.size() == n_features);
-  return netlist.simulate_outputs(feature_bits)[0];
+Netlist build_rinc_netlist(const RincModule& module, std::size_t n_features) {
+  Netlist netlist;
+  const auto input_nodes = add_primary_inputs(netlist, n_features);
+  netlist.mark_output(add_module(netlist, module, input_nodes, "rinc"));
+  return netlist;
 }
 
 PoetBinNetlist build_poetbin_netlist(const PoetBin& model,
                                      std::size_t n_features) {
   PoetBinNetlist result;
-  result.n_features = n_features;
+  result.quant_bits = static_cast<std::size_t>(model.quant_bits());
   Netlist& netlist = result.netlist;
   const auto input_nodes = add_primary_inputs(netlist, n_features);
 
@@ -74,9 +67,8 @@ PoetBinNetlist build_poetbin_netlist(const PoetBin& model,
   }
 
   // Sparse output layer: q code-bit LUTs per class, each reading the class's
-  // P module outputs.
+  // P module outputs, marked as outputs class-major.
   const int qbits = model.quant_bits();
-  result.class_code_bits.resize(model.n_classes());
   for (std::size_t c = 0; c < model.n_classes(); ++c) {
     const SparseOutputNeuron& neuron = model.output_neurons()[c];
     std::vector<std::size_t> fanins;
@@ -89,46 +81,27 @@ PoetBinNetlist build_poetbin_netlist(const PoetBin& model,
       for (std::size_t combo = 0; combo < neuron.codes.size(); ++combo) {
         if ((neuron.codes[combo] >> k) & 1u) table.set(combo, true);
       }
-      const std::size_t id = netlist.add_lut(
+      netlist.mark_output(netlist.add_lut(
           fanins, std::move(table),
-          "out" + std::to_string(c) + "_b" + std::to_string(k));
-      result.class_code_bits[c].push_back(id);
-      netlist.mark_output(id);
+          "out" + std::to_string(c) + "_b" + std::to_string(k)));
     }
   }
   return result;
 }
 
-int PoetBinNetlist::predict(const BitVector& feature_bits) const {
-  POETBIN_CHECK(feature_bits.size() == n_features);
-  const std::vector<bool> values = netlist.simulate(feature_bits);
-  std::size_t best_class = 0;
-  std::uint64_t best_code = 0;
-  for (std::size_t c = 0; c < class_code_bits.size(); ++c) {
-    std::uint64_t code = 0;
-    for (std::size_t k = 0; k < class_code_bits[c].size(); ++k) {
-      if (values[class_code_bits[c][k]]) code |= std::uint64_t{1} << k;
-    }
-    if (c == 0 || code > best_code) {
-      best_code = code;
-      best_class = c;
-    }
-  }
-  return static_cast<int>(best_class);
-}
-
 std::vector<int> PoetBinNetlist::predict_dataset(const BitMatrix& features) const {
   // Word-parallel simulation: one pass over the netlist covers 64 examples
   // per word, then the class codes are decoded per example.
-  const std::vector<BitVector> values = netlist.simulate_dataset(features);
+  const std::vector<BitVector> codes =
+      netlist.simulate_dataset_outputs(features);
   std::vector<int> out(features.rows(), 0);
   for (std::size_t i = 0; i < features.rows(); ++i) {
     std::size_t best_class = 0;
     std::uint64_t best_code = 0;
-    for (std::size_t c = 0; c < class_code_bits.size(); ++c) {
+    for (std::size_t c = 0; c < n_classes(); ++c) {
       std::uint64_t code = 0;
-      for (std::size_t k = 0; k < class_code_bits[c].size(); ++k) {
-        if (values[class_code_bits[c][k]].get(i)) code |= std::uint64_t{1} << k;
+      for (std::size_t k = 0; k < quant_bits; ++k) {
+        if (codes[c * quant_bits + k].get(i)) code |= std::uint64_t{1} << k;
       }
       if (c == 0 || code > best_code) {
         best_code = code;

@@ -13,30 +13,28 @@
 
 namespace poetbin {
 
+// The classifier netlist. Its primary inputs are the features, and its
+// outputs are the class codes, class-major: bit k (LSB first) of class c's
+// quantized activation code is netlist.outputs()[c * quant_bits + k].
+// optimize_netlist keeps inputs and outputs in that order, so an optimized
+// netlist replaces `netlist` as is.
 struct PoetBinNetlist {
   Netlist netlist;
-  std::size_t n_features = 0;
-  // class_code_bits[c][k] = node id of bit k (LSB first) of class c's
-  // quantized activation code.
-  std::vector<std::vector<std::size_t>> class_code_bits;
+  std::size_t quant_bits = 0;
 
-  // Simulates the netlist and arg-maxes the class codes (ties to the lower
-  // class index, matching PoetBin::predict).
-  int predict(const BitVector& feature_bits) const;
+  std::size_t n_classes() const {
+    POETBIN_CHECK(quant_bits > 0);
+    return netlist.outputs().size() / quant_bits;
+  }
+  // Simulates the netlist over every row and arg-maxes the class codes
+  // (ties to the lower class index, matching PoetBin::predict).
   std::vector<int> predict_dataset(const BitMatrix& features) const;
-};
-
-struct RincNetlist {
-  Netlist netlist;
-  std::size_t n_features = 0;
-  std::size_t output_node = 0;
-
-  bool eval(const BitVector& feature_bits) const;
 };
 
 // `n_features` fixes the primary-input width (the paper feeds 512 features
 // through a shift register regardless of how many a module actually taps).
-RincNetlist build_rinc_netlist(const RincModule& module, std::size_t n_features);
+// A module's netlist has one output, the module's output bit.
+Netlist build_rinc_netlist(const RincModule& module, std::size_t n_features);
 
 PoetBinNetlist build_poetbin_netlist(const PoetBin& model,
                                      std::size_t n_features);

@@ -52,12 +52,9 @@ struct NodeMapping {
   bool value = false;       // kConstant
 };
 
-}  // namespace
-
-Netlist optimize_netlist(const Netlist& input, NetlistOptStats* stats_out) {
-  NetlistOptStats stats;
-  stats.luts_before = input.n_luts();
-
+// One sweep of the optimizer: drops the LUTs no output reaches, then folds
+// constants, removable inputs and identity LUTs in topological order.
+Netlist sweep(const Netlist& input, NetlistOptStats& stats) {
   // Pass 1: mark nodes reachable from the outputs (dead-code elimination
   // works backwards; node ids are topological so a reverse sweep suffices).
   std::vector<bool> live(input.n_nodes(), false);
@@ -160,19 +157,21 @@ Netlist optimize_netlist(const Netlist& input, NetlistOptStats* stats_out) {
     }
   }
 
-  stats.luts_after = optimized.n_luts();
-  if (stats_out != nullptr) *stats_out = stats;
   return optimized;
 }
 
-bool verify_equivalent(const Netlist& a, const Netlist& b,
-                       const BitMatrix& vectors) {
-  POETBIN_CHECK(a.outputs().size() == b.outputs().size());
-  for (std::size_t i = 0; i < vectors.rows(); ++i) {
-    const BitVector row = vectors.row(i);
-    if (a.simulate_outputs(row) != b.simulate_outputs(row)) return false;
-  }
-  return true;
+}  // namespace
+
+Netlist optimize_netlist(const Netlist& input, NetlistOptStats* stats_out) {
+  NetlistOptStats stats;
+  stats.luts_before = input.n_luts();
+  // The second sweep drops the logic the first one disconnected, such as
+  // the DT subtree behind a dead MAT fanin. It folds nothing: the first
+  // sweep already folded in topological order.
+  const Netlist optimized = sweep(sweep(input, stats), stats);
+  stats.luts_after = optimized.n_luts();
+  if (stats_out != nullptr) *stats_out = stats;
+  return optimized;
 }
 
 }  // namespace poetbin

@@ -5,12 +5,11 @@
 // never change the output (e.g. MAT fanins with negligible Adaboost weight)
 // are disconnected, LUTs that collapse to wires or constants disappear, and
 // logic no longer reachable from an output is dropped. The pass is purely
-// structural — optimized netlists are verified bit-exact by tests and by
-// `verify_equivalent`.
+// structural, and it is the one LUT-pruning analysis: the exporters ship
+// its output, and the benches report its removed fraction.
 #pragma once
 
 #include "hw/netlist.h"
-#include "util/bit_matrix.h"
 
 namespace poetbin {
 
@@ -31,13 +30,9 @@ struct NetlistOptStats {
 };
 
 // Returns an equivalent netlist with the same primary inputs and the same
-// number of outputs (in the same order).
+// number of outputs (in the same order), so it can replace the netlist of a
+// built PoetBinNetlist as is.
 Netlist optimize_netlist(const Netlist& input, NetlistOptStats* stats = nullptr);
-
-// True iff the two netlists produce identical outputs on every row of
-// `vectors` (a Monte-Carlo equivalence check; exhaustive for few inputs).
-bool verify_equivalent(const Netlist& a, const Netlist& b,
-                       const BitMatrix& vectors);
 
 // True iff flipping address bit `input` never changes the lookup result.
 bool lut_input_removable(const BitVector& table, std::size_t input);

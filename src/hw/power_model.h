@@ -102,7 +102,7 @@ struct PoetBinHwSpec {
   int qbits = 8;
   double clock_mhz = 100.0;
   // Fraction of 6-LUTs removed by synthesis (measured per dataset in the
-  // paper; our prune_poetbin reproduces it from a trained model).
+  // paper; optimize_netlist reproduces it from a trained model's netlist).
   double prune_fraction = 0.0;
 };
 

@@ -51,15 +51,15 @@ void emit_lut_nodes(std::ostringstream& os, const Netlist& netlist) {
 std::string generate_verilog(const PoetBinNetlist& model,
                              const VerilogOptions& options) {
   const Netlist& netlist = model.netlist;
-  const std::size_t n_classes = model.class_code_bits.size();
+  const std::size_t n_classes = model.n_classes();
   POETBIN_CHECK(n_classes > 0);
-  const std::size_t qbits = model.class_code_bits.front().size();
+  const std::size_t qbits = model.quant_bits;
 
   std::ostringstream os;
   os << "// Generated by PoET-BiN: " << netlist.n_luts() << " LUTs, depth "
      << netlist.depth() << ".\n";
   os << "module " << options.module_name << " (\n"
-     << "  input  wire [" << model.n_features - 1 << ":0] x";
+     << "  input  wire [" << netlist.n_inputs() - 1 << ":0] x";
   for (std::size_t c = 0; c < n_classes; ++c) {
     os << ",\n  output wire [" << qbits - 1 << ":0] score" << c;
   }
@@ -68,24 +68,9 @@ std::string generate_verilog(const PoetBinNetlist& model,
   for (std::size_t c = 0; c < n_classes; ++c) {
     for (std::size_t k = 0; k < qbits; ++k) {
       os << "  assign score" << c << "[" << k << "] = "
-         << node_signal(netlist, model.class_code_bits[c][k]) << ";\n";
+         << node_signal(netlist, netlist.outputs()[c * qbits + k]) << ";\n";
     }
   }
-  os << "endmodule\n";
-  return os.str();
-}
-
-std::string generate_rinc_verilog(const RincNetlist& module,
-                                  const std::string& module_name) {
-  std::ostringstream os;
-  os << "// Generated by PoET-BiN: single RINC module.\n";
-  os << "module " << module_name << " (\n"
-     << "  input  wire [" << module.n_features - 1 << ":0] x,\n"
-     << "  output wire y\n"
-     << ");\n";
-  emit_lut_nodes(os, module.netlist);
-  os << "  assign y = " << node_signal(module.netlist, module.output_node)
-     << ";\n";
   os << "endmodule\n";
   return os.str();
 }

@@ -17,7 +17,4 @@ struct VerilogOptions {
 std::string generate_verilog(const PoetBinNetlist& model,
                              const VerilogOptions& options = {});
 
-std::string generate_rinc_verilog(const RincNetlist& module,
-                                  const std::string& module_name = "rinc_module");
-
 }  // namespace poetbin

@@ -51,7 +51,10 @@ void emit_lut_nodes(std::ostringstream& os, const Netlist& netlist) {
          << (node.table.get(0) ? '1' : '0') << "';\n";
       continue;
     }
-    os << "  a_" << node.name << " <= ";
+    // A one-bit address is a std_logic, which VHDL cannot assign to a
+    // vector: it goes into element 0 instead.
+    os << "  a_" << node.name << (node.fanins.size() == 1 ? "(0)" : "")
+       << " <= ";
     for (std::size_t j = node.fanins.size(); j-- > 0;) {
       os << node_signal(netlist, node.fanins[j]);
       if (j != 0) os << " & ";
@@ -72,20 +75,21 @@ void emit_header(std::ostringstream& os) {
 
 std::string generate_vhdl(const PoetBinNetlist& model, const VhdlOptions& options) {
   const Netlist& netlist = model.netlist;
-  const std::size_t n_classes = model.class_code_bits.size();
+  const std::size_t n_features = netlist.n_inputs();
+  const std::size_t n_classes = model.n_classes();
   POETBIN_CHECK(n_classes > 0);
-  const std::size_t qbits = model.class_code_bits.front().size();
+  const std::size_t qbits = model.quant_bits;
 
   std::ostringstream os;
   os << "-- Generated by PoET-BiN (automatic VHDL generation, paper SS4.2).\n"
      << "-- " << netlist.n_luts() << " LUTs, depth " << netlist.depth()
-     << ", " << model.n_features << " input features, " << n_classes
+     << ", " << n_features << " input features, " << n_classes
      << " classes x " << qbits << "-bit codes.\n";
   emit_header(os);
 
   os << "entity " << options.entity_name << " is\n"
      << "  port (\n"
-     << "    x : in  std_logic_vector(" << model.n_features - 1
+     << "    x : in  std_logic_vector(" << n_features - 1
      << " downto 0);\n";
   for (std::size_t c = 0; c < n_classes; ++c) {
     os << "    score" << c << " : out std_logic_vector(" << qbits - 1
@@ -99,28 +103,9 @@ std::string generate_vhdl(const PoetBinNetlist& model, const VhdlOptions& option
   for (std::size_t c = 0; c < n_classes; ++c) {
     for (std::size_t k = 0; k < qbits; ++k) {
       os << "  score" << c << "(" << k << ") <= "
-         << node_signal(netlist, model.class_code_bits[c][k]) << ";\n";
+         << node_signal(netlist, netlist.outputs()[c * qbits + k]) << ";\n";
     }
   }
-  os << "end architecture lut_network;\n";
-  return os.str();
-}
-
-std::string generate_rinc_vhdl(const RincNetlist& module,
-                               const std::string& entity_name) {
-  std::ostringstream os;
-  os << "-- Generated by PoET-BiN: single RINC module.\n";
-  emit_header(os);
-  os << "entity " << entity_name << " is\n"
-     << "  port (\n"
-     << "    x : in  std_logic_vector(" << module.n_features - 1
-     << " downto 0);\n"
-     << "    y : out std_logic\n"
-     << "  );\n"
-     << "end entity " << entity_name << ";\n\n";
-  os << "architecture lut_network of " << entity_name << " is\n";
-  emit_lut_nodes(os, module.netlist);
-  os << "  y <= " << node_signal(module.netlist, module.output_node) << ";\n";
   os << "end architecture lut_network;\n";
   return os.str();
 }
@@ -128,11 +113,12 @@ std::string generate_rinc_vhdl(const RincNetlist& module,
 std::string generate_testbench(const PoetBinNetlist& model,
                                const BitMatrix& features,
                                const VhdlOptions& options) {
-  const std::size_t n_classes = model.class_code_bits.size();
-  const std::size_t qbits = model.class_code_bits.front().size();
+  const std::size_t n_features = model.netlist.n_inputs();
+  const std::size_t n_classes = model.n_classes();
+  const std::size_t qbits = model.quant_bits;
   const std::size_t n_vectors =
       std::min(options.testbench_vectors, features.rows());
-  POETBIN_CHECK(features.cols() == model.n_features);
+  POETBIN_CHECK(features.cols() == n_features);
 
   std::ostringstream os;
   os << "-- Self-checking testbench generated by PoET-BiN.\n";
@@ -140,7 +126,7 @@ std::string generate_testbench(const PoetBinNetlist& model,
   os << "entity " << options.entity_name << "_tb is\n"
      << "end entity " << options.entity_name << "_tb;\n\n"
      << "architecture behaviour of " << options.entity_name << "_tb is\n"
-     << "  signal x : std_logic_vector(" << model.n_features - 1
+     << "  signal x : std_logic_vector(" << n_features - 1
      << " downto 0);\n";
   for (std::size_t c = 0; c < n_classes; ++c) {
     os << "  signal score" << c << " : std_logic_vector(" << qbits - 1
@@ -158,11 +144,11 @@ std::string generate_testbench(const PoetBinNetlist& model,
 
   for (std::size_t v = 0; v < n_vectors; ++v) {
     const BitVector row = features.row(v);
-    const std::vector<bool> values = model.netlist.simulate(row);
+    const std::vector<bool> codes = model.netlist.simulate_outputs(row);
     // Input literal: bit F-1 ... bit 0.
     std::string literal;
-    literal.reserve(model.n_features);
-    for (std::size_t f = model.n_features; f-- > 0;) {
+    literal.reserve(n_features);
+    for (std::size_t f = n_features; f-- > 0;) {
       literal.push_back(row.get(f) ? '1' : '0');
     }
     os << "    x <= \"" << literal << "\";\n"
@@ -171,7 +157,7 @@ std::string generate_testbench(const PoetBinNetlist& model,
       std::string expected;
       expected.reserve(qbits);
       for (std::size_t k = qbits; k-- > 0;) {
-        expected.push_back(values[model.class_code_bits[c][k]] ? '1' : '0');
+        expected.push_back(codes[c * qbits + k] ? '1' : '0');
       }
       os << "    assert score" << c << " = \"" << expected
          << "\" report \"vector " << v << " class " << c

@@ -26,10 +26,6 @@ struct VhdlOptions {
 std::string generate_vhdl(const PoetBinNetlist& model,
                           const VhdlOptions& options = {});
 
-// RTL for a single RINC module (1-bit output).
-std::string generate_rinc_vhdl(const RincNetlist& module,
-                               const std::string& entity_name = "rinc_module");
-
 // Self-checking testbench: instantiates the classifier entity and asserts
 // the netlist-simulated codes for the first `options.testbench_vectors`
 // rows of `features`.

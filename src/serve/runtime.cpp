@@ -115,8 +115,9 @@ void Runtime::publish(PoetBin model, ModelFormat format,
   // sees the fully-built ModelVersion AND the cache set_epoch sequenced
   // above; seq_cst additionally totally orders publishes with each other,
   // which is what lets hot_reload_test assert per-thread tag monotonicity.
-  // Writers are serialized by mutate_mu; the store itself stays lock-free
-  // with respect to readers.
+  // Writers are serialized by mutate_mu. The store is not lock-free with
+  // respect to readers: libstdc++ 12's atomic<shared_ptr> spins on a lock
+  // bit that snapshot()'s load also takes.
   state_->current.store(std::move(version));
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace poetbin {
 namespace {
 
@@ -35,7 +37,7 @@ TEST(Binarize, ColumnMeans) {
   BitMatrix bits(4, 2);
   bits.set(0, 0, true);
   bits.set(1, 0, true);
-  const auto means = column_means(bits);
+  const auto means = testing::column_means(bits);
   EXPECT_DOUBLE_EQ(means[0], 0.5);
   EXPECT_DOUBLE_EQ(means[1], 0.0);
 }

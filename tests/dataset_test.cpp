@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace poetbin {
@@ -52,7 +53,7 @@ TEST(Dataset, ShufflePermutes) {
 
 TEST(Dataset, ClassHistogram) {
   const std::vector<int> labels = {0, 1, 1, 2, 2, 2};
-  const auto histogram = class_histogram(labels, 4);
+  const auto histogram = testing::class_histogram(labels, 4);
   EXPECT_EQ(histogram, (std::vector<std::size_t>{1, 2, 3, 0}));
 }
 

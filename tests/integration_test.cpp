@@ -6,6 +6,7 @@
 #include "core/pipeline.h"
 #include "hw/lut_decompose.h"
 #include "hw/netlist_builder.h"
+#include "hw/netlist_opt.h"
 #include "hw/power_model.h"
 #include "hw/vhdl.h"
 #include "reference/scalar_reference.h"
@@ -77,9 +78,33 @@ TEST_F(EndToEnd, LutAccountingConsistent) {
   const PoetBinNetlist netlist =
       build_poetbin_netlist(r.model, r.test_bits.n_features());
   EXPECT_EQ(netlist.netlist.n_luts(), r.model.lut_count());
-  const PruneStats stats = prune_poetbin(r.model);
-  EXPECT_EQ(stats.raw_luts, r.model.lut_count());
-  EXPECT_LE(stats.kept_luts, stats.raw_luts);
+  EXPECT_EQ(six_lut_count(netlist.netlist), r.model.lut_count());  // P = 4
+  EXPECT_LE(six_lut_count(optimize_netlist(netlist.netlist)),
+            six_lut_count(netlist.netlist));
+
+  // A full-tree bank on the same teacher bits: the built netlist costs what
+  // the Table 7 closed form says, and the optimized netlist it ships as
+  // still predicts the whole test set exactly like the model.
+  PoetBinConfig config;
+  config.rinc = {.lut_inputs = 4, .levels = 2, .total_dts = 0};  // 16 DTs
+  config.n_classes = r.model.n_classes();
+  config.output.epochs = 20;
+  const PoetBin full = PoetBin::train(r.train_bits.features,
+                                      r.teacher_train_bits,
+                                      r.train_bits.labels, config);
+  PoetBinHwSpec spec;
+  spec.lut_inputs = 4;
+  spec.levels = 2;
+  spec.n_dts = 16;
+  spec.n_modules = full.n_modules();
+  spec.n_classes = full.n_classes();
+  spec.qbits = full.quant_bits();
+  PoetBinNetlist shipped =
+      build_poetbin_netlist(full, r.test_bits.n_features());
+  EXPECT_EQ(six_lut_count(shipped.netlist), poetbin_total_6luts(spec));
+  shipped.netlist = optimize_netlist(shipped.netlist);
+  EXPECT_EQ(shipped.predict_dataset(r.test_bits.features),
+            reference::predict_dataset(full, r.test_bits.features));
 }
 
 TEST_F(EndToEnd, DepthMatchesRincStructure) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "hw/netlist_opt.h"
 #include "util/rng.h"
 
 namespace poetbin {
@@ -67,17 +68,19 @@ TEST(Mat, TableMatchesEvalCombo) {
 TEST(Mat, DominantWeightMakesOthersRemovable) {
   // |w0| exceeds the sum of all others: only input 0 matters.
   const MatModule mat({10.0, 0.5, 0.5, 0.5});
-  const auto removable = mat.removable_inputs();
-  EXPECT_FALSE(removable[0]);
-  EXPECT_TRUE(removable[1]);
-  EXPECT_TRUE(removable[2]);
-  EXPECT_TRUE(removable[3]);
+  const BitVector table = mat.to_table();
+  EXPECT_FALSE(lut_input_removable(table, 0));
+  EXPECT_TRUE(lut_input_removable(table, 1));
+  EXPECT_TRUE(lut_input_removable(table, 2));
+  EXPECT_TRUE(lut_input_removable(table, 3));
 }
 
 TEST(Mat, BalancedWeightsNothingRemovable) {
   const MatModule mat({1.0, 1.0, 1.0});
-  const auto removable = mat.removable_inputs();
-  for (const bool r : removable) EXPECT_FALSE(r);
+  const BitVector table = mat.to_table();
+  for (std::size_t i = 0; i < mat.arity(); ++i) {
+    EXPECT_FALSE(lut_input_removable(table, i));
+  }
 }
 
 TEST(Mat, RemovableInputTrulyNeverFlipsOutput) {
@@ -87,9 +90,9 @@ TEST(Mat, RemovableInputTrulyNeverFlipsOutput) {
     for (auto& w : weights) w = rng.uniform(-1.0, 1.0);
     if (trial % 3 == 0) weights[0] = 8.0;  // force some removable cases
     const MatModule mat(weights);
-    const auto removable = mat.removable_inputs();
+    const BitVector table = mat.to_table();
     for (std::size_t i = 0; i < weights.size(); ++i) {
-      if (!removable[i]) continue;
+      if (!lut_input_removable(table, i)) continue;
       for (std::size_t combo = 0; combo < 64; ++combo) {
         EXPECT_EQ(mat.eval_combo(combo),
                   mat.eval_combo(combo ^ (std::size_t{1} << i)));
@@ -100,7 +103,7 @@ TEST(Mat, RemovableInputTrulyNeverFlipsOutput) {
 
 TEST(Mat, ZeroWeightInputIsRemovable) {
   const MatModule mat({1.0, 0.0, -1.0});
-  EXPECT_TRUE(mat.removable_inputs()[1]);
+  EXPECT_TRUE(lut_input_removable(mat.to_table(), 1));
 }
 
 }  // namespace

@@ -6,11 +6,13 @@
 
 #include "core/poetbin.h"
 #include "hw/netlist_builder.h"
+#include "reference/scalar_reference.h"
 #include "test_util.h"
 
 namespace poetbin {
 namespace {
 
+using reference::verify_equivalent;
 using testing::random_bits;
 
 // All 2^k input combinations as a BitMatrix (for exhaustive equivalence).
@@ -150,25 +152,26 @@ TEST(OptimizeNetlist, DepthNeverIncreases) {
     }
     const RincModule module = RincModule::train(
         features, targets, {}, {.lut_inputs = 3, .levels = 2, .total_dts = 6});
-    const RincNetlist built = build_rinc_netlist(module, 12);
-    const Netlist optimized = optimize_netlist(built.netlist);
-    EXPECT_LE(optimized.depth(), built.netlist.depth()) << "seed " << seed;
-    EXPECT_TRUE(verify_equivalent(built.netlist, optimized, features));
+    const Netlist built = build_rinc_netlist(module, 12);
+    const Netlist optimized = optimize_netlist(built);
+    EXPECT_LE(optimized.depth(), built.depth()) << "seed " << seed;
+    EXPECT_TRUE(verify_equivalent(built, optimized, features));
   }
 }
 
 TEST(OptimizeNetlist, VhdlEmitsConstantsFromOptimizedNetlist) {
-  Netlist netlist;
-  const auto a = netlist.add_input(0, "a");
-  const auto zero = netlist.add_lut({a}, BitVector(2), "z");
-  netlist.mark_output(zero);
-  const Netlist optimized = optimize_netlist(netlist);
-  RincNetlist wrapper;
-  wrapper.netlist = optimized;
-  wrapper.n_features = 1;
-  wrapper.output_node = optimized.outputs()[0];
-  const std::string vhdl = generate_rinc_vhdl(wrapper, "const_entity");
-  EXPECT_NE(vhdl.find("<= '0';"), std::string::npos);
+  // A one-class classifier with a one-bit code that is constant 0.
+  PoetBinNetlist classifier;
+  classifier.quant_bits = 1;
+  const auto a = classifier.netlist.add_input(0, "a");
+  classifier.netlist.mark_output(
+      classifier.netlist.add_lut({a}, BitVector(2), "z"));
+  classifier.netlist = optimize_netlist(classifier.netlist);
+  const std::string vhdl =
+      generate_vhdl(classifier, {.entity_name = "const_entity"});
+  EXPECT_NE(vhdl.find("entity const_entity is"), std::string::npos);
+  EXPECT_NE(vhdl.find("n_const0 <= '0';"), std::string::npos);
+  EXPECT_NE(vhdl.find("score0(0) <= n_const0;"), std::string::npos);
   EXPECT_EQ(vhdl.find("constant TBL_"), std::string::npos);
 }
 
@@ -180,12 +183,12 @@ TEST(SimulateDataset, MatchesScalarSimulation) {
   }
   const RincModule module = RincModule::train(
       features, targets, {}, {.lut_inputs = 4, .levels = 2, .total_dts = 8});
-  const RincNetlist netlist = build_rinc_netlist(module, 24);
+  const Netlist netlist = build_rinc_netlist(module, 24);
 
-  const auto columns = netlist.netlist.simulate_dataset(features);
-  ASSERT_EQ(columns.size(), netlist.netlist.n_nodes());
+  const auto columns = netlist.simulate_dataset(features);
+  ASSERT_EQ(columns.size(), netlist.n_nodes());
   for (std::size_t i = 0; i < features.rows(); ++i) {
-    const auto scalar = netlist.netlist.simulate(features.row(i));
+    const auto scalar = netlist.simulate(features.row(i));
     for (std::size_t node = 0; node < scalar.size(); ++node) {
       ASSERT_EQ(columns[node].get(i), scalar[node])
           << "node " << node << " row " << i;

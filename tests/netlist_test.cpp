@@ -69,12 +69,13 @@ TEST(RincNetlist, MatchesModuleBitExactly) {
   });
   const RincModule module = RincModule::train(
       features, targets, {}, {.lut_inputs = 4, .levels = 2, .total_dts = 12});
-  const RincNetlist netlist = build_rinc_netlist(module, 32);
-  EXPECT_EQ(netlist.netlist.n_luts(), module.lut_count());
-  EXPECT_EQ(netlist.netlist.depth(), module.depth_in_luts());
+  const Netlist netlist = build_rinc_netlist(module, 32);
+  EXPECT_EQ(netlist.n_luts(), module.lut_count());
+  EXPECT_EQ(netlist.depth(), module.depth_in_luts());
   for (std::size_t i = 0; i < features.rows(); ++i) {
     const BitVector row = features.row(i);
-    EXPECT_EQ(netlist.eval(row), reference::eval_module(module, row))
+    EXPECT_EQ(netlist.simulate_outputs(row)[0],
+              reference::eval_module(module, row))
         << "row " << i;
   }
 }
@@ -102,8 +103,9 @@ TEST(PoetBinNetlist, MatchesModelBitExactly) {
 
   const PoetBinNetlist netlist = build_poetbin_netlist(model, 48);
   EXPECT_EQ(netlist.netlist.n_luts(), model.lut_count());
-  EXPECT_EQ(netlist.class_code_bits.size(), 10u);
-  EXPECT_EQ(netlist.class_code_bits[0].size(), 8u);
+  EXPECT_EQ(netlist.n_classes(), 10u);
+  EXPECT_EQ(netlist.quant_bits, 8u);
+  EXPECT_EQ(netlist.netlist.outputs().size(), 80u);
 
   const auto model_predictions =
       reference::predict_dataset(model, data.features);
@@ -132,15 +134,15 @@ TEST(PoetBinNetlist, CodeBitsReconstructNeuronCodes) {
   // model's combo-indexed code table.
   const BitMatrix rinc_bits = reference::rinc_outputs(model, data.features);
   for (std::size_t i = 0; i < 20; ++i) {
-    const auto values = netlist.netlist.simulate(data.features.row(i));
+    const auto codes = netlist.netlist.simulate_outputs(data.features.row(i));
     for (std::size_t c = 0; c < model.n_classes(); ++c) {
       std::size_t combo = 0;
       for (std::size_t j = 0; j < p; ++j) {
         if (rinc_bits.get(i, c * p + j)) combo |= std::size_t{1} << j;
       }
       std::uint32_t code = 0;
-      for (std::size_t k = 0; k < netlist.class_code_bits[c].size(); ++k) {
-        if (values[netlist.class_code_bits[c][k]]) code |= 1u << k;
+      for (std::size_t k = 0; k < netlist.quant_bits; ++k) {
+        if (codes[c * netlist.quant_bits + k]) code |= 1u << k;
       }
       EXPECT_EQ(code, model.output_neurons()[c].codes[combo]);
     }

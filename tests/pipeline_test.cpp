@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace poetbin {
 namespace {
 
@@ -45,7 +47,7 @@ TEST(Pipeline, FeatureBitsShapes) {
 TEST(Pipeline, FeaturesAreInformative) {
   // Binary features must not be degenerate: some columns vary.
   const PipelineResult& result = tiny_run();
-  const auto means = column_means(result.train_bits.features);
+  const auto means = testing::column_means(result.train_bits.features);
   std::size_t varying = 0;
   for (const double m : means) {
     if (m > 0.02 && m < 0.98) ++varying;

@@ -18,6 +18,7 @@
 #include "core/rinc.h"
 #include "core/rinc_conv.h"
 #include "dt/lut.h"
+#include "hw/netlist.h"
 #include "util/bit_matrix.h"
 #include "util/bitvector.h"
 
@@ -98,5 +99,14 @@ BitMatrix conv_eval_dataset(const RincConvLayer& layer,
 // conv_eval_dataset, then the classifier's predict_dataset.
 std::vector<int> predict_dataset(const ConvModel& model,
                                  const BitMatrix& frames);
+
+// --- netlist equivalence -------------------------------------------------
+
+// True iff the two netlists produce identical outputs on every row of
+// `vectors`, simulated one row at a time (a Monte-Carlo equivalence check;
+// exhaustive for few inputs). Holds optimize_netlist to the netlist it
+// was given.
+bool verify_equivalent(const Netlist& a, const Netlist& b,
+                       const BitMatrix& vectors);
 
 }  // namespace poetbin::reference

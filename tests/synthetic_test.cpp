@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "test_util.h"
+
 namespace poetbin {
 namespace {
 
@@ -45,7 +47,7 @@ TEST_P(SyntheticFamilyTest, DifferentSeedsDiffer) {
 
 TEST_P(SyntheticFamilyTest, ClassesRoughlyBalanced) {
   const ImageDataset data = make_synthetic({GetParam(), 2000, 3, 0.15});
-  const auto histogram = class_histogram(data.labels, 10);
+  const auto histogram = testing::class_histogram(data.labels, 10);
   for (const auto count : histogram) {
     EXPECT_GT(count, 120u);  // expectation 200, loose 3-sigma-ish bound
     EXPECT_LT(count, 300u);

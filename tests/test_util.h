@@ -9,6 +9,7 @@
 #include "data/dataset.h"
 #include "util/bit_matrix.h"
 #include "util/bitvector.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/word_backend.h"
 
@@ -92,6 +93,29 @@ inline BinaryDataset prototype_dataset(std::size_t n, std::size_t n_features,
     }
   }
   return data;
+}
+
+// Fraction of set bits per column; used to verify binary features are not
+// degenerate (all-0 / all-1 columns carry no information for any DT).
+inline std::vector<double> column_means(const BitMatrix& bits) {
+  std::vector<double> means(bits.cols(), 0.0);
+  if (bits.rows() == 0) return means;
+  for (std::size_t c = 0; c < bits.cols(); ++c) {
+    means[c] = static_cast<double>(bits.column(c).popcount()) /
+               static_cast<double>(bits.rows());
+  }
+  return means;
+}
+
+// Class frequency histogram.
+inline std::vector<std::size_t> class_histogram(const std::vector<int>& labels,
+                                                std::size_t n_classes) {
+  std::vector<std::size_t> histogram(n_classes, 0);
+  for (const int label : labels) {
+    POETBIN_CHECK(label >= 0 && static_cast<std::size_t>(label) < n_classes);
+    ++histogram[static_cast<std::size_t>(label)];
+  }
+  return histogram;
 }
 
 }  // namespace poetbin::testing

@@ -18,7 +18,7 @@ std::size_t count_occurrences(const std::string& text, const std::string& what) 
   return count;
 }
 
-RincNetlist trained_rinc() {
+Netlist trained_rinc() {
   const BitMatrix features = testing::random_bits(200, 16, 1);
   BitVector targets(200);
   for (std::size_t i = 0; i < 200; ++i) {
@@ -30,28 +30,29 @@ RincNetlist trained_rinc() {
 }
 
 TEST(Verilog, RincModuleStructure) {
-  const RincNetlist netlist = trained_rinc();
-  const std::string verilog = generate_rinc_verilog(netlist, "my_rinc");
+  // One trained module, exported as a one-class classifier whose one-bit
+  // code is the module's output.
+  const PoetBinNetlist netlist{trained_rinc(), 1};
+  const std::string verilog =
+      generate_verilog(netlist, {.module_name = "my_rinc"});
   EXPECT_NE(verilog.find("module my_rinc ("), std::string::npos);
   EXPECT_NE(verilog.find("endmodule"), std::string::npos);
   EXPECT_NE(verilog.find("input  wire [15:0] x"), std::string::npos);
-  EXPECT_NE(verilog.find("output wire y"), std::string::npos);
+  EXPECT_NE(verilog.find("output wire [0:0] score0"), std::string::npos);
   EXPECT_EQ(count_occurrences(verilog, "localparam"),
             netlist.netlist.n_luts());
 }
 
 TEST(Verilog, TableLiteralMsbFirst) {
-  Netlist netlist;
-  const auto a = netlist.add_input(0, "a");
+  PoetBinNetlist classifier;
+  classifier.quant_bits = 1;
+  const auto a = classifier.netlist.add_input(0, "a");
   BitVector table(2);
   table.set(0, true);  // inverter: address 0 -> 1, address 1 -> 0
-  const auto inverter = netlist.add_lut({a}, table, "inv");
-  netlist.mark_output(inverter);
-  RincNetlist wrapper;
-  wrapper.netlist = netlist;
-  wrapper.n_features = 1;
-  wrapper.output_node = inverter;
-  const std::string verilog = generate_rinc_verilog(wrapper, "inv_mod");
+  classifier.netlist.mark_output(classifier.netlist.add_lut({a}, table, "inv"));
+  const std::string verilog =
+      generate_verilog(classifier, {.module_name = "inv_mod"});
+  EXPECT_NE(verilog.find("module inv_mod ("), std::string::npos);
   // MSB first: table bits "01" (bit1=0, bit0=1).
   EXPECT_NE(verilog.find("2'b01"), std::string::npos);
 }
@@ -84,17 +85,18 @@ TEST(Verilog, ClassifierPorts) {
 }
 
 TEST(Verilog, HandlesConstantNodesFromOptimizer) {
-  Netlist netlist;
-  const auto a = netlist.add_input(0, "a");
-  const auto zero = netlist.add_lut({a}, BitVector(2), "z");
-  netlist.mark_output(zero);
-  const Netlist optimized = optimize_netlist(netlist);
-  RincNetlist wrapper;
-  wrapper.netlist = optimized;
-  wrapper.n_features = 1;
-  wrapper.output_node = optimized.outputs()[0];
-  const std::string verilog = generate_rinc_verilog(wrapper, "const_mod");
-  EXPECT_NE(verilog.find("= 1'b0;"), std::string::npos);
+  // A one-class classifier with a one-bit code that is constant 0.
+  PoetBinNetlist classifier;
+  classifier.quant_bits = 1;
+  const auto a = classifier.netlist.add_input(0, "a");
+  classifier.netlist.mark_output(
+      classifier.netlist.add_lut({a}, BitVector(2), "z"));
+  classifier.netlist = optimize_netlist(classifier.netlist);
+  const std::string verilog =
+      generate_verilog(classifier, {.module_name = "const_mod"});
+  EXPECT_NE(verilog.find("module const_mod ("), std::string::npos);
+  EXPECT_NE(verilog.find("wire n_const0 = 1'b0;"), std::string::npos);
+  EXPECT_NE(verilog.find("assign score0[0] = n_const0;"), std::string::npos);
   EXPECT_EQ(verilog.find("localparam"), std::string::npos);
 }
 

@@ -92,11 +92,27 @@ TEST(Vhdl, RincEntityGenerates) {
   for (std::size_t i = 0; i < 100; ++i) targets.set(i, features.get(i, 3));
   const RincModule module = RincModule::train(
       features, targets, {}, {.lut_inputs = 3, .levels = 1, .total_dts = 3});
-  const RincNetlist netlist = build_rinc_netlist(module, 16);
-  const std::string vhdl = generate_rinc_vhdl(netlist, "my_rinc");
+  // The module exported as a one-class classifier whose one-bit code is
+  // the module's output.
+  const PoetBinNetlist netlist{build_rinc_netlist(module, 16), 1};
+  const std::string vhdl = generate_vhdl(netlist, {.entity_name = "my_rinc"});
   EXPECT_NE(vhdl.find("entity my_rinc is"), std::string::npos);
-  EXPECT_NE(vhdl.find("y : out std_logic"), std::string::npos);
+  EXPECT_NE(vhdl.find("score0 : out std_logic_vector(0 downto 0)"),
+            std::string::npos);
   EXPECT_EQ(count_occurrences(vhdl, "constant TBL_"), module.lut_count());
+}
+
+TEST(Vhdl, SingleFaninAddressIsElementZero) {
+  // An inverter, which optimize_netlist keeps and exports ship: its one-bit
+  // address is a std_logic, so it is assigned to element 0 of the vector.
+  PoetBinNetlist classifier;
+  classifier.quant_bits = 1;
+  const auto a = classifier.netlist.add_input(0, "a");
+  BitVector table(2);
+  table.set(0, true);
+  classifier.netlist.mark_output(classifier.netlist.add_lut({a}, table, "inv"));
+  const std::string vhdl = generate_vhdl(classifier);
+  EXPECT_NE(vhdl.find("a_inv(0) <= x(0);"), std::string::npos);
 }
 
 TEST(Vhdl, TestbenchEmbedsVectorsAndAssertions) {
@@ -117,11 +133,13 @@ TEST(Vhdl, TestbenchExpectationsMatchSimulator) {
   VhdlOptions options;
   options.testbench_vectors = 3;
   const std::string tb = generate_testbench(fx.netlist, fx.data.features, options);
-  // The expected score for vector 0 / class 0 must equal the simulated code.
-  const auto values = fx.netlist.netlist.simulate(fx.data.features.row(0));
+  // The expected score for vector 0 / class 0 must equal the simulated
+  // code: class 0's bits are the first quant_bits outputs.
+  const auto codes =
+      fx.netlist.netlist.simulate_outputs(fx.data.features.row(0));
   std::string expected;
-  for (std::size_t k = fx.netlist.class_code_bits[0].size(); k-- > 0;) {
-    expected.push_back(values[fx.netlist.class_code_bits[0][k]] ? '1' : '0');
+  for (std::size_t k = fx.netlist.quant_bits; k-- > 0;) {
+    expected.push_back(codes[k] ? '1' : '0');
   }
   EXPECT_NE(tb.find("assert score0 = \"" + expected + "\""), std::string::npos);
 }

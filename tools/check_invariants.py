@@ -76,6 +76,13 @@ Rules (each with the incident that motivated it):
   tsan-supp-clean        tsan.supp never suppresses a `poetbin::` frame — a
                          race in our code is fixed or annotated at the
                          source, not muted.
+  no-test-only-headers   Every src/ header is included by some file outside
+                         tests/ other than its own .cpp (src/, examples/,
+                         bench/, tools/ and perfbench/ count). A subsystem
+                         only tests exercise is deleted, not kept alive by
+                         its own test: augmentation, the RINC-only HDL
+                         emitters and a second LUT-pruning analysis had
+                         outlived every production caller.
 
 Exit codes: 0 clean, 1 violations found, 2 usage/internal error.
 Suppress a single line with `// invariants: allow-<rule>` (C++) or
@@ -416,6 +423,43 @@ def check_tsan_supp_clean(root):
     return violations
 
 
+# --- rule: no-test-only-headers ---------------------------------------------
+
+INCLUDE_LINE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
+# Trees whose includes keep a src/ header alive; tests/ is not one of them.
+INCLUDER_DIRS = ["src", "examples", "bench", "tools", "perfbench"]
+
+
+def check_no_test_only_headers(root):
+    src = os.path.join(root, "src")
+    headers = {}  # include spelling ("hw/vhdl.h") -> repo-relative path
+    for path in iter_files(root, ["src"], (".h", ".hpp")):
+        headers[os.path.relpath(path, src).replace(os.sep, "/")] = path
+    included = set()
+    for path in iter_files(root, INCLUDER_DIRS, CXX_EXTENSIONS):
+        own_header = os.path.splitext(path)[0]
+        for line in read_lines(path):
+            match = INCLUDE_LINE.match(line)
+            if not match or match.group(1) not in headers:
+                continue
+            header_path = headers[match.group(1)]
+            if os.path.splitext(header_path)[0] != own_header:
+                included.add(match.group(1))
+    violations = []
+    for spelling, path in sorted(headers.items()):
+        if spelling in included:
+            continue
+        first_line = read_lines(path)[:1]
+        if first_line and allow_marker("no-test-only-headers", first_line[0]):
+            continue
+        violations.append(Violation(
+            "no-test-only-headers", relpath(root, path), 1,
+            "no file outside tests/ includes this header (its own .cpp "
+            "does not count); delete the test-only subsystem or give it "
+            "a production caller"))
+    return violations
+
+
 RULES = [
     check_memory_order_comment,
     check_atomic_model_publish,
@@ -427,6 +471,7 @@ RULES = [
     check_frame_payload_bound,
     check_no_rand_time,
     check_tsan_supp_clean,
+    check_no_test_only_headers,
 ]
 
 
@@ -472,6 +517,12 @@ def seed_clean_tree(root):
           "const auto loaded = read_model_file_any(path);\n")
     write(root, "tools/push.sh", "mv model.tmp.$$ model.pbm\n")
     write(root, "tsan.supp", "# no suppressions\n")
+    # Every src/ header has a production includer, the headers the other
+    # rules' violations are seeded in included.
+    write(root, "examples/good_includes.cpp",
+          "".join(f'#include "{h}"\n' for h in (
+              "serve/protocol.h", "core/bad_shim.h", "serve/bad_knob.h",
+              "serve/bad_server.h", "dt/bad_lut.h", "core/bad_loader.h")))
 
 
 # (rule name, relative path, file content) — one seeded violation per rule.
@@ -508,7 +559,18 @@ SELF_TEST_VIOLATIONS = [
      "int jitter = rand() % 100;\n"),
     ("tsan-supp-clean", "tsan.supp",
      "race:poetbin::PredictCache::probe\n"),
+    ("no-test-only-headers", "src/hw/bad_orphan.h",
+     "std::string generate_orphan_vhdl(const Netlist& netlist);\n"),
 ]
+
+# Further files a seeded violation needs: the orphan header is included by
+# its own .cpp and by a test, neither of which keeps it alive.
+SELF_TEST_EXTRA_FILES = {
+    "no-test-only-headers": [
+        ("src/hw/bad_orphan.cpp", '#include "hw/bad_orphan.h"\n'),
+        ("tests/bad_orphan_test.cpp", '#include "hw/bad_orphan.h"\n'),
+    ],
+}
 
 
 def self_test():
@@ -523,6 +585,8 @@ def self_test():
             with tempfile.TemporaryDirectory() as seeded_root:
                 seed_clean_tree(seeded_root)
                 write(seeded_root, rel, content)
+                for extra_rel, extra in SELF_TEST_EXTRA_FILES.get(rule, []):
+                    write(seeded_root, extra_rel, extra)
                 found = [v for v in run_all(seeded_root) if v.rule == rule]
                 if not found:
                     failures.append(
