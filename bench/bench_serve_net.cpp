@@ -14,10 +14,13 @@
 // AVX-512 Xeon alternating with this code). Bit-identity is a hard
 // failure at any scale.
 //
-// Two rows run: the prediction cache OFF — the gated row, so the target
-// keeps measuring the uncached dispatch path — and the cache ON
+// Two pipelined rows run: the prediction cache OFF — the gated row, so the
+// target keeps measuring the uncached dispatch path — and the cache ON
 // (informational here; the dedicated cache sweep with its own acceptance
-// lives in bench_serve_cache).
+// lives in bench_serve_cache). A third, ungated row measures light
+// traffic: one client sends one request at a time and pauses 2 x max_wait
+// between requests, so every window is a lone request and its latency
+// shows whether the window waits out max_wait.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -45,6 +48,7 @@ constexpr std::size_t kClientThreads = 8;
 constexpr std::size_t kPipelineDepth = 16;
 constexpr std::size_t kKeySpace = 1024;
 constexpr double kZipfTheta = 0.99;
+constexpr std::chrono::microseconds kMaxWait{200};
 // Windowed uncached kqps of the commit before per-example gather
 // evaluation: the lowest of five runs alternating with this code on a
 // 4-vCPU AVX-512 Xeon (runs 375, 411, 408, 392, 450 kqps; median 408).
@@ -127,9 +131,7 @@ ModeResult run_mode(const PoetBin& model, const std::vector<BitVector>& pool,
                     std::size_t bursts_per_thread) {
   Runtime runtime(model, {.threads = 1, .cache_bytes = cache_bytes});
   NetServer server(runtime,
-                   {.port = 0,
-                    .max_batch = 64,
-                    .max_wait = std::chrono::microseconds(200)});
+                   {.port = 0, .max_batch = 64, .max_wait = kMaxWait});
   std::string error;
   if (!server.start(&error)) {
     std::printf("  ERROR: %s\n", error.c_str());
@@ -199,6 +201,54 @@ ModeResult run_mode(const PoetBin& model, const std::vector<BitVector>& pool,
   return result;
 }
 
+// Light traffic: one uncached client, one request at a time, a pause of
+// 2 x max_wait before each, so no request ever shares a window. Latency is
+// per request (round trip).
+ModeResult run_light(const PoetBin& model, const std::vector<BitVector>& pool,
+                     const std::vector<int>& expected,
+                     std::size_t n_requests) {
+  Runtime runtime(model, {.threads = 1});
+  NetServer server(runtime,
+                   {.port = 0, .max_batch = 64, .max_wait = kMaxWait});
+  ModeResult result;
+  std::string error;
+  NetClient client;
+  if (!server.start(&error) ||
+      !client.connect("127.0.0.1", server.port(),
+                      std::chrono::milliseconds(5000), &error)) {
+    std::printf("  ERROR: %s\n", error.c_str());
+    return result;
+  }
+  FastZipf zipf(0x119417ULL, kZipfTheta, pool.size());
+  std::vector<double> latencies;
+  latencies.reserve(n_requests);
+  wire::Response response;
+  for (std::size_t i = 0; i < n_requests; ++i) {
+    std::this_thread::sleep_for(2 * kMaxWait);
+    const std::size_t key = zipf.next();
+    const auto s0 = Clock::now();
+    if (!client.predict(pool[key], &response)) {
+      result.transport_errors += n_requests - i;
+      break;
+    }
+    latencies.push_back(
+        1e3 * std::chrono::duration<double>(Clock::now() - s0).count());
+    if (response.status != wire::Status::kOk) {
+      ++result.transport_errors;
+    } else if (response.prediction != expected[key]) {
+      ++result.mismatches;
+    }
+  }
+  result.stats = server.stats();
+  server.stop();
+  result.requests = latencies.size();
+  std::sort(latencies.begin(), latencies.end());
+  result.p50_ms = percentile(latencies, 0.50);
+  result.p99_ms = percentile(latencies, 0.99);
+  result.p999_ms = percentile(latencies, 0.999);
+  return result;
+}
+
 void report(const char* label, const ModeResult& r) {
   std::printf("  %-22s %9.0f req/s  burst p50 %7.3f ms  p99 %7.3f ms  "
               "p999 %7.3f ms  mean fill %.1f\n",
@@ -251,17 +301,30 @@ int main() {
                                      /*cache_bytes=*/8u << 20,
                                      bursts_per_thread);
   report("micro-batch + cache", cached);
+  const std::size_t light_requests = std::max(
+      std::size_t{200},
+      static_cast<std::size_t>(2000 * bench::bench_scale()));
+  const ModeResult light = run_light(model, pool, expected, light_requests);
+  std::printf("  %-22s %zu requests one at a time, %lld us apart: "
+              "p50 %.3f ms  p99 %.3f ms  mean fill %.2f\n",
+              "light (1 client)", light.requests,
+              static_cast<long long>(2 * kMaxWait.count()), light.p50_ms,
+              light.p99_ms, light.stats.mean_window_fill());
 
-  if (micro.requests == 0 || cached.requests == 0 ||
-      micro.transport_errors > 0 || cached.transport_errors > 0) {
-    std::printf("  ERROR: transport failures (micro %zu, cached %zu)\n",
-                micro.transport_errors, cached.transport_errors);
+  if (micro.requests == 0 || cached.requests == 0 || light.requests == 0 ||
+      micro.transport_errors > 0 || cached.transport_errors > 0 ||
+      light.transport_errors > 0) {
+    std::printf("  ERROR: transport failures (micro %zu, cached %zu, "
+                "light %zu)\n",
+                micro.transport_errors, cached.transport_errors,
+                light.transport_errors);
     return 1;
   }
-  if (micro.mismatches > 0 || cached.mismatches > 0) {
+  if (micro.mismatches > 0 || cached.mismatches > 0 ||
+      light.mismatches > 0) {
     std::printf("  ERROR: served predictions disagree with the scalar walk "
-                "(micro %zu, cached %zu)\n",
-                micro.mismatches, cached.mismatches);
+                "(micro %zu, cached %zu, light %zu)\n",
+                micro.mismatches, cached.mismatches, light.mismatches);
     return 1;
   }
 
@@ -282,6 +345,9 @@ int main() {
   json.add("serve_net_micro_p99_ms", micro.p99_ms);
   json.add("serve_net_micro_p999_ms", micro.p999_ms);
   json.add("serve_net_micro_mean_fill", micro.stats.mean_window_fill());
+  json.add("serve_net_light_p50_ms", light.p50_ms);
+  json.add("serve_net_light_p99_ms", light.p99_ms);
+  json.add("serve_net_light_mean_fill", light.stats.mean_window_fill());
   json.add("acceptance_pass", pass ? 1.0 : 0.0);
 
   if (bench::bench_scale() < 1.0) {

@@ -9,7 +9,10 @@
 namespace poetbin {
 
 MicroBatcher::MicroBatcher(const Runtime& runtime, MicroBatcherOptions options)
-    : runtime_(&runtime), options_(options) {
+    : runtime_(&runtime),
+      options_(options),
+      gap_ewma_(2 * options.max_wait),  // idle until traffic shows up
+      last_join_(std::chrono::steady_clock::now()) {
   POETBIN_CHECK_MSG(options_.max_batch > 0, "max_batch must be positive");
 }
 
@@ -19,6 +22,21 @@ std::shared_ptr<MicroBatcher::Batch> MicroBatcher::join(
     const BitVector& example_bits, bool blocking, std::size_t* index,
     bool* dispatch_claimed, bool* leader) {
   std::lock_guard<std::mutex> lock(mu_);
+  // Arrival-gap estimate: the time since the previous join, spread over
+  // this join and the cache hits answered in between (hits are arrivals
+  // too, or a mostly-cached stream would look idle to its misses).
+  const auto now = std::chrono::steady_clock::now();
+  // order: relaxed — a statistics counter; a hit the load misses lands in
+  // the next join's share.
+  const std::uint64_t hits =
+      cache_hit_requests_.load(std::memory_order_relaxed);
+  const std::chrono::nanoseconds idle = 2 * options_.max_wait;
+  const std::chrono::nanoseconds gap =
+      (now - last_join_) / static_cast<std::int64_t>(1 + hits -
+                                                     hits_at_last_join_);
+  last_join_ = now;
+  hits_at_last_join_ = hits;
+  gap_ewma_ = gap >= idle ? idle : gap_ewma_ + (gap - gap_ewma_) / 8;
   if (open_ == nullptr) open_ = std::make_shared<Batch>();
   std::shared_ptr<Batch> batch = open_;
   *index = batch->examples.size();
@@ -115,18 +133,20 @@ std::vector<int> MicroBatcher::predict_conv_window(
 int MicroBatcher::await(const std::shared_ptr<Batch>& batch, std::size_t index,
                         bool leader) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (leader) {
+  if (leader && !batch->done && !batch->closed) {
+    // Light traffic: nobody is expected to join within max_wait, so the
+    // window goes out now. Otherwise it waits up to max_wait for company.
+    const bool light = gap_ewma_ > options_.max_wait;
     const auto deadline = std::chrono::steady_clock::now() + options_.max_wait;
-    while (!batch->done && !batch->closed) {
-      if (batch->cv.wait_until(lock, deadline) ==
-          std::cv_status::timeout) {
-        if (!batch->done && !batch->closed && try_close(batch)) {
-          lock.unlock();
-          dispatch(batch, /*timed_out=*/true);
-          lock.lock();
-        }
+    while (!light && !batch->done && !batch->closed) {
+      if (batch->cv.wait_until(lock, deadline) == std::cv_status::timeout) {
         break;
       }
+    }
+    if (!batch->done && !batch->closed && try_close(batch)) {
+      lock.unlock();
+      dispatch(batch, /*timed_out=*/!light);
+      lock.lock();
     }
   }
   batch->cv.wait(lock, [&] { return batch->done; });
@@ -175,7 +195,8 @@ int MicroBatcher::Ticket::get() {
   // A cache hit resolved at submit() time and carries no batch.
   if (batch_ == nullptr) return resolved_;
   // The window may still be open (submit-only traffic with no blocking
-  // leader). Act as a leader: give it max_wait to fill, then dispatch.
+  // leader). Act as a leader: dispatch it now or after max_wait, by the
+  // same rule as a blocking leader.
   return parent_->await(batch_, index_, /*leader=*/true);
 }
 

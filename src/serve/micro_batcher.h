@@ -19,13 +19,23 @@
 //   Ticket t = batcher.submit(bits);            // async; t.get() blocks
 //
 // Batching policy: a window closes (and dispatches) when it reaches
-// max_batch examples, or when its oldest blocking request has waited
-// max_wait. The first blocking request in a window is its *leader* — it
-// arms the timeout; later requests just wait; whichever request observes
-// the window full dispatches it inline. There is no dispatcher thread:
-// submit()-only traffic dispatches when the window fills, on flush(), or
-// at the latest when a Ticket::get() times out its window, so no request
-// can strand.
+// max_batch examples, when its oldest blocking request has waited
+// max_wait, or at once when traffic is too light for waiting to pay. The
+// first blocking request in a window is its *leader*; later requests just
+// wait; whichever request observes the window full dispatches it inline.
+// The leader arms its max_wait timer only when at least one more request
+// is expected within max_wait. The batcher keeps a running estimate of the
+// arrival gap: an EWMA (weight 1/8) of the time between window joins,
+// spread over each join and the cache hits answered since the previous
+// one, with every gap capped at 2 x max_wait. The estimate starts idle
+// (at the cap), and a gap that reaches the cap resets it to idle. While
+// the estimate exceeds max_wait the leader closes the window and
+// dispatches it straight away, so a lone request under light traffic is
+// answered in one predict instead of after max_wait. The rule has no knob
+// of its own: max_wait sets both the window and the threshold. There is no
+// dispatcher thread: submit()-only traffic dispatches when the window
+// fills, on flush(), or at the latest when a Ticket::get() leads its
+// window, so no request can strand.
 //
 // Lifetime: the caller's example bits must stay alive until the request's
 // result is returned (predict_one) or Ticket::get() completes — the
@@ -65,8 +75,10 @@ struct MicroBatcherOptions {
   // dispatches.
   std::size_t max_batch = 64;
   // How long a blocking request may wait for the window to fill before the
-  // partial batch is dispatched anyway. 0 = dispatch immediately (blocking
-  // requests never batch; submit() traffic still packs full windows).
+  // partial batch is dispatched anyway; it also sets the light-traffic
+  // threshold (see the batching policy above). 0 = dispatch immediately
+  // (blocking requests never batch; submit() traffic still packs full
+  // windows).
   std::chrono::microseconds max_wait{200};
 };
 
@@ -81,14 +93,15 @@ class MicroBatcher {
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
   // Blocking: joins the open window and returns this example's class once
-  // the window dispatches (full, or max_wait elapsed).
+  // the window dispatches (full, max_wait elapsed, or at once under light
+  // traffic).
   int predict_one(const BitVector& example_bits);
 
   class Ticket;
   // Async: joins the open window and returns immediately. The window
   // dispatches inline (on the submitting thread) when it fills; otherwise
-  // the result materializes on flush(), on a blocking request's timeout, or
-  // when get() runs out its own max_wait.
+  // the result materializes on flush(), when a blocking request dispatches
+  // the window, or when get() leads it (see the batching policy above).
   Ticket submit(const BitVector& example_bits);
 
   // Dispatches the open partial window, if any. Called by the destructor.
@@ -96,7 +109,8 @@ class MicroBatcher {
 
   // Snapshot of the serving counters (serve/serve_stats.h): requests
   // (cache hits included — every prediction returned counts), dispatched
-  // windows, leader-timeout dispatches, the window-fill histogram, and the
+  // windows, leader-timeout dispatches (a window a leader dispatched at
+  // once under light traffic is not one), the window-fill histogram, and the
   // Runtime cache's counters. Monotonic; racing reads see a consistent
   // snapshot. The network-layer fields (errors, connections) stay zero
   // here — the NetServer fills them in its own snapshot.
@@ -112,12 +126,12 @@ class MicroBatcher {
     std::condition_variable cv;
   };
 
-  // Joins (or opens) the current window. Returns the joined batch and the
-  // caller's slot; closes + claims the window when this join fills it
-  // (*dispatch_claimed). A `blocking` join becomes the window's leader
-  // (*leader) when it is the first blocking request — submit() joins never
-  // lead, so a blocking request arriving after async ones still arms the
-  // max_wait timeout.
+  // Joins (or opens) the current window and folds this arrival into the
+  // arrival-gap estimate. Returns the joined batch and the caller's slot;
+  // closes + claims the window when this join fills it (*dispatch_claimed).
+  // A `blocking` join becomes the window's leader (*leader) when it is the
+  // first blocking request — submit() joins never lead, so a blocking
+  // request arriving after async ones still leads the window.
   std::shared_ptr<Batch> join(const BitVector& example_bits, bool blocking,
                               std::size_t* index, bool* dispatch_claimed,
                               bool* leader);
@@ -133,8 +147,10 @@ class MicroBatcher {
   std::vector<int> predict_conv_window(
       const Runtime::Snapshot& snap,
       const std::vector<const BitVector*>& examples);
-  // Blocks until `batch` is done, dispatching it on timeout if nobody else
-  // has. Returns the result at `index`.
+  // Blocks until `batch` is done. A leader dispatches the window itself:
+  // at once when the arrival-gap estimate says nobody else is coming within
+  // max_wait, otherwise on timeout if nobody else has. Returns the result
+  // at `index`.
   int await(const std::shared_ptr<Batch>& batch, std::size_t index,
             bool leader);
   // Cache probe shared by both entry points. True = *prediction is the
@@ -145,13 +161,20 @@ class MicroBatcher {
   const Runtime* runtime_;
   MicroBatcherOptions options_;
 
-  mutable std::mutex mu_;   // guards open_, batch states and the stats
+  mutable std::mutex mu_;   // guards open_, batch states, the stats and
+                            // the arrival-gap estimate
   std::mutex dispatch_mu_;  // serializes conv windows' engine passes
   std::shared_ptr<Batch> open_;
   ServeStats stats_;
   // Requests answered straight from the cache — kept out of mu_ so the
-  // lock-free hit path stays lock-free; stats() folds them into requests.
+  // lock-free hit path stays lock-free; stats() folds them into requests,
+  // and join() counts them as arrivals.
   std::atomic<std::uint64_t> cache_hit_requests_{0};
+  // Arrival-gap estimate (see the batching policy): the EWMA, the time of
+  // the previous join, and the cache-hit count it saw.
+  std::chrono::nanoseconds gap_ewma_;
+  std::chrono::steady_clock::time_point last_join_;
+  std::uint64_t hits_at_last_join_ = 0;
 
   friend class Ticket;
 };

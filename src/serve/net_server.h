@@ -8,7 +8,11 @@
 // write — so pipelined clients (several requests in flight per connection)
 // pay one wake-up and one syscall pair per read, not per request. A dense
 // model answers each request with its compiled gather program
-// (PoetBin::predict); a conv model's window runs one bitsliced pass.
+// (PoetBin::predict); a conv model's window runs one bitsliced pass. The
+// window waits up to max_wait for other connections' requests only while
+// the batcher's arrival estimate expects one within max_wait
+// (serve/micro_batcher.h); under light traffic, including a fresh server's
+// first request, a read's window is dispatched at once.
 //
 //   Runtime rt(model, {.threads = 1});
 //   NetServer server(rt, {.port = 0});          // 0 = pick an ephemeral port
@@ -65,8 +69,8 @@ struct NetServerOptions {
   // Set SO_REUSEPORT before bind so several forked workers can share one
   // port (the kernel balances accepts across them).
   bool reuse_port = false;
-  // MicroBatcher window: at most max_batch requests, dispatched when full
-  // or when its oldest blocking request has waited max_wait.
+  // MicroBatcher window: at most max_batch requests, dispatched when full,
+  // when its leader has waited max_wait, or at once under light traffic.
   std::size_t max_batch = 64;
   std::chrono::microseconds max_wait{200};
   // Cap on a mid-frame read stall or a blocked response write. Idle

@@ -52,9 +52,11 @@ struct Runtime::State {
   std::unique_ptr<BatchEngine> engine;
   std::atomic<std::uint64_t> next_version{1};
 
-  // The atomically swappable model slot. Readers load the shared_ptr; a
-  // publish is a single atomic store.
-  std::atomic<Snapshot> current;
+  // The swappable model slot. Readers copy the shared_ptr under
+  // current_mu; a publish swaps it under the same lock. The critical
+  // sections are a refcount increment and a pointer swap.
+  mutable std::mutex current_mu;
+  Snapshot current;
   // Prediction cache (null when cache_bytes == 0). Its epoch is pinned to
   // the version sequence in publish().
   std::unique_ptr<PredictCache> cache;
@@ -110,15 +112,17 @@ void Runtime::publish(PoetBin model, ModelFormat format,
   if (state_->cache != nullptr) {
     state_->cache->set_epoch(version->version);
   }
-  // order: seq_cst (default) — this store is the RCU publish point. It
-  // must be release-or-stronger so a snapshot() that loads the new pointer
-  // sees the fully-built ModelVersion AND the cache set_epoch sequenced
-  // above; seq_cst additionally totally orders publishes with each other,
+  // The swap under current_mu is the RCU publish point: the unlock
+  // releases the fully-built ModelVersion AND the cache set_epoch sequenced
+  // above to any snapshot() that takes the lock after it, and the one lock
+  // totally orders publishes with each other and with every snapshot,
   // which is what lets hot_reload_test assert per-thread tag monotonicity.
-  // Writers are serialized by mutate_mu. The store is not lock-free with
-  // respect to readers: libstdc++ 12's atomic<shared_ptr> spins on a lock
-  // bit that snapshot()'s load also takes.
-  state_->current.store(std::move(version));
+  // Writers are serialized by mutate_mu. The old version is released after
+  // the unlock, so its teardown never holds readers up.
+  {
+    std::lock_guard<std::mutex> lock(state_->current_mu);
+    state_->current.swap(version);
+  }
 }
 
 Runtime Runtime::train(const BitMatrix& features,
@@ -162,11 +166,12 @@ IoStatus Runtime::save_packed(const std::string& path) const {
 }
 
 Runtime::Snapshot Runtime::snapshot() const {
-  // order: seq_cst (default) — the RCU read side, pairing with publish()'s
-  // store: acquiring the pointer makes the pointed-to ModelVersion (and the
-  // cache epoch bumped before the publish) visible. The returned
-  // shared_ptr then pins the version for the request's lifetime.
-  return state_->current.load();
+  // The RCU read side, pairing with publish()'s swap: taking current_mu
+  // makes the pointed-to ModelVersion (and the cache epoch bumped before
+  // the publish) visible. The returned shared_ptr then pins the version
+  // for the request's lifetime.
+  std::lock_guard<std::mutex> lock(state_->current_mu);
+  return state_->current;
 }
 
 const PoetBin& Runtime::model() const { return snapshot()->model; }

@@ -17,11 +17,13 @@
 //   IoStatus swapped = rt.reload();   // hot-swap from the recorded path
 //
 // Model storage is RCU-shaped: the slot holds a shared_ptr<const
-// ModelVersion> that readers snapshot atomically. reload() and
+// ModelVersion> that readers copy under a short mutex. reload() and
 // retrain_output_layer() build the next version off to the side and publish
-// it with one atomic pointer swap — requests already running (including a
-// whole MicroBatcher window) finish on the version they snapshotted, new
-// requests see the new one, and nothing blocks or tears. A failed reload
+// it with one pointer swap under that mutex — requests already running
+// (including a whole MicroBatcher window) finish on the version they
+// snapshotted, new requests see the new one, and nothing tears. A reader
+// waits at most for another reader's refcount increment or a publish's
+// pointer swap; the old version is released outside the lock. A failed reload
 // (missing file, corrupt bytes, kIncompatibleModel shape change) leaves the
 // serving version untouched. Versions are numbered monotonically per
 // Runtime; serve/net_server.h exposes the number through kModelInfo.
@@ -43,7 +45,8 @@
 // Dataset-level requests (predict / rinc_outputs / accuracy and the dataset
 // half of retrain) serialize internally on the one engine — the pool is not
 // re-entrant, so overlapping callers queue instead of aborting.
-// predict_one() is a lock-free snapshot plus one gather-program run.
+// predict_one() is a snapshot (a refcount copy under a short mutex) plus
+// one gather-program run.
 // Mutators (reload / retrain) serialize against each other and publish
 // atomically, so readers never see a half-swapped model. A network front
 // end wraps the Runtime in a serve::MicroBatcher (serve/micro_batcher.h),
@@ -199,8 +202,8 @@ class Runtime {
   BitMatrix rinc_outputs(const BitMatrix& features) const;
 
   // Single-example request: the snapshot's gather program (conv versions
-  // run RincConvLayer::eval_frame first); lock-free, safe concurrently with
-  // everything including reload/retrain. With cache_bytes set, probes the
+  // run RincConvLayer::eval_frame first); takes no lock but the snapshot's,
+  // safe concurrently with everything including reload/retrain. With cache_bytes set, probes the
   // prediction cache first and inserts on a miss — bit-identical either
   // way.
   int predict_one(const BitVector& example_bits) const;

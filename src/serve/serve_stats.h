@@ -28,7 +28,10 @@ struct ServeStats {
 
   std::uint64_t requests = 0;     // predictions returned
   std::uint64_t batches = 0;      // micro-batch windows dispatched
-  std::uint64_t timeouts = 0;     // windows dispatched by leader timeout
+  // Windows dispatched by leader timeout: a partial window that waited out
+  // max_wait. A window its leader dispatched at once because traffic was
+  // light (serve/micro_batcher.h) is not a timeout.
+  std::uint64_t timeouts = 0;
   std::uint64_t errors = 0;       // protocol/config errors (network layer)
   std::uint64_t connections = 0;  // accepted connections (network layer)
   std::array<std::uint64_t, kFillBuckets> window_fill{};

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -244,6 +245,31 @@ TEST(NetServer, StatsRequestReturnsLiveCounters) {
   EXPECT_EQ(stats.stats.requests, 5u);
   EXPECT_EQ(stats.stats.connections, 1u);
   EXPECT_EQ(stats.stats.errors, 0u);
+  server.stop();
+}
+
+// A lone request to an idle server is answered at once: the batcher's
+// arrival estimate starts idle, so the window is dispatched without
+// waiting out max_wait.
+TEST(NetServer, IdleServerAnswersLoneRequestAtOnce) {
+  const ServeFixture& fx = fixture();
+  Runtime runtime(fx.model, {.threads = 1});
+  NetServerOptions options = loopback_options();
+  options.max_wait = std::chrono::seconds(1);
+  NetServer server(runtime, options);
+  ASSERT_TRUE(server.start());
+  NetClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  const auto t0 = std::chrono::steady_clock::now();
+  wire::Response response;
+  ASSERT_TRUE(client.predict(fx.rows[3], &response));
+  const double elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  ASSERT_EQ(response.status, wire::Status::kOk);
+  EXPECT_EQ(response.prediction, fx.scalar_preds[3]);
+  EXPECT_LT(elapsed_s, 0.5);
+  EXPECT_EQ(server.stats().timeouts, 0u);
   server.stop();
 }
 

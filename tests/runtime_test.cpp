@@ -4,6 +4,7 @@
 // at any thread count, fused or not, and under concurrent producers.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -177,18 +178,45 @@ TEST(MicroBatcher, SubmitPacksFullWindows) {
   EXPECT_DOUBLE_EQ(stats.mean_window_fill(), 600.0 / 10.0);
 }
 
+// Back-to-back traffic: one full window of submits, which drives the
+// batcher's arrival-gap estimate to busy so the next lone leader arms its
+// max_wait timer. The 64th submit dispatches the window inline, and that
+// dispatch falls inside the next request's arrival gap, so callers use a
+// max_wait far above a 64-row dispatch even under a sanitizer (a gap of
+// 2 x max_wait resets the estimate to idle). Returns the stats after the
+// warm-up window.
+ServeStats warm_arrival_estimate(MicroBatcher& batcher,
+                                 const std::vector<BitVector>& rows) {
+  std::vector<MicroBatcher::Ticket> tickets;
+  for (std::size_t i = 0; i < 64; ++i) {
+    tickets.push_back(batcher.submit(rows[i]));
+  }
+  for (MicroBatcher::Ticket& ticket : tickets) ticket.get();
+  const ServeStats warm = batcher.stats();
+  EXPECT_EQ(warm.batches, 1u);  // the 64 submits filled one window
+  EXPECT_EQ(warm.timeouts, 0u);
+  return warm;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 TEST(MicroBatcher, BlockingRequestTimesOutAlone) {
   const ServeFixture& fx = fixture();
   const Runtime runtime(fx.model, {.threads = 1});
-  // Nobody else joins the window: the leader must dispatch its partial
-  // batch after max_wait and still match the scalar path.
+  // Nobody else joins the window: under busy traffic the leader must
+  // dispatch its partial batch after max_wait and still match the scalar
+  // path.
   MicroBatcher batcher(runtime,
                        {.max_batch = 64,
-                        .max_wait = std::chrono::microseconds(500)});
-  EXPECT_EQ(batcher.predict_one(fx.rows[0]), fx.scalar_preds[0]);
+                        .max_wait = std::chrono::milliseconds(50)});
+  const ServeStats warm = warm_arrival_estimate(batcher, fx.rows);
+  EXPECT_EQ(batcher.predict_one(fx.rows[100]), fx.scalar_preds[100]);
   const ServeStats stats = batcher.stats();
-  EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.requests, warm.requests + 1);
+  EXPECT_EQ(stats.batches, warm.batches + 1);
   EXPECT_EQ(stats.timeouts, 1u);  // the partial window went out on max_wait
   EXPECT_EQ(stats.window_fill[0], 1u);  // 1/64 fill -> first bucket
 }
@@ -198,18 +226,90 @@ TEST(MicroBatcher, BlockingRequestAfterAsyncSubmitStillTimesOut) {
   const Runtime runtime(fx.model, {.threads = 1});
   MicroBatcher batcher(runtime,
                        {.max_batch = 64,
-                        .max_wait = std::chrono::microseconds(500)});
+                        .max_wait = std::chrono::milliseconds(50)});
+  const ServeStats warm = warm_arrival_estimate(batcher, fx.rows);
   // A submit() opens the window, so the blocking request lands in slot 1.
   // It must still become the leader and dispatch the window after
   // max_wait — leadership follows the first *blocking* request, not
   // slot 0 (a slot-0-only rule left this predict_one waiting forever).
-  MicroBatcher::Ticket ticket = batcher.submit(fx.rows[0]);
-  EXPECT_EQ(batcher.predict_one(fx.rows[1]), fx.scalar_preds[1]);
-  EXPECT_EQ(ticket.get(), fx.scalar_preds[0]);
+  MicroBatcher::Ticket ticket = batcher.submit(fx.rows[100]);
+  EXPECT_EQ(batcher.predict_one(fx.rows[101]), fx.scalar_preds[101]);
+  EXPECT_EQ(ticket.get(), fx.scalar_preds[100]);
   const ServeStats stats = batcher.stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.batches, warm.batches + 1);
+  EXPECT_EQ(stats.requests, warm.requests + 2);
   EXPECT_EQ(stats.timeouts, 1u);
+}
+
+// An idle batcher's estimate starts idle: a lone request is dispatched at
+// once instead of waiting out max_wait, and that is not a timeout.
+TEST(MicroBatcher, IdleBatcherAnswersLoneRequestAtOnce) {
+  const ServeFixture& fx = fixture();
+  const Runtime runtime(fx.model, {.threads = 1});
+  MicroBatcher batcher(runtime,
+                       {.max_batch = 64, .max_wait = std::chrono::seconds(2)});
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(batcher.predict_one(fx.rows[0]), fx.scalar_preds[0]);
+  EXPECT_LT(seconds_since(t0), 0.5);
+  const ServeStats stats = batcher.stats();
+  EXPECT_EQ(stats.requests, 1u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_EQ(stats.window_fill[0], 1u);
+}
+
+// Busy traffic keeps the window; an idle pause of several max_wait makes
+// the next lone request an at-once dispatch again.
+TEST(MicroBatcher, IdlePauseReturnsToAtOnceDispatch) {
+  const ServeFixture& fx = fixture();
+  const Runtime runtime(fx.model, {.threads = 1});
+  const auto max_wait = std::chrono::milliseconds(50);
+  MicroBatcher batcher(runtime, {.max_batch = 64, .max_wait = max_wait});
+  warm_arrival_estimate(batcher, fx.rows);
+  auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(batcher.predict_one(fx.rows[100]), fx.scalar_preds[100]);
+  EXPECT_GE(seconds_since(t0), 0.05);  // the lone leader waited max_wait
+  EXPECT_EQ(batcher.stats().timeouts, 1u);
+
+  std::this_thread::sleep_for(5 * max_wait);
+  t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(batcher.predict_one(fx.rows[101]), fx.scalar_preds[101]);
+  EXPECT_LT(seconds_since(t0), 0.05);
+  const ServeStats stats = batcher.stats();
+  EXPECT_EQ(stats.timeouts, 1u);  // the second lone window went out at once
+  EXPECT_EQ(stats.batches, 3u);
+}
+
+// Misses that arrive every 1.5 x max_wait look like light traffic on their
+// own, but with cache hits answered between them the stream is busy: the
+// estimate counts hits as arrivals, so the later misses wait for company.
+TEST(MicroBatcher, CacheHitsCountAsArrivals) {
+  const ServeFixture& fx = fixture();
+  const auto max_wait = std::chrono::milliseconds(20);
+  std::uint64_t timeouts[2] = {0, 0};
+  for (const bool with_hits : {false, true}) {
+    const Runtime runtime(fx.model, {.threads = 1, .cache_bytes = 1u << 20});
+    MicroBatcher batcher(runtime, {.max_batch = 64, .max_wait = max_wait});
+    warm_arrival_estimate(batcher, fx.rows);  // caches rows 0..63
+    // A pause, so that the misses alone start from an idle estimate.
+    std::this_thread::sleep_for(5 * max_wait);
+    for (std::size_t j = 0; j < 10; ++j) {
+      std::this_thread::sleep_for(max_wait * 3 / 2);
+      if (with_hits) {
+        for (std::size_t i = 0; i < 16; ++i) {
+          ASSERT_EQ(batcher.predict_one(fx.rows[i]), fx.scalar_preds[i]);
+        }
+      }
+      const std::size_t miss = 100 + j;
+      ASSERT_EQ(batcher.predict_one(fx.rows[miss]), fx.scalar_preds[miss]);
+    }
+    const ServeStats stats = batcher.stats();
+    EXPECT_EQ(stats.batches, 11u);  // the warm-up window + 10 lone misses
+    EXPECT_EQ(stats.cache_hits, with_hits ? 160u : 0u);
+    timeouts[with_hits] = stats.timeouts;
+  }
+  EXPECT_EQ(timeouts[0], 0u);  // misses alone: every window at once
+  EXPECT_GE(timeouts[1], 3u);  // with the hits: the window is kept
 }
 
 TEST(MicroBatcher, ZeroWaitDispatchesImmediately) {
