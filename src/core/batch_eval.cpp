@@ -41,7 +41,8 @@ void eval_lut_into(const Lut& lut, const std::uint64_t* const* columns,
     POETBIN_CHECK(lut.inputs()[j] < n_columns);
     inputs[j] = columns[lut.inputs()[j]];
   }
-  word_ops().lut_reduce(lut.table().words(), arity, inputs.data(),
+  std::uint64_t scratch[Lut::kMaxStridedWords];
+  word_ops().lut_reduce(lut.contiguous_words(scratch), arity, inputs.data(),
                         /*base=*/0, word_begin, word_end, out);
 }
 
@@ -65,7 +66,8 @@ void eval_rinc_into(const RincModule& module,
                    child_words + c * n_words, arena);
   }
   // Child outputs are rebased to the range, hence base = word_begin.
-  word_ops().lut_reduce(module.mat_lut().table().words(),
+  std::uint64_t scratch[Lut::kMaxStridedWords];
+  word_ops().lut_reduce(module.mat_lut().contiguous_words(scratch),
                         children.size(), inputs.data(), word_begin, word_begin,
                         word_end, out);
 }

@@ -22,20 +22,6 @@ namespace {
 // narrowed; the bound keeps that path reachable with a 64 KiB example.
 constexpr std::size_t kDirectBytes = std::size_t{1} << 16;
 
-// A LUT's position in the hierarchy: its level (0 = leaf) and its index
-// among that level's LUTs.
-struct Ref {
-  std::size_t level = 0;
-  std::size_t pos = 0;
-};
-
-struct Node {
-  const Lut* lut = nullptr;
-  std::vector<Ref> children;  // MAT inputs, in address-bit order
-
-  std::size_t arity() const { return lut->arity(); }
-};
-
 // The arity every item shares when it is 1..8, else 0.
 template <class Items, class ArityOf>
 std::size_t uniform_arity(const Items& items, ArityOf arity_of) {
@@ -48,38 +34,39 @@ std::size_t uniform_arity(const Items& items, ArityOf arity_of) {
   return arity;
 }
 
-Ref visit(const RincModule& module, std::vector<std::vector<Node>>& levels) {
-  if (module.is_leaf()) {
-    levels[0].push_back(Node{&module.leaf_lut(), {}});
-    return {0, levels[0].size() - 1};
-  }
-  Node node{&module.mat_lut(), {}};
-  node.children.reserve(module.children().size());
-  std::size_t level = 1;
+// One LUT of the RINC bank, in pre-order over the modules: its level
+// (0 = leaf), its index among that level's LUTs, and its subtree's size,
+// so its children follow it at item + 1, item + 1 + size, ...
+struct Item {
+  const Lut* lut = nullptr;
+  std::uint32_t level = 0;
+  std::uint32_t pos = 0;
+  std::uint32_t size = 1;
+};
+
+void visit(const RincModule& module, std::vector<Item>& items,
+           std::vector<std::uint32_t>& counts) {
+  const std::size_t level = module.level();
+  if (counts.size() <= level) counts.resize(level + 1, 0);
+  items.push_back({module.is_leaf() ? &module.leaf_lut() : &module.mat_lut(),
+                   static_cast<std::uint32_t>(level), counts[level]++,
+                   static_cast<std::uint32_t>(module.lut_count())});
   for (const RincModule& child : module.children()) {
-    node.children.push_back(visit(child, levels));
-    level = std::max(level, node.children.back().level + 1);
+    visit(child, items, counts);
   }
-  if (levels.size() <= level) levels.resize(level + 1);
-  levels[level].push_back(std::move(node));
-  return {level, levels[level].size() - 1};
 }
 
-// Lays out one stage's address bytes: each added LUT takes ceil(arity / 8)
-// bytes, address bit j in bit j % 8 of its byte j / 8. Slots no address
-// bit uses read byte 0 (so a stage with any slot reads a source of at
-// least one byte); the LUT's mask drops them.
-struct StageLayout {
-  std::vector<std::uint32_t> index;
-  std::vector<std::uint8_t> select;
-  std::vector<std::uint64_t> records;
+// Lays out one stage's address bytes in the program's words: each added
+// LUT takes ceil(arity / 8) bytes, address bit j in bit j % 8 of its byte
+// j / 8. Slots no address bit uses read byte 0 (so a stage with any slot
+// reads a source of at least one byte); the LUT's mask drops them.
+struct StageWriter {
+  std::uint64_t* index = nullptr;     // n_groups x 64 source byte indices,
+                                      // two 32-bit halves per (zeroed) word
+  std::uint8_t* select = nullptr;     // n_groups x 64 bit selectors
+  std::uint64_t* records = nullptr;   // two per LUT, or null
   std::size_t n_bytes = 0;
-
-  explicit StageLayout(std::size_t n_luts) {
-    index.reserve(8 * n_luts);
-    select.reserve(8 * n_luts);
-    records.reserve(2 * n_luts);
-  }
+  std::size_t n_luts = 0;
 
   // `source(j)` is the source bit of address bit j; `byte_of` maps it to
   // the byte index the gather reads.
@@ -87,23 +74,19 @@ struct StageLayout {
   void add(std::size_t lut_arity, std::uint64_t table_at, SourceBit source,
            ByteOf byte_of) {
     const std::size_t first = n_bytes;
-    pad_to(first + (lut_arity + 7) / 8);
+    n_bytes += (lut_arity + 7) / 8;
     for (std::size_t j = 0; j < lut_arity; ++j) {
       const std::size_t bit = source(j);
       const std::size_t slot = first * 8 + j;
-      index[slot] = static_cast<std::uint32_t>(byte_of(bit));
+      index[slot / 2] |= std::uint64_t{static_cast<std::uint32_t>(byte_of(bit))}
+                         << (32 * (slot % 2));
       select[slot] = static_cast<std::uint8_t>((slot % 8) * 8 + bit % 8);
     }
-    records.push_back((std::uint64_t{first} << 6) | lut_arity);
-    records.push_back(table_at);
-  }
-
-  void pad_to(std::size_t bytes) {
-    for (std::size_t slot = n_bytes * 8; slot < bytes * 8; ++slot) {
-      index.push_back(0);
-      select.push_back(static_cast<std::uint8_t>((slot % 8) * 8));
+    if (records != nullptr) {
+      records[2 * n_luts] = (std::uint64_t{first} << 6) | lut_arity;
+      records[2 * n_luts + 1] = table_at;
     }
-    n_bytes = bytes;
+    ++n_luts;
   }
 };
 
@@ -119,26 +102,19 @@ std::size_t append(WordVec& words, const T* data, std::size_t count) {
   return at;
 }
 
-// An upper bound on the program's words, so compile allocates once: every
-// table and code table, plus per LUT two record words and five words of
-// gather arrays per address byte (8 uint32 indices, 8 selectors), per
-// stage up to 7 padding bytes and 7 padding LUTs of uniform planes, and
-// the staged byte list.
-std::size_t word_bound(const std::vector<std::vector<Node>>& levels,
+// An upper bound on words_, so compile allocates once: per LUT two record
+// words and five words of gather arrays per address byte (8 uint32
+// indices, 8 selectors), per stage up to 7 padding bytes, the code tables
+// and the staged byte list.
+std::size_t word_bound(const std::vector<Item>& items,
                        const std::vector<SparseOutputNeuron>& output,
-                       std::size_t n_staged) {
-  auto lut_words = [](std::size_t arity, std::size_t table_words) {
-    return table_words + 2 + 5 * ((arity + 7) / 8);
-  };
-  std::size_t bound = n_staged + (levels.size() + 1) * (5 * 7 + 7 * 4);
-  for (const std::vector<Node>& nodes : levels) {
-    for (const Node& node : nodes) {
-      bound += lut_words(node.arity(), node.lut->table().word_count());
-    }
-  }
+                       std::size_t n_stages, std::size_t n_staged) {
+  auto lut_words = [](std::size_t arity) { return 2 + 5 * ((arity + 7) / 8); };
+  std::size_t bound = n_staged + (n_stages + 1) * 5 * 7;
+  for (const Item& item : items) bound += lut_words(item.lut->arity());
   for (const SparseOutputNeuron& neuron : output) {
-    bound += lut_words(neuron.input_modules.size(),
-                       (neuron.codes.size() * sizeof(std::uint32_t) + 7) / 8);
+    bound += lut_words(neuron.input_modules.size()) +
+             (neuron.codes.size() * sizeof(std::uint32_t) + 7) / 8;
   }
   return bound;
 }
@@ -153,31 +129,94 @@ inline std::uint64_t address_of(const std::uint8_t* address,
 
 }  // namespace
 
+void TableLayout::count(std::size_t level, std::size_t arity) {
+  if (levels_.size() <= level) levels_.resize(level + 1);
+  Level& l = levels_[level];
+  if (l.n == 0) {
+    l.arity = arity;
+  } else if (arity != l.arity) {
+    l.mixed = true;
+  }
+  if (arity < 1 || arity > 8) l.mixed = true;
+  l.n += 1;
+  l.words += BitVector::words_needed(std::size_t{1} << arity);
+}
+
+std::size_t TableLayout::finish() {
+  std::size_t at = 0;
+  for (Level& l : levels_) {
+    l.base = at;
+    l.cursor = 0;
+    at += l.mixed ? l.words
+                  : BitVector::words_needed(std::size_t{1} << l.arity) *
+                        stride(l);
+  }
+  return at;
+}
+
+TableLayout::Slot TableLayout::place(std::size_t level, std::size_t arity) {
+  Level& l = levels_[level];
+  if (!l.mixed) return {l.base + l.cursor++, stride(l)};
+  const Slot slot{l.base + l.cursor, 1};
+  l.cursor += BitVector::words_needed(std::size_t{1} << arity);
+  return slot;
+}
+
+bool TableLayout::padding_is_zero(const std::uint64_t* image) const {
+  for (const Level& l : levels_) {
+    if (l.mixed) continue;
+    const std::size_t n_planes =
+        BitVector::words_needed(std::size_t{1} << l.arity);
+    for (std::size_t j = 0; j < n_planes; ++j) {
+      for (std::size_t t = l.n; t < stride(l); ++t) {
+        if (image[l.base + j * stride(l) + t] != 0) return false;
+      }
+    }
+  }
+  return true;
+}
+
 GatherProgram GatherProgram::compile(
     const std::vector<RincModule>& modules,
-    const std::vector<SparseOutputNeuron>& output) {
+    const std::vector<SparseOutputNeuron>& output, const TableImage* adopt) {
   GatherProgram program;
   WordVec& words = program.words_;
 
-  std::vector<std::vector<Node>> levels(1);
-  std::vector<Ref> tops;
+  std::vector<Item> items;
+  std::vector<std::uint32_t> counts(1, 0);
+  std::vector<std::uint32_t> tops;
   tops.reserve(modules.size());
+  std::size_t n_items = 0;
+  for (const RincModule& module : modules) n_items += module.lut_count();
+  items.reserve(n_items);
   for (const RincModule& module : modules) {
-    tops.push_back(visit(module, levels));
+    tops.push_back(static_cast<std::uint32_t>(items.size()));
+    visit(module, items, counts);
   }
+  const std::size_t n_levels = counts.size();
+
+  // The table image is adopted when every table already sits at its
+  // slot in it (the stage loop below checks as it places them).
+  TableLayout layout;
+  for (const Item& item : items) layout.count(item.level, item.lut->arity());
+  const std::size_t image_words = layout.finish();
+  bool in_place = adopt != nullptr && adopt->size == image_words;
 
   // Result bit of (level, pos) is base[level] + pos; bases are word-aligned.
-  std::vector<std::size_t> base(levels.size() + 1, 0);
-  for (std::size_t s = 0; s < levels.size(); ++s) {
-    base[s + 1] = base[s] + (levels[s].size() + 63) / 64 * 64;
+  std::vector<std::size_t> base(n_levels + 1, 0);
+  for (std::size_t s = 0; s < n_levels; ++s) {
+    base[s + 1] = base[s] + (counts[s] + 63) / 64 * 64;
   }
   program.n_result_words_ = base.back() / 64;
-  auto result_bit = [&](Ref ref) { return base[ref.level] + ref.pos; };
+  auto result_bit = [&](std::size_t item) {
+    return base[items[item].level] + items[item].pos;
+  };
 
   std::size_t max_feature = 0;
   bool any_feature = false;
-  for (const Node& leaf : levels[0]) {
-    for (const std::size_t f : leaf.lut->inputs()) {
+  for (const Item& item : items) {
+    if (item.level != 0) continue;
+    for (const std::size_t f : item.lut->inputs()) {
       max_feature = std::max(max_feature, f);
       any_feature = true;
     }
@@ -195,13 +234,14 @@ GatherProgram GatherProgram::compile(
       program.n_features_ / 8 + (program.n_features_ % 8 != 0);
   std::vector<std::uint64_t> staged;
   if (feature_bytes > kDirectBytes) {
-    for (const Node& leaf : levels[0]) {
-      for (const std::size_t f : leaf.lut->inputs()) staged.push_back(f / 8);
+    for (const Item& item : items) {
+      if (item.level != 0) continue;
+      for (const std::size_t f : item.lut->inputs()) staged.push_back(f / 8);
     }
     std::sort(staged.begin(), staged.end());
     staged.erase(std::unique(staged.begin(), staged.end()), staged.end());
   }
-  words.reserve(word_bound(levels, output, staged.size()));
+  words.reserve(word_bound(items, output, n_levels, staged.size()));
   if (!staged.empty()) {
     program.n_staged_ = staged.size();
     program.staged_at_ = append(words, staged.data(), staged.size());
@@ -214,65 +254,86 @@ GatherProgram GatherProgram::compile(
   };
   auto result_byte = [](std::size_t bit) { return bit / 8; };
 
-  // Appends the stage's gather arrays; a non-uniform stage also gets its
-  // per-LUT records.
-  auto finish = [&](StageLayout& layout, Stage& stage) {
-    stage.n_groups = (layout.n_bytes + 7) / 8;
-    layout.pad_to(stage.n_groups * 8);
-    stage.index_at = append(words, layout.index.data(), layout.index.size());
-    stage.select_at =
-        append(words, layout.select.data(), layout.select.size());
-    stage.n_luts = layout.records.size() / 2;
-    if (stage.uniform_arity == 0) {
-      stage.records_at =
-          append(words, layout.records.data(), layout.records.size());
-    }
+  // Appends a stage of `n_bytes` address bytes: its index array (zero),
+  // its select array (each slot's lane bits, the unused slots' whole
+  // selector) and, unless it is uniform, room for its per-LUT records.
+  auto open_stage = [&](Stage& stage, std::size_t n_bytes,
+                        std::size_t n_luts) {
+    stage.n_groups = (n_bytes + 7) / 8;
+    stage.n_luts = n_luts;
+    stage.index_at = words.size();
+    stage.select_at = stage.index_at + stage.n_groups * 32;
+    stage.records_at = stage.select_at + stage.n_groups * 8;
+    words.resize(
+        stage.records_at + (stage.uniform_arity == 0 ? 2 * n_luts : 0), 0);
+    // Byte k of every select word is k * 8: lane k, bit 0.
+    std::fill_n(words.data() + stage.select_at, stage.n_groups * 8,
+                std::uint64_t{0x3830282018100800});
     program.max_groups_ = std::max(program.max_groups_, stage.n_groups);
+    StageWriter writer;
+    writer.index = words.data() + stage.index_at;
+    writer.select =
+        reinterpret_cast<std::uint8_t*>(words.data() + stage.select_at);
+    if (stage.uniform_arity == 0) {
+      writer.records = words.data() + stage.records_at;
+    }
+    return writer;
   };
 
-  for (std::size_t s = 0; s < levels.size(); ++s) {
-    const std::vector<Node>& nodes = levels[s];
-    if (nodes.empty()) continue;
+  for (std::size_t s = 0; s < n_levels; ++s) {
+    if (counts[s] == 0) continue;
     Stage stage;
     stage.reads_example = s == 0;
     stage.src_bytes = s == 0 ? (staged.empty() ? feature_bytes : staged.size())
                              : base[s] / 8;
     stage.result_word = base[s] / 64;
-    stage.uniform_arity =
-        uniform_arity(nodes, [](const Node& node) { return node.arity(); });
-    if (stage.uniform_arity != 0) {
-      // Plane-major, each plane padded with zero words to a multiple of 8.
-      const std::size_t n_planes =
-          BitVector::words_needed(std::size_t{1} << stage.uniform_arity);
-      const std::size_t stride = (nodes.size() + 7) / 8 * 8;
-      stage.tables_at = words.size();
-      words.resize(words.size() + n_planes * stride, 0);
-      for (std::size_t t = 0; t < nodes.size(); ++t) {
-        for (std::size_t j = 0; j < n_planes; ++j) {
-          words[stage.tables_at + j * stride + t] =
-              nodes[t].lut->table().words()[j];
+    stage.uniform_arity = layout.uniform_arity(s);
+    stage.tables_at = layout.base(s);
+    std::size_t n_bytes = 0;
+    for (const Item& item : items) {
+      if (item.level == s) n_bytes += (item.lut->arity() + 7) / 8;
+    }
+    StageWriter writer = open_stage(stage, n_bytes, counts[s]);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (items[i].level != s) continue;
+      const Lut& lut = *items[i].lut;
+      const TableLayout::Slot slot = layout.place(s, lut.arity());
+      in_place = in_place && lut.table_data() == adopt->data + slot.at &&
+                 (lut.word_count() <= 1 || lut.stride() == slot.stride);
+      if (s == 0) {
+        const auto inputs = lut.inputs();
+        writer.add(inputs.size(), slot.at,
+                   [&](std::size_t j) { return inputs[j]; }, example_byte);
+        continue;
+      }
+      // A MAT's address bit c is its child c's result bit.
+      std::size_t children[kMaxMatFanin];
+      for (std::size_t c = 0, at = i + 1; c < lut.arity();
+           at += items[at].size, ++c) {
+        children[c] = at;
+      }
+      writer.add(lut.arity(), slot.at,
+                 [&](std::size_t j) { return result_bit(children[j]); },
+                 result_byte);
+    }
+    program.levels_.push_back(stage);
+  }
+
+  if (in_place) {
+    program.tables_ = *adopt;
+  } else {
+    auto image = std::make_shared<WordVec>(image_words, 0);
+    layout.finish();
+    for (std::size_t s = 0; s < n_levels; ++s) {
+      for (const Item& item : items) {
+        if (item.level != s) continue;
+        const TableLayout::Slot slot = layout.place(s, item.lut->arity());
+        for (std::size_t j = 0; j < item.lut->word_count(); ++j) {
+          (*image)[slot.at + j * slot.stride] = item.lut->table_word(j);
         }
       }
     }
-    StageLayout layout(nodes.size());
-    for (const Node& node : nodes) {
-      const BitVector& table = node.lut->table();
-      const std::size_t table_at =
-          stage.uniform_arity != 0
-              ? 0
-              : append(words, table.words(), table.word_count());
-      if (s == 0) {
-        const auto& inputs = node.lut->inputs();
-        layout.add(inputs.size(), table_at,
-                   [&](std::size_t j) { return inputs[j]; }, example_byte);
-      } else {
-        layout.add(node.children.size(), table_at,
-                   [&](std::size_t j) { return result_bit(node.children[j]); },
-                   result_byte);
-      }
-    }
-    finish(layout, stage);
-    program.levels_.push_back(stage);
+    program.tables_ = {image, image->data(), image->size()};
   }
 
   // Code tables of 2^P uint32s fill whole words once P >= 1, so a uniform
@@ -284,17 +345,23 @@ GatherProgram GatherProgram::compile(
         return neuron.input_modules.size();
       });
   out.tables_at = words.size() * 2;
-  StageLayout layout(output.size());
+  std::vector<std::size_t> code_at;
+  code_at.reserve(output.size());
+  std::size_t n_bytes = 0;
   for (const SparseOutputNeuron& neuron : output) {
-    const std::size_t at =
-        append(words, neuron.codes.data(), neuron.codes.size()) * 8;
-    layout.add(neuron.input_modules.size(), at,
+    code_at.push_back(
+        append(words, neuron.codes.data(), neuron.codes.size()) * 8);
+    n_bytes += (neuron.input_modules.size() + 7) / 8;
+  }
+  StageWriter writer = open_stage(out, n_bytes, output.size());
+  for (std::size_t c = 0; c < output.size(); ++c) {
+    const SparseOutputNeuron& neuron = output[c];
+    writer.add(neuron.input_modules.size(), code_at[c],
                [&](std::size_t j) {
                  return result_bit(tops[neuron.input_modules[j]]);
                },
                result_byte);
   }
-  finish(layout, out);
   return program;
 }
 
@@ -350,18 +417,18 @@ int GatherProgram::predict(const BitVector& example) const {
 void GatherProgram::read_luts(const WordOps& ops, const Stage& stage,
                               const std::uint8_t* address,
                               std::uint64_t* out) const {
-  const std::uint64_t* words = words_.data();
+  const std::uint64_t* tables = tables_.data;
   const std::size_t n = stage.n_luts;
   if (stage.uniform_arity != 0) {
-    ops.lut_lookup(address, words + stage.tables_at, stage.uniform_arity, n,
+    ops.lut_lookup(address, tables + stage.tables_at, stage.uniform_arity, n,
                    out);
     return;
   }
-  const std::uint64_t* records = words + stage.records_at;
+  const std::uint64_t* records = words_.data() + stage.records_at;
   std::uint64_t acc = 0;
   for (std::size_t t = 0; t < n; ++t) {
     const std::uint64_t a = address_of(address, records[2 * t]);
-    const std::uint64_t* table = words + records[2 * t + 1];
+    const std::uint64_t* table = tables + records[2 * t + 1];
     acc |= ((table[a >> 6] >> (a & 63)) & 1u) << (t & 63);
     if ((t & 63) == 63) {
       out[t >> 6] = acc;

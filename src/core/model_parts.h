@@ -9,7 +9,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -39,7 +41,8 @@ inline void expect(bool condition, const char* message) {
 }
 
 // A decoded model file before any cross-field check: plain parts, in the
-// shapes PoetBin::from_parts and RincConvLayer::from_parts take.
+// shapes PoetBin::from_parts and RincConvLayer::from_parts take. The
+// modules are root handles on one RincTree the decoder built.
 struct ModelParts {
   PoetBinConfig config;              // output.quant_bits set by assemble_model
   std::uint64_t quant_bits = 0;      // the config's declared quantizer bits
@@ -53,6 +56,9 @@ struct ModelParts {
     std::vector<RincModule> modules;
   };
   std::optional<Conv> conv;  // empty for a dense model
+  // A packed file's table image, which the classifier's Luts view; empty
+  // (null data) for a text file.
+  TableImage tables;
 };
 
 // The config, quantizer and conv geometry ranges. A decoder calls it before
@@ -62,13 +68,21 @@ void check_header(const ModelParts& parts);
 // The trees and output layer against the header, then the model.
 LoadedModel assemble_model(ModelParts parts, ModelFormat format);
 
-// One pre-order module tree from `source`, with the per-node checks. A
-// Source supplies, in file order:
+// A leaf input index as stored, checked against the one bound both
+// formats share.
+inline std::size_t leaf_input(std::uint64_t index) {
+  expect(index <= (std::uint64_t{1} << 32),
+         "leaf input feature index implausibly large");
+  return static_cast<std::size_t>(index);
+}
+
+// One pre-order module tree from `source` into `builder`, with the per-node
+// checks; returns its root node. A Source supplies, in file order:
 //   node()          -> {is_leaf, arity or fanin}
-//   leaf_input()    -> one raw leaf input index
-//   table(arity)    -> a leaf's truth table
+//   leaf(arity)     -> a leaf's Lut (inputs through leaf_input)
 //   weight()        -> one MAT weight
-//   mat_lut(mat)    -> an internal node's MAT LUT (stored or derived)
+//   mat_lut(w)      -> an internal node's MAT LUT for weights w (derived,
+//                      or a placeholder the packed decoder places later)
 // `levels` is how many internal-node levels may still follow.
 struct NodeRecord {
   bool leaf = false;
@@ -76,42 +90,46 @@ struct NodeRecord {
 };
 
 template <typename Source>
-RincModule decode_tree(Source& source, std::size_t levels) {
+std::uint32_t decode_tree(Source& source, RincTreeBuilder& builder,
+                          std::size_t levels) {
   const NodeRecord node = source.node();
   if (node.leaf) {
     expect(node.fanin >= 1 && node.fanin <= 16, "bad leaf arity");
-    std::vector<std::size_t> inputs(node.fanin);
-    for (std::size_t& input : inputs) {
-      const std::uint64_t index = source.leaf_input();
-      expect(index <= (std::uint64_t{1} << 32),
-             "leaf input feature index implausibly large");
-      input = static_cast<std::size_t>(index);
-    }
-    return RincModule::make_leaf(
-        Lut(std::move(inputs), source.table(node.fanin)));
+    return builder.add_leaf(source.leaf(node.fanin));
   }
   expect(levels > 0, "module tree deeper than its RINC levels");
-  expect(node.fanin >= 1 && node.fanin <= 20, "bad node fanin");
-  std::vector<double> weights(node.fanin);
-  for (double& weight : weights) weight = source.weight();
-  MatModule mat(std::move(weights));
-  Lut mat_lut = source.mat_lut(mat);
-  std::vector<RincModule> children;
-  children.reserve(node.fanin);
+  expect(node.fanin >= 1 && node.fanin <= kMaxMatFanin, "bad node fanin");
+  double weights[kMaxMatFanin];
+  for (std::size_t i = 0; i < node.fanin; ++i) weights[i] = source.weight();
+  const std::span<const double> mat(weights, node.fanin);
+  const std::uint32_t index = builder.open_internal(mat, source.mat_lut(mat));
+  std::uint32_t first = 0;
   for (std::size_t c = 0; c < node.fanin; ++c) {
-    children.push_back(decode_tree(source, levels - 1));
-    // make_internal aborts on mixed child levels (a builder contract).
-    expect(children.back().level() == children.front().level(),
+    const std::uint32_t child = decode_tree(source, builder, levels - 1);
+    if (c == 0) first = child;
+    // set_child aborts on mixed child levels (a builder contract).
+    expect(builder.node(child).level == builder.node(first).level,
            "node children at mixed RINC levels");
+    builder.set_child(index, c, child);
   }
-  return RincModule::make_internal(std::move(children), std::move(mat),
-                                   std::move(mat_lut));
+  builder.close_internal(index);
+  return index;
 }
 
-// The packed container (core/packed_model.cpp).
+// The packed container (core/packed_model.cpp). `data` is `size` bytes,
+// 8-byte aligned, kept alive by `owner`: the loaded model's Luts view its
+// leaf inputs and tables in place.
 bool has_packed_magic(const std::uint8_t* data, std::size_t size);
-ModelParts decode_packed(const std::uint8_t* data, std::size_t size,
+ModelParts decode_packed(std::shared_ptr<const void> owner,
+                         const std::uint8_t* data, std::size_t size,
                          PackedVerify verify);
+
+// CRC32 (IEEE 802.3: reflected, polynomial 0xEDB88320, init and final
+// xor 0xFFFFFFFF) of `size` bytes; the packed header's checksum.
+std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
+
+// `n_bytes` of uninitialised storage, 64-byte aligned.
+std::shared_ptr<std::uint64_t[]> aligned_bytes(std::size_t n_bytes);
 
 // Every model writer's last step: `bytes` must load through
 // read_model_bytes (kFull), then they replace `path` through a same-directory

@@ -1,14 +1,18 @@
 #include "core/packed_model.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "boost/mat.h"
+#include "core/gather_program.h"
 #include "core/model_parts.h"
 #include "dt/lut.h"
 #include "util/bitvector.h"
@@ -18,10 +22,14 @@ namespace poetbin {
 using model_io::expect;
 using model_io::fail;
 
+// Loaded Luts view the leaf-input section's u64s as size_t indices.
+static_assert(std::is_same_v<std::size_t, std::uint64_t>,
+              "the packed loader needs a 64-bit size_t");
+
 namespace {
 
 constexpr char kMagic[8] = {'P', 'o', 'E', 'T', 'B', 'i', 'N', 'P'};
-constexpr std::uint32_t kFormatVersion = 3;
+constexpr std::uint32_t kFormatVersion = 4;
 constexpr std::size_t kHeaderBytes = 64;
 constexpr std::size_t kSectionEntryBytes = 24;
 constexpr std::size_t kPayloadAlignment = 64;
@@ -37,7 +45,7 @@ enum SectionId : std::uint32_t {
   kSecOutputWiring = 6,   // u64 module indices, nc x P
   kSecOutputWeights = 7,  // f32 bit patterns, nc x (P weights + bias)
   kSecOutputCodes = 8,    // u32 codes, nc x 2^P
-  kSecTables = 9,         // compact truth-table words, every node, pre-order
+  kSecTables = 9,         // the classifier's table image, then conv tables
   kSecConvConfig = 10,    // 7 u64 conv scalars; zero length = dense
 };
 constexpr std::uint32_t kSectionCount = 10;
@@ -46,30 +54,31 @@ constexpr const char* kSectionNames[kSectionCount] = {
     "mat-weights",    "output-wiring",  "output-weights", "output-codes",
     "tables",         "conv-config"};
 
-// --- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) -------------------------
+// --- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320), slicing-by-8 ----------
 
-const std::uint32_t* crc32_table() {
-  static const auto table = [] {
-    std::vector<std::uint32_t> t(256);
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-      }
-      t[i] = c;
+// kCrcTables[0] is the bytewise table; kCrcTables[k][i] is the CRC of byte
+// i followed by k zero bytes, so eight table reads fold eight bytes.
+constexpr auto kCrcTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
     }
-    return t;
-  }();
-  return table.data();
-}
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
-  const std::uint32_t* table = crc32_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+    t[0][i] = c;
   }
-  return crc ^ 0xFFFFFFFFu;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}();
+
+// Bytes b[0..3] as a little-endian u32, on any host.
+inline std::uint32_t le32(const std::uint8_t* b) {
+  return std::uint32_t{b[0]} | std::uint32_t{b[1]} << 8 |
+         std::uint32_t{b[2]} << 16 | std::uint32_t{b[3]} << 24;
 }
 
 // --- little-endian scalar plumbing ------------------------------------------
@@ -101,10 +110,9 @@ struct SectionBuffers {
   std::vector<std::uint8_t>& of(SectionId id) { return payload[id - 1]; }
 };
 
-void append_table(SectionBuffers& sections, const Lut& lut) {
-  const BitVector& table = lut.table();
-  for (std::size_t w = 0; w < table.word_count(); ++w) {
-    append_scalar(sections.of(kSecTables), table.words()[w]);
+void append_words(SectionBuffers& sections, const Lut& lut) {
+  for (std::size_t j = 0; j < lut.word_count(); ++j) {
+    append_scalar(sections.of(kSecTables), lut.table_word(j));
   }
 }
 
@@ -114,7 +122,11 @@ void append_node_record(SectionBuffers& sections, std::uint32_t kind,
   append_scalar(sections.of(kSecNodes), static_cast<std::uint32_t>(fanin));
 }
 
-void pack_module(const RincModule& module, SectionBuffers& sections) {
+// The module's node, leaf-input and MAT-weight records, pre-order. With
+// `tables`, also each node's table words in the same order (the conv
+// region; the classifier's tables go in as its program's image).
+void pack_module(const RincModule& module, SectionBuffers& sections,
+                 bool tables) {
   if (module.is_leaf()) {
     const Lut& lut = module.leaf_lut();
     append_node_record(sections, 0, lut.arity());
@@ -122,17 +134,17 @@ void pack_module(const RincModule& module, SectionBuffers& sections) {
       append_scalar(sections.of(kSecLeafInputs),
                     static_cast<std::uint64_t>(input));
     }
-    append_table(sections, lut);
+    if (tables) append_words(sections, lut);
     return;
   }
   append_node_record(sections, 1, module.children().size());
-  for (const double weight : module.mat().weights()) {
+  for (const double weight : module.mat_weights()) {
     append_scalar(sections.of(kSecMatWeights),
                   std::bit_cast<std::uint64_t>(weight));
   }
-  append_table(sections, module.mat_lut());
+  if (tables) append_words(sections, module.mat_lut());
   for (const RincModule& child : module.children()) {
-    pack_module(child, sections);
+    pack_module(child, sections, tables);
   }
 }
 
@@ -160,7 +172,11 @@ IoStatus write_packed(const PoetBin& model, const RincConvLayer* conv,
   append_f32_bits(sections.of(kSecQuantizer), q.max_value);
 
   for (const RincModule& module : model.modules()) {
-    pack_module(module, sections);
+    pack_module(module, sections, /*tables=*/false);
+  }
+  const TableImage& image = model.program().tables();
+  for (std::size_t w = 0; w < image.size; ++w) {
+    append_scalar(sections.of(kSecTables), image.data[w]);
   }
 
   if (conv != nullptr) {
@@ -172,7 +188,7 @@ IoStatus write_packed(const PoetBin& model, const RincConvLayer* conv,
       append_scalar(sections.of(kSecConvConfig), scalar);
     }
     for (const RincModule& module : conv->channel_modules()) {
-      pack_module(module, sections);
+      pack_module(module, sections, /*tables=*/true);
     }
   }
 
@@ -216,8 +232,8 @@ IoStatus write_packed(const PoetBin& model, const RincConvLayer* conv,
   std::memcpy(buffer.data() + 16, &section_count, sizeof(section_count));
   const std::uint64_t file_size = buffer.size();
   std::memcpy(buffer.data() + 24, &file_size, sizeof(file_size));
-  const std::uint32_t crc =
-      crc32(buffer.data() + kHeaderBytes, buffer.size() - kHeaderBytes);
+  const std::uint32_t crc = model_io::crc32(buffer.data() + kHeaderBytes,
+                                            buffer.size() - kHeaderBytes);
   std::memcpy(buffer.data() + 20, &crc, sizeof(crc));
   return model_io::publish_model_file(
       path, std::string_view(reinterpret_cast<const char*>(buffer.data()),
@@ -292,7 +308,8 @@ Sections parse_container(const std::uint8_t* bytes, std::size_t size,
   expect(table_end <= size, "section table runs past the end of the file");
 
   if (verify == PackedVerify::kFull &&
-      crc32(bytes + kHeaderBytes, size - kHeaderBytes) != stored_crc) {
+      model_io::crc32(bytes + kHeaderBytes, size - kHeaderBytes) !=
+          stored_crc) {
     fail(ModelIoError::Kind::kChecksumMismatch,
          "packed-model checksum mismatch");
   }
@@ -317,11 +334,12 @@ Sections parse_container(const std::uint8_t* bytes, std::size_t size,
   return sections;
 }
 
-// model_io::decode_tree's source over the node, leaf-input, MAT-weight and
-// table sections, in the pre-order pack_module wrote them.
+// model_io::decode_tree's source over the node, leaf-input and MAT-weight
+// sections, in the pre-order pack_module wrote them. Its Luts view the
+// leaf inputs in place; place_tables gives them their tables, and the
+// buffer's owner, once the tree is built.
 struct PackedSource {
   Sections& sections;
-  PackedVerify verify;
 
   model_io::NodeRecord node() {
     const auto kind = sections[kSecNodes].next<std::uint32_t>();
@@ -329,37 +347,64 @@ struct PackedSource {
     expect(kind <= 1, "bad node kind");
     return {kind == 0, fanin};
   }
-  std::uint64_t leaf_input() {
-    return sections[kSecLeafInputs].next<std::uint64_t>();
-  }
   double weight() {
     return std::bit_cast<double>(
         sections[kSecMatWeights].next<std::uint64_t>());
   }
-  BitVector table(std::size_t arity) {
-    BitVector table(std::size_t{1} << arity);
-    const std::size_t n_words = table.word_count();
-    std::memcpy(table.words(),
-                sections[kSecTables].take(n_words, sizeof(std::uint64_t)),
-                n_words * sizeof(std::uint64_t));
-    const std::uint64_t last = table.words()[n_words - 1];
-    expect(last == (last & BitVector::tail_word_mask(table.size())),
-           "table word has bits past the table size");
-    return table;
+  Lut leaf(std::size_t arity) {
+    const auto* inputs = reinterpret_cast<const std::size_t*>(
+        sections[kSecLeafInputs].take(arity, sizeof(std::uint64_t)));
+    for (std::size_t j = 0; j < arity; ++j) model_io::leaf_input(inputs[j]);
+    return Lut::view(nullptr, inputs, arity, nullptr, 1);
   }
-  Lut mat_lut(const MatModule& mat) {
-    BitVector stored = table(mat.arity());
-    // The stored MAT table must be the table the weights imply — eval reads
-    // the table while retrain/export read the weights, and the two must
-    // never diverge. Re-deriving every table is 2^fanin x fanin float work
-    // per internal node, so it rides the kFull depth.
-    if (verify == PackedVerify::kFull) {
-      expect(stored == mat.to_table(),
-             "MAT table does not match the MAT weights");
-    }
-    return Lut(std::vector<std::size_t>(mat.arity(), 0), std::move(stored));
+  Lut mat_lut(std::span<const double> weights) {
+    return Lut::view(nullptr, kZeroInputs, weights.size(), nullptr, 1);
   }
 };
+
+// Points every node's Lut at its table: the classifier's nodes
+// [0, n_classifier) in the program image's layout, the conv nodes after
+// them back to back. The tables section must hold exactly those words,
+// with zero padding words and zero bits past each table. Returns the
+// classifier's image.
+TableImage place_tables(RincTreeBuilder& builder, std::size_t n_classifier,
+                        SectionReader& section,
+                        const std::shared_ptr<const void>& owner) {
+  TableLayout layout;
+  std::size_t conv_words = 0;
+  for (std::uint32_t i = 0; i < builder.size(); ++i) {
+    const std::size_t arity = builder.lut(i).arity();
+    if (i < n_classifier) {
+      layout.count(builder.node(i).level, arity);
+    } else {
+      conv_words += BitVector::words_needed(std::size_t{1} << arity);
+    }
+  }
+  const std::size_t image_words = layout.finish();
+  expect(section.length == (image_words + conv_words) * 8,
+         "tables section does not match the model's tables");
+  const auto* words = reinterpret_cast<const std::uint64_t*>(
+      section.take(image_words + conv_words, sizeof(std::uint64_t)));
+  expect(layout.padding_is_zero(words), "nonzero table padding word");
+  std::size_t conv_at = image_words;
+  for (std::uint32_t i = 0; i < builder.size(); ++i) {
+    Lut& lut = builder.lut(i);
+    const std::size_t arity = lut.arity();
+    TableLayout::Slot slot{conv_at, 1};
+    if (i < n_classifier) {
+      slot = layout.place(builder.node(i).level, arity);
+    } else {
+      conv_at += BitVector::words_needed(std::size_t{1} << arity);
+    }
+    const std::uint64_t first = words[slot.at];
+    expect(first == (first & BitVector::tail_word_mask(std::size_t{1}
+                                                        << arity)),
+           "table word has bits past the table size");
+    lut = Lut::view(owner, lut.inputs().data(), arity, words + slot.at,
+                    slot.stride);
+  }
+  return {owner, words, image_words};
+}
 
 }  // namespace
 
@@ -370,7 +415,24 @@ bool has_packed_magic(const std::uint8_t* data, std::size_t size) {
          std::memcmp(data, kMagic, sizeof(kMagic)) == 0;
 }
 
-ModelParts decode_packed(const std::uint8_t* data, std::size_t size,
+std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  const auto& t = kCrcTables;
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = le32(data) ^ crc;
+    const std::uint32_t hi = le32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+ModelParts decode_packed(std::shared_ptr<const void> owner,
+                         const std::uint8_t* data, std::size_t size,
                          PackedVerify verify) {
   Sections sections = parse_container(data, size, verify);
   ModelParts parts;
@@ -403,29 +465,55 @@ ModelParts decode_packed(const std::uint8_t* data, std::size_t size,
   }
   check_header(parts);
 
-  // Node trees, pre-order: one per classifier module, then (for conv
-  // files) one per conv output channel, all in the same shared sections.
-  PackedSource source{sections, verify};
+  // Node trees, pre-order, into one tree: one per classifier module, then
+  // (for conv files) one per conv output channel. The node records size
+  // the tree up front, capped so unvalidated records cannot make the
+  // loader reserve many times the file's size.
+  RincTreeBuilder builder(
+      std::min<std::uint64_t>(sections[kSecNodes].length / 8, 1u << 16));
+  PackedSource source{sections};
   const std::size_t p = parts.config.rinc.lut_inputs;
+  parts.modules.reserve(parts.config.n_classes * p);
   for (std::size_t m = 0; m < parts.config.n_classes * p; ++m) {
-    parts.modules.push_back(decode_tree(source, parts.config.rinc.levels));
+    parts.modules.push_back(builder.module(
+        decode_tree(source, builder, parts.config.rinc.levels)));
   }
+  const std::size_t n_classifier = builder.size();
   if (parts.conv) {
     for (std::size_t c = 0; c < parts.conv->config.out_channels; ++c) {
-      parts.conv->modules.push_back(decode_tree(source, kMaxRincLevels));
+      parts.conv->modules.push_back(
+          builder.module(decode_tree(source, builder, kMaxRincLevels)));
+    }
+  }
+  parts.tables =
+      place_tables(builder, n_classifier, sections[kSecTables], owner);
+
+  // The stored MAT tables must be the tables the weights imply — eval
+  // reads the tables while retrain/export read the weights, and the two
+  // must never diverge. Re-deriving every table is 2^fanin x fanin float
+  // work per internal node, so it rides the kFull depth.
+  if (verify == PackedVerify::kFull) {
+    for (std::uint32_t i = 0; i < builder.size(); ++i) {
+      const RincModule module = builder.module(i);
+      if (module.is_leaf()) continue;
+      expect(module.mat_lut().table() == module.mat().to_table(),
+             "MAT table does not match the MAT weights");
     }
   }
 
   const std::size_t n_combos = std::size_t{1} << p;
+  parts.output.reserve(parts.config.n_classes);
   for (std::size_t c = 0; c < parts.config.n_classes; ++c) {
     SparseOutputNeuron& neuron = parts.output.emplace_back();
-    for (std::size_t i = 0; i < p; ++i) {
-      neuron.input_modules.push_back(static_cast<std::size_t>(
-          sections[kSecOutputWiring].next<std::uint64_t>()));
+    neuron.input_modules.resize(p);
+    for (std::size_t& module : neuron.input_modules) {
+      module = static_cast<std::size_t>(
+          sections[kSecOutputWiring].next<std::uint64_t>());
     }
-    for (std::size_t i = 0; i < p; ++i) {
-      neuron.weights.push_back(std::bit_cast<float>(
-          sections[kSecOutputWeights].next<std::uint32_t>()));
+    neuron.weights.resize(p);
+    for (float& weight : neuron.weights) {
+      weight = std::bit_cast<float>(
+          sections[kSecOutputWeights].next<std::uint32_t>());
     }
     neuron.bias = std::bit_cast<float>(
         sections[kSecOutputWeights].next<std::uint32_t>());

@@ -2,18 +2,22 @@
 //
 // The text format (core/serialize.h) is the debuggable interchange form; a
 // serving fleet wants the opposite trade: a worker should read a model in
-// and serve, with no text parsing. The packed format stores every LUT as
-// its compact truth table (one bit per entry, word-padded) — the same
-// words the eval kernels reduce from — plus the wiring, MAT weights and
-// output codes as raw little-endian scalars. The output layer's code
-// bit-planes are not stored: PoetBin rebuilds them from the codes.
+// and serve, with no text parsing. The packed format stores the classifier's
+// truth tables as the table image its compiled program reads
+// (core/gather_program.h: TableLayout), the conv channels' tables after it,
+// plus the wiring, MAT weights and output codes as raw little-endian
+// scalars. Everything else the program needs — gather indices and
+// selectors, per-LUT records, the output layer's code bit-planes — is
+// derived at load, so no stored byte is ever used as a gather index.
 //
 // A packed file loads through read_model_bytes / read_model_file_any
-// (core/serialize.h) like a text one: packed_model.cpp decodes the
-// container and its sections from memory into plain parts, and
-// serialize.cpp validates them — the same checks, in the same place, as
-// for text — before the model is built. The loaded model never refers to
-// the bytes again.
+// (core/serialize.h) like a text one: one read into a 64-byte-aligned
+// buffer, one validation pass (packed_model.cpp decodes the container and
+// places every table; serialize.cpp runs the checks both formats share),
+// and the model adopts the buffer. Its Luts view their leaf inputs and
+// tables where they sit in it, its compiled program reads the same table
+// image, and every copy of the model keeps the buffer alive: each table is
+// held once.
 //
 // Load-time validation comes in two depths (PackedVerify):
 //   kFull (default)  — header/section structure, CRC32 over the payload,
@@ -34,7 +38,7 @@
 //
 //   header (64 bytes):
 //     0  char[8]  magic "PoETBiNP"
-//     8  u32      format version (3; earlier versions are rejected with
+//     8  u32      format version (4; earlier versions are rejected with
 //                 kVersionMismatch — re-pack them from text)
 //     12 u32      header bytes (64)
 //     16 u32      section count (10)
@@ -48,12 +52,22 @@
 // Sections, each read front to back and required to be used up exactly:
 // config scalars (P, levels, total DTs, classes, quantizer bits),
 // quantizer, pre-order node records (u32 kind, u32 fanin), leaf input
-// indices, MAT weights, output wiring / weights / codes, the compact truth
-// tables of every node in pre-order, and the conv config (input shape,
-// output channels, kernel, stride, padding). A zero-length conv-config
-// section means a dense model; otherwise the per-channel conv module trees
-// follow the classifier trees in the same node/input/weight/table
+// indices (u64, read in place as the loaded Luts' inputs), MAT weights,
+// output wiring / weights / codes, the tables, and the conv config (input
+// shape, output channels, kernel, stride, padding). A zero-length
+// conv-config section means a dense model; otherwise the per-channel conv
+// module trees follow the classifier trees in the same node/input/weight
 // sections.
+//
+// The tables section is the classifier's table image, then each conv
+// node's table in pre-order, back to back. In the image, tables go level
+// by level (leaves first) and in pre-order within a level; a level whose
+// LUTs share one arity of 1..8 is plane-major — word j of its t-th table
+// at j x stride + t, stride its LUT count rounded up to 8 — and any other
+// level stores each table's words back to back. The loader recomputes
+// that layout from the node records and requires the section to be
+// exactly that long, every padding word zero and every bit past a table's
+// 2^arity entries zero.
 #pragma once
 
 #include <string>

@@ -82,7 +82,8 @@ PoetBin PoetBin::train(const BitMatrix& features,
 PoetBin PoetBin::from_parts(PoetBinConfig config,
                             std::vector<RincModule> modules,
                             std::vector<SparseOutputNeuron> output_neurons,
-                            QuantizerParams quantizer) {
+                            QuantizerParams quantizer,
+                            const TableImage* tables) {
   POETBIN_CHECK(modules.size() ==
                 config.n_classes * config.rinc.lut_inputs);
   POETBIN_CHECK(output_neurons.size() == config.n_classes);
@@ -103,32 +104,36 @@ PoetBin PoetBin::from_parts(PoetBinConfig config,
   model.modules_ = std::move(modules);
   model.output_ = std::move(output_neurons);
   model.quantizer_ = quantizer;
-  model.compile();
+  model.compile(tables);
   return model;
 }
 
-void PoetBin::compile() {
+void PoetBin::compile(const TableImage* tables) {
   const std::size_t n_combos = std::size_t{1} << config_.rinc.lut_inputs;
   std::uint32_t max_code = 1;
   for (const auto& neuron : output_) {
     for (const auto code : neuron.codes) max_code = std::max(max_code, code);
   }
   n_code_planes_ = static_cast<std::size_t>(std::bit_width(max_code));
-  code_planes_.assign(output_.size() * n_code_planes_ * code_plane_words(), 0);
+  code_planes_.resize(output_.size() * n_code_planes_ * code_plane_words());
+  std::uint64_t* plane_word = code_planes_.data();
   for (std::size_t c = 0; c < output_.size(); ++c) {
     const std::uint32_t* codes = output_[c].codes.data();
-    std::uint64_t* planes =
-        code_planes_.data() + c * n_code_planes_ * code_plane_words();
-    // Only the set bits of each code touch a plane.
-    for (std::size_t a = 0; a < n_combos; ++a) {
-      for (std::uint32_t code = codes[a]; code != 0; code &= code - 1) {
-        planes[static_cast<std::size_t>(std::countr_zero(code)) *
-                   code_plane_words() +
-               (a >> 6)] |= std::uint64_t{1} << (a & 63);
+    for (std::size_t q = 0; q < n_code_planes_; ++q) {
+      // Word w of plane q: bit q of codes [64w, 64w + 64), tail bits zero.
+      for (std::size_t at = 0; at < n_combos; at += 64) {
+        std::uint64_t word = 0;
+        for (std::size_t b = 0; b < std::min<std::size_t>(64, n_combos - at);
+             ++b) {
+          word |= std::uint64_t{(codes[at + b] >> q) & 1u} << b;
+        }
+        *plane_word++ = word;
       }
     }
   }
-  program_ = GatherProgram::compile(modules_, output_);
+  const TableImage current = program_.tables();
+  program_ = GatherProgram::compile(modules_, output_,
+                                    tables != nullptr ? tables : &current);
 }
 
 // noinline: an inlined copy in train_output could contract differently from

@@ -82,11 +82,14 @@ class PoetBin {
                        const PoetBinConfig& config);
 
   // Reconstruction from stored artefacts (deserialization). Validates the
-  // nc x P wiring and code-table sizes.
+  // nc x P wiring and code-table sizes. `tables`, when given, is the table
+  // image the modules' Luts view (a packed load's), which the compiled
+  // program adopts instead of copying (see GatherProgram::compile).
   static PoetBin from_parts(PoetBinConfig config,
                             std::vector<RincModule> modules,
                             std::vector<SparseOutputNeuron> output_neurons,
-                            QuantizerParams quantizer);
+                            QuantizerParams quantizer,
+                            const TableImage* tables = nullptr);
 
   std::size_t n_classes() const { return output_.size(); }
   std::size_t n_modules() const { return modules_.size(); }
@@ -96,6 +99,9 @@ class PoetBin {
   const std::vector<RincModule>& modules() const { return modules_; }
   const std::vector<SparseOutputNeuron>& output_neurons() const { return output_; }
   const QuantizerParams& quantizer() const { return quantizer_; }
+  // The compiled per-example program (its table image is what a packed
+  // file stores).
+  const GatherProgram& program() const { return program_; }
 
   // Input feature width the model serves: highest referenced feature
   // index + 1 (the model stores wiring, not a width — this is the single
@@ -158,8 +164,9 @@ class PoetBin {
   // Rebuilds what is derived from the modules and the output layer: the
   // code planes the fused argmax reads and the gather program predict
   // runs (which also fixes n_features()). Called by from_parts and
-  // whenever the output layer changes.
-  void compile();
+  // whenever the output layer changes; `tables` as in from_parts, else
+  // the current program's image is the adoption candidate.
+  void compile(const TableImage* tables = nullptr);
   std::size_t code_plane_words() const {
     return BitVector::words_needed(std::size_t{1} << lut_inputs());
   }

@@ -28,35 +28,112 @@ std::size_t full_rinc_lut_count(std::size_t lut_inputs, std::size_t levels) {
   return total;
 }
 
+// --- the tree ---------------------------------------------------------------
+
+RincModule::RincModule(const RincModule& other)
+    : owner_(other.owner_),
+      tree_(other.tree_),
+      node_(other.node_),
+      train_error_(other.train_error_) {
+  if (owner_ == nullptr && tree_ != nullptr) owner_ = tree_->shared_from_this();
+}
+
+RincModule& RincModule::operator=(const RincModule& other) {
+  if (this != &other) *this = RincModule(other);
+  return *this;
+}
+
+RincTreeBuilder::RincTreeBuilder(std::size_t node_hint)
+    : tree_(std::make_shared<RincTree>()) {
+  // Every node but a root is some node's child with one MAT weight.
+  tree_->nodes.reserve(node_hint);
+  tree_->luts.reserve(node_hint);
+  tree_->weights.reserve(node_hint);
+  tree_->children.reserve(node_hint);
+}
+
+std::uint32_t RincTreeBuilder::add_leaf(Lut lut) {
+  const auto index = static_cast<std::uint32_t>(tree_->nodes.size());
+  tree_->nodes.push_back(
+      {.fanin = static_cast<std::uint32_t>(lut.arity())});
+  tree_->luts.push_back(std::move(lut));
+  return index;
+}
+
+std::uint32_t RincTreeBuilder::open_internal(std::span<const double> weights,
+                                             Lut mat_lut) {
+  POETBIN_CHECK(!weights.empty());
+  RincTree& tree = *tree_;
+  const auto index = static_cast<std::uint32_t>(tree.nodes.size());
+  tree.nodes.push_back(
+      {.fanin = static_cast<std::uint32_t>(weights.size()),
+       .children_at = static_cast<std::uint32_t>(tree.children.size()),
+       .weights_at = static_cast<std::uint32_t>(tree.weights.size())});
+  tree.weights.insert(tree.weights.end(), weights.begin(), weights.end());
+  tree.children.resize(tree.children.size() + weights.size());
+  tree.luts.push_back(std::move(mat_lut));
+  return index;
+}
+
+void RincTreeBuilder::set_child(std::uint32_t node, std::size_t index,
+                                std::uint32_t child) {
+  RincTree& tree = *tree_;
+  const RincTree::Node& parent = tree.nodes[node];
+  POETBIN_CHECK(index < parent.fanin);
+  // Its first child directly follows it in pre-order.
+  POETBIN_CHECK_MSG(tree.nodes[child].level == tree.nodes[node + 1].level,
+                    "RINC children must share a level");
+  tree.children[parent.children_at + index] = RincModule(&tree, child);
+}
+
+void RincTreeBuilder::close_internal(std::uint32_t node) {
+  RincTree& tree = *tree_;
+  RincTree::Node& parent = tree.nodes[node];
+  parent.size = static_cast<std::uint32_t>(tree.nodes.size() - node);
+  parent.level = tree.nodes[node + 1].level + 1;  // its first child's + 1
+}
+
+std::uint32_t RincTreeBuilder::append(const RincModule& module) {
+  if (module.tree_ == nullptr) return add_leaf(Lut());
+  const RincTree& src = *module.tree_;
+  const RincTree::Node& node = src.nodes[module.node_];
+  if (node.level == 0) return add_leaf(src.luts[module.node_]);
+  const std::uint32_t index =
+      open_internal(module.mat_weights(), src.luts[module.node_]);
+  for (std::size_t c = 0; c < node.fanin; ++c) {
+    set_child(index, c, append(src.children[node.children_at + c]));
+  }
+  close_internal(index);
+  return index;
+}
+
+RincModule RincTreeBuilder::module(std::uint32_t node) const {
+  RincModule handle(tree_.get(), node);
+  handle.owner_ = tree_;
+  return handle;
+}
+
 RincModule RincModule::make_leaf(Lut lut) {
-  RincModule module;
-  module.leaf_ = std::move(lut);
-  return module;
+  RincTreeBuilder builder(1);
+  return builder.module(builder.add_leaf(std::move(lut)));
 }
 
 RincModule RincModule::make_internal(std::vector<RincModule> children,
                                      MatModule mat) {
-  Lut mat_lut(std::vector<std::size_t>(mat.arity(), 0), mat.to_table());
-  return make_internal(std::move(children), std::move(mat),
-                       std::move(mat_lut));
-}
-
-RincModule RincModule::make_internal(std::vector<RincModule> children,
-                                     MatModule mat, Lut mat_lut) {
   POETBIN_CHECK(!children.empty());
   POETBIN_CHECK(mat.arity() == children.size());
-  POETBIN_CHECK_MSG(mat_lut.arity() == mat.arity(),
-                    "prebuilt MAT LUT arity must match the MAT fanin");
-  const std::size_t child_level = children.front().level();
-  for (const auto& child : children) {
-    POETBIN_CHECK_MSG(child.level() == child_level,
-                      "RINC children must share a level");
+  POETBIN_CHECK_MSG(mat.arity() <= kMaxMatFanin, "MAT fanin too large");
+  std::size_t n_nodes = 1;
+  for (const RincModule& child : children) n_nodes += child.lut_count();
+  RincTreeBuilder builder(n_nodes);
+  const std::uint32_t node = builder.open_internal(
+      mat.weights(), Lut(std::vector<std::size_t>(mat.arity(), 0),
+                         mat.to_table()));
+  for (std::size_t c = 0; c < children.size(); ++c) {
+    builder.set_child(node, c, builder.append(children[c]));
   }
-  RincModule module;
-  module.children_ = std::move(children);
-  module.mat_ = std::move(mat);
-  module.mat_lut_ = std::move(mat_lut);
-  return module;
+  builder.close_internal(node);
+  return builder.module(node);
 }
 
 RincModule RincModule::train(const BitMatrix& features, const BitVector& targets,
@@ -78,15 +155,12 @@ RincModule RincModule::train_impl(const BitMatrix& features,
                                   const RincConfig& config, std::size_t level,
                                   std::size_t dt_budget,
                                   const BatchEngine* engine) {
-  RincModule module;
-  const std::size_t n = features.rows();
-
   if (level == 0) {
     LevelDtConfig dt_config;
     dt_config.n_inputs = config.lut_inputs;
     LevelDtResult fit =
         train_level_dt(features, targets, weights, dt_config, engine);
-    module.leaf_ = std::move(fit.lut);
+    RincModule module = make_leaf(std::move(fit.lut));
     module.train_error_ = fit.weighted_error;
     return module;
   }
@@ -100,6 +174,7 @@ RincModule RincModule::train_impl(const BitMatrix& features,
   AdaboostConfig boost_config = config.adaboost;
   boost_config.n_rounds = n_children;
 
+  std::vector<RincModule> children;
   std::size_t remaining = dt_budget;
   auto train_weak = [&](std::span<const double> round_weights,
                         std::size_t round) -> BitVector {
@@ -111,67 +186,48 @@ RincModule RincModule::train_impl(const BitMatrix& features,
                                   level - 1, child_budget, engine);
     // The weak learner's dataset pass rides the bitsliced inference path.
     BitVector predictions = child.eval_dataset_batched(features);
-    module.children_.push_back(std::move(child));
+    children.push_back(std::move(child));
     return predictions;
   };
 
   AdaboostResult boosted =
       run_adaboost(targets, train_weak, boost_config, weights);
-  module.mat_ = boosted.mat;
-  // The MAT LUT's "inputs" are child-module outputs, not feature indices;
-  // index slots are zero-filled and only the table is meaningful.
-  module.mat_lut_ = Lut(std::vector<std::size_t>(module.mat_.arity(), 0),
-                        module.mat_.to_table());
+  POETBIN_CHECK(children.size() == n_children);
+  RincModule module = make_internal(std::move(children), boosted.mat);
   module.train_error_ = boosted.train_error;
-
-  // Unweighted check against the boosted predictions: eval() must agree.
-  POETBIN_CHECK(module.children_.size() == n_children);
-  (void)n;
   return module;
-}
-
-std::size_t RincModule::level() const {
-  if (is_leaf()) return 0;
-  return 1 + children_.front().level();
 }
 
 const Lut& RincModule::leaf_lut() const {
   POETBIN_CHECK_MSG(is_leaf(), "leaf_lut() on an internal RINC module");
-  return leaf_;
+  static const Lut kEmpty;
+  return tree_ == nullptr ? kEmpty : tree_->luts[node_];
 }
 
-const MatModule& RincModule::mat() const {
+std::span<const double> RincModule::mat_weights() const {
   POETBIN_CHECK_MSG(!is_leaf(), "mat() on a RINC-0 module");
-  return mat_;
+  const RincTree::Node& node = tree_->nodes[node_];
+  return {tree_->weights.data() + node.weights_at, node.fanin};
+}
+
+MatModule RincModule::mat() const {
+  const std::span<const double> weights = mat_weights();
+  return MatModule(std::vector<double>(weights.begin(), weights.end()));
 }
 
 const Lut& RincModule::mat_lut() const {
   POETBIN_CHECK_MSG(!is_leaf(), "mat_lut() on a RINC-0 module");
-  return mat_lut_;
+  return tree_->luts[node_];
 }
 
 std::size_t RincModule::lut_count() const {
-  if (is_leaf()) return 1;
-  std::size_t total = 1;  // this module's MAT LUT
-  for (const auto& child : children_) total += child.lut_count();
-  return total;
+  return tree_ == nullptr ? 1 : tree_->nodes[node_].size;
 }
 
-std::size_t RincModule::leaf_dt_count() const {
-  if (is_leaf()) return 1;
-  std::size_t total = 0;
-  for (const auto& child : children_) total += child.leaf_dt_count();
-  return total;
-}
+std::size_t RincModule::leaf_dt_count() const { return leaf_luts().size(); }
 
-std::size_t RincModule::depth_in_luts() const {
-  if (is_leaf()) return 1;
-  std::size_t deepest = 0;
-  for (const auto& child : children_) {
-    deepest = std::max(deepest, child.depth_in_luts());
-  }
-  return 1 + deepest;
-}
+// Children share a level, so every path down has level() + 1 LUTs.
+std::size_t RincModule::depth_in_luts() const { return level() + 1; }
 
 std::vector<std::size_t> RincModule::distinct_features() const {
   // Sorted and deduplicated, so the cost does not depend on how large an
@@ -185,17 +241,17 @@ std::vector<std::size_t> RincModule::distinct_features() const {
   return out;
 }
 
-void RincModule::collect_leaves(std::vector<const Lut*>& out) const {
-  if (is_leaf()) {
-    out.push_back(&leaf_);
-    return;
-  }
-  for (const auto& child : children_) child.collect_leaves(out);
-}
-
 std::vector<const Lut*> RincModule::leaf_luts() const {
   std::vector<const Lut*> out;
-  collect_leaves(out);
+  if (tree_ == nullptr) {
+    out.push_back(&leaf_lut());
+    return out;
+  }
+  // The subtree is nodes [node_, node_ + size) in pre-order.
+  const std::size_t end = node_ + tree_->nodes[node_].size;
+  for (std::size_t i = node_; i < end; ++i) {
+    if (tree_->nodes[i].level == 0) out.push_back(&tree_->luts[i]);
+  }
   return out;
 }
 

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -35,9 +36,20 @@ struct RincConfig {
   AdaboostConfig adaboost;     // epsilon clamping etc. (n_rounds is derived)
 };
 
+struct RincTree;
+
+// A RINC module: a handle on one node of a RincTree (below), the flat
+// pre-order store its whole subtree lives in. Copies share the tree and
+// keep it alive. The handles children() returns live inside the tree and
+// do not own it, so walking a module costs no reference counting; copying
+// one of them takes a reference like any other copy.
 class RincModule {
  public:
   RincModule() = default;
+  RincModule(const RincModule& other);
+  RincModule(RincModule&& other) noexcept = default;
+  RincModule& operator=(const RincModule& other);
+  RincModule& operator=(RincModule&& other) noexcept = default;
 
   // Trains a RINC-`config.levels` on binary `features` against the binary
   // `targets`, starting from `weights` (empty = uniform). The weights thread
@@ -53,29 +65,22 @@ class RincModule {
                           const RincConfig& config,
                           const BatchEngine* engine = nullptr);
 
-  // Reconstruction from stored artefacts (deserialization, hand-built
-  // modules in tests). Children must all have the same level.
+  // Reconstruction from stored artefacts (hand-built modules, tests).
+  // Children must all have the same level; each call copies the children's
+  // nodes into one new tree (their Luts are shared, not copied).
   static RincModule make_leaf(Lut lut);
   static RincModule make_internal(std::vector<RincModule> children,
                                   MatModule mat);
-  // Reconstruction with a prebuilt MAT LUT (the packed-model loader passes
-  // the stored table, skipping the 2^fanin x fanin to_table() enumeration
-  // unless it verifies fully). `mat_lut` must have fanin zero-filled inputs
-  // and a 2^fanin table equal to mat.to_table() — the loader's checksum
-  // covers that equality; sizes are validated here.
-  static RincModule make_internal(std::vector<RincModule> children,
-                                  MatModule mat, Lut mat_lut);
 
-  bool is_leaf() const { return children_.empty(); }
+  bool is_leaf() const;
   std::size_t level() const;
-  std::size_t fanin() const {
-    return is_leaf() ? leaf_.arity() : children_.size();
-  }
+  std::size_t fanin() const;
 
   const Lut& leaf_lut() const;          // valid only for RINC-0
-  const MatModule& mat() const;         // valid only for level >= 1
+  MatModule mat() const;                // valid only for level >= 1
+  std::span<const double> mat_weights() const;  // mat().weights(), no copy
   const Lut& mat_lut() const;           // MAT encoded as a LUT (level >= 1)
-  const std::vector<RincModule>& children() const { return children_; }
+  std::span<const RincModule> children() const;
 
   // The module's output bit for every row of `features`: the bitsliced
   // pass (64 examples per word op, the whole hierarchy evaluated as a DAG
@@ -100,20 +105,85 @@ class RincModule {
   double train_error() const { return train_error_; }
 
  private:
-  // Leaf payload (level 0).
-  Lut leaf_;
-  // Internal payload (level >= 1).
-  std::vector<RincModule> children_;
-  MatModule mat_;
-  Lut mat_lut_;  // inputs() is empty (the fanins are child modules, not features)
+  friend struct RincTree;
+  friend class RincTreeBuilder;
+
+  RincModule(const RincTree* tree, std::uint32_t node)
+      : tree_(tree), node_(node) {}
+
+  std::shared_ptr<const RincTree> owner_;  // null inside the tree itself
+  const RincTree* tree_ = nullptr;         // null: an empty leaf
+  std::uint32_t node_ = 0;
   double train_error_ = 0.0;
 
-  void collect_leaves(std::vector<const Lut*>& out) const;
   static RincModule train_impl(const BitMatrix& features, const BitVector& targets,
                                std::span<const double> weights,
                                const RincConfig& config, std::size_t level,
                                std::size_t dt_budget,
                                const BatchEngine* engine);
+};
+
+// The nodes of one or more module trees, each tree in pre-order, with one
+// Lut per node (a leaf's LUT or a MAT's). A packed load builds one tree
+// for the whole model, whose Luts view the loaded buffer; make_leaf and
+// make_internal build one per call. Immutable once its builder is done.
+struct RincTree : std::enable_shared_from_this<RincTree> {
+  struct Node {
+    std::uint32_t fanin = 0;        // leaf arity, or MAT fanin
+    std::uint32_t level = 0;        // 0 for a leaf
+    std::uint32_t size = 1;         // nodes in the subtree, itself included
+    std::uint32_t children_at = 0;  // internal: its first handle in children
+    std::uint32_t weights_at = 0;   // internal: its first MAT weight
+  };
+  std::vector<Node> nodes;
+  std::vector<Lut> luts;             // nodes[i]'s LUT
+  std::vector<double> weights;       // MAT weights, fanin per internal node
+  std::vector<RincModule> children;  // fanin handles per internal node
+};
+
+// The walks of the word passes call these per node, so they inline.
+inline bool RincModule::is_leaf() const {
+  return tree_ == nullptr || tree_->nodes[node_].level == 0;
+}
+inline std::size_t RincModule::level() const {
+  return tree_ == nullptr ? 0 : tree_->nodes[node_].level;
+}
+inline std::size_t RincModule::fanin() const {
+  return tree_ == nullptr ? 0 : tree_->nodes[node_].fanin;
+}
+inline std::span<const RincModule> RincModule::children() const {
+  if (is_leaf()) return {};
+  const RincTree::Node& node = tree_->nodes[node_];
+  return {tree_->children.data() + node.children_at, node.fanin};
+}
+
+// Appends nodes to a new tree in pre-order: open an internal node, append
+// its children, close it.
+class RincTreeBuilder {
+ public:
+  explicit RincTreeBuilder(std::size_t node_hint = 0);
+
+  std::uint32_t add_leaf(Lut lut);
+  // `mat_lut` may be set later through lut() (the packed loader places the
+  // tables once the levels are known).
+  std::uint32_t open_internal(std::span<const double> weights, Lut mat_lut);
+  // Records child `index` of internal node `node`; aborts (a builder
+  // contract) unless the children share a level.
+  void set_child(std::uint32_t node, std::size_t index, std::uint32_t child);
+  void close_internal(std::uint32_t node);
+  // A copy of `module`'s subtree, appended in pre-order.
+  std::uint32_t append(const RincModule& module);
+
+  const RincTree::Node& node(std::uint32_t index) const {
+    return tree_->nodes[index];
+  }
+  std::size_t size() const { return tree_->nodes.size(); }
+  Lut& lut(std::uint32_t index) { return tree_->luts[index]; }
+  // An owning handle on `node`.
+  RincModule module(std::uint32_t node) const;
+
+ private:
+  std::shared_ptr<RincTree> tree_;
 };
 
 // Closed-form LUT count of a *full* RINC-L: (P^(L+1)-1)/(P-1), the formula

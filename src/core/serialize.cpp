@@ -1,18 +1,24 @@
 #include "core/serialize.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <istream>
+#include <new>
 #include <ostream>
 #include <sstream>
 #include <streambuf>
 #include <utility>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "core/model_parts.h"
+#include "util/aligned_vector.h"
 
 namespace poetbin {
 
@@ -73,7 +79,9 @@ LoadedModel assemble_model(ModelParts parts, ModelFormat format) {
   }
   LoadedModel loaded{
       PoetBin::from_parts(std::move(parts.config), std::move(parts.modules),
-                          std::move(parts.output), parts.quantizer),
+                          std::move(parts.output), parts.quantizer,
+                          parts.tables.data != nullptr ? &parts.tables
+                                                       : nullptr),
       format, nullptr};
   if (parts.conv) {
     ModelParts::Conv& conv = *parts.conv;
@@ -93,6 +101,15 @@ LoadedModel assemble_model(ModelParts parts, ModelFormat format) {
            "classifier wired beyond the conv output width");
   }
   return loaded;
+}
+
+std::shared_ptr<std::uint64_t[]> aligned_bytes(std::size_t n_bytes) {
+  const std::size_t n_words = std::max<std::size_t>(1, (n_bytes + 7) / 8);
+  auto* words = static_cast<std::uint64_t*>(::operator new(
+      n_words * sizeof(std::uint64_t), std::align_val_t{kWordAlignment}));
+  return std::shared_ptr<std::uint64_t[]>(words, [](std::uint64_t* p) {
+    ::operator delete(p, std::align_val_t{kWordAlignment});
+  });
 }
 
 // --- the publish helper -----------------------------------------------------
@@ -143,7 +160,7 @@ void save_module(const RincModule& module, std::ostream& out) {
     return;
   }
   out << "node " << module.children().size();
-  for (const auto weight : module.mat().weights()) out << ' ' << weight;
+  for (const auto weight : module.mat_weights()) out << ' ' << weight;
   out << '\n';
   for (const auto& child : module.children()) save_module(child, out);
 }
@@ -191,11 +208,13 @@ struct TextSource {
     return {leaf, next<std::size_t>(leaf ? "truncated leaf record"
                                          : "truncated node record")};
   }
-  std::uint64_t leaf_input() {
-    return next<std::uint64_t>("truncated leaf inputs");
-  }
   double weight() { return next<double>("truncated node weights"); }
-  BitVector table(std::size_t arity) {
+  Lut leaf(std::size_t arity) {
+    std::vector<std::size_t> inputs(arity);
+    for (std::size_t& input : inputs) {
+      input = model_io::leaf_input(
+          next<std::uint64_t>("truncated leaf inputs"));
+    }
     const auto text = next<std::string>("truncated leaf table");
     expect(text.size() == (std::size_t{1} << arity),
            "leaf table size mismatch");
@@ -205,10 +224,12 @@ struct TextSource {
              "malformed bit string in model file");
       if (text[i] == '1') bits.set(i, true);
     }
-    return bits;
+    return Lut(std::move(inputs), std::move(bits));
   }
-  Lut mat_lut(const MatModule& mat) {
-    return Lut(std::vector<std::size_t>(mat.arity(), 0), mat.to_table());
+  Lut mat_lut(std::span<const double> weights) {
+    return Lut(std::vector<std::size_t>(weights.size(), 0),
+               MatModule(std::vector<double>(weights.begin(), weights.end()))
+                   .to_table());
   }
 };
 
@@ -223,6 +244,7 @@ void expect_version(const std::string& version) {
 // classifier, header included.
 ModelParts decode_text(std::istream& in) {
   TextSource source{in};
+  RincTreeBuilder builder;
   ModelParts parts;
   std::string magic;
   std::string version;
@@ -240,7 +262,8 @@ ModelParts decode_text(std::istream& in) {
     // Unchecked counts are safe to loop on: every record consumes input.
     for (std::size_t c = 0; c < conv.config.out_channels; ++c) {
       source.record("channel", c, "channel records out of order");
-      conv.modules.push_back(model_io::decode_tree(source, kMaxRincLevels));
+      conv.modules.push_back(builder.module(
+          model_io::decode_tree(source, builder, kMaxRincLevels)));
     }
     magic.clear();
     in >> magic >> version;
@@ -269,7 +292,8 @@ ModelParts decode_text(std::istream& in) {
   const std::size_t p = config.rinc.lut_inputs;
   for (std::size_t m = 0; m < config.n_classes * p; ++m) {
     source.record("module", m, "module records out of order");
-    parts.modules.push_back(model_io::decode_tree(source, config.rinc.levels));
+    parts.modules.push_back(builder.module(
+        model_io::decode_tree(source, builder, config.rinc.levels)));
   }
   for (std::size_t c = 0; c < config.n_classes; ++c) {
     SparseOutputNeuron& neuron = parts.output.emplace_back();
@@ -313,15 +337,20 @@ const char* model_format_name(ModelFormat format) {
   return "unknown";
 }
 
-IoResult<LoadedModel> read_model_bytes(const void* data, std::size_t size,
-                                       PackedVerify verify) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
+namespace {
+
+// Decodes `size` bytes at `data`, 8-byte aligned and kept alive by `owner`
+// (a packed model's Luts view them in place).
+IoResult<LoadedModel> decode_model(std::shared_ptr<const void> owner,
+                                   const std::uint8_t* data, std::size_t size,
+                                   PackedVerify verify) {
   try {
-    if (model_io::has_packed_magic(bytes, size)) {
+    if (model_io::has_packed_magic(data, size)) {
       return model_io::assemble_model(
-          model_io::decode_packed(bytes, size, verify), ModelFormat::kPacked);
+          model_io::decode_packed(std::move(owner), data, size, verify),
+          ModelFormat::kPacked);
     }
-    MemoryBuf buffer(static_cast<const char*>(data), size);
+    MemoryBuf buffer(reinterpret_cast<const char*>(data), size);
     std::istream in(&buffer);
     return model_io::assemble_model(decode_text(in), ModelFormat::kText);
   } catch (const model_io::DecodeFailure& failure) {
@@ -329,22 +358,43 @@ IoResult<LoadedModel> read_model_bytes(const void* data, std::size_t size,
   }
 }
 
+}  // namespace
+
+IoResult<LoadedModel> read_model_bytes(const void* data, std::size_t size,
+                                       PackedVerify verify) {
+  const auto* bytes = static_cast<const std::uint8_t*>(data);
+  if (!model_io::has_packed_magic(bytes, size)) {
+    return decode_model(nullptr, bytes, size, verify);
+  }
+  // The loaded model views its tables in place, so it gets its own copy.
+  std::shared_ptr<std::uint64_t[]> copy = model_io::aligned_bytes(size);
+  std::memcpy(copy.get(), data, size);
+  const auto* copied = reinterpret_cast<const std::uint8_t*>(copy.get());
+  return decode_model(std::move(copy), copied, size, verify);
+}
+
 IoResult<LoadedModel> read_model_file_any(const std::string& path,
                                           PackedVerify verify) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  std::string bytes;
-  if (in) {
-    bytes.resize(
-        static_cast<std::size_t>(std::max<std::streamoff>(in.tellg(), 0)));
-    in.seekg(0);
-    in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  // One read(2) loop into one aligned buffer the loaded model adopts.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  struct stat info {};
+  bool read_ok = fd >= 0 && ::fstat(fd, &info) == 0 && S_ISREG(info.st_mode);
+  const auto want = static_cast<std::size_t>(read_ok ? info.st_size : 0);
+  std::shared_ptr<std::uint64_t[]> bytes = model_io::aligned_bytes(want);
+  std::size_t size = 0;
+  for (ssize_t got = 1; read_ok && got != 0 && size < want;) {
+    got = ::read(fd, reinterpret_cast<char*>(bytes.get()) + size, want - size);
+    read_ok = got >= 0 || errno == EINTR;
+    if (got > 0) size += static_cast<std::size_t>(got);
   }
-  if (!in) {
+  if (fd >= 0) ::close(fd);
+  if (!read_ok) {
     return ModelIoError{ModelIoError::Kind::kFileNotFound,
                         "cannot open '" + path + "' for reading"};
   }
+  const auto* data = reinterpret_cast<const std::uint8_t*>(bytes.get());
   IoResult<LoadedModel> loaded =
-      read_model_bytes(bytes.data(), bytes.size(), verify);
+      decode_model(std::move(bytes), data, size, verify);
   if (!loaded.ok()) {
     return ModelIoError{loaded.error().kind,
                         path + ": " + loaded.error().message};

@@ -16,12 +16,4 @@ BitMatrix binarize_activations(const std::vector<float>& activations,
   return bits;
 }
 
-BitVector pack_targets(const std::vector<int>& values) {
-  BitVector out(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (values[i] != 0) out.set(i, true);
-  }
-  return out;
-}
-
 }  // namespace poetbin

@@ -19,8 +19,4 @@ BitMatrix binarize_activations(const std::vector<float>& activations,
                                std::size_t n_rows, std::size_t n_cols,
                                float threshold = 0.0f);
 
-// Convenience: packs one binary label vector "is class c" for one-vs-all /
-// per-neuron distillation targets.
-BitVector pack_targets(const std::vector<int>& values);
-
 }  // namespace poetbin

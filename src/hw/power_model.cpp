@@ -32,23 +32,7 @@ OpCounts count_classifier_ops(const ClassifierArch& arch) {
   return counts;
 }
 
-std::size_t count_classifier_neurons(const ClassifierArch& arch) {
-  std::size_t neurons = 0;
-  for (std::size_t l = 1; l < arch.dims.size(); ++l) neurons += arch.dims[l];
-  return neurons;
-}
-
 // ---------------------------------------------------------------- Table 6
-
-const char* precision_name(Precision precision) {
-  switch (precision) {
-    case Precision::kFloat32: return "float32";
-    case Precision::kInt32: return "int32";
-    case Precision::kInt16: return "int16";
-    case Precision::kBinary1: return "binary";
-  }
-  return "?";
-}
 
 double binary_neuron_power_watts(std::size_t fan_in) {
   // 26 mW measured for a 512-input binary neuron; XNOR array and adder tree

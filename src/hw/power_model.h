@@ -64,15 +64,9 @@ struct OpCounts {
 // One MAC (mult + add) per weight: sum_l dims[l] * dims[l+1].
 OpCounts count_classifier_ops(const ClassifierArch& arch);
 
-// Total neurons in the classifier's hidden+output layers (binary-network
-// power is estimated per neuron in the paper).
-std::size_t count_classifier_neurons(const ClassifierArch& arch);
-
 // ---------------------------------------------------------------- Table 6
 
 enum class Precision { kFloat32, kInt32, kInt16, kBinary1 };
-
-const char* precision_name(Precision precision);
 
 constexpr double kClockPeriod62_5MHz = 16e-9;  // s
 constexpr double kClockPeriod100MHz = 10e-9;   // s

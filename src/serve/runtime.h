@@ -30,8 +30,9 @@
 //
 // Formats: Runtime::load sniffs text vs packed (core/packed_model.h) and
 // remembers both the format and the source path, which is what no-argument
-// reload() re-reads. Either way the loaded version owns its tables; the
-// file is not touched again until the next reload.
+// reload() re-reads. Either way the loaded version holds its tables (a
+// packed load keeps the bytes it read); the file is not touched again
+// until the next reload.
 //
 // Every path is bit-identical to the per-bit scalar walk
 // (tests/reference): predict() runs the fused bitsliced argmax, and

@@ -7,6 +7,16 @@
 namespace poetbin {
 namespace {
 
+// Packs one binary label vector "is class c" for one-vs-all / per-neuron
+// distillation targets.
+BitVector pack_targets(const std::vector<int>& values) {
+  BitVector out(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (values[i] != 0) out.set(i, true);
+  }
+  return out;
+}
+
 TEST(Binarize, ThresholdAtZeroMatchesBinarySigmoid) {
   const std::vector<float> activations = {-1.0f, 0.0f, 0.5f, -0.1f, 2.0f, -3.0f};
   const BitMatrix bits = binarize_activations(activations, 2, 3);

@@ -33,7 +33,8 @@ TEST(LevelDt, LearnsConjunctionExactly) {
       train_level_dt(features, targets, {}, {.n_inputs = 3});
   EXPECT_EQ(fit.weighted_error, 0.0);
   // The three relevant features must be among the selected ones.
-  std::vector<std::size_t> selected = fit.lut.inputs();
+  std::vector<std::size_t> selected(fit.lut.inputs().begin(),
+                                    fit.lut.inputs().end());
   std::sort(selected.begin(), selected.end());
   EXPECT_EQ(selected, (std::vector<std::size_t>{1, 7, 9}));
 }
@@ -57,7 +58,8 @@ TEST(LevelDt, SelectsNoDuplicateFeatures) {
       targets_from(features, [](const BitVector& x) { return x.get(0); });
   const LevelDtResult fit =
       train_level_dt(features, targets, {}, {.n_inputs = 6});
-  std::vector<std::size_t> selected = fit.lut.inputs();
+  std::vector<std::size_t> selected(fit.lut.inputs().begin(),
+                                    fit.lut.inputs().end());
   std::sort(selected.begin(), selected.end());
   EXPECT_EQ(std::adjacent_find(selected.begin(), selected.end()),
             selected.end());
@@ -189,7 +191,8 @@ TEST_P(LevelDtAritySweep, MajorityOfPFitsExactly) {
   const LevelDtResult fit =
       train_level_dt(features, targets, {}, {.n_inputs = p});
   EXPECT_EQ(fit.weighted_error, 0.0) << "P=" << p;
-  std::vector<std::size_t> selected = fit.lut.inputs();
+  std::vector<std::size_t> selected(fit.lut.inputs().begin(),
+                                    fit.lut.inputs().end());
   std::sort(selected.begin(), selected.end());
   for (std::size_t j = 0; j < p; ++j) {
     EXPECT_EQ(selected[j], j) << "P=" << p;
@@ -221,7 +224,8 @@ TEST(LevelDt, DuplicateCandidatesAreDeduplicated) {
   config.n_inputs = 3;
   config.candidate_features = {8, 8, 9, 9, 10, 10};
   const LevelDtResult fit = train_level_dt(features, targets, {}, config);
-  std::vector<std::size_t> selected = fit.lut.inputs();
+  std::vector<std::size_t> selected(fit.lut.inputs().begin(),
+                                    fit.lut.inputs().end());
   std::sort(selected.begin(), selected.end());
   EXPECT_EQ(selected, (std::vector<std::size_t>{8, 9, 10}));
 }

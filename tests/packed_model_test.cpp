@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include "core/batch_eval.h"
+#include "core/model_parts.h"
 #include "core/rinc.h"
 #include "dt/lut.h"
 #include "reference/scalar_reference.h"
@@ -77,23 +78,13 @@ std::vector<std::uint8_t> read_bytes(const std::string& path) {
                                    std::istreambuf_iterator<char>());
 }
 
-// Test-local CRC32 (same IEEE polynomial as the format) so structural
-// corruptions can be re-checksummed — otherwise every mutation would stop at
-// kChecksumMismatch and never reach the structural validators.
-std::uint32_t test_crc32(const std::uint8_t* data, std::size_t size) {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc ^= data[i];
-    for (int k = 0; k < 8; ++k) {
-      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : (crc >> 1);
-    }
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
+// Re-checksums a mutated file with the oracle CRC, so structural
+// corruptions reach the structural validators instead of stopping at
+// kChecksumMismatch.
 void fix_crc(std::vector<std::uint8_t>& bytes) {
   ASSERT_GE(bytes.size(), 64u);
-  const std::uint32_t crc = test_crc32(bytes.data() + 64, bytes.size() - 64);
+  const std::uint32_t crc =
+      reference::crc32_bytewise(bytes.data() + 64, bytes.size() - 64);
   std::memcpy(bytes.data() + 20, &crc, sizeof(crc));
 }
 
@@ -965,6 +956,74 @@ TEST(LeafInputBound, IndexPastTwoToThe32IsCorruptSectionInBothEncodings) {
     EXPECT_EQ(written.error().kind, ModelIoError::Kind::kWriteFailed);
   }
   EXPECT_FALSE(std::ifstream(path).good());
+}
+
+// --- checksum -----------------------------------------------------------------
+
+TEST(PackedCrc, StandardCheckValue) {
+  const auto* check = reinterpret_cast<const std::uint8_t*>("123456789");
+  EXPECT_EQ(model_io::crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(reference::crc32_bytewise(check, 9), 0xCBF43926u);
+}
+
+TEST(PackedCrc, MatchesBytewiseOracleOnRandomBuffers) {
+  Rng rng(23);
+  std::vector<std::uint8_t> buffer(4097 + 8);
+  for (auto& byte : buffer) byte = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t length = 0; length <= 4097; ++length) {
+    const std::size_t start = 1 + length % 7;  // never 8-byte aligned
+    ASSERT_EQ(model_io::crc32(buffer.data() + start, length),
+              reference::crc32_bytewise(buffer.data() + start, length))
+        << length << " bytes at offset " << start;
+  }
+}
+
+// --- the table image ---------------------------------------------------------
+
+// P = 8: both levels are plane-major with 4-word tables, so the loaded
+// Luts read their tables in place through a stride, in the gather program
+// and in the word pass alike.
+TEST(PackedModel, LoadedTablesViewTheProgramImage) {
+  Rng rng(2023);
+  const PoetBin model = testing::random_classifier(8, 2, rng, [](Rng& r) {
+    return testing::random_rinc(1, 8, 8, 96, r);
+  });
+  const std::string path = temp_path("wide_tables.pbm");
+  ASSERT_TRUE(write_packed_model_file(model, path).ok());
+  const IoResult<LoadedModel> loaded =
+      read_model_file_any(path, PackedVerify::kTrustChecksum);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  const PoetBin& copy = loaded->model;
+
+  const TableImage& image = copy.program().tables();
+  auto in_image = [&](const Lut& lut) {
+    return lut.table_data() >= image.data &&
+           lut.table_data() < image.data + image.size;
+  };
+  ASSERT_EQ(copy.modules().size(), model.modules().size());
+  for (std::size_t m = 0; m < model.modules().size(); ++m) {
+    const RincModule& a = model.modules()[m];
+    const RincModule& b = copy.modules()[m];
+    EXPECT_TRUE(in_image(b.mat_lut()));
+    EXPECT_EQ(b.mat_lut(), a.mat_lut());
+    for (std::size_t c = 0; c < a.children().size(); ++c) {
+      EXPECT_TRUE(in_image(b.children()[c].leaf_lut()));
+      EXPECT_EQ(b.children()[c].leaf_lut(), a.children()[c].leaf_lut());
+    }
+  }
+
+  const BitMatrix features = testing::random_bits(300, 96, 7);
+  const BatchEngine engine(2);
+  EXPECT_EQ(copy.predict_dataset_batched(features, engine),
+            model.predict_dataset_batched(features, engine));
+  for (std::size_t m = 0; m < model.modules().size(); m += 5) {
+    EXPECT_EQ(copy.modules()[m].eval_dataset_batched(features),
+              model.modules()[m].eval_dataset_batched(features));
+  }
+  for (std::size_t i = 0; i < features.rows(); ++i) {
+    ASSERT_EQ(copy.predict(features.row(i)),
+              reference::predict_walk(model, features.row(i)));
+  }
 }
 
 }  // namespace

@@ -7,6 +7,24 @@
 namespace poetbin {
 namespace {
 
+// Total neurons in the classifier's hidden+output layers (binary-network
+// power is estimated per neuron in the paper).
+std::size_t count_classifier_neurons(const ClassifierArch& arch) {
+  std::size_t neurons = 0;
+  for (std::size_t l = 1; l < arch.dims.size(); ++l) neurons += arch.dims[l];
+  return neurons;
+}
+
+const char* precision_name(Precision precision) {
+  switch (precision) {
+    case Precision::kFloat32: return "float32";
+    case Precision::kInt32: return "int32";
+    case Precision::kInt16: return "int16";
+    case Precision::kBinary1: return "binary";
+  }
+  return "?";
+}
+
 // ---------------------------------------------------------------- Table 4
 
 TEST(Table4, TotalsMatchPaper) {

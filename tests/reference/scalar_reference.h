@@ -109,4 +109,10 @@ std::vector<int> predict_dataset(const ConvModel& model,
 bool verify_equivalent(const Netlist& a, const Netlist& b,
                        const BitMatrix& vectors);
 
+// --- checksum ----------------------------------------------------------------
+
+// CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320) one byte per table
+// read: the oracle for the packed format's slicing-by-8 model_io::crc32.
+std::uint32_t crc32_bytewise(const std::uint8_t* data, std::size_t size);
+
 }  // namespace poetbin::reference

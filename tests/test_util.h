@@ -6,7 +6,11 @@
 #include <functional>
 #include <vector>
 
+#include "boost/mat.h"
+#include "core/poetbin.h"
+#include "core/rinc.h"
 #include "data/dataset.h"
+#include "dt/lut.h"
 #include "util/bit_matrix.h"
 #include "util/bitvector.h"
 #include "util/check.h"
@@ -116,6 +120,64 @@ inline std::vector<std::size_t> class_histogram(const std::vector<int>& labels,
     ++histogram[static_cast<std::size_t>(label)];
   }
   return histogram;
+}
+
+// A LUT of `arity` random inputs below `n_features` and a random table.
+inline Lut random_lut(std::size_t arity, std::size_t n_features, Rng& rng) {
+  std::vector<std::size_t> inputs(arity);
+  for (auto& input : inputs) input = rng.next_index(n_features);
+  BitVector table(std::size_t{1} << arity);
+  for (std::size_t a = 0; a < table.size(); ++a) table.set(a, rng.next_bool());
+  return Lut(std::move(inputs), std::move(table));
+}
+
+// A full RINC-`level` of `fanin` children per node over `leaf_arity`-input
+// random leaves, with random MAT weights.
+inline RincModule random_rinc(std::size_t level, std::size_t fanin,
+                              std::size_t leaf_arity, std::size_t n_features,
+                              Rng& rng) {
+  if (level == 0) {
+    return RincModule::make_leaf(random_lut(leaf_arity, n_features, rng));
+  }
+  std::vector<RincModule> children;
+  for (std::size_t c = 0; c < fanin; ++c) {
+    children.push_back(
+        random_rinc(level - 1, fanin, leaf_arity, n_features, rng));
+  }
+  std::vector<double> alphas(fanin);
+  for (auto& alpha : alphas) alpha = rng.next_double() + 0.1;
+  return RincModule::make_internal(std::move(children),
+                                   MatModule(std::move(alphas)));
+}
+
+// n_classes x P modules from `make_module`, block-wired to random q = 8
+// output codes.
+inline PoetBin random_classifier(
+    std::size_t p, std::size_t n_classes, Rng& rng,
+    const std::function<RincModule(Rng&)>& make_module) {
+  PoetBinConfig config;
+  config.rinc.lut_inputs = p;
+  config.n_classes = n_classes;
+  std::vector<RincModule> modules;
+  for (std::size_t m = 0; m < n_classes * p; ++m) {
+    modules.push_back(make_module(rng));
+  }
+  config.rinc.levels = modules.front().level();
+  config.rinc.total_dts = modules.front().leaf_dt_count();
+  const QuantizerParams quantizer;
+  std::vector<SparseOutputNeuron> neurons(n_classes);
+  for (std::size_t c = 0; c < n_classes; ++c) {
+    neurons[c].weights.assign(p, 0.0f);
+    for (std::size_t j = 0; j < p; ++j) {
+      neurons[c].input_modules.push_back(c * p + j);
+    }
+    neurons[c].codes.resize(std::size_t{1} << p);
+    for (auto& code : neurons[c].codes) {
+      code = static_cast<std::uint32_t>(rng.next_index(quantizer.levels()));
+    }
+  }
+  return PoetBin::from_parts(config, std::move(modules), std::move(neurons),
+                             quantizer);
 }
 
 }  // namespace poetbin::testing
