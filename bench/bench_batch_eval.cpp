@@ -15,7 +15,7 @@
 // times 4096 single PoetBin::predict calls (the compiled gather program)
 // against the per-bit scalar walk in tests/reference on the served M1
 // RINC-1 shape and the paper's M1 RINC-2 shape (predict_one_* rows). The serving section
-// times MicroBatcher predict_one traffic (window 64) against the per-bit
+// times MicroBatcher single-request traffic (window 64) against the per-bit
 // walk run one example at a time (gate: >= 5x at P=6, serve_microbatch_*
 // rows).
 #include <algorithm>
@@ -358,7 +358,7 @@ int main() {
     }
   }
 
-  // --- Serving: micro-batched predict_one vs one example at a time ----------
+  // --- Serving: micro-batched requests vs one example at a time ------------
   // The MicroBatcher collects single-example requests into 64-wide windows
   // and answers each window's rows with the compiled gather program
   // (single engine thread). Gate: >= 5x the per-bit scalar walk run one

@@ -17,9 +17,9 @@
 // reference::predict_dataset as well, and so is its per-call fixed cost:
 // one-thread calls of 256 and 1024 frames, whose latency ratio is 0.25 when
 // a call costs only its frames (conv_predict_call_ratio, informational).
-// The single-frame path, ConvModel::predict (RincConvLayer::eval_frame then
-// the classifier's gather program), is timed one call at a time over 1024
-// frames (conv_predict_one_us, the median, informational).
+// The single-frame path, ConvModel::predict (the same fused pass on a
+// one-row matrix, inline), is timed one call at a time over 1024 frames
+// (conv_predict_one_us, the median, informational).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

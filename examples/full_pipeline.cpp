@@ -90,10 +90,10 @@ int main(int argc, char** argv) {
               poetbin_energy_joules(spec));
 
   // --- serving: the trained student behind the runtime layer ---
-  // One persistent engine owns the request path; concurrent predict_one
-  // traffic would go through a MicroBatcher, which packs requests into
-  // 64-wide bitsliced words — here it serves the whole test set through
-  // the one-example-at-a-time API and must agree with the batch pass.
+  // One persistent engine owns the request path; concurrent single-example
+  // traffic goes through a MicroBatcher, which answers a window of requests
+  // per dispatch — here it serves the whole test set one submit() at a
+  // time and must agree with the batch pass.
   const Runtime runtime(result.model, {});
   MicroBatcher batcher(runtime, {.max_batch = 64});
   const BitMatrix& test_features = result.test_bits.features;

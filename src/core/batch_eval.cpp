@@ -18,17 +18,6 @@ namespace poetbin {
 
 namespace {
 
-// Arena words eval_rinc_into needs for `module` over n_words words: an
-// internal node holds its children's outputs while the deepest child runs.
-std::size_t rinc_scratch_words(const RincModule& module, std::size_t n_words) {
-  if (module.is_leaf()) return 0;
-  std::size_t deepest = 0;
-  for (const auto& child : module.children()) {
-    deepest = std::max(deepest, rinc_scratch_words(child, n_words));
-  }
-  return module.children().size() * n_words + deepest;
-}
-
 // One LUT over absolute feature columns. The Shannon reduction — 2^P - 1
 // word muxes per output word — runs on the active SIMD word backend,
 // reading the LUT's compact table words, so nothing is rebuilt per call.
@@ -87,8 +76,11 @@ void eval_rinc_words(const RincModule& module,
                      std::size_t n_columns, std::size_t word_begin,
                      std::size_t word_end, std::uint64_t* out) {
   POETBIN_CHECK(word_begin <= word_end);
+  // An internal node holds its children's outputs while one child runs, so
+  // the arena holds the children of every ancestor on one path down. Those
+  // are distinct non-root nodes: at most lut_count() - 1 outputs.
   static thread_local WordVec arena;
-  const std::size_t need = rinc_scratch_words(module, word_end - word_begin);
+  const std::size_t need = (module.lut_count() - 1) * (word_end - word_begin);
   if (arena.size() < need) arena.resize(need);
   eval_rinc_into(module, columns, n_columns, word_begin, word_end, out,
                  arena.data());

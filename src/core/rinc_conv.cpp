@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "core/batch_eval.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -19,24 +20,6 @@ BinShape3 conv_output_shape(BinShape3 in_shape, const RincConvConfig& config) {
           (in_shape.width + 2 * config.padding - config.kernel) /
                   config.stride +
               1};
-}
-
-// `module` on one patch, patch[f] holding patch bit f: each leaf reads its
-// address bit by bit, each MAT the combo of its children's outputs.
-bool eval_patch(const RincModule& module, const std::uint8_t* patch) {
-  if (module.is_leaf()) {
-    const Lut& lut = module.leaf_lut();
-    std::size_t address = 0;
-    for (std::size_t j = 0; j < lut.arity(); ++j) {
-      address |= std::size_t{patch[lut.inputs()[j]]} << j;
-    }
-    return lut.lookup(address);
-  }
-  std::size_t combo = 0;
-  for (std::size_t c = 0; c < module.children().size(); ++c) {
-    if (eval_patch(module.children()[c], patch)) combo |= std::size_t{1} << c;
-  }
-  return module.mat_lut().lookup(combo);
 }
 
 }  // namespace
@@ -179,41 +162,6 @@ RincConvLayer RincConvLayer::train(const BitMatrix& inputs, BinShape3 in_shape,
   return layer;
 }
 
-BitVector RincConvLayer::eval_frame(const BitVector& frame) const {
-  POETBIN_CHECK_MSG(frame.size() == in_shape_.flat(),
-                    "frame bits must match the conv input shape");
-  const std::size_t kernel = config_.kernel;
-  const std::size_t pad = config_.padding;
-  const std::size_t positions = out_shape_.height * out_shape_.width;
-  std::vector<std::uint8_t> patch(patch_bits());
-  BitVector out(out_shape_.flat());
-  for (std::size_t oy = 0; oy < out_shape_.height; ++oy) {
-    for (std::size_t ox = 0; ox < out_shape_.width; ++ox) {
-      std::size_t bit = 0;
-      for (std::size_t c = 0; c < in_shape_.channels; ++c) {
-        for (std::size_t ky = 0; ky < kernel; ++ky) {
-          const std::size_t py = oy * config_.stride + ky;
-          for (std::size_t kx = 0; kx < kernel; ++kx, ++bit) {
-            const std::size_t px = ox * config_.stride + kx;
-            const bool inside = py >= pad && py - pad < in_shape_.height &&
-                                px >= pad && px - pad < in_shape_.width;
-            patch[bit] = inside && frame.get((c * in_shape_.height + py -
-                                              pad) * in_shape_.width +
-                                             px - pad);
-          }
-        }
-      }
-      const std::size_t position = oy * out_shape_.width + ox;
-      for (std::size_t ch = 0; ch < modules_.size(); ++ch) {
-        if (eval_patch(modules_[ch], patch.data())) {
-          out.set(ch * positions + position, true);
-        }
-      }
-    }
-  }
-  return out;
-}
-
 std::size_t RincConvLayer::lut_count_per_position() const {
   std::size_t total = 0;
   for (const auto& module : modules_) total += module.lut_count();
@@ -221,7 +169,10 @@ std::size_t RincConvLayer::lut_count_per_position() const {
 }
 
 int ConvModel::predict(const BitVector& frame_bits) const {
-  return classifier.predict(conv.eval_frame(frame_bits));
+  const BitVector* frame = &frame_bits;
+  return predict_conv_dataset(conv, classifier,
+                              BitMatrix::from_rows({&frame, 1}),
+                              BatchEngine(1))[0];
 }
 
 }  // namespace poetbin

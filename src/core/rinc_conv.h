@@ -9,21 +9,21 @@
 // kernel is shared). Training pools the patches of all examples and all
 // positions into one distillation dataset per channel.
 //
-// Inference has one path per shape. A dataset runs the bitsliced
-// `eval_dataset_batched`, which never materializes patches. Each chunk of
-// up to 16 words (1024 examples) is copied once into a thread-local
-// zero-padded frame, one run of chunk words per padded pixel, with each
-// row's pixels grouped by stride phase (px % stride). Patch bit (c, ky, kx)
-// of one output row is then a single contiguous run across every output
-// column ox, so each leaf and MAT LUT of a channel module Shannon-reduces
-// out_w x chunk words in one kernel call on the active SIMD backend,
-// straight from its compact truth table (the layer holds no other copy of
-// its tables), and the MAT's result is already the chunk's conv output for
-// that row.
+// Inference has one path: the bitsliced `eval_dataset_batched`, which
+// never materializes patches. Each chunk of up to 16 words (1024 examples)
+// is copied once into a thread-local zero-padded frame, one run of chunk
+// words per padded pixel, with each row's pixels grouped by stride phase
+// (px % stride). Patch bit (c, ky, kx) of one output row is then a single
+// contiguous run across every output column ox, so each leaf and MAT LUT
+// of a channel module Shannon-reduces out_w x chunk words in one kernel
+// call on the active SIMD backend, straight from its compact truth table
+// (the layer holds no other copy of its tables), and the MAT's result is
+// already the chunk's conv output for that row.
 // `predict_conv_dataset` feeds each chunk's conv output straight into the
 // classifier's fused argmax, so a predict never builds the n x out-bits
-// conv output matrix. One frame runs `eval_frame`, a direct walk over the
-// frame's bits that shares no code with the word pass.
+// conv output matrix. One frame takes the same pass as a one-row matrix
+// (`ConvModel::predict`); the scalar frame oracle is
+// reference::conv_eval_dataset in tests/reference/.
 #pragma once
 
 #include <cstddef>
@@ -96,14 +96,6 @@ class RincConvLayer {
   BitMatrix eval_dataset_batched(const BitMatrix& inputs,
                                  const BatchEngine& engine) const;
 
-  // Applies the layer to one frame of input_shape().flat() bits (checked);
-  // returns its out_shape().flat() output bits in the same order. For each
-  // output position it reads the patch bits in gather_patches' c -> ky ->
-  // kx order, out-of-frame bits as 0, and walks each channel module leaf
-  // by leaf. No BitMatrix and no word kernel: it is the independent side
-  // of every check against the word pass.
-  BitVector eval_frame(const BitVector& frame) const;
-
   const std::vector<RincModule>& channel_modules() const { return modules_; }
   // LUTs for one instantiation of every channel module. In hardware the
   // modules are replicated per position (fully parallel single-cycle conv)
@@ -132,8 +124,8 @@ struct ConvModel {
   std::size_t n_features() const { return conv.input_shape().flat(); }
   std::size_t n_classes() const { return classifier.n_classes(); }
 
-  // One frame's class: conv.eval_frame, then the classifier's gather
-  // program (PoetBin::predict).
+  // One frame's class: predict_conv_dataset on a one-row matrix, inline on
+  // the calling thread (a BatchEngine with no pool).
   int predict(const BitVector& frame_bits) const;
   // A dataset's classes through the fused word pass, bit-identical to
   // predict on every row: see predict_conv_dataset.
@@ -141,10 +133,11 @@ struct ConvModel {
                                            const BatchEngine& engine) const;
 };
 
-// Fused word-parallel conv predict, bit-identical to ConvModel::predict on
-// every frame: per word chunk, the conv pass writes the
-// chunk's conv output bits to a thread-local buffer and the classifier's
-// fused argmax (BatchEngine::predict_dataset's chunk body) runs on it.
+// Fused word-parallel conv predict, bit-identical to the scalar conv +
+// classifier oracle (reference::predict_dataset) on every frame: per word
+// chunk, the conv pass writes the chunk's conv output bits to a
+// thread-local buffer and the classifier's fused argmax
+// (BatchEngine::predict_dataset's chunk body) runs on it.
 // Defined in core/batch_eval.cpp.
 std::vector<int> predict_conv_dataset(const RincConvLayer& conv,
                                       const PoetBin& classifier,

@@ -1,6 +1,5 @@
 #include "serve/micro_batcher.h"
 
-#include <bit>
 #include <utility>
 
 #include "util/bit_matrix.h"
@@ -19,8 +18,8 @@ MicroBatcher::MicroBatcher(const Runtime& runtime, MicroBatcherOptions options)
 MicroBatcher::~MicroBatcher() { flush(); }
 
 std::shared_ptr<MicroBatcher::Batch> MicroBatcher::join(
-    const BitVector& example_bits, bool blocking, std::size_t* index,
-    bool* dispatch_claimed, bool* leader) {
+    const BitVector& example_bits, std::size_t* index,
+    bool* dispatch_claimed) {
   std::lock_guard<std::mutex> lock(mu_);
   // Arrival-gap estimate: the time since the previous join, spread over
   // this join and the cache hits answered in between (hits are arrivals
@@ -43,11 +42,6 @@ std::shared_ptr<MicroBatcher::Batch> MicroBatcher::join(
   batch->examples.push_back(&example_bits);
   *dispatch_claimed =
       batch->examples.size() >= options_.max_batch && try_close(batch);
-  *leader = false;
-  if (blocking && !*dispatch_claimed && !batch->has_leader) {
-    batch->has_leader = true;
-    *leader = true;
-  }
   return batch;
 }
 
@@ -96,44 +90,18 @@ std::vector<int> MicroBatcher::predict_conv_window(
     const Runtime::Snapshot& snap,
     const std::vector<const BitVector*>& examples) {
   // Conv frames carry out_h x out_w positions each, so the window keeps
-  // the packed conv pass: scatter each frame's set bits into the
-  // feature-major columns (the per-row word/bit split supports windows
-  // wider than 64).
-  const std::size_t k = examples.size();
-  const std::size_t n_features = examples[0]->size();
-  BitMatrix packed(k, n_features);
-  for (std::size_t i = 0; i < k; ++i) {
-    const BitVector& example = *examples[i];
-    POETBIN_CHECK_MSG(example.size() == n_features,
-                      "all examples in a micro-batch must have the same "
-                      "feature count");
-    const std::uint64_t row_bit = 1ULL << (i & 63);
-    const std::size_t row_word = i >> 6;
-    const std::uint64_t* words = example.words();
-    for (std::size_t w = 0; w < example.word_count(); ++w) {
-      std::uint64_t m = words[w];
-      if (w + 1 == example.word_count()) {
-        m &= BitVector::tail_word_mask(n_features);
-      }
-      const std::size_t feature0 = w * 64;
-      while (m != 0) {
-        const std::size_t f =
-            feature0 + static_cast<std::size_t>(std::countr_zero(m));
-        packed.column(f).words()[row_word] |= row_bit;
-        m &= m - 1;
-      }
-    }
-  }
+  // the packed conv pass over the frames scattered into columns.
+  const BitMatrix packed = BitMatrix::from_rows(examples);
   // One engine pass at a time: the Runtime's engine is not re-entrant, and
   // a second window can close while the first is still in flight.
   std::lock_guard<std::mutex> dispatch_lock(dispatch_mu_);
   return runtime_->predict_snapshot(snap, packed);
 }
 
-int MicroBatcher::await(const std::shared_ptr<Batch>& batch, std::size_t index,
-                        bool leader) {
+int MicroBatcher::await(const std::shared_ptr<Batch>& batch,
+                        std::size_t index) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (leader && !batch->done && !batch->closed) {
+  if (!batch->done && !batch->closed) {
     // Light traffic: nobody is expected to join within max_wait, so the
     // window goes out now. Otherwise it waits up to max_wait for company.
     const bool light = gap_ewma_ > options_.max_wait;
@@ -165,28 +133,12 @@ bool MicroBatcher::probe_cache(const BitVector& example_bits,
   return true;
 }
 
-int MicroBatcher::predict_one(const BitVector& example_bits) {
-  int prediction = 0;
-  if (probe_cache(example_bits, &prediction)) return prediction;
-  std::size_t index = 0;
-  bool dispatch_claimed = false;
-  bool leader = false;
-  // The window's first blocking request (not necessarily its first
-  // request — submit() joins never lead) arms the max_wait timeout.
-  std::shared_ptr<Batch> batch =
-      join(example_bits, /*blocking=*/true, &index, &dispatch_claimed, &leader);
-  if (dispatch_claimed) dispatch(batch);
-  return await(batch, index, leader);
-}
-
 MicroBatcher::Ticket MicroBatcher::submit(const BitVector& example_bits) {
   int prediction = 0;
   if (probe_cache(example_bits, &prediction)) return Ticket(prediction);
   std::size_t index = 0;
   bool dispatch_claimed = false;
-  bool leader = false;
-  std::shared_ptr<Batch> batch = join(example_bits, /*blocking=*/false, &index,
-                                      &dispatch_claimed, &leader);
+  std::shared_ptr<Batch> batch = join(example_bits, &index, &dispatch_claimed);
   if (dispatch_claimed) dispatch(batch);
   return Ticket(this, std::move(batch), index);
 }
@@ -194,10 +146,9 @@ MicroBatcher::Ticket MicroBatcher::submit(const BitVector& example_bits) {
 int MicroBatcher::Ticket::get() {
   // A cache hit resolved at submit() time and carries no batch.
   if (batch_ == nullptr) return resolved_;
-  // The window may still be open (submit-only traffic with no blocking
-  // leader). Act as a leader: dispatch it now or after max_wait, by the
-  // same rule as a blocking leader.
-  return parent_->await(batch_, index_, /*leader=*/true);
+  // The window may still be open: lead it, dispatching it now or after
+  // max_wait (see the batching policy).
+  return parent_->await(batch_, index_);
 }
 
 void MicroBatcher::flush() {

@@ -1,10 +1,10 @@
 // Micro-batching front end for concurrent single-example serving.
 //
-// A MicroBatcher collects in-flight predict_one requests into windows and
-// answers each window in one dispatch. For a dense model the dispatch runs
-// every row through the model's compiled gather program
-// (PoetBin::predict, core/gather_program.h), about a microsecond a row.
-// For a conv model it packs the window into one bitsliced BitMatrix and
+// A MicroBatcher collects in-flight requests into windows and answers each
+// window in one dispatch. For a dense model the dispatch runs every row
+// through the model's compiled gather program (PoetBin::predict,
+// core/gather_program.h), about a microsecond a row. For a conv model it
+// packs the window into one bitsliced BitMatrix (BitMatrix::from_rows) and
 // runs it through the wrapped Runtime as a single predict_snapshot pass.
 // Either way the answers are bit-identical to the per-bit scalar walk.
 //
@@ -13,45 +13,43 @@
 // answers them in one write, so under open-loop traffic a window turns
 // many requests into one wake-up and one syscall pair.
 //
-// Two entry points share one open batch window:
+// One entry point joins the open window:
 //
-//   int cls = batcher.predict_one(bits);        // blocking, many threads
-//   Ticket t = batcher.submit(bits);            // async; t.get() blocks
+//   Ticket t = batcher.submit(bits);   // returns at once
+//   int cls = t.get();                 // blocks until the window answers
 //
 // Batching policy: a window closes (and dispatches) when it reaches
-// max_batch examples, when its oldest blocking request has waited
-// max_wait, or at once when traffic is too light for waiting to pay. The
-// first blocking request in a window is its *leader*; later requests just
-// wait; whichever request observes the window full dispatches it inline.
-// The leader arms its max_wait timer only when at least one more request
-// is expected within max_wait. The batcher keeps a running estimate of the
-// arrival gap: an EWMA (weight 1/8) of the time between window joins,
-// spread over each join and the cache hits answered since the previous
-// one, with every gap capped at 2 x max_wait. The estimate starts idle
-// (at the cap), and a gap that reaches the cap resets it to idle. While
-// the estimate exceeds max_wait the leader closes the window and
-// dispatches it straight away, so a lone request under light traffic is
-// answered in one predict instead of after max_wait. The rule has no knob
-// of its own: max_wait sets both the window and the threshold. There is no
-// dispatcher thread: submit()-only traffic dispatches when the window
-// fills, on flush(), or at the latest when a Ticket::get() leads its
-// window, so no request can strand.
+// max_batch examples, when a get() on it has waited max_wait, or at once
+// when traffic is too light for waiting to pay. Whichever submit() fills
+// the window dispatches it inline. Every get() on an open window leads it:
+// it arms its max_wait timer only when at least one more request is
+// expected within max_wait, and the first timer to run out dispatches the
+// window. The batcher keeps a running estimate of the arrival gap: an EWMA
+// (weight 1/8) of the time between window joins, spread over each join and
+// the cache hits answered since the previous one, with every gap capped at
+// 2 x max_wait. The estimate starts idle (at the cap), and a gap that
+// reaches the cap resets it to idle. While the estimate exceeds max_wait a
+// get() closes the window and dispatches it straight away, so a lone
+// request under light traffic is answered in one predict instead of after
+// max_wait. The rule has no knob of its own: max_wait sets both the window
+// and the threshold. There is no dispatcher thread: a window dispatches
+// when it fills, on flush(), or at the latest when a get() leads it, so no
+// request can strand.
 //
-// Lifetime: the caller's example bits must stay alive until the request's
-// result is returned (predict_one) or Ticket::get() completes — the
-// batcher stores pointers, not copies. Conv dispatches are serialized on
-// an internal mutex (the Runtime's engine is not re-entrant); dense ones
-// need no engine. The batcher may be shared freely across producer
-// threads.
+// Lifetime: the caller's example bits must stay alive until
+// Ticket::get() completes — the batcher stores pointers, not copies. Conv
+// dispatches are serialized on an internal mutex (the Runtime's engine is
+// not re-entrant); dense ones need no engine. The batcher may be shared
+// freely across producer threads.
 //
 // Prediction cache: when the Runtime has one (RuntimeOptions::cache_bytes),
-// both entry points probe it BEFORE joining a window — a hit skips the
-// window entirely (predict_one returns immediately; submit hands back an
-// already-resolved Ticket) — and a dispatched window inserts its results
-// tagged with the model version that computed them. Hits are bit-identical
-// to a dispatch by the cache's epoch-invalidation contract
-// (serve/predict_cache.h). stats() folds the cache's counters into its
-// snapshot, so one read tells the whole serving story.
+// submit() probes it BEFORE joining a window — a hit skips the window
+// entirely and hands back an already-resolved Ticket — and a dispatched
+// window inserts its results tagged with the model version that computed
+// them. Hits are bit-identical to a dispatch by the cache's
+// epoch-invalidation contract (serve/predict_cache.h). stats() folds the
+// cache's counters into its snapshot, so one read tells the whole serving
+// story.
 #pragma once
 
 #include <atomic>
@@ -74,11 +72,10 @@ struct MicroBatcherOptions {
   // window's bitsliced pass; larger windows trade latency for fewer
   // dispatches.
   std::size_t max_batch = 64;
-  // How long a blocking request may wait for the window to fill before the
-  // partial batch is dispatched anyway; it also sets the light-traffic
-  // threshold (see the batching policy above). 0 = dispatch immediately
-  // (blocking requests never batch; submit() traffic still packs full
-  // windows).
+  // How long a get() may wait for the window to fill before the partial
+  // batch is dispatched anyway; it also sets the light-traffic threshold
+  // (see the batching policy above). 0 = a get() on an open window
+  // dispatches it at once (submits made before it still share it).
   std::chrono::microseconds max_wait{200};
 };
 
@@ -92,16 +89,11 @@ class MicroBatcher {
   MicroBatcher(const MicroBatcher&) = delete;
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
-  // Blocking: joins the open window and returns this example's class once
-  // the window dispatches (full, max_wait elapsed, or at once under light
-  // traffic).
-  int predict_one(const BitVector& example_bits);
-
   class Ticket;
-  // Async: joins the open window and returns immediately. The window
-  // dispatches inline (on the submitting thread) when it fills; otherwise
-  // the result materializes on flush(), when a blocking request dispatches
-  // the window, or when get() leads it (see the batching policy above).
+  // Joins the open window and returns immediately. The window dispatches
+  // inline (on the submitting thread) when it fills; otherwise the result
+  // materializes on flush() or when a get() leads it (see the batching
+  // policy above).
   Ticket submit(const BitVector& example_bits);
 
   // Dispatches the open partial window, if any. Called by the destructor.
@@ -109,8 +101,8 @@ class MicroBatcher {
 
   // Snapshot of the serving counters (serve/serve_stats.h): requests
   // (cache hits included — every prediction returned counts), dispatched
-  // windows, leader-timeout dispatches (a window a leader dispatched at
-  // once under light traffic is not one), the window-fill histogram, and the
+  // windows, timeout dispatches (a window a get() dispatched at once under
+  // light traffic is not one), the window-fill histogram, and the
   // Runtime cache's counters. Monotonic; racing reads see a consistent
   // snapshot. The network-layer fields (errors, connections) stay zero
   // here — the NetServer fills them in its own snapshot.
@@ -120,42 +112,36 @@ class MicroBatcher {
   struct Batch {
     std::vector<const BitVector*> examples;
     std::vector<int> results;
-    bool closed = false;      // no longer accepting joins; a dispatch is owed
-    bool done = false;        // results are valid
-    bool has_leader = false;  // a blocking request has armed max_wait
+    bool closed = false;  // no longer accepting joins; a dispatch is owed
+    bool done = false;    // results are valid
     std::condition_variable cv;
   };
 
   // Joins (or opens) the current window and folds this arrival into the
   // arrival-gap estimate. Returns the joined batch and the caller's slot;
   // closes + claims the window when this join fills it (*dispatch_claimed).
-  // A `blocking` join becomes the window's leader (*leader) when it is the
-  // first blocking request — submit() joins never lead, so a blocking
-  // request arriving after async ones still leads the window.
-  std::shared_ptr<Batch> join(const BitVector& example_bits, bool blocking,
-                              std::size_t* index, bool* dispatch_claimed,
-                              bool* leader);
+  std::shared_ptr<Batch> join(const BitVector& example_bits,
+                              std::size_t* index, bool* dispatch_claimed);
   // Marks `batch` closed and detaches it from the open slot. Returns true
   // when the caller claimed the (single) dispatch. Requires mu_.
   bool try_close(const std::shared_ptr<Batch>& batch);
   // Predicts and publishes results for a closed batch. `timed_out` marks a
-  // leader-timeout dispatch (a partial window that went out because its
-  // oldest blocking request ran out of max_wait) for the stats.
+  // timeout dispatch (a partial window that went out because a get() on it
+  // ran out of max_wait) for the stats.
   void dispatch(const std::shared_ptr<Batch>& batch, bool timed_out = false);
   // A conv version's window: packed into a BitMatrix and run as one
   // predict_snapshot pass, serialized on dispatch_mu_.
   std::vector<int> predict_conv_window(
       const Runtime::Snapshot& snap,
       const std::vector<const BitVector*>& examples);
-  // Blocks until `batch` is done. A leader dispatches the window itself:
-  // at once when the arrival-gap estimate says nobody else is coming within
-  // max_wait, otherwise on timeout if nobody else has. Returns the result
-  // at `index`.
-  int await(const std::shared_ptr<Batch>& batch, std::size_t index,
-            bool leader);
-  // Cache probe shared by both entry points. True = *prediction is the
-  // served answer (bit-identical to the current version's predict) and the
-  // request never joins a window.
+  // Blocks until `batch` is done, leading the window while it is open: it
+  // dispatches the window itself at once when the arrival-gap estimate
+  // says nobody else is coming within max_wait, otherwise on timeout if
+  // nobody else has. Returns the result at `index`.
+  int await(const std::shared_ptr<Batch>& batch, std::size_t index);
+  // submit()'s cache probe. True = *prediction is the served answer
+  // (bit-identical to the current version's predict) and the request never
+  // joins a window.
   bool probe_cache(const BitVector& example_bits, int* prediction);
 
   const Runtime* runtime_;

@@ -36,12 +36,17 @@ IoStatus check_compatible(const ModelVersion& serving,
 }
 
 // Single-example predict for one version: the classifier's gather
-// program, behind the conv front end's single-frame walk when the version
-// has one (the same call ConvModel::predict makes, on the shared layer).
+// program, or for a conv version the fused conv predict on a one-row
+// matrix (the call ConvModel::predict makes, on the shared layer). That
+// pass runs inline on a BatchEngine of its own, which has no pool, so it
+// never contends for the Runtime's engine.
 int predict_example(const ModelVersion& version,
                     const BitVector& example_bits) {
   if (version.conv == nullptr) return version.model.predict(example_bits);
-  return version.model.predict(version.conv->eval_frame(example_bits));
+  const BitVector* frame = &example_bits;
+  return predict_conv_dataset(*version.conv, version.model,
+                              BitMatrix::from_rows({&frame, 1}),
+                              BatchEngine(1))[0];
 }
 
 }  // namespace
@@ -82,11 +87,6 @@ Runtime::Runtime(PoetBin model, RuntimeOptions options, ModelFormat format,
                  std::shared_ptr<const RincConvLayer> conv)
     : state_(std::make_unique<State>()) {
   state_->options = options;
-  if (options.forced_backend.has_value()) {
-    // Aborts when the backend is unavailable on this build or CPU; backend
-    // dispatch is process-global (see RuntimeOptions).
-    set_word_backend(*options.forced_backend);
-  }
   state_->backend = active_word_backend();
   state_->engine = std::make_unique<BatchEngine>(options.threads);
   if (options.cache_bytes > 0) {
@@ -129,12 +129,6 @@ Runtime Runtime::train(const BitMatrix& features,
                        const BitMatrix& intermediate_targets,
                        const std::vector<int>& labels,
                        const PoetBinConfig& config, RuntimeOptions options) {
-  // Apply a forced backend before training too, so the override governs
-  // the whole train-then-serve flow, not just the serving half (results
-  // are bit-identical either way; this is about speed/debuggability).
-  if (options.forced_backend.has_value()) {
-    set_word_backend(*options.forced_backend);
-  }
   return Runtime(PoetBin::train(features, intermediate_targets, labels, config),
                  options);
 }

@@ -1,12 +1,12 @@
 // Serving runtime: the inference-facing front door of the library.
 //
-// Research code hands callers three loose parts — a PoetBin, a BatchEngine
-// and the process-global word-backend override — and every `*_batched` call
-// used to tear a thread pool up and down. A Runtime bundles them the way a
-// serving system wants them: it holds one or more loaded (or freshly
-// trained) model behind an atomically swappable version slot, resolves the
-// SIMD word backend once, and keeps a single persistent BatchEngine alive
-// across requests and across model versions, behind a narrow request API.
+// Research code hands callers loose parts — a PoetBin and a BatchEngine —
+// and every `*_batched` call used to tear a thread pool up and down. A
+// Runtime bundles them the way a serving system wants them: it holds one
+// or more loaded (or freshly trained) model behind an atomically swappable
+// version slot, resolves the SIMD word backend once, and keeps a single
+// persistent BatchEngine alive across requests and across model versions,
+// behind a narrow request API.
 //
 //   Runtime::LoadResult loaded = Runtime::load("model.pbm", {.threads = 4});
 //   if (!loaded.ok()) die(loaded.error().message);
@@ -35,19 +35,20 @@
 // until the next reload.
 //
 // Every path is bit-identical to the per-bit scalar walk
-// (tests/reference): predict() runs the fused bitsliced argmax, and
-// predict_one() runs the model's compiled gather program
+// (tests/reference): predict() runs the fused bitsliced argmax. For a
+// dense version predict_one() runs the model's compiled gather program
 // (PoetBin::predict, core/gather_program.h) on one example — one address
 // gather and one table read per LUT, about a microsecond for the served
-// M1 shape — behind, for a conv version, the conv layer's single-frame
-// walk (RincConvLayer::eval_frame).
+// M1 shape. For a conv version it runs the same fused conv pass as
+// predict() on a one-row matrix, inline on the calling thread.
 //
 // Concurrency contract: everything here may be called concurrently.
 // Dataset-level requests (predict / rinc_outputs / accuracy and the dataset
 // half of retrain) serialize internally on the one engine — the pool is not
 // re-entrant, so overlapping callers queue instead of aborting.
 // predict_one() is a snapshot (a refcount copy under a short mutex) plus
-// one gather-program run.
+// one gather-program run, or one inline conv pass that takes no engine
+// lock.
 // Mutators (reload / retrain) serialize against each other and publish
 // atomically, so readers never see a half-swapped model. A network front
 // end wraps the Runtime in a serve::MicroBatcher (serve/micro_batcher.h),
@@ -58,7 +59,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,16 +76,6 @@ struct RuntimeOptions {
   // Worker threads for the persistent engine. 0 = hardware concurrency,
   // 1 = run requests inline on the calling thread (no pool).
   std::size_t threads = 0;
-  // Force a specific SIMD word backend. NOTE: backend dispatch is
-  // PROCESS-GLOBAL (all backends are bit-identical, so this only changes
-  // speed): the Runtime applies the override once at construction via
-  // set_word_backend(), aborting if the backend is unavailable on this
-  // build or CPU — and every other Runtime in the process runs on it from
-  // that moment too. When several Runtimes force different backends, the
-  // last construction wins for all of them. nullopt leaves dispatch alone
-  // (the CPUID-probed default, or whatever POETBIN_FORCE_BACKEND or an
-  // earlier Runtime pinned).
-  std::optional<WordBackend> forced_backend;
   // Size in bytes of the lock-free prediction cache
   // (serve/predict_cache.h) in front of the model's predict_one
   // path and the MicroBatcher's windows. 0 disables caching — the
@@ -129,9 +119,9 @@ class Runtime {
   // or move one in) and spins up the persistent engine.
   explicit Runtime(PoetBin model, RuntimeOptions options = {});
 
-  // Convolutional variant: requests carry C x H x W frames, the conv front
-  // end runs word-parallel ahead of the classifier on every dataset path,
-  // and predict_one walks one frame through RincConvLayer::eval_frame.
+  // Convolutional variant: requests carry C x H x W frames, and the conv
+  // front end runs word-parallel ahead of the classifier on every path,
+  // predict_one included (a one-row matrix).
   explicit Runtime(ConvModel model, RuntimeOptions options = {});
 
   // Train-then-serve in one step: PoetBin::train with `config`, wrapped in
@@ -203,10 +193,10 @@ class Runtime {
   BitMatrix rinc_outputs(const BitMatrix& features) const;
 
   // Single-example request: the snapshot's gather program (conv versions
-  // run RincConvLayer::eval_frame first); takes no lock but the snapshot's,
-  // safe concurrently with everything including reload/retrain. With cache_bytes set, probes the
-  // prediction cache first and inserts on a miss — bit-identical either
-  // way.
+  // run predict_conv_dataset on a one-row matrix, inline); takes no lock
+  // but the snapshot's, safe concurrently with everything including
+  // reload/retrain. With cache_bytes set, probes the prediction cache first
+  // and inserts on a miss — bit-identical either way.
   int predict_one(const BitVector& example_bits) const;
 
   // The prediction cache, or nullptr when cache_bytes was 0. Probe/insert

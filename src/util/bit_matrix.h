@@ -25,6 +25,11 @@ class BitMatrix {
   BitMatrix(std::size_t n_rows, std::size_t n_cols)
       : n_rows_(n_rows), cols_(n_cols, BitVector(n_rows)) {}
 
+  // The matrix whose row i is *rows[i]: each row's set bits scattered into
+  // the feature-major columns. Every row must have the same width (checked);
+  // no rows gives an empty matrix.
+  static BitMatrix from_rows(std::span<const BitVector* const> rows);
+
   std::size_t rows() const { return n_rows_; }
   std::size_t cols() const { return cols_.size(); }
 

@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+#include "core/batch_eval.h"
 #include "core/model_parts.h"
 #include "core/packed_model.h"
 #include "core/serialize.h"
@@ -35,18 +36,27 @@ constexpr std::size_t kMaxProbeBits = std::size_t{1} << 16;
   std::abort();
 }
 
-// The model's class for an all-ones probe (-1 when the probe would be too
-// wide to build).
+// The model's class for an all-ones probe (-1 when the probe, or the conv
+// pass's padded frame and output, would be too wide to build).
 int probe(const LoadedModel& loaded) {
   if (loaded.conv != nullptr) {
-    const std::size_t frame_bits = loaded.conv->input_shape().flat();
-    if (frame_bits > kMaxProbeBits) return -1;
-    const BitVector conv_out =
-        loaded.conv->eval_frame(BitVector(frame_bits, true));
-    if (conv_out.size() < loaded.model.n_features()) {
+    const RincConvLayer& conv = *loaded.conv;
+    const BinShape3 in = conv.input_shape();
+    const RincConvConfig& config = conv.config();
+    const std::size_t padded_words =
+        in.channels * (in.height + 2 * config.padding) *
+        (in.width + 2 * config.padding + config.stride);
+    if (in.flat() > kMaxProbeBits || padded_words > kMaxProbeBits ||
+        conv.output_shape().flat() > kMaxProbeBits) {
+      return -1;
+    }
+    if (conv.output_shape().flat() < loaded.model.n_features()) {
       fail("conv output narrower than its classifier");
     }
-    return loaded.model.predict(conv_out);
+    const BitVector frame(in.flat(), true);
+    const BitVector* rows[] = {&frame};
+    return predict_conv_dataset(conv, loaded.model,
+                                BitMatrix::from_rows(rows), BatchEngine(1))[0];
   }
   if (loaded.model.n_features() > kMaxProbeBits) return -1;
   return loaded.model.predict(BitVector(loaded.model.n_features(), true));

@@ -1,6 +1,5 @@
 // Atomic hot reload under live traffic: Runtime's RCU version slot, held
-// snapshots pinning their version, the kReload/kModelInfo wire frames, and
-// the process-global forced_backend contract.
+// snapshots pinning their version and the kReload/kModelInfo wire frames.
 //
 // The instrument is a version-tagged model: every output code is rigged so
 // predict() returns one constant class regardless of input. Swapping
@@ -623,29 +622,6 @@ TEST(HotReload, MismatchedConvWidthIsIncompatible) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().kind, ModelIoError::Kind::kIncompatibleModel);
   EXPECT_TRUE(runtime.snapshot()->is_conv());  // old version keeps serving
-}
-
-// RuntimeOptions::forced_backend is process-global by contract: the last
-// construction wins for every Runtime in the process, and predictions stay
-// bit-identical regardless (the backends only differ in speed).
-TEST(HotReload, ForcedBackendIsProcessGlobalLastConstructionWins) {
-  const std::vector<WordBackend> backends = available_word_backends();
-  if (backends.size() < 2) {
-    GTEST_SKIP() << "only one word backend available";
-  }
-  testing::BackendGuard guard;
-  const PoetBin model = tagged_model(1);
-  const Runtime first(model, {.threads = 1, .forced_backend = backends[0]});
-  EXPECT_EQ(active_word_backend(), backends[0]);
-  EXPECT_EQ(first.backend(), backends[0]);
-  const Runtime second(model, {.threads = 1, .forced_backend = backends[1]});
-  // The second construction repinned dispatch for the whole process.
-  EXPECT_EQ(active_word_backend(), backends[1]);
-  for (std::uint64_t s = 0; s < 8; ++s) {
-    const BitVector bits = example_bits(s);
-    EXPECT_EQ(first.predict_one(bits), 1);
-    EXPECT_EQ(second.predict_one(bits), 1);
-  }
 }
 
 }  // namespace

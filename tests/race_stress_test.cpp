@@ -214,10 +214,10 @@ TEST(RaceStress, RuntimeSnapshotVsReloadPublish) {
 
 // --- MicroBatcher: multi-producer submit/flush vs. leader dispatch ----------
 
-// Blocking leaders, async submitters and a flusher all contend for the
-// same window while a reloader churns the published version underneath
-// (dispatch pins a snapshot; cache inserts tag with that snapshot's
-// version). Every result must be a published tag.
+// Single-request leaders, ticket-burst submitters and a flusher all
+// contend for the same window while a reloader churns the published
+// version underneath (dispatch pins a snapshot; cache inserts tag with
+// that snapshot's version). Every result must be a published tag.
 TEST(RaceStress, MicroBatcherSubmitFlushVsLeaderDispatch) {
   const std::string path_a = temp_path("race_mb_a.pbm");
   const std::string path_b = temp_path("race_mb_b.pbm");
@@ -233,13 +233,13 @@ TEST(RaceStress, MicroBatcherSubmitFlushVsLeaderDispatch) {
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
   const std::size_t iters = 200 * kScale;
-  // Two blocking producers (leader path)...
+  // Two single-request producers (each get() leads its window)...
   for (std::size_t t = 0; t < 2; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(0xCAFE + t);
       for (std::size_t i = 0; i < iters; ++i) {
         const BitVector bits = example_bits(rng.next_below(64));
-        const int cls = batcher.predict_one(bits);
+        const int cls = batcher.submit(bits).get();
         ASSERT_TRUE(cls == 1 || cls == 2) << "impossible tag " << cls;
       }
     });

@@ -81,7 +81,6 @@ TEST(RincConv, OutputShapes) {
   const BitMatrix out = layer.eval_dataset_batched(problem.inputs, engine);
   EXPECT_EQ(out.rows(), 20u);
   EXPECT_EQ(out.cols(), 128u);
-  EXPECT_EQ(layer.eval_frame(problem.inputs.row(0)).size(), 128u);
 }
 
 TEST(RincConv, LearnsExactPatchFunctions) {
@@ -113,14 +112,15 @@ TEST(RincConv, WeightSharingIsTranslationEquivariant) {
   a.set(3 * 8 + 3, true);
   BitVector b(64);
   b.set(4 * 8 + 5, true);
-  const BitVector out_a = layer.eval_frame(a);
-  const BitVector out_b = layer.eval_frame(b);
+  const BitVector* frames[] = {&a, &b};
+  const BitMatrix out =
+      layer.eval_dataset_batched(BitMatrix::from_rows(frames), BatchEngine(1));
   for (std::size_t channel = 0; channel < 2; ++channel) {
     for (long dr = -1; dr <= 1; ++dr) {
       for (long dc = -1; dc <= 1; ++dc) {
         const std::size_t pa = static_cast<std::size_t>((3 + dr) * 8 + 3 + dc);
         const std::size_t pb = static_cast<std::size_t>((4 + dr) * 8 + 5 + dc);
-        EXPECT_EQ(out_a.get(channel * 64 + pa), out_b.get(channel * 64 + pb))
+        EXPECT_EQ(out.get(0, channel * 64 + pa), out.get(1, channel * 64 + pb))
             << "channel " << channel << " offset " << dr << "," << dc;
       }
     }
@@ -176,8 +176,7 @@ struct ConvGeom {
 // stride-phase-split frame (pointwise 1x1, strided, stride 3, stride above
 // the kernel, kernel 5, maximum padding, multi-channel, non-square) and
 // example counts straddling the 64-bit word boundary, the 16-word chunk
-// boundary and full 8-word SIMD blocks. The single-frame walk, eval_frame,
-// must match the same oracle row by row on every geometry and size.
+// boundary and full 8-word SIMD blocks (n = 1 is the single-frame case).
 TEST(RincConvBatched, BitIdenticalAcrossShapesBackendsAndThreads) {
   const std::vector<ConvGeom> geoms = {
       {{1, 8, 8}, 2, 3, 1, 1},  // canonical same-size conv
@@ -228,11 +227,6 @@ TEST(RincConvBatched, BitIdenticalAcrossShapesBackendsAndThreads) {
       const BitMatrix inputs =
           testing::random_bits(n, geom.in_shape.flat(), seed++);
       const BitMatrix want = reference::conv_eval_dataset(layer, inputs);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(layer.eval_frame(inputs.row(i)), want.row(i))
-            << "row " << i << " of n=" << n << " kernel=" << geom.kernel
-            << " stride=" << geom.stride << " padding=" << geom.padding;
-      }
       for (const WordBackend backend : available_word_backends()) {
         set_word_backend(backend);
         for (const std::size_t threads : {1u, 2u, 5u}) {
@@ -275,7 +269,7 @@ TEST(RincConvBatched, ConvModelFusedPredictMatchesScalar) {
 
   const std::vector<int> want =
       reference::predict_dataset(model, problem.inputs);
-  // The single-frame path agrees with the dataset oracle.
+  // The single-frame path (a one-row word pass) agrees with the oracle.
   for (std::size_t i = 0; i < problem.inputs.rows(); ++i) {
     EXPECT_EQ(model.predict(problem.inputs.row(i)), want[i]);
   }

@@ -4,6 +4,7 @@
 // at any thread count, fused or not, and under concurrent producers.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -88,10 +89,10 @@ TEST(Runtime, RincOutputsMatchScalar) {
             reference::rinc_outputs(fx.model, fx.data.features));
 }
 
-// The satellite contract: save a trained model, reload it under each
-// forced backend and several thread counts, and every Runtime (and a
-// MicroBatcher on top of it) predicts bit-identically to the column-scan
-// oracle on the original model.
+// Save a trained model, reload it under each word backend and several
+// thread counts, and every Runtime (and a MicroBatcher on top of it)
+// predicts bit-identically to the column-scan oracle on the original
+// model.
 TEST(Runtime, SerializedReloadIsBitIdenticalUnderEveryBackend) {
   const ServeFixture& fx = fixture();
   testing::BackendGuard guard;
@@ -101,10 +102,10 @@ TEST(Runtime, SerializedReloadIsBitIdenticalUnderEveryBackend) {
     ASSERT_TRUE(writer.save(path).ok());
   }
   for (const WordBackend backend : available_word_backends()) {
+    set_word_backend(backend);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{5}}) {
-      Runtime::LoadResult runtime =
-          Runtime::load(path, {.threads = threads, .forced_backend = backend});
+      Runtime::LoadResult runtime = Runtime::load(path, {.threads = threads});
       ASSERT_TRUE(runtime.ok());
       EXPECT_EQ(runtime->backend(), backend);
       EXPECT_EQ(runtime->threads(), threads);
@@ -213,7 +214,7 @@ TEST(MicroBatcher, BlockingRequestTimesOutAlone) {
                        {.max_batch = 64,
                         .max_wait = std::chrono::milliseconds(50)});
   const ServeStats warm = warm_arrival_estimate(batcher, fx.rows);
-  EXPECT_EQ(batcher.predict_one(fx.rows[100]), fx.scalar_preds[100]);
+  EXPECT_EQ(batcher.submit(fx.rows[100]).get(), fx.scalar_preds[100]);
   const ServeStats stats = batcher.stats();
   EXPECT_EQ(stats.requests, warm.requests + 1);
   EXPECT_EQ(stats.batches, warm.batches + 1);
@@ -228,13 +229,13 @@ TEST(MicroBatcher, BlockingRequestAfterAsyncSubmitStillTimesOut) {
                        {.max_batch = 64,
                         .max_wait = std::chrono::milliseconds(50)});
   const ServeStats warm = warm_arrival_estimate(batcher, fx.rows);
-  // A submit() opens the window, so the blocking request lands in slot 1.
-  // It must still become the leader and dispatch the window after
-  // max_wait — leadership follows the first *blocking* request, not
-  // slot 0 (a slot-0-only rule left this predict_one waiting forever).
-  MicroBatcher::Ticket ticket = batcher.submit(fx.rows[100]);
-  EXPECT_EQ(batcher.predict_one(fx.rows[101]), fx.scalar_preds[101]);
-  EXPECT_EQ(ticket.get(), fx.scalar_preds[100]);
+  // Two submits share a window; the get() on the second (slot 1) leads
+  // it and dispatches it after max_wait, and the first ticket then reads
+  // its answer from the same window.
+  MicroBatcher::Ticket first = batcher.submit(fx.rows[100]);
+  MicroBatcher::Ticket second = batcher.submit(fx.rows[101]);
+  EXPECT_EQ(second.get(), fx.scalar_preds[101]);
+  EXPECT_EQ(first.get(), fx.scalar_preds[100]);
   const ServeStats stats = batcher.stats();
   EXPECT_EQ(stats.batches, warm.batches + 1);
   EXPECT_EQ(stats.requests, warm.requests + 2);
@@ -249,7 +250,7 @@ TEST(MicroBatcher, IdleBatcherAnswersLoneRequestAtOnce) {
   MicroBatcher batcher(runtime,
                        {.max_batch = 64, .max_wait = std::chrono::seconds(2)});
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(batcher.predict_one(fx.rows[0]), fx.scalar_preds[0]);
+  EXPECT_EQ(batcher.submit(fx.rows[0]).get(), fx.scalar_preds[0]);
   EXPECT_LT(seconds_since(t0), 0.5);
   const ServeStats stats = batcher.stats();
   EXPECT_EQ(stats.requests, 1u);
@@ -267,13 +268,13 @@ TEST(MicroBatcher, IdlePauseReturnsToAtOnceDispatch) {
   MicroBatcher batcher(runtime, {.max_batch = 64, .max_wait = max_wait});
   warm_arrival_estimate(batcher, fx.rows);
   auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(batcher.predict_one(fx.rows[100]), fx.scalar_preds[100]);
+  EXPECT_EQ(batcher.submit(fx.rows[100]).get(), fx.scalar_preds[100]);
   EXPECT_GE(seconds_since(t0), 0.05);  // the lone leader waited max_wait
   EXPECT_EQ(batcher.stats().timeouts, 1u);
 
   std::this_thread::sleep_for(5 * max_wait);
   t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(batcher.predict_one(fx.rows[101]), fx.scalar_preds[101]);
+  EXPECT_EQ(batcher.submit(fx.rows[101]).get(), fx.scalar_preds[101]);
   EXPECT_LT(seconds_since(t0), 0.05);
   const ServeStats stats = batcher.stats();
   EXPECT_EQ(stats.timeouts, 1u);  // the second lone window went out at once
@@ -297,11 +298,11 @@ TEST(MicroBatcher, CacheHitsCountAsArrivals) {
       std::this_thread::sleep_for(max_wait * 3 / 2);
       if (with_hits) {
         for (std::size_t i = 0; i < 16; ++i) {
-          ASSERT_EQ(batcher.predict_one(fx.rows[i]), fx.scalar_preds[i]);
+          ASSERT_EQ(batcher.submit(fx.rows[i]).get(), fx.scalar_preds[i]);
         }
       }
       const std::size_t miss = 100 + j;
-      ASSERT_EQ(batcher.predict_one(fx.rows[miss]), fx.scalar_preds[miss]);
+      ASSERT_EQ(batcher.submit(fx.rows[miss]).get(), fx.scalar_preds[miss]);
     }
     const ServeStats stats = batcher.stats();
     EXPECT_EQ(stats.batches, 11u);  // the warm-up window + 10 lone misses
@@ -319,7 +320,7 @@ TEST(MicroBatcher, ZeroWaitDispatchesImmediately) {
                        {.max_batch = 64,
                         .max_wait = std::chrono::microseconds(0)});
   for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(batcher.predict_one(fx.rows[i]), fx.scalar_preds[i]);
+    EXPECT_EQ(batcher.submit(fx.rows[i]).get(), fx.scalar_preds[i]);
   }
 }
 
@@ -328,7 +329,7 @@ TEST(MicroBatcher, WindowOfOne) {
   const Runtime runtime(fx.model, {.threads = 1});
   MicroBatcher batcher(runtime, {.max_batch = 1});
   for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(batcher.predict_one(fx.rows[i]), fx.scalar_preds[i]);
+    EXPECT_EQ(batcher.submit(fx.rows[i]).get(), fx.scalar_preds[i]);
   }
   const ServeStats stats = batcher.stats();
   EXPECT_EQ(stats.batches, 10u);
@@ -354,9 +355,10 @@ TEST(MicroBatcher, FlushOnDestructionCompletesOutstandingTickets) {
   }
 }
 
-// The acceptance stress: >= 8 concurrent producers hammering predict_one
-// must each get back exactly what scalar predict would return for their
-// example, regardless of how requests interleave into windows.
+// The acceptance stress: >= 8 concurrent producers, each submitting one
+// request and waiting on it, must each get back exactly what scalar
+// predict would return for their example, regardless of how requests
+// interleave into windows.
 TEST(MicroBatcher, ConcurrentProducersAreBitIdentical) {
   const ServeFixture& fx = fixture();
   const Runtime runtime(fx.model, {.threads = 1});
@@ -372,7 +374,7 @@ TEST(MicroBatcher, ConcurrentProducersAreBitIdentical) {
     producers.emplace_back([&, t] {
       // Strided slices so producers interleave within the same windows.
       for (std::size_t i = t; i < n; i += n_producers) {
-        served[i] = batcher.predict_one(fx.rows[i]);
+        served[i] = batcher.submit(fx.rows[i]).get();
       }
     });
   }
@@ -397,7 +399,7 @@ TEST(MicroBatcher, ConcurrentProducersWithThreadedEngine) {
   for (std::size_t t = 0; t < n_producers; ++t) {
     producers.emplace_back([&, t] {
       for (std::size_t i = t; i < n; i += n_producers) {
-        served[i] = batcher.predict_one(fx.rows[i]);
+        served[i] = batcher.submit(fx.rows[i]).get();
       }
     });
   }
@@ -471,8 +473,8 @@ ConvModel random_conv_model(std::uint64_t seed) {
 // feeds the classifier argmax directly). On 1025 frames — 17 words, so
 // chunks cross word and SIMD-block boundaries and end in a ragged word —
 // they must match the scalar conv + classifier oracle on every backend,
-// inline and on a pool. predict_one (the single-frame walk, then the
-// gather program) must match it on every frame too.
+// inline and on a pool. predict_one (the same pass on a one-row matrix)
+// must match it on every frame too.
 TEST(Runtime, ConvPredictMatchesScalarOracle) {
   const ConvModel model = random_conv_model(91);
   const BitMatrix frames = testing::random_bits(1025, model.n_features(), 92);
@@ -493,6 +495,46 @@ TEST(Runtime, ConvPredictMatchesScalarOracle) {
       }
     }
   }
+}
+
+// Single-frame conv predicts run inline on their own pool-less engine, so
+// they may overlap a dataset pass on the Runtime's pooled engine: four
+// threads of predict_one beside a 4096-frame predict must all match the
+// scalar oracle, and nothing may trip BatchEngine's re-entrancy check.
+TEST(Runtime, ConvPredictOneRunsBesideDatasetPredict) {
+  const ConvModel model = random_conv_model(93);
+  const BitMatrix frames = testing::random_bits(4096, model.n_features(), 94);
+  const std::vector<int> want = reference::predict_dataset(model, frames);
+  const Runtime runtime(model, {.threads = 3});
+  const std::size_t n_single = 4;
+  const std::size_t frames_per_thread = 128;
+  std::vector<BitVector> rows;
+  rows.reserve(n_single * frames_per_thread);
+  for (std::size_t i = 0; i < n_single * frames_per_thread; ++i) {
+    rows.push_back(frames.row(i));
+  }
+  std::vector<int> single(rows.size(), -1);
+  std::atomic<std::size_t> singles_running{n_single};
+  std::size_t mismatched_passes = 0;
+  std::vector<std::thread> threads;
+  // Dataset passes repeat until every single-frame thread is done, so the
+  // two kinds of request overlap however the threads are scheduled.
+  threads.emplace_back([&] {
+    do {
+      if (runtime.predict(frames) != want) ++mismatched_passes;
+    } while (singles_running.load() > 0);
+  });
+  for (std::size_t t = 0; t < n_single; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < rows.size(); i += n_single) {
+        single[i] = runtime.predict_one(rows[i]);
+      }
+      singles_running.fetch_sub(1);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatched_passes, 0u);
+  EXPECT_EQ(single, std::vector<int>(want.begin(), want.begin() + rows.size()));
 }
 
 // The caller-supplied-engine entry points match the scalar oracles (these

@@ -42,9 +42,12 @@ Rules (each with the incident that motivated it):
                          `RincConvLayer::fidelity`, `PoetBin::` /
                          `ConvModel::predict_dataset`,
                          `PoetBin::rinc_outputs`, `PoetBin::accuracy` and
-                         `BatchEngine::eval_dataset` / `accuracy`. Each
-                         dataset operation has one word-pass implementation;
-                         the column-scan oracles live in tests/reference/.
+                         `BatchEngine::eval_dataset` / `accuracy`, and the
+                         single-frame conv walk (`eval_frame`,
+                         `eval_patch`). Each dataset operation has one
+                         word-pass implementation, and one frame runs it on
+                         a one-row matrix; the column-scan oracles live in
+                         tests/reference/.
   no-splat-representation  The compact truth table is every LUT's only
                          representation: `splat_words`, `WordStorage`,
                          `word_storage.h`, `storage_keepalive` and
@@ -247,7 +250,8 @@ SCALAR_DATASET_TWIN = re.compile(
     r"\b(?:Lut|RincModule|RincConvLayer|BatchEngine)::eval_dataset\s*\(|"
     r"\b(?:PoetBin|ConvModel)::predict_dataset\s*\(|"
     r"\bLut::addresses\b|\bRincConvLayer::fidelity\b|"
-    r"\bPoetBin::rinc_outputs\s*\(|\b(?:PoetBin|BatchEngine)::accuracy\b")
+    r"\bPoetBin::rinc_outputs\s*\(|\b(?:PoetBin|BatchEngine)::accuracy\b|"
+    r"\beval_frame\b|\beval_patch\b")
 
 
 def check_no_scalar_dataset_twins(root):
@@ -262,8 +266,9 @@ def check_no_scalar_dataset_twins(root):
                     "no-scalar-dataset-twins", relpath(root, path), i + 1,
                     f"'{match.group(0)}' is a deleted scalar twin of a "
                     "dataset pass; use the word pass (eval_dataset_batched, "
-                    "BatchEngine, predict_conv_dataset) and keep column-scan "
-                    "oracles in tests/reference/"))
+                    "BatchEngine, predict_conv_dataset, on a one-row matrix "
+                    "for one frame) and keep column-scan oracles in "
+                    "tests/reference/"))
     return violations
 
 
@@ -544,6 +549,10 @@ SELF_TEST_VIOLATIONS = [
      "BitVector RincModule::eval_dataset(const BitMatrix& features) const {\n"),
     ("no-scalar-dataset-twins", "examples/bad_example.cpp",
      "  const double acc = model.accuracy_batched(x, labels, engine);\n"),
+    ("no-scalar-dataset-twins", "src/core/bad_conv.cpp",
+     "BitVector RincConvLayer::eval_frame(const BitVector& frame) const {\n"),
+    ("no-scalar-dataset-twins", "examples/bad_conv_example.cpp",
+     "bool eval_patch(const RincModule& module, const std::uint8_t* patch);\n"),
     ("no-splat-representation", "src/dt/bad_lut.h",
      "  std::span<const std::uint64_t> splat_words() const;\n"),
     ("one-model-decoder", "src/core/bad_loader.h",
