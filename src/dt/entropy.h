@@ -35,9 +35,9 @@ inline double weighted_node_entropy(double weight_class0,
 //   init + sum_k weighted_node_entropy(pairs[2k], pairs[2k + 1])
 // accumulated in ascending k — the node order of Algorithm 1's level scan,
 // so chaining calls through `init` reproduces a single long accumulation
-// exactly. This is the canonical body behind WordOps::entropy_sum: log2 is
-// not an exact operation, so no SIMD backend may widen the per-node math,
-// and every backend shares this one definition.
+// exactly. LevelDT's candidate scan scores every candidate through it. It
+// is plain scalar code on purpose: log2 is not an exact operation, so a
+// widened per-node sum would break bit-identity with the scalar scan.
 inline double weighted_entropy_sum(const double* pairs, std::size_t n_pairs,
                                    double init) {
   double total = init;

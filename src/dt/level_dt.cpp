@@ -7,9 +7,7 @@
 
 #include "core/batch_eval.h"
 #include "dt/entropy.h"
-#include "util/aligned_vector.h"
 #include "util/check.h"
-#include "util/word_backend.h"
 
 namespace poetbin {
 
@@ -193,19 +191,11 @@ void gather_masked_weights(const std::uint64_t* a, const std::uint64_t* b,
                            std::size_t stride) {
   const std::size_t n_words = BitVector::words_needed(n_bits);
   const std::uint64_t tail = BitVector::tail_word_mask(n_bits);
-  // The only word-level op in the scan — cand AND winner — runs at SIMD
-  // width on the active backend into a per-thread buffer; the weighted
-  // gather itself must stay scalar (FP adds in ascending bit order is the
-  // bit-identity contract). With no winner mask the source is read directly.
-  const std::uint64_t* src = a;
-  if (b != nullptr) {
-    static thread_local WordVec masked;
-    if (masked.size() < n_words) masked.resize(n_words);
-    word_ops().and_words(a, b, masked.data(), n_words);
-    src = masked.data();
-  }
+  // The only word-level op in the scan, cand AND winner, is applied as each
+  // word is loaded; the weighted gather that drains the word must stay
+  // scalar (FP adds in ascending bit order is the bit-identity contract).
   auto load = [&](std::size_t w) {
-    std::uint64_t m = src[w];
+    std::uint64_t m = b != nullptr ? a[w] & b[w] : a[w];
     if (w + 1 == n_words) m &= tail;
     return m;
   };
@@ -324,23 +314,23 @@ LevelDtResult train_bitsliced(const BitMatrix& features,
       // buf[c] is the candidate-bit-1 mass of cell c; the bit-0 mass is
       // base[c] - buf[c]. Node order matches the scalar bucket order: all
       // candidate-bit-0 nodes, then all candidate-bit-1 nodes. Both halves
-      // accumulate through the backend's batched entropy kernel, chained via
-      // its `init` accumulator so the node order (and therefore the score)
-      // is exactly the old per-node loop's. The subtractions can land a few
-      // ulps below zero when the halves round differently; clamp into the
-      // pair buffer before the kernel sees them.
+      // accumulate through weighted_entropy_sum, chained via its `init`
+      // accumulator so the node order (and therefore the score) is exactly
+      // the old per-node loop's. The subtractions can land a few ulps below
+      // zero when the halves round differently; clamp into the pair buffer
+      // before the sum sees them.
       static thread_local std::vector<double> pairs;
       pairs.resize(half_cells);
       for (std::size_t b = 0; b < half_cells; ++b) {
         pairs[b] = std::max(0.0, base[b] - buf[b]);
       }
-      const WordOps& ops = word_ops();
-      double level_entropy = ops.entropy_sum(pairs.data(), half_cells / 2, 0.0);
+      const double level_entropy =
+          weighted_entropy_sum(pairs.data(), half_cells / 2, 0.0);
       for (std::size_t b = 0; b < half_cells; ++b) {
         pairs[b] = std::max(0.0, buf[b]);
       }
       entropies[k] =
-          ops.entropy_sum(pairs.data(), half_cells / 2, level_entropy);
+          weighted_entropy_sum(pairs.data(), half_cells / 2, level_entropy);
     };
 
     if (engine != nullptr) {
@@ -382,7 +372,7 @@ LevelDtResult train_bitsliced(const BitMatrix& features,
     base.assign(half_cells * 2, 0.0);
     for (std::size_t i = 0; i < n; ++i) base[cell[i]] += weights[i];
     best_entropy_final =
-        word_ops().entropy_sum(base.data(), base.size() / 2, 0.0);
+        weighted_entropy_sum(base.data(), base.size() / 2, 0.0);
   }
 
   // After the last level, base holds the per-(leaf cell, class) masses —

@@ -91,11 +91,9 @@ std::vector<int> MicroBatcher::predict_conv_window(
     const std::vector<const BitVector*>& examples) {
   // Conv frames carry out_h x out_w positions each, so the window keeps
   // the packed conv pass over the frames scattered into columns.
-  const BitMatrix packed = BitMatrix::from_rows(examples);
-  // One engine pass at a time: the Runtime's engine is not re-entrant, and
-  // a second window can close while the first is still in flight.
-  std::lock_guard<std::mutex> dispatch_lock(dispatch_mu_);
-  return runtime_->predict_snapshot(snap, packed);
+  // predict_snapshot serializes on the Runtime's engine lock, so a second
+  // window closing while the first is in flight just waits there.
+  return runtime_->predict_snapshot(snap, BitMatrix::from_rows(examples));
 }
 
 int MicroBatcher::await(const std::shared_ptr<Batch>& batch,

@@ -38,8 +38,9 @@
 //
 // Lifetime: the caller's example bits must stay alive until
 // Ticket::get() completes — the batcher stores pointers, not copies. Conv
-// dispatches are serialized on an internal mutex (the Runtime's engine is
-// not re-entrant); dense ones need no engine. The batcher may be shared
+// windows that close together may dispatch concurrently: the Runtime
+// serializes their engine passes itself (predict_snapshot holds its engine
+// lock), and dense windows need no engine. The batcher may be shared
 // freely across producer threads.
 //
 // Prediction cache: when the Runtime has one (RuntimeOptions::cache_bytes),
@@ -130,7 +131,7 @@ class MicroBatcher {
   // ran out of max_wait) for the stats.
   void dispatch(const std::shared_ptr<Batch>& batch, bool timed_out = false);
   // A conv version's window: packed into a BitMatrix and run as one
-  // predict_snapshot pass, serialized on dispatch_mu_.
+  // predict_snapshot pass.
   std::vector<int> predict_conv_window(
       const Runtime::Snapshot& snap,
       const std::vector<const BitVector*>& examples);
@@ -147,9 +148,8 @@ class MicroBatcher {
   const Runtime* runtime_;
   MicroBatcherOptions options_;
 
-  mutable std::mutex mu_;   // guards open_, batch states, the stats and
-                            // the arrival-gap estimate
-  std::mutex dispatch_mu_;  // serializes conv windows' engine passes
+  mutable std::mutex mu_;  // guards open_, batch states, the stats and
+                           // the arrival-gap estimate
   std::shared_ptr<Batch> open_;
   ServeStats stats_;
   // Requests answered straight from the cache — kept out of mu_ so the

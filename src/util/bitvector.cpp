@@ -40,54 +40,6 @@ void BitVector::push_back(bool value) {
   set(n_bits_ - 1, value);
 }
 
-std::size_t BitVector::popcount() const {
-  return word_ops().popcount_words(words_.data(), words_.size());
-}
-
-std::size_t BitVector::popcount_prefix(std::size_t prefix_bits) const {
-  POETBIN_CHECK(prefix_bits <= n_bits_);
-  std::size_t total = 0;
-  const std::size_t full_words = prefix_bits / 64;
-  for (std::size_t i = 0; i < full_words; ++i) {
-    total += static_cast<std::size_t>(std::popcount(words_[i]));
-  }
-  const std::size_t rem = prefix_bits & 63;
-  if (rem != 0) {
-    const std::uint64_t mask = (1ULL << rem) - 1;
-    total += static_cast<std::size_t>(std::popcount(words_[full_words] & mask));
-  }
-  return total;
-}
-
-BitVector& BitVector::operator&=(const BitVector& other) {
-  POETBIN_CHECK(n_bits_ == other.n_bits_);
-  word_ops().and_words(words_.data(), other.words_.data(), words_.data(),
-                       words_.size());
-  return *this;
-}
-
-BitVector& BitVector::operator|=(const BitVector& other) {
-  POETBIN_CHECK(n_bits_ == other.n_bits_);
-  word_ops().or_words(words_.data(), other.words_.data(), words_.data(),
-                      words_.size());
-  return *this;
-}
-
-BitVector& BitVector::operator^=(const BitVector& other) {
-  POETBIN_CHECK(n_bits_ == other.n_bits_);
-  word_ops().xor_words(words_.data(), other.words_.data(), words_.data(),
-                       words_.size());
-  return *this;
-}
-
-BitVector BitVector::operator~() const {
-  BitVector result = *this;
-  word_ops().not_words(result.words_.data(), result.words_.data(),
-                       result.words_.size());
-  result.mask_tail();
-  return result;
-}
-
 bool BitVector::operator==(const BitVector& other) const {
   return n_bits_ == other.n_bits_ && words_ == other.words_;
 }
@@ -96,8 +48,9 @@ void BitVector::xor_into(const BitVector& other, BitVector& dst) const {
   POETBIN_CHECK(n_bits_ == other.n_bits_);
   dst.n_bits_ = n_bits_;
   dst.words_.resize(words_.size());
-  word_ops().xor_words(words_.data(), other.words_.data(), dst.words_.data(),
-                       words_.size());
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    dst.words_[w] = words_[w] ^ other.words_[w];
+  }
   // Both operands keep zero tails, so the xor does too; re-masking costs one
   // AND and keeps the invariant independent of the operands' history.
   dst.mask_tail();

@@ -1,4 +1,4 @@
-// Packed bit vector with word-parallel logic ops and popcount.
+// Packed bit vector with word-level raw access and a Hamming count.
 //
 // This is the unit of storage for binary activations: one BitVector holds
 // either one example's feature bits or (in BitMatrix) one feature's value
@@ -43,21 +43,6 @@ class BitVector {
   void fill(bool value);    // all bits -> value
   void resize(std::size_t n_bits, bool value = false);
   void push_back(bool value);
-
-  // Number of set bits.
-  std::size_t popcount() const;
-  // Number of set bits among the first `prefix_bits` bits.
-  std::size_t popcount_prefix(std::size_t prefix_bits) const;
-
-  // Word-parallel logic. Operands must have equal size.
-  BitVector& operator&=(const BitVector& other);
-  BitVector& operator|=(const BitVector& other);
-  BitVector& operator^=(const BitVector& other);
-  BitVector operator~() const;
-
-  friend BitVector operator&(BitVector a, const BitVector& b) { return a &= b; }
-  friend BitVector operator|(BitVector a, const BitVector& b) { return a |= b; }
-  friend BitVector operator^(BitVector a, const BitVector& b) { return a ^= b; }
 
   bool operator==(const BitVector& other) const;
 

@@ -5,17 +5,13 @@
 // hardware-generation path is far worse than an abort.
 #pragma once
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace poetbin {
 
-[[noreturn]] inline void check_fail(const char* expr, const char* file, int line,
-                                    const char* msg) {
-  std::fprintf(stderr, "CHECK failed: %s (%s:%d)%s%s\n", expr, file, line,
-               msg[0] ? " — " : "", msg);
-  std::abort();
-}
+// Prints the failed check and aborts. Defined out of line (util/check.cpp)
+// so the ISA-flagged word-backend TUs, which use the macros, cannot emit a
+// weak copy of it that the linker might keep for the whole program.
+[[noreturn]] void check_fail(const char* expr, const char* file, int line,
+                             const char* msg);
 
 }  // namespace poetbin
 

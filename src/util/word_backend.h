@@ -1,13 +1,17 @@
 // Pluggable SIMD word backend.
 //
-// Every hot kernel in the library is word-parallel: it walks packed uint64
+// Every LUT kernel in the library is word-parallel: it walks packed uint64
 // words (one word = 64 examples of one bit) and applies pure bitwise logic
-// plus a few bit-steered float ops. WordOps abstracts the *width* of those
-// walks: the scalar64 backend processes one 64-bit word per step, the AVX2
-// backend four, the AVX-512 backend eight. All backends are bit-identical —
-// the operations are exact (integer logic and elementwise IEEE multiplies),
-// so widening the word never changes a result, and the scalar64 backend
-// stays in-tree as the test oracle.
+// plus a few bit-steered float ops. WordOps holds exactly the kernels whose
+// vector width pays: the Shannon LUT reduction, the per-example address
+// gather and table lookup, the Hamming count, the bitsliced argmax and the
+// Adaboost reweight. Plain word loops (Adaboost's XOR, LevelDT's AND) and
+// the LevelDT entropy sum are ordinary code at their call sites. The scalar64
+// backend processes one 64-bit word per step, NEON two, AVX2 four, AVX-512
+// eight. All backends are bit-identical: the operations are exact (integer
+// logic and elementwise IEEE multiplies), so widening the word never
+// changes a result, and the scalar64 backend stays in-tree as the test
+// oracle.
 //
 // Dispatch: the first call to word_ops() probes the CPU (CPUID on x86,
 // the hwcap auxv on arm64) for the widest backend this build and this
@@ -38,9 +42,7 @@ inline constexpr std::size_t kMaxLutArity = 23;
 // logical size are the caller's contract, exactly as with the raw scalar
 // loops these replace.
 struct WordOps {
-  WordBackend kind;
-  const char* name;          // "scalar64" / "avx2" / "avx512" / "neon"
-  std::size_t block_words;   // native block width in 64-bit words (1/2/4/8)
+  WordBackend kind;  // word_backend_name(kind) names it
 
   // Shannon-reduced LUT evaluation, the batch-inference inner loop:
   //   out[w - word_begin] =
@@ -85,18 +87,9 @@ struct WordOps {
                      std::size_t arity, std::size_t n_luts,
                      std::uint64_t* out);
 
-  // dst[w] = a[w] OP b[w] (dst may alias either operand).
-  void (*and_words)(const std::uint64_t* a, const std::uint64_t* b,
-                    std::uint64_t* dst, std::size_t n_words);
-  void (*or_words)(const std::uint64_t* a, const std::uint64_t* b,
-                   std::uint64_t* dst, std::size_t n_words);
-  void (*xor_words)(const std::uint64_t* a, const std::uint64_t* b,
-                    std::uint64_t* dst, std::size_t n_words);
-  void (*not_words)(const std::uint64_t* a, std::uint64_t* dst,
-                    std::size_t n_words);
-
-  std::size_t (*popcount_words)(const std::uint64_t* a, std::size_t n_words);
-  // popcount(a ^ b) without materializing the xor.
+  // popcount(a ^ b) without materializing the xor (BitVector::hamming and
+  // xnor_popcount). AVX-512 counts eight words per vpopcntq when the CPU
+  // has VPOPCNTDQ; every other backend runs the scalar loop.
   std::size_t (*hamming_words)(const std::uint64_t* a, const std::uint64_t* b,
                                std::size_t n_words);
 
@@ -118,19 +111,6 @@ struct WordOps {
   // reweight kernel).
   void (*scale_by_mask)(const std::uint64_t* bits, std::size_t n_bits,
                         double factor0, double factor1, double* weights);
-
-  // Batched Algorithm-1 entropy accumulation over contiguous (w0, w1)
-  // pairs (both weights must be non-negative; callers clamp):
-  //   init + sum_k weighted_node_entropy(pairs[2k], pairs[2k + 1])
-  // in ascending k, so chained calls reproduce one long accumulation
-  // exactly. log2 is NOT an exact op, so backends must not widen the
-  // per-node math: all of them point at the single shared body
-  // (dt/entropy.h weighted_entropy_sum). The kernel exists to batch the
-  // LevelDT scan's hundreds of thousands of per-node calls into one pass
-  // per candidate behind the dispatch table, keeping the accumulation
-  // order pinned where a future backend could otherwise be tempted to
-  // tree-reduce it.
-  double (*entropy_sum)(const double* pairs, std::size_t n_pairs, double init);
 };
 
 // The active backend's kernel table (never null).

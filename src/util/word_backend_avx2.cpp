@@ -3,10 +3,13 @@
 // Only bitwise logic and elementwise double multiplies run at vector width,
 // so every result is bit-identical to the scalar64 reference. The LUT
 // reduction is the shared depth-first kernel (util/word_backend_shannon.h);
-// the other ops' ragged sub-block tails fall through to the shared scalar
-// bodies in word_backend_impl.h. Compiled with -mavx2 (see CMakeLists.txt)
-// and only when the toolchain supports it; runtime CPUID dispatch lives in
-// word_backend.cpp.
+// argmax_update and scale_by_mask finish their ragged sub-block tails on
+// the shared scalar bodies in word_backend_impl.h, and gather_bits,
+// lut_lookup and hamming_words are those bodies outright (AVX2 has no
+// byte permute across lanes, no 64-lane popcount). The bodies have
+// internal linkage, so this TU's copies, built with -mavx2, serve only
+// this table. Compiled with -mavx2 (see CMakeLists.txt) and only when the
+// toolchain supports it; runtime CPUID dispatch lives in word_backend.cpp.
 #include "util/word_backend.h"
 
 #if defined(POETBIN_HAVE_AVX2)
@@ -42,61 +45,6 @@ struct Avx2Traits {
                             _mm256_and_si256(_mm256_xor_si256(f0, f1), x));
   }
 };
-
-void and_words_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                    std::uint64_t* dst, std::size_t n_words) {
-  std::size_t w = 0;
-  for (; w + kBlock <= n_words; w += kBlock) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_and_si256(va, vb));
-  }
-  word_impl::and_words(a + w, b + w, dst + w, n_words - w);
-}
-
-void or_words_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                   std::uint64_t* dst, std::size_t n_words) {
-  std::size_t w = 0;
-  for (; w + kBlock <= n_words; w += kBlock) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_or_si256(va, vb));
-  }
-  word_impl::or_words(a + w, b + w, dst + w, n_words - w);
-}
-
-void xor_words_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                    std::uint64_t* dst, std::size_t n_words) {
-  std::size_t w = 0;
-  for (; w + kBlock <= n_words; w += kBlock) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_xor_si256(va, vb));
-  }
-  word_impl::xor_words(a + w, b + w, dst + w, n_words - w);
-}
-
-void not_words_avx2(const std::uint64_t* a, std::uint64_t* dst,
-                    std::size_t n_words) {
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  std::size_t w = 0;
-  for (; w + kBlock <= n_words; w += kBlock) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_xor_si256(va, ones));
-  }
-  word_impl::not_words(a + w, dst + w, n_words - w);
-}
 
 void argmax_update_avx2(const std::uint64_t* const* cand_planes,
                         std::uint64_t* const* best_planes,
@@ -138,7 +86,7 @@ void argmax_update_avx2(const std::uint64_t* const* cand_planes,
                           updated);
     }
   }
-  word_impl::argmax_update_tail(cand_planes, best_planes, n_planes,
+  word_impl::argmax_update_from(cand_planes, best_planes, n_planes,
                                 class_planes, n_class_planes, class_index, w,
                                 n_words);
 }
@@ -170,23 +118,12 @@ void scale_by_mask_avx2(const std::uint64_t* bits, std::size_t n_bits,
 const WordOps& avx2_word_ops() {
   static const WordOps ops = {
       .kind = WordBackend::kAvx2,
-      .name = "avx2",
-      .block_words = kBlock,
       .lut_reduce = word_impl::simd_lut_reduce<Avx2Traits>,
       .gather_bits = word_impl::gather_bits,
       .lut_lookup = word_impl::lut_lookup,
-      .and_words = and_words_avx2,
-      .or_words = or_words_avx2,
-      .xor_words = xor_words_avx2,
-      .not_words = not_words_avx2,
-      // AVX2 has no 64-lane popcount; the scalar bodies compile to hardware
-      // popcnt here and these ops are not on the gated hot paths.
-      .popcount_words = word_impl::popcount_words,
       .hamming_words = word_impl::hamming_words,
       .argmax_update = argmax_update_avx2,
       .scale_by_mask = scale_by_mask_avx2,
-      // Shared scalar body by contract: log2 is not exact (see WordOps).
-      .entropy_sum = word_impl::entropy_sum,
   };
   return ops;
 }

@@ -5,8 +5,9 @@
 // reweight blend uses the native 8-bit lane masks. As with AVX2,
 // everything is exact bitwise logic or elementwise IEEE multiplies, so the
 // results are bit-identical to scalar64; the other ops' ragged tails fall
-// through to the shared scalar bodies. Compiled with -mavx512f -mavx512bw
-// -mavx512vl and dispatched at runtime in word_backend.cpp.
+// through to this TU's internal copies of the shared scalar bodies
+// (word_backend_impl.h). Compiled with -mavx512f -mavx512bw -mavx512vl and
+// dispatched at runtime in word_backend.cpp.
 #include "util/word_backend.h"
 
 #if defined(POETBIN_HAVE_AVX512)
@@ -50,50 +51,6 @@ struct Avx512Traits {
   static Vec mux(Vec f0, Vec f1, Vec x) { return avx512_mux(f0, f1, x); }
 };
 
-void and_words_avx512(const std::uint64_t* a, const std::uint64_t* b,
-                      std::uint64_t* dst, std::size_t n_words) {
-  std::size_t w = 0;
-  for (; w + kBlock <= n_words; w += kBlock) {
-    _mm512_storeu_si512(dst + w,
-                        _mm512_and_si512(_mm512_loadu_si512(a + w),
-                                         _mm512_loadu_si512(b + w)));
-  }
-  word_impl::and_words(a + w, b + w, dst + w, n_words - w);
-}
-
-void or_words_avx512(const std::uint64_t* a, const std::uint64_t* b,
-                     std::uint64_t* dst, std::size_t n_words) {
-  std::size_t w = 0;
-  for (; w + kBlock <= n_words; w += kBlock) {
-    _mm512_storeu_si512(dst + w,
-                        _mm512_or_si512(_mm512_loadu_si512(a + w),
-                                        _mm512_loadu_si512(b + w)));
-  }
-  word_impl::or_words(a + w, b + w, dst + w, n_words - w);
-}
-
-void xor_words_avx512(const std::uint64_t* a, const std::uint64_t* b,
-                      std::uint64_t* dst, std::size_t n_words) {
-  std::size_t w = 0;
-  for (; w + kBlock <= n_words; w += kBlock) {
-    _mm512_storeu_si512(dst + w,
-                        _mm512_xor_si512(_mm512_loadu_si512(a + w),
-                                         _mm512_loadu_si512(b + w)));
-  }
-  word_impl::xor_words(a + w, b + w, dst + w, n_words - w);
-}
-
-void not_words_avx512(const std::uint64_t* a, std::uint64_t* dst,
-                      std::size_t n_words) {
-  const __m512i ones = _mm512_set1_epi64(-1);
-  std::size_t w = 0;
-  for (; w + kBlock <= n_words; w += kBlock) {
-    _mm512_storeu_si512(dst + w,
-                        _mm512_xor_si512(_mm512_loadu_si512(a + w), ones));
-  }
-  word_impl::not_words(a + w, dst + w, n_words - w);
-}
-
 void argmax_update_avx512(const std::uint64_t* const* cand_planes,
                           std::uint64_t* const* best_planes,
                           std::size_t n_planes,
@@ -125,7 +82,7 @@ void argmax_update_avx512(const std::uint64_t* const* cand_planes,
       _mm512_storeu_si512(class_planes[q] + w, updated);
     }
   }
-  word_impl::argmax_update_tail(cand_planes, best_planes, n_planes,
+  word_impl::argmax_update_from(cand_planes, best_planes, n_planes,
                                 class_planes, n_class_planes, class_index, w,
                                 n_words);
 }
@@ -199,8 +156,6 @@ void avx512_vbmi_gather_bits(const std::uint8_t* src, std::size_t src_bytes,
 #if defined(POETBIN_HAVE_AVX512VPOPCNT)
 // Defined in word_backend_avx512popcnt.cpp (the only TU compiled with
 // -mavx512vpopcntdq); selected below only when CPUID reports vpopcntdq.
-std::size_t avx512_vpopcnt_popcount_words(const std::uint64_t* a,
-                                          std::size_t n_words);
 std::size_t avx512_vpopcnt_hamming_words(const std::uint64_t* a,
                                          const std::uint64_t* b,
                                          std::size_t n_words);
@@ -210,32 +165,21 @@ const WordOps& avx512_word_ops() {
   static const WordOps ops = [] {
     WordOps table = {
         .kind = WordBackend::kAvx512,
-        .name = "avx512",
-        .block_words = kBlock,
         .lut_reduce = word_impl::simd_lut_reduce<Avx512Traits>,
         // The scalar loop unless VBMI + BITALG upgrade it below.
         .gather_bits = word_impl::gather_bits,
         .lut_lookup = lut_lookup_avx512,
-        .and_words = and_words_avx512,
-        .or_words = or_words_avx512,
-        .xor_words = xor_words_avx512,
-        .not_words = not_words_avx512,
-        // Scalar bodies (hardware popcnt) unless vpopcntdq upgrades them
-        // below — both are exact integer counts, so bit-identical either
-        // way.
-        .popcount_words = word_impl::popcount_words,
+        // The scalar loop unless vpopcntdq upgrades it below — both are
+        // exact integer counts, so bit-identical either way.
         .hamming_words = word_impl::hamming_words,
         .argmax_update = argmax_update_avx512,
         .scale_by_mask = scale_by_mask_avx512,
-        // Shared scalar body by contract: log2 is not exact (see WordOps).
-        .entropy_sum = word_impl::entropy_sum,
     };
 #if defined(POETBIN_HAVE_AVX512VPOPCNT)
     // vpopcntdq is a separate ISA extension from avx512f/bw/vl (Ice
     // Lake+); gate on its own CPUID bit so avx512f-only machines keep the
-    // scalar bodies.
+    // scalar loop.
     if (__builtin_cpu_supports("avx512vpopcntdq")) {
-      table.popcount_words = avx512_vpopcnt_popcount_words;
       table.hamming_words = avx512_vpopcnt_hamming_words;
     }
 #endif

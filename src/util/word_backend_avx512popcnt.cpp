@@ -1,12 +1,11 @@
-// AVX-512 VPOPCNTDQ popcount kernels: eight 64-bit popcounts per
+// AVX-512 VPOPCNTDQ Hamming count: eight 64-bit popcounts per
 // instruction, accumulated in integer lanes — exact, so bit-identical to
-// the scalar bodies by construction.
+// the scalar body by construction.
 //
 // This TU is the only one compiled with -mavx512vpopcntdq; the avx512
-// backend table (word_backend_avx512.cpp, which declares these entry
-// points) selects them only when CPUID also reports vpopcntdq at runtime,
-// so an avx512f-only machine keeps the scalar popcount bodies and never
-// executes these.
+// backend table (word_backend_avx512.cpp, which declares this entry
+// point) selects it only when CPUID also reports vpopcntdq at runtime, so
+// an avx512f-only machine keeps the scalar loop and never executes this.
 #include "util/word_backend.h"
 
 #if defined(POETBIN_HAVE_AVX512VPOPCNT)
@@ -30,23 +29,7 @@ namespace {
 
 constexpr std::size_t kBlock = 8;  // 64-bit words per __m512i
 
-inline std::uint64_t reduce_counts(__m512i acc) {
-  return static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc));
-}
-
 }  // namespace
-
-std::size_t avx512_vpopcnt_popcount_words(const std::uint64_t* a,
-                                          std::size_t n_words) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t w = 0;
-  for (; w + kBlock <= n_words; w += kBlock) {
-    acc = _mm512_add_epi64(
-        acc, _mm512_popcnt_epi64(_mm512_loadu_si512(a + w)));
-  }
-  return static_cast<std::size_t>(reduce_counts(acc)) +
-         word_impl::popcount_words(a + w, n_words - w);
-}
 
 std::size_t avx512_vpopcnt_hamming_words(const std::uint64_t* a,
                                          const std::uint64_t* b,
@@ -58,7 +41,7 @@ std::size_t avx512_vpopcnt_hamming_words(const std::uint64_t* a,
                                           _mm512_loadu_si512(b + w));
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(diff));
   }
-  return static_cast<std::size_t>(reduce_counts(acc)) +
+  return static_cast<std::size_t>(_mm512_reduce_add_epi64(acc)) +
          word_impl::hamming_words(a + w, b + w, n_words - w);
 }
 

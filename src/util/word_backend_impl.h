@@ -1,23 +1,33 @@
 // Internal: scalar (64-bit word) kernel bodies shared by the backends.
 //
-// The scalar64 backend calls these directly; the SIMD backends call them
-// for the ragged sub-block tail of each range (except lut_reduce, whose
-// tail runs as one zero-padded vector block, util/word_backend_shannon.h).
-// Keeping one definition guarantees every backend's remainder path is
-// literally the reference implementation, and shannon_reduce stays the
-// LUT oracle every backend is tested against. Not part of the public
-// surface — include only from word_backend*.cpp.
+// The scalar64 backend points its table at these; the SIMD backends call
+// them for the ragged sub-block tail of each range (except lut_reduce,
+// whose tail runs as one zero-padded vector block,
+// util/word_backend_shannon.h) and use them outright for the kernels they
+// do not widen. Keeping one definition guarantees every backend's
+// remainder path is literally the reference implementation, and
+// shannon_reduce stays the LUT oracle every backend is tested against. Not
+// part of the public surface — include only from word_backend*.cpp.
+//
+// Every body has internal linkage (the unnamed namespace below). Each
+// backend TU is compiled with its own ISA flags, so an `inline` body with
+// external linkage would be emitted as a weak symbol in every TU that uses
+// it, and the linker would keep one copy for all of them: scalar64 could
+// end up running the copy built with -mavx2 or -mavx512f and fault on a
+// CPU without those instructions. With internal linkage each TU's table
+// points at its own copy, compiled with its own flags;
+// tools/check_isa_objects.py fails the build's tests if a weak poetbin::
+// function reappears in an ISA-flagged object.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "dt/entropy.h"
 #include "util/aligned_vector.h"
 
 namespace poetbin::word_impl {
+namespace {
 
 // Table entry `e` of a compact truth table as a 0 / ~0 word.
 inline std::uint64_t entry_word(const std::uint64_t* table, std::size_t e) {
@@ -100,34 +110,6 @@ inline void lut_reduce(const std::uint64_t* table, std::size_t arity,
   }
 }
 
-inline void and_words(const std::uint64_t* a, const std::uint64_t* b,
-                      std::uint64_t* dst, std::size_t n_words) {
-  for (std::size_t w = 0; w < n_words; ++w) dst[w] = a[w] & b[w];
-}
-
-inline void or_words(const std::uint64_t* a, const std::uint64_t* b,
-                     std::uint64_t* dst, std::size_t n_words) {
-  for (std::size_t w = 0; w < n_words; ++w) dst[w] = a[w] | b[w];
-}
-
-inline void xor_words(const std::uint64_t* a, const std::uint64_t* b,
-                      std::uint64_t* dst, std::size_t n_words) {
-  for (std::size_t w = 0; w < n_words; ++w) dst[w] = a[w] ^ b[w];
-}
-
-inline void not_words(const std::uint64_t* a, std::uint64_t* dst,
-                      std::size_t n_words) {
-  for (std::size_t w = 0; w < n_words; ++w) dst[w] = ~a[w];
-}
-
-inline std::size_t popcount_words(const std::uint64_t* a, std::size_t n_words) {
-  std::size_t total = 0;
-  for (std::size_t w = 0; w < n_words; ++w) {
-    total += static_cast<std::size_t>(std::popcount(a[w]));
-  }
-  return total;
-}
-
 inline std::size_t hamming_words(const std::uint64_t* a, const std::uint64_t* b,
                                  std::size_t n_words) {
   std::size_t total = 0;
@@ -137,14 +119,17 @@ inline std::size_t hamming_words(const std::uint64_t* a, const std::uint64_t* b,
   return total;
 }
 
-// MSB-first bitwise comparator over code planes; see WordOps::argmax_update.
-inline void argmax_update(const std::uint64_t* const* cand_planes,
-                          std::uint64_t* const* best_planes,
-                          std::size_t n_planes,
-                          std::uint64_t* const* class_planes,
-                          std::size_t n_class_planes, std::uint32_t class_index,
-                          std::size_t n_words) {
-  for (std::size_t w = 0; w < n_words; ++w) {
+// MSB-first bitwise comparator over code planes for words
+// [w_begin, n_words); see WordOps::argmax_update. The SIMD backends finish
+// their ragged tail through it, so every remainder path is this loop.
+inline void argmax_update_from(const std::uint64_t* const* cand_planes,
+                               std::uint64_t* const* best_planes,
+                               std::size_t n_planes,
+                               std::uint64_t* const* class_planes,
+                               std::size_t n_class_planes,
+                               std::uint32_t class_index, std::size_t w_begin,
+                               std::size_t n_words) {
+  for (std::size_t w = w_begin; w < n_words; ++w) {
     std::uint64_t gt = 0;
     std::uint64_t eq = ~0ULL;
     for (std::size_t p = n_planes; p-- > 0;) {
@@ -167,33 +152,14 @@ inline void argmax_update(const std::uint64_t* const* cand_planes,
   }
 }
 
-// Tail driver for SIMD argmax_update implementations: rebases every plane
-// pointer by `offset` words and runs the scalar comparator on the
-// remainder. Single-sourced so the AVX2/AVX-512 remainder paths cannot
-// diverge.
-inline void argmax_update_tail(const std::uint64_t* const* cand_planes,
-                               std::uint64_t* const* best_planes,
-                               std::size_t n_planes,
-                               std::uint64_t* const* class_planes,
-                               std::size_t n_class_planes,
-                               std::uint32_t class_index, std::size_t offset,
-                               std::size_t n_words) {
-  if (offset >= n_words) return;
-  static thread_local std::vector<const std::uint64_t*> ctail;
-  static thread_local std::vector<std::uint64_t*> btail;
-  static thread_local std::vector<std::uint64_t*> qtail;
-  ctail.resize(n_planes);
-  btail.resize(n_planes);
-  qtail.resize(n_class_planes);
-  for (std::size_t p = 0; p < n_planes; ++p) {
-    ctail[p] = cand_planes[p] + offset;
-    btail[p] = best_planes[p] + offset;
-  }
-  for (std::size_t q = 0; q < n_class_planes; ++q) {
-    qtail[q] = class_planes[q] + offset;
-  }
-  argmax_update(ctail.data(), btail.data(), n_planes, qtail.data(),
-                n_class_planes, class_index, n_words - offset);
+inline void argmax_update(const std::uint64_t* const* cand_planes,
+                          std::uint64_t* const* best_planes,
+                          std::size_t n_planes,
+                          std::uint64_t* const* class_planes,
+                          std::size_t n_class_planes, std::uint32_t class_index,
+                          std::size_t n_words) {
+  argmax_update_from(cand_planes, best_planes, n_planes, class_planes,
+                     n_class_planes, class_index, 0, n_words);
 }
 
 inline void scale_by_mask(const std::uint64_t* bits, std::size_t n_bits,
@@ -204,12 +170,5 @@ inline void scale_by_mask(const std::uint64_t* bits, std::size_t n_bits,
   }
 }
 
-// Every backend's entropy_sum is this one body: the per-node log2 is not an
-// exact op, so widening it would break cross-backend bit-identity (see the
-// WordOps declaration).
-inline double entropy_sum(const double* pairs, std::size_t n_pairs,
-                          double init) {
-  return weighted_entropy_sum(pairs, n_pairs, init);
-}
-
+}  // namespace
 }  // namespace poetbin::word_impl

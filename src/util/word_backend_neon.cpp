@@ -3,14 +3,13 @@
 //
 // Only bitwise logic runs at vector width, so every result is bit-identical
 // to the scalar64 reference. The LUT reduction is the shared depth-first
-// kernel (util/word_backend_shannon.h); the other ops' ragged sub-block
-// tails fall through to the shared scalar bodies in word_backend_impl.h.
-// Compiled with -march=armv8-a in its own TU (see CMakeLists.txt) and only
-// for aarch64 targets; the runtime hwcap probe lives in word_backend.cpp.
-// popcount/hamming stay on the scalar bodies (they compile to CNT+ADDV
-// inline on arm64 and are not on the gated hot paths), scale_by_mask
-// likewise, and entropy_sum must be the shared body by contract (log2 is
-// not exact).
+// kernel (util/word_backend_shannon.h), and argmax_update finishes its
+// ragged sub-block tail on the shared scalar body in word_backend_impl.h.
+// gather_bits, lut_lookup, hamming_words (CNT+ADDV inline on arm64) and
+// scale_by_mask are the scalar bodies outright; they have internal
+// linkage, so this TU's copies serve only this table. Compiled with
+// -march=armv8-a in its own TU (see CMakeLists.txt) and only for aarch64
+// targets; the runtime hwcap probe lives in word_backend.cpp.
 #include "util/word_backend.h"
 
 #if defined(POETBIN_HAVE_NEON)
@@ -37,43 +36,6 @@ struct NeonTraits {
   // vbsl: bits of f1 where x is set, bits of f0 elsewhere.
   static Vec mux(Vec f0, Vec f1, Vec x) { return vbslq_u64(x, f1, f0); }
 };
-
-void and_words_neon(const std::uint64_t* a, const std::uint64_t* b,
-                    std::uint64_t* dst, std::size_t n_words) {
-  std::size_t w = 0;
-  for (; w + kBlock <= n_words; w += kBlock) {
-    vst1q_u64(dst + w, vandq_u64(vld1q_u64(a + w), vld1q_u64(b + w)));
-  }
-  word_impl::and_words(a + w, b + w, dst + w, n_words - w);
-}
-
-void or_words_neon(const std::uint64_t* a, const std::uint64_t* b,
-                   std::uint64_t* dst, std::size_t n_words) {
-  std::size_t w = 0;
-  for (; w + kBlock <= n_words; w += kBlock) {
-    vst1q_u64(dst + w, vorrq_u64(vld1q_u64(a + w), vld1q_u64(b + w)));
-  }
-  word_impl::or_words(a + w, b + w, dst + w, n_words - w);
-}
-
-void xor_words_neon(const std::uint64_t* a, const std::uint64_t* b,
-                    std::uint64_t* dst, std::size_t n_words) {
-  std::size_t w = 0;
-  for (; w + kBlock <= n_words; w += kBlock) {
-    vst1q_u64(dst + w, veorq_u64(vld1q_u64(a + w), vld1q_u64(b + w)));
-  }
-  word_impl::xor_words(a + w, b + w, dst + w, n_words - w);
-}
-
-void not_words_neon(const std::uint64_t* a, std::uint64_t* dst,
-                    std::size_t n_words) {
-  const uint64x2_t ones = vdupq_n_u64(~0ULL);
-  std::size_t w = 0;
-  for (; w + kBlock <= n_words; w += kBlock) {
-    vst1q_u64(dst + w, veorq_u64(vld1q_u64(a + w), ones));
-  }
-  word_impl::not_words(a + w, dst + w, n_words - w);
-}
 
 void argmax_update_neon(const std::uint64_t* const* cand_planes,
                         std::uint64_t* const* best_planes,
@@ -107,7 +69,7 @@ void argmax_update_neon(const std::uint64_t* const* cand_planes,
       vst1q_u64(class_planes[q] + w, updated);
     }
   }
-  word_impl::argmax_update_tail(cand_planes, best_planes, n_planes,
+  word_impl::argmax_update_from(cand_planes, best_planes, n_planes,
                                 class_planes, n_class_planes, class_index, w,
                                 n_words);
 }
@@ -117,21 +79,12 @@ void argmax_update_neon(const std::uint64_t* const* cand_planes,
 const WordOps& neon_word_ops() {
   static const WordOps ops = {
       .kind = WordBackend::kNeon,
-      .name = "neon",
-      .block_words = kBlock,
       .lut_reduce = word_impl::simd_lut_reduce<NeonTraits>,
       .gather_bits = word_impl::gather_bits,
       .lut_lookup = word_impl::lut_lookup,
-      .and_words = and_words_neon,
-      .or_words = or_words_neon,
-      .xor_words = xor_words_neon,
-      .not_words = not_words_neon,
-      .popcount_words = word_impl::popcount_words,
       .hamming_words = word_impl::hamming_words,
       .argmax_update = argmax_update_neon,
       .scale_by_mask = word_impl::scale_by_mask,
-      // Shared scalar body by contract: log2 is not exact (see WordOps).
-      .entropy_sum = word_impl::entropy_sum,
   };
   return ops;
 }

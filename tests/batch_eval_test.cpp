@@ -76,7 +76,7 @@ TEST(EvalLutWords, ConstantTablesMaskTheTail) {
   const Lut one({0, 1}, BitVector(4, true));
   const BitVector out =
       RincModule::make_leaf(one).eval_dataset_batched(features);
-  EXPECT_EQ(out.popcount(), 70u);
+  EXPECT_EQ(testing::popcount(out), 70u);
 }
 
 TEST(EvalLutWords, PartialWordRange) {

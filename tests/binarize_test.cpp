@@ -38,7 +38,7 @@ TEST(Binarize, CustomThreshold) {
 TEST(Binarize, PackTargets) {
   const BitVector bits = pack_targets({0, 1, 1, 0, 1});
   EXPECT_EQ(bits.size(), 5u);
-  EXPECT_EQ(bits.popcount(), 3u);
+  EXPECT_EQ(testing::popcount(bits), 3u);
   EXPECT_TRUE(bits.get(1));
   EXPECT_FALSE(bits.get(3));
 }

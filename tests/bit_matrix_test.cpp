@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace poetbin {
@@ -26,8 +27,8 @@ TEST(BitMatrix, SetGet) {
 TEST(BitMatrix, ColumnIsFeatureMajor) {
   BitMatrix m(100, 3);
   for (std::size_t r = 0; r < 100; r += 2) m.set(r, 1, true);
-  EXPECT_EQ(m.column(1).popcount(), 50u);
-  EXPECT_EQ(m.column(0).popcount(), 0u);
+  EXPECT_EQ(testing::popcount(m.column(1)), 50u);
+  EXPECT_EQ(testing::popcount(m.column(0)), 0u);
 }
 
 TEST(BitMatrix, RowGathersAcrossColumns) {
@@ -38,7 +39,7 @@ TEST(BitMatrix, RowGathersAcrossColumns) {
   EXPECT_EQ(row.size(), 5u);
   EXPECT_TRUE(row.get(0));
   EXPECT_TRUE(row.get(4));
-  EXPECT_EQ(row.popcount(), 2u);
+  EXPECT_EQ(testing::popcount(row), 2u);
 }
 
 TEST(BitMatrix, SelectRowsReordersAndDuplicates) {

@@ -35,7 +35,7 @@ TEST(ClassicDt, LearnsNestedFunction) {
 TEST(ClassicDt, RespectsDepthLimit) {
   const BitMatrix features = random_bits(500, 16, 3);
   const BitVector targets = targets_from(features, [](const BitVector& x) {
-    return x.popcount() % 2 == 0;  // parity: needs full depth
+    return testing::popcount(x) % 2 == 0;  // parity: needs full depth
   });
   const ClassicDt tree =
       ClassicDt::train(features, targets, {}, {.max_depth = 3});

@@ -147,13 +147,13 @@ TEST(LevelDt, ErrorNeverWorseThanMajorityGuess) {
     const BitVector targets = targets_from(
         features,
         [seed](const BitVector& x) {
-          return x.popcount() % (2 + seed % 3) == 0;
+          return testing::popcount(x) % (2 + seed % 3) == 0;
         },
         0.1, seed);
     const LevelDtResult fit =
         train_level_dt(features, targets, {}, {.n_inputs = 4});
     const double p =
-        static_cast<double>(targets.popcount()) / targets.size();
+        static_cast<double>(testing::popcount(targets)) / targets.size();
     EXPECT_LE(fit.weighted_error, std::min(p, 1.0 - p) + 1e-12)
         << "seed " << seed;
   }
@@ -168,7 +168,7 @@ TEST_P(LevelDtParityTest, FitsParityWithEnoughInputs) {
   const std::size_t k = GetParam();
   const BitMatrix features = random_bits(2000, 8, 10 + k);
   const BitVector targets = targets_from(features, [k](const BitVector& x) {
-    return x.popcount_prefix(k) % 2 == 1;
+    return testing::popcount_prefix(x, k) % 2 == 1;
   });
   const LevelDtResult fit =
       train_level_dt(features, targets, {}, {.n_inputs = 8});
@@ -186,7 +186,7 @@ TEST_P(LevelDtAritySweep, MajorityOfPFitsExactly) {
   const std::size_t p = GetParam();
   const BitMatrix features = random_bits(3000, 20, 200 + p);
   const BitVector targets = targets_from(features, [p](const BitVector& x) {
-    return 2 * x.popcount_prefix(p) >= p;
+    return 2 * testing::popcount_prefix(x, p) >= p;
   });
   const LevelDtResult fit =
       train_level_dt(features, targets, {}, {.n_inputs = p});

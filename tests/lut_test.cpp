@@ -61,8 +61,8 @@ TEST(Lut, ConstantTables) {
   const BitMatrix features = testing::random_bits(20, 4, 8);
   const Lut zero({0, 1}, BitVector(4, false));
   const Lut one({0, 1}, BitVector(4, true));
-  EXPECT_EQ(reference::eval_dataset(zero, features).popcount(), 0u);
-  EXPECT_EQ(reference::eval_dataset(one, features).popcount(), 20u);
+  EXPECT_EQ(testing::popcount(reference::eval_dataset(zero, features)), 0u);
+  EXPECT_EQ(testing::popcount(reference::eval_dataset(one, features)), 20u);
   EXPECT_EQ(RincModule::make_leaf(zero).eval_dataset_batched(features),
             reference::eval_dataset(zero, features));
   EXPECT_EQ(RincModule::make_leaf(one).eval_dataset_batched(features),

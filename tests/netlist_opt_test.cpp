@@ -220,7 +220,7 @@ TEST(SimulateDataset, OutputsMatchAndTailIsMasked) {
     if (value) ++expected_popcount;
   }
   // Tail masking: popcount must not see garbage beyond 130 bits.
-  EXPECT_EQ(outputs[0].popcount(), expected_popcount);
+  EXPECT_EQ(testing::popcount(outputs[0]), expected_popcount);
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ TEST(Netlist, FaninMustPrecede) {
 TEST(RincNetlist, MatchesModuleBitExactly) {
   const BitMatrix features = random_bits(300, 32, 1);
   const BitVector targets = targets_from(features, [](const BitVector& x) {
-    return x.popcount_prefix(10) >= 5;
+    return testing::popcount_prefix(x, 10) >= 5;
   });
   const RincModule module = RincModule::train(
       features, targets, {}, {.lut_inputs = 4, .levels = 2, .total_dts = 12});

@@ -108,7 +108,10 @@ TEST(PoetBin, IntermediateFidelityIdentityIsOne) {
   EXPECT_DOUBLE_EQ(PoetBin::intermediate_fidelity(bits, bits), 1.0);
   BitMatrix flipped = bits;
   for (std::size_t c = 0; c < flipped.cols(); ++c) {
-    flipped.column(c) = ~flipped.column(c);
+    BitVector& column = flipped.column(c);
+    for (std::size_t i = 0; i < column.size(); ++i) {
+      column.set(i, !column.get(i));
+    }
   }
   EXPECT_DOUBLE_EQ(PoetBin::intermediate_fidelity(bits, flipped), 0.0);
 }

@@ -28,7 +28,7 @@ TEST(Rinc, Level0IsASingleLut) {
 TEST(Rinc, FullRincOneStructure) {
   const BitMatrix features = random_bits(400, 30, 2);
   const BitVector targets = targets_from(features, [](const BitVector& x) {
-    return x.popcount_prefix(9) >= 5;
+    return testing::popcount_prefix(x, 9) >= 5;
   });
   const RincModule module = RincModule::train(
       features, targets, {}, {.lut_inputs = 4, .levels = 1, .total_dts = 4});
@@ -50,7 +50,7 @@ TEST(Rinc, FullTreeLutCountMatchesClosedForm) {
 
   const BitMatrix features = random_bits(300, 40, 3);
   const BitVector targets = targets_from(features, [](const BitVector& x) {
-    return x.popcount() % 2 == 0;
+    return testing::popcount(x) % 2 == 0;
   });
   const RincModule module = RincModule::train(
       features, targets, {}, {.lut_inputs = 3, .levels = 2, .total_dts = 9});
@@ -62,7 +62,7 @@ TEST(Rinc, PartialBudgetGroupsLikeThePaper) {
   // MNIST config: 32 DTs at P=8 -> 4 subgroups of 8, 37 LUTs per module.
   const BitMatrix features = random_bits(500, 64, 4);
   const BitVector targets = targets_from(features, [](const BitVector& x) {
-    return x.popcount_prefix(16) >= 8;
+    return testing::popcount_prefix(x, 16) >= 8;
   });
   const RincModule module = RincModule::train(
       features, targets, {}, {.lut_inputs = 8, .levels = 2, .total_dts = 32});
@@ -104,7 +104,7 @@ TEST(Rinc, HigherLevelsImproveHardFunctions) {
   // RINC-2 sees 64 — training error must improve monotonically (weakly).
   const BitMatrix features = random_bits(1500, 24, 7);
   const BitVector targets = targets_from(features, [](const BitVector& x) {
-    return x.popcount_prefix(12) >= 6;
+    return testing::popcount_prefix(x, 12) >= 6;
   });
 
   double errors[3];
@@ -123,7 +123,7 @@ TEST(Rinc, HigherLevelsImproveHardFunctions) {
 TEST(Rinc, DistinctFeaturesBoundedByCapacity) {
   const BitMatrix features = random_bits(400, 100, 8);
   const BitVector targets = targets_from(features, [](const BitVector& x) {
-    return x.popcount() % 3 == 0;
+    return testing::popcount(x) % 3 == 0;
   });
   const RincConfig config{.lut_inputs = 3, .levels = 2, .total_dts = 9};
   const RincModule module = RincModule::train(features, targets, {}, config);
@@ -135,7 +135,8 @@ TEST(Rinc, DistinctFeaturesBoundedByCapacity) {
 TEST(Rinc, MoreDtsNeverHurtTrainAccuracyMuch) {
   const BitMatrix features = random_bits(800, 32, 9);
   const BitVector targets = targets_from(
-      features, [](const BitVector& x) { return x.popcount_prefix(10) >= 5; },
+      features,
+      [](const BitVector& x) { return testing::popcount_prefix(x, 10) >= 5; },
       0.05, 10);
   double previous_error = 1.0;
   for (const std::size_t dts : {2u, 4u, 8u, 16u}) {
@@ -211,7 +212,7 @@ TEST_P(RincStructureTest, FullTreeMatchesFormula) {
   const auto [p, levels] = GetParam();
   const BitMatrix features = random_bits(200, 64, p * 10 + levels);
   const BitVector targets = targets_from(features, [](const BitVector& x) {
-    return x.popcount() % 2 == 1;
+    return testing::popcount(x) % 2 == 1;
   });
   const RincModule module = RincModule::train(
       features, targets, {}, {.lut_inputs = p, .levels = levels, .total_dts = 0});

@@ -2,6 +2,7 @@
 // problems with known structure.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -32,6 +33,32 @@ class BackendGuard {
  private:
   WordBackend saved_;
 };
+
+// Number of set bits among the first `prefix_bits` bits of `bits`.
+inline std::size_t popcount_prefix(const BitVector& bits,
+                                   std::size_t prefix_bits) {
+  POETBIN_CHECK(prefix_bits <= bits.size());
+  std::size_t total = 0;
+  const std::size_t full_words = prefix_bits / 64;
+  for (std::size_t w = 0; w < full_words; ++w) {
+    total += static_cast<std::size_t>(std::popcount(bits.words()[w]));
+  }
+  if (prefix_bits % 64 != 0) {
+    total += static_cast<std::size_t>(std::popcount(
+        bits.words()[full_words] & BitVector::tail_word_mask(prefix_bits)));
+  }
+  return total;
+}
+
+// Number of set bits in every word of `bits`, tail word included, so a
+// bit left set past size() shows in the count.
+inline std::size_t popcount(const BitVector& bits) {
+  std::size_t total = 0;
+  for (const std::uint64_t word : bits.word_span()) {
+    total += static_cast<std::size_t>(std::popcount(word));
+  }
+  return total;
+}
 
 // Random binary feature matrix.
 inline BitMatrix random_bits(std::size_t n_rows, std::size_t n_cols,
@@ -105,7 +132,7 @@ inline std::vector<double> column_means(const BitMatrix& bits) {
   std::vector<double> means(bits.cols(), 0.0);
   if (bits.rows() == 0) return means;
   for (std::size_t c = 0; c < bits.cols(); ++c) {
-    means[c] = static_cast<double>(bits.column(c).popcount()) /
+    means[c] = static_cast<double>(popcount(bits.column(c))) /
                static_cast<double>(bits.rows());
   }
   return means;

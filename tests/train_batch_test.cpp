@@ -237,10 +237,10 @@ TEST(WordParallelTraining, TailWordMaskingAfterRawWordWrites) {
   b.words()[1] = ~0ULL;
   b.mask_tail_word();
 
-  EXPECT_EQ(a.popcount(), a.popcount_prefix(n));
+  EXPECT_EQ(testing::popcount(a), testing::popcount_prefix(a, n));
   std::size_t expected_pop = 0;
   for (std::size_t i = 0; i < n; ++i) expected_pop += a.get(i);
-  EXPECT_EQ(a.popcount(), expected_pop);
+  EXPECT_EQ(testing::popcount(a), expected_pop);
 
   BitVector x;
   a.xor_into(b, x);
@@ -248,12 +248,13 @@ TEST(WordParallelTraining, TailWordMaskingAfterRawWordWrites) {
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(x.get(i), a.get(i) != b.get(i)) << "bit " << i;
   }
-  EXPECT_EQ(x.popcount(), a.hamming(b));
+  EXPECT_EQ(testing::popcount(x), a.hamming(b));
 
   // All-ones weights turn the masked sum into a popcount; phantom tail bits
   // would inflate it (or read out of bounds).
   const std::vector<double> ones(n, 1.0);
-  EXPECT_EQ(x.masked_weighted_sum(ones), static_cast<double>(x.popcount()));
+  EXPECT_EQ(x.masked_weighted_sum(ones),
+            static_cast<double>(testing::popcount(x)));
 
   // The raw-word-span variant must also ignore bits beyond n_bits even when
   // handed a dirty tail word directly: bits 1..63 of the second word are all
@@ -261,7 +262,7 @@ TEST(WordParallelTraining, TailWordMaskingAfterRawWordWrites) {
   std::vector<std::uint64_t> dirty(x.words(), x.words() + x.word_count());
   dirty.back() |= ~0ULL << 1;
   EXPECT_EQ(masked_weighted_sum_words(dirty, ones, n),
-            static_cast<double>(x.popcount()));
+            static_cast<double>(testing::popcount(x)));
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "core/batch_eval.h"
 #include "core/poetbin.h"
 #include "core/rinc.h"
-#include "dt/entropy.h"
 #include "dt/lut.h"
 #include "nn/quantize.h"
 #include "reference/scalar_reference.h"
@@ -106,7 +105,6 @@ TEST(WordBackendDispatch, Scalar64IsAlwaysAvailable) {
 TEST(WordBackendDispatch, ActiveBackendIsAvailable) {
   EXPECT_TRUE(word_backend_available(active_word_backend()));
   EXPECT_EQ(word_ops().kind, active_word_backend());
-  EXPECT_GE(word_ops().block_words, 1u);
 }
 
 TEST(WordBackendDispatch, SetBackendSwitchesAndGuardRestores) {
@@ -116,7 +114,6 @@ TEST(WordBackendDispatch, SetBackendSwitchesAndGuardRestores) {
     for (const auto backend : available_word_backends()) {
       set_word_backend(backend);
       EXPECT_EQ(active_word_backend(), backend);
-      EXPECT_STREQ(word_ops().name, word_backend_name(backend));
     }
   }
   EXPECT_EQ(active_word_backend(), before);
@@ -144,28 +141,26 @@ TEST(WordBackendOps, BitVectorOpsBitIdenticalAcrossBackends) {
     const BitVector a = random_vector(n, rng);
     const BitVector b = random_vector(n, rng);
     set_word_backend(WordBackend::kScalar64);
-    const BitVector ref_and = a & b;
-    const BitVector ref_or = a | b;
-    const BitVector ref_xor = a ^ b;
-    const BitVector ref_not = ~a;
-    const std::size_t ref_pop = a.popcount();
+    BitVector ref_xor;
+    a.xor_into(b, ref_xor);
     const std::size_t ref_ham = a.hamming(b);
+    EXPECT_EQ(ref_ham, testing::popcount(ref_xor)) << "n=" << n;
     for (const auto backend : available_word_backends()) {
       set_word_backend(backend);
-      EXPECT_EQ(a & b, ref_and) << word_backend_name(backend) << " n=" << n;
-      EXPECT_EQ(a | b, ref_or) << word_backend_name(backend) << " n=" << n;
-      EXPECT_EQ(a ^ b, ref_xor) << word_backend_name(backend) << " n=" << n;
-      EXPECT_EQ(~a, ref_not) << word_backend_name(backend) << " n=" << n;
-      EXPECT_EQ(a.popcount(), ref_pop) << word_backend_name(backend);
+      BitVector got_xor;
+      a.xor_into(b, got_xor);
+      EXPECT_EQ(got_xor, ref_xor) << word_backend_name(backend) << " n=" << n;
       EXPECT_EQ(a.hamming(b), ref_ham) << word_backend_name(backend);
+      EXPECT_EQ(a.xnor_popcount(b), n - ref_ham)
+          << word_backend_name(backend);
     }
   }
 }
 
-// Drive the popcount kernels directly at word granularity: ragged word
+// Drive the Hamming kernel directly at word granularity: ragged word
 // counts around the SIMD block width and buffers spanning many blocks, so
-// the AVX-512 VPOPCNTDQ bodies (selected at runtime on capable hosts) are
-// compared against the scalar counts on both their vector loop and their
+// the AVX-512 VPOPCNTDQ body (selected at runtime on capable hosts) is
+// compared against the scalar count on both its vector loop and its
 // scalar remainder.
 TEST(WordBackendOps, PopcountKernelsBitIdenticalAcrossBackends) {
   BackendGuard guard;
@@ -179,13 +174,10 @@ TEST(WordBackendOps, PopcountKernelsBitIdenticalAcrossBackends) {
       b[w] = rng.next_u64();
     }
     const WordOps& scalar = *word_ops_for(WordBackend::kScalar64);
-    const std::size_t ref_pop = scalar.popcount_words(a.data(), n_words);
     const std::size_t ref_ham =
         scalar.hamming_words(a.data(), b.data(), n_words);
     for (const auto backend : available_word_backends()) {
       const WordOps& ops = *word_ops_for(backend);
-      EXPECT_EQ(ops.popcount_words(a.data(), n_words), ref_pop)
-          << word_backend_name(backend) << " n_words=" << n_words;
       EXPECT_EQ(ops.hamming_words(a.data(), b.data(), n_words), ref_ham)
           << word_backend_name(backend) << " n_words=" << n_words;
     }
@@ -194,8 +186,6 @@ TEST(WordBackendOps, PopcountKernelsBitIdenticalAcrossBackends) {
   WordVec ones(33, ~0ULL), zeros(33, 0ULL);
   for (const auto backend : available_word_backends()) {
     const WordOps& ops = *word_ops_for(backend);
-    EXPECT_EQ(ops.popcount_words(ones.data(), ones.size()), 33u * 64u);
-    EXPECT_EQ(ops.popcount_words(zeros.data(), zeros.size()), 0u);
     EXPECT_EQ(ops.hamming_words(ones.data(), zeros.data(), 33), 33u * 64u);
     EXPECT_EQ(ops.hamming_words(ones.data(), ones.data(), 33), 0u);
   }
@@ -259,33 +249,6 @@ TEST(WordBackendOps, ScaleByMaskExactAcrossBackends) {
       word_ops().scale_by_mask(bits.words(), n, f0, f1, weights.data());
       EXPECT_EQ(weights, reference) << word_backend_name(backend) << " n=" << n;
     }
-  }
-}
-
-TEST(WordBackendOps, EntropySumIdenticalAcrossBackends) {
-  // log2 is not an exact op, so every backend is contractually bound to the
-  // one shared scalar body: identical results, init chaining included.
-  BackendGuard guard;
-  Rng rng(87);
-  std::vector<double> pairs(2 * 37);
-  for (auto& w : pairs) w = rng.next_double() * 3.0;
-  pairs[4] = 0.0;  // exercise empty / pure nodes
-  pairs[5] = 0.0;
-  pairs[10] = 0.0;
-  set_word_backend(WordBackend::kScalar64);
-  const double reference = word_ops().entropy_sum(pairs.data(), 37, 0.5);
-  double expected = 0.5;
-  for (std::size_t k = 0; k < 37; ++k) {
-    expected += weighted_node_entropy(pairs[2 * k], pairs[2 * k + 1]);
-  }
-  EXPECT_EQ(reference, expected);
-  for (const auto backend : available_word_backends()) {
-    set_word_backend(backend);
-    EXPECT_EQ(word_ops().entropy_sum(pairs.data(), 37, 0.5), reference)
-        << word_backend_name(backend);
-    const double head = word_ops().entropy_sum(pairs.data(), 20, 0.5);
-    EXPECT_EQ(word_ops().entropy_sum(pairs.data() + 40, 17, head), reference)
-        << word_backend_name(backend);
   }
 }
 

@@ -86,6 +86,17 @@ Rules (each with the incident that motivated it):
                          its own test: augmentation, the RINC-only HDL
                          emitters and a second LUT-pruning analysis had
                          outlived every production caller.
+  one-word-kernel-table  WordOps holds only the kernels whose vector width
+                         pays. The removed entries and fields
+                         (`and_words`, `or_words`, `xor_words`,
+                         `not_words`, `popcount_words`, `entropy_sum`,
+                         `block_words`) never reappear in src/, and src/dt/
+                         never calls `word_ops()`: plain word loops and
+                         the entropy sum are ordinary code at their call
+                         sites. Their only callers had been test-only
+                         BitVector operators, one XOR and one AND, and the
+                         shared scalar bodies they needed leaked
+                         ISA-flagged copies into the scalar backend.
 
 Exit codes: 0 clean, 1 violations found, 2 usage/internal error.
 Suppress a single line with `// invariants: allow-<rule>` (C++) or
@@ -465,6 +476,37 @@ def check_no_test_only_headers(root):
     return violations
 
 
+# --- rule: one-word-kernel-table ---------------------------------------------
+
+REMOVED_WORD_KERNEL = re.compile(
+    r"\b(?:and_words|or_words|xor_words|not_words|popcount_words|"
+    r"entropy_sum|block_words)\b")
+WORD_OPS_CALL = re.compile(r"\bword_ops\s*\(\s*\)")
+DT_DIR = os.path.join("src", "dt") + os.sep
+
+
+def check_one_word_kernel_table(root):
+    violations = []
+    for path in iter_files(root, ["src"], CXX_EXTENSIONS):
+        rel = relpath(root, path)
+        for i, line in enumerate(read_lines(path)):
+            if allow_marker("one-word-kernel-table", line):
+                continue
+            match = REMOVED_WORD_KERNEL.search(line)
+            if match:
+                violations.append(Violation(
+                    "one-word-kernel-table", rel, i + 1,
+                    f"'{match.group(0)}' was removed from WordOps; write "
+                    "the word loop (or weighted_entropy_sum) at the call "
+                    "site"))
+            if rel.startswith(DT_DIR) and WORD_OPS_CALL.search(line):
+                violations.append(Violation(
+                    "one-word-kernel-table", rel, i + 1,
+                    "src/dt/ does not dispatch through word_ops(); the "
+                    "LevelDT scan's AND and entropy sum are plain code"))
+    return violations
+
+
 RULES = [
     check_memory_order_comment,
     check_atomic_model_publish,
@@ -477,6 +519,7 @@ RULES = [
     check_no_rand_time,
     check_tsan_supp_clean,
     check_no_test_only_headers,
+    check_one_word_kernel_table,
 ]
 
 
@@ -520,6 +563,12 @@ def seed_clean_tree(root):
           "if (std::rename(temp.c_str(), path.c_str()) != 0) {\n")
     write(root, "bench/good_load.cpp",
           "const auto loaded = read_model_file_any(path);\n")
+    # The surviving entropy sum shares a suffix with the removed kernel,
+    # and word_ops() stays legal outside src/dt/.
+    write(root, "src/dt/good_scan.cpp",
+          "total = weighted_entropy_sum(pairs.data(), n_pairs, 0.0);\n")
+    write(root, "src/util/good_bits.cpp",
+          "return word_ops().hamming_words(a, b, n_words);\n")
     write(root, "tools/push.sh", "mv model.tmp.$$ model.pbm\n")
     write(root, "tsan.supp", "# no suppressions\n")
     # Every src/ header has a production includer, the headers the other
@@ -570,6 +619,10 @@ SELF_TEST_VIOLATIONS = [
      "race:poetbin::PredictCache::probe\n"),
     ("no-test-only-headers", "src/hw/bad_orphan.h",
      "std::string generate_orphan_vhdl(const Netlist& netlist);\n"),
+    ("one-word-kernel-table", "src/util/bad_backend.cpp",
+     "      .xor_words = xor_words_avx2,\n"),
+    ("one-word-kernel-table", "src/dt/bad_scan.cpp",
+     "  word_ops().hamming_words(a, b, n_words);\n"),
 ]
 
 # Further files a seeded violation needs: the orphan header is included by
