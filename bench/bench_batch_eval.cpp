@@ -17,9 +17,12 @@
 // RINC-1 shape and the paper's M1 RINC-2 shape (predict_one_* rows). The serving section
 // times MicroBatcher single-request traffic (window 64) against the per-bit
 // walk run one example at a time (gate: >= 5x at P=6, serve_microbatch_*
-// rows).
+// rows). The kernel section times a fixed count of 256-word arity-6
+// WordOps::lut_reduce calls per backend (lut_reduce_p6_* rows) beside the
+// folded reduction's floor of 2^(P-1) vector ops per block.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -33,6 +36,7 @@
 #include "reference/scalar_reference.h"
 #include "serve/micro_batcher.h"
 #include "serve/runtime.h"
+#include "util/aligned_vector.h"
 #include "util/bit_matrix.h"
 #include "util/rng.h"
 #include "util/word_backend.h"
@@ -158,6 +162,21 @@ double time_best_of(std::size_t reps, const Fn& fn) {
   return best;
 }
 
+// 64-bit words one vector op of `backend` covers.
+std::size_t vector_words(WordBackend backend) {
+  switch (backend) {
+    case WordBackend::kScalar64:
+      return 1;
+    case WordBackend::kAvx2:
+      return 4;
+    case WordBackend::kAvx512:
+      return 8;
+    case WordBackend::kNeon:
+      return 2;
+  }
+  return 1;
+}
+
 void report(const char* label, double seconds, std::size_t n_examples,
             double baseline_seconds) {
   std::printf("  %-28s %10.3f ms  %12.0f ex/s  %6.2fx\n", label,
@@ -185,6 +204,57 @@ int main() {
   std::printf("dataset: %zu examples x %zu features, %u hardware threads\n",
               n_examples, n_features, static_cast<unsigned>(hw));
   bench::report_word_backends(json);
+
+  // --- Shannon kernel beside its op floor ------------------------------------
+  // kCalls arity-6 lut_reduce calls of 256 words each, the conv pass's call
+  // shape, whatever the scale. The folded reduction spends 2^(P-1) vector
+  // ops per block (31 muxes and one NOT); ops/ns is that floor over the
+  // measured time, so the gap to the backend's issue rate is what is left.
+  {
+    constexpr std::size_t kP = 6;
+    constexpr std::size_t kWords = 256;
+    constexpr std::size_t kCalls = 4096;
+    constexpr std::size_t kFloorOps = std::size_t{1} << (kP - 1);
+    Rng kernel_rng(606);
+    std::vector<WordVec> inputs(kP, WordVec(kWords));
+    std::vector<const std::uint64_t*> columns(kP);
+    for (std::size_t j = 0; j < kP; ++j) {
+      for (auto& word : inputs[j]) word = kernel_rng.next_u64();
+      columns[j] = inputs[j].data();
+    }
+    const std::uint64_t table = kernel_rng.next_u64();
+    std::printf("lut_reduce, P=%zu, %zu calls of %zu words "
+                "(floor %zu vector ops per block):\n",
+                kP, kCalls, kWords, kFloorOps);
+    WordVec want(kWords), got(kWords);
+    word_ops_for(WordBackend::kScalar64)
+        ->lut_reduce(&table, kP, columns.data(), 0, 0, kWords, want.data());
+    for (const auto backend : backends) {
+      const WordOps& ops = *word_ops_for(backend);
+      const double kernel_s = time_best_of(5, [&] {
+        for (std::size_t c = 0; c < kCalls; ++c) {
+          ops.lut_reduce(&table, kP, columns.data(), 0, 0, kWords, got.data());
+        }
+      });
+      if (got != want) {
+        std::printf("  ERROR: %s lut_reduce disagrees with scalar64\n",
+                    word_backend_name(backend));
+        return 1;
+      }
+      const double ns_per_word = 1e9 * kernel_s / (kCalls * kWords);
+      const double floor_ops_per_word =
+          static_cast<double>(kFloorOps) / vector_words(backend);
+      std::printf("  %-10s %10.3f ms  %7.3f ns/word  floor %5.2f ops/word"
+                  "  -> %5.2f ops/ns\n",
+                  word_backend_name(backend), 1e3 * kernel_s, ns_per_word,
+                  floor_ops_per_word, floor_ops_per_word / ns_per_word);
+      char key[64];
+      std::snprintf(key, sizeof key, "lut_reduce_p%zu_%s_ms", kP,
+                    word_backend_name(backend));
+      json.add(key, 1e3 * kernel_s);
+    }
+    std::printf("\n");
+  }
 
   bool pass = true;
   // P=6 (the paper's S1 arity) and P=8 (M1/C1), RINC-2 hierarchies; the P=8

@@ -18,9 +18,10 @@ namespace poetbin {
 
 namespace {
 
-// One LUT over absolute feature columns. The Shannon reduction — 2^P - 1
-// word muxes per output word — runs on the active SIMD word backend,
-// reading the LUT's compact table words, so nothing is rebuilt per call.
+// One LUT over absolute feature columns. The Shannon reduction — 2^(P-1) - 1
+// word muxes and one NOT per block, its bottom level folded into table
+// picks — runs on the active word backend, reading the LUT's compact table
+// words, so nothing is rebuilt per call.
 void eval_lut_into(const Lut& lut, const std::uint64_t* const* columns,
                    std::size_t n_columns, std::size_t word_begin,
                    std::size_t word_end, std::uint64_t* out) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/word_backend.h"
+
 namespace poetbin {
 
 std::size_t Netlist::add_input(std::size_t input_index, std::string name) {
@@ -18,6 +20,8 @@ std::size_t Netlist::add_input(std::size_t input_index, std::string name) {
 
 std::size_t Netlist::add_lut(std::vector<std::size_t> fanins, BitVector table,
                              std::string name) {
+  POETBIN_CHECK_MSG(fanins.size() <= kMaxLutArity,
+                    "LUT fanin exceeds kMaxLutArity");
   POETBIN_CHECK(table.size() == (std::size_t{1} << fanins.size()));
   for (const auto f : fanins) {
     POETBIN_CHECK_MSG(f < nodes_.size(), "fanin must reference an earlier node");
@@ -78,26 +82,6 @@ std::vector<bool> Netlist::simulate(const BitVector& input_bits) const {
   return values;
 }
 
-namespace {
-
-// Shannon-expansion evaluation of one 64-example word: recursively muxes the
-// two half-tables on the highest remaining fanin's word.
-std::uint64_t eval_lut_word(const BitVector& table, std::size_t offset,
-                            std::size_t size,
-                            const std::uint64_t* const* fanin_words,
-                            std::size_t n_fanins, std::size_t word_index) {
-  if (size == 1) return table.get(offset) ? ~0ULL : 0ULL;
-  const std::size_t half = size / 2;
-  const std::uint64_t low = eval_lut_word(table, offset, half, fanin_words,
-                                          n_fanins - 1, word_index);
-  const std::uint64_t high = eval_lut_word(table, offset + half, half,
-                                           fanin_words, n_fanins - 1, word_index);
-  const std::uint64_t select = fanin_words[n_fanins - 1][word_index];
-  return (~select & low) | (select & high);
-}
-
-}  // namespace
-
 std::vector<BitVector> Netlist::simulate_dataset(const BitMatrix& features) const {
   const std::size_t n = features.rows();
   std::vector<BitVector> values(nodes_.size());
@@ -112,22 +96,16 @@ std::vector<BitVector> Netlist::simulate_dataset(const BitMatrix& features) cons
       continue;
     }
     values[id] = BitVector(n);
-    if (node.fanins.empty()) {
-      values[id].fill(node.table.get(0));
-      continue;
-    }
     fanin_words.clear();
     for (const auto fanin : node.fanins) {
       fanin_words.push_back(values[fanin].words());
     }
     std::uint64_t* out = values[id].words();
-    for (std::size_t w = 0; w < n_words; ++w) {
-      out[w] = eval_lut_word(node.table, 0, node.table.size(),
-                             fanin_words.data(), node.fanins.size(), w);
-    }
+    // Address bit j is fanins[j], the Lut convention lut_reduce reads.
+    word_ops().lut_reduce(node.table.words(), node.fanins.size(),
+                          fanin_words.data(), /*base=*/0, 0, n_words, out);
     // Mask the tail so popcounts on node columns stay meaningful.
-    const std::size_t rem = n & 63;
-    if (rem != 0 && n_words > 0) out[n_words - 1] &= (1ULL << rem) - 1;
+    values[id].mask_tail_word();
   }
   return values;
 }

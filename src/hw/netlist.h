@@ -26,7 +26,8 @@ struct NetlistNode {
   Kind kind = Kind::kInput;
   // kInput: which bit of the primary input vector this node carries.
   std::size_t input_index = 0;
-  // kLut: fanin node ids; address bit j comes from fanins[j].
+  // kLut: fanin node ids, at most kMaxLutArity; address bit j comes from
+  // fanins[j].
   std::vector<std::size_t> fanins;
   // kLut: truth table of size 2^fanins.size().
   BitVector table;
@@ -59,10 +60,11 @@ class Netlist {
   std::vector<bool> simulate_outputs(const BitVector& input_bits) const;
 
   // Word-parallel simulation of all dataset rows at once: every node gets a
-  // BitVector with one bit per example. LUTs are evaluated by Shannon
-  // expansion over 64-example words (~64 rows per pass), which is what makes
-  // whole-test-set hardware verification cheap. `features` must be
-  // feature-major with at least max(input_index)+1 columns.
+  // BitVector with one bit per example. Each LUT is one WordOps::lut_reduce
+  // call over its fanins' 64-example words, the kernel batch inference runs,
+  // which is what makes whole-test-set hardware verification cheap.
+  // `features` must be feature-major with at least max(input_index)+1
+  // columns.
   std::vector<BitVector> simulate_dataset(const BitMatrix& features) const;
   // Output columns only (one BitVector of n_examples bits per output).
   std::vector<BitVector> simulate_dataset_outputs(const BitMatrix& features) const;

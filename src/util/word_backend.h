@@ -10,8 +10,7 @@
 // backend processes one 64-bit word per step, NEON two, AVX2 four, AVX-512
 // eight. All backends are bit-identical: the operations are exact (integer
 // logic and elementwise IEEE multiplies), so widening the word never
-// changes a result, and the scalar64 backend stays in-tree as the test
-// oracle.
+// changes a result. The oracles are the column scans in tests/reference.
 //
 // Dispatch: the first call to word_ops() probes the CPU (CPUID on x86,
 // the hwcap auxv on arm64) for the widest backend this build and this
@@ -50,10 +49,10 @@ struct WordOps {
   // for w in [word_begin, word_end), where `table` is the compact truth
   // table: entry a is bit a % 64 of word a / 64, padded to whole words with
   // the bits past 2^arity zero (a BitVector's words). Arity 0 writes the
-  // constant entry 0 as 0 or ~0. arity <= kMaxLutArity. The SIMD backends
-  // reduce depth-first in registers (util/word_backend_shannon.h), expanding
-  // each entry through a constant byte table, so a call has no per-call
-  // setup cost.
+  // constant entry 0 as 0 or ~0. arity <= kMaxLutArity. Every backend runs
+  // one kernel (util/word_backend_shannon.h) at its own width: depth-first
+  // in registers, with the bottom level folded, so an arity-k LUT costs
+  // 2^(k-1) - 1 muxes plus one NOT per block and a call has no setup cost.
   void (*lut_reduce)(const std::uint64_t* table, std::size_t arity,
                      const std::uint64_t* const* columns, std::size_t base,
                      std::size_t word_begin, std::size_t word_end,

@@ -36,8 +36,8 @@ struct Avx2Traits {
   static void store(std::uint64_t* p, Vec v) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
   }
-  static Vec splat(const std::uint64_t* p) {
-    return _mm256_set1_epi64x(static_cast<long long>(*p));
+  static Vec bit_not(Vec v) {
+    return _mm256_xor_si256(v, _mm256_set1_epi64x(-1));
   }
   // f0 ^ ((f0 ^ f1) & x): bitwise select x ? f1 : f0.
   static Vec mux(Vec f0, Vec f1, Vec x) {
@@ -118,7 +118,7 @@ void scale_by_mask_avx2(const std::uint64_t* bits, std::size_t n_bits,
 const WordOps& avx2_word_ops() {
   static const WordOps ops = {
       .kind = WordBackend::kAvx2,
-      .lut_reduce = word_impl::simd_lut_reduce<Avx2Traits>,
+      .lut_reduce = word_impl::shannon_lut_reduce<Avx2Traits>,
       .gather_bits = word_impl::gather_bits,
       .lut_lookup = word_impl::lut_lookup,
       .hamming_words = word_impl::hamming_words,

@@ -37,16 +37,20 @@ inline __m512i avx512_mux(__m512i f0, __m512i f1, __m512i x) {
   return _mm512_ternarylogic_epi64(f0, f1, x, kMuxImm);
 }
 
+// vpternlogq imm for "~c": index 0 (all operands clear) maps to 1, index 7
+// to 0, and the operands are one register.
+constexpr int kNotImm = 0x55;
+
 // Vector traits for the shared depth-first Shannon reduction
-// (util/word_backend_shannon.h). A table entry's broadcast is a load-port
-// vpbroadcastq, so it issues beside the vpternlogq muxes.
+// (util/word_backend_shannon.h). An entry pair's pick is a load from the
+// stack-resident pair values, so it issues beside the vpternlogq muxes.
 struct Avx512Traits {
   using Vec = __m512i;
   static constexpr std::size_t kBlock = 8;
   static Vec load(const std::uint64_t* p) { return _mm512_loadu_si512(p); }
   static void store(std::uint64_t* p, Vec v) { _mm512_storeu_si512(p, v); }
-  static Vec splat(const std::uint64_t* p) {
-    return _mm512_set1_epi64(static_cast<long long>(*p));
+  static Vec bit_not(Vec v) {
+    return _mm512_ternarylogic_epi64(v, v, v, kNotImm);
   }
   static Vec mux(Vec f0, Vec f1, Vec x) { return avx512_mux(f0, f1, x); }
 };
@@ -165,7 +169,7 @@ const WordOps& avx512_word_ops() {
   static const WordOps ops = [] {
     WordOps table = {
         .kind = WordBackend::kAvx512,
-        .lut_reduce = word_impl::simd_lut_reduce<Avx512Traits>,
+        .lut_reduce = word_impl::shannon_lut_reduce<Avx512Traits>,
         // The scalar loop unless VBMI + BITALG upgrade it below.
         .gather_bits = word_impl::gather_bits,
         .lut_lookup = lut_lookup_avx512,

@@ -1,13 +1,12 @@
 // Internal: scalar (64-bit word) kernel bodies shared by the backends.
 //
 // The scalar64 backend points its table at these; the SIMD backends call
-// them for the ragged sub-block tail of each range (except lut_reduce,
-// whose tail runs as one zero-padded vector block,
-// util/word_backend_shannon.h) and use them outright for the kernels they
-// do not widen. Keeping one definition guarantees every backend's
-// remainder path is literally the reference implementation, and
-// shannon_reduce stays the LUT oracle every backend is tested against. Not
-// part of the public surface — include only from word_backend*.cpp.
+// them for the ragged sub-block tail of each range and use them outright
+// for the kernels they do not widen, so every backend's remainder path is
+// literally the scalar64 loop. lut_reduce is not here: every backend,
+// scalar64 included, instantiates the one Shannon kernel in
+// util/word_backend_shannon.h. Not part of the public surface — include
+// only from word_backend*.cpp.
 //
 // Every body has internal linkage (the unnamed namespace below). Each
 // backend TU is compiled with its own ISA flags, so an `inline` body with
@@ -24,44 +23,8 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "util/aligned_vector.h"
-
 namespace poetbin::word_impl {
 namespace {
-
-// Table entry `e` of a compact truth table as a 0 / ~0 word.
-inline std::uint64_t entry_word(const std::uint64_t* table, std::size_t e) {
-  return std::uint64_t{0} - ((table[e >> 6] >> (e & 63)) & 1u);
-}
-
-// One word of LUT output from `arity` input words: iteratively
-// Shannon-reduce the truth table over address bit 0, then 1, ...
-// Each step is the bitwise mux f0 ^ ((f0 ^ f1) & x) applied to adjacent
-// half-tables, so the whole evaluation is 2^arity - 1 word muxes and touches
-// no per-example state. `table` holds the 2^arity entries one bit each;
-// `scratch` must hold at least 2^(arity-1) words (unused when arity == 0).
-inline std::uint64_t shannon_reduce(const std::uint64_t* table,
-                                    std::size_t arity, const std::uint64_t* in,
-                                    std::uint64_t* scratch) {
-  if (arity == 0) return entry_word(table, 0);
-  std::size_t half = std::size_t{1} << (arity - 1);
-  const std::uint64_t x0 = in[0];
-  for (std::size_t k = 0; k < half; ++k) {
-    const std::uint64_t f0 = entry_word(table, 2 * k);
-    const std::uint64_t f1 = entry_word(table, 2 * k + 1);
-    scratch[k] = f0 ^ ((f0 ^ f1) & x0);
-  }
-  for (std::size_t j = 1; j < arity; ++j) {
-    half >>= 1;
-    const std::uint64_t x = in[j];
-    for (std::size_t k = 0; k < half; ++k) {
-      const std::uint64_t f0 = scratch[2 * k];
-      const std::uint64_t f1 = scratch[2 * k + 1];
-      scratch[k] = f0 ^ ((f0 ^ f1) & x);
-    }
-  }
-  return scratch[0];
-}
 
 inline void gather_bits(const std::uint8_t* src, std::size_t /*src_bytes*/,
                         const std::uint64_t* index, const std::uint8_t* select,
@@ -91,23 +54,6 @@ inline void lut_lookup(const std::uint8_t* address,
     }
   }
   if ((n_luts & 63) != 0) out[n_luts >> 6] = acc;
-}
-
-inline void lut_reduce(const std::uint64_t* table, std::size_t arity,
-                       const std::uint64_t* const* columns, std::size_t base,
-                       std::size_t word_begin, std::size_t word_end,
-                       std::uint64_t* out) {
-  // Reused across calls: one allocation per thread, not one per chunk.
-  static thread_local WordVec scratch;
-  static thread_local WordVec in;
-  const std::size_t half = arity == 0 ? 0 : (std::size_t{1} << (arity - 1));
-  if (scratch.size() < half) scratch.resize(half);
-  if (in.size() < arity) in.resize(arity);
-  for (std::size_t w = word_begin; w < word_end; ++w) {
-    for (std::size_t j = 0; j < arity; ++j) in[j] = columns[j][w - base];
-    out[w - word_begin] =
-        shannon_reduce(table, arity, in.data(), scratch.data());
-  }
 }
 
 inline std::size_t hamming_words(const std::uint64_t* a, const std::uint64_t* b,

@@ -32,7 +32,9 @@ struct NeonTraits {
   static constexpr std::size_t kBlock = 2;
   static Vec load(const std::uint64_t* p) { return vld1q_u64(p); }
   static void store(std::uint64_t* p, Vec v) { vst1q_u64(p, v); }
-  static Vec splat(const std::uint64_t* p) { return vld1q_dup_u64(p); }
+  static Vec bit_not(Vec v) {
+    return vreinterpretq_u64_u8(vmvnq_u8(vreinterpretq_u8_u64(v)));
+  }
   // vbsl: bits of f1 where x is set, bits of f0 elsewhere.
   static Vec mux(Vec f0, Vec f1, Vec x) { return vbslq_u64(x, f1, f0); }
 };
@@ -79,7 +81,7 @@ void argmax_update_neon(const std::uint64_t* const* cand_planes,
 const WordOps& neon_word_ops() {
   static const WordOps ops = {
       .kind = WordBackend::kNeon,
-      .lut_reduce = word_impl::simd_lut_reduce<NeonTraits>,
+      .lut_reduce = word_impl::shannon_lut_reduce<NeonTraits>,
       .gather_bits = word_impl::gather_bits,
       .lut_lookup = word_impl::lut_lookup,
       .hamming_words = word_impl::hamming_words,

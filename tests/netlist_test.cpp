@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/poetbin.h"
 #include "hw/netlist_builder.h"
 #include "reference/scalar_reference.h"
 #include "test_util.h"
+#include "util/word_backend.h"
 
 namespace poetbin {
 namespace {
@@ -60,6 +64,63 @@ TEST(Netlist, FaninMustPrecede) {
   Netlist netlist;
   netlist.add_input(0, "a");
   EXPECT_DEATH(netlist.add_lut({5}, BitVector(2), "bad"), "");
+}
+
+TEST(Netlist, FaninBeyondKernelArityDies) {
+  Netlist netlist;
+  netlist.add_input(0, "a");
+  EXPECT_DEATH(netlist.add_lut(std::vector<std::size_t>(kMaxLutArity + 1, 0),
+                               BitVector(2), "wide"),
+               "kMaxLutArity");
+}
+
+// simulate_dataset runs every node through WordOps::lut_reduce. Wide nodes
+// (7-12 fanins, the kernel's stacked 64-entry subtrees) over inputs and
+// earlier LUTs must match the per-example walk on every row and backend,
+// at row counts that leave a ragged last word.
+TEST(Netlist, DatasetSimulationMatchesPerExampleOnWideNodes) {
+  testing::BackendGuard guard;
+  Rng rng(17);
+  constexpr std::size_t kInputs = 24;
+  Netlist netlist;
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    netlist.add_input(i, "in" + std::to_string(i));
+  }
+  for (std::size_t k = 7; k <= 12; ++k) {
+    for (std::size_t rep = 0; rep < 2; ++rep) {
+      std::vector<std::size_t> fanins(k);
+      for (auto& f : fanins) f = rng.next_index(netlist.n_nodes());
+      BitVector table(std::size_t{1} << k);
+      for (std::size_t a = 0; a < table.size(); ++a) {
+        table.set(a, rng.next_bool());
+      }
+      netlist.mark_output(
+          netlist.add_lut(std::move(fanins), std::move(table), "lut"));
+    }
+  }
+  for (const std::size_t n : {1, 63, 64, 65, 130, 517}) {
+    const BitMatrix features = random_bits(n, kInputs, n);
+    std::vector<std::vector<bool>> want;
+    for (std::size_t i = 0; i < n; ++i) {
+      want.push_back(netlist.simulate(features.row(i)));
+    }
+    for (const auto backend : available_word_backends()) {
+      set_word_backend(backend);
+      const std::vector<BitVector> got = netlist.simulate_dataset(features);
+      for (std::size_t id = kInputs; id < netlist.n_nodes(); ++id) {
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          mismatches += got[id].get(i) != want[i][id] ? 1 : 0;
+        }
+        EXPECT_EQ(mismatches, 0u) << word_backend_name(backend) << " node "
+                                  << id << " n=" << n;
+        EXPECT_EQ(got[id].words()[got[id].word_count() - 1] &
+                      ~BitVector::tail_word_mask(n),
+                  0u)
+            << "tail bits set, node " << id << " n=" << n;
+      }
+    }
+  }
 }
 
 TEST(RincNetlist, MatchesModuleBitExactly) {

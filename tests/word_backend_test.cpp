@@ -19,6 +19,7 @@
 #include "nn/quantize.h"
 #include "reference/scalar_reference.h"
 #include "test_util.h"
+#include "util/aligned_vector.h"
 #include "util/bitvector.h"
 #include "util/rng.h"
 
@@ -209,6 +210,59 @@ TEST(WordBackendOps, LutEvalBitIdenticalAcrossBackends) {
         set_word_backend(backend);
         EXPECT_EQ(leaf.eval_dataset_batched(features), want)
             << word_backend_name(backend) << " arity=" << arity << " n=" << n;
+      }
+    }
+  }
+}
+
+// Direct kernel calls on tables that pin every bottom-level entry-pair code
+// (e0 | e1 << 1) of the folded reduction: all-zero (code 0), ~x0 (1), x0
+// (2), all-one (3), and a random table that mixes them. The word counts
+// give odd block counts at every backend width (the two-block loop plus a
+// lone block) and ragged tails, the last word holds a partial row count,
+// and the columns are rebased (word_begin != base).
+TEST(WordBackendOps, LutReducePairCodesMatchReference) {
+  Rng rng(89);
+  constexpr std::size_t kBase = 2;
+  constexpr std::size_t kBegin = 5;
+  constexpr std::size_t kCols = 24;
+  const char* const kPatterns[] = {"zero", "not_x0", "x0", "one", "random"};
+  for (const std::size_t n_words :
+       {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{9},
+        std::size_t{24}, std::size_t{29}, std::size_t{43}}) {
+    const std::size_t word_end = kBegin + n_words;
+    const std::size_t n_rows = 64 * word_end - 13;
+    const BitMatrix features = testing::random_bits(n_rows, kCols, n_words);
+    for (const std::size_t arity : {1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 20}) {
+      std::vector<std::size_t> inputs(arity);
+      for (auto& input : inputs) input = rng.next_index(kCols);
+      std::vector<const std::uint64_t*> columns(arity);
+      for (std::size_t j = 0; j < arity; ++j) {
+        columns[j] = features.column_words(inputs[j]).data() + kBase;
+      }
+      for (std::size_t pattern = 0; pattern < 5; ++pattern) {
+        BitVector table(std::size_t{1} << arity);
+        for (std::size_t a = 0; a < table.size(); ++a) {
+          const bool x0 = (a & 1) != 0;
+          const bool fixed[] = {false, !x0, x0, true};
+          table.set(a, pattern < 4 ? fixed[pattern] : rng.next_bool());
+        }
+        const BitVector want =
+            reference::eval_dataset(Lut(inputs, table), features);
+        for (const auto backend : available_word_backends()) {
+          WordVec out(n_words, 0xA5A5A5A5A5A5A5A5ULL);
+          word_ops_for(backend)->lut_reduce(table.words(), arity,
+                                            columns.data(), kBase, kBegin,
+                                            word_end, out.data());
+          // The oracle masks the bits past n_rows; the kernel does not.
+          out[n_words - 1] &= ~0ULL >> 13;
+          for (std::size_t i = 0; i < n_words; ++i) {
+            ASSERT_EQ(out[i], want.words()[kBegin + i])
+                << word_backend_name(backend) << " arity=" << arity
+                << " table=" << kPatterns[pattern] << " n_words=" << n_words
+                << " word=" << i;
+          }
+        }
       }
     }
   }

@@ -97,6 +97,16 @@ Rules (each with the incident that motivated it):
                          BitVector operators, one XOR and one AND, and the
                          shared scalar bodies they needed leaked
                          ISA-flagged copies into the scalar backend.
+                         Likewise the second and third Shannon evaluators
+                         (scalar64's breadth-first `shannon_reduce` with
+                         its `entry_word`, the netlist's recursive
+                         `eval_lut_word`) never reappear in src/: every
+                         LUT evaluation is WordOps::lut_reduce, the one
+                         folded kernel in util/word_backend_shannon.h.
+                         Each copy spent 2^k - 1 muxes per k-input LUT
+                         where the folded kernel spends 2^(k-1), and
+                         scalar64's ran 9x slower than the kernel at its
+                         own width.
 
 Exit codes: 0 clean, 1 violations found, 2 usage/internal error.
 Suppress a single line with `// invariants: allow-<rule>` (C++) or
@@ -481,6 +491,8 @@ def check_no_test_only_headers(root):
 REMOVED_WORD_KERNEL = re.compile(
     r"\b(?:and_words|or_words|xor_words|not_words|popcount_words|"
     r"entropy_sum|block_words)\b")
+REMOVED_LUT_EVALUATOR = re.compile(
+    r"\b(?:shannon_reduce|entry_word|eval_lut_word)\b")
 WORD_OPS_CALL = re.compile(r"\bword_ops\s*\(\s*\)")
 DT_DIR = os.path.join("src", "dt") + os.sep
 
@@ -499,6 +511,12 @@ def check_one_word_kernel_table(root):
                     f"'{match.group(0)}' was removed from WordOps; write "
                     "the word loop (or weighted_entropy_sum) at the call "
                     "site"))
+            match = REMOVED_LUT_EVALUATOR.search(line)
+            if match:
+                violations.append(Violation(
+                    "one-word-kernel-table", rel, i + 1,
+                    f"'{match.group(0)}' was a second Shannon evaluator; "
+                    "call WordOps::lut_reduce (util/word_backend_shannon.h)"))
             if rel.startswith(DT_DIR) and WORD_OPS_CALL.search(line):
                 violations.append(Violation(
                     "one-word-kernel-table", rel, i + 1,
@@ -569,6 +587,11 @@ def seed_clean_tree(root):
           "total = weighted_entropy_sum(pairs.data(), n_pairs, 0.0);\n")
     write(root, "src/util/good_bits.cpp",
           "return word_ops().hamming_words(a, b, n_words);\n")
+    # The one Shannon kernel's names share words with the removed
+    # evaluators.
+    write(root, "src/util/good_shannon.cpp",
+          "      .lut_reduce = word_impl::shannon_lut_reduce<Scalar64Traits>,\n"
+          "  return shannon_subtree<Traits, 6>(table, values, x);\n")
     write(root, "tools/push.sh", "mv model.tmp.$$ model.pbm\n")
     write(root, "tsan.supp", "# no suppressions\n")
     # Every src/ header has a production includer, the headers the other
@@ -623,6 +646,12 @@ SELF_TEST_VIOLATIONS = [
      "      .xor_words = xor_words_avx2,\n"),
     ("one-word-kernel-table", "src/dt/bad_scan.cpp",
      "  word_ops().hamming_words(a, b, n_words);\n"),
+    ("one-word-kernel-table", "src/util/bad_scalar.cpp",
+     "    out[w] = shannon_reduce(table, arity, in.data(), scratch.data());\n"),
+    ("one-word-kernel-table", "src/util/bad_entry.cpp",
+     "    const std::uint64_t f0 = entry_word(table, 2 * k);\n"),
+    ("one-word-kernel-table", "src/hw/bad_netlist.cpp",
+     "std::uint64_t eval_lut_word(const BitVector& table, std::size_t offset,\n"),
 ]
 
 # Further files a seeded violation needs: the orphan header is included by
