@@ -10,8 +10,8 @@
 // they sit in it. The trusting depth (PackedVerify::kTrustChecksum — what
 // Runtime::load runs) checks structure only; the full-verification depth
 // (what pack/unpack tooling and every writer's own check run) adds the CRC
-// pass and the MAT table re-derivation and is recorded alongside, with the
-// CRC pass over the file timed on its own. Loaded-model equivalence is
+// pass and is recorded alongside, with the CRC pass over the file timed on
+// its own. Loaded-model equivalence is
 // checked bit for bit on every run.
 //
 // Runtime::load of the packed file is timed twice, with the serving

@@ -11,13 +11,11 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "boost/mat.h"
 #include "core/poetbin.h"
 #include "core/rinc.h"
 #include "core/rinc_conv.h"
@@ -80,9 +78,8 @@ inline std::size_t leaf_input(std::uint64_t index) {
 // checks; returns its root node. A Source supplies, in file order:
 //   node()          -> {is_leaf, arity or fanin}
 //   leaf(arity)     -> a leaf's Lut (inputs through leaf_input)
-//   weight()        -> one MAT weight
-//   mat_lut(w)      -> an internal node's MAT LUT for weights w (derived,
-//                      or a placeholder the packed decoder places later)
+//   mat_lut(fanin)  -> an internal node's MAT LUT (read, or a placeholder
+//                      the packed decoder places later)
 // `levels` is how many internal-node levels may still follow.
 struct NodeRecord {
   bool leaf = false;
@@ -99,10 +96,7 @@ std::uint32_t decode_tree(Source& source, RincTreeBuilder& builder,
   }
   expect(levels > 0, "module tree deeper than its RINC levels");
   expect(node.fanin >= 1 && node.fanin <= kMaxMatFanin, "bad node fanin");
-  double weights[kMaxMatFanin];
-  for (std::size_t i = 0; i < node.fanin; ++i) weights[i] = source.weight();
-  const std::span<const double> mat(weights, node.fanin);
-  const std::uint32_t index = builder.open_internal(mat, source.mat_lut(mat));
+  const std::uint32_t index = builder.open_internal(source.mat_lut(node.fanin));
   std::uint32_t first = 0;
   for (std::size_t c = 0; c < node.fanin; ++c) {
     const std::uint32_t child = decode_tree(source, builder, levels - 1);

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "boost/mat.h"
 #include "core/gather_program.h"
 #include "core/model_parts.h"
 #include "dt/lut.h"
@@ -29,7 +28,7 @@ static_assert(std::is_same_v<std::size_t, std::uint64_t>,
 namespace {
 
 constexpr char kMagic[8] = {'P', 'o', 'E', 'T', 'B', 'i', 'N', 'P'};
-constexpr std::uint32_t kFormatVersion = 4;
+constexpr std::uint32_t kFormatVersion = 5;
 constexpr std::size_t kHeaderBytes = 64;
 constexpr std::size_t kSectionEntryBytes = 24;
 constexpr std::size_t kPayloadAlignment = 64;
@@ -41,18 +40,17 @@ enum SectionId : std::uint32_t {
   kSecQuantizer = 2,      // u64 bits + f32 min + f32 max bit patterns
   kSecNodes = 3,          // pre-order node records: u32 kind, u32 fanin
   kSecLeafInputs = 4,     // u64 feature indices, pre-order
-  kSecMatWeights = 5,     // f64 MAT weights, pre-order
-  kSecOutputWiring = 6,   // u64 module indices, nc x P
-  kSecOutputWeights = 7,  // f32 bit patterns, nc x (P weights + bias)
-  kSecOutputCodes = 8,    // u32 codes, nc x 2^P
-  kSecTables = 9,         // the classifier's table image, then conv tables
-  kSecConvConfig = 10,    // 7 u64 conv scalars; zero length = dense
+  kSecOutputWiring = 5,   // u64 module indices, nc x P
+  kSecOutputWeights = 6,  // f32 bit patterns, nc x (P weights + bias)
+  kSecOutputCodes = 7,    // u32 codes, nc x 2^P
+  kSecTables = 8,         // the classifier's table image, then conv tables
+  kSecConvConfig = 9,     // 7 u64 conv scalars; zero length = dense
 };
-constexpr std::uint32_t kSectionCount = 10;
+constexpr std::uint32_t kSectionCount = 9;
 constexpr const char* kSectionNames[kSectionCount] = {
-    "config",         "quantizer",      "nodes",         "leaf-inputs",
-    "mat-weights",    "output-wiring",  "output-weights", "output-codes",
-    "tables",         "conv-config"};
+    "config",        "quantizer",      "nodes",        "leaf-inputs",
+    "output-wiring", "output-weights", "output-codes", "tables",
+    "conv-config"};
 
 // --- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320), slicing-by-8 ----------
 
@@ -122,9 +120,9 @@ void append_node_record(SectionBuffers& sections, std::uint32_t kind,
   append_scalar(sections.of(kSecNodes), static_cast<std::uint32_t>(fanin));
 }
 
-// The module's node, leaf-input and MAT-weight records, pre-order. With
-// `tables`, also each node's table words in the same order (the conv
-// region; the classifier's tables go in as its program's image).
+// The module's node and leaf-input records, pre-order. With `tables`, also
+// each node's table words in the same order (the conv region; the
+// classifier's tables go in as its program's image).
 void pack_module(const RincModule& module, SectionBuffers& sections,
                  bool tables) {
   if (module.is_leaf()) {
@@ -138,10 +136,6 @@ void pack_module(const RincModule& module, SectionBuffers& sections,
     return;
   }
   append_node_record(sections, 1, module.children().size());
-  for (const double weight : module.mat_weights()) {
-    append_scalar(sections.of(kSecMatWeights),
-                  std::bit_cast<std::uint64_t>(weight));
-  }
   if (tables) append_words(sections, module.mat_lut());
   for (const RincModule& child : module.children()) {
     pack_module(child, sections, tables);
@@ -294,7 +288,7 @@ Sections parse_container(const std::uint8_t* bytes, std::size_t size,
     fail(ModelIoError::Kind::kVersionMismatch,
          "unsupported packed-model version " + std::to_string(version) +
              " (this build reads version " + std::to_string(kFormatVersion) +
-             "; re-pack the model from text)");
+             "; re-export the model with this build)");
   }
   expect(load_scalar<std::uint32_t>(bytes + 12) == kHeaderBytes,
          "unexpected header size");
@@ -334,10 +328,10 @@ Sections parse_container(const std::uint8_t* bytes, std::size_t size,
   return sections;
 }
 
-// model_io::decode_tree's source over the node, leaf-input and MAT-weight
-// sections, in the pre-order pack_module wrote them. Its Luts view the
-// leaf inputs in place; place_tables gives them their tables, and the
-// buffer's owner, once the tree is built.
+// model_io::decode_tree's source over the node and leaf-input sections, in
+// the pre-order pack_module wrote them. Its Luts view the leaf inputs in
+// place; place_tables gives them their tables, and the buffer's owner,
+// once the tree is built.
 struct PackedSource {
   Sections& sections;
 
@@ -347,18 +341,14 @@ struct PackedSource {
     expect(kind <= 1, "bad node kind");
     return {kind == 0, fanin};
   }
-  double weight() {
-    return std::bit_cast<double>(
-        sections[kSecMatWeights].next<std::uint64_t>());
-  }
   Lut leaf(std::size_t arity) {
     const auto* inputs = reinterpret_cast<const std::size_t*>(
         sections[kSecLeafInputs].take(arity, sizeof(std::uint64_t)));
     for (std::size_t j = 0; j < arity; ++j) model_io::leaf_input(inputs[j]);
     return Lut::view(nullptr, inputs, arity, nullptr, 1);
   }
-  Lut mat_lut(std::span<const double> weights) {
-    return Lut::view(nullptr, kZeroInputs, weights.size(), nullptr, 1);
+  Lut mat_lut(std::size_t fanin) {
+    return Lut::view(nullptr, kZeroInputs, fanin, nullptr, 1);
   }
 };
 
@@ -487,19 +477,6 @@ ModelParts decode_packed(std::shared_ptr<const void> owner,
   }
   parts.tables =
       place_tables(builder, n_classifier, sections[kSecTables], owner);
-
-  // The stored MAT tables must be the tables the weights imply — eval
-  // reads the tables while retrain/export read the weights, and the two
-  // must never diverge. Re-deriving every table is 2^fanin x fanin float
-  // work per internal node, so it rides the kFull depth.
-  if (verify == PackedVerify::kFull) {
-    for (std::uint32_t i = 0; i < builder.size(); ++i) {
-      const RincModule module = builder.module(i);
-      if (module.is_leaf()) continue;
-      expect(module.mat_lut().table() == module.mat().to_table(),
-             "MAT table does not match the MAT weights");
-    }
-  }
 
   const std::size_t n_combos = std::size_t{1} << p;
   parts.output.reserve(parts.config.n_classes);

@@ -3,9 +3,9 @@
 // The text format (core/serialize.h) is the debuggable interchange form; a
 // serving fleet wants the opposite trade: a worker should read a model in
 // and serve, with no text parsing. The packed format stores the classifier's
-// truth tables as the table image its compiled program reads
-// (core/gather_program.h: TableLayout), the conv channels' tables after it,
-// plus the wiring, MAT weights and output codes as raw little-endian
+// truth tables, leaf and MAT alike, as the table image its compiled program
+// reads (core/gather_program.h: TableLayout), the conv channels' tables
+// after it, plus the wiring and the output layer as raw little-endian
 // scalars. Everything else the program needs — gather indices and
 // selectors, per-LUT records, the output layer's code bit-planes — is
 // derived at load, so no stored byte is ever used as a gather index.
@@ -20,16 +20,16 @@
 // held once.
 //
 // Load-time validation comes in two depths (PackedVerify):
-//   kFull (default)  — header/section structure, CRC32 over the payload,
-//     and the re-derivation of every MAT table from its weights. What
-//     pack/unpack tooling, the writers' own check and the tests run.
-//   kTrustChecksum   — structure only; skips the CRC pass and the MAT
-//     re-derivation, trusting the producer's checksum. What serving loads
-//     (Runtime::load) run. A file damaged after it was written (for example
-//     a `cp` over a file a reader is loading) still fails with a typed
-//     error wherever the damage breaks the structure, but damage inside a
-//     table, weight or code goes undetected — push through pack (which
-//     verifies fully) when that matters.
+//   kFull (default)  — header/section structure and CRC32 over the
+//     payload. What pack/unpack tooling, the writers' own check and the
+//     tests run.
+//   kTrustChecksum   — structure only; skips the CRC pass, trusting the
+//     producer's checksum. What serving loads (Runtime::load) run. A file
+//     damaged after it was written (for example a `cp` over a file a
+//     reader is loading) still fails with a typed error wherever the
+//     damage breaks the structure, but damage inside a table, weight or
+//     code goes undetected — push through pack (which verifies fully)
+//     when that matters.
 // Either way a well-formed file loads bit-identical to the same model
 // loaded from text — every eval path, every backend.
 //
@@ -38,10 +38,10 @@
 //
 //   header (64 bytes):
 //     0  char[8]  magic "PoETBiNP"
-//     8  u32      format version (4; earlier versions are rejected with
-//                 kVersionMismatch — re-pack them from text)
+//     8  u32      format version (5; earlier versions are rejected with
+//                 kVersionMismatch — re-export them with this build)
 //     12 u32      header bytes (64)
-//     16 u32      section count (10)
+//     16 u32      section count (9)
 //     20 u32      CRC32 (IEEE) over file[64, file_size)
 //     24 u64      file size in bytes
 //     32 ...      zero reserved
@@ -52,12 +52,11 @@
 // Sections, each read front to back and required to be used up exactly:
 // config scalars (P, levels, total DTs, classes, quantizer bits),
 // quantizer, pre-order node records (u32 kind, u32 fanin), leaf input
-// indices (u64, read in place as the loaded Luts' inputs), MAT weights,
-// output wiring / weights / codes, the tables, and the conv config (input
-// shape, output channels, kernel, stride, padding). A zero-length
-// conv-config section means a dense model; otherwise the per-channel conv
-// module trees follow the classifier trees in the same node/input/weight
-// sections.
+// indices (u64, read in place as the loaded Luts' inputs), output wiring /
+// weights / codes, the tables, and the conv config (input shape, output
+// channels, kernel, stride, padding). A zero-length conv-config section
+// means a dense model; otherwise the per-channel conv module trees follow
+// the classifier trees in the same node/input sections.
 //
 // The tables section is the classifier's table image, then each conv
 // node's table in pre-order, back to back. In the image, tables go level

@@ -45,10 +45,9 @@ RincModule& RincModule::operator=(const RincModule& other) {
 
 RincTreeBuilder::RincTreeBuilder(std::size_t node_hint)
     : tree_(std::make_shared<RincTree>()) {
-  // Every node but a root is some node's child with one MAT weight.
+  // Every node but a root is some node's child.
   tree_->nodes.reserve(node_hint);
   tree_->luts.reserve(node_hint);
-  tree_->weights.reserve(node_hint);
   tree_->children.reserve(node_hint);
 }
 
@@ -60,17 +59,15 @@ std::uint32_t RincTreeBuilder::add_leaf(Lut lut) {
   return index;
 }
 
-std::uint32_t RincTreeBuilder::open_internal(std::span<const double> weights,
-                                             Lut mat_lut) {
-  POETBIN_CHECK(!weights.empty());
+std::uint32_t RincTreeBuilder::open_internal(Lut mat_lut) {
+  const std::size_t fanin = mat_lut.arity();
+  POETBIN_CHECK(fanin >= 1);
   RincTree& tree = *tree_;
   const auto index = static_cast<std::uint32_t>(tree.nodes.size());
   tree.nodes.push_back(
-      {.fanin = static_cast<std::uint32_t>(weights.size()),
-       .children_at = static_cast<std::uint32_t>(tree.children.size()),
-       .weights_at = static_cast<std::uint32_t>(tree.weights.size())});
-  tree.weights.insert(tree.weights.end(), weights.begin(), weights.end());
-  tree.children.resize(tree.children.size() + weights.size());
+      {.fanin = static_cast<std::uint32_t>(fanin),
+       .children_at = static_cast<std::uint32_t>(tree.children.size())});
+  tree.children.resize(tree.children.size() + fanin);
   tree.luts.push_back(std::move(mat_lut));
   return index;
 }
@@ -98,8 +95,7 @@ std::uint32_t RincTreeBuilder::append(const RincModule& module) {
   const RincTree& src = *module.tree_;
   const RincTree::Node& node = src.nodes[module.node_];
   if (node.level == 0) return add_leaf(src.luts[module.node_]);
-  const std::uint32_t index =
-      open_internal(module.mat_weights(), src.luts[module.node_]);
+  const std::uint32_t index = open_internal(src.luts[module.node_]);
   for (std::size_t c = 0; c < node.fanin; ++c) {
     set_child(index, c, append(src.children[node.children_at + c]));
   }
@@ -127,8 +123,7 @@ RincModule RincModule::make_internal(std::vector<RincModule> children,
   for (const RincModule& child : children) n_nodes += child.lut_count();
   RincTreeBuilder builder(n_nodes);
   const std::uint32_t node = builder.open_internal(
-      mat.weights(), Lut(std::vector<std::size_t>(mat.arity(), 0),
-                         mat.to_table()));
+      Lut(std::vector<std::size_t>(mat.arity(), 0), mat.to_table()));
   for (std::size_t c = 0; c < children.size(); ++c) {
     builder.set_child(node, c, builder.append(children[c]));
   }
@@ -202,17 +197,6 @@ const Lut& RincModule::leaf_lut() const {
   POETBIN_CHECK_MSG(is_leaf(), "leaf_lut() on an internal RINC module");
   static const Lut kEmpty;
   return tree_ == nullptr ? kEmpty : tree_->luts[node_];
-}
-
-std::span<const double> RincModule::mat_weights() const {
-  POETBIN_CHECK_MSG(!is_leaf(), "mat() on a RINC-0 module");
-  const RincTree::Node& node = tree_->nodes[node_];
-  return {tree_->weights.data() + node.weights_at, node.fanin};
-}
-
-MatModule RincModule::mat() const {
-  const std::span<const double> weights = mat_weights();
-  return MatModule(std::vector<double>(weights.begin(), weights.end()));
 }
 
 const Lut& RincModule::mat_lut() const {

@@ -68,6 +68,7 @@ class RincModule {
   // Reconstruction from stored artefacts (hand-built modules, tests).
   // Children must all have the same level; each call copies the children's
   // nodes into one new tree (their Luts are shared, not copied).
+  // make_internal keeps only `mat`'s table (the weights are training state).
   static RincModule make_leaf(Lut lut);
   static RincModule make_internal(std::vector<RincModule> children,
                                   MatModule mat);
@@ -76,10 +77,8 @@ class RincModule {
   std::size_t level() const;
   std::size_t fanin() const;
 
-  const Lut& leaf_lut() const;          // valid only for RINC-0
-  MatModule mat() const;                // valid only for level >= 1
-  std::span<const double> mat_weights() const;  // mat().weights(), no copy
-  const Lut& mat_lut() const;           // MAT encoded as a LUT (level >= 1)
+  const Lut& leaf_lut() const;  // valid only for RINC-0
+  const Lut& mat_lut() const;   // the MAT folded into a LUT (level >= 1)
   std::span<const RincModule> children() const;
 
   // The module's output bit for every row of `features`: the bitsliced
@@ -133,11 +132,9 @@ struct RincTree : std::enable_shared_from_this<RincTree> {
     std::uint32_t level = 0;        // 0 for a leaf
     std::uint32_t size = 1;         // nodes in the subtree, itself included
     std::uint32_t children_at = 0;  // internal: its first handle in children
-    std::uint32_t weights_at = 0;   // internal: its first MAT weight
   };
   std::vector<Node> nodes;
   std::vector<Lut> luts;             // nodes[i]'s LUT
-  std::vector<double> weights;       // MAT weights, fanin per internal node
   std::vector<RincModule> children;  // fanin handles per internal node
 };
 
@@ -164,9 +161,10 @@ class RincTreeBuilder {
   explicit RincTreeBuilder(std::size_t node_hint = 0);
 
   std::uint32_t add_leaf(Lut lut);
-  // `mat_lut` may be set later through lut() (the packed loader places the
-  // tables once the levels are known).
-  std::uint32_t open_internal(std::span<const double> weights, Lut mat_lut);
+  // The node's fanin is `mat_lut`'s arity. Its table may be set later
+  // through lut() (the packed loader places the tables once the levels are
+  // known).
+  std::uint32_t open_internal(Lut mat_lut);
   // Records child `index` of internal node `node`; aborts (a builder
   // contract) unless the children share a level.
   void set_child(std::uint32_t node, std::size_t index, std::uint32_t child);

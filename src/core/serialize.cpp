@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <new>
 #include <ostream>
 #include <sstream>
@@ -159,9 +160,8 @@ void save_module(const RincModule& module, std::ostream& out) {
     out << ' ' << lut.table().to_string() << '\n';  // bit 0 first
     return;
   }
-  out << "node " << module.children().size();
-  for (const auto weight : module.mat_weights()) out << ' ' << weight;
-  out << '\n';
+  out << "node " << module.fanin() << ' '
+      << module.mat_lut().table().to_string() << '\n';
   for (const auto& child : module.children()) save_module(child, out);
 }
 
@@ -208,35 +208,36 @@ struct TextSource {
     return {leaf, next<std::size_t>(leaf ? "truncated leaf record"
                                          : "truncated node record")};
   }
-  double weight() { return next<double>("truncated node weights"); }
-  Lut leaf(std::size_t arity) {
-    std::vector<std::size_t> inputs(arity);
-    for (std::size_t& input : inputs) {
-      input = model_io::leaf_input(
-          next<std::uint64_t>("truncated leaf inputs"));
-    }
-    const auto text = next<std::string>("truncated leaf table");
-    expect(text.size() == (std::size_t{1} << arity),
-           "leaf table size mismatch");
+  // A leaf's or a MAT's table: 2^arity bits, bit 0 first.
+  BitVector table(std::size_t arity) {
+    const auto text = next<std::string>("truncated LUT table");
+    expect(text.size() == (std::size_t{1} << arity), "table size mismatch");
     BitVector bits(text.size());
     for (std::size_t i = 0; i < text.size(); ++i) {
       expect(text[i] == '0' || text[i] == '1',
              "malformed bit string in model file");
       if (text[i] == '1') bits.set(i, true);
     }
-    return Lut(std::move(inputs), std::move(bits));
+    return bits;
   }
-  Lut mat_lut(std::span<const double> weights) {
-    return Lut(std::vector<std::size_t>(weights.size(), 0),
-               MatModule(std::vector<double>(weights.begin(), weights.end()))
-                   .to_table());
+  Lut leaf(std::size_t arity) {
+    std::vector<std::size_t> inputs(arity);
+    for (std::size_t& input : inputs) {
+      input = model_io::leaf_input(
+          next<std::uint64_t>("truncated leaf inputs"));
+    }
+    return Lut(std::move(inputs), table(arity));
+  }
+  Lut mat_lut(std::size_t fanin) {
+    return Lut(std::vector<std::size_t>(fanin, 0), table(fanin));
   }
 };
 
 void expect_version(const std::string& version) {
-  if (version != "v1") {
+  if (version != "v2") {
     fail(ModelIoError::Kind::kVersionMismatch,
-         "unsupported model format version '" + version + "'");
+         "unsupported model format version '" + version +
+             "' (this build reads v2; re-export the model with this build)");
   }
 }
 
@@ -270,7 +271,7 @@ ModelParts decode_text(std::istream& in) {
   }
   if (magic != "poetbin-model") {
     fail(ModelIoError::Kind::kVersionMismatch,
-         "unrecognised model file header (expected 'poetbin-model v1')");
+         "unrecognised model file header (expected 'poetbin-model v2')");
   }
   expect_version(version);
 
@@ -403,7 +404,10 @@ IoResult<LoadedModel> read_model_file_any(const std::string& path,
 }
 
 void save_model(const PoetBin& model, std::ostream& out) {
-  out << "poetbin-model v1\n";
+  // Enough digits that every float reads back bit-exactly.
+  const std::streamsize precision =
+      out.precision(std::numeric_limits<float>::max_digits10);
+  out << "poetbin-model v2\n";
   out << "config " << model.lut_inputs() << ' '
       << (model.modules().empty() ? 0 : model.modules().front().level()) << ' '
       << (model.modules().empty() ? 0 : model.modules().front().leaf_dt_count())
@@ -425,12 +429,13 @@ void save_model(const PoetBin& model, std::ostream& out) {
     for (const auto code : neuron.codes) out << ' ' << code;
     out << '\n';
   }
+  out.precision(precision);
 }
 
 void save_conv_model(const ConvModel& model, std::ostream& out) {
   const BinShape3 shape = model.conv.input_shape();
   const RincConvConfig& config = model.conv.config();
-  out << "poetbin-conv-model v1\n";
+  out << "poetbin-conv-model v2\n";
   out << "conv " << shape.channels << ' ' << shape.height << ' '
       << shape.width << ' ' << config.out_channels << ' ' << config.kernel
       << ' ' << config.stride << ' ' << config.padding << '\n';

@@ -13,22 +13,28 @@
 // abort or a broken model. Every writer publishes through one temp file and
 // rename, and refuses bytes its own loader would reject.
 //
-//   poetbin-model v1
+//   poetbin-model v2
 //   config <P> <L> <total_dts> <n_classes> <qbits>
 //   quantizer <bits> <min> <max>
 //   module <index>
 //     leaf <arity> <input...> <table-bits>
-//     node <fanin> <mat-weight...>   (its fanin children follow, depth-first)
-//   output <class> <bias> <weight...> <codes...>
+//     node <fanin> <mat-table-bits>  (its fanin children follow, depth-first)
+//   output <class> <bias> <module...> <weight...> <codes...>
+//
+// A table is 2^arity (2^fanin) '0'/'1' characters, bit 0 first: a MAT is
+// stored as the LUT it folds into, like a leaf, and its Adaboost weights
+// stay with training (AdaboostResult::mat). Floats are written with
+// max_digits10 digits, so they read back bit-exactly. v1 files, which
+// stored MAT weights, are a kVersionMismatch.
 //
 // A convolutional model (core/rinc_conv.h ConvModel) prepends a conv
 // section and embeds the classifier verbatim, its own header included:
 //
-//   poetbin-conv-model v1
+//   poetbin-conv-model v2
 //   conv <in_c> <in_h> <in_w> <out_channels> <kernel> <stride> <padding>
 //   channel <index>
 //     leaf/node records, depth-first (same grammar as module bodies)
-//   poetbin-model v1
+//   poetbin-model v2
 //   ...
 //
 // Training-only knobs (the per-channel RincConfig, max_train_patches) are
@@ -144,7 +150,7 @@ const char* model_format_name(ModelFormat format);
 // How deep a packed load validates (see core/packed_model.h). Text loads
 // always check everything.
 enum class PackedVerify {
-  kFull,           // structure + CRC + MAT table re-derivation
+  kFull,           // structure + CRC
   kTrustChecksum,  // structure only
 };
 

@@ -135,13 +135,12 @@ class Runtime {
 
   // Deserialize a saved model — text or packed, dense or convolutional,
   // sniffed by header — into a Runtime. The typed error distinguishes a
-  // missing file from a version
-  // mismatch from corrupt section contents (kind + message) — malformed
-  // bytes never abort, so a serving worker survives a bad model on disk.
-  // The path and format are recorded for reload(). Packed files load in
-  // PackedVerify::kTrustChecksum mode — structural validation without the
-  // CRC pass or the MAT table re-derivation; run files through
-  // `poetbin_cli pack` (full verification) when provenance is in doubt.
+  // missing file from a version mismatch from corrupt section contents
+  // (kind + message) — malformed bytes never abort, so a serving worker
+  // survives a bad model on disk. The path and format are recorded for
+  // reload(). Packed files load in PackedVerify::kTrustChecksum mode —
+  // structural validation without the CRC pass; run files through
+  // `poetbin_cli pack` (structure + CRC) when provenance is in doubt.
   using LoadResult = IoResult<Runtime>;
   static LoadResult load(const std::string& path, RuntimeOptions options = {});
 

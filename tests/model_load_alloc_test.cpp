@@ -1,8 +1,8 @@
 // Heap allocations of a trusting packed load, counted by replacing the
 // global operator new for this one test binary: a loaded model's LUTs view
 // the file's buffer, so the count depends on the model's levels and class
-// count, not on how many LUTs it holds. Also the one old-version check
-// this format bump adds: a v3 header is a typed kVersionMismatch.
+// count, not on how many LUTs it holds. Also the old-version checks: v3
+// and v4 headers are a typed kVersionMismatch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -112,12 +112,11 @@ TEST(ModelLoadAllocations, DoNotScaleWithLutCount) {
   EXPECT_LE(small_count, large_count + 4) << "large " << large_count;
 }
 
-TEST(PackedVersion, V3IsVersionMismatch) {
-  // A v3 header: magic, version 3, and the header size, section count and
-  // file size fields v3 shares with v4.
+// A header of `version`: magic, the version, and the header size, section
+// count and file size fields versions 3 and 4 share with the current one.
+void expect_version_mismatch(std::uint32_t version) {
   std::vector<std::uint8_t> bytes(64, 0);
   std::memcpy(bytes.data(), "PoETBiNP", 8);
-  const std::uint32_t version = 3;
   const std::uint32_t header_bytes = 64;
   const std::uint32_t section_count = 10;
   const std::uint64_t file_size = bytes.size();
@@ -125,16 +124,24 @@ TEST(PackedVersion, V3IsVersionMismatch) {
   std::memcpy(bytes.data() + 12, &header_bytes, sizeof header_bytes);
   std::memcpy(bytes.data() + 16, &section_count, sizeof section_count);
   std::memcpy(bytes.data() + 24, &file_size, sizeof file_size);
+  const std::string named = "version " + std::to_string(version);
   for (const PackedVerify verify :
        {PackedVerify::kFull, PackedVerify::kTrustChecksum}) {
     const IoResult<LoadedModel> old =
         read_model_bytes(bytes.data(), bytes.size(), verify);
     ASSERT_FALSE(old.ok());
     EXPECT_EQ(old.error().kind, ModelIoError::Kind::kVersionMismatch);
-    EXPECT_NE(old.error().message.find("version 3"), std::string::npos)
+    EXPECT_NE(old.error().message.find(named), std::string::npos)
+        << old.error().message;
+    EXPECT_NE(old.error().message.find("re-export"), std::string::npos)
         << old.error().message;
   }
 }
+
+TEST(PackedVersion, V3IsVersionMismatch) { expect_version_mismatch(3); }
+
+// Version 4 stored each MAT's weights beside its table.
+TEST(PackedVersion, V4IsVersionMismatch) { expect_version_mismatch(4); }
 
 }  // namespace
 }  // namespace poetbin

@@ -265,10 +265,11 @@ TEST(PackedModel, FutureVersionIsVersionMismatch) {
   EXPECT_EQ(result.error().kind, ModelIoError::Kind::kVersionMismatch);
 }
 
-// Versions 1 and 2 carried the splat and code-plane sections this build
-// no longer reads; they are a typed mismatch, never a misparse.
+// Versions 1 and 2 carried the splat and code-plane sections, and version
+// 4 the MAT weights, that this build no longer reads; they are a typed
+// mismatch, never a misparse.
 TEST(PackedModel, OlderVersionsAreVersionMismatch) {
-  for (const std::uint8_t version : {1, 2}) {
+  for (const std::uint8_t version : {1, 2, 4}) {
     const IoResult<LoadedModel> result =
         load_mutated([version](Bytes& bytes) {
           bytes[8] = version;
@@ -413,7 +414,7 @@ TEST(PackedModel, HeaderFileSizeMismatchIsCorruptSection) {
 TEST(PackedModel, OutOfRangeWiringIsCorruptSection) {
   const IoResult<LoadedModel> result =
       load_mutated([](Bytes& bytes) {
-        const std::uint64_t wiring_offset = section_field(bytes, 5, 8);
+        const std::uint64_t wiring_offset = section_field(bytes, 4, 8);
         const std::uint64_t bogus = 1u << 20;
         std::memcpy(bytes.data() + wiring_offset, &bogus, sizeof(bogus));
         fix_crc(bytes);
@@ -700,10 +701,10 @@ TEST(PackedConvModel, EveryByteFlipFailsCleanlyOrLoadsIdentically) {
 TEST(PackedConvModel, CorruptConvGeometryIsCorruptSection) {
   const std::vector<std::uint8_t> bytes =
       read_bytes(packed_conv_fixture_path());
-  // Section table entry 9 (0-based, id order) is conv-config; its payload
+  // Section table entry 8 (0-based, id order) is conv-config; its payload
   // holds 7 u64 scalars starting with the input shape.
-  const std::uint64_t conv_offset = section_field(bytes, 9, 8);
-  ASSERT_GT(section_field(bytes, 9, 16), 0u);  // non-empty on a conv file
+  const std::uint64_t conv_offset = section_field(bytes, 8, 8);
+  ASSERT_GT(section_field(bytes, 8, 16), 0u);  // non-empty on a conv file
   const auto corrupt_scalar = [&](std::size_t index, std::uint64_t value,
                                   const std::string& name) {
     std::vector<std::uint8_t> mutated = bytes;
@@ -848,12 +849,12 @@ TEST(ModuleDepthCap, ConvTreeBeyondTheCapIsCorruptSection) {
 // recursing the text parser off the stack.
 TEST(ModuleDepthCap, TwentyThousandDeepTextFailsCleanly) {
   std::string nested;
-  for (int i = 0; i < 20000; ++i) nested += "node 1 1.0\n";
+  for (int i = 0; i < 20000; ++i) nested += "node 1 01\n";
   nested += "leaf 1 0 01\n";
   for (const std::string& text :
-       {"poetbin-model v1\nconfig 1 1 1 1 1\nquantizer 1 0 1\nmodule 0\n" +
+       {"poetbin-model v2\nconfig 1 1 1 1 1\nquantizer 1 0 1\nmodule 0\n" +
             nested,
-        "poetbin-conv-model v1\nconv 1 2 2 1 1 1 0\nchannel 0\n" +
+        "poetbin-conv-model v2\nconv 1 2 2 1 1 1 0\nchannel 0\n" +
             nested}) {
     const IoResult<LoadedModel> result =
         read_model_bytes(text.data(), text.size());

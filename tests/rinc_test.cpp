@@ -38,7 +38,7 @@ TEST(Rinc, FullRincOneStructure) {
   EXPECT_EQ(module.leaf_dt_count(), 4u);
   EXPECT_EQ(module.lut_count(), 5u);  // 4 DTs + 1 MAT
   EXPECT_EQ(module.depth_in_luts(), 2u);
-  EXPECT_EQ(module.mat().arity(), 4u);
+  EXPECT_EQ(module.fanin(), 4u);
 }
 
 TEST(Rinc, FullTreeLutCountMatchesClosedForm) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
+#include "core/packed_model.h"
 #include "reference/scalar_reference.h"
 #include "test_util.h"
 
@@ -90,7 +93,7 @@ TEST(Serialize, SavedTextIsStable) {
   save_model(fx.model, a);
   save_model(fx.model, b);
   EXPECT_EQ(a.str(), b.str());
-  EXPECT_NE(a.str().find("poetbin-model v1"), std::string::npos);
+  EXPECT_NE(a.str().find("poetbin-model v2"), std::string::npos);
 }
 
 TEST(Serialize, DoubleRoundTripIsIdentity) {
@@ -137,9 +140,25 @@ TEST(Serialize, MalformedHeaderIsVersionMismatch) {
 }
 
 TEST(Serialize, FutureVersionIsVersionMismatch) {
-  const IoResult<LoadedModel> result = decode("poetbin-model v2\n");
+  const IoResult<LoadedModel> result = decode("poetbin-model v3\n");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ModelIoError::Kind::kVersionMismatch);
+}
+
+// v1 stored each MAT as its weights; this build reads only tables, so a v1
+// file, dense or conv, asks to be re-exported.
+TEST(Serialize, V1IsVersionMismatch) {
+  const std::string body = saved(fixture().model).substr(
+      std::string("poetbin-model v2").size());
+  for (const std::string& text :
+       {"poetbin-model v1" + body,
+        std::string("poetbin-conv-model v1\nconv 1 2 2 1 1 1 0\n")}) {
+    const IoResult<LoadedModel> result = decode(text);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().kind, ModelIoError::Kind::kVersionMismatch);
+    EXPECT_NE(result.error().message.find("re-export"), std::string::npos)
+        << result.error().message;
+  }
 }
 
 TEST(Serialize, TruncatedBodyIsCorruptSection) {
@@ -280,7 +299,7 @@ const ConvFixture& conv_fixture() {
 TEST(ConvSerialize, RoundTripPreservesPredictions) {
   const ConvFixture& fx = conv_fixture();
   const std::string text = saved(fx.model);
-  EXPECT_NE(text.find("poetbin-conv-model v1"), std::string::npos);
+  EXPECT_NE(text.find("poetbin-conv-model v2"), std::string::npos);
   const IoResult<LoadedModel> result = decode(text);
   ASSERT_TRUE(result.ok()) << result.error().message;
   ASSERT_NE(result->conv, nullptr);
@@ -371,10 +390,10 @@ TEST(ConvSerialize, EveryTruncationPointFailsCleanly) {
 TEST(ConvSerialize, HeaderLinePicksTheGrammar) {
   const std::string conv_text = saved(conv_fixture().model);
   const std::string dense_text = saved(fixture().model);
-  const std::string conv_header = "poetbin-conv-model v1\n";
+  const std::string conv_header = "poetbin-conv-model v2\n";
   ASSERT_EQ(conv_text.rfind(conv_header, 0), 0u);
   const IoResult<LoadedModel> dense_header_conv_body =
-      decode("poetbin-model v1\n" + conv_text.substr(conv_header.size()));
+      decode("poetbin-model v2\n" + conv_text.substr(conv_header.size()));
   ASSERT_FALSE(dense_header_conv_body.ok());
   EXPECT_EQ(dense_header_conv_body.error().kind,
             ModelIoError::Kind::kCorruptSection);
@@ -546,6 +565,124 @@ TEST(TextMutation, EveryTokenSwapInAConvModelFailsOrPredictsLikeTheOracle) {
     }
     return true;
   });
+}
+
+
+// --- round-trip fidelity ----------------------------------------------------
+
+// Adaboost alphas six digits cannot tell apart: the MAT table is 0011
+// (feature 1 outweighs feature 0), and rounded to 0.123456 both it would
+// tie into 0111.
+const MatModule kCloseAlphas({0.1234561, 0.1234564});
+
+// Two classes over P = 2 modules, each a MAT of kCloseAlphas over identity
+// leaves: even modules read features 0 and 1, odd ones 2 and 3. Class 0's
+// code is its two modules' combination and class 1's is 1, so the input
+// 1010 (features 0 and 2 set) predicts class 1 under 0011 (codes 0 and 1)
+// and class 0 under 0111 (codes 3 and 1).
+PoetBin close_alphas_model() {
+  BitVector id_table(2);
+  id_table.set(1, true);
+  PoetBinConfig config;
+  config.rinc = {.lut_inputs = 2, .levels = 1, .total_dts = 2};
+  config.n_classes = 2;
+  config.output.quant_bits = 2;
+  std::vector<RincModule> modules;
+  for (std::size_t m = 0; m < 4; ++m) {
+    modules.push_back(RincModule::make_internal(
+        {RincModule::make_leaf(Lut({2 * (m % 2)}, id_table)),
+         RincModule::make_leaf(Lut({2 * (m % 2) + 1}, id_table))},
+        kCloseAlphas));
+  }
+  std::vector<SparseOutputNeuron> neurons(2);
+  for (std::size_t c = 0; c < 2; ++c) {
+    neurons[c].input_modules = {2 * c, 2 * c + 1};
+    neurons[c].weights.assign(2, 0.5f);
+  }
+  neurons[0].codes = {0, 1, 2, 3};
+  neurons[1].codes = {1, 1, 1, 1};
+  QuantizerParams quantizer;
+  quantizer.bits = 2;
+  return PoetBin::from_parts(config, std::move(modules), std::move(neurons),
+                             quantizer);
+}
+
+// Every leaf and MAT table of `b`'s modules equals `a`'s, pre-order.
+void expect_same_tables(const RincModule& a, const RincModule& b) {
+  ASSERT_EQ(a.is_leaf(), b.is_leaf());
+  if (a.is_leaf()) {
+    EXPECT_EQ(a.leaf_lut(), b.leaf_lut());
+    return;
+  }
+  EXPECT_EQ(a.mat_lut().table().to_string(), b.mat_lut().table().to_string());
+  ASSERT_EQ(a.children().size(), b.children().size());
+  for (std::size_t c = 0; c < a.children().size(); ++c) {
+    expect_same_tables(a.children()[c], b.children()[c]);
+  }
+}
+
+TEST(RoundTripFidelity, CloseMatWeightsKeepTheirTableInBothFormats) {
+  const PoetBin model = close_alphas_model();
+  ASSERT_EQ(model.modules()[0].mat_lut().table().to_string(), "0011");
+  BitMatrix rows(16, 4);  // every input
+  for (std::size_t r = 0; r < 16; ++r) {
+    for (std::size_t f = 0; f < 4; ++f) rows.set(r, f, ((r >> f) & 1u) != 0);
+  }
+  const std::vector<int> want = reference::predict_dataset(model, rows);
+
+  const std::string packed_path = ::testing::TempDir() + "/close_alphas.pbm";
+  ASSERT_TRUE(write_packed_model_file(model, packed_path).ok());
+  std::vector<IoResult<LoadedModel>> loads;
+  loads.push_back(decode(saved(model)));
+  loads.push_back(read_model_file_any(packed_path));
+  std::remove(packed_path.c_str());
+  for (const IoResult<LoadedModel>& loaded : loads) {
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    const char* format = model_format_name(loaded->format);
+    ASSERT_EQ(loaded->model.modules().size(), model.modules().size());
+    for (std::size_t m = 0; m < model.modules().size(); ++m) {
+      SCOPED_TRACE(std::string(format) + " module " + std::to_string(m));
+      expect_same_tables(model.modules()[m], loaded->model.modules()[m]);
+    }
+    EXPECT_EQ(reference::predict_dataset(loaded->model, rows), want)
+        << format;
+  }
+}
+
+TEST(RoundTripFidelity, TextFloatsReadBackBitExactly) {
+  PoetBin model = close_alphas_model();
+  QuantizerParams quantizer;
+  quantizer.bits = 2;
+  quantizer.min_value = -0.333333343f;
+  quantizer.max_value = 0.123456784f;
+  std::vector<SparseOutputNeuron> neurons = model.output_neurons();
+  neurons[0].bias = 0.333333343f;
+  neurons[0].weights = {0.123456784f, -1.0e-7f};
+  neurons[1].bias = 3.40282347e38f;
+  neurons[1].weights = {1.17549435e-38f, 0.1f};
+  PoetBinConfig config;
+  config.rinc = {.lut_inputs = 2, .levels = 1, .total_dts = 2};
+  config.n_classes = 2;
+  config.output.quant_bits = 2;
+  model = PoetBin::from_parts(config, model.modules(), neurons, quantizer);
+
+  const IoResult<LoadedModel> loaded = decode(saved(model));
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  const auto bits = [](float value) {
+    return std::bit_cast<std::uint32_t>(value);
+  };
+  const QuantizerParams& q = loaded->model.quantizer();
+  EXPECT_EQ(bits(q.min_value), bits(quantizer.min_value));
+  EXPECT_EQ(bits(q.max_value), bits(quantizer.max_value));
+  for (std::size_t c = 0; c < neurons.size(); ++c) {
+    const SparseOutputNeuron& got = loaded->model.output_neurons()[c];
+    EXPECT_EQ(bits(got.bias), bits(neurons[c].bias)) << "class " << c;
+    ASSERT_EQ(got.weights.size(), neurons[c].weights.size());
+    for (std::size_t i = 0; i < got.weights.size(); ++i) {
+      EXPECT_EQ(bits(got.weights[i]), bits(neurons[c].weights[i]))
+          << "class " << c << " weight " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -168,7 +168,21 @@ TEST(WordParallelTraining, RincModulesIdenticalAcrossPaths) {
   for (std::size_t i = 0; i < scalar_leaves.size(); ++i) {
     EXPECT_EQ(*scalar_leaves[i], *word_leaves[i]) << "leaf " << i;
   }
-  EXPECT_EQ(scalar.mat().weights(), word.mat().weights());
+  // Every internal node's MAT table; the alphas behind them are held
+  // bit-identical at the Adaboost level above.
+  const auto mat_luts = [](const RincModule& root) {
+    std::vector<Lut> out;
+    const auto walk = [&out](const auto& self, const RincModule& m) -> void {
+      if (m.is_leaf()) return;
+      out.push_back(m.mat_lut());
+      for (const RincModule& child : m.children()) self(self, child);
+    };
+    walk(walk, root);
+    return out;
+  };
+  const std::vector<Lut> scalar_mats = mat_luts(scalar);
+  EXPECT_EQ(scalar_mats.size(), 4u);  // a RINC-2 root over three RINC-1s
+  EXPECT_EQ(scalar_mats, mat_luts(word));
 }
 
 TEST(WordParallelTraining, RincTrainWithEngineMatchesSerial) {

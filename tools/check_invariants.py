@@ -67,7 +67,12 @@ Rules (each with the incident that motivated it):
                          holding the one publish helper
                          (src/core/serialize.cpp). Two loaders had drifted
                          apart until pack wrote files its own loader
-                         rejected.
+                         rejected. A loaded model is its tables: the MAT
+                         weights' store and section (`mat_weights`,
+                         `weights_at`, `kSecMatWeights`) never reappear in
+                         src/. A second form of each MAT table had to be
+                         kept in step with it, and the text format's
+                         rounded weights flipped a table on reload.
   frame-payload-bound    Byte-size constants declared in the wire protocol
                          stay within kMaxFramePayload; a constant that
                          outgrows the frame cap would make the server
@@ -322,6 +327,8 @@ DELETED_MODEL_ENTRY = re.compile(
     r"read_packed_model_file|is_packed_model_file|is_text_conv_model_file)\b")
 RENAME_CALL = re.compile(r"(?<![\w.>])(?:std::|::)?rename\s*\(")
 PUBLISH_HELPER_FILE = os.path.join("src", "core", "serialize.cpp")
+DELETED_MAT_WEIGHTS = re.compile(
+    r"\b(?:mat_weights|weights_at|kSecMatWeights)\b")
 
 
 def check_one_model_decoder(root):
@@ -339,6 +346,12 @@ def check_one_model_decoder(root):
                     "one-model-decoder", rel, i + 1,
                     f"'{match.group(0)}' was a per-format model loader; "
                     "load through read_model_bytes / read_model_file_any"))
+            match = DELETED_MAT_WEIGHTS.search(line)
+            if in_src and match:
+                violations.append(Violation(
+                    "one-model-decoder", rel, i + 1,
+                    f"'{match.group(0)}' stored MAT weights beside the MAT "
+                    "table; a model keeps only mat_lut()"))
             if in_src and rel != PUBLISH_HELPER_FILE and \
                     RENAME_CALL.search(line.split("//", 1)[0]):
                 violations.append(Violation(
@@ -578,7 +591,9 @@ def seed_clean_tree(root):
     # loaders, and the publish helper's file may rename.
     write(root, "src/core/serialize.cpp",
           "return read_model_bytes(bytes.data(), bytes.size());\n"
-          "if (std::rename(temp.c_str(), path.c_str()) != 0) {\n")
+          "if (std::rename(temp.c_str(), path.c_str()) != 0) {\n"
+          "out << module.mat_lut().table().to_string() << '\\n';\n"
+          "for (const auto weight : neuron.weights) out << weight;\n")
     write(root, "bench/good_load.cpp",
           "const auto loaded = read_model_file_any(path);\n")
     # The surviving entropy sum shares a suffix with the removed kernel,
@@ -633,6 +648,12 @@ SELF_TEST_VIOLATIONS = [
      "  const IoResult<PoetBin> loaded = read_model_file(text_file);\n"),
     ("one-model-decoder", "src/serve/bad_publish.cpp",
      "  if (std::rename(temp.c_str(), path.c_str()) != 0) {\n"),
+    ("one-model-decoder", "src/core/bad_mat_store.cpp",
+     "  std::span<const double> mat_weights() const;\n"),
+    ("one-model-decoder", "src/core/bad_tree.cpp",
+     "    std::uint32_t weights_at = 0;\n"),
+    ("one-model-decoder", "src/core/bad_packed.cpp",
+     "  kSecMatWeights = 5,\n"),
     ("frame-payload-bound", "src/serve/protocol.h",
      CLEAN_PROTOCOL +
      "inline constexpr std::uint32_t kStatsPayloadBytes = 1u << 21;\n"),
